@@ -216,6 +216,12 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
     except (front.FrontError, kirby.KirbyError) as exc:
         raise InputFailure(f"{cfg.paths[2]}: {exc}")
 
+    adm = kirby.check_admissible(cork, budget=cfg.budget, seed=cfg.seed)
+    if adm.verdict == "inconclusive":
+        print(f"certification inconclusive: cork admissibility undecided "
+              f"at budget {cfg.budget}, seed {cfg.seed}", file=sys.stderr)
+        return INCONCLUSIVE
+
     try:
         untwisted = kirby.inflate(
             cork, pair.untwisted_front, pair.framing, pair.untwisted_component
@@ -226,7 +232,7 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
             twisted_cork, pair.twisted_front, pair.framing, pair.twisted_component
         )
         plan = fillings.extend_with_cobordism(untwisted, palf)
-        cert = hfcert.certify_distinct(cork, untwisted, plan, twisted=twisted)
+        cert = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         if exc.condition is not None:
@@ -250,7 +256,7 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
         "certificate": cert_doc,
         "relative_invariant": {"first": first.to_doc(), "second": second},
         "non_extension": hfcert.non_extension_fact(cert),
-        "fake_pair": hfcert.fake_pair_report(cork, plan),
+        "fake_pair": hfcert.fake_pair_report(plan),
         "budget": cfg.budget,
         "seed": cfg.seed,
     }

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, replace
 
 from . import intmat, mcg
+from .front import numbered_lines
 from .kirby import CobordismRecord
 from .mcg import Curve, Surface, TwistWord
 
@@ -250,6 +251,9 @@ class FillingPlan:
 
     trivializing_handles is a positive word; each letter stands for one
     -1-framed 2-handle along the named curve sitting in a fiber.
+    composite_action is the H1 action of the stabilized monodromy followed
+    by the trivializing handles, as checked when the plan was built; it is
+    evidence for certificates and stays out of to_doc.
     """
 
     v0: V0Record
@@ -259,6 +263,7 @@ class FillingPlan:
     fiber_genus: int
     relator_blocks: int
     assumptions: tuple[Assumption, ...]
+    composite_action: tuple[tuple[int, ...], ...]
     stabilizations: int = 0
     extension_absorbed: bool = False
     source_open_book: OpenBook | None = None
@@ -357,12 +362,6 @@ def stabilize_openbook(ob: OpenBook) -> OpenBook:
     return OpenBook(Surface(new_g, 1), TwistWord(letters), binding_components=1)
 
 
-def stabilize_palf(p: PALF) -> PALF:
-    """Positive stabilization: page genus + 1, word length + 1."""
-    book = stabilize_openbook(palf_to_openbook(p))
-    return PALF(book, tuple(c for c, _ in book.monodromy.letters), p.source)
-
-
 def cap_binding(ob: OpenBook) -> tuple[V0Record, ClosedFiberBundle]:
     """Cap the binding circle; the twist word survives letter-for-letter."""
     if ob.binding_components != 1:
@@ -386,9 +385,10 @@ def build_concave(ob: OpenBook) -> FillingPlan:
     v0, capped = cap_binding(book)
     trivializing = mcg.trivialize(book.monodromy)
     composite = book.monodromy.concat(trivializing)
-    if len(composite) and not intmat.is_identity(mcg.h1_action(composite)):
-        raise FillingError("trivialization failed to cancel the monodromy action")
     genus_hat = capped.fiber_genus
+    action = mcg.h1_action(composite) if len(composite) else intmat.identity(2 * genus_hat)
+    if not intmat.is_identity(action):
+        raise FillingError("trivialization failed to cancel the monodromy action")
     euler = 1 + len(trivializing) + (2 - 2 * genus_hat)
     return FillingPlan(
         v0=v0,
@@ -398,6 +398,7 @@ def build_concave(ob: OpenBook) -> FillingPlan:
         fiber_genus=genus_hat,
         relator_blocks=len(book.monodromy),
         assumptions=STANDARD_ASSUMPTIONS,
+        composite_action=tuple(tuple(row) for row in action),
         stabilizations=stabs,
         extension_absorbed=False,
         source_open_book=ob,
@@ -469,10 +470,7 @@ def parse_palf(text: str) -> PALF:
     handles: tuple[int, int] | None = None
     named: dict[str, Curve] = {}
     word_line: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         head, _, rest = line.partition(" ")
         if head == "genus":
             try:

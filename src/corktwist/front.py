@@ -22,6 +22,7 @@ of cusps, both read off this diagram.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -690,16 +691,21 @@ def _parse_points(text: str, line: int) -> tuple[Point, ...]:
     return tuple(pts)
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number from 1, line) with `#` comments and blank lines dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_front(text: str) -> FrontDiagram:
     """Parse the line grammar, or the JSON equivalent if text starts with '{'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return front_from_doc(json.loads(text))
     builder = FrontBuilder()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         if not builder.statement(line, lineno):
             raise FrontParseError(f"unknown statement {line.split()[0]!r}", lineno)
     if not builder.arcs:

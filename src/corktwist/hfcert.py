@@ -26,9 +26,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intmat, kirby, mcg
-from .fillings import Assumption, FillingPlan, ClosedLF, stabilize_openbook
-from .kirby import AbelianGroup, CobordismRecord, KirbyDiagram
+from . import intmat, kirby
+from .fillings import Assumption, FillingPlan
+from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
 
 U_DEGREE = -2
 
@@ -85,10 +85,6 @@ class GradedModule:
         }
 
 
-HF_PLUS_S3 = GradedModule("HF+(S3)", ((Fraction(0), 1),))
-HF_MINUS_S3 = GradedModule("HF-(S3)", ((Fraction(-2), -1),))
-
-
 @dataclass(frozen=True)
 class ModuleElement:
     """A named element of a formal module, with optional grading."""
@@ -124,14 +120,14 @@ def theta_plus(n: int) -> ModuleElement:
     """Tower generator of the plus theory at grading n."""
     if hf_s3("+", n).is_trivial:
         raise HFError(f"the plus tower of the three-sphere is 0 in degree {n}")
-    return ModuleElement(f"Θ+({n})", Fraction(n), HF_PLUS_S3.name, "tower-generator")
+    return ModuleElement(f"Θ+({n})", Fraction(n), "HF+(S3)", "tower-generator")
 
 
 def theta_minus(n: int) -> ModuleElement:
     """Tower generator of the minus theory at grading n."""
     if hf_s3("-", n).is_trivial:
         raise HFError(f"the minus tower of the three-sphere is 0 in degree {n}")
-    return ModuleElement(f"Θ-({n})", Fraction(n), HF_MINUS_S3.name, "tower-generator")
+    return ModuleElement(f"Θ-({n})", Fraction(n), "HF-(S3)", "tower-generator")
 
 
 def contact_element(label: str) -> ModuleElement:
@@ -529,13 +525,9 @@ def require_untwisted_exact(inflation: CobordismRecord) -> SideCondition:
     return _cond(expr)
 
 
-def _boundary_det(cork: KirbyDiagram) -> int:
-    _, matrix = kirby.linking_matrix(cork)
-    return intmat.det(matrix)
-
-
 def certify_distinct(
     cork: KirbyDiagram,
+    adm: AdmissibilityReport,
     inflation: CobordismRecord,
     plan: FillingPlan,
     twisted: CobordismRecord | None = None,
@@ -545,14 +537,15 @@ def certify_distinct(
     The untwisted side must be Stein-exact and flows through the concave
     filling to a nonzero image of the contact element; the twisted side
     is obstructed by registered knot facts and adjunction, forcing a zero
-    image.  A twisted-side attachment record may be passed in when one
-    was computed from an actual front; otherwise the obstruction is
-    derived from the knot's registered maximal Thurston-Bennequin number.
+    image.  adm is the cork's admissibility report, computed by the
+    caller with the search budget it records.  A twisted-side attachment
+    record may be passed in when one was computed from an actual front;
+    otherwise the obstruction is derived from the knot's registered
+    maximal Thurston-Bennequin number.
     """
     steps: list[Step] = []
 
     # (1) the cork itself
-    adm = kirby.check_admissible(cork)
     _require(
         adm.verdict == "admissible",
         f"cork admissibility failed: verdict {adm.verdict!r}",
@@ -597,15 +590,10 @@ def certify_distinct(
         plan.extension_absorbed,
         "plan does not record absorbing the attached 2-handle past the cap",
     )
-    book = plan.source_open_book
-    for _ in range(plan.stabilizations):
-        book = stabilize_openbook(book)
     g_hat = plan.fiber_genus
     triv = len(plan.trivializing_handles)
     per_letter = 2 * g_hat * (4 * g_hat + 2) - 1
-    composite = book.monodromy.concat(plan.trivializing_handles)
-    action = mcg.h1_action(composite) if len(composite) else intmat.identity(2 * g_hat)
-    matrix_json = json.dumps(action, separators=(",", ":"))
+    matrix_json = json.dumps(plan.composite_action, separators=(",", ":"))
     steps.append(Step(
         rule="concave_filling_plan",
         quote=AXIOMS["concave_filling_plan"],
@@ -664,7 +652,7 @@ def certify_distinct(
 
     # (5) the concave piece hits the contact element
     hom = kirby.homology(cork)
-    det = _boundary_det(cork)
+    det = intmat.det([list(row) for row in hom.linking_matrix])
     _require(
         hom.h_of_boundary[1].rank == 0,
         "boundary first homology has free rank; contact c1 not torsion",
@@ -920,15 +908,13 @@ def non_extension_fact(cert: Certificate) -> dict:
     }
 
 
-def fake_pair_report(cork: KirbyDiagram, plan: FillingPlan) -> dict:
-    """Report the fake pair: same topology, different basic-class behavior."""
-    adm = kirby.check_admissible(cork)
-    if adm.verdict != "admissible":
-        raise RuleNotApplicable(
-            f"cork admissibility failed: verdict {adm.verdict!r}"
-        )
-    if plan.source_open_book is None:
-        raise RuleNotApplicable("plan lacks concave-filling provenance")
+def fake_pair_report(plan: FillingPlan) -> dict:
+    """Report the fake pair: same topology, different basic-class behavior.
+
+    Call only with the plan of a finished DISTINCT certificate:
+    certify_distinct has already required an admissible cork and a plan
+    with concave-filling provenance.
+    """
     theta_m = theta_minus(-2)
     theta_p = theta_plus(0)
     return {

@@ -167,10 +167,7 @@ def parse_kirby(text: str) -> KirbyDiagram:
     involution: Involution | None = None
     stein_component: str | None = None
     saw_stein = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in front_mod.numbered_lines(text):
         head, _, rest = line.partition(" ")
         if head == "dot":
             name = rest.strip()
@@ -650,30 +647,6 @@ def stein_side_status(
     return out
 
 
-def stein_realizable(d: KirbyDiagram) -> dict:
-    """Stein framing-rule verdict for every framed component.
-
-    The Thurston-Bennequin number is read off the component's own front
-    in the diagram; pass means the framing is at most tb - 1 there, with
-    the exact flag marking equality.
-    """
-    results = {}
-    for comp in d.framed():
-        tb = d.front.tb(comp)
-        framing = d.framing(comp)
-        results[comp] = {
-            "framing": framing,
-            "tb": tb,
-            "pass": framing <= tb - 1,
-            "exact": framing == tb - 1,
-            "reason": (
-                f"framing {framing} vs exhibited tb {tb}: Stein attachment needs "
-                f"framing at most {tb - 1}"
-            ),
-        }
-    return results
-
-
 # -- inflation ----------------------------------------------------------------
 
 
@@ -777,10 +750,7 @@ class InflationSpec:
 def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
     base = Path(base_dir)
     fields: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in front_mod.numbered_lines(text):
         head, _, rest = line.partition(" ")
         parts = rest.split()
         if head == "knot":

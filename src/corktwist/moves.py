@@ -155,11 +155,10 @@ class Shadow:
     def _arrives(self, dart: int) -> bool:
         return dart in self._arrival_set()
 
-    def canonical_code(self) -> tuple:
-        """Minimal signed over/under code over all starts and both directions."""
-        if not self.vertices:
-            return ()
+    def _minimal_code(self) -> tuple[tuple, dict[int, int]]:
+        """Minimal signed over/under code over all starts, with its vertex labels."""
         best = None
+        best_labels: dict[int, int] = {}
         for start in sorted(self.theta):
             labels: dict[int, int] = {}
             code: list[tuple[int, int, int]] = []
@@ -177,31 +176,20 @@ class Shadow:
             tup = tuple(code)
             if best is None or tup < best:
                 best = tup
-        return best
+                best_labels = labels
+        return best, best_labels
+
+    def canonical_code(self) -> tuple:
+        """Minimal signed over/under code over all starts and both directions."""
+        if not self.vertices:
+            return ()
+        return self._minimal_code()[0]
 
     def vertex_label(self, vid: int) -> int:
         """Stable label of a vertex: its position in the canonical code."""
         if not self.vertices:
             raise ShadowError("empty shadow")
-        best = None
-        best_labels = None
-        for start in sorted(self.theta):
-            labels: dict[int, int] = {}
-            code = []
-            cur = start
-            while True:
-                v, _ = self._slot[cur]
-                if v not in labels:
-                    labels[v] = len(labels)
-                code.append((labels[v], 1 if self.is_over(cur) else 0, self._vertex_sign(v)))
-                cur = self._succ(cur)
-                if cur == start:
-                    break
-            tup = tuple(code)
-            if best is None or tup < best:
-                best = tup
-                best_labels = labels
-        return best_labels[vid]
+        return self._minimal_code()[1][vid]
 
     # -- reducing moves -------------------------------------------------------
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from corktwist import cli, hfcert, kirby
+from corktwist import cli, hfcert, kirby, mcg
 
 
 def run(argv):
@@ -184,6 +184,46 @@ def test_certify_human_output(certify_argv):
         assert axiom in out
     assert "relative invariant: (±1, 0)" in out
     assert "framing 1 ≠ tb − 1 for exhibited tb ≤ 1" in out
+
+
+def test_certify_zero_budget_is_inconclusive(certify_argv):
+    code, out, err = run(certify_argv + ["--budget", "0"])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_certify_does_each_computation_once(certify_argv, monkeypatch):
+    searches, actions = [], []
+    check_admissible, h1_action = kirby.check_admissible, mcg.h1_action
+
+    def counted_search(d, budget=2000, seed=0):
+        searches.append((budget, seed))
+        return check_admissible(d, budget=budget, seed=seed)
+
+    def counted_action(word):
+        actions.append(len(word))
+        return h1_action(word)
+
+    monkeypatch.setattr(kirby, "check_admissible", counted_search)
+    monkeypatch.setattr(mcg, "h1_action", counted_action)
+    code, _, err = run(certify_argv)
+    assert code == 0, err
+    assert searches == [(2000, 0)]
+    assert len(actions) == 1
+
+
+def test_certify_inadmissible_cork_reports_no_fake_pair(fixtures):
+    code, out, err = run([
+        "certify",
+        str(fixtures / "hopf.kirby"),
+        str(fixtures / "mazur_inflated.palf"),
+        str(fixtures / "trefoil_inflation.spec"),
+        "--format", "doc",
+    ])
+    assert code == 1
+    assert "fake_pair" not in out
+    assert "cork admissibility failed" in err
 
 
 def test_certify_validate_round_trip(certify_argv, tmp_path):

@@ -30,11 +30,12 @@ from corktwist.hfcert import (
 @pytest.fixture
 def pipeline(load):
     cork = kirby.parse_kirby(load("mazur.kirby"))
+    adm = kirby.check_admissible(cork)
     over_handle = front.parse_front(load("trefoil_handle.front"))
     inflation = kirby.inflate(cork, over_handle, 1)
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
     plan = fillings.extend_with_cobordism(inflation, palf)
-    return cork, inflation, plan
+    return cork, adm, inflation, plan
 
 
 def test_hf_s3_table():
@@ -139,8 +140,8 @@ def test_eval_condition_language():
 
 
 def test_certificate_distinct_and_valid(pipeline):
-    cork, inflation, plan = pipeline
-    cert = certify_distinct(cork, inflation, plan)
+    cork, adm, inflation, plan = pipeline
+    cert = certify_distinct(cork, adm, inflation, plan)
     assert cert.verdict == "DISTINCT"
     assert len(cert.steps) == 10
     doc = cert.to_doc()
@@ -154,16 +155,16 @@ def test_certificate_distinct_and_valid(pipeline):
 
 
 def test_certificate_digest_is_content_addressed(pipeline):
-    cork, inflation, plan = pipeline
-    doc1 = certify_distinct(cork, inflation, plan).to_doc()
-    doc2 = certify_distinct(cork, inflation, plan).to_doc()
+    cork, adm, inflation, plan = pipeline
+    doc1 = certify_distinct(cork, adm, inflation, plan).to_doc()
+    doc2 = certify_distinct(cork, adm, inflation, plan).to_doc()
     assert doc1["digest"] == doc2["digest"]
     assert doc1 == doc2
 
 
 def test_tampering_single_integer_fails(pipeline):
-    cork, inflation, plan = pipeline
-    blob = json.dumps(certify_distinct(cork, inflation, plan).to_doc())
+    cork, adm, inflation, plan = pipeline
+    blob = json.dumps(certify_distinct(cork, adm, inflation, plan).to_doc())
     assert "195 == 5 * 39" in blob
     bad = json.loads(blob.replace("195 == 5 * 39", "196 == 5 * 39"))
     problems = validate_certificate(bad)
@@ -172,15 +173,15 @@ def test_tampering_single_integer_fails(pipeline):
 
 
 def test_tampering_text_only_fails_digest(pipeline):
-    cork, inflation, plan = pipeline
-    blob = json.dumps(certify_distinct(cork, inflation, plan).to_doc())
+    cork, adm, inflation, plan = pipeline
+    blob = json.dumps(certify_distinct(cork, adm, inflation, plan).to_doc())
     bad = json.loads(blob.replace("verdict: DISTINCT", "verdict: SAME"))
     assert any("digest" in p for p in validate_certificate(bad))
 
 
 def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
-    cork, inflation, plan = pipeline
-    doc = certify_distinct(cork, inflation, plan).to_doc()
+    cork, adm, inflation, plan = pipeline
+    doc = certify_distinct(cork, adm, inflation, plan).to_doc()
     doc["steps"] = doc["steps"][::-1]
     doc["digest"] = certificate_digest(doc)
     problems = validate_certificate(doc)
@@ -188,62 +189,62 @@ def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
 
 
 def test_rewritten_axiom_fails(pipeline):
-    cork, inflation, plan = pipeline
-    doc = certify_distinct(cork, inflation, plan).to_doc()
+    cork, adm, inflation, plan = pipeline
+    doc = certify_distinct(cork, adm, inflation, plan).to_doc()
     doc["steps"][0]["quote"] = "trust me"
     doc["digest"] = certificate_digest(doc)
     assert any("axiom" in p for p in validate_certificate(doc))
 
 
 def test_abort_on_wrong_framing(pipeline, load):
-    cork, _, plan = pipeline
+    cork, adm, _, plan = pipeline
     over_handle = front.parse_front(load("trefoil_handle.front"))
     low = kirby.inflate(cork, over_handle, 0)
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, low, plan)
+        certify_distinct(cork, adm, low, plan)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
     assert info.value.condition == {"expr": "0 == 2 - 1", "value": False}
 
 
 def test_abort_on_unknot_inflation(pipeline, load):
-    cork, _, plan = pipeline
+    cork, adm, _, plan = pipeline
     unknot = front.parse_front(load("lens.front"))
     record = kirby.inflate(cork, unknot, -2)  # exact: tb -1, framing tb - 1
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, record, plan)
+        certify_distinct(cork, adm, record, plan)
     assert "adjunction rule not applicable" in str(info.value)
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
-    _, inflation, plan = pipeline
+    _, _, inflation, plan = pipeline
     hopf = kirby.parse_kirby(load("hopf.kirby"))
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(hopf, inflation, plan)
+        certify_distinct(hopf, kirby.check_admissible(hopf), inflation, plan)
     assert "admissibility" in str(info.value)
 
 
 def test_abort_on_plan_without_absorption(pipeline, load):
-    cork, inflation, _ = pipeline
+    cork, adm, inflation, _ = pipeline
     plain = fillings.extend_with_cobordism(
         None, fillings.parse_palf(load("mazur.palf"))
     )
     with pytest.raises(CertificateAbort):
-        certify_distinct(cork, inflation, plain)
+        certify_distinct(cork, adm, inflation, plain)
 
 
 def test_explicit_twisted_record(pipeline, load):
-    cork, inflation, plan = pipeline
+    cork, adm, inflation, plan = pipeline
     twisted_rec = kirby.inflate(
         kirby.cork_twist(cork), front.parse_front(load("trefoil.front")), 1
     )
-    cert = certify_distinct(cork, inflation, plan, twisted=twisted_rec)
+    cert = certify_distinct(cork, adm, inflation, plan, twisted=twisted_rec)
     assert cert.verdict == "DISTINCT"
     assert validate_certificate(cert.to_doc()) == []
 
 
 def test_relative_invariant_pair(pipeline):
-    cork, inflation, plan = pipeline
-    cert = certify_distinct(cork, inflation, plan)
+    cork, adm, inflation, plan = pipeline
+    cert = certify_distinct(cork, adm, inflation, plan)
     first, second = hfcert.relative_invariant(cert)
     assert str(first) == "±1"
     assert first.magnitude == 1 and first.sign_ambiguous
@@ -254,8 +255,8 @@ def test_relative_invariant_pair(pipeline):
 
 
 def test_fake_pair_report(pipeline):
-    cork, _, plan = pipeline
-    report = hfcert.fake_pair_report(cork, plan)
+    *_, plan = pipeline
+    report = hfcert.fake_pair_report(plan)
     assert "homeomorphic but not diffeomorphic" in report["statement"]
     assert len(report["computations"]) == 2
     names = {a["name"] for a in report["assumptions"]}
@@ -263,13 +264,6 @@ def test_fake_pair_report(pipeline):
     assert all(
         a.get("status") == "declared-unverified" for a in report["assumptions"]
     )
-
-
-def test_fake_pair_needs_admissible_cork(pipeline, load):
-    _, _, plan = pipeline
-    hopf = kirby.parse_kirby(load("hopf.kirby"))
-    with pytest.raises(RuleNotApplicable):
-        hfcert.fake_pair_report(hopf, plan)
 
 
 def test_graded_module_validation():

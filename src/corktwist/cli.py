@@ -199,6 +199,8 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
             doc = json.loads(_read(validate))
         except json.JSONDecodeError as exc:
             raise InputFailure(f"{validate}: not valid JSON: {exc}")
+        except RecursionError:
+            raise InputFailure(f"{validate}: JSON is nested too deeply") from None
         problems = hfcert.validate_certificate(doc)
         if problems:
             for p in problems:

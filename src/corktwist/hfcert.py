@@ -319,6 +319,10 @@ def certificate_digest(body: dict) -> str:
 # -- the side-condition language ----------------------------------------------
 
 _TOKEN = re.compile(r"\s*(==|!=|<=|>=|<|>|[-+*/%()]|\d+|abs)")
+# nesting levels ("(", "abs(", unary "-") one condition may open; the
+# descent takes up to three frames per level, so this keeps it well
+# inside the interpreter's recursion limit
+_MAX_DEPTH = 100
 
 
 class _Parser:
@@ -336,6 +340,7 @@ class _Parser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.at] if self.at < len(self.tokens) else None
@@ -394,24 +399,26 @@ class _Parser:
 
     def unary(self) -> Fraction:
         tok = self.peek()
-        if tok == "-":
-            self.take()
-            return -self.unary()
-        if tok == "abs":
-            self.take()
-            self.take("(")
-            inner = self.arith()
-            self.take(")")
-            return abs(inner)
-        if tok == "(":
-            self.take()
-            inner = self.arith()
-            self.take(")")
-            return inner
         if tok is not None and tok.isdigit():
             self.take()
             return Fraction(int(tok))
-        raise HFError(f"expected a value, got {tok!r}")
+        if tok not in ("-", "abs", "("):
+            raise HFError(f"expected a value, got {tok!r}")
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise HFError(f"condition nests deeper than {_MAX_DEPTH} levels")
+        self.take()
+        if tok == "-":
+            value = -self.unary()
+        elif tok == "abs":
+            self.take("(")
+            value = abs(self.arith())
+            self.take(")")
+        else:
+            value = self.arith()
+            self.take(")")
+        self.depth -= 1
+        return value
 
 
 def eval_condition(expr: str) -> bool:
@@ -423,6 +430,8 @@ def eval_condition(expr: str) -> bool:
             mat = json.loads(inner)
         except json.JSONDecodeError as exc:
             raise HFError(f"bad matrix literal: {exc}")
+        except RecursionError:
+            raise HFError("matrix literal is nested too deeply") from None
         if (not isinstance(mat, list) or not mat
                 or any(not isinstance(row, list) or len(row) != len(mat)
                        for row in mat)
@@ -805,32 +814,61 @@ def certify_distinct(
 
 # -- certificate validation ---------------------------------------------------
 
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def validate_certificate(doc: dict) -> list[str]:
-    """Re-check a serialized certificate; returns problems, empty if clean."""
+    """Re-check a serialized certificate; returns problems, empty if clean.
+
+    Total on any JSON value: a field of the wrong type is a problem, not
+    an exception.
+    """
     problems: list[str] = []
     if not isinstance(doc, dict):
         return ["certificate is not a mapping"]
-    digest = doc.get("digest")
-    if digest != certificate_digest(doc):
+    try:
+        # past this point every field is shallow enough to print
+        recomputed = certificate_digest(doc)
+    except RecursionError:
+        return ["certificate is nested too deeply to re-check"]
+    if doc.get("digest") != recomputed:
         problems.append("digest mismatch: certificate content was altered")
     steps = doc.get("steps")
     if not isinstance(steps, list) or not steps:
         problems.append("certificate has no steps")
         return problems
-    if doc.get("verdict") not in ("DISTINCT",):
-        problems.append(f"unknown verdict {doc.get('verdict')!r}")
+    verdict = doc.get("verdict")
+    if verdict != "DISTINCT":
+        problems.append(f"unknown verdict {verdict!r}")
     known_outputs: set[str] = set()
+    assumptions = doc.get("assumptions", [])
+    if not isinstance(assumptions, list):
+        problems.append("assumptions are not a list")
+        assumptions = []
     assumption_names = {
-        a.get("name") for a in doc.get("assumptions", []) if isinstance(a, dict)
+        a["name"] for a in assumptions if isinstance(a, dict) and isinstance(a.get("name"), str)
     }
     for idx, step in enumerate(steps):
-        where = f"step {idx + 1} ({step.get('rule', '?')})"
-        if step.get("rule") not in AXIOMS:
+        if not isinstance(step, dict):
+            problems.append(f"step {idx + 1}: not a mapping")
+            continue
+        rule = step.get("rule", "?")
+        axiom = AXIOMS.get(rule) if isinstance(rule, str) else None
+        where = f"step {idx + 1} ({rule})"
+        if axiom is None:
             problems.append(f"{where}: unknown rule")
-        if step.get("quote") != AXIOMS.get(step.get("rule", "")):
+        if step.get("quote") != axiom:
             problems.append(f"{where}: quote does not match the axiom text")
-        for cond in step.get("side_conditions", []):
-            expr = cond.get("expr", "")
+        conds = step.get("side_conditions", [])
+        if not isinstance(conds, list):
+            problems.append(f"{where}: side conditions are not a list")
+            conds = []
+        for cond in conds:
+            expr = cond.get("expr", "") if isinstance(cond, dict) else None
+            if not isinstance(expr, str):
+                problems.append(f"{where}: side condition is not a mapping with a string expr")
+                continue
             try:
                 actual = eval_condition(expr)
             except HFError as exc:
@@ -843,7 +881,11 @@ def validate_certificate(doc: dict) -> list[str]:
                 )
             elif actual is not True:
                 problems.append(f"{where}: condition {expr!r} is false")
-        for inp in step.get("inputs", []):
+        inputs, outputs = step.get("inputs", []), step.get("outputs", [])
+        if not _is_str_list(inputs) or not _is_str_list(outputs):
+            problems.append(f"{where}: inputs and outputs are not lists of strings")
+            continue
+        for inp in inputs:
             if inp.startswith("given: "):
                 continue
             if inp.startswith("assumption: "):
@@ -855,8 +897,8 @@ def validate_certificate(doc: dict) -> list[str]:
                     f"{where}: input {inp!r} is neither given, assumed, "
                     "nor an earlier output"
                 )
-        known_outputs.update(step.get("outputs", []))
-    if doc.get("verdict") == "DISTINCT":
+        known_outputs.update(outputs)
+    if verdict == "DISTINCT":
         if "verdict: DISTINCT" not in known_outputs:
             problems.append("verdict is not supported by any step output")
     return problems

@@ -159,7 +159,13 @@ class KirbyDiagram:
 def parse_kirby(text: str) -> KirbyDiagram:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return kirby_from_doc(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise KirbyError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise KirbyError("JSON document is nested too deeply") from None
+        return kirby_from_doc(doc)
     builder = front_mod.FrontBuilder()
     stein_builder = front_mod.FrontBuilder()
     dots: list[str] = []
@@ -220,28 +226,36 @@ def parse_kirby(text: str) -> KirbyDiagram:
 
 
 def kirby_from_doc(doc: dict) -> KirbyDiagram:
-    involution = None
-    if doc.get("involution"):
-        iv = doc["involution"]
-        involution = Involution(
-            iv["components"][0],
-            iv["components"][1],
-            front_mod.parse_rational(str(iv["center"][0])),
-            front_mod.parse_rational(str(iv["center"][1])),
+    """Diagram from its JSON document; a missing or ill-typed field is a KirbyError."""
+    try:
+        involution = None
+        if doc.get("involution"):
+            iv = doc["involution"]
+            involution = Involution(
+                iv["components"][0],
+                iv["components"][1],
+                front_mod.parse_rational(str(iv["center"][0])),
+                front_mod.parse_rational(str(iv["center"][1])),
+            )
+        stein_front = None
+        stein_component = None
+        if doc.get("stein"):
+            stein_front = front_mod.front_from_doc(doc["stein"]["front"])
+            stein_component = doc["stein"]["component"]
+        return KirbyDiagram(
+            front_mod.front_from_doc(doc["front"]),
+            tuple(doc.get("dots", [])),
+            tuple((c, int(k)) for c, k in doc.get("frames", {}).items()),
+            involution,
+            stein_front,
+            stein_component,
         )
-    stein_front = None
-    stein_component = None
-    if doc.get("stein"):
-        stein_front = front_mod.front_from_doc(doc["stein"]["front"])
-        stein_component = doc["stein"]["component"]
-    return KirbyDiagram(
-        front_mod.front_from_doc(doc["front"]),
-        tuple(doc.get("dots", [])),
-        tuple((c, int(k)) for c, k in doc.get("frames", {}).items()),
-        involution,
-        stein_front,
-        stein_component,
-    )
+    except (front_mod.FrontError, KirbyError):
+        raise
+    except KeyError as exc:
+        raise KirbyError(f"diagram document is missing key {exc}") from None
+    except (TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise KirbyError(f"diagram document has an ill-typed field: {exc}") from None
 
 
 def kirby_to_doc(d: KirbyDiagram) -> dict:

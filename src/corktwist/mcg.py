@@ -117,26 +117,35 @@ def transvection(c: Curve) -> Matrix:
     return m
 
 
-def _transvection_inverse(c: Curve) -> Matrix:
-    n = 2 * c.genus
-    jc = intmat.mat_vec(j_matrix(c.genus), list(c.h1_class))
-    m = intmat.identity(n)
-    for i in range(n):
-        for j in range(n):
-            m[i][j] -= c.h1_class[i] * jc[j]
-    return m
-
-
 def h1_action(word: TwistWord) -> Matrix:
-    """Matrix of the word on H_1, leftmost letter applied first."""
+    """Matrix of the word on H_1, leftmost letter applied first.
+
+    A letter (c, e) acts by x -> x + e<x, c> c, i.e. by I + e c (Jc)^T,
+    so it is applied to the running product R as a rank-1 row update:
+    w = (Jc)^T R, then row i of R gains e c_i w.  That is O(n^2) per
+    letter on n = 2g rows and builds no per-letter matrix.
+    """
     if not word.letters:
         raise ValueError("empty word has no well-defined surface; pass at least one letter")
     g = word.genus()
     assert g is not None
-    result = intmat.identity(2 * g)
+    n = 2 * g
+    result = intmat.identity(n)
     for curve, exp in word.letters:
-        m = transvection(curve) if exp == 1 else _transvection_inverse(curve)
-        result = intmat.mat_mul(m, result)
+        c = curve.h1_class
+        w = [0] * n
+        for k in range(n):
+            jc_k = c[k + 1] if k % 2 == 0 else -c[k - 1]  # (Jc)_k
+            if jc_k:
+                row = result[k]
+                for j in range(n):
+                    w[j] += jc_k * row[j]
+        for i in range(n):
+            if c[i]:
+                coef = exp * c[i]
+                row = result[i]
+                for j in range(n):
+                    row[j] += coef * w[j]
     return result
 
 

@@ -273,3 +273,72 @@ def test_certify_input_errors(fixtures, tmp_path):
 
     code, _, _ = run(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "{",                                       # malformed JSON
+    '{"dots": []}',                            # no "front"
+    "[" * 100000,                              # not JSON, not a diagram either
+    '{"a": ' * 100000,                         # JSON nested past the recursion limit
+    '{"front": {"arcs": 1}}',                  # ill-typed arcs
+], ids=["malformed", "no-front", "brackets", "deep", "arcs"])
+def test_bad_kirby_document_exits_2(tmp_path, text):
+    path = tmp_path / "bad.kirby"
+    path.write_text(text)
+    code, out, err = run(["homology", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("frames", []), ("frames", {"K2": "zero"}), ("involution", {"components": ["K1"]}),
+])
+def test_ill_typed_kirby_field_exits_2(fixtures, tmp_path, field, value):
+    doc = kirby.kirby_to_doc(kirby.parse_kirby((fixtures / "mazur.kirby").read_text()))
+    doc[field] = value
+    path = tmp_path / "bad.kirby"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["homology", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "diagram document has an ill-typed field" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"steps": [1]},
+    {"steps": [{"rule": "cork_admissible", "side_conditions": 5}]},
+    {"steps": [{"rule": "cork_admissible", "side_conditions": [1]}]},
+    {"steps": [{"rule": "cork_admissible", "side_conditions": [{"expr": ["1 == 1"]}]}]},
+    {"steps": [{"rule": "cork_admissible", "inputs": [1]}]},
+    {"steps": [{"rule": "cork_admissible", "outputs": [["verdict: DISTINCT"]]}]},
+    {"steps": [{"rule": ["cork_admissible"]}], "assumptions": [{"name": []}]},
+], ids=["step", "conditions", "condition", "expr", "inputs", "outputs", "rule"])
+def test_validate_rejects_ill_typed_certificate(tmp_path, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["certify", "--validate", str(path)])
+    assert code == 1
+    assert out.startswith("invalid:")
+    assert err == ""
+
+
+def test_validate_reports_deeply_nested_condition(tmp_path):
+    deep = "(" * 1000 + "1" + ")" * 1000
+    doc = {"steps": [{"rule": "cork_admissible", "side_conditions": [
+        {"expr": f"{deep} == 1", "value": True}]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["certify", "--validate", str(path)])
+    assert code == 1
+    assert "unreadable condition" in out
+    assert err == ""
+
+
+def test_validate_deeply_nested_json_exits_2(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(["certify", "--validate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -50,6 +50,18 @@ def test_doc_output_is_pinned(argv, code, digest, fixtures):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
+def test_high_genus_output_is_pinned(tmp_path):
+    # genus 6: the chain block's 26th power, and a plan whose 2 * 311
+    # trivializing letters all pass through the H1 identity check
+    palf = tmp_path / "g6.palf"
+    palf.write_text("genus 6\nword T(c3) T(c7)\n")
+    for argv, digest in ((["mcg", "verify-chain", "6"], "4bda15afaf1db230"),
+                         (["fill", str(palf)], "dfb176f235e9cfe6")):
+        code, out = run_doc(argv, tmp_path)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+
+
 def test_certificate_digest_is_pinned(fixtures):
     code, out = run_doc(CERTIFY, fixtures)
     assert code == 0

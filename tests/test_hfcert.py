@@ -139,6 +139,25 @@ def test_eval_condition_language():
             eval_condition(bad)
 
 
+def test_eval_condition_caps_nesting():
+    assert eval_condition("(" * 100 + "1" + ")" * 100 + " == 1") is True
+    for deep in ("(" * 1000 + "1" + ")" * 1000, "abs(" * 1000 + "1" + ")" * 1000,
+                 "-" * 1000 + "1"):
+        with pytest.raises(HFError, match="nests deeper"):
+            eval_condition(f"{deep} == 1")
+    with pytest.raises(HFError):
+        eval_condition("is_identity(" + "[" * 100000 + ")")
+
+
+def test_validate_survives_documents_too_deep_to_digest():
+    steps: list = []
+    for _ in range(5000):
+        steps = [steps]
+    assert validate_certificate({"steps": steps}) == [
+        "certificate is nested too deeply to re-check"
+    ]
+
+
 def test_certificate_distinct_and_valid(pipeline):
     cork, adm, inflation, plan = pipeline
     cert = certify_distinct(cork, adm, inflation, plan)

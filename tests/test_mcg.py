@@ -63,6 +63,25 @@ def test_h1_action_leftmost_letter_first():
     assert ab == manual
 
 
+def test_h1_action_matches_transvection_product():
+    # oracle: multiply I + e c (Jc)^T per letter, leftmost letter first
+    rng = random.Random(61)
+    for g in range(1, 9):
+        n = 2 * g
+        for _ in range(4):
+            letters = tuple(
+                (random_primitive_curve(rng, g, f"c{i}"), rng.choice((1, -1)))
+                for i in range(rng.randint(1, 40))
+            )
+            want = intmat.identity(n)
+            for curve, exp in letters:
+                c = list(curve.h1_class)
+                jc = intmat.mat_vec(mcg.j_matrix(g), c)
+                m = [[int(i == j) + exp * c[i] * jc[j] for j in range(n)] for i in range(n)]
+                want = intmat.mat_mul(m, want)
+            assert mcg.h1_action(TwistWord(letters)) == want
+
+
 def test_h1_action_is_symplectic():
     rng = random.Random(17)
     for g in (1, 2, 3):

@@ -346,8 +346,7 @@ def _chain_components(
     traversals: dict[str, list[_Step]] = {}
     jumps: dict[str, int] = {}
     visited = [False] * len(arcs)
-    order = sorted(range(len(arcs)), key=lambda i: (0, i))
-    for start in order:
+    for start in range(len(arcs)):
         if visited[start]:
             continue
         comp = arcs[start].component
@@ -515,8 +514,6 @@ def _find_crossings(
 
 def _check_ball_contacts(comp: str, s: _Step, balls: tuple[HandleBall, ...]) -> None:
     for ball in balls:
-        if s.start[0] == s.end[0]:
-            continue  # impossible; arcs have no vertical segments
         t = (ball.x - s.start[0]) / (s.end[0] - s.start[0])
         if t < 0 or t > 1:
             continue
@@ -703,7 +700,13 @@ def parse_front(text: str) -> FrontDiagram:
     """Parse the line grammar, or the JSON equivalent if text starts with '{'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return front_from_doc(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FrontParseError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise FrontParseError("JSON document is nested too deeply") from None
+        return front_from_doc(doc)
     builder = FrontBuilder()
     for lineno, line in numbered_lines(text):
         if not builder.statement(line, lineno):
@@ -714,29 +717,37 @@ def parse_front(text: str) -> FrontDiagram:
 
 
 def front_from_doc(doc: dict) -> FrontDiagram:
-    arcs = tuple(
-        Arc(
-            a["component"],
-            tuple((parse_rational(str(x)), parse_rational(str(y))) for x, y in a["points"]),
-        )
-        for a in doc.get("arcs", [])
-    )
-    balls: list[HandleBall] = []
-    for h in doc.get("handles", []):
-        for ball in h["balls"]:
-            balls.append(
-                HandleBall(
-                    h["id"],
-                    parse_rational(str(ball["x"])),
-                    parse_rational(str(ball["ytop"])),
-                    parse_rational(str(ball["ybot"])),
-                )
+    """Diagram from its JSON document; a missing or ill-typed field is a FrontParseError."""
+    try:
+        arcs = tuple(
+            Arc(
+                a["component"],
+                tuple((parse_rational(str(x)), parse_rational(str(y))) for x, y in a["points"]),
             )
-    orientations = tuple(
-        (comp, 1 if s == "+" else -1) for comp, s in doc.get("orient", {}).items()
-    )
-    knottypes = tuple(doc.get("knottypes", {}).items())
-    return FrontDiagram(arcs, tuple(balls), orientations, knottypes)
+            for a in doc.get("arcs", [])
+        )
+        balls: list[HandleBall] = []
+        for h in doc.get("handles", []):
+            for ball in h["balls"]:
+                balls.append(
+                    HandleBall(
+                        h["id"],
+                        parse_rational(str(ball["x"])),
+                        parse_rational(str(ball["ytop"])),
+                        parse_rational(str(ball["ybot"])),
+                    )
+                )
+        orientations = tuple(
+            (comp, 1 if s == "+" else -1) for comp, s in doc.get("orient", {}).items()
+        )
+        knottypes = tuple(doc.get("knottypes", {}).items())
+        return FrontDiagram(arcs, tuple(balls), orientations, knottypes)
+    except FrontError:
+        raise
+    except KeyError as exc:
+        raise FrontParseError(f"front document is missing key {exc}") from None
+    except (TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise FrontParseError(f"front document has an ill-typed field: {exc}") from None
 
 
 def front_to_doc(d: FrontDiagram) -> dict:

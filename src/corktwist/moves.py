@@ -67,7 +67,9 @@ class Shadow:
     Darts are edge ends; theta swaps the two ends of each edge; each
     vertex lists its four darts counterclockwise.  A dart is read as
     "arriving at this vertex along its edge", so the strand continues
-    through the opposite slot.
+    through the opposite slot.  The strand orbit, faces, crossing signs
+    and canonical code are derived once, at construction; a shadow is
+    never changed afterwards.
     """
 
     def __init__(self, vertices: dict[int, _Vertex], theta: dict[int, int]):
@@ -77,7 +79,17 @@ class Shadow:
         for vid, v in self.vertices.items():
             for k, e in enumerate(v.ends):
                 self._slot[e] = (vid, k)
-        self._validate()
+        self._orbit, self._faces = self._validate()
+        arrival_slot: dict[tuple[int, bool], int] = {}
+        for e in self._orbit:
+            vid, k = self._slot[e]
+            arrival_slot[vid, self.is_over(e)] = k
+        # crossing sign, orientation independent
+        self._sign = {
+            vid: 1 if (arrival_slot[vid, False] - arrival_slot[vid, True]) % 4 == 1 else -1
+            for vid in self.vertices
+        }
+        self._code, self._labels = self._minimal_code() if self.vertices else ((), {})
 
     # -- structure ------------------------------------------------------------
 
@@ -101,8 +113,23 @@ class Shadow:
         return out
 
     def faces(self) -> list[tuple[int, ...]]:
+        return list(self._faces)
+
+    def _validate(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Check for one closed planar strand; return its orbit from min(theta) and its faces."""
+        n = len(self.vertices)
+        if set(self.theta) != set(self._slot):
+            raise ShadowError("edge pairing and vertex ends disagree")
+        for a, b in self.theta.items():
+            if a == b or self.theta[b] != a:
+                raise ShadowError("edge pairing is not a free involution")
+        if n == 0:
+            return [], []
+        orbit = self.strand_orbit(min(self.theta))
+        if len(orbit) != 2 * n:
+            raise ShadowError("not a single closed strand")
         remaining = set(self.theta)
-        out: list[tuple[int, ...]] = []
+        faces: list[tuple[int, ...]] = []
         while remaining:
             start = min(remaining)
             cycle: list[int] = []
@@ -115,45 +142,14 @@ class Shadow:
                 cur = self.vertices[vid].ends[(k + 1) % 4]
                 if cur == start:
                     break
-            out.append(tuple(cycle))
-        return out
-
-    def _validate(self) -> None:
-        n = len(self.vertices)
-        if set(self.theta) != set(self._slot):
-            raise ShadowError("edge pairing and vertex ends disagree")
-        for a, b in self.theta.items():
-            if a == b or self.theta[b] != a:
-                raise ShadowError("edge pairing is not a free involution")
-        if n == 0:
-            return
-        if len(self.strand_orbit(min(self.theta))) != 2 * n:
-            raise ShadowError("not a single closed strand")
-        if len(self.faces()) != n + 2:
+            faces.append(tuple(cycle))
+        if len(faces) != n + 2:
             raise ShadowError("map is not planar")
+        return orbit, faces
 
     def is_over(self, dart: int) -> bool:
         vid, k = self._slot[dart]
         return self.vertices[vid].over_parity == k % 2
-
-    def _vertex_sign(self, vid: int) -> int:
-        """Crossing sign, orientation independent."""
-        arrivals = [e for e in self.vertices[vid].ends if self._arrives(e)]
-        over = [e for e in arrivals if self.is_over(e)]
-        under = [e for e in arrivals if not self.is_over(e)]
-        ko = self._slot[over[0]][1]
-        ku = self._slot[under[0]][1]
-        return 1 if (ku - ko) % 4 == 1 else -1
-
-    def _arrival_set(self) -> set[int]:
-        if not self.vertices:
-            return set()
-        if not hasattr(self, "_arrivals"):
-            self._arrivals = set(self.strand_orbit(min(self.theta)))
-        return self._arrivals
-
-    def _arrives(self, dart: int) -> bool:
-        return dart in self._arrival_set()
 
     def _minimal_code(self) -> tuple[tuple, dict[int, int]]:
         """Minimal signed over/under code over all starts, with its vertex labels."""
@@ -167,9 +163,7 @@ class Shadow:
                 vid, _ = self._slot[cur]
                 if vid not in labels:
                     labels[vid] = len(labels)
-                code.append(
-                    (labels[vid], 1 if self.is_over(cur) else 0, self._vertex_sign(vid))
-                )
+                code.append((labels[vid], 1 if self.is_over(cur) else 0, self._sign[vid]))
                 cur = self._succ(cur)
                 if cur == start:
                     break
@@ -181,15 +175,13 @@ class Shadow:
 
     def canonical_code(self) -> tuple:
         """Minimal signed over/under code over all starts and both directions."""
-        if not self.vertices:
-            return ()
-        return self._minimal_code()[0]
+        return self._code
 
     def vertex_label(self, vid: int) -> int:
         """Stable label of a vertex: its position in the canonical code."""
         if not self.vertices:
             raise ShadowError("empty shadow")
-        return self._minimal_code()[1][vid]
+        return self._labels[vid]
 
     # -- reducing moves -------------------------------------------------------
 
@@ -198,9 +190,8 @@ class Shadow:
         survivors = {vid: v for vid, v in self.vertices.items() if vid not in dead}
         if not survivors:
             return Shadow({}, {})
-        orbit = self.strand_orbit(min(self.theta))
         kept: list[tuple[int, int]] = []  # (arrival dart, exit dart)
-        for e in orbit:
+        for e in self._orbit:
             vid, _ = self._slot[e]
             if vid in survivors:
                 kept.append((e, self._opposite(e)))
@@ -226,7 +217,7 @@ class Shadow:
     def bigon_sites(self) -> list[tuple[int, int]]:
         """Vertex pairs joined by a two-sided face with one strand over twice."""
         out = []
-        for face in self.faces():
+        for face in self._faces:
             if len(face) != 2:
                 continue
             e1, e2 = face
@@ -255,7 +246,7 @@ class Shadow:
     def finger_moves(self) -> list[tuple[int, int, bool]]:
         """Candidate (pushed side, crossed side, over) triples."""
         out = []
-        for face in self.faces():
+        for face in self._faces:
             for x in face:
                 for y in face:
                     if y == x or y == self.theta[x]:

@@ -291,6 +291,37 @@ def test_bad_kirby_document_exits_2(tmp_path, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "{",                                       # malformed JSON
+    '{"arcs": [{"component": "K"}]}',          # arc with no "points"
+    '{"arcs": 5}',                             # ill-typed arcs
+    "[" * 100000,                              # not JSON, not a front either
+    '{"arcs": ' + "[" * 100000,                # JSON nested past the recursion limit
+], ids=["malformed", "no-points", "arcs", "brackets", "deep"])
+@pytest.mark.parametrize("via", ["tb", "certify-spec"])
+def test_bad_front_document_exits_2(fixtures, tmp_path, text, via):
+    path = tmp_path / "bad.front"
+    path.write_text(text)
+    argv = ["tb", str(path)]
+    if via == "certify-spec":
+        spec = tmp_path / "bad_inflation.spec"
+        spec.write_text(
+            "knot right_trefoil\nframing 1\n"
+            f"untwisted {path} K\n"
+            f"twisted {fixtures / 'trefoil.front'} K\n"
+        )
+        argv = [
+            "certify",
+            str(fixtures / "mazur.kirby"),
+            str(fixtures / "mazur_inflated.palf"),
+            str(spec),
+        ]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("frames", []), ("frames", {"K2": "zero"}), ("involution", {"components": ["K1"]}),
 ])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from corktwist import front, moves
+from corktwist import front, kirby, moves
 
 
 def garland_text(k: int, depth: Fraction, spacing: int, orient: str) -> str:
@@ -42,7 +42,7 @@ def test_garland_unknots_certify_in_k_kink_moves():
     codes: dict[int, set] = {}
     count = 0
     for k in (1, 2, 3, 4):
-        for di, depth in enumerate(DEPTHS):
+        for depth in DEPTHS:
             for spacing in (5, 6):
                 for orient in ("+", "-"):
                     d = front.parse_front(garland_text(k, depth, spacing, orient))
@@ -50,10 +50,6 @@ def test_garland_unknots_certify_in_k_kink_moves():
                     assert shadow.crossing_count() == k
                     codes.setdefault(k, set()).add(shadow.canonical_code())
                     count += 1
-                    # the search cost grows with k; above k = 2 one
-                    # certification per (spacing, orient) cell is plenty
-                    if k > 2 and di > 0:
-                        continue
                     cert = moves.unknot_certificate(d, "G")
                     assert cert["verdict"] == "unknot"
                     assert len(cert["moves"]) == k
@@ -100,16 +96,56 @@ def test_crossingless_component_is_trivially_unknotted(load):
     assert cert["moves"] == []
 
 
+# two clasped strands forming a bigon on an unknot
+CLASPED_BIGON = (
+    "arc B : (0,0) (3,2) (6,-2) (9,2) (12,0)\n"
+    "arc B : (12,0) (9,-2) (6,2) (3,-2) (0,0)\n"
+    "orient B +\n"
+)
+
+
 def test_search_removes_bigons():
-    # two clasped strands forming a bigon on an unknot
-    text = (
-        "arc B : (0,0) (3,2) (6,-2) (9,2) (12,0)\n"
-        "arc B : (12,0) (9,-2) (6,2) (3,-2) (0,0)\n"
-        "orient B +\n"
-    )
-    d = front.parse_front(text)
+    d = front.parse_front(CLASPED_BIGON)
     shadow = moves.shadow_of_component(d, "B")
     if shadow.crossing_count() == 0:
         pytest.skip("geometry collapsed to no crossings")
     cert = moves.unknot_certificate(d, "B")
     assert cert["verdict"] == "unknot"
+
+
+EXHAUSTED = "move set exhausted below the crossing cap without reduction"
+
+
+def _kinks(k):
+    return ["remove kink at crossing 0"] * k
+
+
+# (case, budget, (verdict, expanded, moves, note))
+SEARCH_OUTCOMES = [
+    ("garland1", 2000, ("unknot", 1, _kinks(1), None)),
+    ("garland2", 2000, ("unknot", 2, _kinks(2), None)),
+    ("garland3", 2000, ("unknot", 14, _kinks(3), None)),
+    ("garland4", 2000, ("unknot", 35, _kinks(4), None)),
+    ("garland4", 10, ("inconclusive", 10, None, "search budget exhausted")),
+    ("bigon", 2000, ("unknot", 2, _kinks(2), None)),
+    ("trefoil", 2000, ("inconclusive", 4, None, EXHAUSTED)),
+    ("knotted:K1", 2000, ("inconclusive", 4, None, EXHAUSTED)),
+    ("knotted:K2", 2000, ("inconclusive", 4, None, EXHAUSTED)),
+]
+
+
+@pytest.mark.parametrize(
+    "case,budget,outcome", SEARCH_OUTCOMES, ids=[f"{c}-{b}" for c, b, _ in SEARCH_OUTCOMES]
+)
+def test_search_outcome_is_pinned(load, case, budget, outcome):
+    """Verdict, states expanded, move strings and stop note of fixed searches."""
+    if case.startswith("garland"):
+        d, comp = front.parse_front(garland_text(int(case[-1]), Fraction(1, 2), 5, "+")), "G"
+    elif case == "bigon":
+        d, comp = front.parse_front(CLASPED_BIGON), "B"
+    elif case == "trefoil":
+        d, comp = front.parse_front(load("trefoil.front")), "K"
+    else:
+        d, comp = kirby.parse_kirby(load("knotted.kirby")).front, case.split(":")[1]
+    cert = moves.unknot_certificate(d, comp, budget=budget)
+    assert (cert["verdict"], cert["expanded"], cert["moves"], cert["note"]) == outcome

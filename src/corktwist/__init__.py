@@ -5,7 +5,8 @@ bookkeeping over H1, concave filling plans, and replayable distinctness
 certificates, all in integer and rational arithmetic.
 """
 
-from . import cli, fillings, front, hfcert, intmat, kirby, mcg, moves
+# `cli` is left out so that `python -m corktwist.cli` imports it only once, as __main__
+from . import fillings, front, hfcert, intmat, kirby, mcg, moves
 
 __all__ = [
     "cli",

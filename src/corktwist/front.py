@@ -22,9 +22,11 @@ of cusps, both read off this diagram.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 Point = tuple[Fraction, Fraction]
 
@@ -453,55 +455,51 @@ def _find_crossings(
         _check_ball_contacts(comp, s, balls)
 
     crossings: list[Crossing] = []
-    for a in range(len(segs)):
+    for a, b in _meeting_pairs([s for _, _, s in segs]):
         comp1, i1, s1 = segs[a]
-        n1 = len(traversals[comp1])
-        for b in range(a + 1, len(segs)):
-            comp2, i2, s2 = segs[b]
-            if comp1 == comp2:
-                successor = (i1 + 1) % n1 == i2 and not traversals[comp1][i2].after_jump
-                predecessor = (i2 + 1) % n1 == i1 and not traversals[comp1][i1].after_jump
-                if successor or predecessor:
-                    continue  # joined at a shared vertex
-            result = _seg_meet(s1.start, s1.end, s2.start, s2.end)
-            kind = result[0]
-            if kind == "none":
-                continue
-            if kind == "overlap":
-                raise FrontGeometryError(
-                    f"segments of {comp1!r} and {comp2!r} overlap along a line"
-                )
-            if kind == "touch":
-                raise FrontGeometryError(
-                    f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt(result[1])}; "
-                    "perturb the diagram"
-                )
-            t, u, point = result[1], result[2], result[3]
-            slope1 = _slope(s1.start, s1.end)
-            slope2 = _slope(s2.start, s2.end)
-            if slope1 == slope2:
-                raise FrontGeometryError(f"equal slopes at crossing {_fmt_pt(point)}")
-            if slope1 < slope2:
-                over = (comp1, i1, t, s1)
-                under = (comp2, i2, u, s2)
-            else:
-                over = (comp2, i2, u, s2)
-                under = (comp1, i1, t, s1)
-            odir = _sub(over[3].end, over[3].start)
-            udir = _sub(under[3].end, under[3].start)
-            sign = 1 if _cross2(odir, udir) > 0 else -1
-            crossings.append(
-                Crossing(
-                    point=point,
-                    over_component=over[0],
-                    under_component=under[0],
-                    over_dir=odir,
-                    under_dir=udir,
-                    sign=sign,
-                    over_at=(over[0], over[1], over[2]),
-                    under_at=(under[0], under[1], under[2]),
-                )
+        comp2, i2, s2 = segs[b]
+        if comp1 == comp2:
+            n1 = len(traversals[comp1])
+            successor = (i1 + 1) % n1 == i2 and not traversals[comp1][i2].after_jump
+            predecessor = (i2 + 1) % n1 == i1 and not traversals[comp1][i1].after_jump
+            if successor or predecessor:
+                continue  # joined at a shared vertex
+        result = _seg_meet(s1.start, s1.end, s2.start, s2.end)
+        kind = result[0]
+        if kind == "none":
+            continue
+        if kind == "overlap":
+            raise FrontGeometryError(
+                f"segments of {comp1!r} and {comp2!r} overlap along a line"
             )
+        if kind == "touch":
+            raise FrontGeometryError(
+                f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt(result[1])}; "
+                "perturb the diagram"
+            )
+        t, u, point = result[1], result[2], result[3]
+        # "cross" needs a nonzero d1 x d2, so the two slopes differ
+        if _slope(s1.start, s1.end) < _slope(s2.start, s2.end):
+            over = (comp1, i1, t, s1)
+            under = (comp2, i2, u, s2)
+        else:
+            over = (comp2, i2, u, s2)
+            under = (comp1, i1, t, s1)
+        odir = _sub(over[3].end, over[3].start)
+        udir = _sub(under[3].end, under[3].start)
+        sign = 1 if _cross2(odir, udir) > 0 else -1
+        crossings.append(
+            Crossing(
+                point=point,
+                over_component=over[0],
+                under_component=under[0],
+                over_dir=odir,
+                under_dir=udir,
+                sign=sign,
+                over_at=(over[0], over[1], over[2]),
+                under_at=(under[0], under[1], under[2]),
+            )
+        )
 
     by_point: dict[Point, int] = {}
     for c in crossings:
@@ -510,6 +508,40 @@ def _find_crossings(
         if n > 1:
             raise FrontGeometryError(f"triple point at {_fmt_pt(pt)}")
     return crossings
+
+
+def _meeting_pairs(steps: list[_Step]) -> list[tuple[int, int]]:
+    """Index pairs a < b, in increasing order, of the segments that share a point.
+
+    Endpoints are scaled to integers over the lcm of all their denominators.
+    A sweep over the segments sorted by left x pairs each one with the later
+    ones whose left x is at most its right x, so a shared x still counts.  An
+    integer orientation test then drops a pair when both ends of one segment
+    lie strictly on one side of the other's line.  Every dropped pair is one
+    that `_seg_meet` classifies as "none".
+    """
+    den = math.lcm(*(v.denominator for s in steps for v in (*s.start, *s.end)))
+    segs: list[tuple[int, int, int, int, int]] = []
+    for k, s in enumerate(steps):
+        px, py, qx, qy = (v.numerator * (den // v.denominator) for v in (*s.start, *s.end))
+        if qx < px:
+            px, py, qx, qy = qx, qy, px, py
+        segs.append((px, py, qx, qy, k))
+    segs.sort()
+    pairs: list[tuple[int, int]] = []
+    for n, (px, py, qx, qy, a) in enumerate(segs):
+        dx, dy = qx - px, qy - py
+        for rx, ry, sx, sy, b in islice(segs, n + 1, None):
+            if rx > qx:
+                break
+            if (dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) > 0:
+                continue
+            ex, ey = sx - rx, sy - ry
+            if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) > 0:
+                continue
+            pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    return pairs
 
 
 def _check_ball_contacts(comp: str, s: _Step, balls: tuple[HandleBall, ...]) -> None:

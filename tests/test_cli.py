@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +377,15 @@ def test_validate_deeply_nested_json_exits_2(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "corktwist.cli", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert "usage:" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

@@ -1,9 +1,14 @@
 """Front parsing and the tb / linking arithmetic on the shipped fixtures."""
 
+import random
+import re
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from corktwist import front
-from corktwist.front import FrontParseError, parse_front, stabilize
+from corktwist.front import FrontGeometryError, FrontParseError, parse_front, stabilize
 
 
 def test_lens_unknot_tb(load):
@@ -105,3 +110,162 @@ def test_fixture_fronts_roundtrip_through_doc(load):
     doc = kirby.kirby_to_doc(d)
     back = kirby.kirby_from_doc(doc)
     assert kirby.kirby_to_doc(back) == doc
+
+
+LENS_A = "arc A : (0,0) (4,2) (8,0)\narc A : (8,0) (4,-2) (0,0)\n"
+
+
+@pytest.mark.parametrize("text, fragment", [
+    # B's left cusp sits inside A's upper-left segment
+    (LENS_A + "arc B : (2,1) (6,5) (10,1)\narc B : (10,1) (6,-1) (2,1)\n",
+     "touch at (2,1)"),
+    (LENS_A + "arc B : (-2,-1) (6,3) (14,-1)\narc B : (14,-1) (6,-5) (-2,-1)\n",
+     "overlap along a line"),
+    # collinear segments (0,0)-(4,2) and (4,2)-(8,4) share only their end x
+    (LENS_A + "arc B : (4,2) (8,4) (12,2)\narc B : (12,2) (8,1) (4,2)\n",
+     "touch at (4,2)"),
+    ("arc A : (-2,-2) (2,2) (0,4) (-2,-2)\n"
+     "arc B : (-2,2) (2,-2) (0,-4) (-2,2)\n"
+     "arc C : (-3,0) (3,0) (0,1) (-3,0)\n",
+     "triple point at (0,0)"),
+    (LENS_A + "handle h : x=2 ytop=2 ybot=0\nhandle h : x=20 ytop=1 ybot=-1\n",
+     "runs through a ball of handle 'h'"),
+    # x-ranges [2,4] and [4,6] share one x, where a right and a left cusp meet
+    ("arc A : (0,0) (2,1) (4,0) (2,-1) (0,0)\narc B : (8,0) (6,1) (4,0) (6,-1) (8,0)\n",
+     "touch at (4,0)"),
+], ids=["t-touch", "overlap", "collinear-end", "triple-point", "through-ball", "shared-x"])
+def test_genericity_violations_are_rejected(text, fragment):
+    with pytest.raises(FrontGeometryError, match=re.escape(fragment)):
+        parse_front(text)
+
+
+def _all_pairs_crossings(traversals, balls):
+    """The all-pairs loop that `front._find_crossings` replaced, kept as its oracle."""
+    segs = []
+    for comp, steps in traversals.items():
+        for i, s in enumerate(steps):
+            segs.append((comp, i, s))
+
+    for comp, i, s in segs:
+        front._check_ball_contacts(comp, s, balls)
+
+    crossings = []
+    for a in range(len(segs)):
+        comp1, i1, s1 = segs[a]
+        n1 = len(traversals[comp1])
+        for b in range(a + 1, len(segs)):
+            comp2, i2, s2 = segs[b]
+            if comp1 == comp2:
+                successor = (i1 + 1) % n1 == i2 and not traversals[comp1][i2].after_jump
+                predecessor = (i2 + 1) % n1 == i1 and not traversals[comp1][i1].after_jump
+                if successor or predecessor:
+                    continue
+            result = front._seg_meet(s1.start, s1.end, s2.start, s2.end)
+            kind = result[0]
+            if kind == "none":
+                continue
+            if kind == "overlap":
+                raise FrontGeometryError(
+                    f"segments of {comp1!r} and {comp2!r} overlap along a line"
+                )
+            if kind == "touch":
+                raise FrontGeometryError(
+                    f"segments of {comp1!r} and {comp2!r} touch at {front._fmt_pt(result[1])}; "
+                    "perturb the diagram"
+                )
+            t, u, point = result[1], result[2], result[3]
+            if front._slope(s1.start, s1.end) < front._slope(s2.start, s2.end):
+                over = (comp1, i1, t, s1)
+                under = (comp2, i2, u, s2)
+            else:
+                over = (comp2, i2, u, s2)
+                under = (comp1, i1, t, s1)
+            odir = front._sub(over[3].end, over[3].start)
+            udir = front._sub(under[3].end, under[3].start)
+            sign = 1 if front._cross2(odir, udir) > 0 else -1
+            crossings.append(
+                front.Crossing(
+                    point=point,
+                    over_component=over[0],
+                    under_component=under[0],
+                    over_dir=odir,
+                    under_dir=udir,
+                    sign=sign,
+                    over_at=(over[0], over[1], over[2]),
+                    under_at=(under[0], under[1], under[2]),
+                )
+            )
+
+    by_point = Counter(c.point for c in crossings)
+    for pt, n in by_point.items():
+        if n > 1:
+            raise FrontGeometryError(f"triple point at {front._fmt_pt(pt)}")
+    return crossings
+
+
+def _grid(rng):
+    """A step and a negative offset per axis, mixing denominators 1, 2, 3 and 7."""
+    return (
+        Fraction(1, rng.choice((1, 2, 3, 7))),
+        -Fraction(rng.randint(0, 4), rng.choice((1, 2, 7))),
+        -Fraction(rng.randint(0, 4), rng.choice((1, 3, 7))),
+    )
+
+
+def _random_closed_polygons(rng):
+    """Traversals and balls of 1-3 closed polygons that often touch, overlap or meet at a point.
+
+    Components mostly share one small grid, so vertices and edges coincide.
+    In about a third of the inputs every first edge is centred on one point,
+    which makes triple points.
+    """
+    while True:
+        grid = _grid(rng)
+        centre = None
+        if rng.random() < 0.3:
+            centre = (Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2), 3))
+        polygons = []
+        for name in "ABC"[: rng.randint(1, 3)]:
+            if rng.random() < 0.4:
+                grid = _grid(rng)
+            step, ox, oy = grid
+            pts = [(ox + step * rng.randint(0, 4), oy + step * rng.randint(0, 4))
+                   for _ in range(rng.randint(3, 5))]
+            if centre:
+                vx = Fraction(rng.randint(1, 3), rng.choice((1, 2, 3, 7)))
+                vy = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 7)))
+                pts[:2] = [(centre[0] - vx, centre[1] - vy), (centre[0] + vx, centre[1] + vy)]
+            polygons.append((name, tuple(pts + pts[:1])))
+        balls = ()
+        if rng.random() < 0.2:
+            # off the last grid's vertex columns, so no vertex sits on the ball
+            x = ox + step * rng.randint(0, 4) + step / 2
+            balls = (front.HandleBall("h", x, oy + 4 * step, oy),
+                     front.HandleBall("h", Fraction(40), Fraction(1), Fraction(0)))
+        try:
+            arcs = tuple(front.Arc(name, pts) for name, pts in polygons)
+            traversals, _ = front._chain_components(arcs, balls)
+        except FrontGeometryError:
+            continue  # a vertical or zero-length edge, or arc ends that do not chain
+        return traversals, balls
+
+
+def _outcome(find, traversals, balls):
+    try:
+        return find(traversals, balls)
+    except FrontGeometryError as exc:
+        return ("error", str(exc))
+
+
+def test_sweep_matches_all_pairs_oracle():
+    rng = random.Random(20110411)
+    kinds = Counter()
+    for _ in range(600):
+        traversals, balls = _random_closed_polygons(rng)
+        expected = _outcome(_all_pairs_crossings, traversals, balls)
+        assert _outcome(front._find_crossings, traversals, balls) == expected
+        if isinstance(expected, list):
+            kinds["crossings" if expected else "no crossings"] += 1
+        else:
+            kinds[next(k for k in ("touch", "overlap", "triple", "ball") if k in expected[1])] += 1
+    assert set(kinds) == {"crossings", "no crossings", "touch", "overlap", "triple", "ball"}, kinds

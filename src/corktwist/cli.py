@@ -21,11 +21,9 @@ PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     paths: tuple[str, ...]
     budget: int = 2000
     fmt: str = "human"
-    genus: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -162,7 +160,7 @@ def cmd_fill(cfg: RunConfig) -> int:
           f"(stabilized {plan.stabilizations} times from genus {p.page_genus})")
     print(f"trivializing handles {len(plan.trivializing_handles)} "
           f"in {plan.relator_blocks} relator blocks")
-    print(f"closing piece euler characteristic {plan.closing_piece.euler_char}")
+    print(f"closing piece euler characteristic {2 - 2 * plan.fiber_genus}")
     print(f"plan euler characteristic {plan.euler_char}")
     for a in plan.assumptions:
         print(f"assumption [{a.name}]: {a.statement}")
@@ -344,12 +342,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = RunConfig(
-            command=args.command,
-            paths=paths,
-            budget=args.budget,
-            fmt=args.format,
-            genus=args.genus,
-            seed=args.seed,
+            paths=paths, budget=args.budget, fmt=args.format, seed=args.seed
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -367,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fill":
             return cmd_fill(cfg)
         if args.command == "mcg":
-            genus = args.chain_genus if args.chain_genus is not None else cfg.genus
+            genus = args.chain_genus if args.chain_genus is not None else args.genus
             if genus is None:
                 raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
             return cmd_mcg(cfg, genus)

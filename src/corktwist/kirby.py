@@ -680,27 +680,6 @@ class CobordismRecord:
     handle_passes: int
     stein: dict
     facts: dict | None
-    euler_char: int
-    assumptions: tuple[str, ...]
-    one_handles: int = 0
-
-    def __post_init__(self) -> None:
-        if self.one_handles < 0:
-            raise KirbyError("negative 1-handle count")
-
-    def to_doc(self) -> dict:
-        return {
-            "knot": self.knot,
-            "component": self.component,
-            "framing": self.framing,
-            "exhibited_tb": self.exhibited_tb,
-            "handle_passes": self.handle_passes,
-            "stein": self.stein,
-            "facts": self.facts,
-            "euler_char": self.euler_char,
-            "assumptions": list(self.assumptions),
-            "one_handles": self.one_handles,
-        }
 
 
 def inflate(
@@ -728,11 +707,6 @@ def inflate(
     tb = attaching.tb(component)
     passes = attaching.handle_passes(component)
     stein = stein_side_status(framing, tb, passes, knot)
-    assumptions = (
-        "the attaching front is a Legendrian representative of a curve in the "
-        "boundary of the diagram's 4-manifold",
-        f"handle convention: {front_mod.HANDLE_CONVENTION}",
-    )
     return CobordismRecord(
         knot=knot,
         component=component,
@@ -741,8 +715,6 @@ def inflate(
         handle_passes=passes,
         stein=stein,
         facts=facts,
-        euler_char=1,
-        assumptions=assumptions,
     )
 
 

@@ -326,6 +326,29 @@ def test_bad_front_document_exits_2(fixtures, tmp_path, text, via):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("handles,reason", [
+    ("1 2", "euler characteristic"),  # 1 - 1 + 2 = 2, but (1 - 4) + 4 = 1
+    ("-1 0", "negative handle count"),
+], ids=["mismatch", "negative"])
+@pytest.mark.parametrize("via", ["fill", "certify"])
+def test_inconsistent_handles_line_exits_2(fixtures, tmp_path, handles, reason, via):
+    path = tmp_path / "bad.palf"
+    path.write_text(f"genus 2\nhandles {handles}\nword T(c1) T(c2) T(c3) T(c4)\n")
+    argv = ["fill", str(path)]
+    if via == "certify":
+        argv = [
+            "certify",
+            str(fixtures / "mazur.kirby"),
+            str(path),
+            str(fixtures / "trefoil_inflation.spec"),
+        ]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("frames", []), ("frames", {"K2": "zero"}), ("involution", {"components": ["K1"]}),
 ])

@@ -4,15 +4,12 @@ import random
 
 import pytest
 
-from corktwist import fillings, front, intmat, kirby, mcg
+from corktwist import front, intmat, kirby, mcg
 from corktwist.fillings import (
     FillingError,
     OpenBook,
     build_concave,
-    cap_binding,
-    closed_total,
     extend_with_cobordism,
-    make_palf,
     palf_to_openbook,
     parse_palf,
     stabilize_openbook,
@@ -83,39 +80,28 @@ def test_open_book_validation():
     neg = TwistWord(((mcg.chain_curves(2)[0], -1),))
     with pytest.raises(FillingError):
         OpenBook(Surface(2, 1), neg)  # not positive
-    with pytest.raises(FillingError):
-        OpenBook(Surface(2, 1), word, binding_components=2)  # binding != boundary
 
 
 def test_multi_boundary_page_cannot_be_planned():
+    # the binding must be connected: one boundary circle, no more, no less
     word = chain_positive_word(2, (0,))
-    p = make_palf(2, word, boundary=2)
-    with pytest.raises(FillingError) as info:
-        palf_to_openbook(p)
-    assert "stabilize" in str(info.value)
-
-
-def test_cap_binding_pieces():
-    book = OpenBook(Surface(2, 1), chain_positive_word(2, (0, 1)))
-    v0, bundle = cap_binding(book)
-    assert v0.euler_char == 1
-    assert v0.framing_rel_page == 0
-    assert bundle.fiber_genus == 2
+    for boundary in (0, 2, 3):
+        with pytest.raises(FillingError) as info:
+            OpenBook(Surface(2, boundary), word)
+        assert "boundary circles" in str(info.value)
 
 
 def test_palf_fixture_parses(load):
     p = parse_palf(load("mazur.palf"))
     assert p.page_genus == 2
     assert len(p.open_book.monodromy) == 4
-    body = fillings.handlebody_from_palf("W", p)
-    assert body.euler_char == 1
+    assert p.source == {"one_handles": 1, "two_handles": 1}
 
 
 def test_inflated_palf_fixture(load):
     p = parse_palf(load("mazur_inflated.palf"))
     assert len(p.open_book.monodromy) == 5
-    body = fillings.handlebody_from_palf("W'", p)
-    assert body.euler_char == 2
+    assert p.source == {"one_handles": 1, "two_handles": 2}
 
 
 def test_palf_grammar_rejections():
@@ -131,14 +117,10 @@ def test_palf_grammar_rejections():
         parse_palf("genus 2\ncurve e = [2,0,2,0]\nword T(e)\n")  # imprimitive
     with pytest.raises(FillingError):
         parse_palf("genus 2\ncurve e = [1,0]\nword T(e)\n")  # wrong length
-
-
-def test_extend_with_none_is_plain_concave(load):
-    p = parse_palf(load("mazur.palf"))
-    a = extend_with_cobordism(None, p)
-    b = build_concave(palf_to_openbook(p))
-    assert a.to_doc() == b.to_doc()
-    assert not a.extension_absorbed
+    with pytest.raises(FillingError):
+        parse_palf("genus 2\nhandles 1 2\nword T(c1)\n")  # 2 != (1 - 4) + 1
+    with pytest.raises(FillingError):
+        parse_palf("genus 2\nhandles -1 -1\nword T(c1) T(c2) T(c3) T(c4)\n")  # negative
 
 
 def test_extend_absorbs_stein_cobordism(load):
@@ -152,18 +134,6 @@ def test_extend_absorbs_stein_cobordism(load):
     assert len(plan.trivializing_handles) == 5 * 39
 
 
-def test_extend_rejects_one_handles(load):
-    cork = kirby.parse_kirby(load("mazur.kirby"))
-    over_handle = front.parse_front(load("trefoil_handle.front"))
-    record = kirby.inflate(cork, over_handle, 1)
-    import dataclasses
-    bad = dataclasses.replace(record, one_handles=1)
-    p = parse_palf(load("mazur_inflated.palf"))
-    with pytest.raises(FillingError) as info:
-        extend_with_cobordism(bad, p)
-    assert "1-handle" in str(info.value)
-
-
 def test_extend_rejects_non_stein_attachment(load):
     cork = kirby.parse_kirby(load("mazur.kirby"))
     over_handle = front.parse_front(load("trefoil_handle.front"))
@@ -172,26 +142,6 @@ def test_extend_rejects_non_stein_attachment(load):
     with pytest.raises(FillingError) as info:
         extend_with_cobordism(record, p)
     assert "not Stein" in str(info.value)
-
-
-def test_closed_total_euler(load):
-    p = parse_palf(load("mazur.palf"))
-    body = fillings.handlebody_from_palf("W", p)
-    plan = build_concave(palf_to_openbook(p))
-    x = closed_total(body, plan)
-    assert x.euler_char == body.euler_char + plan.euler_char
-    assert x.fiber_genus == 2
-    assert x.relatively_minimal
-    assert x.fiber_self_intersection == 0
-
-
-def test_closed_total_rejects_mismatched_plan(load):
-    p = parse_palf(load("mazur.palf"))
-    other = parse_palf(load("mazur_inflated.palf"))
-    body = fillings.handlebody_from_palf("W", p)
-    plan = build_concave(palf_to_openbook(other))
-    with pytest.raises(FillingError):
-        closed_total(body, plan)
 
 
 def test_plan_doc_serializes(load):

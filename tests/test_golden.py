@@ -33,12 +33,20 @@ GOLDEN = [
 ]
 
 
-def run_doc(argv, fixtures):
+def run_cli(argv, fixtures, fmt):
     resolved = [str(fixtures / a) if "." in a else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(resolved + ["--format", "doc"])
+        code = cli.main(resolved + ["--format", fmt])
     return code, out.getvalue()
+
+
+def run_doc(argv, fixtures):
+    return run_cli(argv, fixtures, "doc")
+
+
+def digest_of(out):
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
 
 
 @pytest.mark.parametrize(
@@ -47,7 +55,7 @@ def run_doc(argv, fixtures):
 def test_doc_output_is_pinned(argv, code, digest, fixtures):
     got_code, out = run_doc(argv, fixtures)
     assert got_code == code
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+    assert digest_of(out) == digest
 
 
 def test_high_genus_output_is_pinned(tmp_path):
@@ -59,7 +67,23 @@ def test_high_genus_output_is_pinned(tmp_path):
                          (["fill", str(palf)], "dfb176f235e9cfe6")):
         code, out = run_doc(argv, tmp_path)
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+        assert digest_of(out) == digest
+
+
+def test_stabilized_plan_output_is_pinned(tmp_path):
+    # a genus-1 page is stabilized once before planning, which the doc
+    # records next to the cap (v0) and the closing piece
+    palf = tmp_path / "g1.palf"
+    palf.write_text("genus 1\nword T(c1) T(c2)\n")
+    code, out = run_doc(["fill", str(palf)], tmp_path)
+    assert code == 0
+    assert digest_of(out) == "61f6dac2ee543e62"
+
+
+def test_human_fill_output_is_pinned(fixtures):
+    code, out = run_cli(["fill", "mazur.palf"], fixtures, "human")
+    assert code == 0
+    assert digest_of(out) == "83a402456dd08674"
 
 
 def test_certificate_digest_is_pinned(fixtures):

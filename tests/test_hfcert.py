@@ -244,8 +244,8 @@ def test_abort_on_inadmissible_cork(pipeline, load):
 
 def test_abort_on_plan_without_absorption(pipeline, load):
     cork, adm, inflation, _ = pipeline
-    plain = fillings.extend_with_cobordism(
-        None, fillings.parse_palf(load("mazur.palf"))
+    plain = fillings.build_concave(
+        fillings.palf_to_openbook(fillings.parse_palf(load("mazur.palf")))
     )
     with pytest.raises(CertificateAbort):
         certify_distinct(cork, adm, inflation, plain)

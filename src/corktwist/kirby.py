@@ -403,11 +403,8 @@ def homology(d: KirbyDiagram) -> HomologyReport:
     """
     dotted, framed, bd2 = chain_boundary(d)
     h1_w = cokernel(bd2, len(dotted))
-    if bd2 and bd2[0]:
-        rank_bd2 = len(intmat.invariant_factors(bd2))
-    else:
-        rank_bd2 = 0
-    h2_w = AbelianGroup(len(framed) - rank_bd2)
+    # the boundary map has rank len(dotted) minus its cokernel's free rank
+    h2_w = AbelianGroup(len(framed) - (len(dotted) - h1_w.rank))
     h_of_w = (
         AbelianGroup(1),
         h1_w,

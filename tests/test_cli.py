@@ -146,6 +146,15 @@ def test_mcg_verify_chain():
     assert code == 2
 
 
+def test_genus_flag_belongs_to_mcg_only(fixtures):
+    code, out, err = run(["fill", str(fixtures / "mazur.palf"), "--genus", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--genus" in err
+    code, _, _ = run(["mcg", "verify-chain", "--genus", "1"])
+    assert code == 0
+
+
 @pytest.fixture
 def certify_argv(fixtures):
     return [

@@ -86,6 +86,12 @@ def test_human_fill_output_is_pinned(fixtures):
     assert digest_of(out) == "83a402456dd08674"
 
 
+def test_human_certify_output_is_pinned(fixtures):
+    code, out = run_cli(CERTIFY, fixtures, "human")
+    assert code == 0
+    assert digest_of(out) == "e15e817d1c3a0b07"
+
+
 def test_certificate_digest_is_pinned(fixtures):
     code, out = run_doc(CERTIFY, fixtures)
     assert code == 0

@@ -1,7 +1,8 @@
-"""Formal module bookkeeping and the certificate engine."""
+"""The certificate engine and the numeric rules it uses."""
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,15 @@ import pytest
 from corktwist import fillings, front, hfcert, kirby
 from corktwist.hfcert import (
     CertificateAbort,
-    End,
     HFError,
-    MapRecord,
     RuleNotApplicable,
     SpinCDecoration,
     adjunction_violated,
     certificate_digest,
     certify_distinct,
-    compose,
     degree_shift,
     eval_condition,
     hf_s3,
-    theta_minus,
-    theta_plus,
     validate_certificate,
 )
 
@@ -52,16 +48,14 @@ def test_hf_s3_table():
         hf_s3("x", 0)
 
 
-def test_theta_generators_live_where_the_tower_is():
-    assert theta_plus(0).grading == Fraction(0)
-    assert theta_plus(4).name == "Θ+(4)"
-    assert theta_minus(-2).module == "HF-(S3)"
-    for bad in (-2, 1, 3):
-        with pytest.raises(HFError):
-            theta_plus(bad)
-    for bad in (0, -1, -3):
-        with pytest.raises(HFError):
-            theta_minus(bad)
+def test_named_tower_generators_sit_in_nonzero_degrees(pipeline):
+    cork, adm, inflation, plan = pipeline
+    step = certify_distinct(cork, adm, inflation, plan).steps[3]
+    assert step.rule == "lefschetz_nonvanishing"
+    named = set(re.findall(r"Θ([+-])\((-?\d+)\)", " ".join(step.outputs)))
+    assert named == {("-", "-2"), ("+", "0")}
+    for version, degree in named:
+        assert not hf_s3(version, int(degree)).is_trivial
 
 
 def test_degree_shift_against_rational_oracle():
@@ -85,19 +79,6 @@ def test_degree_shift_linearity_coefficients():
 def test_degree_shift_needs_sigma():
     with pytest.raises(RuleNotApplicable):
         degree_shift(SpinCDecoration(0, None, 0))
-
-
-def test_compose_gluing_counts():
-    f = MapRecord("f", End("mid"), End("top"))
-    g = MapRecord("g", End("bot"), End("mid"))
-    assert len(compose(f, g)) == 1
-    f2 = MapRecord("f", End("mid", spin_c_gluings=2), End("top"))
-    assert len(compose(f2, g)) == 2
-    ident = MapRecord("id", End("mid"), End("mid"), identity=True)
-    assert compose(f, ident).terms == (f,)
-    assert compose(ident, g).terms == (g,)
-    with pytest.raises(HFError):
-        compose(g, f)
 
 
 def test_adjunction_exhaustive_small_range():
@@ -263,14 +244,12 @@ def test_explicit_twisted_record(pipeline, load):
 
 def test_relative_invariant_pair(pipeline):
     cork, adm, inflation, plan = pipeline
-    cert = certify_distinct(cork, adm, inflation, plan)
-    first, second = hfcert.relative_invariant(cert)
-    assert str(first) == "±1"
-    assert first.magnitude == 1 and first.sign_ambiguous
-    assert second == 0
-    fact = hfcert.non_extension_fact(cert)
+    digest = certify_distinct(cork, adm, inflation, plan).to_doc()["digest"]
+    fact = hfcert.non_extension_fact(digest)
+    assert fact["relative_values"] == [{"magnitude": 1, "sign_ambiguous": True}, 0]
     assert "does not extend" in fact["statement"]
-    assert fact["derived_from"] == cert.to_doc()["digest"]
+    assert "relative values ±1 and 0" in fact["statement"]
+    assert fact["derived_from"] == digest
 
 
 def test_fake_pair_report(pipeline):
@@ -283,13 +262,3 @@ def test_fake_pair_report(pipeline):
     assert all(
         a.get("status") == "declared-unverified" for a in report["assumptions"]
     )
-
-
-def test_graded_module_validation():
-    hfcert.GradedModule("M", ((Fraction(0), 1),))
-    with pytest.raises(HFError):
-        hfcert.GradedModule("M", ((Fraction(0), 2),))
-    with pytest.raises(HFError):
-        hfcert.GradedModule(
-            "M", (), finite_parts=((Fraction(0), kirby.AbelianGroup(1)),)
-        )

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from corktwist import front, kirby
+from corktwist import front, intmat, kirby
 
 
 # independent Smith oracle: invariant factors from determinantal divisors
@@ -97,6 +97,29 @@ def test_homology_of_linked_pairs_against_oracle():
             assert got.rank == 0
             assert sorted(got.torsion) == sorted(factors), (n, got)
             assert list(got.torsion) == [n, n]
+
+
+def test_homology_runs_one_smith_form_per_matrix(load, monkeypatch):
+    # one for the 2-handle boundary map, one for the linking matrix
+    calls = []
+    smith = intmat.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return smith(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+    rep = kirby.homology(kirby.parse_kirby(load("mazur.kirby")))
+    assert len(calls) == 2
+    assert rep.is_contractible
+
+
+def test_second_homology_is_the_boundary_maps_kernel():
+    # one dotted and one framed handle: H2(W) is Z exactly when they do
+    # not link, since then the boundary map is zero
+    for n in range(4):
+        h2 = kirby.homology(kirby.linked_handle_pair(n)).h_of_W[2]
+        assert (h2.rank, h2.torsion) == ((1 if n == 0 else 0), ())
 
 
 def test_linked_pair_one_is_homology_sphere():

@@ -11,24 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fillings, front, hfcert, kirby, mcg
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    paths: tuple[str, ...]
-    budget: int = 2000
-    fmt: str = "human"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+DIAGRAM_ERRORS = (front.FrontError, kirby.KirbyError)
 
 
 class InputFailure(Exception):
@@ -42,24 +30,11 @@ def _read(path: str) -> str:
         raise InputFailure(f"cannot read {path}: {exc.strerror}")
 
 
-def _parse_front(path: str) -> front.FrontDiagram:
+def _load(parse, errors, path: str):
+    """parse(text of path), with the parser's own errors turned into InputFailure."""
     try:
-        return front.parse_front(_read(path))
-    except front.FrontError as exc:
-        raise InputFailure(f"{path}: {exc}")
-
-
-def _parse_kirby(path: str) -> kirby.KirbyDiagram:
-    try:
-        return kirby.parse_kirby(_read(path))
-    except (front.FrontError, kirby.KirbyError) as exc:
-        raise InputFailure(f"{path}: {exc}")
-
-
-def _parse_palf(path: str) -> fillings.PALF:
-    try:
-        return fillings.parse_palf(_read(path))
-    except fillings.FillingError as exc:
+        return parse(_read(path))
+    except errors as exc:
         raise InputFailure(f"{path}: {exc}")
 
 
@@ -69,9 +44,10 @@ def _emit_doc(doc: dict) -> None:
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_tb(cfg: RunConfig, component: str | None) -> int:
-    d = _parse_front(cfg.paths[0])
+def cmd_tb(args: argparse.Namespace) -> int:
+    d = _load(front.parse_front, front.FrontError, args.front_path)
     comps = d.components()
+    component = args.component
     if component is None:
         if len(comps) != 1:
             raise InputFailure(
@@ -81,7 +57,7 @@ def cmd_tb(cfg: RunConfig, component: str | None) -> int:
     elif component not in comps:
         raise InputFailure(f"front has no component {component!r}")
     report = d.tb_report(component)
-    if cfg.fmt == "doc":
+    if args.format == "doc":
         _emit_doc(report)
         return 0
     print(f"component {component}")
@@ -97,18 +73,18 @@ def cmd_tb(cfg: RunConfig, component: str | None) -> int:
     return 0
 
 
-def cmd_admissible(cfg: RunConfig) -> int:
-    d = _parse_kirby(cfg.paths[0])
-    rep = kirby.check_admissible(d, budget=cfg.budget, seed=cfg.seed)
-    if cfg.fmt == "doc":
-        _emit_doc({"report": rep.to_doc(), "budget": cfg.budget, "seed": cfg.seed})
+def cmd_admissible(args: argparse.Namespace) -> int:
+    d = _load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path)
+    rep = kirby.check_admissible(d, budget=args.budget, seed=args.seed)
+    if args.format == "doc":
+        _emit_doc({"report": rep.to_doc(), "budget": args.budget, "seed": args.seed})
     else:
         for comp, status in rep.cond1:
             print(f"condition 1 [{comp}]: {status}")
         print(f"condition 2: {rep.cond2} ({rep.cond2_detail})")
         print(f"condition 3: {rep.cond3_status} (linking number {rep.cond3_value})")
         print(f"condition 4': {rep.cond4prime_status} ({rep.cond4prime_detail})")
-        print(f"budget {cfg.budget}, seed {cfg.seed}")
+        print(f"budget {args.budget}, seed {args.seed}")
         print(f"verdict: {rep.verdict}")
     if rep.verdict == "admissible":
         return 0
@@ -117,10 +93,9 @@ def cmd_admissible(cfg: RunConfig) -> int:
     return INCONCLUSIVE
 
 
-def cmd_homology(cfg: RunConfig) -> int:
-    d = _parse_kirby(cfg.paths[0])
-    rep = kirby.homology(d)
-    if cfg.fmt == "doc":
+def cmd_homology(args: argparse.Namespace) -> int:
+    rep = kirby.homology(_load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path))
+    if args.format == "doc":
         _emit_doc(rep.to_doc())
         return 0
     for i, g in enumerate(rep.h_of_W):
@@ -132,28 +107,28 @@ def cmd_homology(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_twist(cfg: RunConfig) -> int:
-    d = _parse_kirby(cfg.paths[0])
+def cmd_twist(args: argparse.Namespace) -> int:
+    d = _load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path)
     try:
         t = kirby.cork_twist(d)
     except kirby.KirbyError as exc:
         print(f"twist aborted: {exc}", file=sys.stderr)
         return ABORTED
-    if cfg.fmt == "doc":
+    if args.format == "doc":
         _emit_doc(kirby.kirby_to_doc(t))
     else:
         print(kirby.kirby_to_text(t), end="")
     return 0
 
 
-def cmd_fill(cfg: RunConfig) -> int:
-    p = _parse_palf(cfg.paths[0])
+def cmd_fill(args: argparse.Namespace) -> int:
+    p = _load(fillings.parse_palf, fillings.FillingError, args.palf_path)
     try:
         plan = fillings.build_concave(fillings.palf_to_openbook(p))
     except fillings.FillingError as exc:
         print(f"fill aborted: {exc}", file=sys.stderr)
         return ABORTED
-    if cfg.fmt == "doc":
+    if args.format == "doc":
         _emit_doc(plan.to_doc())
         return 0
     print(f"fiber genus {plan.fiber_genus} "
@@ -167,11 +142,14 @@ def cmd_fill(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_mcg(cfg: RunConfig, genus: int) -> int:
+def cmd_mcg(args: argparse.Namespace) -> int:
+    genus = args.chain_genus if args.chain_genus is not None else args.genus
+    if genus is None:
+        raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
     if genus < 1:
         raise InputFailure(f"genus must be at least 1, got {genus}")
     ok = mcg.verify_chain_relation(genus)
-    if cfg.fmt == "doc":
+    if args.format == "doc":
         _emit_doc({"genus": genus, "chain_relation_holds": ok})
     else:
         power = 4 * genus + 2
@@ -191,8 +169,13 @@ def _human_certificate(cert: hfcert.Certificate) -> None:
     print(f"verdict: {cert.verdict}")
 
 
-def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
+def cmd_certify(args: argparse.Namespace) -> int:
+    validate, out = args.validate, args.out
     if validate is not None:
+        if args.inputs or out is not None:
+            raise InputFailure(
+                "certify --validate takes no DIAGRAM PALF INFLATION and no --out"
+            )
         try:
             doc = json.loads(_read(validate))
         except json.JSONDecodeError as exc:
@@ -208,18 +191,18 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
               f"{len(doc.get('steps', []))} steps re-checked")
         return 0
 
-    cork = _parse_kirby(cfg.paths[0])
-    palf = _parse_palf(cfg.paths[1])
-    spec_path = Path(cfg.paths[2])
-    try:
-        pair = kirby.parse_inflation_spec(_read(cfg.paths[2]), spec_path.parent)
-    except (front.FrontError, kirby.KirbyError) as exc:
-        raise InputFailure(f"{cfg.paths[2]}: {exc}")
+    if len(args.inputs) != 3:
+        raise InputFailure("certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON")
+    cork_path, palf_path, spec_path = args.inputs
+    cork = _load(kirby.parse_kirby, DIAGRAM_ERRORS, cork_path)
+    palf = _load(fillings.parse_palf, fillings.FillingError, palf_path)
+    pair = _load(lambda text: kirby.parse_inflation_spec(text, Path(spec_path).parent),
+                 DIAGRAM_ERRORS, spec_path)
 
-    adm = kirby.check_admissible(cork, budget=cfg.budget, seed=cfg.seed)
+    adm = kirby.check_admissible(cork, budget=args.budget, seed=args.seed)
     if adm.verdict == "inconclusive":
         print(f"certification inconclusive: cork admissibility undecided "
-              f"at budget {cfg.budget}, seed {cfg.seed}", file=sys.stderr)
+              f"at budget {args.budget}, seed {args.seed}", file=sys.stderr)
         return INCONCLUSIVE
 
     try:
@@ -227,9 +210,8 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
             cork, pair.untwisted_front, pair.framing, pair.untwisted_component
         )
         hfcert.require_untwisted_exact(untwisted)
-        twisted_cork = kirby.cork_twist(cork)
         twisted = kirby.inflate(
-            twisted_cork, pair.twisted_front, pair.framing, pair.twisted_component
+            cork, pair.twisted_front, pair.framing, pair.twisted_component
         )
         plan = fillings.extend_with_cobordism(untwisted, palf)
         cert = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
@@ -258,10 +240,10 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
         "relative_invariant": {"first": first, "second": second},
         "non_extension": non_extension,
         "fake_pair": hfcert.fake_pair_report(plan),
-        "budget": cfg.budget,
-        "seed": cfg.seed,
+        "budget": args.budget,
+        "seed": args.seed,
     }
-    if cfg.fmt == "doc":
+    if args.format == "doc":
         _emit_doc(bundle)
     else:
         _human_certificate(cert)
@@ -275,11 +257,22 @@ def cmd_certify(cfg: RunConfig, validate: str | None, out: str | None) -> int:
 
 # -- argument plumbing --------------------------------------------------------
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("human", "doc"), default="human")
-    common.add_argument("--budget", type=int, default=2000)
-    common.add_argument("--seed", type=int, default=0)
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("human", "doc"), default="human")
+    searched = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    searched.add_argument("--budget", type=_budget, default=2000)
+    searched.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="corktwist",
@@ -287,35 +280,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tb = sub.add_parser("tb", parents=[common],
-                          help="Thurston-Bennequin number of a front")
+    def command(name, run, parent, help):
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p_tb = command("tb", cmd_tb, formatted, "Thurston-Bennequin number of a front")
     p_tb.add_argument("front_path")
     p_tb.add_argument("--component", default=None)
+    command("admissible", cmd_admissible, searched,
+            "run the four cork-candidate checks").add_argument("diagram_path")
+    command("homology", cmd_homology, formatted,
+            "homology of the handlebody and its boundary").add_argument("diagram_path")
+    command("twist", cmd_twist, formatted,
+            "exchange dot and zero-framing along the involution").add_argument("diagram_path")
+    command("fill", cmd_fill, formatted,
+            "plan a concave filling for a fibration word").add_argument("palf_path")
 
-    p_adm = sub.add_parser("admissible", parents=[common],
-                           help="run the four cork-candidate checks")
-    p_adm.add_argument("diagram_path")
-
-    p_hom = sub.add_parser("homology", parents=[common],
-                           help="homology of the handlebody and its boundary")
-    p_hom.add_argument("diagram_path")
-
-    p_twist = sub.add_parser("twist", parents=[common],
-                             help="exchange dot and zero-framing along the involution")
-    p_twist.add_argument("diagram_path")
-
-    p_fill = sub.add_parser("fill", parents=[common],
-                            help="plan a concave filling for a fibration word")
-    p_fill.add_argument("palf_path")
-
-    p_mcg = sub.add_parser("mcg", parents=[common],
-                           help="mapping-class sanity checks")
+    p_mcg = command("mcg", cmd_mcg, formatted, "mapping-class sanity checks")
     p_mcg.add_argument("check", choices=("verify-chain",))
     p_mcg.add_argument("chain_genus", type=int, nargs="?", default=None)
     p_mcg.add_argument("--genus", type=int, default=None)
 
-    p_cert = sub.add_parser("certify", parents=[common],
-                            help="emit or validate a distinctness certificate")
+    p_cert = command("certify", cmd_certify, searched,
+                     "emit or validate a distinctness certificate")
     p_cert.add_argument("inputs", nargs="*",
                         metavar="DIAGRAM PALF INFLATION",
                         help="cork diagram, fibration word, inflation spec")
@@ -325,53 +313,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else PARSE_ERROR
-
-    paths: tuple[str, ...] = ()
-    if args.command == "tb":
-        paths = (args.front_path,)
-    elif args.command in ("admissible", "homology", "twist"):
-        paths = (args.diagram_path,)
-    elif args.command == "fill":
-        paths = (args.palf_path,)
-    elif args.command == "certify":
-        paths = tuple(args.inputs)
-
     try:
-        cfg = RunConfig(
-            paths=paths, budget=args.budget, fmt=args.format, seed=args.seed
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-
-    try:
-        if args.command == "tb":
-            return cmd_tb(cfg, args.component)
-        if args.command == "admissible":
-            return cmd_admissible(cfg)
-        if args.command == "homology":
-            return cmd_homology(cfg)
-        if args.command == "twist":
-            return cmd_twist(cfg)
-        if args.command == "fill":
-            return cmd_fill(cfg)
-        if args.command == "mcg":
-            genus = args.chain_genus if args.chain_genus is not None else args.genus
-            if genus is None:
-                raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
-            return cmd_mcg(cfg, genus)
-        if args.command == "certify":
-            if args.validate is None and len(cfg.paths) != 3:
-                raise InputFailure(
-                    "certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON"
-                )
-            return cmd_certify(cfg, args.validate, args.out)
-        raise InputFailure(f"unknown command {args.command!r}")
+        return args.run(args)
     except InputFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

@@ -231,7 +231,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     """
     rows, cols = shape(a)
     d, _, v = smith_normal_form(a)
-    rank = len(invariant_factors(a))
+    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 

@@ -207,8 +207,9 @@ def test_certify_zero_budget_is_inconclusive(certify_argv):
 
 
 def test_certify_does_each_computation_once(certify_argv, monkeypatch):
-    searches, actions = [], []
+    searches, actions, involutions = [], [], []
     check_admissible, h1_action = kirby.check_admissible, mcg.h1_action
+    involution_verified = kirby.involution_verified
 
     def counted_search(d, budget=2000, seed=0):
         searches.append((budget, seed))
@@ -218,12 +219,18 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
         actions.append(len(word))
         return h1_action(word)
 
+    def counted_involution(d):
+        involutions.append(d)
+        return involution_verified(d)
+
     monkeypatch.setattr(kirby, "check_admissible", counted_search)
     monkeypatch.setattr(mcg, "h1_action", counted_action)
+    monkeypatch.setattr(kirby, "involution_verified", counted_involution)
     code, _, err = run(certify_argv)
     assert code == 0, err
     assert searches == [(2000, 0)]
     assert len(actions) == 1
+    assert len(involutions) == 1
 
 
 def test_certify_inadmissible_cork_reports_no_fake_pair(fixtures):
@@ -237,6 +244,18 @@ def test_certify_inadmissible_cork_reports_no_fake_pair(fixtures):
     assert code == 1
     assert "fake_pair" not in out
     assert "cork admissibility failed" in err
+
+
+def test_certify_cork_without_involution_fails_admissibility(certify_argv, tmp_path):
+    text = Path(certify_argv[1]).read_text()
+    noinv = tmp_path / "noinv.kirby"
+    noinv.write_text("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("involution")
+    ))
+    code, out, err = run(["certify", str(noinv)] + certify_argv[2:])
+    assert code == 1
+    assert out == ""
+    assert "cork admissibility failed: verdict 'not admissible'" in err
 
 
 def test_certify_validate_round_trip(certify_argv, tmp_path):
@@ -286,6 +305,44 @@ def test_certify_input_errors(fixtures, tmp_path):
 
     code, _, _ = run(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", ["inputs", "out"])
+def test_certify_validate_rejects_options_it_would_ignore(certify_argv, tmp_path, extra):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(certify_argv + ["--out", str(cert_path)])
+    assert code == 0
+    argv = ["certify", "--validate", str(cert_path)]
+    argv += certify_argv[1:] if extra == "inputs" else ["--out", str(tmp_path / "again.json")]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not (tmp_path / "again.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--budget", "5"], ["--seed", "1"]], ids=["budget", "seed"])
+@pytest.mark.parametrize("argv", [
+    ["tb", "trefoil.front"],
+    ["homology", "mazur.kirby"],
+    ["twist", "mazur.kirby"],
+    ["fill", "mazur.palf"],
+    ["mcg", "verify-chain", "2"],
+], ids=lambda argv: argv[0])
+def test_search_flags_belong_to_search_commands_only(fixtures, argv, flag):
+    resolved = [str(fixtures / a) if "." in a else a for a in argv]
+    code, out, err = run(resolved + flag)
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
+def test_admissible_records_the_given_seed(fixtures):
+    code, out, _ = run(
+        ["admissible", str(fixtures / "mazur.kirby"), "--seed", "7", "--format", "doc"]
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
 
 
 @pytest.mark.parametrize("text", [

@@ -1,4 +1,4 @@
-"""Pinned `--format doc` output of every subcommand on the shipped fixtures.
+"""Pinned output of every subcommand on the shipped fixtures.
 
 Each case records the exit code and the first 16 hex digits of the
 sha256 of stdout.  A refactor that keeps these hashes keeps the output
@@ -78,6 +78,27 @@ def test_stabilized_plan_output_is_pinned(tmp_path):
     code, out = run_doc(["fill", str(palf)], tmp_path)
     assert code == 0
     assert digest_of(out) == "61f6dac2ee543e62"
+
+
+HUMAN = [
+    (["tb", "trefoil.front"], 0, "89a165175d729bc6"),
+    (["tb", "trefoil_handle.front"], 0, "3d7e45df05183b1a"),
+    (["admissible", "mazur.kirby"], 0, "b10fd03b0322cc3c"),
+    (["admissible", "hopf.kirby"], 1, "83d9c8c006f6c15c"),
+    (["admissible", "knotted.kirby"], 3, "94e030fcb8b32686"),
+    (["homology", "mazur.kirby"], 0, "3a8b33ead7188116"),
+    (["twist", "mazur.kirby"], 0, "bcad7e680671c27b"),
+    (["mcg", "verify-chain", "2"], 0, "09905a3f82b9543e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", HUMAN, ids=[" ".join(a[:2]) for a, _, _ in HUMAN]
+)
+def test_human_output_is_pinned(argv, code, digest, fixtures):
+    got_code, out = run_cli(argv, fixtures, "human")
+    assert got_code == code
+    assert digest_of(out) == digest
 
 
 def test_human_fill_output_is_pinned(fixtures):

@@ -118,6 +118,21 @@ def test_kernel_basis_annihilates():
         assert len(basis) == cols - rank
 
 
+def test_kernel_basis_runs_one_smith_form(monkeypatch):
+    # the rank comes off the diagonal the basis is read from
+    calls = []
+    smith = intmat.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return smith(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+    basis = intmat.kernel_basis([[1, 2, 3], [2, 4, 6]])
+    assert len(calls) == 1
+    assert len(basis) == 2
+
+
 def test_solve_gcd_one():
     rng = random.Random(3)
     for _ in range(50):

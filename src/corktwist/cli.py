@@ -16,6 +16,7 @@ from pathlib import Path
 from . import fillings, front, hfcert, kirby, mcg
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
+DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
 DIAGRAM_ERRORS = (front.FrontError, kirby.KirbyError)
 
 
@@ -40,6 +41,14 @@ def _load(parse, errors, path: str):
 
 def _emit_doc(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
+
+
+def _search_settings(args: argparse.Namespace) -> tuple[int, int]:
+    """--budget and --seed, with their defaults filled in where they were not given."""
+    return (
+        DEFAULT_BUDGET if args.budget is None else args.budget,
+        DEFAULT_SEED if args.seed is None else args.seed,
+    )
 
 
 # -- subcommands --------------------------------------------------------------
@@ -75,16 +84,17 @@ def cmd_tb(args: argparse.Namespace) -> int:
 
 def cmd_admissible(args: argparse.Namespace) -> int:
     d = _load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path)
-    rep = kirby.check_admissible(d, budget=args.budget, seed=args.seed)
+    budget, seed = _search_settings(args)
+    rep = kirby.check_admissible(d, budget=budget, seed=seed)
     if args.format == "doc":
-        _emit_doc({"report": rep.to_doc(), "budget": args.budget, "seed": args.seed})
+        _emit_doc({"report": rep.to_doc(), "budget": budget, "seed": seed})
     else:
         for comp, status in rep.cond1:
             print(f"condition 1 [{comp}]: {status}")
         print(f"condition 2: {rep.cond2} ({rep.cond2_detail})")
         print(f"condition 3: {rep.cond3_status} (linking number {rep.cond3_value})")
         print(f"condition 4': {rep.cond4prime_status} ({rep.cond4prime_detail})")
-        print(f"budget {args.budget}, seed {args.seed}")
+        print(f"budget {budget}, seed {seed}")
         print(f"verdict: {rep.verdict}")
     if rep.verdict == "admissible":
         return 0
@@ -146,6 +156,8 @@ def cmd_mcg(args: argparse.Namespace) -> int:
     genus = args.chain_genus if args.chain_genus is not None else args.genus
     if genus is None:
         raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
+    if args.genus is not None and args.genus != genus:
+        raise InputFailure(f"mcg verify-chain got genus {genus} and --genus {args.genus}")
     if genus < 1:
         raise InputFailure(f"genus must be at least 1, got {genus}")
     ok = mcg.verify_chain_relation(genus)
@@ -172,9 +184,9 @@ def _human_certificate(cert: hfcert.Certificate) -> None:
 def cmd_certify(args: argparse.Namespace) -> int:
     validate, out = args.validate, args.out
     if validate is not None:
-        if args.inputs or out is not None:
+        if args.inputs or out is not None or args.budget is not None or args.seed is not None:
             raise InputFailure(
-                "certify --validate takes no DIAGRAM PALF INFLATION and no --out"
+                "certify --validate takes no DIAGRAM PALF INFLATION, --out, --budget or --seed"
             )
         try:
             doc = json.loads(_read(validate))
@@ -199,20 +211,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
     pair = _load(lambda text: kirby.parse_inflation_spec(text, Path(spec_path).parent),
                  DIAGRAM_ERRORS, spec_path)
 
-    adm = kirby.check_admissible(cork, budget=args.budget, seed=args.seed)
+    budget, seed = _search_settings(args)
+    adm = kirby.check_admissible(cork, budget=budget, seed=seed)
     if adm.verdict == "inconclusive":
         print(f"certification inconclusive: cork admissibility undecided "
-              f"at budget {args.budget}, seed {args.seed}", file=sys.stderr)
+              f"at budget {budget}, seed {seed}", file=sys.stderr)
         return INCONCLUSIVE
 
     try:
-        untwisted = kirby.inflate(
-            cork, pair.untwisted_front, pair.framing, pair.untwisted_component
-        )
+        untwisted = kirby.inflate(pair.untwisted_front, pair.framing, pair.untwisted_component)
         hfcert.require_untwisted_exact(untwisted)
-        twisted = kirby.inflate(
-            cork, pair.twisted_front, pair.framing, pair.twisted_component
-        )
+        twisted = kirby.inflate(pair.twisted_front, pair.framing, pair.twisted_component)
         plan = fillings.extend_with_cobordism(untwisted, palf)
         cert = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
     except hfcert.CertificateAbort as exc:
@@ -240,8 +249,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "relative_invariant": {"first": first, "second": second},
         "non_extension": non_extension,
         "fake_pair": hfcert.fake_pair_report(plan),
-        "budget": args.budget,
-        "seed": args.seed,
+        "budget": budget,
+        "seed": seed,
     }
     if args.format == "doc":
         _emit_doc(bundle)
@@ -271,8 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("human", "doc"), default="human")
     searched = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    searched.add_argument("--budget", type=_budget, default=2000)
-    searched.add_argument("--seed", type=int, default=0)
+    # None marks a flag not given: `certify --validate` rejects either one
+    searched.add_argument("--budget", type=_budget, default=None)
+    searched.add_argument("--seed", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="corktwist",

@@ -680,10 +680,7 @@ class CobordismRecord:
 
 
 def inflate(
-    d: KirbyDiagram,
-    attaching: FrontDiagram,
-    framing: int,
-    component: str | None = None,
+    attaching: FrontDiagram, framing: int, component: str | None = None
 ) -> CobordismRecord:
     """Attach a 2-handle to the boundary along the given front's knot."""
     comps = attaching.components()

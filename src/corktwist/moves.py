@@ -7,6 +7,10 @@ per vertex.  On that map the search applies reducing kink and bigon
 moves (R1 down, R2 down) and finger moves (R2 up) that push one edge of
 a face across another, capped at two crossings above the starting
 diagram.  Breadth-first over canonical codes, so runs are deterministic.
+The search builds only what it reads: the result of a move is built when
+its queue entry is popped, states are deduplicated as they are popped,
+and a state's canonical code is derived on first use.  A finger move
+builds two candidate splices, not every combination of rotations.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -67,9 +71,10 @@ class Shadow:
     Darts are edge ends; theta swaps the two ends of each edge; each
     vertex lists its four darts counterclockwise.  A dart is read as
     "arriving at this vertex along its edge", so the strand continues
-    through the opposite slot.  The strand orbit, faces, crossing signs
-    and canonical code are derived once, at construction; a shadow is
-    never changed afterwards.
+    through the opposite slot.  The strand orbit, faces and crossing
+    signs are derived once, at construction; the canonical code is
+    derived at most once, on first use.  A shadow is never changed
+    afterwards.
     """
 
     def __init__(self, vertices: dict[int, _Vertex], theta: dict[int, int]):
@@ -89,7 +94,8 @@ class Shadow:
             vid: 1 if (arrival_slot[vid, False] - arrival_slot[vid, True]) % 4 == 1 else -1
             for vid in self.vertices
         }
-        self._code, self._labels = self._minimal_code() if self.vertices else ((), {})
+        self._code: tuple | None = None
+        self._labels: dict[int, int] = {}
 
     # -- structure ------------------------------------------------------------
 
@@ -128,18 +134,19 @@ class Shadow:
         orbit = self.strand_orbit(min(self.theta))
         if len(orbit) != 2 * n:
             raise ShadowError("not a single closed strand")
-        remaining = set(self.theta)
+        theta, slot, vertices = self.theta, self._slot, self.vertices
+        remaining = set(theta)
         faces: list[tuple[int, ...]] = []
-        while remaining:
-            start = min(remaining)
+        for start in sorted(theta):
+            if start not in remaining:
+                continue
             cycle: list[int] = []
             cur = start
             while True:
                 cycle.append(cur)
                 remaining.discard(cur)
-                mate = self.theta[cur]
-                vid, k = self._slot[mate]
-                cur = self.vertices[vid].ends[(k + 1) % 4]
+                vid, k = slot[theta[cur]]
+                cur = vertices[vid].ends[(k + 1) % 4]
                 if cur == start:
                     break
             faces.append(tuple(cycle))
@@ -152,36 +159,54 @@ class Shadow:
         return self.vertices[vid].over_parity == k % 2
 
     def _minimal_code(self) -> tuple[tuple, dict[int, int]]:
-        """Minimal signed over/under code over all starts, with its vertex labels."""
-        best = None
+        """Minimal signed over/under code over all starts, with its vertex labels.
+
+        Each entry (label, over, sign) is packed as 4 * label + 2 * over +
+        (sign > 0), which orders like the triple.  A start is abandoned as
+        soon as its prefix exceeds the best code so far, and a tie keeps the
+        earlier start, so the labels are those of the full comparison.
+        """
+        step: dict[int, tuple[int, int, int]] = {}  # dart -> (vertex, low bits, next dart)
+        for vid, v in self.vertices.items():
+            positive = self._sign[vid] > 0
+            for k, e in enumerate(v.ends):
+                over = v.over_parity == k % 2
+                step[e] = (vid, 2 * over + positive, self.theta[v.ends[(k + 2) % 4]])
+        best: list[int] = []
         best_labels: dict[int, int] = {}
         for start in sorted(self.theta):
             labels: dict[int, int] = {}
-            code: list[tuple[int, int, int]] = []
+            code: list[int] = []
+            tied = bool(best)  # prefix equal to the best code so far
             cur = start
             while True:
-                vid, _ = self._slot[cur]
-                if vid not in labels:
-                    labels[vid] = len(labels)
-                code.append((labels[vid], 1 if self.is_over(cur) else 0, self._sign[vid]))
-                cur = self._succ(cur)
+                vid, bits, cur = step[cur]
+                entry = 4 * labels.setdefault(vid, len(labels)) + bits
+                if tied and entry != best[len(code)]:
+                    if entry > best[len(code)]:
+                        break
+                    tied = False
+                code.append(entry)
                 if cur == start:
+                    if not tied:
+                        best, best_labels = code, labels
                     break
-            tup = tuple(code)
-            if best is None or tup < best:
-                best = tup
-                best_labels = labels
-        return best, best_labels
+        return tuple((v >> 2, (v >> 1) & 1, 1 if v & 1 else -1) for v in best), best_labels
+
+    def _canonical(self) -> tuple[tuple, dict[int, int]]:
+        if self._code is None:
+            self._code, self._labels = self._minimal_code() if self.vertices else ((), {})
+        return self._code, self._labels
 
     def canonical_code(self) -> tuple:
         """Minimal signed over/under code over all starts and both directions."""
-        return self._code
+        return self._canonical()[0]
 
     def vertex_label(self, vid: int) -> int:
         """Stable label of a vertex: its position in the canonical code."""
         if not self.vertices:
             raise ShadowError("empty shadow")
-        return self._labels[vid]
+        return self._canonical()[1][vid]
 
     # -- reducing moves -------------------------------------------------------
 
@@ -258,14 +283,24 @@ class Shadow:
     def push_finger(self, x: int, y: int, over: bool) -> list["Shadow"]:
         """Push the edge of side x across the edge of side y.
 
-        The rotations of the two new vertices and the order in which the
-        finger meets the crossed edge depend on which side of that edge
-        the face lies.  Rather than track embedding data, all candidate
-        splices are built and a candidate is kept only if it is a valid
-        planar single-strand map in which the two new crossings bound a
-        removable bigon.  Removing that bigon restores this diagram
-        exactly, so every kept candidate is a genuine Reidemeister 2
-        ascent.
+        A face lies to the right of each of its darts, so along the face
+        the edges of x and y run in opposite directions: walking from x to
+        its mate, the finger first crosses y's edge at Q, the new crossing
+        nearer y's mate, and comes back through P.  That fixes the order
+        of the splice.  Pushed into the face, the finger gives P and Q the
+        rotations of the first candidate below.  The second mirrors both
+        rotations: the same finger pushed through the face on the other
+        side of both edges, which is planar when the mates of x and y
+        share a face too.  The other six combinations of rotations and
+        crossing order are not built; the oracle test in tests/test_moves.py
+        checks, on every finger move of the states the pinned searches
+        expand and of a sample of their finger children, that all eight
+        give the same children in the same order as these two.
+
+        A candidate is kept only if it is a valid planar single-strand map
+        in which the two new crossings bound a removable bigon.  Removing
+        that bigon restores this diagram exactly, so every kept candidate
+        is a genuine Reidemeister 2 ascent.
         """
         if y == x or y == self.theta[x]:
             raise ShadowError("finger needs two distinct edges")
@@ -276,36 +311,28 @@ class Shadow:
         pv = max(self.vertices) + 1 if self.vertices else 0
         qv = pv + 1
         parity = 1 if over else 0
+        theta = dict(self.theta)
+        # y's edge becomes y - P - Q - yp; the finger x - Q - P - xp
+        for a, b in ((x, g_a), (g_t, f_t), (f_a, xp), (y, b_y), (b_q, c_p), (c_y2, yp)):
+            theta[a] = b
+            theta[b] = a
         results: list[Shadow] = []
-        codes: set = set()
-        p_rotations = [(b_y, f_a, b_q, f_t), (b_y, f_t, b_q, f_a)]
-        q_rotations = [(c_p, g_t, c_y2, g_a), (c_p, g_a, c_y2, g_t)]
-        chains = [
-            ((x, f_a), (f_t, g_t), (g_a, xp)),  # finger meets P first
-            ((x, g_a), (g_t, f_t), (f_a, xp)),  # finger meets Q first
-        ]
-        for p_ends in p_rotations:
-            for q_ends in q_rotations:
-                for chain in chains:
-                    vertices = dict(self.vertices)
-                    vertices[pv] = _Vertex(p_ends, parity)
-                    vertices[qv] = _Vertex(q_ends, parity)
-                    theta = dict(self.theta)
-                    pairs = chain + ((y, b_y), (b_q, c_p), (c_y2, yp))
-                    for a, b in pairs:
-                        theta[a] = b
-                        theta[b] = a
-                    try:
-                        cand = Shadow(vertices, theta)
-                    except ShadowError:
-                        continue
-                    if (pv, qv) not in cand.bigon_sites():
-                        continue
-                    code = cand.canonical_code()
-                    if code in codes:
-                        continue
-                    codes.add(code)
-                    results.append(cand)
+        for p_ends, q_ends in (
+            ((b_y, f_a, b_q, f_t), (c_p, g_a, c_y2, g_t)),  # finger pushed into the face
+            ((b_y, f_t, b_q, f_a), (c_p, g_t, c_y2, g_a)),  # mirrored
+        ):
+            vertices = dict(self.vertices)
+            vertices[pv] = _Vertex(p_ends, parity)
+            vertices[qv] = _Vertex(q_ends, parity)
+            try:
+                cand = Shadow(vertices, theta)
+            except ShadowError:
+                continue
+            if (pv, qv) not in cand.bigon_sites():
+                continue
+            if results and cand.canonical_code() == results[0].canonical_code():
+                continue
+            results.append(cand)
         return results
 
 
@@ -362,15 +389,42 @@ def shadow_of_component(d: front_mod.FrontDiagram, comp: str) -> Shadow:
 
 
 def search_unknot(start: Shadow, budget: int) -> dict:
-    """Breadth-first move search; returns moves on success, else diagnostics."""
-    cap = start.crossing_count() + 2
+    """Breadth-first move search; returns moves on success, else diagnostics.
+
+    Only popped states are built.  A queue entry holds a state, or a
+    parent and one move whose result is built when the entry is popped:
+    ("kink", v), ("bigon", v1, v2), or ("finger", x, y, over), whose
+    children then take its place at the front of the queue, in order.
+    A popped state whose code was seen before is skipped, so the states
+    expanded, and the budget that counts them, are those of a search
+    that dropped every repeated child as it was generated.  The goal
+    check stays at generation: a removal is the goal when it removes
+    every crossing, and a finger child always has at least two.
+    """
     if start.crossing_count() == 0:
         return {"found": True, "moves": [], "expanded": 0, "queue_emptied": False}
-    seen = {start.canonical_code()}
-    queue: deque[tuple[Shadow, tuple[str, ...]]] = deque([(start, ())])
+    cap = start.crossing_count() + 2
+    seen: set[tuple] = set()
+    queue: deque[tuple[Shadow, tuple[str, ...], tuple | None]] = deque([(start, (), None)])
     expanded = 0
     while queue:
-        state, path = queue.popleft()
+        state, path, move = queue.popleft()
+        if move is not None:
+            kind, *sites = move
+            if kind == "finger":
+                n, over = state.crossing_count(), sites[2]
+                child_path = path + (
+                    f"push {'over' if over else 'under'} finger, {n} to {n + 2} crossings",
+                )
+                queue.extendleft(
+                    (child, child_path, None) for child in reversed(state.push_finger(*sites))
+                )
+                continue
+            state = state.remove_kink(*sites) if kind == "kink" else state.remove_bigon(*sites)
+        code = state.canonical_code()
+        if code in seen:
+            continue
+        seen.add(code)
         if expanded >= budget:
             return {
                 "found": False,
@@ -379,40 +433,27 @@ def search_unknot(start: Shadow, budget: int) -> dict:
                 "queue_emptied": False,
             }
         expanded += 1
-        children: list[tuple[str, Shadow]] = []
-        for vid in state.kink_sites():
-            children.append(
-                (f"remove kink at crossing {state.vertex_label(vid)}", state.remove_kink(vid))
+        removals = [
+            (f"remove kink at crossing {state.vertex_label(vid)}", ("kink", vid))
+            for vid in state.kink_sites()
+        ] + [
+            (
+                f"remove bigon between crossings {state.vertex_label(v1)} and {state.vertex_label(v2)}",
+                ("bigon", v1, v2),
             )
-        for v1, v2 in state.bigon_sites():
-            children.append(
-                (
-                    f"remove bigon between crossings {state.vertex_label(v1)} and {state.vertex_label(v2)}",
-                    state.remove_bigon(v1, v2),
-                )
-            )
-        if state.crossing_count() + 2 <= cap:
-            for x, y, over in state.finger_moves():
-                for child in state.push_finger(x, y, over):
-                    children.append(
-                        (
-                            f"push {'over' if over else 'under'} finger, {state.crossing_count()} to {child.crossing_count()} crossings",
-                            child,
-                        )
-                    )
-        for describe, child in children:
-            if child.crossing_count() == 0:
+            for v1, v2 in state.bigon_sites()
+        ]
+        for describe, removal in removals:
+            if len(removal) - 1 == state.crossing_count():  # removes every crossing
                 return {
                     "found": True,
                     "moves": list(path) + [describe],
                     "expanded": expanded,
                     "queue_emptied": False,
                 }
-            code = child.canonical_code()
-            if code in seen:
-                continue
-            seen.add(code)
-            queue.append((child, path + (describe,)))
+            queue.append((state, path + (describe,), removal))
+        if state.crossing_count() + 2 <= cap:
+            queue.extend((state, path, ("finger", *move)) for move in state.finger_moves())
     return {"found": False, "moves": None, "expanded": expanded, "queue_emptied": True}
 
 

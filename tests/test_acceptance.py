@@ -142,15 +142,14 @@ def test_criterion_04_linked_pair_homology_against_snf_oracle():
 
 def test_criterion_05_stein_framing_rule_on_the_two_sides(load):
     with criterion(5, "framing 1 is Stein untwisted and obstructed twisted"):
-        cork = kirby.parse_kirby(load("mazur.kirby"))
         over_handle = front.parse_front(load("trefoil_handle.front"))
         planar = front.parse_front(load("trefoil.front"))
         assert over_handle.tb("K") == 2
 
-        untwisted = kirby.inflate(cork, over_handle, 1)
+        untwisted = kirby.inflate(over_handle, 1)
         assert untwisted.stein["status"] == "exact"
 
-        twisted = kirby.inflate(kirby.cork_twist(cork), planar, 1)
+        twisted = kirby.inflate(planar, 1)
         assert twisted.stein["status"] == "obstructed"
         assert twisted.stein["reason"] == (
             "framing 1 ≠ tb − 1 for exhibited tb ≤ 1"

@@ -155,6 +155,16 @@ def test_genus_flag_belongs_to_mcg_only(fixtures):
     assert code == 0
 
 
+def test_mcg_rejects_two_different_genera():
+    code, out, err = run(["mcg", "verify-chain", "2", "--genus", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    code, out, _ = run(["mcg", "verify-chain", "2", "--genus", "2"])
+    assert code == 0
+    assert "genus 2:" in out
+
+
 @pytest.fixture
 def certify_argv(fixtures):
     return [
@@ -319,6 +329,18 @@ def test_certify_validate_rejects_options_it_would_ignore(certify_argv, tmp_path
     assert out == ""
     assert err.startswith("error:")
     assert not (tmp_path / "again.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--budget", "5"], ["--seed", "3"], ["--budget", "2000"]],
+                         ids=["budget", "seed", "default-budget"])
+def test_certify_validate_rejects_search_flags(certify_argv, tmp_path, flag):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(certify_argv + ["--out", str(cert_path)])
+    assert code == 0
+    code, out, err = run(["certify", "--validate", str(cert_path)] + flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("flag", [["--budget", "5"], ["--seed", "1"]], ids=["budget", "seed"])

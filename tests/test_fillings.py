@@ -124,9 +124,8 @@ def test_palf_grammar_rejections():
 
 
 def test_extend_absorbs_stein_cobordism(load):
-    cork = kirby.parse_kirby(load("mazur.kirby"))
     over_handle = front.parse_front(load("trefoil_handle.front"))
-    record = kirby.inflate(cork, over_handle, 1)
+    record = kirby.inflate(over_handle, 1)
     p = parse_palf(load("mazur_inflated.palf"))
     plan = extend_with_cobordism(record, p)
     assert plan.extension_absorbed
@@ -135,9 +134,8 @@ def test_extend_absorbs_stein_cobordism(load):
 
 
 def test_extend_rejects_non_stein_attachment(load):
-    cork = kirby.parse_kirby(load("mazur.kirby"))
     over_handle = front.parse_front(load("trefoil_handle.front"))
-    record = kirby.inflate(cork, over_handle, 0)  # realizable, not exact
+    record = kirby.inflate(over_handle, 0)  # realizable, not exact
     p = parse_palf(load("mazur_inflated.palf"))
     with pytest.raises(FillingError) as info:
         extend_with_cobordism(record, p)

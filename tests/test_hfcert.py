@@ -28,7 +28,7 @@ def pipeline(load):
     cork = kirby.parse_kirby(load("mazur.kirby"))
     adm = kirby.check_admissible(cork)
     over_handle = front.parse_front(load("trefoil_handle.front"))
-    inflation = kirby.inflate(cork, over_handle, 1)
+    inflation = kirby.inflate(over_handle, 1)
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
     plan = fillings.extend_with_cobordism(inflation, palf)
     return cork, adm, inflation, plan
@@ -199,7 +199,7 @@ def test_rewritten_axiom_fails(pipeline):
 def test_abort_on_wrong_framing(pipeline, load):
     cork, adm, _, plan = pipeline
     over_handle = front.parse_front(load("trefoil_handle.front"))
-    low = kirby.inflate(cork, over_handle, 0)
+    low = kirby.inflate(over_handle, 0)
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, low, plan)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
@@ -209,7 +209,7 @@ def test_abort_on_wrong_framing(pipeline, load):
 def test_abort_on_unknot_inflation(pipeline, load):
     cork, adm, _, plan = pipeline
     unknot = front.parse_front(load("lens.front"))
-    record = kirby.inflate(cork, unknot, -2)  # exact: tb -1, framing tb - 1
+    record = kirby.inflate(unknot, -2)  # exact: tb -1, framing tb - 1
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, record, plan)
     assert "adjunction rule not applicable" in str(info.value)
@@ -234,9 +234,7 @@ def test_abort_on_plan_without_absorption(pipeline, load):
 
 def test_explicit_twisted_record(pipeline, load):
     cork, adm, inflation, plan = pipeline
-    twisted_rec = kirby.inflate(
-        kirby.cork_twist(cork), front.parse_front(load("trefoil.front")), 1
-    )
+    twisted_rec = kirby.inflate(front.parse_front(load("trefoil.front")), 1)
     cert = certify_distinct(cork, adm, inflation, plan, twisted=twisted_rec)
     assert cert.verdict == "DISTINCT"
     assert validate_certificate(cert.to_doc()) == []

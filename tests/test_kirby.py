@@ -195,24 +195,22 @@ def test_stein_side_status_branches():
 
 
 def test_inflate_untwisted_passes_twisted_fails(load, fixtures):
-    cork = kirby.parse_kirby(load("mazur.kirby"))
     over_handle = front.parse_front(load("trefoil_handle.front"))
     planar = front.parse_front(load("trefoil.front"))
 
-    untw = kirby.inflate(cork, over_handle, 1)
+    untw = kirby.inflate(over_handle, 1)
     assert untw.stein["status"] == "exact"
     assert untw.exhibited_tb == 2
 
-    twisted = kirby.inflate(kirby.cork_twist(cork), planar, 1)
+    twisted = kirby.inflate(planar, 1)
     assert twisted.stein["status"] == "obstructed"
     assert twisted.stein["reason"] == "framing 1 ≠ tb − 1 for exhibited tb ≤ 1"
 
 
 def test_inflate_rejects_unregistered_knottype(load):
-    cork = kirby.parse_kirby(load("mazur.kirby"))
     text = "arc K : (0,0) (4,2) (8,0)\narc K : (8,0) (4,-2) (0,0)\norient K +\nknottype K cinquefoil\n"
     with pytest.raises(kirby.KirbyError):
-        kirby.inflate(cork, front.parse_front(text), 1)
+        kirby.inflate(front.parse_front(text), 1)
 
 
 def test_inflation_spec_fixture(load, fixtures):

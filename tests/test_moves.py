@@ -7,6 +7,7 @@ kink-removal moves, and all variants of the same k must canonicalize to
 the same code.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,7 +132,28 @@ SEARCH_OUTCOMES = [
     ("trefoil", 2000, ("inconclusive", 4, None, EXHAUSTED)),
     ("knotted:K1", 2000, ("inconclusive", 4, None, EXHAUSTED)),
     ("knotted:K2", 2000, ("inconclusive", 4, None, EXHAUSTED)),
+    # budgets at the edges of the lazy search: a stop needs an unseen popped state
+    ("garland5", 2000, ("unknot", 64, _kinks(5), None)),
+    ("garland5", 64, ("unknot", 64, _kinks(5), None)),
+    ("garland5", 63, ("inconclusive", 63, None, "search budget exhausted")),
+    ("garland4", 34, ("inconclusive", 34, None, "search budget exhausted")),
+    ("garland3", 13, ("inconclusive", 13, None, "search budget exhausted")),
+    ("trefoil", 4, ("inconclusive", 4, None, EXHAUSTED)),
+    ("trefoil", 3, ("inconclusive", 3, None, "search budget exhausted")),
+    ("knotted:K1", 3, ("inconclusive", 3, None, "search budget exhausted")),
+    ("bigon", 1, ("inconclusive", 1, None, "search budget exhausted")),
 ]
+
+
+def _search_case(load, case):
+    """The front and component a pinned search case names."""
+    if case.startswith("garland"):
+        return front.parse_front(garland_text(int(case[-1]), Fraction(1, 2), 5, "+")), "G"
+    if case == "bigon":
+        return front.parse_front(CLASPED_BIGON), "B"
+    if case == "trefoil":
+        return front.parse_front(load("trefoil.front")), "K"
+    return kirby.parse_kirby(load("knotted.kirby")).front, case.split(":")[1]
 
 
 @pytest.mark.parametrize(
@@ -139,13 +161,90 @@ SEARCH_OUTCOMES = [
 )
 def test_search_outcome_is_pinned(load, case, budget, outcome):
     """Verdict, states expanded, move strings and stop note of fixed searches."""
-    if case.startswith("garland"):
-        d, comp = front.parse_front(garland_text(int(case[-1]), Fraction(1, 2), 5, "+")), "G"
-    elif case == "bigon":
-        d, comp = front.parse_front(CLASPED_BIGON), "B"
-    elif case == "trefoil":
-        d, comp = front.parse_front(load("trefoil.front")), "K"
-    else:
-        d, comp = kirby.parse_kirby(load("knotted.kirby")).front, case.split(":")[1]
+    d, comp = _search_case(load, case)
     cert = moves.unknot_certificate(d, comp, budget=budget)
     assert (cert["verdict"], cert["expanded"], cert["moves"], cert["note"]) == outcome
+
+
+@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20)])
+def test_search_builds_only_the_states_it_pops(monkeypatch, k, budget, most):
+    """Finger and removal children are built when popped, not when generated."""
+    start = moves.shadow_of_component(
+        front.parse_front(garland_text(k, Fraction(1, 2), 5, "+")), "G"
+    )
+    built = []
+    init = moves.Shadow.__init__
+
+    def counted_init(self, vertices, theta):
+        built.append(len(vertices))
+        init(self, vertices, theta)
+
+    monkeypatch.setattr(moves.Shadow, "__init__", counted_init)
+    moves.search_unknot(start, budget)
+    assert len(built) <= most
+
+
+def _all_eight_splices(s, x, y, over):
+    """The enumeration `Shadow.push_finger` replaced, kept as its oracle: codes of
+    the distinct valid splices over both rotations of each new crossing and
+    both orders in which the finger meets the crossed edge."""
+    xp, yp = s.theta[x], s.theta[y]
+    fresh = max(s.theta) + 1
+    b_y, f_a, b_q, f_t, c_p, g_t, c_y2, g_a = range(fresh, fresh + 8)
+    pv = max(s.vertices) + 1
+    qv = pv + 1
+    codes = []
+    for p_ends in ((b_y, f_a, b_q, f_t), (b_y, f_t, b_q, f_a)):
+        for q_ends in ((c_p, g_t, c_y2, g_a), (c_p, g_a, c_y2, g_t)):
+            for chain in (((x, f_a), (f_t, g_t), (g_a, xp)), ((x, g_a), (g_t, f_t), (f_a, xp))):
+                vertices = dict(s.vertices)
+                vertices[pv] = moves._Vertex(p_ends, 1 if over else 0)
+                vertices[qv] = moves._Vertex(q_ends, 1 if over else 0)
+                theta = dict(s.theta)
+                for a, b in chain + ((y, b_y), (b_q, c_p), (c_y2, yp)):
+                    theta[a], theta[b] = b, a
+                try:
+                    cand = moves.Shadow(vertices, theta)
+                except moves.ShadowError:
+                    continue
+                if (pv, qv) in cand.bigon_sites() and cand.canonical_code() not in codes:
+                    codes.append(cand.canonical_code())
+    return codes
+
+
+ORACLE_CASES = ["garland1", "garland2", "garland3", "trefoil", "bigon", "knotted:K1", "knotted:K2"]
+
+
+def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
+    """Every finger move on the states the pinned searches expand, and on 40
+    seeded picks among their finger children, gives the same children in the
+    same order as the eight-splice enumeration."""
+    expanded = []
+    kink_sites = moves.Shadow.kink_sites
+
+    def recorded(self):  # the search asks each state it expands for its kinks
+        expanded.append(self)
+        return kink_sites(self)
+
+    monkeypatch.setattr(moves.Shadow, "kink_sites", recorded)
+    for case in ORACLE_CASES:
+        moves.search_unknot(moves.shadow_of_component(*_search_case(load, case)), 2000)
+    monkeypatch.undo()
+    states = {s.canonical_code(): s for s in expanded}
+    children = {}
+    tested = doubles = 0
+
+    def check(s):
+        nonlocal tested, doubles
+        for move in s.finger_moves():
+            got = s.push_finger(*move)
+            assert [c.canonical_code() for c in got] == _all_eight_splices(s, *move)
+            tested += 1
+            doubles += len(got) == 2
+            children.update((c.canonical_code(), c) for c in got)
+
+    for s in states.values():
+        check(s)
+    for code in random.Random(20110411).sample(sorted(children.keys() - states.keys()), 40):
+        check(children[code])
+    assert tested > 8000 and doubles > 0, (tested, doubles)

@@ -195,13 +195,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
         except RecursionError:
             raise InputFailure(f"{validate}: JSON is nested too deeply") from None
         problems = hfcert.validate_certificate(doc)
-        if problems:
+        if args.format == "doc":
+            fields = doc if isinstance(doc, dict) else {}
+            steps, verdict = fields.get("steps"), fields.get("verdict")
+            _emit_doc({
+                "problems": problems,
+                "steps": len(steps) if isinstance(steps, list) else 0,
+                "valid": not problems,
+                "verdict": verdict if isinstance(verdict, str) else None,
+            })
+        elif problems:
             for p in problems:
                 print(f"invalid: {p}")
-            return ABORTED
-        print(f"certificate valid: verdict {doc.get('verdict')}, "
-              f"{len(doc.get('steps', []))} steps re-checked")
-        return 0
+        else:
+            print(f"certificate valid: verdict {doc.get('verdict')}, "
+                  f"{len(doc.get('steps', []))} steps re-checked")
+        return ABORTED if problems else 0
 
     if len(args.inputs) != 3:
         raise InputFailure("certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON")

@@ -261,7 +261,7 @@ def extend_with_cobordism(m: CobordismRecord, p: PALF) -> FillingPlan:
     keeps the concave filling's contact-level conclusion available; the
     plan records that this reordering was used.
     """
-    status = m.stein.get("status") if isinstance(m.stein, dict) else None
+    status = m.stein["status"]
     if status != "exact":
         raise FillingError(
             f"cobordism attachment is not Stein (status {status!r}); "
@@ -317,6 +317,8 @@ def parse_palf(text: str) -> PALF:
                 cls = json.loads(vec.strip())
             except json.JSONDecodeError as exc:
                 raise FillingError(f"line {lineno}: bad class vector: {exc}")
+            except RecursionError:
+                raise FillingError(f"line {lineno}: class vector is nested too deeply") from None
             if (not isinstance(cls, list)
                     or len(cls) != 2 * genus
                     or not all(isinstance(v, int) for v in cls)):

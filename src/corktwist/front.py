@@ -152,9 +152,6 @@ class FrontDiagram:
                 seen.append(arc.component)
         return seen
 
-    def orientation(self, comp: str) -> int:
-        return dict(self.orientations).get(comp, 1)
-
     def knottype(self, comp: str) -> str | None:
         return dict(self.knottypes).get(comp)
 
@@ -206,10 +203,6 @@ class FrontDiagram:
     def _require(self, comp: str) -> None:
         if comp not in self._traversals:
             raise KeyError(f"no component {comp!r}; have {self.components()}")
-
-    def steps(self, comp: str) -> list[_Step]:
-        self._require(comp)
-        return list(self._traversals[comp])
 
     def tb_report(self, comp: str) -> dict:
         """Structured tb computation: every crossing sign and cusp listed."""
@@ -769,9 +762,11 @@ def front_from_doc(doc: dict) -> FrontDiagram:
                         parse_rational(str(ball["ybot"])),
                     )
                 )
-        orientations = tuple(
-            (comp, 1 if s == "+" else -1) for comp, s in doc.get("orient", {}).items()
-        )
+        orient = doc.get("orient", {})
+        for comp, s in orient.items():
+            if s not in ("+", "-"):
+                raise FrontParseError(f"orientation {s!r} of {comp!r} is not '+' or '-'")
+        orientations = tuple((comp, 1 if s == "+" else -1) for comp, s in orient.items())
         knottypes = tuple(doc.get("knottypes", {}).items())
         return FrontDiagram(arcs, tuple(balls), orientations, knottypes)
     except FrontError:

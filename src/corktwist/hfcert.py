@@ -376,7 +376,7 @@ def require_untwisted_exact(inflation: CobordismRecord) -> SideCondition:
     """
     framing = inflation.framing
     tb = inflation.exhibited_tb
-    status = inflation.stein.get("status") if isinstance(inflation.stein, dict) else None
+    status = inflation.stein["status"]
     expr = f"{framing} == {tb} - 1"
     if status != "exact":
         raise CertificateAbort(
@@ -543,7 +543,7 @@ def certify_distinct(
     ))
 
     # (7) twisted side: the attachment is obstructed and adjunction bites
-    facts = inflation.facts
+    facts = kirby.KNOT_FACTS.get(inflation.knot)
     _require(
         facts is not None,
         "no registered facts for the attaching knot; "
@@ -569,10 +569,10 @@ def certify_distinct(
     else:
         twisted_status = kirby.stein_side_status(framing, max_tb, 0, inflation.knot)
     obstruction_expr = f"{framing} > {max_tb} - 1"
-    if twisted_status.get("status") != "obstructed":
+    if twisted_status["status"] != "obstructed":
         raise CertificateAbort(
             "twisted-side attachment is not obstructed "
-            f"(status {twisted_status.get('status')!r}); no separation",
+            f"(status {twisted_status['status']!r}); no separation",
             {"expr": obstruction_expr, "value": eval_condition(obstruction_expr)},
         )
     steps.append(Step(

@@ -31,21 +31,9 @@ from .front import FrontDiagram, FrontParseError
 # in the standard contact 3-sphere, so they apply only to components
 # presented in a plain front: no 1-handle passes.
 KNOT_FACTS = {
-    "unknot": {
-        "max_tb": -1,
-        "seifert_genus": 0,
-        "statement": "the unknot has maximal Thurston-Bennequin number -1 "
-        "and Seifert genus 0",
-    },
-    "right_trefoil": {
-        "max_tb": 1,
-        "seifert_genus": 1,
-        "statement": "the right-handed trefoil has maximal Thurston-Bennequin "
-        "number 1 and Seifert genus 1",
-    },
+    "unknot": {"max_tb": -1, "seifert_genus": 0},
+    "right_trefoil": {"max_tb": 1, "seifert_genus": 1},
 }
-
-CONDITION4_NOTE = "condition (4) checked via its exhibited form (4')"
 
 
 class KirbyError(ValueError):
@@ -143,9 +131,6 @@ class KirbyDiagram:
                     f"stein component {self.stein_component!r} is not in the stein front"
                 )
 
-    def framing(self, comp: str) -> int:
-        return dict(self.frames)[comp]
-
     def dotted(self) -> list[str]:
         return [c for c in self.front.components() if c in self.dots]
 
@@ -237,6 +222,10 @@ def kirby_from_doc(doc: dict) -> KirbyDiagram:
                 front_mod.parse_rational(str(iv["center"][0])),
                 front_mod.parse_rational(str(iv["center"][1])),
             )
+        frames = tuple(doc.get("frames", {}).items())
+        for c, k in frames:
+            if type(k) is not int:  # JSON integers only: no floats, no booleans
+                raise TypeError(f"framing {k!r} of {c!r} is not an integer")
         stein_front = None
         stein_component = None
         if doc.get("stein"):
@@ -245,7 +234,7 @@ def kirby_from_doc(doc: dict) -> KirbyDiagram:
         return KirbyDiagram(
             front_mod.front_from_doc(doc["front"]),
             tuple(doc.get("dots", [])),
-            tuple((c, int(k)) for c, k in doc.get("frames", {}).items()),
+            frames,
             involution,
             stein_front,
             stein_component,
@@ -314,8 +303,9 @@ def involution_verified(d: KirbyDiagram) -> tuple[bool, str]:
     """Check that the declared half-turn exchanges the two named components.
 
     The check is exact set arithmetic: the point reflection must carry
-    the segment multiset of one component onto the other's, both ways,
-    and must preserve the handle balls.
+    the segment set of one component onto the other's, and must preserve
+    the handle balls.  A half-turn is its own inverse, so it then carries
+    the second component back onto the first as well.
     """
     if d.involution is None:
         return False, "no involution declared"
@@ -328,9 +318,6 @@ def involution_verified(d: KirbyDiagram) -> tuple[bool, str]:
             f"half-turn about ({iv.cx}, {iv.cy}) does not carry {iv.comp1!r} "
             f"onto {iv.comp2!r}"
         )
-    mapped_back = {frozenset(iv.apply(p) for p in seg) for seg in s2}
-    if mapped_back != s1:
-        return False, f"half-turn does not carry {iv.comp2!r} back onto {iv.comp1!r}"
     balls = {(b.x, b.ytop, b.ybot) for b in d.front.balls}
     mapped_balls = set()
     for x, ytop, ybot in balls:
@@ -437,27 +424,66 @@ def homology(d: KirbyDiagram) -> HomologyReport:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Status of the four cork-candidate checks.
+    """The evidence of the four cork-candidate checks, and the statuses it implies.
 
-    cond1 is the per-component unknottedness certificate (one-sided:
-    verified or inconclusive, never refuted).  cond2 is the exchanging
-    involution.  cond3 is linking number a unit.  cond4prime is the
-    exhibited Thurston-Bennequin condition: the Stein section must show
-    the 2-handle curve over the 1-handle with tb at least +1; a diagram
-    without a certifying exhibit is not admissible as presented.
+    The report stores only what the checks produce; every status and the
+    verdict are read off that evidence.  cond1 is the per-component
+    unknottedness certificate (one-sided: verified or inconclusive, never
+    refuted).  cond2 is the exchanging involution.  cond3 is linking
+    number a unit.  cond4prime is the exhibited Thurston-Bennequin
+    condition: the Stein section must show the 2-handle curve over the
+    1-handle with tb at least +1; a diagram without a certifying exhibit
+    is not admissible as presented.  A definite failure of cond2, cond3
+    or cond4prime makes the verdict "not admissible" whatever cond1 says;
+    otherwise an unsettled cond1 makes it "inconclusive".
     """
 
-    cond1: tuple[tuple[str, str], ...]  # (component, "verified" | "inconclusive")
-    cond1_evidence: tuple[tuple[str, dict], ...]
-    cond2: str  # "verified" | "absent"
+    cond1_evidence: tuple[tuple[str, dict], ...]  # (component, unknot certificate)
+    involution_ok: bool
     cond2_detail: str
-    cond3_status: str  # "holds" | "fails"
-    cond3_value: int
-    cond4prime_status: str  # "certified" | "not-certified"
-    cond4prime_tb: int | None
-    cond4prime_detail: str
-    verdict: str  # "admissible" | "not admissible" | "inconclusive"
-    note: str = CONDITION4_NOTE
+    cond3_value: int  # linking number of the two components
+    cond4prime_tb: int | None  # exhibited tb; None when there is no Stein section
+
+    @property
+    def cond1(self) -> tuple[tuple[str, str], ...]:
+        return tuple(
+            (c, "verified" if cert["verdict"] == "unknot" else "inconclusive")
+            for c, cert in self.cond1_evidence
+        )
+
+    @property
+    def cond2(self) -> str:
+        return "verified" if self.involution_ok else "absent"
+
+    @property
+    def cond3_status(self) -> str:
+        return "holds" if abs(self.cond3_value) == 1 else "fails"
+
+    @property
+    def cond4prime_status(self) -> str:
+        tb = self.cond4prime_tb
+        return "certified" if tb is not None and tb >= 1 else "not-certified"
+
+    @property
+    def cond4prime_detail(self) -> str:
+        tb = self.cond4prime_tb
+        if tb is None:
+            return "no Stein section exhibits the 2-handle curve over the 1-handle"
+        if tb >= 1:
+            return f"exhibited Thurston-Bennequin number {tb} over the 1-handle is at least +1"
+        return f"exhibited Thurston-Bennequin number {tb} is below +1"
+
+    @property
+    def verdict(self) -> str:
+        if (
+            not self.involution_ok
+            or self.cond3_status == "fails"
+            or self.cond4prime_status == "not-certified"
+        ):
+            return "not admissible"
+        if any(s != "verified" for _, s in self.cond1):
+            return "inconclusive"
+        return "admissible"
 
     def to_doc(self) -> dict:
         return {
@@ -472,21 +498,8 @@ class AdmissibilityReport:
                 "detail": self.cond4prime_detail,
             },
             "verdict": self.verdict,
-            "note": self.note,
+            "note": "condition (4) checked via its exhibited form (4')",
         }
-
-
-def _verdict(report_fields: dict) -> str:
-    definitive_bad = (
-        report_fields["cond2"] == "absent"
-        or report_fields["cond3_status"] == "fails"
-        or report_fields["cond4prime_status"] == "not-certified"
-    )
-    if definitive_bad:
-        return "not admissible"
-    if any(s != "verified" for _, s in report_fields["cond1"]):
-        return "inconclusive"
-    return "admissible"
 
 
 def check_admissible(d: KirbyDiagram, budget: int = 2000, seed: int = 0) -> AdmissibilityReport:
@@ -497,71 +510,16 @@ def check_admissible(d: KirbyDiagram, budget: int = 2000, seed: int = 0) -> Admi
         raise KirbyError("admissibility needs one dotted and one framed component")
     if d.frames[0][1] != 0:
         raise KirbyError(f"the framed component must carry framing 0, got {d.frames[0][1]}")
-
-    cond1 = []
-    evidence = []
-    for c in comps:
-        cert = moves.unknot_certificate(d.front, c, budget=budget, seed=seed)
-        cond1.append((c, "verified" if cert["verdict"] == "unknot" else "inconclusive"))
-        evidence.append((c, cert))
-
     ok, detail = involution_verified(d)
-    cond2 = "verified" if ok else "absent"
-
-    lk = d.front.linking_number(comps[0], comps[1])
-    cond3_status = "holds" if abs(lk) == 1 else "fails"
-
-    exhibit = stein_exhibit_report(d)
-    if exhibit is None:
-        cond4_status = "not-certified"
-        cond4_tb = None
-        cond4_detail = "no Stein section exhibits the 2-handle curve over the 1-handle"
-    elif exhibit["tb"] >= 1:
-        cond4_status = "certified"
-        cond4_tb = exhibit["tb"]
-        cond4_detail = (
-            f"exhibited Thurston-Bennequin number {exhibit['tb']} over the 1-handle "
-            "is at least +1"
-        )
-    else:
-        cond4_status = "not-certified"
-        cond4_tb = exhibit["tb"]
-        cond4_detail = (
-            f"exhibited Thurston-Bennequin number {exhibit['tb']} is below +1"
-        )
-
-    fields = {
-        "cond1": tuple(cond1),
-        "cond2": cond2,
-        "cond3_status": cond3_status,
-        "cond4prime_status": cond4_status,
-    }
     return AdmissibilityReport(
-        cond1=tuple(cond1),
-        cond1_evidence=tuple(evidence),
-        cond2=cond2,
+        cond1_evidence=tuple(
+            (c, moves.unknot_certificate(d.front, c, budget=budget, seed=seed)) for c in comps
+        ),
+        involution_ok=ok,
         cond2_detail=detail,
-        cond3_status=cond3_status,
-        cond3_value=lk,
-        cond4prime_status=cond4_status,
-        cond4prime_tb=cond4_tb,
-        cond4prime_detail=cond4_detail,
-        verdict=_verdict(fields),
+        cond3_value=d.front.linking_number(comps[0], comps[1]),
+        cond4prime_tb=None if d.stein_front is None else d.stein_front.tb(d.stein_component),
     )
-
-
-def stein_exhibit_report(d: KirbyDiagram) -> dict | None:
-    if d.stein_front is None:
-        return None
-    comp = d.stein_component
-    return {
-        "component": comp,
-        "tb": d.stein_front.tb(comp),
-        "writhe": d.stein_front.writhe(comp),
-        "cusps": d.stein_front.cusp_count(comp),
-        "handle_passes": d.stein_front.handle_passes(comp),
-        "handle_convention": front_mod.HANDLE_CONVENTION,
-    }
 
 
 # -- the cork twist -----------------------------------------------------------
@@ -607,6 +565,8 @@ def stein_side_status(
 ) -> dict:
     """Classify a 2-handle attachment against the Stein framing rule.
 
+    Returns {"status", "reason"}: status is "exact", "realizable",
+    "obstructed" or "unknown", and reason says which numbers decided it.
     An attachment along a Legendrian representative with framing at most
     tb - 1 is Stein; stabilization only lowers tb, so an exhibit with
     framing <= tb - 1 settles the question and equality is the exact
@@ -614,15 +574,7 @@ def stein_side_status(
     Thurston-Bennequin number of the knot type, which is only applicable
     to fronts with no 1-handle passes.
     """
-    out: dict = {
-        "framing": framing,
-        "exhibited_tb": exhibited_tb,
-        "handle_passes": handle_passes,
-        "knot": knot,
-        "kb_fact": None,
-        "status": "unknown",
-        "reason": None,
-    }
+    out: dict = {"status": "unknown", "reason": None}
     if exhibited_tb is not None and framing <= exhibited_tb - 1:
         if framing == exhibited_tb - 1:
             out["status"] = "exact"
@@ -635,9 +587,7 @@ def stein_side_status(
             )
         return out
     if knot is not None and knot in KNOT_FACTS and handle_passes == 0:
-        fact = KNOT_FACTS[knot]
-        out["kb_fact"] = fact["statement"]
-        max_tb = fact["max_tb"]
+        max_tb = KNOT_FACTS[knot]["max_tb"]
         if framing > max_tb - 1:
             out["status"] = "obstructed"
             out["reason"] = f"framing {framing} ≠ tb − 1 for exhibited tb ≤ {max_tb}"
@@ -666,17 +616,15 @@ class CobordismRecord:
     """One 2-handle attached to the boundary of a diagram's 4-manifold.
 
     The attaching knot comes as its own front, possibly drawn over a
-    1-handle ball pair, and the record carries the Stein verdict of the
-    attachment plus any registered facts about the knot type.
+    1-handle ball pair.  The record keeps the knot type (registered in
+    KNOT_FACTS, or None), the framing, the exhibited tb of the chosen
+    component and the stein_side_status verdict of the attachment.
     """
 
     knot: str | None
-    component: str
     framing: int
     exhibited_tb: int
-    handle_passes: int
     stein: dict
-    facts: dict | None
 
 
 def inflate(
@@ -693,23 +641,11 @@ def inflate(
     elif component not in comps:
         raise KirbyError(f"attaching front has no component {component!r}")
     knot = attaching.knottype(component)
-    facts = None
-    if knot is not None:
-        if knot not in KNOT_FACTS:
-            raise KirbyError(f"unregistered knot type {knot!r}")
-        facts = KNOT_FACTS[knot]
+    if knot is not None and knot not in KNOT_FACTS:
+        raise KirbyError(f"unregistered knot type {knot!r}")
     tb = attaching.tb(component)
-    passes = attaching.handle_passes(component)
-    stein = stein_side_status(framing, tb, passes, knot)
-    return CobordismRecord(
-        knot=knot,
-        component=component,
-        framing=framing,
-        exhibited_tb=tb,
-        handle_passes=passes,
-        stein=stein,
-        facts=facts,
-    )
+    stein = stein_side_status(framing, tb, attaching.handle_passes(component), knot)
+    return CobordismRecord(knot=knot, framing=framing, exhibited_tb=tb, stein=stein)
 
 
 # -- inflation spec files -----------------------------------------------------

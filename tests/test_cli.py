@@ -286,6 +286,32 @@ def test_certify_validate_round_trip(certify_argv, tmp_path):
     assert "invalid:" in out
 
 
+@pytest.mark.parametrize("tamper", ["none", "integer", "not-a-mapping"])
+def test_certify_validate_doc_format(certify_argv, tmp_path, tamper):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(certify_argv + ["--out", str(cert_path)])
+    assert code == 0
+    if tamper == "integer":
+        cert_path.write_text(cert_path.read_text().replace("195 == 5 * 39", "194 == 5 * 39"))
+    elif tamper == "not-a-mapping":
+        cert_path.write_text("[1]")
+    code, out, err = run(["certify", "--validate", str(cert_path), "--format", "doc"])
+    assert err == ""
+    doc = json.loads(out)
+    assert sorted(doc) == ["problems", "steps", "valid", "verdict"]
+    if tamper == "none":
+        assert code == 0
+        assert doc == {"problems": [], "steps": 10, "valid": True, "verdict": "DISTINCT"}
+    elif tamper == "integer":
+        assert code == 1
+        assert doc["valid"] is False and doc["problems"]
+        assert (doc["steps"], doc["verdict"]) == (10, "DISTINCT")
+    else:
+        assert code == 1
+        assert doc == {"problems": ["certificate is not a mapping"], "steps": 0,
+                       "valid": False, "verdict": None}
+
+
 def test_certify_abort_prints_side_condition(fixtures, tmp_path):
     badspec = tmp_path / "bad_inflation.spec"
     badspec.write_text(
@@ -389,7 +415,9 @@ def test_bad_kirby_document_exits_2(tmp_path, text):
     '{"arcs": 5}',                             # ill-typed arcs
     "[" * 100000,                              # not JSON, not a front either
     '{"arcs": ' + "[" * 100000,                # JSON nested past the recursion limit
-], ids=["malformed", "no-points", "arcs", "brackets", "deep"])
+    '{"arcs": [{"component": "K", "points": [[0, 0], [4, 2], [8, 0]]}, '
+    '{"component": "K", "points": [[8, 0], [4, -2], [0, 0]]}], "orient": {"K": "x"}}',
+], ids=["malformed", "no-points", "arcs", "brackets", "deep", "orient"])
 @pytest.mark.parametrize("via", ["tb", "certify-spec"])
 def test_bad_front_document_exits_2(fixtures, tmp_path, text, via):
     path = tmp_path / "bad.front"
@@ -437,8 +465,28 @@ def test_inconsistent_handles_line_exits_2(fixtures, tmp_path, handles, reason, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("via", ["fill", "certify"])
+def test_deeply_nested_curve_vector_exits_2(fixtures, tmp_path, via):
+    path = tmp_path / "deep.palf"
+    path.write_text("genus 1\ncurve e = " + "[" * 200000 + "\nword T(e)\n")
+    argv = ["fill", str(path)]
+    if via == "certify":
+        argv = [
+            "certify",
+            str(fixtures / "mazur.kirby"),
+            str(path),
+            str(fixtures / "trefoil_inflation.spec"),
+        ]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("frames", []), ("frames", {"K2": "zero"}), ("involution", {"components": ["K1"]}),
+    ("frames", {"K2": 0.5}), ("frames", {"K2": True}),
 ])
 def test_ill_typed_kirby_field_exits_2(fixtures, tmp_path, field, value):
     doc = kirby.kirby_to_doc(kirby.parse_kirby((fixtures / "mazur.kirby").read_text()))

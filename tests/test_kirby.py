@@ -175,11 +175,61 @@ def test_knotted_components_inconclusive(load):
     assert rep.cond3_status == "holds"
 
 
+@pytest.mark.parametrize("searches,involution_ok,lk,tb", list(itertools.product(
+    itertools.product(["unknot", "inconclusive"], repeat=2),
+    [True, False],
+    [1, -1, 2],
+    [None, 0, 2],
+)))
+def test_verdict_rule_table(searches, involution_ok, lk, tb):
+    rep = kirby.AdmissibilityReport(
+        cond1_evidence=tuple(
+            (c, {"verdict": v}) for c, v in zip(("K1", "K2"), searches)
+        ),
+        involution_ok=involution_ok,
+        cond2_detail="detail",
+        cond3_value=lk,
+        cond4prime_tb=tb,
+    )
+    cond1 = tuple(
+        (c, "verified" if v == "unknot" else "inconclusive")
+        for c, v in zip(("K1", "K2"), searches)
+    )
+    cond2 = "verified" if involution_ok else "absent"
+    cond3 = "holds" if lk in (1, -1) else "fails"
+    cond4 = "certified" if tb == 2 else "not-certified"
+    detail = {
+        None: "no Stein section exhibits the 2-handle curve over the 1-handle",
+        0: "exhibited Thurston-Bennequin number 0 is below +1",
+        2: "exhibited Thurston-Bennequin number 2 over the 1-handle is at least +1",
+    }[tb]
+    definite_failure = not involution_ok or lk == 2 or tb != 2
+    unsettled = "inconclusive" in searches
+    # a definite failure decides the verdict even while cond1 is unsettled;
+    # an unsettled cond1 alone is never a "no"
+    if definite_failure:
+        verdict = "not admissible"
+    elif unsettled:
+        verdict = "inconclusive"
+    else:
+        verdict = "admissible"
+
+    assert (rep.cond1, rep.cond2, rep.cond3_status) == (cond1, cond2, cond3)
+    assert (rep.cond4prime_status, rep.cond4prime_detail) == (cond4, detail)
+    assert rep.verdict == verdict
+    doc = rep.to_doc()
+    assert doc["cond1"] == dict(cond1)
+    assert doc["cond3"] == {"status": cond3, "value": lk}
+    assert doc["cond4prime"] == {"status": cond4, "tb": tb, "detail": detail}
+    assert doc["verdict"] == verdict
+    assert doc["note"] == "condition (4) checked via its exhibited form (4')"
+
+
 def test_stein_exhibit_tb(load):
     d = kirby.parse_kirby(load("mazur.kirby"))
-    rep = kirby.stein_exhibit_report(d)
-    assert rep["tb"] == 2
-    assert rep["handle_passes"] == 2
+    assert d.stein_front.tb(d.stein_component) == 2
+    assert d.stein_front.handle_passes(d.stein_component) == 2
+    assert kirby.check_admissible(d).cond4prime_tb == 2
 
 
 def test_stein_side_status_branches():

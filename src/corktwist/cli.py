@@ -9,6 +9,7 @@ the same invocation on the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -285,7 +286,9 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("human", "doc"), default="human")
     searched = argparse.ArgumentParser(add_help=False, parents=[formatted])

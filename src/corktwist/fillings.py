@@ -321,7 +321,7 @@ def parse_palf(text: str) -> PALF:
                 raise FillingError(f"line {lineno}: class vector is nested too deeply") from None
             if (not isinstance(cls, list)
                     or len(cls) != 2 * genus
-                    or not all(isinstance(v, int) for v in cls)):
+                    or not all(type(v) is int for v in cls)):  # JSON integers, not booleans
                 raise FillingError(
                     f"line {lineno}: class must be a list of {2 * genus} integers"
                 )

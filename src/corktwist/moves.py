@@ -6,11 +6,14 @@ end order taken from the exact segment directions, and an over/under bit
 per vertex.  On that map the search applies reducing kink and bigon
 moves (R1 down, R2 down) and finger moves (R2 up) that push one edge of
 a face across another, capped at two crossings above the starting
-diagram.  Breadth-first over canonical codes, so runs are deterministic.
-The search builds only what it reads: the result of a move is built when
-its queue entry is popped, states are deduplicated as they are popped,
-and a state's canonical code is derived on first use.  A finger move
-builds two candidate splices, not every combination of rotations.
+diagram.  The search is best-first by crossing count, ties by depth then
+insertion order, deterministic: every reduction is tried before any
+finger move, so a garland of k kinks is certified in k expansions.  It
+builds only what it reads: the result of a move, and a state's list of
+finger moves, are built when their queue entry is popped, states are
+deduplicated by canonical code as they are popped, and a state's
+canonical code is derived on first use.  A finger move builds two
+candidate splices, not every combination of rotations.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -21,7 +24,8 @@ queue never demonstrates knottedness.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -293,9 +297,10 @@ class Shadow:
         side of both edges, which is planar when the mates of x and y
         share a face too.  The other six combinations of rotations and
         crossing order are not built; the oracle test in tests/test_moves.py
-        checks, on every finger move of the states the pinned searches
-        expand and of a sample of their finger children, that all eight
-        give the same children in the same order as these two.
+        checks, on every finger move of the states the exhausted pinned
+        searches expand, of each pinned start and the states one finger
+        move from it, and of a sample of their finger children, that all
+        eight give the same children in the same order as these two.
 
         A candidate is kept only if it is a valid planar single-strand map
         in which the two new crossings bound a removable bigon.  Removing
@@ -389,36 +394,50 @@ def shadow_of_component(d: front_mod.FrontDiagram, comp: str) -> Shadow:
 
 
 def search_unknot(start: Shadow, budget: int) -> dict:
-    """Breadth-first move search; returns moves on success, else diagnostics.
+    """Best-first move search; returns moves on success, else diagnostics.
+
+    The queue is a heap keyed on (crossings, depth, order): best-first by
+    the crossing count of the entry's result, ties by depth then insertion
+    order, so runs are deterministic and every R1 or R2 descent is popped
+    before any finger move.  Orders are unique, so no Shadow is compared.
 
     Only popped states are built.  A queue entry holds a state, or a
-    parent and one move whose result is built when the entry is popped:
-    ("kink", v), ("bigon", v1, v2), or ("finger", x, y, over), whose
-    children then take its place at the front of the queue, in order.
-    A popped state whose code was seen before is skipped, so the states
-    expanded, and the budget that counts them, are those of a search
-    that dropped every repeated child as it was generated.  The goal
-    check stays at generation: a removal is the goal when it removes
-    every crossing, and a finger child always has at least two.
+    parent and a deferred move whose crossing count is known before its
+    result is built: ("kink", v) gives one crossing fewer, ("bigon", v1, v2)
+    two fewer, and ("fingers",), every finger move of the parent, two more.
+    A popped deferred entry whose result is not one state is replaced by
+    what it stands for, in its place in the order: ("fingers",) by one
+    ("finger", x, y, over) entry per finger move, and each of those by its
+    children.  A popped state whose code was seen before is skipped, so the
+    states expanded, and the budget that counts them, are those of a search
+    that queued every child as it was generated and dropped the repeated
+    ones.  The goal check stays at generation: a removal is the goal when
+    it removes every crossing, and a finger child always has at least two.
     """
     if start.crossing_count() == 0:
         return {"found": True, "moves": [], "expanded": 0, "queue_emptied": False}
     cap = start.crossing_count() + 2
     seen: set[tuple] = set()
-    queue: deque[tuple[Shadow, tuple[str, ...], tuple | None]] = deque([(start, (), None)])
+    heap: list[tuple[int, int, tuple[int, ...], Shadow, tuple[str, ...], tuple | None]] = [
+        (start.crossing_count(), 0, (0,), start, (), None)
+    ]
+    order = itertools.count(1)
     expanded = 0
-    while queue:
-        state, path, move = queue.popleft()
+    while heap:
+        crossings, depth, place, state, path, move = heapq.heappop(heap)
         if move is not None:
             kind, *sites = move
-            if kind == "finger":
-                n, over = state.crossing_count(), sites[2]
-                child_path = path + (
-                    f"push {'over' if over else 'under'} finger, {n} to {n + 2} crossings",
-                )
-                queue.extendleft(
-                    (child, child_path, None) for child in reversed(state.push_finger(*sites))
-                )
+            if kind in ("fingers", "finger"):
+                if kind == "fingers":
+                    stand_ins = [(state, path, ("finger", *f)) for f in state.finger_moves()]
+                else:
+                    n, over = state.crossing_count(), sites[2]
+                    child_path = path + (
+                        f"push {'over' if over else 'under'} finger, {n} to {n + 2} crossings",
+                    )
+                    stand_ins = [(child, child_path, None) for child in state.push_finger(*sites)]
+                for j, entry in enumerate(stand_ins):
+                    heapq.heappush(heap, (crossings, depth, place + (j,), *entry))
                 continue
             state = state.remove_kink(*sites) if kind == "kink" else state.remove_bigon(*sites)
         code = state.canonical_code()
@@ -444,16 +463,19 @@ def search_unknot(start: Shadow, budget: int) -> dict:
             for v1, v2 in state.bigon_sites()
         ]
         for describe, removal in removals:
-            if len(removal) - 1 == state.crossing_count():  # removes every crossing
+            if len(removal) - 1 == crossings:  # removes every crossing
                 return {
                     "found": True,
                     "moves": list(path) + [describe],
                     "expanded": expanded,
                     "queue_emptied": False,
                 }
-            queue.append((state, path + (describe,), removal))
-        if state.crossing_count() + 2 <= cap:
-            queue.extend((state, path, ("finger", *move)) for move in state.finger_moves())
+            heapq.heappush(heap, (
+                crossings - (len(removal) - 1), depth + 1, (next(order),),
+                state, path + (describe,), removal,
+            ))
+        if crossings + 2 <= cap:
+            heapq.heappush(heap, (crossings + 2, depth + 1, (next(order),), state, path, ("fingers",)))
     return {"found": False, "moves": None, "expanded": expanded, "queue_emptied": True}
 
 

@@ -484,6 +484,24 @@ def test_deeply_nested_curve_vector_exits_2(fixtures, tmp_path, via):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("via", ["fill", "certify"])
+def test_boolean_curve_vector_exits_2(fixtures, tmp_path, via):
+    path = tmp_path / "bool.palf"
+    path.write_text("genus 1\ncurve e = [true, false]\nword T(e)\n")
+    argv = ["fill", str(path)]
+    if via == "certify":
+        argv = [
+            "certify",
+            str(fixtures / "mazur.kirby"),
+            str(path),
+            str(fixtures / "trefoil_inflation.spec"),
+        ]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "class must be a list of 2 integers" in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("frames", []), ("frames", {"K2": "zero"}), ("involution", {"components": ["K1"]}),
     ("frames", {"K2": 0.5}), ("frames", {"K2": True}),
@@ -548,3 +566,26 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert proc.returncode == 0
     assert "usage:" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(fixtures):
+    """The parser is built once per process.  A usage error, a valid command and
+    the same usage error again, run in one process, print and exit exactly as
+    each does in a fresh process."""
+    trefoil = str(fixtures / "trefoil.front")
+    usage_error = ["tb", trefoil, "--budget", "5"]
+    valid = ["tb", trefoil, "--format", "doc"]
+    in_process = [run(argv) for argv in (usage_error, valid, usage_error)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = []
+    for argv in (usage_error, valid):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corktwist.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert cli._build_parser() is cli._build_parser()
+    assert in_process[0][0] == 2 and "unrecognized arguments: --budget 5" in in_process[0][2]
+    assert in_process[1][0] == 0
+    assert in_process == [fresh[0], fresh[1], fresh[0]]

@@ -125,19 +125,28 @@ def _kinks(k):
 SEARCH_OUTCOMES = [
     ("garland1", 2000, ("unknot", 1, _kinks(1), None)),
     ("garland2", 2000, ("unknot", 2, _kinks(2), None)),
-    ("garland3", 2000, ("unknot", 14, _kinks(3), None)),
-    ("garland4", 2000, ("unknot", 35, _kinks(4), None)),
-    ("garland4", 10, ("inconclusive", 10, None, "search budget exhausted")),
+    ("garland3", 2000, ("unknot", 3, _kinks(3), None)),
+    ("garland4", 2000, ("unknot", 4, _kinks(4), None)),
+    ("garland4", 10, ("unknot", 4, _kinks(4), None)),
+    ("garland10", 2000, ("unknot", 10, _kinks(10), None)),
+    ("garland16", 2000, ("unknot", 16, _kinks(16), None)),
     ("bigon", 2000, ("unknot", 2, _kinks(2), None)),
     ("trefoil", 2000, ("inconclusive", 4, None, EXHAUSTED)),
     ("knotted:K1", 2000, ("inconclusive", 4, None, EXHAUSTED)),
     ("knotted:K2", 2000, ("inconclusive", 4, None, EXHAUSTED)),
-    # budgets at the edges of the lazy search: a stop needs an unseen popped state
-    ("garland5", 2000, ("unknot", 64, _kinks(5), None)),
-    ("garland5", 64, ("unknot", 64, _kinks(5), None)),
-    ("garland5", 63, ("inconclusive", 63, None, "search budget exhausted")),
-    ("garland4", 34, ("inconclusive", 34, None, "search budget exhausted")),
-    ("garland3", 13, ("inconclusive", 13, None, "search budget exhausted")),
+    # budgets at the edges of the lazy search: a stop needs an unseen popped state,
+    # so a garland of k kinks is certified on a budget of k and not of k - 1
+    ("garland5", 2000, ("unknot", 5, _kinks(5), None)),
+    ("garland5", 64, ("unknot", 5, _kinks(5), None)),
+    ("garland5", 63, ("unknot", 5, _kinks(5), None)),
+    ("garland5", 5, ("unknot", 5, _kinks(5), None)),
+    ("garland5", 4, ("inconclusive", 4, None, "search budget exhausted")),
+    ("garland4", 34, ("unknot", 4, _kinks(4), None)),
+    ("garland4", 4, ("unknot", 4, _kinks(4), None)),
+    ("garland4", 3, ("inconclusive", 3, None, "search budget exhausted")),
+    ("garland3", 13, ("unknot", 3, _kinks(3), None)),
+    ("garland3", 3, ("unknot", 3, _kinks(3), None)),
+    ("garland3", 2, ("inconclusive", 2, None, "search budget exhausted")),
     ("trefoil", 4, ("inconclusive", 4, None, EXHAUSTED)),
     ("trefoil", 3, ("inconclusive", 3, None, "search budget exhausted")),
     ("knotted:K1", 3, ("inconclusive", 3, None, "search budget exhausted")),
@@ -148,7 +157,7 @@ SEARCH_OUTCOMES = [
 def _search_case(load, case):
     """The front and component a pinned search case names."""
     if case.startswith("garland"):
-        return front.parse_front(garland_text(int(case[-1]), Fraction(1, 2), 5, "+")), "G"
+        return front.parse_front(garland_text(int(case[7:]), Fraction(1, 2), 5, "+")), "G"
     if case == "bigon":
         return front.parse_front(CLASPED_BIGON), "B"
     if case == "trefoil":
@@ -164,6 +173,30 @@ def test_search_outcome_is_pinned(load, case, budget, outcome):
     d, comp = _search_case(load, case)
     cert = moves.unknot_certificate(d, comp, budget=budget)
     assert (cert["verdict"], cert["expanded"], cert["moves"], cert["note"]) == outcome
+
+
+def test_search_is_deterministic(load, monkeypatch):
+    """Two searches from equal shadows expand the same states in the same order
+    and return the same outcome.  The start, a finger child of the trefoil,
+    has many queue entries of equal crossing count and depth, so the heap
+    orders them by their places alone; comparing two Shadows, which define
+    no order, would raise."""
+    popped = []
+    kink_sites = moves.Shadow.kink_sites
+
+    def recorded(self):
+        popped.append(self.canonical_code())
+        return kink_sites(self)
+
+    monkeypatch.setattr(moves.Shadow, "kink_sites", recorded)
+    runs = []
+    for _ in range(2):
+        trefoil = moves.shadow_of_component(*_search_case(load, "trefoil"))
+        start = next(c for move in trefoil.finger_moves() for c in trefoil.push_finger(*move))
+        popped.clear()
+        runs.append((moves.search_unknot(start, 200), list(popped)))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["expanded"] == 200
 
 
 @pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20)])
@@ -216,9 +249,12 @@ ORACLE_CASES = ["garland1", "garland2", "garland3", "trefoil", "bigon", "knotted
 
 
 def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
-    """Every finger move on the states the pinned searches expand, and on 40
-    seeded picks among their finger children, gives the same children in the
-    same order as the eight-splice enumeration."""
+    """Every finger move on a set of states that does not depend on the search
+    order, and on 40 seeded picks among their finger children, gives the same
+    children in the same order as the eight-splice enumeration.  The states are
+    those the exhausted searches expand (a search that empties its queue expands
+    every state below its cap, whatever the order), each case's start, and every
+    state one finger move from a start."""
     expanded = []
     kink_sites = moves.Shadow.kink_sites
 
@@ -227,10 +263,15 @@ def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
         return kink_sites(self)
 
     monkeypatch.setattr(moves.Shadow, "kink_sites", recorded)
-    for case in ORACLE_CASES:
-        moves.search_unknot(moves.shadow_of_component(*_search_case(load, case)), 2000)
+    for case in ("trefoil", "knotted:K1", "knotted:K2"):
+        outcome = moves.search_unknot(moves.shadow_of_component(*_search_case(load, case)), 2000)
+        assert outcome["queue_emptied"]
     monkeypatch.undo()
-    states = {s.canonical_code(): s for s in expanded}
+    near = []  # each start and every state one finger move from it
+    for case in ORACLE_CASES:
+        start = moves.shadow_of_component(*_search_case(load, case))
+        near += [start] + [c for move in start.finger_moves() for c in start.push_finger(*move)]
+    states = {s.canonical_code(): s for s in expanded + near}
     children = {}
     tested = doubles = 0
 

@@ -159,8 +159,8 @@ def cmd_mcg(args: argparse.Namespace) -> int:
         raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
     if args.genus is not None and args.genus != genus:
         raise InputFailure(f"mcg verify-chain got genus {genus} and --genus {args.genus}")
-    if genus < 1:
-        raise InputFailure(f"genus must be at least 1, got {genus}")
+    if not 1 <= genus <= mcg.MAX_GENUS:
+        raise InputFailure(f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}")
     ok = mcg.verify_chain_relation(genus)
     if args.format == "doc":
         _emit_doc({"genus": genus, "chain_relation_holds": ok})

@@ -237,9 +237,11 @@ def build_concave(ob: OpenBook) -> FillingPlan:
         book = stabilize_openbook(book)
         stabs += 1
     genus_hat = book.page.genus
-    trivializing = mcg.trivialize(book.monodromy)
-    composite = book.monodromy.concat(trivializing)
-    action = mcg.h1_action(composite) if len(composite) else intmat.identity(2 * genus_hat)
+    if book.monodromy.letters:
+        trivializing, undo = mcg.trivialize(book.monodromy)
+        action = intmat.mat_mul(undo, mcg.h1_action(book.monodromy))
+    else:
+        trivializing, action = book.monodromy, intmat.identity(2 * genus_hat)
     if not intmat.is_identity(action):
         raise FillingError("trivialization failed to cancel the monodromy action")
     return FillingPlan(
@@ -294,8 +296,10 @@ def parse_palf(text: str) -> PALF:
                 genus = int(rest.strip())
             except ValueError:
                 raise FillingError(f"line {lineno}: bad genus {rest.strip()!r}")
-            if genus < 1:
-                raise FillingError(f"line {lineno}: genus must be at least 1")
+            if not 1 <= genus <= mcg.MAX_GENUS:
+                raise FillingError(
+                    f"line {lineno}: genus must be between 1 and {mcg.MAX_GENUS}, got {genus}"
+                )
         elif head == "handles":
             parts = rest.split()
             if len(parts) != 2:

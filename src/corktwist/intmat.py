@@ -223,61 +223,6 @@ def invariant_factors(a: Matrix) -> list[int]:
     return [d[i][i] for i in range(min(shape(a))) if d[i][i] != 0]
 
 
-def kernel_basis(a: Matrix) -> list[Vector]:
-    """Basis of the integer kernel of a (as columns of the right transform).
-
-    The returned vectors generate a saturated sublattice: any integer
-    solution of a*x = 0 is an integer combination of them.
-    """
-    rows, cols = shape(a)
-    d, _, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
-def solve_gcd_one(coeffs: Vector) -> Vector | None:
-    """An integer x with coeffs . x == 1, or None if gcd(coeffs) != 1."""
-    n = len(coeffs)
-    if n == 0:
-        return None
-    # fold pairwise: g = gcd(c0..ck), x achieving it
-    g = coeffs[0]
-    x = [1] + [0] * (n - 1)
-    if g < 0:
-        g, x[0] = -g, -1
-    for k in range(1, n):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if g == 0:
-            g = abs(c)
-            x = [0] * n
-            x[k] = 1 if c > 0 else -1
-            continue
-        g2, s, t = _ext_gcd(g, c)
-        x = [s * xi for xi in x]
-        x[k] += t
-        g = g2
-    if g != 1:
-        return None
-    return x
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def is_primitive(v: Vector) -> bool:
     g = 0
     for x in v:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from . import intmat
 from .intmat import Matrix, Vector
 
+MAX_GENUS = 64  # chain curves take O(g^2) ints, so larger pages are refused
+
 
 @dataclass(frozen=True)
 class Surface:
@@ -200,85 +202,111 @@ def verify_chain_relation(g: int) -> bool:
 # -- positive inversion -------------------------------------------------------
 
 def symplectic_frame(c: Curve) -> Matrix:
-    """A symplectic matrix whose first column is the class of c.
+    """A symplectic matrix S whose first column is the class of c.
 
     This is the change of basis identifying c with the first chain curve:
-    S e_1 = [c] and S^T J S = J.  The extension is canonical and
-    deterministic (extended-gcd dual vector, then recursion on the
-    saturated symplectic complement); for c = first chain curve it is the
-    identity.
+    S e_1 = [c] and S^T J S = J.  It is built by integer symplectic
+    reduction: elementary moves of Sp(2g, Z) carry [c] to e_1 (Euclid with
+    SL_2 shears inside each (a_i, b_i) pair, then Euclid across pairs with
+    a_i += k a_j, b_j -= k b_i), and S, the product of their inverses, is
+    accumulated by column operations.  For c = a_1 no move is made and S
+    is the identity.
     """
     g = c.genus
-    e1 = [0] * (2 * g)
-    e1[0] = 1
-    if list(c.h1_class) == e1:
-        return intmat.identity(2 * g)
-    cols = _complete_basis(list(c.h1_class), j_matrix(g))
-    s = [[cols[j][i] for j in range(2 * g)] for i in range(2 * g)]
-    assert is_symplectic(s, g), "extension lost the symplectic form"
+    x = list(c.h1_class)
+    s = intmat.identity(2 * g)
+
+    def shear(p: int, q: int, k: int) -> None:  # x_p += k x_q inside a pair
+        x[p] += k * x[q]
+        for row in s:
+            row[q] -= k * row[p]
+
+    def across(p: int, q: int, k: int) -> None:  # x_{a_i} += k x_{a_j}, x_{b_j} -= k x_{b_i}
+        x[p] += k * x[q]
+        x[q + 1] -= k * x[p + 1]
+        for row in s:
+            row[q] -= k * row[p]
+            row[p + 1] += k * row[q + 1]
+
+    def euclid(p: int, q: int, move) -> None:
+        """Clear x_q into x_p, leaving their gcd (up to sign) in x_p."""
+        first = p
+        while x[q]:
+            move(p, q, -(x[p] // x[q]))
+            p, q = q, p
+        if p != first:  # (0, d) -> (d, d) -> (d, 0)
+            move(q, p, 1)
+            move(p, q, -1)
+
+    for i in range(g):
+        euclid(2 * i, 2 * i + 1, shear)
+    for i in range(1, g):
+        euclid(0, 2 * i, across)  # x has no b entries left, so only its a entries move
+    if x[0] == -1:  # -I on the first pair lies in SL_2
+        x[0] = 1
+        for row in s:
+            row[0], row[1] = -row[0], -row[1]
+    if x[0] != 1:
+        raise ValueError(f"class {c.h1_class} is not primitive")
+    assert is_symplectic(s, g), "reduction lost the symplectic form"
+    assert [row[0] for row in s] == list(c.h1_class), "frame does not start at [c]"
     return s
 
 
-def _complete_basis(first: Vector, form: Matrix) -> list[Vector]:
-    """Complete `first` to a basis of Z^d in which `form` is standard.
+def _chain_images(s: Matrix) -> list[tuple[int, ...]]:
+    """The classes S c_1, ..., S c_2g, read off the columns of s.
 
-    `form` is any unimodular antisymmetric matrix; the returned columns
-    p satisfy p_i^T form p_j = J_std[i][j].  Recursion: find a dual
-    vector by extended gcd, then restrict the form to the saturated
-    kernel of the first pair.
+    S a_1 is column 0, S b_i is column 2i - 1, and S(a_i + a_{i+1}) is the
+    sum of columns 2i - 2 and 2i.
     """
-    d = len(first)
-    if d == 0:
-        return []
-    row = intmat.mat_vec(intmat.transpose(form), first)  # <first, x> = row . x
-    dual = intmat.solve_gcd_one(row)
-    if dual is None:
-        raise ValueError(f"class {first} is not primitive for the form")
-    pair_rows = [row, intmat.mat_vec(intmat.transpose(form), dual)]
-    kernel = intmat.kernel_basis(pair_rows)
-    if not kernel:
-        return [first, dual]
-    b = [[vec[i] for vec in kernel] for i in range(d)]  # d x (d-2), columns = kernel
-    bt = intmat.transpose(b)
-    restricted = intmat.mat_mul(bt, intmat.mat_mul(form, b))
-    inner = _complete_basis([1] + [0] * (len(kernel) - 1), restricted)
-    out = [first, dual]
-    for w in inner:
-        out.append(intmat.mat_vec(b, w))
-    return out
+    cols = list(zip(*s))
+    images = [cols[0]]
+    for k in range(2, len(cols) + 1):
+        if k % 2 == 0:
+            images.append(cols[k - 1])
+        else:
+            images.append(tuple(x + y for x, y in zip(cols[k - 3], cols[k - 1])))
+    return images
 
 
 def positive_inverse(c: Curve) -> TwistWord:
     """A positive word w with t_c . w acting as the identity on H_1.
 
-    Reading the complement of the first letter in the chain relator and
-    conjugating the chain into position gives exactly
-    2g(4g+2) - 1 positive letters.
+    It is the complement of the first letter in the chain relator with the
+    chain conjugated into position, 2g(4g+2) - 1 positive letters.
     """
-    g = c.genus
-    s = symplectic_frame(c)
-    chain = chain_curves(g)
-    conj: list[Curve] = []
-    for k, base in enumerate(chain):
-        vec = intmat.mat_vec(s, list(base.h1_class))
-        conj.append(Curve(f"{c.name}~c{k + 1}", tuple(vec)))
-    letters: list[tuple[Curve, int]] = [(cv, 1) for cv in conj[1:]]
-    for _ in range(4 * g + 1):
-        letters.extend((cv, 1) for cv in conj)
-    word = TwistWord(tuple(letters))
-    assert len(word) == 2 * g * (4 * g + 2) - 1
+    word, _ = trivialize(TwistWord(((c, 1),)))
     return word
 
 
-def trivialize(word: TwistWord) -> TwistWord:
-    """A positive word w' with word . w' acting as the identity on H_1.
+def trivialize(word: TwistWord) -> tuple[TwistWord, Matrix]:
+    """A positive word w' with word . w' acting as the identity on H_1, and its action.
 
-    Appends the positive inverse of each letter in reverse order, so
-    |w'| = |word| * (2g(4g+2) - 1).
+    Appends the positive inverse of each letter c in reverse order: the
+    relator block c2 ... c2g (c1 ... c2g)^(4g+1) conjugated by the frame S
+    of c, so |w'| = |word| * (2g(4g+2) - 1).  Since T_{Sd} = S T_d S^-1,
+    that block acts as S A S^-1, where A is the action of the standard
+    block, computed once from the chain letters, and S^-1 = -J S^T J.
     """
     if not word.is_positive:
         raise ValueError("only positive monodromy words are trivialized")
+    if not word.letters:
+        raise ValueError("empty word has no well-defined surface; pass at least one letter")
+    g = word.genus()
+    assert g is not None
+    n = 2 * g
+    chain = chain_word(g)
+    block = intmat.mat_mul(intmat.mat_pow(h1_action(chain), 4 * g + 1),
+                           h1_action(TwistWord(chain.letters[1:])))
     letters: list[tuple[Curve, int]] = []
+    action = intmat.identity(n)
     for curve, _ in reversed(word.letters):
-        letters.extend(positive_inverse(curve).letters)
-    return TwistWord(tuple(letters))
+        s = symplectic_frame(curve)
+        conj = [(Curve(f"{curve.name}~c{k + 1}", v), 1)
+                for k, v in enumerate(_chain_images(s))]
+        letters.extend(conj[1:] + conj * (4 * g + 1))
+        # entrywise, (-J S^T J)[r][k] is S[k^1][r^1], negated when r and k differ in parity
+        s_inv = [[s[k ^ 1][r ^ 1] if (r ^ k) & 1 == 0 else -s[k ^ 1][r ^ 1] for k in range(n)]
+                 for r in range(n)]
+        action = intmat.mat_mul(s, intmat.mat_mul(block, intmat.mat_mul(s_inv, action)))
+    return TwistWord(tuple(letters)), action

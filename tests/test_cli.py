@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corktwist import cli, hfcert, kirby, mcg
+from corktwist import cli, fillings, hfcert, kirby, mcg
 
 
 def run(argv):
@@ -146,6 +146,32 @@ def test_mcg_verify_chain():
     assert code == 2
 
 
+def test_genus_above_the_limit_exits_2_before_any_allocation(tmp_path, monkeypatch):
+    # chain_curves would allocate O(g^2) ints; the limit must refuse the
+    # genus before it is ever called
+    def no_chain(g):
+        raise AssertionError(f"chain_curves({g}) called past the genus limit")
+
+    palf = tmp_path / "huge.palf"
+    palf.write_text(f"genus {mcg.MAX_GENUS + 1}\nword T(c1)\n")
+    monkeypatch.setattr(mcg, "chain_curves", no_chain)
+    for argv in (["mcg", "verify-chain", str(mcg.MAX_GENUS + 1)],
+                 ["mcg", "verify-chain", "--genus", str(mcg.MAX_GENUS + 1)],
+                 ["fill", str(palf)]):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and f"between 1 and {mcg.MAX_GENUS}" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_genus_at_the_limit_is_accepted(tmp_path):
+    assert mcg.MAX_GENUS == 64
+    palf = tmp_path / "top.palf"
+    palf.write_text(f"genus {mcg.MAX_GENUS}\nword T(c1)\n")
+    assert fillings.parse_palf(palf.read_text()).page_genus == mcg.MAX_GENUS
+
+
 def test_genus_flag_belongs_to_mcg_only(fixtures):
     code, out, err = run(["fill", str(fixtures / "mazur.palf"), "--genus", "5"])
     assert code == 2
@@ -217,9 +243,9 @@ def test_certify_zero_budget_is_inconclusive(certify_argv):
 
 
 def test_certify_does_each_computation_once(certify_argv, monkeypatch):
-    searches, actions, involutions = [], [], []
+    searches, actions, trivializations, involutions = [], [], [], []
     check_admissible, h1_action = kirby.check_admissible, mcg.h1_action
-    involution_verified = kirby.involution_verified
+    trivialize, involution_verified = mcg.trivialize, kirby.involution_verified
 
     def counted_search(d, budget=2000, seed=0):
         searches.append((budget, seed))
@@ -229,17 +255,27 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
         actions.append(len(word))
         return h1_action(word)
 
+    def counted_trivialize(word):
+        trivializations.append(len(word))
+        return trivialize(word)
+
     def counted_involution(d):
         involutions.append(d)
         return involution_verified(d)
 
     monkeypatch.setattr(kirby, "check_admissible", counted_search)
     monkeypatch.setattr(mcg, "h1_action", counted_action)
+    monkeypatch.setattr(mcg, "trivialize", counted_trivialize)
     monkeypatch.setattr(kirby, "involution_verified", counted_involution)
     code, _, err = run(certify_argv)
     assert code == 0, err
     assert searches == [(2000, 0)]
-    assert len(actions) == 1
+    # one plan on the genus-2 page of mazur_inflated.palf: the chain block
+    # c1..c4 and the relator block's tail c2..c4, each acted with once for
+    # all five relator blocks, then the five-letter monodromy; no letter of
+    # the 5 * 39 trivializing letters is applied one by one
+    assert actions == [4, 3, 5]
+    assert trivializations == [5]
     assert len(involutions) == 1
 
 

@@ -54,6 +54,14 @@ def test_plan_euler_invariant_random_words():
             assert plan.stabilizations == 0
 
 
+def test_empty_monodromy_needs_no_trivializing_handles():
+    plan = build_concave(OpenBook(Surface(3, 1), TwistWord(())))
+    assert len(plan.trivializing_handles) == 0
+    assert plan.relator_blocks == 0
+    assert intmat.is_identity([list(row) for row in plan.composite_action])
+    assert len(plan.composite_action) == 6
+
+
 def test_low_genus_pages_get_stabilized():
     word = chain_positive_word(1, (0, 1))
     plan = build_concave(OpenBook(Surface(1, 1), word))

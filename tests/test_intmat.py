@@ -104,49 +104,6 @@ def test_invariant_factors_match_determinantal_divisors():
         assert got == want, (a, got, want)
 
 
-def test_kernel_basis_annihilates():
-    rng = random.Random(7)
-    for _ in range(40):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 4)
-        a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        basis = intmat.kernel_basis(a)
-        for v in basis:
-            assert intmat.mat_vec(a, v) == [0] * rows
-        # rank-nullity over Q
-        rank = len([f for f in intmat.invariant_factors(a) if f])
-        assert len(basis) == cols - rank
-
-
-def test_kernel_basis_runs_one_smith_form(monkeypatch):
-    # the rank comes off the diagonal the basis is read from
-    calls = []
-    smith = intmat.smith_normal_form
-
-    def counted(a):
-        calls.append(a)
-        return smith(a)
-
-    monkeypatch.setattr(intmat, "smith_normal_form", counted)
-    basis = intmat.kernel_basis([[1, 2, 3], [2, 4, 6]])
-    assert len(calls) == 1
-    assert len(basis) == 2
-
-
-def test_solve_gcd_one():
-    rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        coeffs = [rng.randint(-9, 9) for _ in range(n)]
-        sol = intmat.solve_gcd_one(coeffs)
-        g = math.gcd(*[abs(c) for c in coeffs]) if any(coeffs) else 0
-        if g == 1:
-            assert sol is not None
-            assert sum(c * x for c, x in zip(coeffs, sol)) == 1
-        else:
-            assert sol is None
-
-
 def test_is_primitive():
     assert intmat.is_primitive([1, 0, 0])
     assert intmat.is_primitive([2, 3])

@@ -2,6 +2,7 @@
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,10 +148,38 @@ def test_trivialize_length_and_action():
     chain = mcg.chain_curves(2)
     word = TwistWord(tuple((c, 1) for c in chain[:3]))
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
-    t = mcg.trivialize(word)
+    t, action = mcg.trivialize(word)
     assert t.is_positive
     assert len(t) == len(word) * per_letter
+    assert action == mcg.h1_action(t)
     assert intmat.is_identity(mcg.h1_action(word.concat(t)))
+
+
+def test_trivialize_action_matches_letter_by_letter_oracle():
+    # the block-by-block action must be the action of the recorded letters
+    rng = random.Random(71)
+    e = Curve("e", (0, 1, 0, 1))  # mazur_inflated.palf's non-chain curve
+    for g in range(1, 6):
+        for _ in range(4):
+            pool = mcg.chain_curves(g) + [random_primitive_curve(rng, g, f"r{i}") for i in range(3)]
+            if g == 2:
+                pool.append(e)
+            word = TwistWord(tuple((rng.choice(pool), 1) for _ in range(rng.randint(1, 4))))
+            t, action = mcg.trivialize(word)
+            assert action == mcg.h1_action(t)
+            composite = mcg.h1_action(word.concat(t))
+            assert intmat.mat_mul(action, mcg.h1_action(word)) == composite
+            assert intmat.is_identity(composite)
+
+
+def test_block_letters_are_the_frame_images_of_the_chain():
+    rng = random.Random(73)
+    for g in (1, 2, 3):
+        c = random_primitive_curve(rng, g)
+        s = mcg.symplectic_frame(c)
+        images = [tuple(intmat.mat_vec(s, list(d.h1_class))) for d in mcg.chain_curves(g)]
+        want = images[1:] + images * (4 * g + 1)
+        assert [d.h1_class for d, _ in mcg.positive_inverse(c).letters] == want
 
 
 def test_trivialize_rejects_negative_words():
@@ -159,12 +188,49 @@ def test_trivialize_rejects_negative_words():
         mcg.trivialize(TwistWord(((a, -1),)))
 
 
+def test_trivialize_rejects_the_empty_word():
+    with pytest.raises(ValueError):
+        mcg.trivialize(TwistWord(()))
+
+
+def frame_test_classes(rng, g):
+    """Primitive classes with negative entries, entries above 100 and zero pairs."""
+    yield (1,) + (0,) * (2 * g - 1)
+    yield (0,) * (2 * g - 1) + (-1,)
+    for _ in range(6):
+        while True:
+            bound = rng.choice((3, 150, 10**6))
+            v = [rng.randint(-bound, bound) for _ in range(2 * g)]
+            for i in range(g):
+                if rng.random() < 0.4:
+                    v[2 * i] = v[2 * i + 1] = 0
+            if any(v) and intmat.is_primitive(v):
+                yield tuple(v)
+                break
+
+
 def test_symplectic_frame_first_column():
     rng = random.Random(53)
-    for g in (1, 2, 3):
-        for _ in range(5):
-            c = random_primitive_curve(rng, g)
-            s = mcg.symplectic_frame(c)
+    seen = []
+    for g in range(1, 9):
+        for cls in frame_test_classes(rng, g):
+            s = mcg.symplectic_frame(Curve("c", cls))
             first_col = [s[i][0] for i in range(2 * g)]
-            assert first_col == list(c.h1_class)
+            assert first_col == list(cls)
             assert mcg.is_symplectic(s, g)
+            seen.append(cls)
+    assert any(max(map(abs, cls)) > 100 for cls in seen)
+    assert any(min(cls) < 0 for cls in seen)
+    assert any(cls[i] == cls[i + 1] == 0 for cls in seen for i in range(0, len(cls), 2))
+    for g in range(1, 9):
+        e1 = (1,) + (0,) * (2 * g - 1)
+        assert mcg.symplectic_frame(Curve("a1", e1)) == intmat.identity(2 * g)
+
+
+def test_symplectic_frame_rejects_imprimitive_classes():
+    with pytest.raises(ValueError):
+        Curve("twice", (2, 0, 0, 4))
+    for cls in ((2, 0, 0, 4), (0, 0, 3, -6), (0, 0, 0, 0)):
+        # a stand-in for a Curve, which would refuse the class itself
+        with pytest.raises(ValueError):
+            mcg.symplectic_frame(SimpleNamespace(genus=2, h1_class=cls))

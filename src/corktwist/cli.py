@@ -276,11 +276,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 # -- argument plumbing --------------------------------------------------------
 
-def _budget(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return front.parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _budget(text: str) -> int:
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
@@ -294,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     searched = argparse.ArgumentParser(add_help=False, parents=[formatted])
     # None marks a flag not given: `certify --validate` rejects either one
     searched.add_argument("--budget", type=_budget, default=None)
-    searched.add_argument("--seed", type=int, default=None)
+    searched.add_argument("--seed", type=_int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="corktwist",
@@ -321,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mcg = command("mcg", cmd_mcg, formatted, "mapping-class sanity checks")
     p_mcg.add_argument("check", choices=("verify-chain",))
-    p_mcg.add_argument("chain_genus", type=int, nargs="?", default=None)
-    p_mcg.add_argument("--genus", type=int, default=None)
+    p_mcg.add_argument("chain_genus", type=_int, nargs="?", default=None)
+    p_mcg.add_argument("--genus", type=_int, default=None)
 
     p_cert = command("certify", cmd_certify, searched,
                      "emit or validate a distinctness certificate")

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, replace
 
 from . import intmat, mcg
-from .front import numbered_lines
+from .front import numbered_lines, parse_int
 from .kirby import CobordismRecord
 from .mcg import Curve, Surface, TwistWord
 
@@ -293,7 +293,7 @@ def parse_palf(text: str) -> PALF:
         head, _, rest = line.partition(" ")
         if head == "genus":
             try:
-                genus = int(rest.strip())
+                genus = parse_int(rest.strip())
             except ValueError:
                 raise FillingError(f"line {lineno}: bad genus {rest.strip()!r}")
             if not 1 <= genus <= mcg.MAX_GENUS:
@@ -305,7 +305,7 @@ def parse_palf(text: str) -> PALF:
             if len(parts) != 2:
                 raise FillingError(f"line {lineno}: usage: handles <one> <two>")
             try:
-                handles = (int(parts[0]), int(parts[1]))
+                handles = (parse_int(parts[0]), parse_int(parts[1]))
             except ValueError:
                 raise FillingError(f"line {lineno}: bad handle counts {rest!r}")
             if min(handles) < 0:

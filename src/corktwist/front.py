@@ -5,8 +5,8 @@ segments are forbidden: where a smooth front would have a vertical
 tangency these diagrams have a cusp, i.e. a vertex at which the
 x-direction of travel reverses.  At a crossing the strand of smaller
 slope is the over strand, so over/under data is never stored, only
-derived.  Coordinates are fractions.Fraction throughout and every
-predicate is exact.
+derived.  Coordinates are fractions.Fraction; the crossing predicates
+run on integers over one common denominator, so every predicate is exact.
 
 Optionally a diagram carries 1-handle attaching balls: vertical segments
 that come in pairs, with arc ends on one ball of a pair continued from
@@ -229,52 +229,51 @@ class FrontDiagram:
 
 # -- exact segment predicates -------------------------------------------------
 
-def _cross2(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
+Segment = tuple[int, int, int, int]  # (px, py, qx, qy), scaled to integers
 
 
 def _sub(a: Point, b: Point) -> tuple[Fraction, Fraction]:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _seg_meet(p: Point, q: Point, r: Point, s: Point):
-    """Classify how segments pq and rs meet.
+def _seg_meet(a: Segment, b: Segment):
+    """Classify how integer segments a = pq and b = rs meet.
 
-    Returns one of
+    Every decision compares integer cross products with one positive
+    denominator `den`, and every result is a numerator over it.  Returns
+    one of
       ("none",), ("overlap",),
-      ("touch", point),
-      ("cross", t, u, point)   with 0 < t, u < 1 strictly interior.
+      ("touch", x, y, den),
+      ("cross", t, u, x, y, den)   with 0 < t, u < den strictly interior.
     """
-    d1 = _sub(q, p)
-    d2 = _sub(s, r)
-    denom = _cross2(d1, d2)
-    rp = _sub(r, p)
-    if denom == 0:
-        if _cross2(rp, d1) != 0:
+    px, py, qx, qy = a
+    rx, ry, sx, sy = b
+    d1x, d1y = qx - px, qy - py
+    d2x, d2y = sx - rx, sy - ry
+    rpx, rpy = rx - px, ry - py
+    den = d1x * d2y - d1y * d2x
+    u = rpx * d1y - rpy * d1x
+    if den == 0:
+        if u != 0:
             return ("none",)
         # collinear: compare x-intervals (segments are never vertical)
-        lo1, hi1 = sorted((p[0], q[0]))
-        lo2, hi2 = sorted((r[0], s[0]))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        lo = max(min(px, qx), min(rx, sx))
+        hi = min(max(px, qx), max(rx, sx))
         if lo > hi:
             return ("none",)
         if lo == hi:
-            x = lo
-            y = p[1] + (q[1] - p[1]) * (x - p[0]) / (q[0] - p[0])
-            return ("touch", (x, y))
+            # the one shared x is an end x of both segments
+            return ("touch", lo, py if px == lo else qy, 1)
         return ("overlap",)
-    t = _cross2(rp, d2) / denom
-    u = _cross2(rp, d1) / denom
-    if t < 0 or t > 1 or u < 0 or u > 1:
+    t = rpx * d2y - rpy * d2x
+    if den < 0:
+        den, t, u = -den, -t, -u
+    if t < 0 or t > den or u < 0 or u > den:
         return ("none",)
-    point = (p[0] + t * d1[0], p[1] + t * d1[1])
-    if 0 < t < 1 and 0 < u < 1:
-        return ("cross", t, u, point)
-    return ("touch", point)
-
-
-def _slope(a: Point, b: Point) -> Fraction:
-    return (b[1] - a[1]) / (b[0] - a[0])
+    x, y = px * den + t * d1x, py * den + t * d1y
+    if 0 < t < den and 0 < u < den:
+        return ("cross", t, u, x, y, den)
+    return ("touch", x, y, den)
 
 
 # -- chaining arcs into closed components -------------------------------------
@@ -429,9 +428,7 @@ def _find_cusps(steps: list[_Step]) -> list[Point]:
         nxt = steps[(i + 1) % n]
         if nxt.after_jump:
             continue
-        dx1 = cur.end[0] - cur.start[0]
-        dx2 = nxt.end[0] - nxt.start[0]
-        if (dx1 > 0) != (dx2 > 0):
+        if (cur.end[0] > cur.start[0]) != (nxt.end[0] > nxt.start[0]):
             cusps.append(cur.end)
     return cusps
 
@@ -439,6 +436,12 @@ def _find_cusps(steps: list[_Step]) -> list[Point]:
 def _find_crossings(
     traversals: dict[str, list[_Step]], balls: tuple[HandleBall, ...]
 ) -> list[Crossing]:
+    """Every crossing, in order of segment index pairs; a genericity violation raises.
+
+    Endpoints are scaled once to integers over the lcm `scale` of all their
+    denominators.  The sweep and `_seg_meet` both work on those integers;
+    Fractions are built only for the fields a `Crossing` stores.
+    """
     segs: list[tuple[str, int, _Step]] = []
     for comp, steps in traversals.items():
         for i, s in enumerate(steps):
@@ -447,17 +450,26 @@ def _find_crossings(
     for comp, i, s in segs:
         _check_ball_contacts(comp, s, balls)
 
+    scale = math.lcm(*(v.denominator for _, _, s in segs for v in (*s.start, *s.end)))
+    ints: list[Segment] = [
+        tuple(v.numerator * (scale // v.denominator) for v in (*s.start, *s.end))
+        for _, _, s in segs
+    ]
+
+    def at(x: int, y: int, den: int) -> Point:
+        return (Fraction(x, den * scale), Fraction(y, den * scale))
+
     crossings: list[Crossing] = []
-    for a, b in _meeting_pairs([s for _, _, s in segs]):
-        comp1, i1, s1 = segs[a]
-        comp2, i2, s2 = segs[b]
+    for a, b in _meeting_pairs(ints):
+        comp1, i1, _ = segs[a]
+        comp2, i2, _ = segs[b]
         if comp1 == comp2:
             n1 = len(traversals[comp1])
             successor = (i1 + 1) % n1 == i2 and not traversals[comp1][i2].after_jump
             predecessor = (i2 + 1) % n1 == i1 and not traversals[comp1][i1].after_jump
             if successor or predecessor:
                 continue  # joined at a shared vertex
-        result = _seg_meet(s1.start, s1.end, s2.start, s2.end)
+        result = _seg_meet(ints[a], ints[b])
         kind = result[0]
         if kind == "none":
             continue
@@ -467,30 +479,29 @@ def _find_crossings(
             )
         if kind == "touch":
             raise FrontGeometryError(
-                f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt(result[1])}; "
+                f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt(at(*result[1:]))}; "
                 "perturb the diagram"
             )
-        t, u, point = result[1], result[2], result[3]
-        # "cross" needs a nonzero d1 x d2, so the two slopes differ
-        if _slope(s1.start, s1.end) < _slope(s2.start, s2.end):
-            over = (comp1, i1, t, s1)
-            under = (comp2, i2, u, s2)
+        _, t, u, x, y, den = result
+        px, py, qx, qy = ints[a]
+        rx, ry, sx, sy = ints[b]
+        d1, d2 = (qx - px, qy - py), (sx - rx, sy - ry)
+        # the over strand has the smaller slope; "cross" means the slopes differ
+        if (d1[1] * d2[0] - d2[1] * d1[0]) * d1[0] * d2[0] < 0:
+            over, under = (comp1, i1, t, d1), (comp2, i2, u, d2)
         else:
-            over = (comp2, i2, u, s2)
-            under = (comp1, i1, t, s1)
-        odir = _sub(over[3].end, over[3].start)
-        udir = _sub(under[3].end, under[3].start)
-        sign = 1 if _cross2(odir, udir) > 0 else -1
+            over, under = (comp2, i2, u, d2), (comp1, i1, t, d1)
+        odir, udir = over[3], under[3]
         crossings.append(
             Crossing(
-                point=point,
+                point=at(x, y, den),
                 over_component=over[0],
                 under_component=under[0],
-                over_dir=odir,
-                under_dir=udir,
-                sign=sign,
-                over_at=(over[0], over[1], over[2]),
-                under_at=(under[0], under[1], under[2]),
+                over_dir=(Fraction(odir[0], scale), Fraction(odir[1], scale)),
+                under_dir=(Fraction(udir[0], scale), Fraction(udir[1], scale)),
+                sign=1 if odir[0] * udir[1] - odir[1] * udir[0] > 0 else -1,
+                over_at=(over[0], over[1], Fraction(over[2], den)),
+                under_at=(under[0], under[1], Fraction(under[2], den)),
             )
         )
 
@@ -503,23 +514,18 @@ def _find_crossings(
     return crossings
 
 
-def _meeting_pairs(steps: list[_Step]) -> list[tuple[int, int]]:
+def _meeting_pairs(ints: list[Segment]) -> list[tuple[int, int]]:
     """Index pairs a < b, in increasing order, of the segments that share a point.
 
-    Endpoints are scaled to integers over the lcm of all their denominators.
-    A sweep over the segments sorted by left x pairs each one with the later
-    ones whose left x is at most its right x, so a shared x still counts.  An
-    integer orientation test then drops a pair when both ends of one segment
-    lie strictly on one side of the other's line.  Every dropped pair is one
-    that `_seg_meet` classifies as "none".
+    A sweep over the integer segments sorted by left x pairs each one with
+    the later ones whose left x is at most its right x, so a shared x still
+    counts.  An integer orientation test then drops a pair when both ends of
+    one segment lie strictly on one side of the other's line.  Every dropped
+    pair is one that `_seg_meet` classifies as "none".
     """
-    den = math.lcm(*(v.denominator for s in steps for v in (*s.start, *s.end)))
     segs: list[tuple[int, int, int, int, int]] = []
-    for k, s in enumerate(steps):
-        px, py, qx, qy = (v.numerator * (den // v.denominator) for v in (*s.start, *s.end))
-        if qx < px:
-            px, py, qx, qy = qx, qy, px, py
-        segs.append((px, py, qx, qy, k))
+    for k, (px, py, qx, qy) in enumerate(ints):
+        segs.append((px, py, qx, qy, k) if px < qx else (qx, qy, px, py, k))
     segs.sort()
     pairs: list[tuple[int, int]] = []
     for n, (px, py, qx, qy, a) in enumerate(segs):
@@ -632,8 +638,23 @@ def _fmt_pt(p: Point) -> str:
     return f"({p[0]},{p[1]})"
 
 
+def _plain(tok: str) -> bool:
+    """ASCII and no `_`: int() and Fraction() also take digit separators and
+    non-ASCII digits, which no input may spell a number with."""
+    return tok.isascii() and "_" not in tok
+
+
+def parse_int(tok: str) -> int:
+    """int(tok) for a plain ASCII spelling; anything else raises ValueError."""
+    if not _plain(tok):
+        raise ValueError(f"invalid integer {tok!r}: ASCII digits only, no '_'")
+    return int(tok)
+
+
 def parse_rational(tok: str, line: int | None = None) -> Fraction:
     try:
+        if not _plain(tok):
+            raise ValueError("ASCII digits only, no '_'")
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise FrontParseError(f"bad rational {tok!r}: {exc}", line)

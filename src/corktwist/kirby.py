@@ -170,7 +170,7 @@ def parse_kirby(text: str) -> KirbyDiagram:
             if len(parts) != 2:
                 raise FrontParseError("usage: frame <component> <integer>", lineno)
             try:
-                frames.append((parts[0], int(parts[1])))
+                frames.append((parts[0], front_mod.parse_int(parts[1])))
             except ValueError:
                 raise FrontParseError(f"framing {parts[1]!r} is not an integer", lineno)
         elif head == "involution":
@@ -677,7 +677,7 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
             if len(parts) != 1:
                 raise FrontParseError("usage: framing <integer>", lineno)
             try:
-                fields["framing"] = int(parts[0])
+                fields["framing"] = front_mod.parse_int(parts[0])
             except ValueError:
                 raise FrontParseError(f"framing {parts[0]!r} is not an integer", lineno)
         elif head in ("untwisted", "twisted"):

@@ -1,6 +1,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# the same examples on every run, and no example database left behind
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "corktwist" / "fixtures"
 

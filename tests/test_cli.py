@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -625,3 +626,54 @@ def test_shared_parser_keeps_no_state_between_calls(fixtures):
     assert in_process[0][0] == 2 and "unrecognized arguments: --budget 5" in in_process[0][2]
     assert in_process[1][0] == 0
     assert in_process == [fresh[0], fresh[1], fresh[0]]
+
+
+def _spelled(fixtures, tmp_path, name, old, new):
+    """A copy of fixture `name` with its first `old` spelled `new`, and its path."""
+    text = (fixtures / name).read_text()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+# int() and Fraction() take `1_0` as 10 and non-ASCII digits such as `٣`
+# and `２`; every number a file or a flag spells must be plain ASCII
+@pytest.mark.parametrize("name, old, bad, argv", [
+    ("mazur.palf", "genus 2", "genus 2_0", ["fill"]),
+    ("mazur.palf", "genus 2", "genus ２", ["fill"]),
+    ("mazur.palf", "handles 1 1", "handles 1_0 1", ["fill"]),
+    ("mazur.kirby", "frame K2 0", "frame K2 ٠", ["homology"]),
+    ("trefoil_inflation.spec", "framing 1", "framing 0_1", None),
+    ("lens.front", "(4,2)", "(4_0,2)", ["tb"]),
+    ("lens.front", "(4,2)", "(٤,2)", ["tb"]),
+], ids=["palf-genus-separator", "palf-genus-fullwidth", "palf-handles", "kirby-frame",
+        "inflation-framing", "front-rational-separator", "front-rational-arabic-indic"])
+def test_numbers_in_files_must_be_plain_ascii(fixtures, tmp_path, name, old, bad, argv):
+    path = _spelled(fixtures, tmp_path, name, old, bad)
+    if argv is None:
+        argv = ["certify", str(fixtures / "mazur.kirby"),
+                str(fixtures / "mazur_inflated.palf"), path]
+    else:
+        argv = argv + [path]
+    code, out, err = run(argv)
+    assert code == 2, argv
+    assert out == ""
+    [token] = set(re.split(r"[ (,)]", bad)) - set(re.split(r"[ (,)]", old))
+    assert err.startswith("error:") and token in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "mazur.kirby", "--seed", "1_0"],
+    ["admissible", "mazur.kirby", "--budget", "1_0"],
+    ["mcg", "verify-chain", "1_0"],
+    ["mcg", "verify-chain", "--genus", "２"],
+], ids=["seed", "budget", "chain-genus", "genus-flag"])
+def test_numbers_on_the_command_line_must_be_plain_ascii(fixtures, argv):
+    argv = [str(fixtures / a) if a.endswith(".kirby") else a for a in argv]
+    code, out, err = run(argv)
+    assert code == 2, argv
+    assert out == ""
+    assert f"error: argument {argv[-2] if argv[-2].startswith('--') else 'chain_genus'}" in err
+    assert f"invalid int value: {argv[-1]!r}" in err

@@ -1,13 +1,16 @@
 """Front parsing and the tb / linking arithmetic on the shipped fixtures."""
 
+import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corktwist import front
+from corktwist import front, kirby
 from corktwist.front import FrontGeometryError, FrontParseError, parse_front, stabilize
 
 
@@ -139,8 +142,56 @@ def test_genericity_violations_are_rejected(text, fragment):
         parse_front(text)
 
 
+def _cross2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _fraction_seg_meet(p, q, r, s):
+    """Classify how segments pq and rs meet, in Fraction arithmetic.
+
+    The classifier `front._seg_meet` replaced, kept for the oracles.  Returns one of
+      ("none",), ("overlap",),
+      ("touch", point),
+      ("cross", t, u, point)   with 0 < t, u < 1 strictly interior.
+    """
+    d1 = _sub(q, p)
+    d2 = _sub(s, r)
+    denom = _cross2(d1, d2)
+    rp = _sub(r, p)
+    if denom == 0:
+        if _cross2(rp, d1) != 0:
+            return ("none",)
+        # collinear: compare x-intervals (segments are never vertical)
+        lo1, hi1 = sorted((p[0], q[0]))
+        lo2, hi2 = sorted((r[0], s[0]))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return ("none",)
+        if lo == hi:
+            x = lo
+            y = p[1] + (q[1] - p[1]) * (x - p[0]) / (q[0] - p[0])
+            return ("touch", (x, y))
+        return ("overlap",)
+    t = _cross2(rp, d2) / denom
+    u = _cross2(rp, d1) / denom
+    if t < 0 or t > 1 or u < 0 or u > 1:
+        return ("none",)
+    point = (p[0] + t * d1[0], p[1] + t * d1[1])
+    if 0 < t < 1 and 0 < u < 1:
+        return ("cross", t, u, point)
+    return ("touch", point)
+
+
+def _slope(a, b):
+    return (b[1] - a[1]) / (b[0] - a[0])
+
+
 def _all_pairs_crossings(traversals, balls):
-    """The all-pairs loop that `front._find_crossings` replaced, kept as its oracle."""
+    """The all-pairs Fraction loop that `front._find_crossings` replaced, kept as its oracle."""
     segs = []
     for comp, steps in traversals.items():
         for i, s in enumerate(steps):
@@ -160,7 +211,7 @@ def _all_pairs_crossings(traversals, balls):
                 predecessor = (i2 + 1) % n1 == i1 and not traversals[comp1][i1].after_jump
                 if successor or predecessor:
                     continue
-            result = front._seg_meet(s1.start, s1.end, s2.start, s2.end)
+            result = _fraction_seg_meet(s1.start, s1.end, s2.start, s2.end)
             kind = result[0]
             if kind == "none":
                 continue
@@ -174,15 +225,15 @@ def _all_pairs_crossings(traversals, balls):
                     "perturb the diagram"
                 )
             t, u, point = result[1], result[2], result[3]
-            if front._slope(s1.start, s1.end) < front._slope(s2.start, s2.end):
+            if _slope(s1.start, s1.end) < _slope(s2.start, s2.end):
                 over = (comp1, i1, t, s1)
                 under = (comp2, i2, u, s2)
             else:
                 over = (comp2, i2, u, s2)
                 under = (comp1, i1, t, s1)
-            odir = front._sub(over[3].end, over[3].start)
-            udir = front._sub(under[3].end, under[3].start)
-            sign = 1 if front._cross2(odir, udir) > 0 else -1
+            odir = _sub(over[3].end, over[3].start)
+            udir = _sub(under[3].end, under[3].start)
+            sign = 1 if _cross2(odir, udir) > 0 else -1
             crossings.append(
                 front.Crossing(
                     point=point,
@@ -269,3 +320,119 @@ def test_sweep_matches_all_pairs_oracle():
         else:
             kinds[next(k for k in ("touch", "overlap", "triple", "ball") if k in expected[1])] += 1
     assert set(kinds) == {"crossings", "no crossings", "touch", "overlap", "triple", "ball"}, kinds
+
+
+# -- the integer classifier against the Fraction one --------------------------
+
+# small grids with mixed denominators, so coordinates coincide often
+_coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 7)))
+_point = st.tuples(_coord, _coord)
+_ratio = st.builds(Fraction, st.integers(-4, 8), st.sampled_from((1, 2, 3, 4)))
+
+
+@st.composite
+def _segment_pairs(draw):
+    """Two non-vertical segments pq, rs: free, collinear, sharing an endpoint or an x."""
+    p, q = draw(_point), draw(_point)
+    shape = draw(st.sampled_from(("free", "collinear", "shared-endpoint", "shared-x")))
+    if shape == "collinear":
+        # r and s on the line pq, at ratios of q - p from p
+        r, s = ((p[0] + k * (q[0] - p[0]), p[1] + k * (q[1] - p[1]))
+                for k in (draw(_ratio), draw(_ratio)))
+    else:
+        r, s = draw(_point), draw(_point)
+        if shape == "shared-endpoint":
+            r = draw(st.sampled_from((p, q)))
+        elif shape == "shared-x":
+            r = (draw(st.sampled_from((p[0], q[0]))), r[1])
+    pair = draw(st.permutations(((p, q), (r, s))))
+    if any(a[0] == b[0] for a, b in pair):
+        return draw(st.nothing())  # vertical or zero length: no front has one
+    return pair
+
+
+def _scaled(*segments):
+    """The lcm of all denominators, and each segment's integer 4-tuple over it."""
+    scale = math.lcm(*(v.denominator for seg in segments for pt in seg for v in pt))
+    return scale, [tuple(v.numerator * (scale // v.denominator) for pt in seg for v in pt)
+                   for seg in segments]
+
+
+@settings(max_examples=300)
+@given(_segment_pairs())
+@example((((0, 0), (2, 2)), ((0, 2), (2, 0))))  # cross
+@example((((0, 0), (2, 2)), ((1, 1), (3, 0))))  # touch inside one segment
+@example((((0, 0), (2, 2)), ((2, 2), (3, 0))))  # shared endpoint
+@example((((0, 0), (2, 2)), ((1, 1), (3, 3))))  # collinear overlap
+@example((((0, 0), (2, 2)), ((2, 2), (3, 3))))  # collinear, one shared end x
+@example((((0, 0), (2, 2)), ((3, 3), (4, 4))))  # collinear, apart
+@example((((0, 0), (2, 2)), ((0, 1), (2, 3))))  # parallel
+@example((((0, 0), (2, 2)), ((2, 3), (4, 0))))  # shared x, no meeting
+def test_integer_seg_meet_matches_fraction_classifier(pair):
+    (p, q), (r, s) = (tuple((Fraction(x), Fraction(y)) for x, y in seg) for seg in pair)
+    expected = _fraction_seg_meet(p, q, r, s)
+    scale, (a, b) = _scaled((p, q), (r, s))
+    got = front._seg_meet(a, b)
+    kind = got[0]
+    if kind == "touch":
+        _, x, y, den = got
+        got = ("touch", (Fraction(x, den * scale), Fraction(y, den * scale)))
+    elif kind == "cross":
+        _, t, u, x, y, den = got
+        assert 0 < t < den and 0 < u < den
+        got = ("cross", Fraction(t, den), Fraction(u, den),
+               (Fraction(x, den * scale), Fraction(y, den * scale)))
+    assert got == expected
+
+
+# -- exactness under large denominators and the tracer's hook -----------------
+
+def _translated(d, ox, oy):
+    def move(p):
+        return (p[0] + ox, p[1] + oy)
+    return front.FrontDiagram(
+        tuple(front.Arc(a.component, tuple(move(p) for p in a.points)) for a in d.arcs),
+        tuple(front.HandleBall(b.handle, b.x + ox, b.ytop + oy, b.ybot + oy) for b in d.balls),
+        d.orientations,
+        d.knottypes,
+    )
+
+
+@pytest.mark.parametrize("source", ["LHP(2)", "LHP(7)", "LHP(64)", "trefoil.front",
+                                    "trefoil_handle.front"])
+def test_large_prime_denominators_stay_exact(source, load):
+    if source.startswith("LHP"):
+        d = kirby.linked_handle_pair(int(source[4:-1])).front
+    else:
+        d = parse_front(load(source))
+    ox, oy = Fraction(1, 10007), Fraction(3, 65537)
+    moved = _translated(d, ox, oy)
+    before, after = d.crossings(), moved.crossings()
+    assert before and len(after) == len(before)
+    for c, m in zip(before, after):
+        assert m.point == (c.point[0] + ox, c.point[1] + oy)
+        assert (m.sign, m.over_component, m.under_component) == (
+            c.sign, c.over_component, c.under_component)
+        assert (m.over_dir, m.under_dir, m.over_at, m.under_at) == (
+            c.over_dir, c.under_dir, c.over_at, c.under_at)
+    comps = d.components()
+    for comp in comps:
+        assert moved.tb(comp) == d.tb(comp)
+    if len(comps) == 2:
+        assert moved.linking_number(*comps) == d.linking_number(*comps)
+
+
+def test_seg_meet_is_called_once_per_sweep_candidate(monkeypatch):
+    # perfbench's tracer counts `front.segment_pairs_tested` by swapping the
+    # module attribute, so `_find_crossings` must call it through the module
+    calls = []
+    seg_meet = front._seg_meet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return seg_meet(*args, **kwargs)
+
+    monkeypatch.setattr(front, "_seg_meet", counted)
+    d = kirby.linked_handle_pair(64).front
+    assert len(calls) == 191
+    assert len(d.crossings()) == 191

@@ -191,7 +191,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             )
         try:
             doc = json.loads(_read(validate))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise InputFailure(f"{validate}: not valid JSON: {exc}")
         except RecursionError:
             raise InputFailure(f"{validate}: JSON is nested too deeply") from None

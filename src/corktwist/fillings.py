@@ -319,7 +319,7 @@ def parse_palf(text: str) -> PALF:
                 raise FillingError(f"line {lineno}: usage: curve <name> = [..]")
             try:
                 cls = json.loads(vec.strip())
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer too long to convert
                 raise FillingError(f"line {lineno}: bad class vector: {exc}")
             except RecursionError:
                 raise FillingError(f"line {lineno}: class vector is nested too deeply") from None

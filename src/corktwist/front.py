@@ -652,9 +652,13 @@ def parse_int(tok: str) -> int:
 
 
 def parse_rational(tok: str, line: int | None = None) -> Fraction:
+    """Fraction(tok) for a plain spelling without an exponent: `1e1000000`
+    is seven characters, but Fraction would build its million digits."""
     try:
         if not _plain(tok):
             raise ValueError("ASCII digits only, no '_'")
+        if "e" in tok or "E" in tok:
+            raise ValueError("no exponent")
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise FrontParseError(f"bad rational {tok!r}: {exc}", line)
@@ -748,7 +752,7 @@ def parse_front(text: str) -> FrontDiagram:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise FrontParseError(f"not valid JSON: {exc}") from None
         except RecursionError:
             raise FrontParseError("JSON document is nested too deeply") from None

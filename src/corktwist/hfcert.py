@@ -253,7 +253,10 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.isdigit():
             self.take()
-            return Fraction(int(tok))
+            try:
+                return Fraction(int(tok))
+            except ValueError as exc:  # too many digits to convert
+                raise HFError(f"bad integer in condition: {exc}") from None
         if tok not in ("-", "abs", "("):
             raise HFError(f"expected a value, got {tok!r}")
         self.depth += 1
@@ -280,7 +283,7 @@ def eval_condition(expr: str) -> bool:
         inner = stripped[len("is_identity("):-1]
         try:
             mat = json.loads(inner)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise HFError(f"bad matrix literal: {exc}")
         except RecursionError:
             raise HFError("matrix literal is nested too deeply") from None

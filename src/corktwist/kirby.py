@@ -146,7 +146,7 @@ def parse_kirby(text: str) -> KirbyDiagram:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise KirbyError(f"not valid JSON: {exc}") from None
         except RecursionError:
             raise KirbyError("JSON document is nested too deeply") from None

@@ -13,7 +13,11 @@ builds only what it reads: the result of a move, and a state's list of
 finger moves, are built when their queue entry is popped, states are
 deduplicated by canonical code as they are popped, and a state's
 canonical code is derived on first use.  A finger move builds two
-candidate splices, not every combination of rotations.
+candidate splices, not every combination of rotations.  Finger moves are
+listed once per orbit of the shadow's automorphisms: the starts that tie
+the canonical code give candidate maps, each is checked against the map
+before it is used, and a move that a checked automorphism carries from
+an earlier-listed move would only rebuild that move's children.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -100,6 +104,7 @@ class Shadow:
         }
         self._code: tuple | None = None
         self._labels: dict[int, int] = {}
+        self._ties: tuple[int, ...] = ()  # starts giving the code, labelled one first; () if one
 
     # -- structure ------------------------------------------------------------
 
@@ -162,13 +167,15 @@ class Shadow:
         vid, k = self._slot[dart]
         return self.vertices[vid].over_parity == k % 2
 
-    def _minimal_code(self) -> tuple[tuple, dict[int, int]]:
-        """Minimal signed over/under code over all starts, with its vertex labels.
+    def _minimal_code(self) -> tuple[tuple, dict[int, int], tuple[int, ...]]:
+        """Minimal signed over/under code over all starts, with its vertex
+        labels and the starts that give it.
 
         Each entry (label, over, sign) is packed as 4 * label + 2 * over +
         (sign > 0), which orders like the triple.  A start is abandoned as
         soon as its prefix exceeds the best code so far, and a tie keeps the
-        earlier start, so the labels are those of the full comparison.
+        earlier start, so the labels are those of the full comparison; the
+        starts that tie it are recorded after it, and none when it has no tie.
         """
         step: dict[int, tuple[int, int, int]] = {}  # dart -> (vertex, low bits, next dart)
         for vid, v in self.vertices.items():
@@ -178,6 +185,7 @@ class Shadow:
                 step[e] = (vid, 2 * over + positive, self.theta[v.ends[(k + 2) % 4]])
         best: list[int] = []
         best_labels: dict[int, int] = {}
+        ties: list[int] = []
         for start in sorted(self.theta):
             labels: dict[int, int] = {}
             code: list[int] = []
@@ -192,14 +200,19 @@ class Shadow:
                     tied = False
                 code.append(entry)
                 if cur == start:
-                    if not tied:
-                        best, best_labels = code, labels
+                    if tied:
+                        ties.append(start)
+                    else:
+                        best, best_labels, ties = code, labels, [start]
                     break
-        return tuple((v >> 2, (v >> 1) & 1, 1 if v & 1 else -1) for v in best), best_labels
+        code = tuple((v >> 2, (v >> 1) & 1, 1 if v & 1 else -1) for v in best)
+        return code, best_labels, tuple(ties) if len(ties) > 1 else ()
 
     def _canonical(self) -> tuple[tuple, dict[int, int]]:
         if self._code is None:
-            self._code, self._labels = self._minimal_code() if self.vertices else ((), {})
+            self._code, self._labels, self._ties = (
+                self._minimal_code() if self.vertices else ((), {}, ())
+            )
         return self._code, self._labels
 
     def canonical_code(self) -> tuple:
@@ -211,6 +224,41 @@ class Shadow:
         if not self.vertices:
             raise ShadowError("empty shadow")
         return self._canonical()[1][vid]
+
+    def automorphisms(self) -> list[dict[int, int]]:
+        """Non-identity dart maps that preserve theta, the vertex rotations
+        and the over bits.
+
+        Each start that ties the canonical code gives a candidate: the i-th
+        arrival dart of the labelled start's strand walk goes to the i-th
+        of the tied one, and exit darts follow through the opposite slot.
+        A tie is not trusted; a candidate is kept only once it is checked.
+        """
+        self._canonical()
+        if not self._ties:
+            return []
+        base = self.strand_orbit(self._ties[0])
+        out = []
+        for start in self._ties[1:]:
+            sigma: dict[int, int] = {}
+            for a, b in zip(base, self.strand_orbit(start)):
+                sigma[a], sigma[self._opposite(a)] = b, self._opposite(b)
+            if self._is_automorphism(sigma):
+                out.append(sigma)
+        return out
+
+    def _is_automorphism(self, sigma: dict[int, int]) -> bool:
+        """sigma commutes with theta, carries each vertex's ends to another
+        vertex's ends in the same counterclockwise order, and keeps over bits."""
+        for d, image in sigma.items():
+            if sigma[self.theta[d]] != self.theta[image] or self.is_over(d) != self.is_over(image):
+                return False
+        for v in self.vertices.values():
+            wid, k = self._slot[sigma[v.ends[0]]]
+            ends = self.vertices[wid].ends
+            if any(sigma[v.ends[i]] != ends[(k + i) % 4] for i in range(1, 4)):
+                return False
+        return True
 
     # -- reducing moves -------------------------------------------------------
 
@@ -283,6 +331,24 @@ class Shadow:
                     out.append((x, y, True))
                     out.append((x, y, False))
         return out
+
+    def finger_orbits(self) -> list[tuple[int, int, bool]]:
+        """The finger moves, in order, less each one that an automorphism
+        carries from an earlier-listed move.
+
+        push_finger reads only theta, the vertex ends and fresh ids, so the
+        image of a move under an automorphism gives children with the same
+        canonical codes in the same order as the move itself.
+        """
+        maps = self.automorphisms()
+        listed, covered = [], set()
+        for move in self.finger_moves():
+            if move in covered:
+                continue
+            listed.append(move)
+            x, y, over = move
+            covered.update((m[x], m[y], over) for m in maps)
+        return listed
 
     def push_finger(self, x: int, y: int, over: bool) -> list["Shadow"]:
         """Push the edge of side x across the edge of side y.
@@ -407,12 +473,16 @@ def search_unknot(start: Shadow, budget: int) -> dict:
     two fewer, and ("fingers",), every finger move of the parent, two more.
     A popped deferred entry whose result is not one state is replaced by
     what it stands for, in its place in the order: ("fingers",) by one
-    ("finger", x, y, over) entry per finger move, and each of those by its
-    children.  A popped state whose code was seen before is skipped, so the
-    states expanded, and the budget that counts them, are those of a search
-    that queued every child as it was generated and dropped the repeated
-    ones.  The goal check stays at generation: a removal is the goal when
-    it removes every crossing, and a finger child always has at least two.
+    ("finger", x, y, over) entry per orbit of finger moves under the
+    parent's checked automorphisms, and each of those by its children.  A
+    popped state whose code was seen before is skipped, so the states
+    expanded, and the budget that counts them, are those of a search that
+    queued every child as it was generated and dropped the repeated ones.
+    A move left out of the list is the image of an earlier-listed move, so
+    its children have the codes of children popped before it and would
+    have been skipped.  The goal check stays at generation: a removal is
+    the goal when it removes every crossing, and a finger child always has
+    at least two.
     """
     if start.crossing_count() == 0:
         return {"found": True, "moves": [], "expanded": 0, "queue_emptied": False}
@@ -429,7 +499,7 @@ def search_unknot(start: Shadow, budget: int) -> dict:
             kind, *sites = move
             if kind in ("fingers", "finger"):
                 if kind == "fingers":
-                    stand_ins = [(state, path, ("finger", *f)) for f in state.finger_moves()]
+                    stand_ins = [(state, path, ("finger", *f)) for f in state.finger_orbits()]
                 else:
                     n, over = state.crossing_count(), sites[2]
                     child_path = path + (

@@ -8,11 +8,12 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from corktwist import cli, fillings, hfcert, kirby, mcg
+from corktwist import cli, fillings, front, hfcert, kirby, mcg
 
 
 def run(argv):
@@ -677,3 +678,79 @@ def test_numbers_on_the_command_line_must_be_plain_ascii(fixtures, argv):
     assert out == ""
     assert f"error: argument {argv[-2] if argv[-2].startswith('--') else 'chain_genus'}" in err
     assert f"invalid int value: {argv[-1]!r}" in err
+
+
+# Python refuses to convert an integer literal of more than 4,300 digits and
+# raises a plain ValueError, which json.loads and int() pass on; the
+# conversion fails at once, so these inputs are cheap
+HUGE = "1" + "0" * 5000
+
+
+def _json_front(x):
+    return json.dumps({
+        "arcs": [{"component": "K", "points": [[0, 0], [x, 2], [8, 0]]},
+                 {"component": "K", "points": [[8, 0], [4, -2], [0, 0]]}],
+        "orient": {"K": "+"},
+    })
+
+
+def _json_kirby(fixtures, field):
+    doc = kirby.kirby_to_doc(kirby.parse_kirby((fixtures / "mazur.kirby").read_text()))
+    if field == "frame":
+        doc["frames"]["K2"] = 987654321
+    else:
+        doc["front"]["arcs"][0]["points"][1][0] = 987654321
+    return json.dumps(doc).replace("987654321", HUGE)
+
+
+@pytest.mark.parametrize("site", [
+    "front-json", "kirby-json-point", "kirby-json-frame", "palf-curve", "validate-json",
+])
+def test_oversized_json_integer_exits_2(fixtures, tmp_path, site):
+    path = tmp_path / "huge"
+    if site == "front-json":
+        path.write_text(_json_front(987654321).replace("987654321", HUGE))
+        argv = ["tb", str(path)]
+    elif site.startswith("kirby"):
+        path.write_text(_json_kirby(fixtures, site.split("-")[-1]))
+        argv = ["homology", str(path)]
+    elif site == "palf-curve":
+        path.write_text(f"genus 1\ncurve e = [{HUGE}, 0]\nword T(e)\n")
+        argv = ["fill", str(path)]
+    else:
+        path.write_text('{"steps": [], "verdict": ' + HUGE + "}")
+        argv = ["certify", "--validate", str(path)]
+    code, out, err = run(argv)
+    assert code == 2, site
+    assert out == ""
+    assert err.startswith("error:") and "4300 digits" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("expr", [f"{HUGE} == 1", f"is_identity([[{HUGE}]])"],
+                         ids=["expression-literal", "matrix-literal"])
+def test_validate_reports_oversized_integer_in_condition(tmp_path, expr):
+    doc = {"steps": [{"rule": "cork_admissible", "side_conditions": [
+        {"expr": expr, "value": True}]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["certify", "--validate", str(path)])
+    assert code == 1
+    assert any(line.startswith("invalid:") and "unreadable condition" in line
+               and "4300 digits" in line for line in out.splitlines())
+    assert err == ""
+
+
+def test_exponent_in_a_rational_exits_2_without_building_it(fixtures, tmp_path, monkeypatch):
+    """`1e1000000` is seven characters, but Fraction would build 10^1000000."""
+    def refuse(*args):
+        assert not any("e" in str(a) for a in args), "Fraction called on an exponent token"
+        return Fraction(*args)
+
+    path = _spelled(fixtures, tmp_path, "lens.front", "(4,2)", "(1e1000000,2)")
+    monkeypatch.setattr(front, "Fraction", refuse)
+    code, out, err = run(["tb", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad rational '1e1000000': no exponent" in err
+    assert len(err.splitlines()) == 1

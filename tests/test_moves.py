@@ -7,6 +7,8 @@ kink-removal moves, and all variants of the same k must canonicalize to
 the same code.
 """
 
+import heapq
+import itertools
 import random
 from fractions import Fraction
 
@@ -199,11 +201,14 @@ def test_search_is_deterministic(load, monkeypatch):
     assert runs[0][0]["expanded"] == 200
 
 
-@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20)])
-def test_search_builds_only_the_states_it_pops(monkeypatch, k, budget, most):
-    """Finger and removal children are built when popped, not when generated."""
+@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20), ("trefoil", 2000, 20)])
+def test_search_builds_only_the_states_it_pops(load, monkeypatch, k, budget, most):
+    """Finger and removal children are built when popped, not when generated.
+    The exhausted trefoil search lists one finger move per orbit of the
+    shadow's six symmetries: it builds 17 Shadows, where listing all 36
+    finger moves of the start built 77."""
     start = moves.shadow_of_component(
-        front.parse_front(garland_text(k, Fraction(1, 2), 5, "+")), "G"
+        *_search_case(load, k if k == "trefoil" else f"garland{k}")
     )
     built = []
     init = moves.Shadow.__init__
@@ -289,3 +294,198 @@ def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
     for code in random.Random(20110411).sample(sorted(children.keys() - states.keys()), 40):
         check(children[code])
     assert tested > 8000 and doubles > 0, (tested, doubles)
+
+
+# -- automorphisms and the search once per orbit ------------------------------
+
+
+def _rotations(s):
+    return {v.ends[i:] + v.ends[:i] for v in s.vertices.values() for i in range(4)}
+
+
+def _keeps_over_bits(s, sigma):
+    return all(s.is_over(d) == s.is_over(sigma[d]) for d in sigma)
+
+
+def _respects_the_map(s, sigma):
+    """sigma is a bijection of the darts that commutes with theta, keeps over
+    bits and carries each vertex's ends to a vertex's ends counterclockwise."""
+    assert sorted(sigma) == sorted(sigma.values()) == sorted(s.theta)
+    assert all(sigma[s.theta[d]] == s.theta[sigma[d]] for d in sigma)
+    assert _keeps_over_bits(s, sigma)
+    assert _turns(s, sigma, clockwise=False)
+
+
+def _walk_map(s, base, start):
+    """The dart map sending the strand walk from `base` onto the walk from `start`."""
+    sigma = {}
+    for a, b in zip(s.strand_orbit(base), s.strand_orbit(start)):
+        sigma[a], sigma[s._opposite(a)] = b, s._opposite(b)
+    return sigma
+
+
+def _turns(s, sigma, clockwise):
+    """sigma carries each vertex's ends to a vertex's ends, in clockwise or
+    counterclockwise order."""
+    return all(tuple(sigma[e] for e in (v.ends[::-1] if clockwise else v.ends)) in _rotations(s)
+               for v in s.vertices.values())
+
+
+def test_trefoil_automorphisms_form_its_symmetry_group(load):
+    s = moves.shadow_of_component(*_search_case(load, "trefoil"))
+    maps = s.automorphisms()
+    assert len(maps) == 5
+    identity = {d: d for d in s.theta}
+    for sigma in maps:
+        _respects_the_map(s, sigma)
+        assert sigma != identity
+    group = {tuple(sorted(m.items())) for m in [identity] + maps}
+    assert len(group) == 6
+    for f in group:
+        for g in group:
+            f_of_g = {d: dict(f)[e] for d, e in g}
+            assert tuple(sorted(f_of_g.items())) in group
+
+
+@pytest.mark.parametrize("case", ["garland2", "garland3", "garland4", "garland5", "bigon"])
+def test_garland_automorphisms_respect_the_map(load, case):
+    s = moves.shadow_of_component(*_search_case(load, case))
+    for sigma in s.automorphisms():
+        _respects_the_map(s, sigma)
+    # a garland of k kinks on the sphere turns onto itself k ways
+    assert len(s.automorphisms()) == (int(case[7:]) - 1 if case != "bigon" else 1)
+
+
+@pytest.mark.parametrize("case,flip,clockwise,keeps_over_bits", [
+    ("trefoil", None, True, False),
+    ("garland2", 1, True, True),
+    ("trefoil", 1, False, False),
+], ids=["mirror", "mirror-keeping-over-bits", "rotation-flipping-over-bits"])
+def test_forged_tie_is_rejected(load, case, flip, clockwise, keeps_over_bits):
+    """A start recorded as a tie whose walk map is not an automorphism is never
+    used.  The stand-in is a shadow of `case`, with the crossing `flip` given
+    the other over bit, whose ties are forged to every start that gives a map
+    of the asked kind: each is rejected by a different part of the check.  The
+    trefoil's mirror both turns clockwise and flips over bits; the flipped
+    garland's mirror keeps theta and the over bits, so only the rotations tell;
+    the flipped trefoil's turns keep the rotations, so only the over bits tell."""
+    s = moves.shadow_of_component(*_search_case(load, case))
+    if flip is not None:
+        vertices = dict(s.vertices)
+        vertices[flip] = moves._Vertex(s.vertices[flip].ends, 1 - s.vertices[flip].over_parity)
+        s = moves.Shadow(vertices, s.theta)
+    s.canonical_code()
+    base = min(s.theta)
+    forged = []
+    for start in sorted(s.theta):
+        sigma = _walk_map(s, base, start)
+        if _turns(s, sigma, clockwise) and _keeps_over_bits(s, sigma) == keeps_over_bits:
+            forged.append(start)
+    assert forged
+    s._ties = (base, *forged)
+    assert s.automorphisms() == []
+    assert len(s.finger_orbits()) == len(s.finger_moves())
+
+
+def test_check_rejects_a_map_that_breaks_theta(load):
+    """A walk map always commutes with theta; this map keeps the rotations and
+    the over bits but turns one kink's vertex half round, so its loop edge
+    goes to a pair of ends that no edge joins."""
+    s = moves.shadow_of_component(*_search_case(load, "garland2"))
+    sigma = {d: d for d in s.theta}
+    ends = s.vertices[1].ends
+    sigma.update((e, ends[(i + 2) % 4]) for i, e in enumerate(ends))
+    assert _turns(s, sigma, clockwise=False) and _keeps_over_bits(s, sigma)
+    assert not s._is_automorphism(sigma)
+
+
+def _unpruned_search(start, budget):
+    """search_unknot as it was before finger moves were listed once per
+    orbit, kept as the oracle: the ("fingers",) entry lists every finger move."""
+    if start.crossing_count() == 0:
+        return {"found": True, "moves": [], "expanded": 0, "queue_emptied": False}
+    cap = start.crossing_count() + 2
+    seen = set()
+    heap = [(start.crossing_count(), 0, (0,), start, (), None)]
+    order = itertools.count(1)
+    expanded = 0
+    while heap:
+        crossings, depth, place, state, path, move = heapq.heappop(heap)
+        if move is not None:
+            kind, *sites = move
+            if kind in ("fingers", "finger"):
+                if kind == "fingers":
+                    stand_ins = [(state, path, ("finger", *f)) for f in state.finger_moves()]
+                else:
+                    n, over = state.crossing_count(), sites[2]
+                    child_path = path + (
+                        f"push {'over' if over else 'under'} finger, {n} to {n + 2} crossings",
+                    )
+                    stand_ins = [(child, child_path, None) for child in state.push_finger(*sites)]
+                for j, entry in enumerate(stand_ins):
+                    heapq.heappush(heap, (crossings, depth, place + (j,), *entry))
+                continue
+            state = state.remove_kink(*sites) if kind == "kink" else state.remove_bigon(*sites)
+        code = state.canonical_code()
+        if code in seen:
+            continue
+        seen.add(code)
+        if expanded >= budget:
+            return {"found": False, "moves": None, "expanded": expanded, "queue_emptied": False}
+        expanded += 1
+        removals = [
+            (f"remove kink at crossing {state.vertex_label(vid)}", ("kink", vid))
+            for vid in state.kink_sites()
+        ] + [
+            (
+                f"remove bigon between crossings {state.vertex_label(v1)} and {state.vertex_label(v2)}",
+                ("bigon", v1, v2),
+            )
+            for v1, v2 in state.bigon_sites()
+        ]
+        for describe, removal in removals:
+            if len(removal) - 1 == crossings:
+                return {"found": True, "moves": list(path) + [describe],
+                        "expanded": expanded, "queue_emptied": False}
+            heapq.heappush(heap, (
+                crossings - (len(removal) - 1), depth + 1, (next(order),),
+                state, path + (describe,), removal,
+            ))
+        if crossings + 2 <= cap:
+            heapq.heappush(heap, (crossings + 2, depth + 1, (next(order),), state, path, ("fingers",)))
+    return {"found": False, "moves": None, "expanded": expanded, "queue_emptied": True}
+
+
+def _oracle_starts(load):
+    starts = [
+        (case, moves.shadow_of_component(*_search_case(load, case)))
+        for case in ("trefoil", "knotted:K1", "knotted:K2",
+                     "garland3", "garland4", "garland5", "bigon")
+    ]
+    trefoil = starts[0][1]
+    children = [c for move in trefoil.finger_moves() for c in trefoil.push_finger(*move)]
+    # every sixth child covers all three of their canonical codes
+    return starts + [(f"trefoil-child{i}", c) for i, c in enumerate(children[::6])]
+
+
+def test_search_once_per_orbit_matches_unpruned_oracle(load, monkeypatch):
+    """Skipping the finger moves that an automorphism carries from an earlier
+    one changes nothing the search does: the outcome and the sequence of
+    expanded codes equal those of the search that lists every finger move."""
+    popped = []
+    kink_sites = moves.Shadow.kink_sites
+
+    def recorded(self):  # the search asks each state it expands for its kinks
+        popped.append(self.canonical_code())
+        return kink_sites(self)
+
+    monkeypatch.setattr(moves.Shadow, "kink_sites", recorded)
+    starts = _oracle_starts(load)
+    assert len(starts) >= 13
+    for name, start in starts:
+        for budget in (3, 10, 200, 2000):
+            runs = []
+            for search in (moves.search_unknot, _unpruned_search):
+                popped.clear()
+                runs.append((search(start, budget), list(popped)))
+            assert runs[0] == runs[1], (name, budget)

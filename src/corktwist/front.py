@@ -5,8 +5,9 @@ segments are forbidden: where a smooth front would have a vertical
 tangency these diagrams have a cusp, i.e. a vertex at which the
 x-direction of travel reverses.  At a crossing the strand of smaller
 slope is the over strand, so over/under data is never stored, only
-derived.  Coordinates are fractions.Fraction; the crossing predicates
-run on integers over one common denominator, so every predicate is exact.
+derived.  Coordinates are fractions.Fraction; a diagram's cusps, ball
+contacts and crossings are decided on integers over one common
+denominator, so every predicate is exact.
 
 Optionally a diagram carries 1-handle attaching balls: vertical segments
 that come in pairs, with arc ends on one ball of a pair continued from
@@ -23,10 +24,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 Point = tuple[Fraction, Fraction]
 
@@ -56,9 +60,11 @@ class Arc:
         if len(self.points) < 2:
             raise FrontGeometryError(f"arc of {self.component!r} needs at least 2 points")
         for a, b in zip(self.points, self.points[1:]):
-            if a == b:
-                raise FrontGeometryError(f"zero-length segment at {_fmt_pt(a)} in {self.component!r}")
             if a[0] == b[0]:
+                if a[1] == b[1]:
+                    raise FrontGeometryError(
+                        f"zero-length segment at {_fmt_pt(a)} in {self.component!r}"
+                    )
                 raise FrontGeometryError(
                     f"vertical segment at x={a[0]} in {self.component!r}; "
                     "fronts replace vertical tangencies with cusps"
@@ -128,7 +134,8 @@ class FrontDiagram:
         for comp, steps in traversals.items():
             if orient.get(comp, 1) == -1:
                 traversals[comp] = _reverse_steps(steps)
-        cusps = {comp: _find_cusps(steps) for comp, steps in traversals.items()}
+        frame = _integer_frame(traversals, self.balls)
+        cusps = {comp: _find_cusps(steps, frame.segs[comp]) for comp, steps in traversals.items()}
         for comp, pts in cusps.items():
             if len(pts) % 2 != 0:
                 raise FrontGeometryError(
@@ -137,7 +144,7 @@ class FrontDiagram:
                 )
             if jumps[comp] == 0 and len(pts) < 2:
                 raise FrontGeometryError(f"component {comp!r} is closed in the plane but has no cusps")
-        crossings = _find_crossings(traversals, self.balls)
+        crossings = _find_crossings(traversals, frame)
         object.__setattr__(self, "_traversals", traversals)
         object.__setattr__(self, "_crossings", tuple(crossings))
         object.__setattr__(self, "_cusps", cusps)
@@ -230,6 +237,25 @@ class FrontDiagram:
 # -- exact segment predicates -------------------------------------------------
 
 Segment = tuple[int, int, int, int]  # (px, py, qx, qy), scaled to integers
+
+
+class _Frame(NamedTuple):
+    """A diagram's coordinates as integers over one common denominator `scale`."""
+
+    scale: int
+    segs: dict[str, list[Segment]]  # per component, one per traversal step
+    balls: list[tuple[str, int, int, int]]  # (handle, x, ytop, ybot) per ball
+
+
+def _integer_frame(traversals: dict[str, list[_Step]], balls: tuple[HandleBall, ...]) -> _Frame:
+    """Scale every step endpoint and ball parameter over the lcm of all their denominators."""
+    values = [v for steps in traversals.values() for s in steps for v in (*s.start, *s.end)]
+    values += [v for ball in balls for v in (ball.x, ball.ytop, ball.ybot)]
+    scale = math.lcm(*{v.denominator for v in values})
+    ints = iter([v.numerator * (scale // v.denominator) for v in values])
+    segs = {comp: [(next(ints), next(ints), next(ints), next(ints)) for _ in steps]
+            for comp, steps in traversals.items()}
+    return _Frame(scale, segs, [(ball.handle, *islice(ints, 3)) for ball in balls])
 
 
 def _sub(a: Point, b: Point) -> tuple[Fraction, Fraction]:
@@ -420,49 +446,49 @@ def _reverse_steps(steps: list[_Step]) -> list[_Step]:
     return out
 
 
-def _find_cusps(steps: list[_Step]) -> list[Point]:
-    cusps: list[Point] = []
-    n = len(steps)
-    for i in range(n):
-        cur = steps[i]
-        nxt = steps[(i + 1) % n]
-        if nxt.after_jump:
-            continue
-        if (cur.end[0] > cur.start[0]) != (nxt.end[0] > nxt.start[0]):
-            cusps.append(cur.end)
-    return cusps
+def _find_cusps(steps: list[_Step], segs: list[Segment]) -> list[Point]:
+    """Each step end where the x-direction reverses, unless the next step enters through a ball."""
+    rightward = [px < qx for px, _, qx, _ in segs]
+    return [
+        s.end
+        for s, right, nxt, nxt_right in zip(
+            steps, rightward, steps[1:] + steps[:1], rightward[1:] + rightward[:1]
+        )
+        if right != nxt_right and not nxt.after_jump
+    ]
 
 
-def _find_crossings(
-    traversals: dict[str, list[_Step]], balls: tuple[HandleBall, ...]
-) -> list[Crossing]:
+def _find_crossings(traversals: dict[str, list[_Step]], frame: _Frame) -> list[Crossing]:
     """Every crossing, in order of segment index pairs; a genericity violation raises.
 
-    Endpoints are scaled once to integers over the lcm `scale` of all their
-    denominators.  The sweep and `_seg_meet` both work on those integers;
-    Fractions are built only for the fields a `Crossing` stores.
+    The ball check, the sweep, `_seg_meet` and the triple-point check all
+    work on the integers of `frame`; Fractions are built only for the
+    fields a `Crossing` stores, and a segment's direction only once.
     """
-    segs: list[tuple[str, int, _Step]] = []
-    for comp, steps in traversals.items():
-        for i, s in enumerate(steps):
-            segs.append((comp, i, s))
+    segs = [(comp, i) for comp, steps in traversals.items() for i in range(len(steps))]
+    ints = [seg for comp_segs in frame.segs.values() for seg in comp_segs]
+    if frame.balls:
+        for (comp, _), seg in zip(segs, ints):
+            _check_ball_contacts(comp, seg, frame.balls)
 
-    for comp, i, s in segs:
-        _check_ball_contacts(comp, s, balls)
-
-    scale = math.lcm(*(v.denominator for _, _, s in segs for v in (*s.start, *s.end)))
-    ints: list[Segment] = [
-        tuple(v.numerator * (scale // v.denominator) for v in (*s.start, *s.end))
-        for _, _, s in segs
-    ]
+    scale = frame.scale
 
     def at(x: int, y: int, den: int) -> Point:
         return (Fraction(x, den * scale), Fraction(y, den * scale))
 
+    dirs: dict[int, tuple[Fraction, Fraction]] = {}
+
+    def direction(k: int) -> tuple[Fraction, Fraction]:
+        if k not in dirs:
+            px, py, qx, qy = ints[k]
+            dirs[k] = (Fraction(qx - px, scale), Fraction(qy - py, scale))
+        return dirs[k]
+
     crossings: list[Crossing] = []
+    keys: list[tuple[int, int, int]] = []  # each crossing point in lowest terms
     for a, b in _meeting_pairs(ints):
-        comp1, i1, _ = segs[a]
-        comp2, i2, _ = segs[b]
+        comp1, i1 = segs[a]
+        comp2, i2 = segs[b]
         if comp1 == comp2:
             n1 = len(traversals[comp1])
             successor = (i1 + 1) % n1 == i2 and not traversals[comp1][i2].after_jump
@@ -488,29 +514,29 @@ def _find_crossings(
         d1, d2 = (qx - px, qy - py), (sx - rx, sy - ry)
         # the over strand has the smaller slope; "cross" means the slopes differ
         if (d1[1] * d2[0] - d2[1] * d1[0]) * d1[0] * d2[0] < 0:
-            over, under = (comp1, i1, t, d1), (comp2, i2, u, d2)
+            over, under = (comp1, i1, t, d1, a), (comp2, i2, u, d2, b)
         else:
-            over, under = (comp2, i2, u, d2), (comp1, i1, t, d1)
+            over, under = (comp2, i2, u, d2, b), (comp1, i1, t, d1, a)
         odir, udir = over[3], under[3]
         crossings.append(
             Crossing(
                 point=at(x, y, den),
                 over_component=over[0],
                 under_component=under[0],
-                over_dir=(Fraction(odir[0], scale), Fraction(odir[1], scale)),
-                under_dir=(Fraction(udir[0], scale), Fraction(udir[1], scale)),
+                over_dir=direction(over[4]),
+                under_dir=direction(under[4]),
                 sign=1 if odir[0] * udir[1] - odir[1] * udir[0] > 0 else -1,
                 over_at=(over[0], over[1], Fraction(over[2], den)),
                 under_at=(under[0], under[1], Fraction(under[2], den)),
             )
         )
+        g = math.gcd(x, y, den)
+        keys.append((x // g, y // g, den // g))
 
-    by_point: dict[Point, int] = {}
-    for c in crossings:
-        by_point[c.point] = by_point.get(c.point, 0) + 1
-    for pt, n in by_point.items():
-        if n > 1:
-            raise FrontGeometryError(f"triple point at {_fmt_pt(pt)}")
+    repeats = Counter(keys)
+    for c, key in zip(crossings, keys):
+        if repeats[key] > 1:
+            raise FrontGeometryError(f"triple point at {_fmt_pt(c.point)}")
     return crossings
 
 
@@ -543,21 +569,22 @@ def _meeting_pairs(ints: list[Segment]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _check_ball_contacts(comp: str, s: _Step, balls: tuple[HandleBall, ...]) -> None:
-    for ball in balls:
-        t = (ball.x - s.start[0]) / (s.end[0] - s.start[0])
-        if t < 0 or t > 1:
-            continue
-        y = s.start[1] + t * (s.end[1] - s.start[1])
-        if not (ball.ybot <= y <= ball.ytop):
-            continue
-        if t == 0 and s.start == (ball.x, y) and ball.contains(s.start):
-            continue
-        if t == 1 and ball.contains(s.end):
-            continue
-        raise FrontGeometryError(
-            f"segment of {comp!r} runs through a ball of handle {ball.handle!r}"
-        )
+def _check_ball_contacts(comp: str, seg: Segment, balls: list[tuple[str, int, int, int]]) -> None:
+    """Raise if the segment meets a ball anywhere but at one of its own ends.
+
+    With the segment ordered so that dx > 0, a ball at x strictly between
+    its end xs is met when the segment's height there, times dx, lies in
+    [ybot * dx, ytop * dx].
+    """
+    px, py, qx, qy = seg
+    if px > qx:
+        px, py, qx, qy = qx, qy, px, py
+    dx = qx - px
+    for handle, x, ytop, ybot in balls:
+        if px < x < qx and ybot * dx <= py * dx + (x - px) * (qy - py) <= ytop * dx:
+            raise FrontGeometryError(
+                f"segment of {comp!r} runs through a ball of handle {handle!r}"
+            )
 
 
 # -- stabilization ------------------------------------------------------------
@@ -644,6 +671,11 @@ def _plain(tok: str) -> bool:
     return tok.isascii() and "_" not in tok
 
 
+# the spellings Fraction(str) accepts, less digit separators and exponents:
+# sign, then p, p/q or a decimal, with surrounding whitespace
+_RATIONAL = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?)\s*\Z")
+
+
 def parse_int(tok: str) -> int:
     """int(tok) for a plain ASCII spelling; anything else raises ValueError."""
     if not _plain(tok):
@@ -653,14 +685,31 @@ def parse_int(tok: str) -> int:
 
 def parse_rational(tok: str, line: int | None = None) -> Fraction:
     """Fraction(tok) for a plain spelling without an exponent: `1e1000000`
-    is seven characters, but Fraction would build its million digits."""
-    try:
+    is seven characters, but Fraction would build its million digits.
+
+    The value is built from the integers the token spells, as Fraction
+    would build it, without calling Fraction(str)."""
+    m = _RATIONAL.match(tok) if tok.isascii() else None
+    if m is None:
         if not _plain(tok):
-            raise ValueError("ASCII digits only, no '_'")
-        if "e" in tok or "E" in tok:
-            raise ValueError("no exponent")
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
+            reason = "ASCII digits only, no '_'"
+        elif "e" in tok or "E" in tok:
+            reason = "no exponent"
+        else:
+            reason = f"Invalid literal for Fraction: {tok!r}"
+        raise FrontParseError(f"bad rational {tok!r}: {reason}", line)
+    sign, num, den, decimal = m.groups()
+    try:
+        n, d = int(num or "0"), 1
+        if den:
+            d = int(den)
+        elif decimal:
+            d = 10 ** len(decimal)
+            n = n * d + int(decimal)
+        if sign == "-":
+            n = -n
+        return Fraction(n) if d == 1 else Fraction(n, d)
+    except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
         raise FrontParseError(f"bad rational {tok!r}: {exc}", line)
 
 
@@ -751,7 +800,8 @@ def parse_front(text: str) -> FrontDiagram:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            # numbers with a fraction part stay strings, for parse_rational
+            doc = json.loads(text, parse_float=str)
         except ValueError as exc:  # also an integer too long to convert
             raise FrontParseError(f"not valid JSON: {exc}") from None
         except RecursionError:

@@ -170,7 +170,7 @@ def certificate_digest(body: dict) -> str:
 
 # -- the side-condition language ----------------------------------------------
 
-_TOKEN = re.compile(r"\s*(==|!=|<=|>=|<|>|[-+*/%()]|\d+|abs)")
+_TOKEN = re.compile(r"\s*(==|!=|<=|>=|<|>|[-+*/%()]|[0-9]+|abs)")
 # nesting levels ("(", "abs(", unary "-") one condition may open; the
 # descent takes up to three frames per level, so this keeps it well
 # inside the interpreter's recursion limit
@@ -251,7 +251,7 @@ class _Parser:
 
     def unary(self) -> Fraction:
         tok = self.peek()
-        if tok is not None and tok.isdigit():
+        if tok is not None and tok.isascii() and tok.isdigit():
             self.take()
             try:
                 return Fraction(int(tok))

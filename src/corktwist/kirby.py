@@ -145,7 +145,8 @@ def parse_kirby(text: str) -> KirbyDiagram:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            # numbers with a fraction part stay strings, for parse_rational
+            doc = json.loads(text, parse_float=str)
         except ValueError as exc:  # also an integer too long to convert
             raise KirbyError(f"not valid JSON: {exc}") from None
         except RecursionError:

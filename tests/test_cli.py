@@ -741,6 +741,56 @@ def test_validate_reports_oversized_integer_in_condition(tmp_path, expr):
     assert err == ""
 
 
+def test_validate_reports_non_ascii_digit_in_condition(tmp_path):
+    # `\u0661` is ARABIC-INDIC DIGIT ONE, which int() would read as 1
+    doc = {"steps": [{"rule": "cork_admissible", "side_conditions": [
+        {"expr": "\u0661 != 0", "value": True}]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["certify", "--validate", str(path)])
+    assert code == 1
+    assert any(line.startswith("invalid:") and "unreadable condition" in line
+               for line in out.splitlines())
+
+
+# 2^53 + 1, + 3, + 5: a float rounds the first and the last two to the same x
+BIG_X = ["9007199254740993.0", "9007199254740995.0", "9007199254740997.0"]
+
+
+def _json_front_spelled(xs):
+    """The lens of `_json_front` with its three x values spelled as given, unquoted."""
+    a, b, c = xs
+    return ('{"arcs": [{"component": "K", "points": [[%s, 0], [%s, 2], [%s, 0]]}, '
+            '{"component": "K", "points": [[%s, 0], [%s, -2], [%s, 0]]}], '
+            '"orient": {"K": "+"}}' % (a, b, c, c, b, a))
+
+
+def test_json_coordinates_keep_their_spelled_value(tmp_path):
+    text = _json_front_spelled(BIG_X)
+    exact = [Fraction(int(x[:-2])) for x in BIG_X]
+    for d in (front.parse_front(text),
+              kirby.parse_kirby('{"front": %s, "dots": ["K"]}' % text).front):
+        assert [p[0] for p in d.arcs[0].points] == exact
+        assert d.tb("K") == -1
+    path = tmp_path / "big.front"
+    path.write_text(text)
+    code, out, _ = run(["tb", str(path)])
+    assert code == 0 and "tb = -1" in out
+
+
+@pytest.mark.parametrize("site", ["front", "kirby"])
+def test_json_coordinate_with_an_exponent_exits_2(tmp_path, site):
+    text = _json_front_spelled(["0", "1e5", "8"])
+    if site == "kirby":
+        text = '{"front": %s, "dots": ["K"]}' % text
+    path = tmp_path / "exp"
+    path.write_text(text)
+    code, out, err = run(["tb" if site == "front" else "homology", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad rational '1e5': no exponent" in err
+
+
 def test_exponent_in_a_rational_exits_2_without_building_it(fixtures, tmp_path, monkeypatch):
     """`1e1000000` is seven characters, but Fraction would build 10^1000000."""
     def refuse(*args):

@@ -190,6 +190,38 @@ def _slope(a, b):
     return (b[1] - a[1]) / (b[0] - a[0])
 
 
+def _fraction_find_cusps(steps):
+    """The Fraction cusp finder that `front._find_cusps` replaced, kept as its oracle."""
+    cusps = []
+    n = len(steps)
+    for i in range(n):
+        cur = steps[i]
+        nxt = steps[(i + 1) % n]
+        if nxt.after_jump:
+            continue
+        if (cur.end[0] > cur.start[0]) != (nxt.end[0] > nxt.start[0]):
+            cusps.append(cur.end)
+    return cusps
+
+
+def _fraction_check_ball_contacts(comp, s, balls):
+    """The Fraction ball check that `front._check_ball_contacts` replaced, kept as its oracle."""
+    for ball in balls:
+        t = (ball.x - s.start[0]) / (s.end[0] - s.start[0])
+        if t < 0 or t > 1:
+            continue
+        y = s.start[1] + t * (s.end[1] - s.start[1])
+        if not (ball.ybot <= y <= ball.ytop):
+            continue
+        if t == 0 and s.start == (ball.x, y) and ball.contains(s.start):
+            continue
+        if t == 1 and ball.contains(s.end):
+            continue
+        raise FrontGeometryError(
+            f"segment of {comp!r} runs through a ball of handle {ball.handle!r}"
+        )
+
+
 def _all_pairs_crossings(traversals, balls):
     """The all-pairs Fraction loop that `front._find_crossings` replaced, kept as its oracle."""
     segs = []
@@ -198,7 +230,7 @@ def _all_pairs_crossings(traversals, balls):
             segs.append((comp, i, s))
 
     for comp, i, s in segs:
-        front._check_ball_contacts(comp, s, balls)
+        _fraction_check_ball_contacts(comp, s, balls)
 
     crossings = []
     for a in range(len(segs)):
@@ -301,11 +333,15 @@ def _random_closed_polygons(rng):
         return traversals, balls
 
 
-def _outcome(find, traversals, balls):
+def _outcome(find, *args):
     try:
-        return find(traversals, balls)
+        return find(*args)
     except FrontGeometryError as exc:
         return ("error", str(exc))
+
+
+def _integer_crossings(traversals, balls):
+    return front._find_crossings(traversals, front._integer_frame(traversals, balls))
 
 
 def test_sweep_matches_all_pairs_oracle():
@@ -314,12 +350,92 @@ def test_sweep_matches_all_pairs_oracle():
     for _ in range(600):
         traversals, balls = _random_closed_polygons(rng)
         expected = _outcome(_all_pairs_crossings, traversals, balls)
-        assert _outcome(front._find_crossings, traversals, balls) == expected
+        assert _outcome(_integer_crossings, traversals, balls) == expected
         if isinstance(expected, list):
             kinds["crossings" if expected else "no crossings"] += 1
         else:
             kinds[next(k for k in ("touch", "overlap", "triple", "ball") if k in expected[1])] += 1
     assert set(kinds) == {"crossings", "no crossings", "touch", "overlap", "triple", "ball"}, kinds
+
+
+def _assert_frame_matches_oracles(traversals, balls):
+    frame = front._integer_frame(traversals, balls)
+    for comp, steps in traversals.items():
+        assert front._find_cusps(steps, frame.segs[comp]) == _fraction_find_cusps(steps)
+        for s, seg in zip(steps, frame.segs[comp]):
+            assert (_outcome(front._check_ball_contacts, comp, seg, frame.balls)
+                    == _outcome(_fraction_check_ball_contacts, comp, s, balls))
+
+
+def test_integer_cusps_and_ball_contacts_match_fraction_oracles(load):
+    rng = random.Random(20110411)
+    for _ in range(600):
+        _assert_frame_matches_oracles(*_random_closed_polygons(rng))
+    # strands through handles; in the last one the x-direction reverses at
+    # both jumps, which makes no cusp
+    reversing = parse_front(
+        "arc K : (0,1) (-2,0) (0,-1)\narc K : (10,-1) (8,0) (10,1)\n"
+        "handle h : x=0 ytop=2 ybot=-2\nhandle h : x=10 ytop=2 ybot=-2\n")
+    assert reversing.cusp_points("K") == [(-2, 0), (8, 0)]
+    for d in (parse_front(load("trefoil_handle.front")),
+              kirby.parse_kirby(load("mazur.kirby")).front, reversing):
+        _assert_frame_matches_oracles(d._traversals, d.balls)
+
+
+@pytest.mark.parametrize("ybot, ytop, hit", [
+    (Fraction(1, 23), Fraction(1, 21), True),    # y = 1/22 at x = 1/11 lies inside
+    (Fraction(1, 23), Fraction(1, 22), True),    # ... or on the top end
+    (Fraction(2, 43), Fraction(5, 13), False),   # the ball starts just above it
+    (Fraction(-1, 23), Fraction(1, 23), False),  # or lies between the two strands
+])
+def test_ball_denominators_join_the_frame(ybot, ytop, hit):
+    # no arc point has a denominator of 11, 13, 21, 22, 23 or 43, so only a
+    # frame whose scale includes the balls' denominators decides these exactly
+    text = (LENS_A + f"handle h : x=1/11 ytop={ytop} ybot={ybot}\n"
+            "handle h : x=20 ytop=1 ybot=-1\n")
+    try:
+        parse_front(text)
+    except FrontGeometryError as exc:
+        assert hit and "runs through a ball of handle 'h'" in str(exc)
+    else:
+        assert not hit
+    d = parse_front(LENS_A)
+    balls = (front.HandleBall("h", Fraction(1, 11), ytop, ybot),
+             front.HandleBall("h", Fraction(20), Fraction(1), Fraction(-1)))
+    frame = front._integer_frame(d._traversals, balls)
+    assert frame.scale % math.lcm(11, ytop.denominator, ybot.denominator) == 0
+    _assert_frame_matches_oracles(d._traversals, balls)
+
+
+# -- parsing rationals without Fraction(str) ----------------------------------
+
+def _fraction_or_none(tok):
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789+-/. \te_\u0663", max_size=8))
+@example("1/0")
+@example(" -.5 ")
+@example("+1.")
+@example("1.5/2")
+@example("1_0")
+@example("1e5")
+@example("\u0663")
+@example(".")
+def test_parse_rational_matches_fraction(tok):
+    # Fraction also reads digit separators, exponents and non-ASCII digits,
+    # which parse_rational refuses
+    plain = tok.isascii() and not set(tok) & set("_eE")
+    expected = _fraction_or_none(tok) if plain else None
+    try:
+        got = front.parse_rational(tok)
+    except FrontParseError:
+        got = None
+    assert got == expected and type(got) is type(expected)
 
 
 # -- the integer classifier against the Fraction one --------------------------

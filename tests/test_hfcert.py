@@ -115,7 +115,7 @@ def test_eval_condition_language():
     assert eval_condition("is_identity([[1,0],[0,1]])") is True
     assert eval_condition("is_identity([[1,1],[0,1]])") is False
     for bad in ("x == 1", "1 ==", "1 + + 2 == 3", "import os", "2 == 2 == 2",
-                "is_identity([[1,0]])", "1 % 0 == 0"):
+                "is_identity([[1,0]])", "1 % 0 == 0", "\u0661 != 0"):
         with pytest.raises(HFError):
             eval_condition(bad)
 

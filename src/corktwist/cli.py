@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import fillings, front, hfcert, kirby, mcg
+from .moves import DEFAULT_BUDGET, DEFAULT_SEED
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
-DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
 DIAGRAM_ERRORS = (front.FrontError, kirby.KirbyError)
 
 
@@ -176,7 +176,7 @@ def _human_certificate(cert: hfcert.Certificate) -> None:
         print(f"step {i}: {step.rule}")
         print(f"    {step.quote}")
         for cond in step.side_conditions:
-            print(f"    check {cond.expr}  [{cond.value}]")
+            print(f"    check {cond}")
         for out in step.outputs:
             print(f"    => {out}")
     print(f"verdict: {cert.verdict}")
@@ -237,11 +237,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         if exc.condition is not None:
-            print(
-                f"failing side condition: {exc.condition['expr']} "
-                f"is {exc.condition['value']}",
-                file=sys.stderr,
-            )
+            print(f"failing check: {exc.condition}", file=sys.stderr)
         return ABORTED
     except (kirby.KirbyError, fillings.FillingError, hfcert.HFError) as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)

@@ -142,16 +142,12 @@ class FillingPlan:
     fiber_genus and are written out only by to_doc.
     trivializing_handles is a positive word; each letter stands for one
     -1-framed 2-handle along the named curve sitting in a fiber.
-    composite_action is the H1 action of the stabilized monodromy followed
-    by the trivializing handles, as checked when the plan was built; it is
-    evidence for certificates and stays out of to_doc.
     """
 
     trivializing_handles: TwistWord
     fiber_genus: int
     relator_blocks: int
     assumptions: tuple[Assumption, ...]
-    composite_action: tuple[tuple[int, ...], ...]
     stabilizations: int = 0
     extension_absorbed: bool = False
     source_open_book: OpenBook | None = None
@@ -159,6 +155,14 @@ class FillingPlan:
     def __post_init__(self) -> None:
         if not self.trivializing_handles.is_positive:
             raise FillingError("trivializing handles must form a positive word")
+
+    @property
+    def closed_monodromy(self) -> TwistWord:
+        """The word the trivializing handles undo: the source word, stabilized."""
+        book = self.source_open_book
+        for _ in range(self.stabilizations):
+            book = stabilize_openbook(book)
+        return book.monodromy
 
     @property
     def euler_char(self) -> int:
@@ -249,7 +253,6 @@ def build_concave(ob: OpenBook) -> FillingPlan:
         fiber_genus=genus_hat,
         relator_blocks=len(book.monodromy),
         assumptions=STANDARD_ASSUMPTIONS,
-        composite_action=tuple(tuple(row) for row in action),
         stabilizations=stabs,
         source_open_book=ob,
     )

@@ -3,31 +3,33 @@
 Nothing in this module computes Floer homology.  certify_distinct replays
 the fixed chain of deductions that separates the two contact classes as
 a certificate: a list of steps, each citing one axiom in plain words,
-naming its elements by fixed strings, and carrying arithmetic side
-conditions whose recorded values can be re-evaluated from the
-certificate alone.  The split is deliberate: applicability arithmetic is
-checked exhaustively here (the adjunction rule and the degree shift are
-the numeric rules it uses), and every imported fact is surfaced as a
-declared assumption instead of being silently used.
+naming its elements by fixed strings, and carrying side conditions that
+can be re-checked from the certificate alone.  The split is deliberate:
+applicability arithmetic is checked exhaustively here (the adjunction
+rule and the degree shift are the numeric rules it uses), and every
+imported fact is surfaced as a declared assumption instead of being
+silently used.
 
-Side-condition expressions form a tiny closed language (integers,
-+ - * / %, abs, comparisons, and an is_identity predicate on an inlined
-integer matrix) evaluated by a small recursive-descent parser, never by
-the host language's eval.  Tampering with any recorded value breaks
-either the re-evaluation or the content digest, and validation checks
-both, plus the rule that every non-given input of a step must be the
-output of an earlier step.
+A side condition names a check and the evidence it was run on,
+{"check": NAME, "evidence": {...}}: JSON integers, or for a monodromy a
+list of integer classes.  eval_condition dispatches NAME to CHECKS, a
+small registry of functions whose parameters are exactly the evidence
+keys.  Certify runs every check before recording it, so a certificate
+never records a false one.  Validation re-runs each rule's fixed list of
+checks, recomputes the content digest, and requires every non-given
+input of a step to be the output of an earlier step.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from . import intmat, kirby
+from . import intmat, kirby, mcg
 from .fillings import Assumption, FillingPlan
 from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
 
@@ -41,9 +43,9 @@ class RuleNotApplicable(ValueError):
 
 
 class CertificateAbort(ValueError):
-    """A deduction died; carries the side condition that failed."""
+    """A deduction died; carries the side condition that failed, if one did."""
 
-    def __init__(self, message: str, condition: dict | None = None) -> None:
+    def __init__(self, message: str, condition: SideCondition | None = None) -> None:
         super().__init__(message)
         self.condition = condition
 
@@ -94,34 +96,125 @@ def degree_shift(s: SpinCDecoration) -> Fraction:
 
 # -- adjunction rule ----------------------------------------------------------
 
-def adjunction_violated(g: int, self_int: int, pairing: int) -> bool:
-    """True iff |pairing| + self_int exceeds 2g - 2 for an embedded surface.
+def adjunction_violated(genus: int, self_intersection: int, pairing: int) -> bool:
+    """True iff |pairing| + self_intersection exceeds 2 genus - 2 for an embedded surface.
 
     Outside the rule's scope (genus 0 or negative self-intersection) this
     raises instead of answering, so inapplicability is never mistaken
     for a verdict.
     """
-    if g < 1:
+    if genus < 1:
         raise RuleNotApplicable(
-            f"adjunction rule not applicable (g ≥ 1 fails for genus {g})"
+            f"adjunction rule not applicable (g ≥ 1 fails for genus {genus})"
         )
-    if self_int < 0:
+    if self_intersection < 0:
         raise RuleNotApplicable(
             "adjunction rule not applicable "
-            f"(self-intersection must be non-negative, got {self_int})"
+            f"(self-intersection must be non-negative, got {self_intersection})"
         )
-    return abs(pairing) + self_int > 2 * g - 2
+    return abs(pairing) + self_intersection > 2 * genus - 2
+
+
+# -- named checks over recorded evidence --------------------------------------
+
+def word_trivial_on_h1(genus: int, monodromy: list[list[int]]) -> bool:
+    """The relator blocks that close the monodromy cancel it on H1.
+
+    monodromy lists the classes of the positive word's letters.  The chain
+    relation at genus makes each letter's relator block act as the inverse
+    twist of the letter (mcg.trivialize), so the blocks act as the inverse
+    word; that action is replayed and multiplied onto the monodromy's.
+    """
+    if not 1 <= genus <= mcg.MAX_GENUS:
+        raise HFError(f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}")
+    if not monodromy:
+        raise HFError("the monodromy has no letters")
+    if any(len(c) != 2 * genus for c in monodromy):
+        raise HFError(f"every monodromy class must have {2 * genus} entries")
+    try:
+        word = mcg.TwistWord(tuple(
+            (mcg.Curve(f"m{i}", tuple(c)), 1) for i, c in enumerate(monodromy, start=1)
+        ))
+    except ValueError as exc:  # an imprimitive class
+        raise HFError(str(exc)) from None
+    return mcg.verify_chain_relation(genus) and intmat.is_identity(
+        intmat.mat_mul(mcg.h1_action(mcg.inverse(word)), mcg.h1_action(word))
+    )
+
+
+# The checks a side condition may name.  A check's parameters are exactly
+# its evidence keys.
+CHECKS: dict[str, Callable[..., bool]] = {
+    # admissibility conditions 3 and 4': the handles link once, and tb >= 1
+    "unit_linking": lambda lk: abs(lk) == 1,
+    "tb_at_least_one": lambda tb: tb >= 1,
+    # the 2-handle sits exactly at the contact framing
+    "contact_framing": lambda framing, tb: framing == tb - 1,
+    # the cap, one 2-handle per trivializing letter, the closed fiber times a disk
+    "plan_euler_characteristic": lambda euler_char, handles, fiber_genus: (
+        euler_char == 1 + handles + (2 - 2 * fiber_genus)),
+    # a relator block c2 ... c2g (c1 ... c2g)^(4g+1) has 2g(4g+2) - 1 letters
+    "relator_handles": lambda handles, blocks, fiber_genus: (
+        handles == blocks * (2 * fiber_genus * (4 * fiber_genus + 2) - 1)),
+    "word_trivial_on_h1": word_trivial_on_h1,
+    "fiber_genus_above_one": lambda fiber_genus: fiber_genus > 1,
+    # a unimodular linking matrix, so the boundary is a homology sphere
+    "unit_determinant": lambda det: abs(det) == 1,
+    # no Legendrian representative of the knot reaches framing = tb - 1
+    "tb_obstructed": lambda framing, max_tb: framing > max_tb - 1,
+    "adjunction_violated": adjunction_violated,
+}
+
+# every evidence value is a JSON integer, never a bool or a float, except a
+# monodromy: a list of integer classes
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_SHAPES = {"monodromy": ("a list of integer lists", lambda v: type(v) is list and all(
+    type(row) is list and all(type(x) is int for x in row) for row in v))}
+
+
+def eval_condition(cond: object) -> bool:
+    """Run the check a side condition names on the evidence it records.
+
+    Raises HFError when cond is not a mapping of exactly a check name and
+    its evidence, when the name is not in CHECKS, when the evidence keys
+    are not exactly the check's parameters or a value has the wrong JSON
+    shape, or when the check finds the evidence outside its domain; and
+    RuleNotApplicable when the check's rule does not apply.
+    """
+    if not isinstance(cond, dict) or set(cond) != {"check", "evidence"}:
+        raise HFError("side condition is not a mapping of a check and its evidence")
+    name, evidence = cond["check"], cond["evidence"]
+    check = CHECKS.get(name) if isinstance(name, str) else None
+    if check is None:
+        raise HFError(f"unknown check {name!r}")
+    keys = check.__code__.co_varnames[:check.__code__.co_argcount]
+    if not isinstance(evidence, dict) or set(evidence) != set(keys):
+        raise HFError(f"check {name} wants evidence {', '.join(keys)}")
+    for key in keys:
+        kind, fits = _SHAPES.get(key, _INTEGER)
+        if not fits(evidence[key]):
+            raise HFError(f"evidence {key} of check {name} is not {kind}")
+    return check(**evidence)
 
 
 # -- certificates -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SideCondition:
-    expr: str
-    value: bool
+    """A check from CHECKS and the evidence it held on."""
+
+    check: str
+    evidence: dict
 
     def to_doc(self) -> dict:
-        return {"expr": self.expr, "value": self.value}
+        # a copy, so that a document never shares evidence with another step
+        return {"check": self.check, "evidence": copy.deepcopy(self.evidence)}
+
+    def __str__(self) -> str:
+        args = ", ".join(
+            f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in self.evidence.items()
+        )
+        return f"{self.check}({args})"
 
 
 @dataclass(frozen=True)
@@ -129,8 +222,8 @@ class Step:
     rule: str
     quote: str
     inputs: tuple[str, ...]
-    side_conditions: tuple[SideCondition, ...]
     outputs: tuple[str, ...]
+    side_conditions: tuple[SideCondition, ...] = ()
 
     def to_doc(self) -> dict:
         return {
@@ -166,141 +259,6 @@ def certificate_digest(body: dict) -> str:
     trimmed = {k: v for k, v in body.items() if k != "digest"}
     blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# -- the side-condition language ----------------------------------------------
-
-_TOKEN = re.compile(r"\s*(==|!=|<=|>=|<|>|[-+*/%()]|[0-9]+|abs)")
-# nesting levels ("(", "abs(", unary "-") one condition may open; the
-# descent takes up to three frames per level, so this keeps it well
-# inside the interpreter's recursion limit
-_MAX_DEPTH = 100
-
-
-class _Parser:
-    """Recursive descent over integer/rational arithmetic comparisons."""
-
-    def __init__(self, text: str) -> None:
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise HFError(f"bad token in condition at {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.at = 0
-        self.depth = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise HFError("condition ended early")
-        if expected is not None and tok != expected:
-            raise HFError(f"expected {expected!r}, got {tok!r}")
-        self.at += 1
-        return tok
-
-    def compare(self) -> bool:
-        left = self.arith()
-        op = self.take()
-        if op not in ("==", "!=", "<=", ">=", "<", ">"):
-            raise HFError(f"expected a comparison, got {op!r}")
-        right = self.arith()
-        if self.peek() is not None:
-            raise HFError(f"trailing tokens from {self.peek()!r}")
-        return {
-            "==": left == right,
-            "!=": left != right,
-            "<=": left <= right,
-            ">=": left >= right,
-            "<": left < right,
-            ">": left > right,
-        }[op]
-
-    def arith(self) -> Fraction:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
-        return value
-
-    def term(self) -> Fraction:
-        value = self.unary()
-        while self.peek() in ("*", "/", "%"):
-            op = self.take()
-            rhs = self.unary()
-            if op == "*":
-                value = value * rhs
-            elif op == "/":
-                if rhs == 0:
-                    raise HFError("division by zero in condition")
-                value = value / rhs
-            else:
-                if value.denominator != 1 or rhs.denominator != 1 or rhs == 0:
-                    raise HFError("% needs nonzero integer operands")
-                value = Fraction(int(value) % int(rhs))
-        return value
-
-    def unary(self) -> Fraction:
-        tok = self.peek()
-        if tok is not None and tok.isascii() and tok.isdigit():
-            self.take()
-            try:
-                return Fraction(int(tok))
-            except ValueError as exc:  # too many digits to convert
-                raise HFError(f"bad integer in condition: {exc}") from None
-        if tok not in ("-", "abs", "("):
-            raise HFError(f"expected a value, got {tok!r}")
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise HFError(f"condition nests deeper than {_MAX_DEPTH} levels")
-        self.take()
-        if tok == "-":
-            value = -self.unary()
-        elif tok == "abs":
-            self.take("(")
-            value = abs(self.arith())
-            self.take(")")
-        else:
-            value = self.arith()
-            self.take(")")
-        self.depth -= 1
-        return value
-
-
-def eval_condition(expr: str) -> bool:
-    """Evaluate one side-condition expression; no names, no host eval."""
-    stripped = expr.strip()
-    if stripped.startswith("is_identity(") and stripped.endswith(")"):
-        inner = stripped[len("is_identity("):-1]
-        try:
-            mat = json.loads(inner)
-        except ValueError as exc:  # also an integer too long to convert
-            raise HFError(f"bad matrix literal: {exc}")
-        except RecursionError:
-            raise HFError("matrix literal is nested too deeply") from None
-        if (not isinstance(mat, list) or not mat
-                or any(not isinstance(row, list) or len(row) != len(mat)
-                       for row in mat)
-                or any(not isinstance(v, int) for row in mat for v in row)):
-            raise HFError("is_identity wants a square integer matrix")
-        return all(
-            v == (1 if i == j else 0)
-            for i, row in enumerate(mat) for j, v in enumerate(row)
-        )
-    return _Parser(stripped).compare()
-
-
-def _cond(expr: str) -> SideCondition:
-    return SideCondition(expr, eval_condition(expr))
 
 
 # -- axioms (stated in this package's own words) ------------------------------
@@ -351,6 +309,19 @@ AXIOMS: dict[str, str] = {
     ),
 }
 
+# the checks each rule's step carries, in order; the other rules carry none
+RULE_CHECKS: dict[str, tuple[str, ...]] = {
+    "cork_admissible": ("unit_linking", "tb_at_least_one"),
+    "stein_untwisted_attachment": ("contact_framing",),
+    "concave_filling_plan": (
+        "plan_euler_characteristic", "relator_handles", "word_trivial_on_h1",
+    ),
+    "lefschetz_nonvanishing": ("fiber_genus_above_one",),
+    "concave_hits_contact": ("unit_determinant",),
+    "compose_unique_gluing": ("unit_determinant",),
+    "twisted_adjunction_obstruction": ("tb_obstructed", "adjunction_violated"),
+}
+
 SIGN_CAVEAT = Assumption(
     "sign-ambiguity",
     "element equalities here hold up to an overall sign; the descent "
@@ -366,27 +337,30 @@ FREEDMAN_ASSUMPTION = Assumption(
 
 # -- the main deduction -------------------------------------------------------
 
-def _require(ok: bool, message: str, condition: dict | None = None) -> None:
+def _require(ok: bool, message: str) -> None:
     if not ok:
-        raise CertificateAbort(message, condition)
+        raise CertificateAbort(message)
+
+
+def _checked(check: str, failure: str | None = None, **evidence: object) -> SideCondition:
+    """Run a check on the evidence about to be recorded; abort unless it holds."""
+    cond = SideCondition(check, evidence)
+    try:
+        holds = eval_condition({"check": check, "evidence": evidence})
+    except (HFError, RuleNotApplicable) as exc:
+        raise CertificateAbort(str(exc), cond) from exc
+    if not holds:
+        raise CertificateAbort(failure or f"check {cond} fails", cond)
+    return cond
 
 
 def require_untwisted_exact(inflation: CobordismRecord) -> SideCondition:
-    """The untwisted attachment must sit exactly at the contact framing.
-
-    Returns the framing side condition for the certificate; aborts with
-    the canonical message when the exhibit does not certify exactness.
-    """
-    framing = inflation.framing
+    """The framing check of an untwisted attachment exactly at the contact framing."""
     tb = inflation.exhibited_tb
-    status = inflation.stein["status"]
-    expr = f"{framing} == {tb} - 1"
-    if status != "exact":
-        raise CertificateAbort(
-            f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
-            {"expr": expr, "value": eval_condition(expr)},
-        )
-    return _cond(expr)
+    return _checked(
+        "contact_framing", f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
+        framing=inflation.framing, tb=tb,
+    )
 
 
 def certify_distinct(
@@ -394,18 +368,16 @@ def certify_distinct(
     adm: AdmissibilityReport,
     inflation: CobordismRecord,
     plan: FillingPlan,
-    twisted: CobordismRecord | None = None,
+    twisted: CobordismRecord,
 ) -> Certificate:
     """Replay the two-sided computation that separates the contact classes.
 
     The untwisted side must be Stein-exact and flows through the concave
-    filling to a nonzero image of the contact element; the twisted side
-    is obstructed by registered knot facts and adjunction, forcing a zero
-    image.  adm is the cork's admissibility report, computed by the
-    caller with the search budget it records.  A twisted-side attachment
-    record may be passed in when one was computed from an actual front;
-    otherwise the obstruction is derived from the knot's registered
-    maximal Thurston-Bennequin number.
+    filling to a nonzero image of the contact element; the twisted side,
+    the same knot and framing attached after the twist, is obstructed by
+    registered knot facts and adjunction, forcing a zero image.  adm is
+    the cork's admissibility report, computed by the caller with the
+    search budget it records.
     """
     steps: list[Step] = []
 
@@ -414,15 +386,13 @@ def certify_distinct(
         adm.verdict == "admissible",
         f"cork admissibility failed: verdict {adm.verdict!r}",
     )
-    lk = adm.cond3_value
-    tb_ex = adm.cond4prime_tb
     steps.append(Step(
         rule="cork_admissible",
         quote=AXIOMS["cork_admissible"],
         inputs=("given: the candidate diagram and its admissibility report",),
         side_conditions=(
-            _cond(f"abs({lk}) == 1"),
-            _cond(f"{tb_ex} >= 1"),
+            _checked("unit_linking", lk=adm.cond3_value),
+            _checked("tb_at_least_one", tb=adm.cond4prime_tb),
         ),
         outputs=(
             "the domain W is a cork; its boundary carries the exchanging involution",
@@ -432,7 +402,6 @@ def certify_distinct(
     # (2) untwisted Stein attachment
     framing = inflation.framing
     tb = inflation.exhibited_tb
-    framing_cond = require_untwisted_exact(inflation)
     steps.append(Step(
         rule="stein_untwisted_attachment",
         quote=AXIOMS["stein_untwisted_attachment"],
@@ -441,7 +410,7 @@ def certify_distinct(
             f"given: 2-handle along a {inflation.knot or 'declared'} curve, "
             f"framing {framing}, exhibited tb {tb}",
         ),
-        side_conditions=(framing_cond,),
+        side_conditions=(require_untwisted_exact(inflation),),
         outputs=("the extended domain W' = W + 2-handle is Stein",),
     ))
 
@@ -455,9 +424,8 @@ def certify_distinct(
         "plan does not record absorbing the attached 2-handle past the cap",
     )
     g_hat = plan.fiber_genus
-    triv = len(plan.trivializing_handles)
-    per_letter = 2 * g_hat * (4 * g_hat + 2) - 1
-    matrix_json = json.dumps(plan.composite_action, separators=(",", ":"))
+    handles = len(plan.trivializing_handles)
+    monodromy = [list(c.h1_class) for c, _ in plan.closed_monodromy.letters]
     steps.append(Step(
         rule="concave_filling_plan",
         quote=AXIOMS["concave_filling_plan"],
@@ -466,10 +434,11 @@ def certify_distinct(
             "given: the shipped fibration word for W'",
         ),
         side_conditions=(
-            _cond(f"{plan.euler_char} == 1 + {triv} + (2 - 2*{g_hat})"),
-            _cond(f"{per_letter} == 2*{g_hat}*(4*{g_hat}+2) - 1"),
-            _cond(f"{triv} == {plan.relator_blocks} * {per_letter}"),
-            _cond(f"is_identity({matrix_json})"),
+            _checked("plan_euler_characteristic",
+                     euler_char=plan.euler_char, handles=handles, fiber_genus=g_hat),
+            _checked("relator_handles",
+                     handles=handles, blocks=plan.relator_blocks, fiber_genus=g_hat),
+            _checked("word_trivial_on_h1", genus=g_hat, monodromy=monodromy),
         ),
         outputs=(
             "a concave filling V of the boundary of W' exists, "
@@ -482,7 +451,10 @@ def certify_distinct(
         any(a.name == "b2plus-at-least-2" for a in plan.assumptions),
         "plan lacks the b2+ assumption the nonvanishing rule consumes",
     )
-    _require(g_hat > 1, f"fiber genus {g_hat} too small for the nonvanishing rule")
+    nonvanishing = _checked(
+        "fiber_genus_above_one", f"fiber genus {g_hat} too small for the nonvanishing rule",
+        fiber_genus=g_hat,
+    )
     # nothing in the inputs pins down sigma(X), so the degree bookkeeping
     # is emitted conditionally rather than with an invented value
     lefschetz_outputs = [
@@ -500,10 +472,7 @@ def certify_distinct(
             "assumption: b2plus-at-least-2",
             "assumption: relative-minimality",
         ),
-        side_conditions=(
-            _cond(f"{g_hat} > 1"),
-            _cond("0 % 2 == 0"),
-        ),
+        side_conditions=(nonvanishing,),
         outputs=tuple(lefschetz_outputs),
     ))
 
@@ -514,6 +483,7 @@ def certify_distinct(
         hom.h_of_boundary[1].rank == 0,
         "boundary first homology has free rank; contact c1 not torsion",
     )
+    unimodular = _checked("unit_determinant", det=det)
     steps.append(Step(
         rule="concave_hits_contact",
         quote=AXIOMS["concave_hits_contact"],
@@ -522,7 +492,7 @@ def certify_distinct(
             "closing to a fibration X = W' + V",
             "given: the boundary of W is a homology sphere, so c1 restricts torsion",
         ),
-        side_conditions=(_cond(f"abs({det}) == 1"),),
+        side_conditions=(unimodular,),
         outputs=(f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",),
     ))
 
@@ -535,10 +505,7 @@ def certify_distinct(
             f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS} (canonical decoration)",
             f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",
         ),
-        side_conditions=(
-            _cond(f"abs({det}) == 1"),
-            _cond("1 == 1"),
-        ),
+        side_conditions=(unimodular,),
         outputs=(
             f"{THETA_PLUS} = ±F+_W'({CONTACT})",
             f"F+_W'({CONTACT}) ≠ 0",
@@ -554,30 +521,22 @@ def certify_distinct(
     )
     genus_k = facts["seifert_genus"]
     max_tb = facts["max_tb"]
-    try:
-        universal = adjunction_violated(genus_k, framing, 0)
-    except RuleNotApplicable as exc:
-        raise CertificateAbort(str(exc)) from exc
-    _require(
-        universal,
+    adjunction = _checked(
+        "adjunction_violated",
         "adjunction bound not violated at pairing 0; monotonicity gives no exclusion",
-        {"expr": f"0 + {framing} > 2*{genus_k} - 2", "value": False},
+        genus=genus_k, self_intersection=framing, pairing=0,
     )
-    if twisted is not None:
-        twisted_status = twisted.stein
-        _require(
-            twisted.framing == framing and twisted.knot == inflation.knot,
-            "twisted-side record disagrees with the untwisted attachment",
-        )
-    else:
-        twisted_status = kirby.stein_side_status(framing, max_tb, 0, inflation.knot)
-    obstruction_expr = f"{framing} > {max_tb} - 1"
-    if twisted_status["status"] != "obstructed":
-        raise CertificateAbort(
-            "twisted-side attachment is not obstructed "
-            f"(status {twisted_status['status']!r}); no separation",
-            {"expr": obstruction_expr, "value": eval_condition(obstruction_expr)},
-        )
+    _require(
+        twisted.framing == framing and twisted.knot == inflation.knot,
+        "twisted-side record disagrees with the untwisted attachment",
+    )
+    twisted_status = twisted.stein
+    not_obstructed = (
+        "twisted-side attachment is not obstructed "
+        f"(status {twisted_status['status']!r}); no separation"
+    )
+    obstruction = _checked("tb_obstructed", not_obstructed, framing=framing, max_tb=max_tb)
+    _require(twisted_status["status"] == "obstructed", not_obstructed)
     steps.append(Step(
         rule="twisted_adjunction_obstruction",
         quote=AXIOMS["twisted_adjunction_obstruction"],
@@ -587,12 +546,7 @@ def certify_distinct(
             f"max tb {max_tb}, Seifert genus {genus_k}",
             f"given: twisted-side verdict: {twisted_status['reason']}",
         ),
-        side_conditions=(
-            _cond(obstruction_expr),
-            _cond(f"{genus_k} >= 1"),
-            _cond(f"{framing} >= 0"),
-            _cond(f"0 + {framing} > 2*{genus_k} - 2"),
-        ),
+        side_conditions=(obstruction, adjunction),
         outputs=(
             f"the twisted attachment is never Stein: {twisted_status['reason']}",
             f"a closed torus of genus {genus_k} and self-intersection {framing} "
@@ -610,7 +564,6 @@ def certify_distinct(
             "X'' has no basic class",
             f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",
         ),
-        side_conditions=(_cond("1 != 0"),),
         outputs=(
             f"F_mix of X'' kills {THETA_MINUS}",
             f"F+_W'({TWISTED_CONTACT}) = 0",
@@ -625,7 +578,6 @@ def certify_distinct(
             f"F+_W'({CONTACT}) ≠ 0",
             f"F+_W'({TWISTED_CONTACT}) = 0",
         ),
-        side_conditions=(_cond("1 != 0"),),
         outputs=(
             f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory",
             "verdict: DISTINCT",
@@ -640,7 +592,6 @@ def certify_distinct(
             f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory",
             "assumption: sign-ambiguity",
         ),
-        side_conditions=(_cond("1 != 0"),),
         outputs=(
             f"{CONTACT} and {TWISTED_CONTACT} descend non-trivially "
             "to the reduced quotient",
@@ -706,23 +657,18 @@ def validate_certificate(doc: dict) -> list[str]:
         if not isinstance(conds, list):
             problems.append(f"{where}: side conditions are not a list")
             conds = []
+        names = [cond.get("check") if isinstance(cond, dict) else None for cond in conds]
+        wanted = list(RULE_CHECKS.get(rule, ())) if axiom is not None else names
+        if names != wanted:
+            problems.append(f"{where}: checks {names} are not the rule's checks {wanted}")
         for cond in conds:
-            expr = cond.get("expr", "") if isinstance(cond, dict) else None
-            if not isinstance(expr, str):
-                problems.append(f"{where}: side condition is not a mapping with a string expr")
-                continue
             try:
-                actual = eval_condition(expr)
-            except HFError as exc:
-                problems.append(f"{where}: unreadable condition {expr!r}: {exc}")
+                holds = eval_condition(cond)
+            except (HFError, RuleNotApplicable) as exc:
+                problems.append(f"{where}: unreadable side condition: {exc}")
                 continue
-            if actual is not cond.get("value"):
-                problems.append(
-                    f"{where}: condition {expr!r} re-evaluates to {actual}, "
-                    f"recorded {cond.get('value')}"
-                )
-            elif actual is not True:
-                problems.append(f"{where}: condition {expr!r} is false")
+            if not holds:
+                problems.append(f"{where}: check {cond['check']} fails on its evidence")
         inputs, outputs = step.get("inputs", []), step.get("outputs", [])
         if not _is_str_list(inputs) or not _is_str_list(outputs):
             problems.append(f"{where}: inputs and outputs are not lists of strings")

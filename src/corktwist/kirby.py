@@ -503,7 +503,9 @@ class AdmissibilityReport:
         }
 
 
-def check_admissible(d: KirbyDiagram, budget: int = 2000, seed: int = 0) -> AdmissibilityReport:
+def check_admissible(
+    d: KirbyDiagram, budget: int = moves.DEFAULT_BUDGET, seed: int = moves.DEFAULT_SEED
+) -> AdmissibilityReport:
     comps = d.front.components()
     if len(comps) != 2:
         raise KirbyError(f"admissibility needs exactly 2 components, got {len(comps)}")

@@ -269,14 +269,9 @@ def _chain_images(s: Matrix) -> list[tuple[int, ...]]:
     return images
 
 
-def positive_inverse(c: Curve) -> TwistWord:
-    """A positive word w with t_c . w acting as the identity on H_1.
-
-    It is the complement of the first letter in the chain relator with the
-    chain conjugated into position, 2g(4g+2) - 1 positive letters.
-    """
-    word, _ = trivialize(TwistWord(((c, 1),)))
-    return word
+def inverse(word: TwistWord) -> TwistWord:
+    """The word undoing word: its letters reversed, each exponent negated."""
+    return TwistWord(tuple((c, -e) for c, e in reversed(word.letters)))
 
 
 def trivialize(word: TwistWord) -> tuple[TwistWord, Matrix]:
@@ -284,9 +279,10 @@ def trivialize(word: TwistWord) -> tuple[TwistWord, Matrix]:
 
     Appends the positive inverse of each letter c in reverse order: the
     relator block c2 ... c2g (c1 ... c2g)^(4g+1) conjugated by the frame S
-    of c, so |w'| = |word| * (2g(4g+2) - 1).  Since T_{Sd} = S T_d S^-1,
-    that block acts as S A S^-1, where A is the action of the standard
-    block, computed once from the chain letters, and S^-1 = -J S^T J.
+    of c, so |w'| = |word| * (2g(4g+2) - 1).  By the chain relation the
+    standard block acts as T_{c1}^-1, and since T_{Sd} = S T_d S^-1 the
+    conjugated block acts as T_c^-1.  So once the chain relation is
+    checked at g, the action of w' is that of the inverse word.
     """
     if not word.is_positive:
         raise ValueError("only positive monodromy words are trivialized")
@@ -294,19 +290,12 @@ def trivialize(word: TwistWord) -> tuple[TwistWord, Matrix]:
         raise ValueError("empty word has no well-defined surface; pass at least one letter")
     g = word.genus()
     assert g is not None
-    n = 2 * g
-    chain = chain_word(g)
-    block = intmat.mat_mul(intmat.mat_pow(h1_action(chain), 4 * g + 1),
-                           h1_action(TwistWord(chain.letters[1:])))
+    if not verify_chain_relation(g):
+        raise ArithmeticError(f"the chain relation fails at genus {g}")
     letters: list[tuple[Curve, int]] = []
-    action = intmat.identity(n)
     for curve, _ in reversed(word.letters):
         s = symplectic_frame(curve)
         conj = [(Curve(f"{curve.name}~c{k + 1}", v), 1)
                 for k, v in enumerate(_chain_images(s))]
         letters.extend(conj[1:] + conj * (4 * g + 1))
-        # entrywise, (-J S^T J)[r][k] is S[k^1][r^1], negated when r and k differ in parity
-        s_inv = [[s[k ^ 1][r ^ 1] if (r ^ k) & 1 == 0 else -s[k ^ 1][r ^ 1] for k in range(n)]
-                 for r in range(n)]
-        action = intmat.mat_mul(s, intmat.mat_mul(block, intmat.mat_mul(s_inv, action)))
-    return TwistWord(tuple(letters)), action
+    return TwistWord(tuple(letters)), h1_action(inverse(word))

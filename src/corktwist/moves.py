@@ -38,6 +38,9 @@ from . import front as front_mod
 
 Vec = tuple[Fraction, Fraction]
 
+# the unknot search's state budget and recorded seed when a caller gives none
+DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
+
 
 def _angle_cmp(v1: Vec, v2: Vec) -> int:
     """Counterclockwise order of direction vectors, starting at east."""
@@ -550,7 +553,7 @@ def search_unknot(start: Shadow, budget: int) -> dict:
 
 
 def unknot_certificate(
-    d: front_mod.FrontDiagram, comp: str, budget: int = 2000, seed: int = 0
+    d: front_mod.FrontDiagram, comp: str, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ) -> dict:
     """Try to certify that a component is an unknot.
 

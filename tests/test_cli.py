@@ -273,10 +273,11 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     assert code == 0, err
     assert searches == [(2000, 0)]
     # one plan on the genus-2 page of mazur_inflated.palf: the chain block
-    # c1..c4 and the relator block's tail c2..c4, each acted with once for
-    # all five relator blocks, then the five-letter monodromy; no letter of
-    # the 5 * 39 trivializing letters is applied one by one
-    assert actions == [4, 3, 5]
+    # c1..c4 for the chain relation, then the five-letter inverse word that
+    # the five relator blocks act as, then the five-letter monodromy; no
+    # letter of the 5 * 39 trivializing letters is applied one by one.  The
+    # certificate's word_trivial_on_h1 check replays the same three once.
+    assert actions == [4, 5, 5] * 2
     assert trivializations == [5]
     assert len(involutions) == 1
 
@@ -316,12 +317,12 @@ def test_certify_validate_round_trip(certify_argv, tmp_path):
     assert "certificate valid" in out
 
     blob = cert_path.read_text()
-    assert "195 == 5 * 39" in blob
+    assert '"handles": 195' in blob
     bad = tmp_path / "cert_bad.json"
-    bad.write_text(blob.replace("195 == 5 * 39", "194 == 5 * 39"))
+    bad.write_text(blob.replace('"handles": 195', '"handles": 194'))
     code, out, _ = run(["certify", "--validate", str(bad)])
     assert code == 1
-    assert "invalid:" in out
+    assert "invalid: step 3 (concave_filling_plan): check plan_euler_characteristic fails" in out
 
 
 @pytest.mark.parametrize("tamper", ["none", "integer", "not-a-mapping"])
@@ -330,7 +331,7 @@ def test_certify_validate_doc_format(certify_argv, tmp_path, tamper):
     code, _, _ = run(certify_argv + ["--out", str(cert_path)])
     assert code == 0
     if tamper == "integer":
-        cert_path.write_text(cert_path.read_text().replace("195 == 5 * 39", "194 == 5 * 39"))
+        cert_path.write_text(cert_path.read_text().replace('"handles": 195', '"handles": 194'))
     elif tamper == "not-a-mapping":
         cert_path.write_text("[1]")
     code, out, err = run(["certify", "--validate", str(cert_path), "--format", "doc"])
@@ -365,7 +366,24 @@ def test_certify_abort_prints_side_condition(fixtures, tmp_path):
     ])
     assert code == 1
     assert "untwisted Stein check wants framing = tb − 1 = 1" in err
-    assert "failing side condition: 0 == 2 - 1 is False" in err
+    assert "failing check: contact_framing(framing=0, tb=2)" in err
+
+
+def test_certify_empty_word_aborts_on_its_check(fixtures, tmp_path):
+    # a word with no letters gives word_trivial_on_h1 nothing to replay, so no
+    # certificate may record it
+    palf = tmp_path / "empty.palf"
+    palf.write_text("genus 2\nword\n")
+    code, out, err = run([
+        "certify", str(fixtures / "mazur.kirby"), str(palf),
+        str(fixtures / "trefoil_inflation.spec"),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "certification aborted: the monodromy has no letters",
+        "failing check: word_trivial_on_h1(genus=2, monodromy=[])",
+    ]
 
 
 def test_certify_input_errors(fixtures, tmp_path):
@@ -573,15 +591,71 @@ def test_validate_rejects_ill_typed_certificate(tmp_path, doc):
     assert err == ""
 
 
-def test_validate_reports_deeply_nested_condition(tmp_path):
-    deep = "(" * 1000 + "1" + ")" * 1000
-    doc = {"steps": [{"rule": "cork_admissible", "side_conditions": [
-        {"expr": f"{deep} == 1", "value": True}]}]}
-    path = tmp_path / "cert.json"
+@pytest.fixture
+def certificate(certify_argv, tmp_path):
+    """The mazur certificate as a document."""
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(certify_argv + ["--out", str(cert_path)])
+    assert code == 0
+    return json.loads(cert_path.read_text())
+
+
+def _validate_with_condition(tmp_path, doc, step, index, condition):
+    """Validate doc with one side condition replaced under a fresh digest: (code, out, err)."""
+    doc["steps"][step - 1]["side_conditions"][index] = condition
+    doc["digest"] = hfcert.certificate_digest(doc)
+    path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(["certify", "--validate", str(path)])
+    return run(["certify", "--validate", str(path)])
+
+
+def test_validate_reports_deeply_nested_condition(certificate, tmp_path):
+    deep = 1
+    for _ in range(500):
+        deep = [deep]
+    code, out, err = _validate_with_condition(
+        tmp_path, certificate, 1, 0, {"check": "unit_linking", "evidence": {"lk": deep}})
     assert code == 1
-    assert "unreadable condition" in out
+    assert out.splitlines() == [
+        "invalid: step 1 (cork_admissible): unreadable side condition: "
+        "evidence lk of check unit_linking is not an integer"
+    ]
+    assert err == ""
+
+
+WORD = "word_trivial_on_h1"
+HOSTILE_EVIDENCE = {
+    "unknown-check": (1, 0, {"check": "is_identity", "evidence": {"lk": 1}}, "unknown check"),
+    "old-format": (1, 0, {"expr": "abs(1) == 1", "value": True}, "not a mapping of a check"),
+    "missing-key": (1, 0, {"check": "unit_linking", "evidence": {}}, "wants evidence lk"),
+    "extra-key": (1, 0, {"check": "unit_linking", "evidence": {"lk": 1, "tb": 2}},
+                  "wants evidence lk"),
+    "true": (1, 0, {"check": "unit_linking", "evidence": {"lk": True}}, "not an integer"),
+    "float": (1, 0, {"check": "unit_linking", "evidence": {"lk": 1.0}}, "not an integer"),
+    "string": (1, 0, {"check": "unit_linking", "evidence": {"lk": "1"}}, "not an integer"),
+    "nested-list": (1, 0, {"check": "unit_linking", "evidence": {"lk": [[1]]}}, "not an integer"),
+    "genus-0": (3, 2, {"check": WORD, "evidence": {"genus": 0, "monodromy": [[]]}},
+                "genus must be between 1 and 64, got 0"),
+    "genus-65": (3, 2, {"check": WORD, "evidence": {"genus": 65, "monodromy": [[1] + [0] * 129]}},
+                 "genus must be between 1 and 64, got 65"),
+    "class-length": (3, 2, {"check": WORD, "evidence": {"genus": 2, "monodromy": [[1, 0]]}},
+                     "every monodromy class must have 4 entries"),
+    "imprimitive-class": (3, 2, {"check": WORD, "evidence": {"genus": 2,
+                                                             "monodromy": [[2, 0, 0, 0]]}},
+                          "imprimitive class"),
+    "empty-monodromy": (3, 2, {"check": WORD, "evidence": {"genus": 2, "monodromy": []}},
+                        "the monodromy has no letters"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_EVIDENCE)
+def test_validate_rejects_hostile_evidence(certificate, tmp_path, case):
+    step, index, condition, reason = HOSTILE_EVIDENCE[case]
+    code, out, err = _validate_with_condition(tmp_path, certificate, step, index, condition)
+    assert code == 1
+    assert out.startswith("invalid:")
+    assert any(line.startswith(f"invalid: step {step} ") and reason in line
+               for line in out.splitlines()), out
     assert err == ""
 
 
@@ -727,30 +801,31 @@ def test_oversized_json_integer_exits_2(fixtures, tmp_path, site):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("expr", [f"{HUGE} == 1", f"is_identity([[{HUGE}]])"],
-                         ids=["expression-literal", "matrix-literal"])
-def test_validate_reports_oversized_integer_in_condition(tmp_path, expr):
-    doc = {"steps": [{"rule": "cork_admissible", "side_conditions": [
-        {"expr": expr, "value": True}]}]}
+@pytest.mark.parametrize("site", ["evidence-integer", "monodromy-entry"])
+def test_validate_refuses_oversized_integer_in_evidence(certificate, tmp_path, site):
+    if site == "evidence-integer":
+        certificate["steps"][0]["side_conditions"][0]["evidence"]["lk"] = 987654321
+    else:
+        certificate["steps"][2]["side_conditions"][2]["evidence"]["monodromy"][0][0] = 987654321
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(certificate).replace("987654321", HUGE))
     code, out, err = run(["certify", "--validate", str(path)])
-    assert code == 1
-    assert any(line.startswith("invalid:") and "unreadable condition" in line
-               and "4300 digits" in line for line in out.splitlines())
-    assert err == ""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "4300 digits" in err
+    assert len(err.splitlines()) == 1
 
 
-def test_validate_reports_non_ascii_digit_in_condition(tmp_path):
+def test_validate_reports_non_ascii_digit_in_condition(certificate, tmp_path):
     # `\u0661` is ARABIC-INDIC DIGIT ONE, which int() would read as 1
-    doc = {"steps": [{"rule": "cork_admissible", "side_conditions": [
-        {"expr": "\u0661 != 0", "value": True}]}]}
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(["certify", "--validate", str(path)])
+    code, out, err = _validate_with_condition(
+        tmp_path, certificate, 1, 0, {"check": "unit_linking", "evidence": {"lk": "\u0661"}})
     assert code == 1
-    assert any(line.startswith("invalid:") and "unreadable condition" in line
-               for line in out.splitlines())
+    assert out.splitlines() == [
+        "invalid: step 1 (cork_admissible): unreadable side condition: "
+        "evidence lk of check unit_linking is not an integer"
+    ]
+    assert err == ""
 
 
 # 2^53 + 1, + 3, + 5: a float rounds the first and the last two to the same x

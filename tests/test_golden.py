@@ -15,7 +15,7 @@ import pytest
 from corktwist import cli
 
 CERTIFY = ["certify", "mazur.kirby", "mazur_inflated.palf", "trefoil_inflation.spec"]
-CERT_DIGEST = "e3ba909a5c20f5d4e85e8f05d779d7b4778d9016d53c168c4b252c90a357fefc"
+CERT_DIGEST = "6e051359bfe7b9ca7353c1c255bc91eff855ac9da50f697cfdcda880d1b8144c"
 
 GOLDEN = [
     (["tb", "trefoil.front"], 0, "10d8086fb68e52bb"),
@@ -29,7 +29,7 @@ GOLDEN = [
     (["fill", "mazur.palf"], 0, "409d84da3288d8be"),
     (["fill", "mazur_inflated.palf"], 0, "49b9b0f96e9370a3"),
     (["mcg", "verify-chain", "2"], 0, "8b6c8c0e9441c293"),
-    (CERTIFY, 0, "30ac5a356568389b"),
+    (CERTIFY, 0, "840843d069d39e29"),
 ]
 
 
@@ -111,7 +111,7 @@ def test_human_fill_output_is_pinned(fixtures):
 def test_human_certify_output_is_pinned(fixtures):
     code, out = run_cli(CERTIFY, fixtures, "human")
     assert code == 0
-    assert digest_of(out) == "e15e817d1c3a0b07"
+    assert digest_of(out) == "52b04743f7086334"
 
 
 def test_certificate_digest_is_pinned(fixtures):

@@ -1,5 +1,6 @@
 """The certificate engine and the numeric rules it uses."""
 
+import copy
 import json
 import random
 import re
@@ -7,11 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from corktwist import fillings, front, hfcert, kirby
+from corktwist import fillings, front, hfcert, kirby, mcg
 from corktwist.hfcert import (
+    CHECKS,
+    RULE_CHECKS,
     CertificateAbort,
     HFError,
     RuleNotApplicable,
+    SideCondition,
     SpinCDecoration,
     adjunction_violated,
     certificate_digest,
@@ -25,13 +29,15 @@ from corktwist.hfcert import (
 
 @pytest.fixture
 def pipeline(load):
+    """The mazur certificate's inputs: the trefoil at framing 1 over the handle and after the twist."""
     cork = kirby.parse_kirby(load("mazur.kirby"))
     adm = kirby.check_admissible(cork)
     over_handle = front.parse_front(load("trefoil_handle.front"))
     inflation = kirby.inflate(over_handle, 1)
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
     plan = fillings.extend_with_cobordism(inflation, palf)
-    return cork, adm, inflation, plan
+    twisted = kirby.inflate(front.parse_front(load("trefoil.front")), 1)
+    return cork, adm, inflation, plan, twisted
 
 
 def test_hf_s3_table():
@@ -49,8 +55,7 @@ def test_hf_s3_table():
 
 
 def test_named_tower_generators_sit_in_nonzero_degrees(pipeline):
-    cork, adm, inflation, plan = pipeline
-    step = certify_distinct(cork, adm, inflation, plan).steps[3]
+    step = certify_distinct(*pipeline).steps[3]
     assert step.rule == "lefschetz_nonvanishing"
     named = set(re.findall(r"Θ([+-])\((-?\d+)\)", " ".join(step.outputs)))
     assert named == {("-", "-2"), ("+", "0")}
@@ -104,30 +109,86 @@ def test_adjunction_refuses_out_of_scope():
         adjunction_violated(1, -1, 0)
 
 
-def test_eval_condition_language():
-    assert eval_condition("1 == 2 - 1") is True
-    assert eval_condition("abs(-7) == 7") is True
-    assert eval_condition("2 * 3 >= 5") is True
-    assert eval_condition("1 / 2 == 2 / 4") is True
-    assert eval_condition("5 % 2 == 1") is True
-    assert eval_condition("(2 - 2*2) == -2") is True
-    assert eval_condition("3 != 3") is False
-    assert eval_condition("is_identity([[1,0],[0,1]])") is True
-    assert eval_condition("is_identity([[1,1],[0,1]])") is False
-    for bad in ("x == 1", "1 ==", "1 + + 2 == 3", "import os", "2 == 2 == 2",
-                "is_identity([[1,0]])", "1 % 0 == 0", "\u0661 != 0"):
-        with pytest.raises(HFError):
-            eval_condition(bad)
+def cond(check, **evidence):
+    return {"check": check, "evidence": evidence}
+
+
+def test_eval_condition_runs_named_checks():
+    chain = [list(c.h1_class) for c in mcg.chain_curves(2)]
+    cases = [
+        (cond("unit_linking", lk=-1), cond("unit_linking", lk=0)),
+        (cond("tb_at_least_one", tb=1), cond("tb_at_least_one", tb=0)),
+        (cond("contact_framing", framing=1, tb=2), cond("contact_framing", framing=2, tb=2)),
+        (cond("plan_euler_characteristic", euler_char=194, handles=195, fiber_genus=2),
+         cond("plan_euler_characteristic", euler_char=195, handles=195, fiber_genus=2)),
+        (cond("relator_handles", handles=195, blocks=5, fiber_genus=2),
+         cond("relator_handles", handles=196, blocks=5, fiber_genus=2)),
+        (cond("fiber_genus_above_one", fiber_genus=2), cond("fiber_genus_above_one", fiber_genus=1)),
+        (cond("unit_determinant", det=-1), cond("unit_determinant", det=2)),
+        (cond("tb_obstructed", framing=1, max_tb=1), cond("tb_obstructed", framing=0, max_tb=1)),
+        (cond("adjunction_violated", genus=1, self_intersection=1, pairing=0),
+         cond("adjunction_violated", genus=2, self_intersection=0, pairing=2)),
+    ]
+    for holds, fails in cases:
+        assert eval_condition(holds) is True
+        assert eval_condition(fails) is False
+    assert {holds["check"] for holds, _ in cases} | {"word_trivial_on_h1"} == set(CHECKS)
+    assert eval_condition(cond("word_trivial_on_h1", genus=2, monodromy=chain)) is True
+    assert eval_condition(cond("word_trivial_on_h1", genus=1, monodromy=[[0, 1]])) is True
+    with pytest.raises(RuleNotApplicable):
+        eval_condition(cond("adjunction_violated", genus=0, self_intersection=1, pairing=0))
+
+
+def test_word_trivial_on_h1_replays_the_chain_relation(monkeypatch):
+    """The check holds only because the chain relation makes each block an inverse twist."""
+    evidence = cond("word_trivial_on_h1", genus=3, monodromy=[[1, 0, 1, 0, 0, 0]])
+    assert eval_condition(evidence) is True
+    monkeypatch.setattr(mcg, "verify_chain_relation", lambda g: False)
+    assert eval_condition(evidence) is False
 
 
 def test_eval_condition_caps_nesting():
-    assert eval_condition("(" * 100 + "1" + ")" * 100 + " == 1") is True
-    for deep in ("(" * 1000 + "1" + ")" * 1000, "abs(" * 1000 + "1" + ")" * 1000,
-                 "-" * 1000 + "1"):
-        with pytest.raises(HFError, match="nests deeper"):
-            eval_condition(f"{deep} == 1")
-    with pytest.raises(HFError):
-        eval_condition("is_identity(" + "[" * 100000 + ")")
+    """An integer is never a list, and a monodromy nests exactly two lists deep."""
+    deep = 1
+    for _ in range(500):
+        deep = [deep]
+    for bad, kind in [
+        (cond("unit_linking", lk=[[1]]), "an integer"),
+        (cond("unit_linking", lk=deep), "an integer"),
+        (cond("word_trivial_on_h1", genus=1, monodromy=[1, 0]), "a list of integer lists"),
+        (cond("word_trivial_on_h1", genus=1, monodromy=[[[1], 0]]), "a list of integer lists"),
+        (cond("word_trivial_on_h1", genus=1, monodromy=deep), "a list of integer lists"),
+    ]:
+        with pytest.raises(HFError, match=f"is not {kind}$"):
+            eval_condition(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("not a mapping", "not a mapping of a check"),
+    ({"expr": "1 == 1", "value": True}, "not a mapping of a check"),
+    ({"check": "unit_linking", "evidence": {"lk": 1}, "value": True}, "not a mapping of a check"),
+    (cond("is_identity", lk=1), "unknown check 'is_identity'"),
+    ({"check": ["unit_linking"], "evidence": {"lk": 1}}, "unknown check"),
+    ({"check": "unit_linking", "evidence": [1]}, "wants evidence lk"),
+    (cond("unit_linking"), "wants evidence lk"),
+    (cond("unit_linking", lk=1, tb=2), "wants evidence lk"),
+    (cond("unit_linking", lk=True), "evidence lk of check unit_linking is not an integer"),
+    (cond("unit_linking", lk=1.0), "is not an integer"),
+    (cond("unit_linking", lk="1"), "is not an integer"),
+    (cond("word_trivial_on_h1", genus=0, monodromy=[[]]), "genus must be between 1 and 64"),
+    (cond("word_trivial_on_h1", genus=mcg.MAX_GENUS + 1, monodromy=[[1] + [0] * 129]),
+     "genus must be between 1 and 64, got 65"),
+    (cond("word_trivial_on_h1", genus=2, monodromy=[[1, 0]]), "must have 4 entries"),
+    (cond("word_trivial_on_h1", genus=1, monodromy=[[2, 0]]), "imprimitive"),
+    (cond("word_trivial_on_h1", genus=1, monodromy=[[0, 0]]), "imprimitive"),
+    (cond("word_trivial_on_h1", genus=1, monodromy=[]), "the monodromy has no letters"),
+], ids=["not-a-mapping", "old-format", "extra-field", "unknown-check", "check-not-a-string",
+        "evidence-not-a-mapping", "missing-key", "extra-key", "true", "float", "string",
+        "genus-0", "genus-65", "class-length", "imprimitive-class", "zero-class",
+        "empty-monodromy"])
+def test_eval_condition_refuses_hostile_evidence(bad, message):
+    with pytest.raises(HFError, match=re.escape(message)):
+        eval_condition(bad)
 
 
 def test_validate_survives_documents_too_deep_to_digest():
@@ -140,48 +201,110 @@ def test_validate_survives_documents_too_deep_to_digest():
 
 
 def test_certificate_distinct_and_valid(pipeline):
-    cork, adm, inflation, plan = pipeline
-    cert = certify_distinct(cork, adm, inflation, plan)
+    cert = certify_distinct(*pipeline)
     assert cert.verdict == "DISTINCT"
     assert len(cert.steps) == 10
     doc = cert.to_doc()
     assert validate_certificate(doc) == []
     for step in doc["steps"]:
-        for cond in step["side_conditions"]:
-            assert cond["value"] is True
+        assert [c["check"] for c in step["side_conditions"]] == list(
+            RULE_CHECKS.get(step["rule"], ())
+        )
+        for condition in step["side_conditions"]:
+            assert eval_condition(condition) is True
     # the registered obstruction string appears verbatim in the outputs
     joined = json.dumps(doc, ensure_ascii=False)
     assert "framing 1 ≠ tb − 1 for exhibited tb ≤ 1" in joined
 
 
+def test_certify_emits_every_registered_check(pipeline):
+    steps = certify_distinct(*pipeline).steps
+    emitted = [c.check for step in steps for c in step.side_conditions]
+    assert set(emitted) == set(CHECKS)
+    assert len(emitted) == 11
+    assert "given: the candidate diagram and its admissibility report" in steps[0].inputs
+
+
 def test_certificate_digest_is_content_addressed(pipeline):
-    cork, adm, inflation, plan = pipeline
-    doc1 = certify_distinct(cork, adm, inflation, plan).to_doc()
-    doc2 = certify_distinct(cork, adm, inflation, plan).to_doc()
+    doc1 = certify_distinct(*pipeline).to_doc()
+    doc2 = certify_distinct(*pipeline).to_doc()
     assert doc1["digest"] == doc2["digest"]
     assert doc1 == doc2
 
 
 def test_tampering_single_integer_fails(pipeline):
-    cork, adm, inflation, plan = pipeline
-    blob = json.dumps(certify_distinct(cork, adm, inflation, plan).to_doc())
-    assert "195 == 5 * 39" in blob
-    bad = json.loads(blob.replace("195 == 5 * 39", "196 == 5 * 39"))
+    bad = certify_distinct(*pipeline).to_doc()
+    relator = bad["steps"][2]["side_conditions"][1]
+    assert relator == cond("relator_handles", handles=195, blocks=5, fiber_genus=2)
+    relator["evidence"]["handles"] = 196
     problems = validate_certificate(bad)
     assert any("digest" in p for p in problems)
-    assert any("re-evaluates" in p for p in problems)
+    assert any("check relator_handles fails on its evidence" in p for p in problems)
+
+
+# one forgery per check that an edited integer can falsify: (step, check, key, value)
+FORGERIES = [
+    (1, "unit_linking", "lk", 2),
+    (1, "tb_at_least_one", "tb", 0),
+    (2, "contact_framing", "framing", 0),
+    (3, "plan_euler_characteristic", "euler_char", 195),
+    (3, "relator_handles", "handles", 196),
+    (3, "relator_handles", "blocks", 4),
+    (4, "fiber_genus_above_one", "fiber_genus", 1),
+    (5, "unit_determinant", "det", 2),
+    (6, "unit_determinant", "det", 2),
+    (7, "tb_obstructed", "max_tb", 2),
+    (7, "adjunction_violated", "self_intersection", 0),
+]
+
+
+@pytest.mark.parametrize("step, check, key, value", FORGERIES,
+                         ids=[f"{s}-{c}-{k}" for s, c, k, _ in FORGERIES])
+def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, key, value):
+    doc = certify_distinct(*pipeline).to_doc()
+    [target] = [c for c in doc["steps"][step - 1]["side_conditions"] if c["check"] == check]
+    target["evidence"][key] = value
+    doc["digest"] = certificate_digest(doc)
+    assert validate_certificate(doc) == [
+        f"step {step} ({doc['steps'][step - 1]['rule']}): check {check} fails on its evidence"
+    ]
+
+
+def test_dropped_or_reordered_checks_fail_with_fresh_digest(pipeline):
+    doc = certify_distinct(*pipeline).to_doc()
+    dropped, swapped = copy.deepcopy(doc), copy.deepcopy(doc)
+    del dropped["steps"][2]["side_conditions"][2]
+    swapped["steps"][6]["side_conditions"].reverse()
+    for forged in (dropped, swapped):
+        forged["digest"] = certificate_digest(forged)
+        [problem] = validate_certificate(forged)
+        assert "are not the rule's checks" in problem
+
+
+def test_old_format_certificate_is_invalid(pipeline):
+    doc = certify_distinct(*pipeline).to_doc()
+    doc["steps"][0]["side_conditions"] = [{"expr": "abs(1) == 1", "value": True},
+                                          {"expr": "2 >= 1", "value": True}]
+    doc["digest"] = certificate_digest(doc)
+    problems = validate_certificate(doc)
+    assert problems[0] == (
+        "step 1 (cork_admissible): checks [None, None] are not the rule's checks "
+        "['unit_linking', 'tb_at_least_one']"
+    )
+    assert problems[1:] == [
+        "step 1 (cork_admissible): unreadable side condition: side condition is not "
+        "a mapping of a check and its evidence"
+    ] * 2
 
 
 def test_tampering_text_only_fails_digest(pipeline):
-    cork, adm, inflation, plan = pipeline
-    blob = json.dumps(certify_distinct(cork, adm, inflation, plan).to_doc())
+    blob = json.dumps(certify_distinct(*pipeline).to_doc())
     bad = json.loads(blob.replace("verdict: DISTINCT", "verdict: SAME"))
     assert any("digest" in p for p in validate_certificate(bad))
 
 
 def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
-    cork, adm, inflation, plan = pipeline
-    doc = certify_distinct(cork, adm, inflation, plan).to_doc()
+    doc = certify_distinct(*pipeline).to_doc()
     doc["steps"] = doc["steps"][::-1]
     doc["digest"] = certificate_digest(doc)
     problems = validate_certificate(doc)
@@ -189,60 +312,62 @@ def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
 
 
 def test_rewritten_axiom_fails(pipeline):
-    cork, adm, inflation, plan = pipeline
-    doc = certify_distinct(cork, adm, inflation, plan).to_doc()
+    doc = certify_distinct(*pipeline).to_doc()
     doc["steps"][0]["quote"] = "trust me"
     doc["digest"] = certificate_digest(doc)
     assert any("axiom" in p for p in validate_certificate(doc))
 
 
 def test_abort_on_wrong_framing(pipeline, load):
-    cork, adm, _, plan = pipeline
+    cork, adm, _, plan, twisted = pipeline
     over_handle = front.parse_front(load("trefoil_handle.front"))
     low = kirby.inflate(over_handle, 0)
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, low, plan)
+        certify_distinct(cork, adm, low, plan, twisted)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
-    assert info.value.condition == {"expr": "0 == 2 - 1", "value": False}
+    assert info.value.condition == SideCondition("contact_framing", {"framing": 0, "tb": 2})
+    assert str(info.value.condition) == "contact_framing(framing=0, tb=2)"
 
 
 def test_abort_on_unknot_inflation(pipeline, load):
-    cork, adm, _, plan = pipeline
+    cork, adm, _, plan, _ = pipeline
     unknot = front.parse_front(load("lens.front"))
     record = kirby.inflate(unknot, -2)  # exact: tb -1, framing tb - 1
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, record, plan)
+        certify_distinct(cork, adm, record, plan, record)
     assert "adjunction rule not applicable" in str(info.value)
+    assert info.value.condition.check == "adjunction_violated"
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
-    _, _, inflation, plan = pipeline
+    _, _, inflation, plan, twisted = pipeline
     hopf = kirby.parse_kirby(load("hopf.kirby"))
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(hopf, kirby.check_admissible(hopf), inflation, plan)
+        certify_distinct(hopf, kirby.check_admissible(hopf), inflation, plan, twisted)
     assert "admissibility" in str(info.value)
 
 
 def test_abort_on_plan_without_absorption(pipeline, load):
-    cork, adm, inflation, _ = pipeline
+    cork, adm, inflation, _, twisted = pipeline
     plain = fillings.build_concave(
         fillings.palf_to_openbook(fillings.parse_palf(load("mazur.palf")))
     )
     with pytest.raises(CertificateAbort):
-        certify_distinct(cork, adm, inflation, plain)
+        certify_distinct(cork, adm, inflation, plain, twisted)
 
 
-def test_explicit_twisted_record(pipeline, load):
-    cork, adm, inflation, plan = pipeline
-    twisted_rec = kirby.inflate(front.parse_front(load("trefoil.front")), 1)
-    cert = certify_distinct(cork, adm, inflation, plan, twisted=twisted_rec)
-    assert cert.verdict == "DISTINCT"
-    assert validate_certificate(cert.to_doc()) == []
+def test_abort_on_unobstructed_twisted_side(pipeline, load):
+    cork, adm, inflation, plan, _ = pipeline
+    over_handle = kirby.inflate(front.parse_front(load("trefoil_handle.front")), 1)
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(cork, adm, inflation, plan, over_handle)
+    assert str(info.value) == (
+        "twisted-side attachment is not obstructed (status 'exact'); no separation"
+    )
 
 
 def test_relative_invariant_pair(pipeline):
-    cork, adm, inflation, plan = pipeline
-    digest = certify_distinct(cork, adm, inflation, plan).to_doc()["digest"]
+    digest = certify_distinct(*pipeline).to_doc()["digest"]
     fact = hfcert.non_extension_fact(digest)
     assert fact["relative_values"] == [{"magnitude": 1, "sign_ambiguous": True}, 0]
     assert "does not extend" in fact["statement"]
@@ -251,7 +376,7 @@ def test_relative_invariant_pair(pipeline):
 
 
 def test_fake_pair_report(pipeline):
-    *_, plan = pipeline
+    plan = pipeline[3]
     report = hfcert.fake_pair_report(plan)
     assert "homeomorphic but not diffeomorphic" in report["statement"]
     assert len(report["computations"]) == 2

@@ -5,9 +5,13 @@ segments are forbidden: where a smooth front would have a vertical
 tangency these diagrams have a cusp, i.e. a vertex at which the
 x-direction of travel reverses.  At a crossing the strand of smaller
 slope is the over strand, so over/under data is never stored, only
-derived.  Coordinates are fractions.Fraction; a diagram's cusps, ball
-contacts and crossings are decided on integers over one common
-denominator, so every predicate is exact.
+derived.  Coordinates are integers: each token is read as an integer
+numerator and denominator, an arc or ball holds its coordinates as
+integers over the lcm of its own denominators, and a diagram scales them
+once into its frame, integers over one common denominator.  Chaining,
+cusps, ball contacts, crossings and the involution check all compare
+those integers, so every predicate is exact; a coordinate becomes a
+rational again only where it is printed.
 
 Optionally a diagram carries 1-handle attaching balls: vertical segments
 that come in pairs, with arc ends on one ball of a pair continued from
@@ -26,15 +30,20 @@ import json
 import math
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]  # integer numerators over the scale of what holds the point
+Segment = tuple[int, int, int, int]  # (px, py, qx, qy) in a diagram's frame
 
 HANDLE_CONVENTION = "cusps and crossings counted as drawn; no correction per ball passage"
+
+# segments per front (the main and the Stein section of a .kirby each count
+# on their own); LHP(64) has 261
+MAX_SEGMENTS = 4096
 
 
 class FrontError(ValueError):
@@ -53,8 +62,11 @@ class FrontGeometryError(FrontError):
 
 @dataclass(frozen=True)
 class Arc:
+    """A polyline of one component, its points as integers over `scale`."""
+
     component: str
     points: tuple[Point, ...]
+    scale: int = 1
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -63,50 +75,58 @@ class Arc:
             if a[0] == b[0]:
                 if a[1] == b[1]:
                     raise FrontGeometryError(
-                        f"zero-length segment at {_fmt_pt(a)} in {self.component!r}"
+                        f"zero-length segment at {_fmt_pt(a, self.scale)} in {self.component!r}"
                     )
                 raise FrontGeometryError(
-                    f"vertical segment at x={a[0]} in {self.component!r}; "
+                    f"vertical segment at x={fmt_ratio(a[0], self.scale)} in {self.component!r}; "
                     "fronts replace vertical tangencies with cusps"
                 )
 
 
 @dataclass(frozen=True)
 class HandleBall:
+    """One attaching ball of a 1-handle: x and ybot..ytop as integers over `scale`."""
+
     handle: str
-    x: Fraction
-    ytop: Fraction
-    ybot: Fraction
+    x: int
+    ytop: int
+    ybot: int
+    scale: int = 1
 
     def __post_init__(self) -> None:
         if self.ytop <= self.ybot:
             raise FrontGeometryError(f"handle ball {self.handle!r} has ytop <= ybot")
 
-    def contains(self, p: Point) -> bool:
-        return p[0] == self.x and self.ybot <= p[1] <= self.ytop
-
 
 @dataclass(frozen=True)
 class Crossing:
-    point: Point
+    point: tuple[int, int, int]  # (x, y, den): the point (x/den, y/den), in lowest terms
     over_component: str
     under_component: str
-    over_dir: tuple[Fraction, Fraction]
-    under_dir: tuple[Fraction, Fraction]
+    # the two segments' directions, in the frame's integers
+    over_dir: tuple[int, int]
+    under_dir: tuple[int, int]
     sign: int
-    # traversal coordinates (component, segment index, parameter) of both strands
-    over_at: tuple[str, int, Fraction]
-    under_at: tuple[str, int, Fraction]
+    # traversal coordinates (component, segment index, t, den) of both strands:
+    # the crossing lies at parameter t/den along the segment, 0 < t < den
+    over_at: tuple[str, int, int, int]
+    under_at: tuple[str, int, int, int]
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One directed segment of a component traversal."""
+class _Step(NamedTuple):
+    """One directed segment of a component traversal, in frame integers."""
 
-    start: Point
-    end: Point
+    seg: Segment
     arc_index: int
     after_jump: bool  # entered through a handle ball
+
+
+class Frame(NamedTuple):
+    """A diagram's coordinates as integers over one common denominator `scale`."""
+
+    scale: int
+    segs: dict[str, list[Segment]]  # per component, one per traversal step
+    balls: list[tuple[str, int, int, int]]  # (handle, x, ytop, ybot) per ball
 
 
 @dataclass(frozen=True)
@@ -118,12 +138,14 @@ class FrontDiagram:
 
     # populated during validation; excluded from equality and hashing
     _traversals: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _frame: Frame | None = field(default=None, compare=False, repr=False, hash=False)
     _crossings: tuple = field(default=(), compare=False, repr=False, hash=False)
     _cusps: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _jumps: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
-        traversals, jumps = _chain_components(self.arcs, self.balls)
+        scale, points, balls = _integer_frame(self.arcs, self.balls)
+        traversals, jumps = _chain_components(self.arcs, scale, points, balls)
         orient = dict(self.orientations)
         for comp in orient:
             if comp not in traversals:
@@ -134,8 +156,9 @@ class FrontDiagram:
         for comp, steps in traversals.items():
             if orient.get(comp, 1) == -1:
                 traversals[comp] = _reverse_steps(steps)
-        frame = _integer_frame(traversals, self.balls)
-        cusps = {comp: _find_cusps(steps, frame.segs[comp]) for comp, steps in traversals.items()}
+        frame = Frame(scale, {comp: [s.seg for s in steps] for comp, steps in traversals.items()},
+                      balls)
+        cusps = {comp: _find_cusps(steps) for comp, steps in traversals.items()}
         for comp, pts in cusps.items():
             if len(pts) % 2 != 0:
                 raise FrontGeometryError(
@@ -146,6 +169,7 @@ class FrontDiagram:
                 raise FrontGeometryError(f"component {comp!r} is closed in the plane but has no cusps")
         crossings = _find_crossings(traversals, frame)
         object.__setattr__(self, "_traversals", traversals)
+        object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_crossings", tuple(crossings))
         object.__setattr__(self, "_cusps", cusps)
         object.__setattr__(self, "_jumps", jumps)
@@ -162,6 +186,10 @@ class FrontDiagram:
     def knottype(self, comp: str) -> str | None:
         return dict(self.knottypes).get(comp)
 
+    def frame(self) -> Frame:
+        """The diagram's segments and balls as integers over one common denominator."""
+        return self._frame
+
     def crossings(self) -> tuple[Crossing, ...]:
         return self._crossings
 
@@ -169,9 +197,10 @@ class FrontDiagram:
         self._require(comp)
         return len(self._cusps[comp])
 
-    def cusp_points(self, comp: str) -> list[Point]:
+    def cusp_points(self, comp: str) -> list[tuple[Fraction, Fraction]]:
         self._require(comp)
-        return sorted(self._cusps[comp])
+        scale = self._frame.scale
+        return [(Fraction(x, scale), Fraction(y, scale)) for x, y in sorted(self._cusps[comp])]
 
     def handle_passes(self, comp: str) -> int:
         self._require(comp)
@@ -214,16 +243,16 @@ class FrontDiagram:
     def tb_report(self, comp: str) -> dict:
         """Structured tb computation: every crossing sign and cusp listed."""
         self._require(comp)
-        selfx = [
-            c
+        selfx = sorted(
+            (Fraction(x, den), Fraction(y, den), c.sign)
             for c in self._crossings
             if c.over_component == comp and c.under_component == comp
-        ]
-        selfx.sort(key=lambda c: c.point)
+            for x, y, den in [c.point]
+        )
         return {
             "component": comp,
             "crossings": [
-                {"point": [str(c.point[0]), str(c.point[1])], "sign": c.sign} for c in selfx
+                {"point": [str(x), str(y)], "sign": sign} for x, y, sign in selfx
             ],
             "writhe": self.writhe(comp),
             "cusps": [[str(p[0]), str(p[1])] for p in self.cusp_points(comp)],
@@ -234,32 +263,24 @@ class FrontDiagram:
         }
 
 
-# -- exact segment predicates -------------------------------------------------
-
-Segment = tuple[int, int, int, int]  # (px, py, qx, qy), scaled to integers
+# -- the integer frame and exact segment predicates ----------------------------
 
 
-class _Frame(NamedTuple):
-    """A diagram's coordinates as integers over one common denominator `scale`."""
-
-    scale: int
-    segs: dict[str, list[Segment]]  # per component, one per traversal step
-    balls: list[tuple[str, int, int, int]]  # (handle, x, ytop, ybot) per ball
-
-
-def _integer_frame(traversals: dict[str, list[_Step]], balls: tuple[HandleBall, ...]) -> _Frame:
-    """Scale every step endpoint and ball parameter over the lcm of all their denominators."""
-    values = [v for steps in traversals.values() for s in steps for v in (*s.start, *s.end)]
-    values += [v for ball in balls for v in (ball.x, ball.ytop, ball.ybot)]
-    scale = math.lcm(*{v.denominator for v in values})
-    ints = iter([v.numerator * (scale // v.denominator) for v in values])
-    segs = {comp: [(next(ints), next(ints), next(ints), next(ints)) for _ in steps]
-            for comp, steps in traversals.items()}
-    return _Frame(scale, segs, [(ball.handle, *islice(ints, 3)) for ball in balls])
-
-
-def _sub(a: Point, b: Point) -> tuple[Fraction, Fraction]:
-    return (a[0] - b[0], a[1] - b[1])
+def _integer_frame(
+    arcs: tuple[Arc, ...], balls: tuple[HandleBall, ...]
+) -> tuple[int, list[tuple[Point, ...]], list[tuple[str, int, int, int]]]:
+    """The lcm `scale` of every arc's and ball's scale, each arc's points and
+    each ball's (handle, x, ytop, ybot) as integers over it."""
+    scale = math.lcm(*{a.scale for a in arcs}, *{b.scale for b in balls})
+    points = []
+    for arc in arcs:
+        k = scale // arc.scale
+        points.append(arc.points if k == 1 else tuple((x * k, y * k) for x, y in arc.points))
+    framed = []
+    for b in balls:
+        k = scale // b.scale
+        framed.append((b.handle, b.x * k, b.ytop * k, b.ybot * k))
+    return scale, points, framed
 
 
 def _seg_meet(a: Segment, b: Segment):
@@ -305,24 +326,27 @@ def _seg_meet(a: Segment, b: Segment):
 # -- chaining arcs into closed components -------------------------------------
 
 def _chain_components(
-    arcs: tuple[Arc, ...], balls: tuple[HandleBall, ...]
+    arcs: tuple[Arc, ...],
+    scale: int,
+    points: list[tuple[Point, ...]],
+    balls: list[tuple[str, int, int, int]],
 ) -> tuple[dict[str, list[_Step]], dict[str, int]]:
+    """Walk the arcs into one closed traversal per component.
+
+    `points` holds each arc's points and `balls` each ball's (handle, x,
+    ytop, ybot), all as integers over `scale`.
+    """
     if not arcs:
         raise FrontParseError("diagram has no arcs")
-    _validate_balls(arcs, balls)
-
-    ends: list[tuple[int, int]] = []  # (arc index, 0=start 1=end)
-    for i, _ in enumerate(arcs):
-        ends.append((i, 0))
-        ends.append((i, 1))
+    _validate_balls(arcs, scale, points, balls)
 
     def end_point(e: tuple[int, int]) -> Point:
-        arc = arcs[e[0]]
-        return arc.points[0] if e[1] == 0 else arc.points[-1]
+        return points[e[0]][-e[1]]  # e = (arc index, 0 = start or 1 = end)
 
     by_point: dict[Point, list[tuple[int, int]]] = {}
-    for e in ends:
-        by_point.setdefault(end_point(e), []).append(e)
+    for i, pts in enumerate(points):
+        by_point.setdefault(pts[0], []).append((i, 0))
+        by_point.setdefault(pts[-1], []).append((i, 1))
 
     partner: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
     ball_ends: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(balls))}
@@ -333,20 +357,22 @@ def _chain_components(
             partner[b] = (a, False)
         elif len(group) == 1:
             e = group[0]
-            hits = [i for i, ball in enumerate(balls) if ball.contains(pt)]
+            hits = [i for i, ball in enumerate(balls) if _on_ball(pt, ball)]
             if not hits:
                 raise FrontGeometryError(
-                    f"open component: arc end at {_fmt_pt(pt)} matches nothing"
+                    f"open component: arc end at {_fmt_pt(pt, scale)} matches nothing"
                 )
             if len(hits) > 1:
-                raise FrontGeometryError(f"arc end at {_fmt_pt(pt)} lies on two handle balls")
+                raise FrontGeometryError(
+                    f"arc end at {_fmt_pt(pt, scale)} lies on two handle balls"
+                )
             ball_ends[hits[0]].append(e)
         else:
-            raise FrontGeometryError(f"{len(group)} arc ends meet at {_fmt_pt(pt)}")
+            raise FrontGeometryError(f"{len(group)} arc ends meet at {_fmt_pt(pt, scale)}")
 
     pair_of: dict[str, list[int]] = {}
     for i, ball in enumerate(balls):
-        pair_of.setdefault(ball.handle, []).append(i)
+        pair_of.setdefault(ball[0], []).append(i)
     for handle, pair in pair_of.items():
         ia, ib = pair
         left = sorted(ball_ends[ia], key=lambda e: end_point(e)[1], reverse=True)
@@ -379,14 +405,15 @@ def _chain_components(
         entered_by_jump = False
         while True:
             visited[current] = True
-            arc = arcs[current]
-            if arc.component != comp:
+            if arcs[current].component != comp:
                 raise FrontGeometryError(
-                    f"arcs labelled {comp!r} and {arc.component!r} chain into one curve"
+                    f"arcs labelled {comp!r} and {arcs[current].component!r} chain into one curve"
                 )
-            pts = arc.points if forward else tuple(reversed(arc.points))
-            for k, (a, b) in enumerate(zip(pts, pts[1:])):
-                steps.append(_Step(a, b, current, after_jump=(k == 0 and entered_by_jump)))
+            pts = points[current] if forward else points[current][::-1]
+            first = len(steps)
+            steps.extend(_Step(a + b, current, False) for a, b in zip(pts, pts[1:]))
+            if entered_by_jump:
+                steps[first] = steps[first]._replace(after_jump=True)
             exit_end = (current, 1 if forward else 0)
             nxt, via_ball = partner[exit_end]
             if via_ball:
@@ -397,9 +424,7 @@ def _chain_components(
             if current == start and forward:
                 # adjust the recorded entry flag of the first step
                 if entered_by_jump != steps[0].after_jump:
-                    steps[0] = _Step(
-                        steps[0].start, steps[0].end, steps[0].arc_index, entered_by_jump
-                    )
+                    steps[0] = steps[0]._replace(after_jump=entered_by_jump)
                 break
             if visited[current] and not (current == start):
                 raise FrontGeometryError(f"arc chaining of {comp!r} revisits an arc; bad matching")
@@ -413,24 +438,35 @@ def _chain_components(
     return traversals, jumps
 
 
-def _validate_balls(arcs: tuple[Arc, ...], balls: tuple[HandleBall, ...]) -> None:
+def _on_ball(p: Point, ball: tuple[str, int, int, int]) -> bool:
+    _, x, ytop, ybot = ball
+    return p[0] == x and ybot <= p[1] <= ytop
+
+
+def _validate_balls(
+    arcs: tuple[Arc, ...],
+    scale: int,
+    points: list[tuple[Point, ...]],
+    balls: list[tuple[str, int, int, int]],
+) -> None:
     counts: dict[str, int] = {}
     for ball in balls:
-        counts[ball.handle] = counts.get(ball.handle, 0) + 1
+        counts[ball[0]] = counts.get(ball[0], 0) + 1
     for handle, n in counts.items():
         if n != 2:
             raise FrontParseError(f"handle {handle!r} has {n} balls; need exactly 2")
-    for i, b1 in enumerate(balls):
-        for b2 in balls[i + 1 :]:
-            if b1.x == b2.x and not (b1.ytop < b2.ybot or b2.ytop < b1.ybot):
-                raise FrontGeometryError(f"balls of {b1.handle!r} and {b2.handle!r} overlap")
+    for i, (h1, x1, top1, bot1) in enumerate(balls):
+        for h2, x2, top2, bot2 in balls[i + 1 :]:
+            if x1 == x2 and not (top1 < bot2 or top2 < bot1):
+                raise FrontGeometryError(f"balls of {h1!r} and {h2!r} overlap")
     # interior vertices may not sit on balls
-    for arc in arcs:
-        for p in arc.points[1:-1]:
+    for arc, pts in zip(arcs, points):
+        for p in pts[1:-1]:
             for ball in balls:
-                if ball.contains(p):
+                if _on_ball(p, ball):
                     raise FrontGeometryError(
-                        f"interior vertex {_fmt_pt(p)} of {arc.component!r} lies on a handle ball"
+                        f"interior vertex {_fmt_pt(p, scale)} of {arc.component!r} "
+                        "lies on a handle ball"
                     )
 
 
@@ -442,15 +478,15 @@ def _reverse_steps(steps: list[_Step]) -> list[_Step]:
         # after reversal the jump flag belongs to the step that FOLLOWS the jump,
         # which is the reversal of the step that preceded it
         flag = steps[(i + 1) % n].after_jump
-        out.append(_Step(s.end, s.start, s.arc_index, flag))
+        out.append(_Step(s.seg[2:] + s.seg[:2], s.arc_index, flag))
     return out
 
 
-def _find_cusps(steps: list[_Step], segs: list[Segment]) -> list[Point]:
+def _find_cusps(steps: list[_Step]) -> list[Point]:
     """Each step end where the x-direction reverses, unless the next step enters through a ball."""
-    rightward = [px < qx for px, _, qx, _ in segs]
+    rightward = [s.seg[0] < s.seg[2] for s in steps]
     return [
-        s.end
+        s.seg[2:]
         for s, right, nxt, nxt_right in zip(
             steps, rightward, steps[1:] + steps[:1], rightward[1:] + rightward[:1]
         )
@@ -458,12 +494,13 @@ def _find_cusps(steps: list[_Step], segs: list[Segment]) -> list[Point]:
     ]
 
 
-def _find_crossings(traversals: dict[str, list[_Step]], frame: _Frame) -> list[Crossing]:
+def _find_crossings(traversals: dict[str, list[_Step]], frame: Frame) -> list[Crossing]:
     """Every crossing, in order of segment index pairs; a genericity violation raises.
 
     The ball check, the sweep, `_seg_meet` and the triple-point check all
-    work on the integers of `frame`; Fractions are built only for the
-    fields a `Crossing` stores, and a segment's direction only once.
+    work on the integers of `frame`, and so does every field a `Crossing`
+    stores: its point in lowest terms, the integer directions of its two
+    segments and the parameter along each.
     """
     segs = [(comp, i) for comp, steps in traversals.items() for i in range(len(steps))]
     ints = [seg for comp_segs in frame.segs.values() for seg in comp_segs]
@@ -472,20 +509,7 @@ def _find_crossings(traversals: dict[str, list[_Step]], frame: _Frame) -> list[C
             _check_ball_contacts(comp, seg, frame.balls)
 
     scale = frame.scale
-
-    def at(x: int, y: int, den: int) -> Point:
-        return (Fraction(x, den * scale), Fraction(y, den * scale))
-
-    dirs: dict[int, tuple[Fraction, Fraction]] = {}
-
-    def direction(k: int) -> tuple[Fraction, Fraction]:
-        if k not in dirs:
-            px, py, qx, qy = ints[k]
-            dirs[k] = (Fraction(qx - px, scale), Fraction(qy - py, scale))
-        return dirs[k]
-
     crossings: list[Crossing] = []
-    keys: list[tuple[int, int, int]] = []  # each crossing point in lowest terms
     for a, b in _meeting_pairs(ints):
         comp1, i1 = segs[a]
         comp2, i2 = segs[b]
@@ -504,8 +528,9 @@ def _find_crossings(traversals: dict[str, list[_Step]], frame: _Frame) -> list[C
                 f"segments of {comp1!r} and {comp2!r} overlap along a line"
             )
         if kind == "touch":
+            _, x, y, den = result
             raise FrontGeometryError(
-                f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt(at(*result[1:]))}; "
+                f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt((x, y), den * scale)}; "
                 "perturb the diagram"
             )
         _, t, u, x, y, den = result
@@ -514,29 +539,28 @@ def _find_crossings(traversals: dict[str, list[_Step]], frame: _Frame) -> list[C
         d1, d2 = (qx - px, qy - py), (sx - rx, sy - ry)
         # the over strand has the smaller slope; "cross" means the slopes differ
         if (d1[1] * d2[0] - d2[1] * d1[0]) * d1[0] * d2[0] < 0:
-            over, under = (comp1, i1, t, d1, a), (comp2, i2, u, d2, b)
+            over, under = (comp1, i1, t, d1), (comp2, i2, u, d2)
         else:
-            over, under = (comp2, i2, u, d2, b), (comp1, i1, t, d1, a)
+            over, under = (comp2, i2, u, d2), (comp1, i1, t, d1)
         odir, udir = over[3], under[3]
+        g = math.gcd(x, y, den * scale)
         crossings.append(
             Crossing(
-                point=at(x, y, den),
+                point=(x // g, y // g, den * scale // g),
                 over_component=over[0],
                 under_component=under[0],
-                over_dir=direction(over[4]),
-                under_dir=direction(under[4]),
+                over_dir=odir,
+                under_dir=udir,
                 sign=1 if odir[0] * udir[1] - odir[1] * udir[0] > 0 else -1,
-                over_at=(over[0], over[1], Fraction(over[2], den)),
-                under_at=(under[0], under[1], Fraction(under[2], den)),
+                over_at=(over[0], over[1], over[2], den),
+                under_at=(under[0], under[1], under[2], den),
             )
         )
-        g = math.gcd(x, y, den)
-        keys.append((x // g, y // g, den // g))
 
-    repeats = Counter(keys)
-    for c, key in zip(crossings, keys):
-        if repeats[key] > 1:
-            raise FrontGeometryError(f"triple point at {_fmt_pt(c.point)}")
+    repeats = Counter(c.point for c in crossings)
+    for c in crossings:
+        if repeats[c.point] > 1:
+            raise FrontGeometryError(f"triple point at {_fmt_pt(c.point[:2], c.point[2])}")
     return crossings
 
 
@@ -545,24 +569,31 @@ def _meeting_pairs(ints: list[Segment]) -> list[tuple[int, int]]:
 
     A sweep over the integer segments sorted by left x pairs each one with
     the later ones whose left x is at most its right x, so a shared x still
-    counts.  An integer orientation test then drops a pair when both ends of
-    one segment lie strictly on one side of the other's line.  Every dropped
-    pair is one that `_seg_meet` classifies as "none".
+    counts.  A candidate whose y-extent is disjoint from the segment's is
+    dropped first: two segments that meet, or are collinear and share an x,
+    share a y as well.  Integer orientation tests then drop a pair when both
+    ends of one segment lie strictly on one side of the other's line, each
+    line written as dx * y - dy * x = c.  Every dropped pair is one that
+    `_seg_meet` classifies as "none".
     """
-    segs: list[tuple[int, int, int, int, int]] = []
+    segs = []
     for k, (px, py, qx, qy) in enumerate(ints):
-        segs.append((px, py, qx, qy, k) if px < qx else (qx, qy, px, py, k))
+        if px > qx:
+            px, py, qx, qy = qx, qy, px, py
+        dx, dy = qx - px, qy - py
+        lo, hi = (py, qy) if py < qy else (qy, py)
+        segs.append((px, qx, lo, hi, py, qy, dx, dy, dx * py - dy * px, k))
     segs.sort()
     pairs: list[tuple[int, int]] = []
-    for n, (px, py, qx, qy, a) in enumerate(segs):
-        dx, dy = qx - px, qy - py
-        for rx, ry, sx, sy, b in islice(segs, n + 1, None):
+    for n, (px, qx, lo, hi, py, qy, dx, dy, c, a) in enumerate(segs):
+        for rx, sx, rlo, rhi, ry, sy, ex, ey, e, b in islice(segs, n + 1, None):
             if rx > qx:
                 break
-            if (dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) > 0:
+            if rlo > hi or rhi < lo:
                 continue
-            ex, ey = sx - rx, sy - ry
-            if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) > 0:
+            if (dx * ry - dy * rx - c) * (dx * sy - dy * sx - c) > 0:
+                continue
+            if (ex * py - ey * px - e) * (ex * qy - ey * qx - e) > 0:
                 continue
             pairs.append((a, b) if a < b else (b, a))
     pairs.sort()
@@ -595,7 +626,8 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     sign +1 bulges the zigzag toward +y, -1 toward -y.  The insertion site
     is deterministic: the first traversal segment, in its largest
     crossing-free window, with the zigzag shrunk until the diagram stays
-    generic.
+    generic.  The four zigzag points are placed in Fractions and the arc
+    that receives them is rescaled to the lcm of their denominators.
     """
     if sign not in (1, -1):
         raise ValueError("stabilization sign must be +1 or -1")
@@ -604,7 +636,7 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     seg_index = 0
     step = steps[seg_index]
     params = sorted(
-        at[2]
+        Fraction(at[2], at[3])
         for c in d._crossings
         for at in (c.over_at, c.under_at)
         if at[0] == comp and at[1] == seg_index
@@ -619,30 +651,38 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     arc = d.arcs[step.arc_index]
     # locate the stored segment matching this step (traversal may run it
     # backwards when the component is negatively oriented)
-    stored = None
-    for k, (a, b) in enumerate(zip(arc.points, arc.points[1:])):
-        if (a, b) == (step.start, step.end) or (b, a) == (step.start, step.end):
-            stored = k
+    k = d._frame.scale // arc.scale
+    stored = forward = None
+    for i, (a, b) in enumerate(zip(arc.points, arc.points[1:])):
+        seg = (a[0] * k, a[1] * k, b[0] * k, b[1] * k)
+        if step.seg in (seg, seg[2:] + seg[:2]):
+            stored, forward = i, step.seg == seg
             break
     assert stored is not None, "traversal step lost its arc segment"
-    a, b = arc.points[stored], arc.points[stored + 1]
+    a, b = ((Fraction(x, arc.scale), Fraction(y, arc.scale))
+            for x, y in arc.points[stored : stored + 2])
+    # the arc's coordinates as ratios, and where the zigzag's four points go
+    ratios = [(v, arc.scale) for p in arc.points for v in p]
+    cut = 2 * stored + 2
 
     for attempt in range(80):
         w = width / (2**attempt)
         h = w * abs(b[0] - a[0]) / (2 ** (attempt + 1))
         t1, t2 = mid - w / 2, mid + w / 2
-        if (a, b) == (step.start, step.end):
+        if forward:
             s1, s2 = t1, t2
         else:
             s1, s2 = 1 - t2, 1 - t1
         m1 = _lerp(a, b, s1)
         m2 = _lerp(a, b, s2)
-        dxy = _sub(m2, m1)
-        za = (m1[0] + Fraction(3, 4) * dxy[0], m1[1] + Fraction(3, 4) * dxy[1] + sign * h)
-        zb = (m1[0] + Fraction(1, 4) * dxy[0], m1[1] + Fraction(1, 4) * dxy[1] - sign * h)
-        new_points = arc.points[: stored + 1] + (m1, za, zb, m2) + arc.points[stored + 1 :]
+        dx, dy = m2[0] - m1[0], m2[1] - m1[1]
+        za = (m1[0] + Fraction(3, 4) * dx, m1[1] + Fraction(3, 4) * dy + sign * h)
+        zb = (m1[0] + Fraction(1, 4) * dx, m1[1] + Fraction(1, 4) * dy - sign * h)
+        zigzag = [v.as_integer_ratio() for p in (m1, za, zb, m2) for v in p]
         arcs = list(d.arcs)
-        arcs[step.arc_index] = Arc(arc.component, new_points)
+        arcs[step.arc_index] = Arc(
+            arc.component, *_points_over_lcm(ratios[:cut] + zigzag + ratios[cut:])
+        )
         try:
             candidate = FrontDiagram(tuple(arcs), d.balls, d.orientations, d.knottypes)
         except FrontError:
@@ -655,14 +695,20 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     raise FrontGeometryError(f"could not fit a zigzag on component {comp!r}")
 
 
-def _lerp(a: Point, b: Point, t: Fraction) -> Point:
+def _lerp(a, b, t: Fraction) -> tuple[Fraction, Fraction]:
     return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 # -- parsing and serialization ------------------------------------------------
 
-def _fmt_pt(p: Point) -> str:
-    return f"({p[0]},{p[1]})"
+def fmt_ratio(n: int, d: int) -> str:
+    """The rational n/d (d > 0) spelled as str(Fraction(n, d)) spells it."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _fmt_pt(p: Point, scale: int) -> str:
+    return f"({fmt_ratio(p[0], scale)},{fmt_ratio(p[1], scale)})"
 
 
 def _plain(tok: str) -> bool:
@@ -683,12 +729,12 @@ def parse_int(tok: str) -> int:
     return int(tok)
 
 
-def parse_rational(tok: str, line: int | None = None) -> Fraction:
-    """Fraction(tok) for a plain spelling without an exponent: `1e1000000`
-    is seven characters, but Fraction would build its million digits.
+def parse_ratio(tok: str, line: int | None = None) -> tuple[int, int]:
+    """The rational tok spells, as (numerator, denominator > 0) in lowest terms.
 
-    The value is built from the integers the token spells, as Fraction
-    would build it, without calling Fraction(str)."""
+    Takes what Fraction(tok) takes, less digit separators, non-ASCII digits
+    and exponents (`1e1000000` is seven characters, but Fraction would
+    build its million digits), and builds no Fraction."""
     m = _RATIONAL.match(tok) if tok.isascii() else None
     if m is None:
         if not _plain(tok):
@@ -706,11 +752,23 @@ def parse_rational(tok: str, line: int | None = None) -> Fraction:
         elif decimal:
             d = 10 ** len(decimal)
             n = n * d + int(decimal)
-        if sign == "-":
-            n = -n
-        return Fraction(n) if d == 1 else Fraction(n, d)
-    except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
+    except ValueError as exc:  # too many digits
         raise FrontParseError(f"bad rational {tok!r}: {exc}", line)
+    if sign == "-":
+        n = -n
+    if d == 0:  # Fraction's own words for it
+        raise FrontParseError(f"bad rational {tok!r}: Fraction({n}, 0)", line)
+    if d != 1:
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    return n, d
+
+
+def _points_over_lcm(ratios: list[tuple[int, int]]) -> tuple[tuple[Point, ...], int]:
+    """Coordinates given as ratios x0, y0, x1, y1, ... as points over their lcm, and the lcm."""
+    scale = math.lcm(*{d for _, d in ratios})
+    ints = iter([n * (scale // d) for n, d in ratios] if scale != 1 else [n for n, _ in ratios])
+    return tuple(zip(ints, ints)), scale
 
 
 class FrontBuilder:
@@ -721,6 +779,7 @@ class FrontBuilder:
         self.balls: list[HandleBall] = []
         self.orientations: list[tuple[str, int]] = []
         self.knottypes: list[tuple[str, str]] = []
+        self.segments = 0
 
     def statement(self, text: str, line: int) -> bool:
         """Consume one front-grammar line; False if the keyword is foreign."""
@@ -730,31 +789,39 @@ class FrontBuilder:
             name = name.strip()
             if not name:
                 raise FrontParseError("arc needs a component id", line)
-            self.arcs.append(Arc(name, _parse_points(pts, line)))
+            arc = Arc(name, *_parse_points(pts, line))
+            self.segments = _count_segments(self.segments, arc, line)
+            self.arcs.append(arc)
             return True
         if head == "handle":
             name, _, params = rest.partition(":")
             name = name.strip()
-            vals: dict[str, Fraction] = {}
+            vals: dict[str, tuple[int, int]] = {}
             for tok in params.split():
                 key, _, val = tok.partition("=")
                 if key not in ("x", "ytop", "ybot") or not val:
                     raise FrontParseError(f"bad handle parameter {tok!r}", line)
-                vals[key] = parse_rational(val, line)
+                if key in vals:
+                    raise FrontParseError(f"handle parameter {key}= given twice", line)
+                vals[key] = parse_ratio(val, line)
             if set(vals) != {"x", "ytop", "ybot"}:
                 raise FrontParseError("handle needs x=, ytop= and ybot=", line)
-            self.balls.append(HandleBall(name, vals["x"], vals["ytop"], vals["ybot"]))
+            self.balls.append(_ball(name, vals["x"], vals["ytop"], vals["ybot"]))
             return True
         if head == "orient":
             parts = rest.split()
             if len(parts) != 2 or parts[1] not in ("+", "-"):
                 raise FrontParseError("usage: orient <component> +|-", line)
+            if any(comp == parts[0] for comp, _ in self.orientations):
+                raise FrontParseError(f"second orient line for {parts[0]!r}", line)
             self.orientations.append((parts[0], 1 if parts[1] == "+" else -1))
             return True
         if head == "knottype":
             parts = rest.split()
             if len(parts) != 2:
                 raise FrontParseError("usage: knottype <component> <name>", line)
+            if any(comp == parts[0] for comp, _ in self.knottypes):
+                raise FrontParseError(f"second knottype line for {parts[0]!r}", line)
             self.knottypes.append((parts[0], parts[1]))
             return True
         return False
@@ -773,18 +840,36 @@ class FrontBuilder:
             raise FrontGeometryError(str(exc))
 
 
-def _parse_points(text: str, line: int) -> tuple[Point, ...]:
-    pts: list[Point] = []
+def _count_segments(total: int, arc: Arc, line: int | None = None) -> int:
+    """total plus the arc's segments; more than MAX_SEGMENTS raises."""
+    total += len(arc.points) - 1
+    if total > MAX_SEGMENTS:
+        raise FrontParseError(
+            f"too many segments: a front has at most {MAX_SEGMENTS} segments", line
+        )
+    return total
+
+
+def _ball(handle: str, *ratios: tuple[int, int]) -> HandleBall:
+    """A ball from its x, ytop and ybot given as ratios (n, d)."""
+    scale = math.lcm(*(d for _, d in ratios))
+    return HandleBall(handle, *(n * (scale // d) for n, d in ratios), scale)
+
+
+def _parse_points(text: str, line: int) -> tuple[tuple[Point, ...], int]:
+    """The tokens `(x,y) ...` as points over the lcm of their denominators, and that lcm."""
+    ratios: list[tuple[int, int]] = []
     for tok in text.split():
         if not (tok.startswith("(") and tok.endswith(")")):
             raise FrontParseError(f"expected (x,y), got {tok!r}", line)
         x, comma, y = tok[1:-1].partition(",")
         if not comma:
             raise FrontParseError(f"expected (x,y), got {tok!r}", line)
-        pts.append((parse_rational(x, line), parse_rational(y, line)))
-    if not pts:
+        ratios.append(parse_ratio(x, line))
+        ratios.append(parse_ratio(y, line))
+    if not ratios:
         raise FrontParseError("arc has no points", line)
-    return tuple(pts)
+    return _points_over_lcm(ratios)
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -800,7 +885,7 @@ def parse_front(text: str) -> FrontDiagram:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            # numbers with a fraction part stay strings, for parse_rational
+            # numbers with a fraction part stay strings, for parse_ratio
             doc = json.loads(text, parse_float=str)
         except ValueError as exc:  # also an integer too long to convert
             raise FrontParseError(f"not valid JSON: {exc}") from None
@@ -819,31 +904,25 @@ def parse_front(text: str) -> FrontDiagram:
 def front_from_doc(doc: dict) -> FrontDiagram:
     """Diagram from its JSON document; a missing or ill-typed field is a FrontParseError."""
     try:
-        arcs = tuple(
-            Arc(
-                a["component"],
-                tuple((parse_rational(str(x)), parse_rational(str(y))) for x, y in a["points"]),
-            )
-            for a in doc.get("arcs", [])
-        )
+        arcs: list[Arc] = []
+        segments = 0
+        for a in doc.get("arcs", []):
+            ratios = [parse_ratio(str(v)) for x, y in a["points"] for v in (x, y)]
+            arc = Arc(a["component"], *_points_over_lcm(ratios))
+            segments = _count_segments(segments, arc)
+            arcs.append(arc)
         balls: list[HandleBall] = []
         for h in doc.get("handles", []):
             for ball in h["balls"]:
-                balls.append(
-                    HandleBall(
-                        h["id"],
-                        parse_rational(str(ball["x"])),
-                        parse_rational(str(ball["ytop"])),
-                        parse_rational(str(ball["ybot"])),
-                    )
-                )
+                ratios = [parse_ratio(str(ball[k])) for k in ("x", "ytop", "ybot")]
+                balls.append(_ball(h["id"], *ratios))
         orient = doc.get("orient", {})
         for comp, s in orient.items():
             if s not in ("+", "-"):
                 raise FrontParseError(f"orientation {s!r} of {comp!r} is not '+' or '-'")
         orientations = tuple((comp, 1 if s == "+" else -1) for comp, s in orient.items())
         knottypes = tuple(doc.get("knottypes", {}).items())
-        return FrontDiagram(arcs, tuple(balls), orientations, knottypes)
+        return FrontDiagram(tuple(arcs), tuple(balls), orientations, knottypes)
     except FrontError:
         raise
     except KeyError as exc:
@@ -852,15 +931,18 @@ def front_from_doc(doc: dict) -> FrontDiagram:
         raise FrontParseError(f"front document has an ill-typed field: {exc}") from None
 
 
+def _spelled(pts: Iterable[Point], scale: int) -> list[tuple[str, str]]:
+    return [(fmt_ratio(x, scale), fmt_ratio(y, scale)) for x, y in pts]
+
+
 def front_to_doc(d: FrontDiagram) -> dict:
     handles: dict[str, list[dict]] = {}
     for ball in d.balls:
-        handles.setdefault(ball.handle, []).append(
-            {"x": str(ball.x), "ytop": str(ball.ytop), "ybot": str(ball.ybot)}
-        )
+        x, ytop, ybot = (fmt_ratio(v, ball.scale) for v in (ball.x, ball.ytop, ball.ybot))
+        handles.setdefault(ball.handle, []).append({"x": x, "ytop": ytop, "ybot": ybot})
     return {
         "arcs": [
-            {"component": a.component, "points": [[str(x), str(y)] for x, y in a.points]}
+            {"component": a.component, "points": [list(p) for p in _spelled(a.points, a.scale)]}
             for a in d.arcs
         ],
         "handles": [{"id": name, "balls": balls} for name, balls in handles.items()],
@@ -872,10 +954,11 @@ def front_to_doc(d: FrontDiagram) -> dict:
 def front_to_text(d: FrontDiagram) -> str:
     lines: list[str] = []
     for a in d.arcs:
-        pts = " ".join(_fmt_pt(p) for p in a.points)
+        pts = " ".join(f"({x},{y})" for x, y in _spelled(a.points, a.scale))
         lines.append(f"arc {a.component} : {pts}")
     for ball in d.balls:
-        lines.append(f"handle {ball.handle} : x={ball.x} ytop={ball.ytop} ybot={ball.ybot}")
+        x, ytop, ybot = (fmt_ratio(v, ball.scale) for v in (ball.x, ball.ytop, ball.ybot))
+        lines.append(f"handle {ball.handle} : x={x} ytop={ytop} ybot={ybot}")
     for comp, s in d.orientations:
         lines.append(f"orient {comp} {'+' if s == 1 else '-'}")
     for comp, name in d.knottypes:

@@ -18,8 +18,8 @@ dot-to-zero surgery substitution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import front as front_mod
@@ -42,13 +42,22 @@ class KirbyError(ValueError):
 
 @dataclass(frozen=True)
 class Involution:
+    """The half-turn about (cx, cy), integers over `scale`, exchanging comp1 and comp2."""
+
     comp1: str
     comp2: str
-    cx: Fraction
-    cy: Fraction
+    cx: int
+    cy: int
+    scale: int = 1
 
-    def apply(self, p: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        return (2 * self.cx - p[0], 2 * self.cy - p[1])
+    def spelled_centre(self) -> tuple[str, str]:
+        return front_mod.fmt_ratio(self.cx, self.scale), front_mod.fmt_ratio(self.cy, self.scale)
+
+
+def _involution(comp1: str, comp2: str, cx: tuple[int, int], cy: tuple[int, int]) -> Involution:
+    """An Involution from its centre's coordinates given as ratios (n, d)."""
+    scale = math.lcm(cx[1], cy[1])
+    return Involution(comp1, comp2, cx[0] * (scale // cx[1]), cy[0] * (scale // cy[1]), scale)
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,7 @@ def parse_kirby(text: str) -> KirbyDiagram:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            # numbers with a fraction part stay strings, for parse_rational
+            # numbers with a fraction part stay strings, for parse_ratio
             doc = json.loads(text, parse_float=str)
         except ValueError as exc:  # also an integer too long to convert
             raise KirbyError(f"not valid JSON: {exc}") from None
@@ -182,16 +191,20 @@ def parse_kirby(text: str) -> KirbyDiagram:
                 raise FrontParseError(
                     "usage: involution <c1> <c2> : rot180 <cx> <cy>", lineno
                 )
-            involution = Involution(
+            if involution is not None:
+                raise FrontParseError("second involution line", lineno)
+            involution = _involution(
                 names[0],
                 names[1],
-                front_mod.parse_rational(toks[1], lineno),
-                front_mod.parse_rational(toks[2], lineno),
+                front_mod.parse_ratio(toks[1], lineno),
+                front_mod.parse_ratio(toks[2], lineno),
             )
         elif head == "stein":
             saw_stein = True
             inner_head, _, inner_rest = rest.strip().partition(" ")
             if inner_head == "component":
+                if stein_component is not None:
+                    raise FrontParseError("second stein component line", lineno)
                 stein_component = inner_rest.strip()
                 if not stein_component:
                     raise FrontParseError("stein component needs an id", lineno)
@@ -217,11 +230,11 @@ def kirby_from_doc(doc: dict) -> KirbyDiagram:
         involution = None
         if doc.get("involution"):
             iv = doc["involution"]
-            involution = Involution(
+            involution = _involution(
                 iv["components"][0],
                 iv["components"][1],
-                front_mod.parse_rational(str(iv["center"][0])),
-                front_mod.parse_rational(str(iv["center"][1])),
+                front_mod.parse_ratio(str(iv["center"][0])),
+                front_mod.parse_ratio(str(iv["center"][1])),
             )
         frames = tuple(doc.get("frames", {}).items())
         for c, k in frames:
@@ -257,7 +270,7 @@ def kirby_to_doc(d: KirbyDiagram) -> dict:
     if d.involution:
         doc["involution"] = {
             "components": [d.involution.comp1, d.involution.comp2],
-            "center": [str(d.involution.cx), str(d.involution.cy)],
+            "center": list(d.involution.spelled_centre()),
         }
     else:
         doc["involution"] = None
@@ -279,7 +292,8 @@ def kirby_to_text(d: KirbyDiagram) -> str:
         lines.append(f"frame {c} {k}")
     if d.involution:
         iv = d.involution
-        lines.append(f"involution {iv.comp1} {iv.comp2} : rot180 {iv.cx} {iv.cy}")
+        cx, cy = iv.spelled_centre()
+        lines.append(f"involution {iv.comp1} {iv.comp2} : rot180 {cx} {cy}")
     if d.stein_front is not None:
         for raw in front_mod.front_to_text(d.stein_front).splitlines():
             lines.append(f"stein {raw}")
@@ -290,44 +304,40 @@ def kirby_to_text(d: KirbyDiagram) -> str:
 # -- involution check ---------------------------------------------------------
 
 
-def _segment_set(d: FrontDiagram, comp: str) -> set[frozenset]:
-    segs = set()
-    for arc in d.arcs:
-        if arc.component != comp:
-            continue
-        for a, b in zip(arc.points, arc.points[1:]):
-            segs.add(frozenset((a, b)))
-    return segs
+def _unordered(segs: list[front_mod.Segment]) -> set[front_mod.Segment]:
+    """Each segment with its left end first (no front segment is vertical)."""
+    return {(px, py, qx, qy) if px < qx else (qx, qy, px, py) for px, py, qx, qy in segs}
 
 
 def involution_verified(d: KirbyDiagram) -> tuple[bool, str]:
     """Check that the declared half-turn exchanges the two named components.
 
-    The check is exact set arithmetic: the point reflection must carry
-    the segment set of one component onto the other's, and must preserve
-    the handle balls.  A half-turn is its own inverse, so it then carries
-    the second component back onto the first as well.
+    The check is exact set arithmetic on the front's frame integers: the
+    point reflection p -> 2c - p must carry the segment set of one
+    component onto the other's, and must preserve the handle balls.  With
+    2c not a frame point it carries no frame point onto one.  A half-turn
+    is its own inverse, so it then carries the second component back onto
+    the first as well.
     """
     if d.involution is None:
         return False, "no involution declared"
     iv = d.involution
-    s1 = _segment_set(d.front, iv.comp1)
-    s2 = _segment_set(d.front, iv.comp2)
-    mapped = {frozenset(iv.apply(p) for p in seg) for seg in s1}
-    if mapped != s2:
+    cx, cy = iv.spelled_centre()
+    frame = d.front.frame()
+    # 2c in the frame's integers
+    tx, rx = divmod(2 * iv.cx * frame.scale, iv.scale)
+    ty, ry = divmod(2 * iv.cy * frame.scale, iv.scale)
+    # a left-to-right segment pq turns into the left-to-right segment (2c - q)(2c - p)
+    mapped = {(tx - qx, ty - qy, tx - px, ty - py)
+              for px, py, qx, qy in _unordered(frame.segs[iv.comp1])}
+    if rx or ry or mapped != _unordered(frame.segs[iv.comp2]):
         return False, (
-            f"half-turn about ({iv.cx}, {iv.cy}) does not carry {iv.comp1!r} "
-            f"onto {iv.comp2!r}"
+            f"half-turn about ({cx}, {cy}) does not carry {iv.comp1!r} onto {iv.comp2!r}"
         )
-    balls = {(b.x, b.ytop, b.ybot) for b in d.front.balls}
-    mapped_balls = set()
-    for x, ytop, ybot in balls:
-        nx, nyb = iv.apply((x, ytop))
-        _, nyt = iv.apply((x, ybot))
-        mapped_balls.add((nx, nyt, nyb))
-    if mapped_balls != balls:
+    balls = {(x, ytop, ybot) for _, x, ytop, ybot in frame.balls}
+    if {(tx - x, ty - ybot, ty - ytop) for x, ytop, ybot in balls} != balls:
         return False, "half-turn does not preserve the handle balls"
-    return True, f"half-turn about ({iv.cx}, {iv.cy}) exchanges the two components"
+    return True, f"half-turn about ({cx}, {cy}) exchanges the two components"
 
 
 # -- linking data and homology -----------------------------------------------
@@ -669,9 +679,13 @@ class InflationSpec:
 def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
     base = Path(base_dir)
     fields: dict = {}
+    seen: set[str] = set()  # every statement of a spec is single-valued
     for lineno, line in front_mod.numbered_lines(text):
         head, _, rest = line.partition(" ")
         parts = rest.split()
+        if head in seen:
+            raise FrontParseError(f"second {head} line", lineno)
+        seen.add(head)
         if head == "knot":
             if len(parts) != 1:
                 raise FrontParseError("usage: knot <name>", lineno)
@@ -734,67 +748,39 @@ def linked_handle_pair(n: int) -> KirbyDiagram:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    big = Fraction(2 * n + 2)
+    big = 2 * n + 2
     arcs: list[front_mod.Arc] = [
-        front_mod.Arc(
-            "K1", ((Fraction(0), -big), (Fraction(-3), Fraction(0)), (Fraction(0), big))
-        ),
-        front_mod.Arc(
-            "K1", ((Fraction(0), big), (Fraction(3), Fraction(0)), (Fraction(0), -big))
-        ),
+        front_mod.Arc("K1", ((0, -big), (-3, 0), (0, big))),
+        front_mod.Arc("K1", ((0, big), (3, 0), (0, -big))),
     ]
     if n == 0:
-        arcs.append(
-            front_mod.Arc(
-                "K2",
-                (
-                    (Fraction(10), Fraction(0)),
-                    (Fraction(14), Fraction(2)),
-                    (Fraction(18), Fraction(0)),
-                ),
-            )
-        )
-        arcs.append(
-            front_mod.Arc(
-                "K2",
-                (
-                    (Fraction(18), Fraction(0)),
-                    (Fraction(14), Fraction(-2)),
-                    (Fraction(10), Fraction(0)),
-                ),
-            )
-        )
+        arcs.append(front_mod.Arc("K2", ((10, 0), (14, 2), (18, 0))))
+        arcs.append(front_mod.Arc("K2", ((18, 0), (14, -2), (10, 0))))
     else:
         # Horizontal passes through the lens at descending heights; the
         # wrap between pass i and pass i+1 nests under the lens, widest
         # and deepest for i = 0.  The closing return dives just right of
         # the passes, runs below everything, climbs outside every wrap,
-        # and comes back level with the top pass.
-        heights = [Fraction(-4 * i - 3, 2) for i in range(n)]
-        points: list[tuple[Fraction, Fraction]] = []
+        # and comes back level with the top pass.  The heights are
+        # half-integers, so K2's points are integers over 2.
+        heights = [-4 * i - 3 for i in range(n)]
+        points: list[tuple[int, int]] = []
         for i in range(n - 1):
-            width = Fraction(8 + 2 * (n - 2 - i))
-            depth = -big - 2 - 2 * (n - 2 - i)
-            points.extend(
-                [
-                    (Fraction(-6), heights[i]),
-                    (Fraction(6), heights[i]),
-                    (width, depth),
-                    (-width, depth),
-                ]
-            )
-        deep = Fraction(-4 * n - 2)
+            width = 2 * (8 + 2 * (n - 2 - i))
+            depth = 2 * (-big - 2 - 2 * (n - 2 - i))
+            points.extend([(-12, heights[i]), (12, heights[i]), (width, depth), (-width, depth)])
+        deep = 2 * (-4 * n - 2)
         points.extend(
             [
-                (Fraction(-6), heights[n - 1]),
-                (Fraction(6), heights[n - 1]),
-                (Fraction(7), deep),
-                (Fraction(-2 * n - 7), deep),
-                (Fraction(-2 * n - 6), heights[0]),
-                (Fraction(-6), heights[0]),
+                (-12, heights[n - 1]),
+                (12, heights[n - 1]),
+                (14, deep),
+                (2 * (-2 * n - 7), deep),
+                (2 * (-2 * n - 6), heights[0]),
+                (-12, heights[0]),
             ]
         )
-        arcs.append(front_mod.Arc("K2", tuple(points)))
+        arcs.append(front_mod.Arc("K2", tuple(points), 2))
     fr = FrontDiagram(tuple(arcs), (), (("K1", 1), ("K2", 1)), ())
     lk = fr.linking_number("K1", "K2")
     if abs(lk) != n:

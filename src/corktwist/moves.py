@@ -31,12 +31,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
 from . import front as front_mod
 
-Vec = tuple[Fraction, Fraction]
+Vec = tuple[int, int]  # a segment direction in a front's frame integers
 
 # the unknot search's state budget and recorded seed when a caller gives none
 DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
@@ -413,6 +412,14 @@ class Shadow:
 # -- building the shadow from a front ----------------------------------------
 
 
+def _strand_order(v, w) -> int:
+    """Order two visits by segment index, then by parameter t/den, cross-multiplied."""
+    (i, t, d), (j, u, e) = v[0], w[0]
+    if i != j:
+        return -1 if i < j else 1
+    return (t * e > u * d) - (t * e < u * d)
+
+
 def shadow_of_component(d: front_mod.FrontDiagram, comp: str) -> Shadow:
     crossings = [
         c
@@ -421,11 +428,12 @@ def shadow_of_component(d: front_mod.FrontDiagram, comp: str) -> Shadow:
     ]
     if not crossings:
         return Shadow({}, {})
-    visits: list[tuple[tuple[int, Fraction], int, str]] = []
+    # each visit's place along the strand is (segment index, t, den): parameter t/den
+    visits: list[tuple[tuple[int, int, int], int, str]] = []
     for i, c in enumerate(crossings):
-        visits.append(((c.over_at[1], c.over_at[2]), i, "over"))
-        visits.append(((c.under_at[1], c.under_at[2]), i, "under"))
-    visits.sort(key=lambda v: v[0])
+        visits.append((c.over_at[1:], i, "over"))
+        visits.append((c.under_at[1:], i, "under"))
+    visits.sort(key=cmp_to_key(_strand_order))
 
     vertices: dict[int, _Vertex] = {}
     dart_ids: dict[tuple[int, str, str], int] = {}

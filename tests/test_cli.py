@@ -174,6 +174,67 @@ def test_genus_at_the_limit_is_accepted(tmp_path):
     assert fillings.parse_palf(palf.read_text()).page_genus == mcg.MAX_GENUS
 
 
+def _sawtooth(segments, comp="K"):
+    """Arcs of a closed unknot with `segments` segments: a rising sawtooth and a
+    two-segment return below it, no crossings, two cusps."""
+    n = segments - 2
+    teeth = [(i, i % 2) for i in range(n + 1)]
+    back = [(n, n % 2), (n // 2, -5), (0, 0)]
+    return [(comp, teeth), (comp, back)]
+
+
+def _front_text(arcs, prefix=""):
+    return "".join(f"{prefix}arc {c} : " + " ".join(f"({x},{y})" for x, y in pts) + "\n"
+                   for c, pts in arcs)
+
+
+def _front_json(arcs):
+    return {"arcs": [{"component": c, "points": [list(p) for p in pts]} for c, pts in arcs]}
+
+
+LENS = [("L", [(0, 0), (4, 2), (8, 0)]), ("L", [(8, 0), (4, -2), (0, 0)])]
+
+
+@pytest.mark.parametrize("site", ["front", "front-json", "kirby", "kirby-stein",
+                                  "kirby-json", "kirby-json-stein"])
+def test_segment_count_above_the_limit_exits_2_before_the_sweep(tmp_path, monkeypatch, site):
+    def no_sweep(ints):
+        raise AssertionError(f"swept {len(ints)} segments past the segment limit")
+
+    big = _sawtooth(front.MAX_SEGMENTS + 1)
+    if site == "front":
+        text, argv = _front_text(big), ["tb"]
+    elif site == "front-json":
+        text, argv = json.dumps(_front_json(big)), ["tb"]
+    elif site == "kirby":
+        text, argv = _front_text(big) + "dot K\n", ["homology"]
+    elif site == "kirby-stein":
+        text = (_front_text(LENS) + "dot L\n" + _front_text(big, "stein ")
+                + "stein component K\n")
+        argv = ["homology"]
+    elif site == "kirby-json":
+        text, argv = json.dumps({"front": _front_json(big), "dots": ["K"]}), ["homology"]
+    else:
+        text = json.dumps({"front": _front_json(LENS), "dots": ["L"],
+                           "stein": {"front": _front_json(big), "component": "K"}})
+        argv = ["homology"]
+    path = tmp_path / "big"
+    path.write_text(text)
+    monkeypatch.setattr(front, "_meeting_pairs", no_sweep)
+    code, out, err = run(argv + [str(path)])
+    assert code == 2, site
+    assert out == ""
+    assert err.startswith("error:") and f"at most {front.MAX_SEGMENTS} segments" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_segment_count_at_the_limit_is_accepted():
+    assert front.MAX_SEGMENTS == 4096
+    d = front.parse_front(_front_text(_sawtooth(front.MAX_SEGMENTS)))
+    assert sum(len(a.points) - 1 for a in d.arcs) == front.MAX_SEGMENTS
+    assert (d.tb("K"), d.crossings()) == (-1, ())
+
+
 def test_genus_flag_belongs_to_mcg_only(fixtures):
     code, out, err = run(["fill", str(fixtures / "mazur.palf"), "--genus", "5"])
     assert code == 2
@@ -736,6 +797,49 @@ def test_numbers_in_files_must_be_plain_ascii(fixtures, tmp_path, name, old, bad
     assert out == ""
     [token] = set(re.split(r"[ (,)]", bad)) - set(re.split(r"[ (,)]", old))
     assert err.startswith("error:") and token in err
+    assert len(err.splitlines()) == 1
+
+
+# a statement that sets one value may appear once; a second one would
+# silently replace the first
+@pytest.mark.parametrize("name, old, new, argv", [
+    ("lens.front", "orient U +\n", "orient U +\norient U -\n", ["tb"]),
+    ("lens.front", "knottype U unknot\n", "knottype U unknot\nknottype U right_trefoil\n",
+     ["tb"]),
+    ("trefoil_handle.front", "handle h1 : x=0 ", "handle h1 : x=0 x=20 ", ["tb"]),
+    ("mazur.kirby", "rot180 6 0\n", "rot180 6 0\ninvolution K1 K2 : rot180 7 0\n",
+     ["admissible"]),
+    ("mazur.kirby", "stein component K2\n", "stein component K2\nstein component K2\n",
+     ["admissible"]),
+    ("trefoil_inflation.spec", "knot right_trefoil\n",
+     "knot right_trefoil\nknot right_trefoil\n", None),
+    ("trefoil_inflation.spec", "framing 1\n", "framing 1\nframing 5\n", None),
+    ("trefoil_inflation.spec", "untwisted trefoil_handle.front K\n",
+     "untwisted trefoil_handle.front K\nuntwisted trefoil.front K\n", None),
+    ("trefoil_inflation.spec", "twisted trefoil.front K\n",
+     "twisted trefoil.front K\ntwisted trefoil.front K\n", None),
+], ids=["orient", "knottype", "handle-parameter", "involution", "stein-component",
+        "spec-knot", "spec-framing", "spec-untwisted", "spec-twisted"])
+def test_repeated_single_valued_statement_exits_2(fixtures, tmp_path, name, old, new, argv):
+    text = (fixtures / name).read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    # the line that repeats the statement: the last line `new` touches
+    line = text[: text.index(new) + len(new.rstrip("\n"))].count("\n") + 1
+    path = tmp_path / name
+    path.write_text(text)
+    if argv is None:
+        for front_file in ("trefoil.front", "trefoil_handle.front"):
+            (tmp_path / front_file).write_text((fixtures / front_file).read_text())
+        argv = ["certify", str(fixtures / "mazur.kirby"),
+                str(fixtures / "mazur_inflated.palf"), str(path)]
+    else:
+        argv = argv + [str(path)]
+    code, out, err = run(argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error:") and f"line {line}:" in err
+    assert "second" in err or "given twice" in err
     assert len(err.splitlines()) == 1
 
 

@@ -1,10 +1,13 @@
 """Front parsing and the tb / linking arithmetic on the shipped fixtures."""
 
+import dataclasses
+import json
 import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +145,15 @@ def test_genericity_violations_are_rejected(text, fragment):
         parse_front(text)
 
 
+# -- the integer frame against the Fraction geometry it replaced ---------------
+#
+# The oracles below read Fraction steps and balls; the helpers after them
+# build a diagram's integer frame and hand its coordinates back as Fractions.
+
+def _fmt_pt(p):
+    return f"({p[0]},{p[1]})"
+
+
 def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -253,7 +265,7 @@ def _all_pairs_crossings(traversals, balls):
                 )
             if kind == "touch":
                 raise FrontGeometryError(
-                    f"segments of {comp1!r} and {comp2!r} touch at {front._fmt_pt(result[1])}; "
+                    f"segments of {comp1!r} and {comp2!r} touch at {_fmt_pt(result[1])}; "
                     "perturb the diagram"
                 )
             t, u, point = result[1], result[2], result[3]
@@ -282,8 +294,71 @@ def _all_pairs_crossings(traversals, balls):
     by_point = Counter(c.point for c in crossings)
     for pt, n in by_point.items():
         if n > 1:
-            raise FrontGeometryError(f"triple point at {front._fmt_pt(pt)}")
+            raise FrontGeometryError(f"triple point at {_fmt_pt(pt)}")
     return crossings
+
+
+class _FractionStep(NamedTuple):
+    start: tuple
+    end: tuple
+    after_jump: bool
+
+
+class _FractionBall(NamedTuple):
+    handle: str
+    x: Fraction
+    ytop: Fraction
+    ybot: Fraction
+
+    def contains(self, p):
+        return p[0] == self.x and self.ybot <= p[1] <= self.ytop
+
+
+def _arc(name, pts):
+    """An Arc from points whose coordinates are ints or Fractions."""
+    return front.Arc(name, *front._points_over_lcm(
+        [v.as_integer_ratio() for p in pts for v in p]))
+
+
+def _ball(handle, x, ytop, ybot):
+    return front._ball(handle, *(v.as_integer_ratio() for v in (x, ytop, ybot)))
+
+
+def _framed(arcs, balls):
+    """The traversals and the Frame that FrontDiagram builds from arcs and balls."""
+    scale, points, framed = front._integer_frame(arcs, balls)
+    traversals, _ = front._chain_components(arcs, scale, points, framed)
+    segs = {comp: [s.seg for s in steps] for comp, steps in traversals.items()}
+    return traversals, front.Frame(scale, segs, framed)
+
+
+def _fractions(pts, scale):
+    return [(Fraction(x, scale), Fraction(y, scale)) for x, y in pts]
+
+
+def _fraction_steps(traversals, scale):
+    """Each traversal step with its ends as Fraction points."""
+    return {comp: [_FractionStep(*_fractions((s.seg[:2], s.seg[2:]), scale), s.after_jump)
+                   for s in steps]
+            for comp, steps in traversals.items()}
+
+
+def _fraction_balls(frame):
+    return [_FractionBall(h, *(Fraction(v, frame.scale) for v in (x, ytop, ybot)))
+            for h, x, ytop, ybot in frame.balls]
+
+
+def _fraction_crossing(c, scale):
+    """c with its fields in the Fractions the oracles build."""
+    x, y, den = c.point
+    return dataclasses.replace(
+        c,
+        point=(Fraction(x, den), Fraction(y, den)),
+        over_dir=tuple(Fraction(v, scale) for v in c.over_dir),
+        under_dir=tuple(Fraction(v, scale) for v in c.under_dir),
+        over_at=(*c.over_at[:2], Fraction(*c.over_at[2:])),
+        under_at=(*c.under_at[:2], Fraction(*c.under_at[2:])),
+    )
 
 
 def _grid(rng):
@@ -296,7 +371,7 @@ def _grid(rng):
 
 
 def _random_closed_polygons(rng):
-    """Traversals and balls of 1-3 closed polygons that often touch, overlap or meet at a point.
+    """Traversals and frame of 1-3 closed polygons that often touch, overlap or meet at a point.
 
     Components mostly share one small grid, so vertices and edges coincide.
     In about a third of the inputs every first edge is centred on one point,
@@ -323,14 +398,12 @@ def _random_closed_polygons(rng):
         if rng.random() < 0.2:
             # off the last grid's vertex columns, so no vertex sits on the ball
             x = ox + step * rng.randint(0, 4) + step / 2
-            balls = (front.HandleBall("h", x, oy + 4 * step, oy),
-                     front.HandleBall("h", Fraction(40), Fraction(1), Fraction(0)))
+            balls = (_ball("h", x, oy + 4 * step, oy),
+                     _ball("h", Fraction(40), Fraction(1), Fraction(0)))
         try:
-            arcs = tuple(front.Arc(name, pts) for name, pts in polygons)
-            traversals, _ = front._chain_components(arcs, balls)
+            return _framed(tuple(_arc(name, pts) for name, pts in polygons), balls)
         except FrontGeometryError:
             continue  # a vertical or zero-length edge, or arc ends that do not chain
-        return traversals, balls
 
 
 def _outcome(find, *args):
@@ -340,17 +413,18 @@ def _outcome(find, *args):
         return ("error", str(exc))
 
 
-def _integer_crossings(traversals, balls):
-    return front._find_crossings(traversals, front._integer_frame(traversals, balls))
+def _integer_crossings(traversals, frame):
+    return [_fraction_crossing(c, frame.scale) for c in front._find_crossings(traversals, frame)]
 
 
 def test_sweep_matches_all_pairs_oracle():
     rng = random.Random(20110411)
     kinds = Counter()
     for _ in range(600):
-        traversals, balls = _random_closed_polygons(rng)
-        expected = _outcome(_all_pairs_crossings, traversals, balls)
-        assert _outcome(_integer_crossings, traversals, balls) == expected
+        traversals, frame = _random_closed_polygons(rng)
+        expected = _outcome(_all_pairs_crossings, _fraction_steps(traversals, frame.scale),
+                            _fraction_balls(frame))
+        assert _outcome(_integer_crossings, traversals, frame) == expected
         if isinstance(expected, list):
             kinds["crossings" if expected else "no crossings"] += 1
         else:
@@ -358,11 +432,43 @@ def test_sweep_matches_all_pairs_oracle():
     assert set(kinds) == {"crossings", "no crossings", "touch", "overlap", "triple", "ball"}, kinds
 
 
-def _assert_frame_matches_oracles(traversals, balls):
-    frame = front._integer_frame(traversals, balls)
-    for comp, steps in traversals.items():
-        assert front._find_cusps(steps, frame.segs[comp]) == _fraction_find_cusps(steps)
-        for s, seg in zip(steps, frame.segs[comp]):
+def _plain_sweep_pairs(ints):
+    """The x-sweep that `front._meeting_pairs` refined with a y-extent test, kept as its oracle."""
+    segs = []
+    for k, (px, py, qx, qy) in enumerate(ints):
+        segs.append((px, py, qx, qy, k) if px < qx else (qx, qy, px, py, k))
+    segs.sort()
+    pairs = []
+    for n, (px, py, qx, qy, a) in enumerate(segs):
+        dx, dy = qx - px, qy - py
+        for rx, ry, sx, sy, b in segs[n + 1:]:
+            if rx > qx:
+                break
+            if (dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) > 0:
+                continue
+            ex, ey = sx - rx, sy - ry
+            if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) > 0:
+                continue
+            pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    return pairs
+
+
+def test_sweep_lists_the_pairs_of_the_plain_x_sweep():
+    frames = [kirby.linked_handle_pair(n).front.frame() for n in range(2, 65)]
+    rng = random.Random(20110411)
+    frames += [_random_closed_polygons(rng)[1] for _ in range(600)]
+    for frame in frames:
+        ints = [seg for segs in frame.segs.values() for seg in segs]
+        assert front._meeting_pairs(ints) == _plain_sweep_pairs(ints)
+
+
+def _assert_frame_matches_oracles(traversals, frame):
+    steps, balls = _fraction_steps(traversals, frame.scale), _fraction_balls(frame)
+    for comp in traversals:
+        assert (_fractions(front._find_cusps(traversals[comp]), frame.scale)
+                == _fraction_find_cusps(steps[comp]))
+        for s, seg in zip(steps[comp], frame.segs[comp]):
             assert (_outcome(front._check_ball_contacts, comp, seg, frame.balls)
                     == _outcome(_fraction_check_ball_contacts, comp, s, balls))
 
@@ -379,7 +485,7 @@ def test_integer_cusps_and_ball_contacts_match_fraction_oracles(load):
     assert reversing.cusp_points("K") == [(-2, 0), (8, 0)]
     for d in (parse_front(load("trefoil_handle.front")),
               kirby.parse_kirby(load("mazur.kirby")).front, reversing):
-        _assert_frame_matches_oracles(d._traversals, d.balls)
+        _assert_frame_matches_oracles(d._traversals, d.frame())
 
 
 @pytest.mark.parametrize("ybot, ytop, hit", [
@@ -400,14 +506,45 @@ def test_ball_denominators_join_the_frame(ybot, ytop, hit):
     else:
         assert not hit
     d = parse_front(LENS_A)
-    balls = (front.HandleBall("h", Fraction(1, 11), ytop, ybot),
-             front.HandleBall("h", Fraction(20), Fraction(1), Fraction(-1)))
-    frame = front._integer_frame(d._traversals, balls)
+    balls = (_ball("h", Fraction(1, 11), ytop, ybot),
+             _ball("h", Fraction(20), Fraction(1), Fraction(-1)))
+    traversals, frame = _framed(d.arcs, balls)
     assert frame.scale % math.lcm(11, ytop.denominator, ybot.denominator) == 0
-    _assert_frame_matches_oracles(d._traversals, balls)
+    _assert_frame_matches_oracles(traversals, frame)
 
 
-# -- parsing rationals without Fraction(str) ----------------------------------
+def test_no_fraction_between_parse_and_output(fixtures, monkeypatch):
+    """Parsing, crossings, shadows and the involution check build no Fraction."""
+    import fractions
+
+    from corktwist import moves
+
+    texts = {path.name: path.read_text() for path in sorted(fixtures.iterdir())
+             if path.suffix in (".front", ".kirby")}
+    for name, text in list(texts.items()):
+        doc = (front.front_to_doc(parse_front(text)) if name.endswith(".front")
+               else kirby.kirby_to_doc(kirby.parse_kirby(text)))
+        texts[name + " as JSON"] = json.dumps(doc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    for module in (front, kirby, moves):
+        monkeypatch.setattr(module, "Fraction", refuse, raising=False)
+    for name, text in texts.items():
+        if ".front" in name:
+            fronts = [parse_front(text)]
+        else:
+            d = kirby.parse_kirby(text)
+            assert kirby.involution_verified(d)[0], name
+            fronts = [d.front] + ([d.stein_front] if d.stein_front else [])
+        for f in fronts:
+            for comp in f.components():  # reads f.crossings()
+                moves.shadow_of_component(f, comp)
+
+
+# -- parsing rationals to integers ---------------------------------------------
 
 def _fraction_or_none(tok):
     try:
@@ -428,14 +565,14 @@ def _fraction_or_none(tok):
 @example(".")
 def test_parse_rational_matches_fraction(tok):
     # Fraction also reads digit separators, exponents and non-ASCII digits,
-    # which parse_rational refuses
+    # which parse_ratio refuses; it gives what Fraction(tok) holds, in lowest terms
     plain = tok.isascii() and not set(tok) & set("_eE")
     expected = _fraction_or_none(tok) if plain else None
     try:
-        got = front.parse_rational(tok)
+        got = front.parse_ratio(tok)
     except FrontParseError:
         got = None
-    assert got == expected and type(got) is type(expected)
+    assert got == (None if expected is None else expected.as_integer_ratio())
 
 
 # -- the integer classifier against the Fraction one --------------------------
@@ -504,11 +641,12 @@ def test_integer_seg_meet_matches_fraction_classifier(pair):
 # -- exactness under large denominators and the tracer's hook -----------------
 
 def _translated(d, ox, oy):
-    def move(p):
-        return (p[0] + ox, p[1] + oy)
+    def moved(a):
+        return [(x + ox, y + oy) for x, y in _fractions(a.points, a.scale)]
     return front.FrontDiagram(
-        tuple(front.Arc(a.component, tuple(move(p) for p in a.points)) for a in d.arcs),
-        tuple(front.HandleBall(b.handle, b.x + ox, b.ytop + oy, b.ybot + oy) for b in d.balls),
+        tuple(_arc(a.component, moved(a)) for a in d.arcs),
+        tuple(_ball(b.handle, *(Fraction(v, b.scale) + o for v, o in
+                                ((b.x, ox), (b.ytop, oy), (b.ybot, oy)))) for b in d.balls),
         d.orientations,
         d.knottypes,
     )
@@ -523,7 +661,8 @@ def test_large_prime_denominators_stay_exact(source, load):
         d = parse_front(load(source))
     ox, oy = Fraction(1, 10007), Fraction(3, 65537)
     moved = _translated(d, ox, oy)
-    before, after = d.crossings(), moved.crossings()
+    before = [_fraction_crossing(c, d.frame().scale) for c in d.crossings()]
+    after = [_fraction_crossing(c, moved.frame().scale) for c in moved.crossings()]
     assert before and len(after) == len(before)
     for c, m in zip(before, after):
         assert m.point == (c.point[0] + ox, c.point[1] + oy)

@@ -1,8 +1,10 @@
 """Diagram-level checks: parsing, involution, homology, admissibility,
 the twist move, and the Stein framing rule."""
 
+import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +72,119 @@ def test_involution_detects_asymmetry(load):
     d = kirby.parse_kirby(text)
     ok, detail = kirby.involution_verified(d)
     assert not ok
+
+
+def _fraction_involution_verified(d):
+    """The Fraction check that `kirby.involution_verified` replaced, kept as its oracle."""
+    if d.involution is None:
+        return False, "no involution declared"
+    iv = d.involution
+    cx, cy = Fraction(iv.cx, iv.scale), Fraction(iv.cy, iv.scale)
+
+    def apply(p):
+        return (2 * cx - p[0], 2 * cy - p[1])
+
+    def segment_set(comp):
+        segs = set()
+        for arc in d.front.arcs:
+            if arc.component != comp:
+                continue
+            pts = [(Fraction(x, arc.scale), Fraction(y, arc.scale)) for x, y in arc.points]
+            for a, b in zip(pts, pts[1:]):
+                segs.add(frozenset((a, b)))
+        return segs
+
+    s1 = segment_set(iv.comp1)
+    s2 = segment_set(iv.comp2)
+    mapped = {frozenset(apply(p) for p in seg) for seg in s1}
+    if mapped != s2:
+        return False, (
+            f"half-turn about ({cx}, {cy}) does not carry {iv.comp1!r} "
+            f"onto {iv.comp2!r}"
+        )
+    balls = {tuple(Fraction(v, b.scale) for v in (b.x, b.ytop, b.ybot)) for b in d.front.balls}
+    mapped_balls = set()
+    for x, ytop, ybot in balls:
+        nx, nyb = apply((x, ytop))
+        _, nyt = apply((x, ybot))
+        mapped_balls.add((nx, nyt, nyb))
+    if mapped_balls != balls:
+        return False, "half-turn does not preserve the handle balls"
+    return True, f"half-turn about ({cx}, {cy}) exchanges the two components"
+
+
+def _over_lcm(values):
+    """Fractions as integers over their lcm, and the lcm."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values], scale
+
+
+def _with_centre(d, cx, cy):
+    iv = d.involution
+    (x, y), scale = _over_lcm([cx, cy])
+    return dataclasses.replace(d, involution=kirby.Involution(iv.comp1, iv.comp2, x, y, scale))
+
+
+def _translated(d, ox, oy):
+    """d with its main front and its involution centre moved by (ox, oy)."""
+    def arc(a):
+        pts, scale = _over_lcm([Fraction(v, a.scale) + o for p in a.points
+                                for v, o in zip(p, (ox, oy))])
+        return front.Arc(a.component, tuple(zip(pts[::2], pts[1::2])), scale)
+
+    def ball(b):
+        vals, scale = _over_lcm([Fraction(v, b.scale) + o
+                                 for v, o in ((b.x, ox), (b.ytop, oy), (b.ybot, oy))])
+        return front.HandleBall(b.handle, *vals, scale)
+
+    moved = dataclasses.replace(d.front, arcs=tuple(arc(a) for a in d.front.arcs),
+                                balls=tuple(ball(b) for b in d.front.balls))
+    iv = d.involution
+    return _with_centre(dataclasses.replace(d, front=moved),
+                        Fraction(iv.cx, iv.scale) + ox, Fraction(iv.cy, iv.scale) + oy)
+
+
+# two lenses exchanged by the half-turn about (6, 0), and a ball pair off to
+# the side that the half-turn maps onto itself, or not
+SYMMETRIC_BALLS = """
+arc A : (0,0) (4,2) (8,0)
+arc A : (8,0) (4,-2) (0,0)
+arc B : (12,0) (8,-2) (4,0)
+arc B : (4,0) (8,2) (12,0)
+handle h : x=-10 ytop=2 ybot=-1
+handle h : x=22 ytop=1 ybot=-2
+dot A
+frame B 0
+involution A B : rot180 6 0
+"""
+
+
+def _involution_cases(load):
+    fixtures = {name: kirby.parse_kirby(load(name))
+                for name in ("mazur.kirby", "knotted.kirby", "hopf.kirby")}
+    balls = kirby.parse_kirby(SYMMETRIC_BALLS)
+    cases = dict(fixtures)
+    cases["symmetric balls"] = balls
+    cases["balls not preserved"] = kirby.parse_kirby(
+        SYMMETRIC_BALLS.replace("x=22 ytop=1 ybot=-2", "x=22 ytop=2 ybot=-1"))
+    for name, d in [*fixtures.items(), ("symmetric balls", balls)]:
+        cases[f"{name} translated"] = _translated(d, Fraction(1, 10007), Fraction(3, 65537))
+    mazur = fixtures["mazur.kirby"]
+    for cx, cy in ((7, 0), (6, Fraction(1, 2)), (Fraction(19, 3), 0), (Fraction(13, 2), 0)):
+        cases[f"mazur about ({cx}, {cy})"] = _with_centre(mazur, cx, cy)
+    cases["balls about (6, 1/3)"] = _with_centre(balls, 6, Fraction(1, 3))
+    return cases
+
+
+def test_integer_involution_check_matches_fraction_oracle(load):
+    verdicts = {}
+    for name, d in _involution_cases(load).items():
+        got = kirby.involution_verified(d)
+        assert got == _fraction_involution_verified(d), name
+        verdicts[name] = got[0]
+    assert verdicts["mazur.kirby translated"] and verdicts["symmetric balls translated"]
+    assert not verdicts["balls not preserved"] and not verdicts["mazur about (7, 0)"]
+    assert sum(verdicts.values()) == 8, verdicts
 
 
 def test_linking_matrix_symmetry(load):

@@ -190,8 +190,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 "certify --validate takes no DIAGRAM PALF INFLATION, --out, --budget or --seed"
             )
         try:
-            doc = json.loads(_read(validate))
-        except ValueError as exc:  # also an integer too long to convert
+            doc = json.loads(_read(validate), object_pairs_hook=front.unique_keys)
+        except ValueError as exc:  # also an integer too long to convert, or a repeated key
             raise InputFailure(f"{validate}: not valid JSON: {exc}")
         except RecursionError:
             raise InputFailure(f"{validate}: JSON is nested too deeply") from None

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, replace
 
 from . import intmat, mcg
-from .front import numbered_lines, parse_int
+from .front import numbered_lines, parse_int, unique_keys
 from .kirby import CobordismRecord
 from .mcg import Curve, Surface, TwistWord
 
@@ -321,8 +321,8 @@ def parse_palf(text: str) -> PALF:
             if not eq or not name:
                 raise FillingError(f"line {lineno}: usage: curve <name> = [..]")
             try:
-                cls = json.loads(vec.strip())
-            except ValueError as exc:  # also an integer too long to convert
+                cls = json.loads(vec.strip(), object_pairs_hook=unique_keys)
+            except ValueError as exc:  # also an integer too long to convert, or a repeated key
                 raise FillingError(f"line {lineno}: bad class vector: {exc}")
             except RecursionError:
                 raise FillingError(f"line {lineno}: class vector is nested too deeply") from None

@@ -880,14 +880,30 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, for json.loads' object_pairs_hook.
+
+    A repeated key raises ValueError: a document must not say one thing
+    twice and let the last spelling win.
+    """
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def parse_front(text: str) -> FrontDiagram:
     """Parse the line grammar, or the JSON equivalent if text starts with '{'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             # numbers with a fraction part stay strings, for parse_ratio
-            doc = json.loads(text, parse_float=str)
-        except ValueError as exc:  # also an integer too long to convert
+            doc = json.loads(text, parse_float=str, object_pairs_hook=unique_keys)
+        except ValueError as exc:  # also an integer too long to convert, or a repeated key
             raise FrontParseError(f"not valid JSON: {exc}") from None
         except RecursionError:
             raise FrontParseError("JSON document is nested too deeply") from None

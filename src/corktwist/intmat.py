@@ -74,20 +74,27 @@ def is_identity(a: Matrix) -> bool:
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    """a**k by repeated squaring, k >= 0."""
+    """a**k by repeated squaring, k >= 0, as a new matrix.
+
+    The result starts as the power of a at the lowest set bit of k, and the
+    base is not squared past the top bit, so no product is spent on the
+    identity or thrown away: k = 2^t takes t products.
+    """
     n, m = shape(a)
     if n != m:
         raise ValueError("power of a non-square matrix")
     if k < 0:
         raise ValueError("negative power")
-    result = identity(n)
-    base = clone(a)
-    while k:
+    if k == 0:
+        return identity(n)
+    result, base = None, a
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = base if result is None else mat_mul(result, base)
         k >>= 1
-    return result
+        if not k:
+            return clone(a) if result is a else result
+        base = mat_mul(base, base)
 
 
 def det(a: Matrix) -> int:

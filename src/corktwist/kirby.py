@@ -155,8 +155,8 @@ def parse_kirby(text: str) -> KirbyDiagram:
     if stripped.startswith("{"):
         try:
             # numbers with a fraction part stay strings, for parse_ratio
-            doc = json.loads(text, parse_float=str)
-        except ValueError as exc:  # also an integer too long to convert
+            doc = json.loads(text, parse_float=str, object_pairs_hook=front_mod.unique_keys)
+        except ValueError as exc:  # also an integer too long to convert, or a repeated key
             raise KirbyError(f"not valid JSON: {exc}") from None
         except RecursionError:
             raise KirbyError("JSON document is nested too deeply") from None

@@ -14,6 +14,7 @@ matrices on column vectors  action(u v) = action(v) * action(u).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import intmat
 from .intmat import Matrix, Vector
@@ -78,9 +79,6 @@ class TwistWord:
 
     def genus(self) -> int | None:
         return self.letters[0][0].genus if self.letters else None
-
-    def concat(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.letters + other.letters)
 
     def __str__(self) -> str:
         parts = []
@@ -193,8 +191,16 @@ def chain_word(g: int) -> TwistWord:
     return TwistWord(tuple((c, 1) for c in chain_curves(g)))
 
 
+@lru_cache(maxsize=MAX_GENUS)
 def verify_chain_relation(g: int) -> bool:
-    """True iff (t_{c1} ... t_{c2g})^(4g+2) acts as the identity on H_1."""
+    """True iff (t_{c1} ... t_{c2g})^(4g+2) acts as the identity on H_1.
+
+    Checked once per process and genus: the first call at g computes the
+    power from the chain curves, and later calls at g read that verdict.
+    The memo is sound because the verdict depends on g alone; no input
+    file reaches it.  Callers bound g to 1..MAX_GENUS, so it holds at
+    most MAX_GENUS booleans.
+    """
     block = h1_action(chain_word(g))
     return intmat.is_identity(intmat.mat_pow(block, 4 * g + 2))
 

@@ -61,7 +61,7 @@ def test_criterion_02_positive_inversion_length_and_action():
                 w = mcg.trivialize(TwistWord(((c, 1),)))[0]
                 assert len(w.letters) == 2 * g * (4 * g + 2) - 1
                 assert w.is_positive
-                total = TwistWord(((c, 1),)).concat(w)
+                total = TwistWord(((c, 1),) + w.letters)
                 assert intmat.is_identity(mcg.h1_action(total))
         assert time.perf_counter() - t0 < 1.0
 

@@ -148,6 +148,23 @@ def test_mcg_verify_chain():
     assert code == 2
 
 
+def test_mcg_verify_chain_checks_each_genus_once_per_process(monkeypatch):
+    blocks, h1_action = [], mcg.h1_action
+
+    def counted_action(word):
+        blocks.append(len(word))
+        return h1_action(word)
+
+    monkeypatch.setattr(mcg, "h1_action", counted_action)
+    outs = [run(["mcg", "verify-chain", "3"]) for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert outs[0][1] == "genus 3: the 14-th power of the chain twist word acts trivially on H1\n"
+    assert blocks == [6]
+    mcg.verify_chain_relation.cache_clear()
+    assert run(["mcg", "verify-chain", "3"]) == outs[0]
+    assert blocks == [6, 6]
+
+
 def test_genus_above_the_limit_exits_2_before_any_allocation(tmp_path, monkeypatch):
     # chain_curves would allocate O(g^2) ints; the limit must refuse the
     # genus before it is ever called
@@ -337,8 +354,9 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     # c1..c4 for the chain relation, then the five-letter inverse word that
     # the five relator blocks act as, then the five-letter monodromy; no
     # letter of the 5 * 39 trivializing letters is applied one by one.  The
-    # certificate's word_trivial_on_h1 check replays the same three once.
-    assert actions == [4, 5, 5] * 2
+    # certificate's word_trivial_on_h1 check replays the last two once and
+    # reads the chain relation at genus 2 that the plan verified.
+    assert actions == [4, 5, 5, 5, 5]
     assert trivializations == [5]
     assert len(involutions) == 1
 
@@ -902,6 +920,41 @@ def test_oversized_json_integer_exits_2(fixtures, tmp_path, site):
     assert code == 2, site
     assert out == ""
     assert err.startswith("error:") and "4300 digits" in err
+    assert len(err.splitlines()) == 1
+
+
+def _with_repeated_key(text, entry):
+    """The JSON object text with entry appended inside its closing brace."""
+    end = text.rindex("}")
+    return text[:end] + ", " + entry + text[end:]
+
+
+# a JSON object that names a key twice would let its last value win
+@pytest.mark.parametrize("site", ["front-json", "kirby-json", "palf-curve", "validate-json"])
+def test_repeated_json_key_exits_2(fixtures, certify_argv, tmp_path, site):
+    path = tmp_path / "repeated"
+    if site == "front-json":
+        path.write_text(_with_repeated_key(_json_front(4), '"orient": {"K": "-"}'))
+        argv, key = ["tb", str(path)], "orient"
+    elif site == "kirby-json":
+        doc = kirby.kirby_to_doc(kirby.parse_kirby((fixtures / "mazur.kirby").read_text()))
+        path.write_text(_with_repeated_key(
+            json.dumps(doc), '"involution": {"components": ["K1", "K2"], "center": ["7", "0"]}'))
+        argv, key = ["admissible", str(path)], "involution"
+    elif site == "palf-curve":
+        path.write_text('genus 1\ncurve e = [1, {"a": 0, "a": 1}]\nword T(e)\n')
+        argv, key = ["fill", str(path)], "a"
+    else:
+        code, _, _ = run(certify_argv + ["--out", str(path)])
+        assert code == 0
+        # the second verdict is the recorded one, so the digest still matches it
+        text = path.read_text()
+        path.write_text('{"verdict": "SAME", ' + text.lstrip()[1:])
+        argv, key = ["certify", "--validate", str(path)], "verdict"
+    code, out, err = run(argv)
+    assert code == 2, site
+    assert out == ""
+    assert err.startswith("error:") and f"repeated key {key!r}" in err
     assert len(err.splitlines()) == 1
 
 

@@ -35,7 +35,7 @@ def test_flagship_tally_genus_two_three_letters():
     assert plan.euler_char == 116
     assert plan.euler_char == 1 + 117 + (2 - 2 * 2)
     # the trivialized word really closes the fibration
-    total = word.concat(plan.trivializing_handles)
+    total = TwistWord(word.letters + plan.trivializing_handles.letters)
     assert intmat.is_identity(mcg.h1_action(total))
 
 

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 
-from corktwist import intmat
+from corktwist import intmat, mcg
 
 
 def perm_det(a):
@@ -115,6 +115,16 @@ def test_mat_pow():
     a = [[1, 1], [0, 1]]
     assert intmat.mat_pow(a, 0) == intmat.identity(2)
     assert intmat.mat_pow(a, 5) == [[1, 5], [0, 1]]
+    for g in (1, 2, 3):
+        block = mcg.h1_action(mcg.chain_word(g))
+        for k in (1, 2, 4 * g + 2):
+            want = block
+            for _ in range(k - 1):
+                want = intmat.mat_mul(want, block)
+            assert intmat.mat_pow(block, k) == want, (g, k)
+    once = intmat.mat_pow(a, 1)
+    once[0][1] = 7
+    assert a == [[1, 1], [0, 1]]
     try:
         intmat.mat_pow(a, -1)
         assert False, "negative power must raise"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from . import intmat, mcg
+from . import mcg
 from .front import numbered_lines, parse_int, unique_keys
 from .kirby import CobordismRecord
 from .mcg import Curve, Surface, TwistWord
@@ -233,25 +233,21 @@ def build_concave(ob: OpenBook) -> FillingPlan:
 
     Pages of genus below 2 are stabilized first (the count is recorded on
     the plan) so the closed fibration has fiber genus at least 2.  Capping
-    the binding keeps the twist word letter for letter on the closed fiber.
+    the binding keeps the twist word letter for letter on the closed fiber,
+    and mcg.trivialize closes it with one relator block per letter; the
+    empty word needs none.
     """
     book = ob
     stabs = 0
     while book.page.genus < 2:
         book = stabilize_openbook(book)
         stabs += 1
-    genus_hat = book.page.genus
-    if book.monodromy.letters:
-        trivializing, undo = mcg.trivialize(book.monodromy)
-        action = intmat.mat_mul(undo, mcg.h1_action(book.monodromy))
-    else:
-        trivializing, action = book.monodromy, intmat.identity(2 * genus_hat)
-    if not intmat.is_identity(action):
-        raise FillingError("trivialization failed to cancel the monodromy action")
+    m = book.monodromy
+    trivializing = mcg.trivialize(m) if m.letters else m
     return FillingPlan(
         trivializing_handles=trivializing,
-        fiber_genus=genus_hat,
-        relator_blocks=len(book.monodromy),
+        fiber_genus=book.page.genus,
+        relator_blocks=len(m),
         assumptions=STANDARD_ASSUMPTIONS,
         stabilizations=stabs,
         source_open_book=ob,
@@ -281,8 +277,9 @@ def extend_with_cobordism(m: CobordismRecord, p: PALF) -> FillingPlan:
 def parse_palf(text: str) -> PALF:
     """Parse the small fixture grammar for fibration words.
 
-    Lines: `genus G`, optional `handles <one> <two>`, optional
-    `curve <name> = [..]` declarations, and one `word T(x) T(y) ...` line.
+    Lines: one `genus G`, an optional `handles <one> <two>`, optional
+    `curve <name> = [..]` declarations (one per name), and one
+    `word T(x) T(y) ...` line.
     Chain curves c1..c2g are available without declaration; negative
     letters T'(x) are rejected since the word must stay positive.  A
     handles line must give the fibration's Euler characteristic:
@@ -295,6 +292,8 @@ def parse_palf(text: str) -> PALF:
     for lineno, line in numbered_lines(text):
         head, _, rest = line.partition(" ")
         if head == "genus":
+            if genus is not None:
+                raise FillingError(f"line {lineno}: second genus line")
             try:
                 genus = parse_int(rest.strip())
             except ValueError:
@@ -304,6 +303,8 @@ def parse_palf(text: str) -> PALF:
                     f"line {lineno}: genus must be between 1 and {mcg.MAX_GENUS}, got {genus}"
                 )
         elif head == "handles":
+            if handles is not None:
+                raise FillingError(f"line {lineno}: second handles line")
             parts = rest.split()
             if len(parts) != 2:
                 raise FillingError(f"line {lineno}: usage: handles <one> <two>")
@@ -320,6 +321,8 @@ def parse_palf(text: str) -> PALF:
             name = name.strip()
             if not eq or not name:
                 raise FillingError(f"line {lineno}: usage: curve <name> = [..]")
+            if name in named:
+                raise FillingError(f"line {lineno}: second curve line for {name!r}")
             try:
                 cls = json.loads(vec.strip(), object_pairs_hook=unique_keys)
             except ValueError as exc:  # also an integer too long to convert, or a repeated key

@@ -358,16 +358,6 @@ def linking_matrix(d: KirbyDiagram) -> tuple[list[str], list[list[int]]]:
     return comps, m
 
 
-def chain_boundary(d: KirbyDiagram) -> tuple[list[str], list[str], list[list[int]]]:
-    """Two-handle boundary map; rows indexed by dotted, columns by framed."""
-    dotted = d.dotted()
-    framed = d.framed()
-    rows = []
-    for dc in dotted:
-        rows.append([d.front.linking_number(fc, dc) for fc in framed])
-    return dotted, framed, rows
-
-
 @dataclass(frozen=True)
 class HomologyReport:
     components: tuple[str, ...]
@@ -399,7 +389,11 @@ def homology(d: KirbyDiagram) -> HomologyReport:
     the homological criterion; callers who need genuine simple
     connectivity should stick to the one-handle case.
     """
-    dotted, framed, bd2 = chain_boundary(d)
+    comps, link = linking_matrix(d)
+    dotted, framed = d.dotted(), d.framed()
+    # the 2-handle boundary map: rows dotted, columns framed, read off link
+    index = {c: i for i, c in enumerate(comps)}
+    bd2 = [[link[index[dc]][index[fc]] for fc in framed] for dc in dotted]
     h1_w = cokernel(bd2, len(dotted))
     # the boundary map has rank len(dotted) minus its cokernel's free rank
     h2_w = AbelianGroup(len(framed) - (len(dotted) - h1_w.rank))
@@ -410,7 +404,6 @@ def homology(d: KirbyDiagram) -> HomologyReport:
         AbelianGroup(0),
         AbelianGroup(0),
     )
-    comps, link = linking_matrix(d)
     h1_bd = cokernel(link, len(comps))
     h_of_boundary = (
         AbelianGroup(1),

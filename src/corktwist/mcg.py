@@ -275,20 +275,16 @@ def _chain_images(s: Matrix) -> list[tuple[int, ...]]:
     return images
 
 
-def inverse(word: TwistWord) -> TwistWord:
-    """The word undoing word: its letters reversed, each exponent negated."""
-    return TwistWord(tuple((c, -e) for c, e in reversed(word.letters)))
-
-
-def trivialize(word: TwistWord) -> tuple[TwistWord, Matrix]:
-    """A positive word w' with word . w' acting as the identity on H_1, and its action.
+def trivialize(word: TwistWord) -> TwistWord:
+    """A positive word w' with word . w' acting as the identity on H_1.
 
     Appends the positive inverse of each letter c in reverse order: the
     relator block c2 ... c2g (c1 ... c2g)^(4g+1) conjugated by the frame S
     of c, so |w'| = |word| * (2g(4g+2) - 1).  By the chain relation the
     standard block acts as T_{c1}^-1, and since T_{Sd} = S T_d S^-1 the
     conjugated block acts as T_c^-1.  So once the chain relation is
-    checked at g, the action of w' is that of the inverse word.
+    checked at g, w' acts as the inverse word, whatever the letters of
+    word are; no product of actions is needed to know that they cancel.
     """
     if not word.is_positive:
         raise ValueError("only positive monodromy words are trivialized")
@@ -304,4 +300,4 @@ def trivialize(word: TwistWord) -> tuple[TwistWord, Matrix]:
         conj = [(Curve(f"{curve.name}~c{k + 1}", v), 1)
                 for k, v in enumerate(_chain_images(s))]
         letters.extend(conj[1:] + conj * (4 * g + 1))
-    return TwistWord(tuple(letters)), h1_action(inverse(word))
+    return TwistWord(tuple(letters))

@@ -58,7 +58,7 @@ def test_criterion_02_positive_inversion_length_and_action():
                 while not any(vec) or not intmat.is_primitive(vec):
                     vec = [rng.randint(-3, 3) for _ in range(2 * g)]
                 c = mcg.Curve("c", tuple(vec))
-                w = mcg.trivialize(TwistWord(((c, 1),)))[0]
+                w = mcg.trivialize(TwistWord(((c, 1),)))
                 assert len(w.letters) == 2 * g * (4 * g + 2) - 1
                 assert w.is_positive
                 total = TwistWord(((c, 1),) + w.letters)

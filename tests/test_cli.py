@@ -350,13 +350,12 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     code, _, err = run(certify_argv)
     assert code == 0, err
     assert searches == [(2000, 0)]
-    # one plan on the genus-2 page of mazur_inflated.palf: the chain block
-    # c1..c4 for the chain relation, then the five-letter inverse word that
-    # the five relator blocks act as, then the five-letter monodromy; no
-    # letter of the 5 * 39 trivializing letters is applied one by one.  The
-    # certificate's word_trivial_on_h1 check replays the last two once and
-    # reads the chain relation at genus 2 that the plan verified.
-    assert actions == [4, 5, 5, 5, 5]
+    # one plan on the genus-2 page of mazur_inflated.palf: only the chain
+    # block c1..c4, for the chain relation at genus 2; no letter of the
+    # 5 * 39 trivializing letters or of the monodromy is applied.  The
+    # certificate's word_trivial_on_h1 check reads the verdict the plan
+    # computed.
+    assert actions == [4]
     assert trivializations == [5]
     assert len(involutions) == 1
 
@@ -836,8 +835,21 @@ def test_numbers_in_files_must_be_plain_ascii(fixtures, tmp_path, name, old, bad
      "untwisted trefoil_handle.front K\nuntwisted trefoil.front K\n", None),
     ("trefoil_inflation.spec", "twisted trefoil.front K\n",
      "twisted trefoil.front K\ntwisted trefoil.front K\n", None),
+    # a second genus would leave curve e, read at genus 2, in a genus-3 word
+    ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
+     "curve e = [0, 1, 0, 1]\ngenus 3\n", ["fill"]),
+    ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
+     "curve e = [0, 1, 0, 1]\ngenus 3\n", None),
+    ("mazur.palf", "handles 1 1\n", "handles 1 1\nhandles 1 1\n", ["fill"]),
+    ("mazur.palf", "handles 1 1\n", "handles 1 1\nhandles 1 1\n", None),
+    ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
+     "curve e = [0, 1, 0, 1]\ncurve e = [1, 0, 0, 0]\n", ["fill"]),
+    ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
+     "curve e = [0, 1, 0, 1]\ncurve e = [1, 0, 0, 0]\n", None),
 ], ids=["orient", "knottype", "handle-parameter", "involution", "stein-component",
-        "spec-knot", "spec-framing", "spec-untwisted", "spec-twisted"])
+        "spec-knot", "spec-framing", "spec-untwisted", "spec-twisted",
+        "palf-genus-fill", "palf-genus-certify", "palf-handles-fill", "palf-handles-certify",
+        "palf-curve-fill", "palf-curve-certify"])
 def test_repeated_single_valued_statement_exits_2(fixtures, tmp_path, name, old, new, argv):
     text = (fixtures / name).read_text()
     assert text.count(old) == 1
@@ -846,11 +858,12 @@ def test_repeated_single_valued_statement_exits_2(fixtures, tmp_path, name, old,
     line = text[: text.index(new) + len(new.rstrip("\n"))].count("\n") + 1
     path = tmp_path / name
     path.write_text(text)
-    if argv is None:
+    if argv is None:  # certify, with the edited file in its own slot
         for front_file in ("trefoil.front", "trefoil_handle.front"):
             (tmp_path / front_file).write_text((fixtures / front_file).read_text())
-        argv = ["certify", str(fixtures / "mazur.kirby"),
-                str(fixtures / "mazur_inflated.palf"), str(path)]
+        palf = path if name.endswith(".palf") else fixtures / "mazur_inflated.palf"
+        spec = path if name.endswith(".spec") else fixtures / "trefoil_inflation.spec"
+        argv = ["certify", str(fixtures / "mazur.kirby"), str(palf), str(spec)]
     else:
         argv = argv + [str(path)]
     code, out, err = run(argv)

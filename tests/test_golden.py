@@ -73,12 +73,14 @@ def test_high_genus_output_is_pinned(tmp_path):
 
 def test_stabilized_plan_output_is_pinned(tmp_path):
     # a genus-1 page is stabilized once before planning, which the doc
-    # records next to the cap (v0) and the closing piece
+    # records next to the cap (v0) and the closing piece, and the human
+    # output states as "stabilized 1 times from genus 1"
     palf = tmp_path / "g1.palf"
     palf.write_text("genus 1\nword T(c1) T(c2)\n")
-    code, out = run_doc(["fill", str(palf)], tmp_path)
-    assert code == 0
-    assert digest_of(out) == "3b5041332f249242"
+    for fmt, digest in (("doc", "3b5041332f249242"), ("human", "bc2ce5a0c8cc959e")):
+        code, out = run_cli(["fill", str(palf)], tmp_path, fmt)
+        assert code == 0
+        assert digest_of(out) == digest
 
 
 HUMAN = [

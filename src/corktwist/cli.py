@@ -148,7 +148,7 @@ def cmd_fill(args: argparse.Namespace) -> int:
           f"in {plan.relator_blocks} relator blocks")
     print(f"closing piece euler characteristic {2 - 2 * plan.fiber_genus}")
     print(f"plan euler characteristic {plan.euler_char}")
-    for a in plan.assumptions:
+    for a in fillings.STANDARD_ASSUMPTIONS:
         print(f"assumption [{a.name}]: {a.statement}")
     return 0
 
@@ -254,7 +254,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "certificate": cert_doc,
         "relative_invariant": {"first": first, "second": second},
         "non_extension": non_extension,
-        "fake_pair": hfcert.fake_pair_report(plan),
+        "fake_pair": hfcert.fake_pair_report(),
         "budget": budget,
         "seed": seed,
     }

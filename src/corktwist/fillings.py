@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from . import mcg
 from .front import numbered_lines, parse_int, unique_keys
 from .kirby import CobordismRecord
-from .mcg import Curve, Surface, TwistWord
+from .mcg import Curve, TwistWord
 
 
 class FillingError(ValueError):
@@ -82,32 +82,27 @@ def _word_doc(word: TwistWord) -> list[dict]:
 
 @dataclass(frozen=True)
 class OpenBook:
-    """Boundary fibration: a page with one boundary circle and a positive word.
+    """Boundary fibration: a genus-g page with one boundary circle and a positive word.
 
     Only one-boundary pages are accepted, so the binding is connected and
     a single 2-handle caps it.
     """
 
-    page: Surface
+    genus: int
     monodromy: TwistWord
 
     def __post_init__(self) -> None:
-        if self.page.boundary != 1:
-            raise FillingError(
-                f"the page has {self.page.boundary} boundary circles; an open "
-                "book here needs exactly one, a connected binding"
-            )
+        if self.genus < 0:
+            raise FillingError(f"page genus must not be negative, got {self.genus}")
         if not self.monodromy.is_positive:
             raise FillingError("open-book monodromy here must be a positive word")
         wg = self.monodromy.genus()
-        if wg is not None and wg != self.page.genus:
-            raise FillingError(
-                f"twist word lives on genus {wg}, page has genus {self.page.genus}"
-            )
+        if wg is not None and wg != self.genus:
+            raise FillingError(f"twist word lives on genus {wg}, page has genus {self.genus}")
 
     def to_doc(self) -> dict:
         return {
-            "page": {"genus": self.page.genus, "boundary": self.page.boundary},
+            "page": {"genus": self.genus, "boundary": 1},
             "monodromy": _word_doc(self.monodromy),
             "binding_components": 1,
         }
@@ -119,16 +114,14 @@ class PALF:
 
     The vanishing cycles are the monodromy letters in attaching order;
     the Curve constructor already refuses imprimitive classes, which is
-    the allowability condition (no separating cycles).  source holds the
-    counts of a fixture's `handles` line, checked against the word.
+    the allowability condition (no separating cycles).
     """
 
     open_book: OpenBook
-    source: dict | None = None
 
     @property
     def page_genus(self) -> int:
-        return self.open_book.page.genus
+        return self.open_book.genus
 
 
 # -- the plan -----------------------------------------------------------------
@@ -137,32 +130,37 @@ class PALF:
 class FillingPlan:
     """Assembly instructions for the concave side of a closed fibration.
 
-    The cap v0 is one 0-framed 2-handle along the binding and the closing
-    piece is the closed fiber times a disk, so both are fixed by
-    fiber_genus and are written out only by to_doc.
-    trivializing_handles is a positive word; each letter stands for one
-    -1-framed 2-handle along the named curve sitting in a fiber.
+    closed is the source open book stabilized to page genus at least 2;
+    its page is the closed fiber and its word the monodromy that
+    trivializing_handles undoes, one relator block per letter.  The cap
+    v0 is one 0-framed 2-handle along the binding and the closing piece
+    is the closed fiber times a disk, so both are fixed by the fiber
+    genus and are written out only by to_doc.  trivializing_handles is a
+    positive word; each letter stands for one -1-framed 2-handle along
+    the named curve sitting in a fiber.
     """
 
+    source_open_book: OpenBook
+    closed: OpenBook
     trivializing_handles: TwistWord
-    fiber_genus: int
-    relator_blocks: int
-    assumptions: tuple[Assumption, ...]
-    stabilizations: int = 0
     extension_absorbed: bool = False
-    source_open_book: OpenBook | None = None
 
-    def __post_init__(self) -> None:
-        if not self.trivializing_handles.is_positive:
-            raise FillingError("trivializing handles must form a positive word")
+    @property
+    def fiber_genus(self) -> int:
+        return self.closed.genus
+
+    @property
+    def relator_blocks(self) -> int:
+        return len(self.closed.monodromy)
+
+    @property
+    def stabilizations(self) -> int:
+        return self.closed.genus - self.source_open_book.genus
 
     @property
     def closed_monodromy(self) -> TwistWord:
         """The word the trivializing handles undo: the source word, stabilized."""
-        book = self.source_open_book
-        for _ in range(self.stabilizations):
-            book = stabilize_openbook(book)
-        return book.monodromy
+        return self.closed.monodromy
 
     @property
     def euler_char(self) -> int:
@@ -190,13 +188,10 @@ class FillingPlan:
             "euler_char": self.euler_char,
             "fiber_genus": self.fiber_genus,
             "relator_blocks": self.relator_blocks,
-            "assumptions": [a.to_doc() for a in self.assumptions],
+            "assumptions": [a.to_doc() for a in STANDARD_ASSUMPTIONS],
             "stabilizations": self.stabilizations,
             "extension_absorbed": self.extension_absorbed,
-            "source_open_book": (
-                None if self.source_open_book is None
-                else self.source_open_book.to_doc()
-            ),
+            "source_open_book": self.source_open_book.to_doc(),
         }
 
 
@@ -219,39 +214,30 @@ def stabilize_openbook(ob: OpenBook) -> OpenBook:
     new handle (class a_g + a_{g+1} on the enlarged surface); existing
     letters keep their classes, extended by zeros.
     """
-    g = ob.page.genus
+    g = ob.genus
     new_g = g + 1
     extender = mcg.chain_curves(new_g)[2 * g]  # class a_g + a_{g+1}
     letters = tuple(
         (_pad_curve(c, new_g), e) for c, e in ob.monodromy.letters
     ) + ((extender, 1),)
-    return OpenBook(Surface(new_g, 1), TwistWord(letters))
+    return OpenBook(new_g, TwistWord(letters))
 
 
 def build_concave(ob: OpenBook) -> FillingPlan:
     """Plan the concave filling of the fibered boundary.
 
-    Pages of genus below 2 are stabilized first (the count is recorded on
-    the plan) so the closed fibration has fiber genus at least 2.  Capping
-    the binding keeps the twist word letter for letter on the closed fiber,
-    and mcg.trivialize closes it with one relator block per letter; the
-    empty word needs none.
+    Pages of genus below 2 are stabilized first, so the closed fibration
+    has fiber genus at least 2; the plan keeps the stabilized book as
+    closed.  Capping the binding keeps the twist word letter for letter
+    on the closed fiber, and mcg.trivialize closes it with one relator
+    block per letter; the empty word needs none.
     """
-    book = ob
-    stabs = 0
-    while book.page.genus < 2:
-        book = stabilize_openbook(book)
-        stabs += 1
-    m = book.monodromy
+    closed = ob
+    while closed.genus < 2:
+        closed = stabilize_openbook(closed)
+    m = closed.monodromy
     trivializing = mcg.trivialize(m) if m.letters else m
-    return FillingPlan(
-        trivializing_handles=trivializing,
-        fiber_genus=book.page.genus,
-        relator_blocks=len(m),
-        assumptions=STANDARD_ASSUMPTIONS,
-        stabilizations=stabs,
-        source_open_book=ob,
-    )
+    return FillingPlan(ob, closed, trivializing)
 
 
 def extend_with_cobordism(m: CobordismRecord, p: PALF) -> FillingPlan:
@@ -280,9 +266,10 @@ def parse_palf(text: str) -> PALF:
     Lines: one `genus G`, an optional `handles <one> <two>`, optional
     `curve <name> = [..]` declarations (one per name), and one
     `word T(x) T(y) ...` line.
-    Chain curves c1..c2g are available without declaration; negative
-    letters T'(x) are rejected since the word must stay positive.  A
-    handles line must give the fibration's Euler characteristic:
+    Chain curves c1..c2g are available without declaration, and a curve
+    line may not redefine one; negative letters T'(x) are rejected since
+    the word must stay positive.  A handles line must give the
+    fibration's Euler characteristic:
     1 - one + two == (1 - 2G) + letters.
     """
     genus: int | None = None
@@ -323,6 +310,11 @@ def parse_palf(text: str) -> PALF:
                 raise FillingError(f"line {lineno}: usage: curve <name> = [..]")
             if name in named:
                 raise FillingError(f"line {lineno}: second curve line for {name!r}")
+            if name in {f"c{k}" for k in range(1, 2 * genus + 1)}:
+                raise FillingError(
+                    f"line {lineno}: {name!r} is a chain curve of genus {genus}; "
+                    "a curve line would give it a second class"
+                )
             try:
                 cls = json.loads(vec.strip(), object_pairs_hook=unique_keys)
             except ValueError as exc:  # also an integer too long to convert, or a repeated key
@@ -364,7 +356,6 @@ def parse_palf(text: str) -> PALF:
             raise FillingError(f"unknown curve {name!r} in word")
         letters.append((curve, 1))
     word = TwistWord(tuple(letters))
-    source = None
     if handles is not None:
         one, two = handles
         by_handles = 1 - one + two
@@ -374,5 +365,4 @@ def parse_palf(text: str) -> PALF:
                 f"handles {one} {two} give euler characteristic {by_handles} but "
                 f"a genus-{genus} page with {len(word)} letters gives {by_fibration}"
             )
-        source = {"one_handles": one, "two_handles": two}
-    return PALF(OpenBook(Surface(genus, 1), word), source)
+    return PALF(OpenBook(genus, word))

@@ -6,7 +6,8 @@ a certificate: a list of steps, each citing one axiom in plain words,
 naming its elements by fixed strings, and carrying side conditions that
 can be re-checked from the certificate alone.  The split is deliberate:
 applicability arithmetic is checked exhaustively here (the adjunction
-rule and the degree shift are the numeric rules it uses), and every
+rule is the numeric rule it uses; the degree shift is only stated, as a
+conditional output, since nothing pins down the signature), and every
 imported fact is surfaced as a declared assumption instead of being
 silently used.
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import intmat, kirby, mcg
-from .fillings import Assumption, FillingPlan
+from .fillings import STANDARD_ASSUMPTIONS, Assumption, FillingPlan
 from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
 
 
@@ -220,10 +221,13 @@ class SideCondition:
 @dataclass(frozen=True)
 class Step:
     rule: str
-    quote: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     side_conditions: tuple[SideCondition, ...] = ()
+
+    @property
+    def quote(self) -> str:
+        return AXIOMS[self.rule]
 
     def to_doc(self) -> dict:
         return {
@@ -335,6 +339,23 @@ FREEDMAN_ASSUMPTION = Assumption(
 )
 
 
+# -- the claims the steps chain -----------------------------------------------
+
+# each is an output of one step and an input of every later step that uses
+# it; validation matches the two spellings, so each claim is spelled here once
+IS_CORK = "the domain W is a cork; its boundary carries the exchanging involution"
+W_PRIME_STEIN = "the extended domain W' = W + 2-handle is Stein"
+CONCAVE_FILLING = (
+    "a concave filling V of the boundary of W' exists, closing to a fibration X = W' + V"
+)
+X_SENDS_BOTTOM_TO_TOP = f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS} (canonical decoration)"
+V_HITS_CONTACT = f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}"
+CONTACT_IMAGE_NONZERO = f"F+_W'({CONTACT}) ≠ 0"
+NO_BASIC_CLASS = "X'' has no basic class"
+TWISTED_IMAGE_ZERO = f"F+_W'({TWISTED_CONTACT}) = 0"
+CONTACTS_DIFFER = f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory"
+
+
 # -- the main deduction -------------------------------------------------------
 
 def _require(ok: bool, message: str) -> None:
@@ -388,15 +409,12 @@ def certify_distinct(
     )
     steps.append(Step(
         rule="cork_admissible",
-        quote=AXIOMS["cork_admissible"],
         inputs=("given: the candidate diagram and its admissibility report",),
         side_conditions=(
             _checked("unit_linking", lk=adm.cond3_value),
             _checked("tb_at_least_one", tb=adm.cond4prime_tb),
         ),
-        outputs=(
-            "the domain W is a cork; its boundary carries the exchanging involution",
-        ),
+        outputs=(IS_CORK,),
     ))
 
     # (2) untwisted Stein attachment
@@ -404,21 +422,16 @@ def certify_distinct(
     tb = inflation.exhibited_tb
     steps.append(Step(
         rule="stein_untwisted_attachment",
-        quote=AXIOMS["stein_untwisted_attachment"],
         inputs=(
-            "the domain W is a cork; its boundary carries the exchanging involution",
+            IS_CORK,
             f"given: 2-handle along a {inflation.knot or 'declared'} curve, "
             f"framing {framing}, exhibited tb {tb}",
         ),
         side_conditions=(require_untwisted_exact(inflation),),
-        outputs=("the extended domain W' = W + 2-handle is Stein",),
+        outputs=(W_PRIME_STEIN,),
     ))
 
     # (3) the concave plan for the extended domain
-    _require(
-        isinstance(plan, FillingPlan) and plan.source_open_book is not None,
-        "plan lacks concave-filling provenance",
-    )
     _require(
         plan.extension_absorbed,
         "plan does not record absorbing the attached 2-handle past the cap",
@@ -428,11 +441,7 @@ def certify_distinct(
     monodromy = [list(c.h1_class) for c, _ in plan.closed_monodromy.letters]
     steps.append(Step(
         rule="concave_filling_plan",
-        quote=AXIOMS["concave_filling_plan"],
-        inputs=(
-            "the extended domain W' = W + 2-handle is Stein",
-            "given: the shipped fibration word for W'",
-        ),
+        inputs=(W_PRIME_STEIN, "given: the shipped fibration word for W'"),
         side_conditions=(
             _checked("plan_euler_characteristic",
                      euler_char=plan.euler_char, handles=handles, fiber_genus=g_hat),
@@ -440,76 +449,54 @@ def certify_distinct(
                      handles=handles, blocks=plan.relator_blocks, fiber_genus=g_hat),
             _checked("word_trivial_on_h1", genus=g_hat, monodromy=monodromy),
         ),
-        outputs=(
-            "a concave filling V of the boundary of W' exists, "
-            "closing to a fibration X = W' + V",
-        ),
+        outputs=(CONCAVE_FILLING,),
     ))
 
     # (4) nonvanishing over the closed fibration
-    _require(
-        any(a.name == "b2plus-at-least-2" for a in plan.assumptions),
-        "plan lacks the b2+ assumption the nonvanishing rule consumes",
-    )
     nonvanishing = _checked(
         "fiber_genus_above_one", f"fiber genus {g_hat} too small for the nonvanishing rule",
         fiber_genus=g_hat,
     )
     # nothing in the inputs pins down sigma(X), so the degree bookkeeping
     # is emitted conditionally rather than with an invented value
-    lefschetz_outputs = [
-        f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS} (canonical decoration)",
-        "the canonical decoration of X is a basic class",
-        "conditional: given sigma(X), the mixed map shifts degree by "
-        "(c1^2 - 3*sigma - 2*chi) / 4",
-    ]
     steps.append(Step(
         rule="lefschetz_nonvanishing",
-        quote=AXIOMS["lefschetz_nonvanishing"],
         inputs=(
-            "a concave filling V of the boundary of W' exists, "
-            "closing to a fibration X = W' + V",
+            CONCAVE_FILLING,
             "assumption: b2plus-at-least-2",
             "assumption: relative-minimality",
         ),
         side_conditions=(nonvanishing,),
-        outputs=tuple(lefschetz_outputs),
+        outputs=(
+            X_SENDS_BOTTOM_TO_TOP,
+            "the canonical decoration of X is a basic class",
+            "conditional: given sigma(X), the mixed map shifts degree by "
+            "(c1^2 - 3*sigma - 2*chi) / 4",
+        ),
     ))
 
-    # (5) the concave piece hits the contact element
-    hom = kirby.homology(cork)
-    det = intmat.det([list(row) for row in hom.linking_matrix])
-    _require(
-        hom.h_of_boundary[1].rank == 0,
-        "boundary first homology has free rank; contact c1 not torsion",
-    )
+    # (5) the concave piece hits the contact element; the boundary's first
+    # homology is the cokernel of the linking matrix, finite iff det != 0
+    det = intmat.det(kirby.linking_matrix(cork)[1])
+    _require(det != 0, "boundary first homology has free rank; contact c1 not torsion")
     unimodular = _checked("unit_determinant", det=det)
     steps.append(Step(
         rule="concave_hits_contact",
-        quote=AXIOMS["concave_hits_contact"],
         inputs=(
-            "a concave filling V of the boundary of W' exists, "
-            "closing to a fibration X = W' + V",
+            CONCAVE_FILLING,
             "given: the boundary of W is a homology sphere, so c1 restricts torsion",
         ),
         side_conditions=(unimodular,),
-        outputs=(f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",),
+        outputs=(V_HITS_CONTACT,),
     ))
 
     # (6) composing across the homology-sphere cut: exactly one decoration
     # glues there, so the composite is a single term
     steps.append(Step(
         rule="compose_unique_gluing",
-        quote=AXIOMS["compose_unique_gluing"],
-        inputs=(
-            f"F_mix of X sends {THETA_MINUS} to {THETA_PLUS} (canonical decoration)",
-            f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",
-        ),
+        inputs=(X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
         side_conditions=(unimodular,),
-        outputs=(
-            f"{THETA_PLUS} = ±F+_W'({CONTACT})",
-            f"F+_W'({CONTACT}) ≠ 0",
-        ),
+        outputs=(f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO),
     ))
 
     # (7) twisted side: the attachment is obstructed and adjunction bites
@@ -539,9 +526,8 @@ def certify_distinct(
     _require(twisted_status["status"] == "obstructed", not_obstructed)
     steps.append(Step(
         rule="twisted_adjunction_obstruction",
-        quote=AXIOMS["twisted_adjunction_obstruction"],
         inputs=(
-            "the domain W is a cork; its boundary carries the exchanging involution",
+            IS_CORK,
             f"given: registered facts for {inflation.knot}: "
             f"max tb {max_tb}, Seifert genus {genus_k}",
             f"given: twisted-side verdict: {twisted_status['reason']}",
@@ -552,46 +538,28 @@ def certify_distinct(
             f"a closed torus of genus {genus_k} and self-intersection {framing} "
             "sits in the twisted closed fibration X''",
             "every decoration of X'' violates the adjunction bound on that torus",
-            "X'' has no basic class",
+            NO_BASIC_CLASS,
         ),
     ))
 
     # (8) so the twisted mixed map vanishes
     steps.append(Step(
         rule="twisted_mixed_vanishes",
-        quote=AXIOMS["twisted_mixed_vanishes"],
-        inputs=(
-            "X'' has no basic class",
-            f"F_mix of V sends {THETA_MINUS} to ±{CONTACT}",
-        ),
-        outputs=(
-            f"F_mix of X'' kills {THETA_MINUS}",
-            f"F+_W'({TWISTED_CONTACT}) = 0",
-        ),
+        inputs=(NO_BASIC_CLASS, V_HITS_CONTACT),
+        outputs=(f"F_mix of X'' kills {THETA_MINUS}", TWISTED_IMAGE_ZERO),
     ))
 
     # (9) the two images differ
     steps.append(Step(
         rule="conclude_distinct",
-        quote=AXIOMS["conclude_distinct"],
-        inputs=(
-            f"F+_W'({CONTACT}) ≠ 0",
-            f"F+_W'({TWISTED_CONTACT}) = 0",
-        ),
-        outputs=(
-            f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory",
-            "verdict: DISTINCT",
-        ),
+        inputs=(CONTACT_IMAGE_NONZERO, TWISTED_IMAGE_ZERO),
+        outputs=(CONTACTS_DIFFER, "verdict: DISTINCT"),
     ))
 
     # (10) descent to the reduced quotient
     steps.append(Step(
         rule="reduced_descent",
-        quote=AXIOMS["reduced_descent"],
-        inputs=(
-            f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory",
-            "assumption: sign-ambiguity",
-        ),
+        inputs=(CONTACTS_DIFFER, "assumption: sign-ambiguity"),
         outputs=(
             f"{CONTACT} and {TWISTED_CONTACT} descend non-trivially "
             "to the reduced quotient",
@@ -601,7 +569,7 @@ def certify_distinct(
     return Certificate(
         steps=tuple(steps),
         verdict="DISTINCT",
-        assumptions=plan.assumptions + (SIGN_CAVEAT,),
+        assumptions=STANDARD_ASSUMPTIONS + (SIGN_CAVEAT,),
     )
 
 
@@ -711,12 +679,12 @@ def non_extension_fact(digest: str) -> dict:
     }
 
 
-def fake_pair_report(plan: FillingPlan) -> dict:
+def fake_pair_report() -> dict:
     """Report the fake pair: same topology, different basic-class behavior.
 
-    Call only with the plan of a finished DISTINCT certificate:
-    certify_distinct has already required an admissible cork and a plan
-    with concave-filling provenance.
+    Call only after a finished DISTINCT certificate: certify_distinct has
+    already required an admissible cork and a plan that absorbed the
+    attached 2-handle.
     """
     return {
         "statement": (
@@ -732,6 +700,6 @@ def fake_pair_report(plan: FillingPlan) -> dict:
         ],
         "assumptions": [
             FREEDMAN_ASSUMPTION.to_doc(),
-            *[a.to_doc() for a in plan.assumptions],
+            *[a.to_doc() for a in STANDARD_ASSUMPTIONS],
         ],
     }

@@ -23,18 +23,6 @@ MAX_GENUS = 64  # chain curves take O(g^2) ints, so larger pages are refused
 
 
 @dataclass(frozen=True)
-class Surface:
-    """Orientable surface with genus and boundary-component count."""
-
-    genus: int
-    boundary: int = 1
-
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.boundary < 0:
-            raise ValueError(f"bad surface ({self.genus}, {self.boundary})")
-
-
-@dataclass(frozen=True)
 class Curve:
     """A simple closed curve known only through its homology class."""
 
@@ -104,17 +92,6 @@ def pairing(u: tuple[int, ...] | Vector, v: tuple[int, ...] | Vector) -> int:
     for i in range(0, len(u), 2):
         total += u[i] * v[i + 1] - u[i + 1] * v[i]
     return total
-
-
-def transvection(c: Curve) -> Matrix:
-    """Homological action of the right-handed twist about c."""
-    n = 2 * c.genus
-    jc = intmat.mat_vec(j_matrix(c.genus), list(c.h1_class))
-    m = intmat.identity(n)
-    for i in range(n):
-        for j in range(n):
-            m[i][j] += c.h1_class[i] * jc[j]
-    return m
 
 
 def h1_action(word: TwistWord) -> Matrix:

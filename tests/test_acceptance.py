@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from corktwist import cli, fillings, front, hfcert, intmat, kirby, mcg
 from corktwist.fillings import OpenBook, build_concave
-from corktwist.mcg import Surface, TwistWord
+from corktwist.mcg import TwistWord
 
 
 @contextlib.contextmanager
@@ -159,7 +159,7 @@ def test_criterion_06_filling_tallies_two_ways():
     with criterion(6, "concave filling tallies agree formula vs enumeration"):
         chain = mcg.chain_curves(2)
         word = TwistWord(tuple((chain[i], 1) for i in (0, 1, 2)))
-        plan = build_concave(OpenBook(Surface(2, 1), word))
+        plan = build_concave(OpenBook(2, word))
         per_letter = 2 * 2 * (4 * 2 + 2) - 1
         # formula
         assert plan.relator_blocks * per_letter == 117

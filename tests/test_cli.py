@@ -323,9 +323,10 @@ def test_certify_zero_budget_is_inconclusive(certify_argv):
 
 
 def test_certify_does_each_computation_once(certify_argv, monkeypatch):
-    searches, actions, trivializations, involutions = [], [], [], []
+    searches, actions, trivializations, involutions, homologies = [], [], [], [], []
     check_admissible, h1_action = kirby.check_admissible, mcg.h1_action
     trivialize, involution_verified = mcg.trivialize, kirby.involution_verified
+    homology = kirby.homology
 
     def counted_search(d, budget=2000, seed=0):
         searches.append((budget, seed))
@@ -343,10 +344,15 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
         involutions.append(d)
         return involution_verified(d)
 
+    def counted_homology(d):
+        homologies.append(d)
+        return homology(d)
+
     monkeypatch.setattr(kirby, "check_admissible", counted_search)
     monkeypatch.setattr(mcg, "h1_action", counted_action)
     monkeypatch.setattr(mcg, "trivialize", counted_trivialize)
     monkeypatch.setattr(kirby, "involution_verified", counted_involution)
+    monkeypatch.setattr(kirby, "homology", counted_homology)
     code, _, err = run(certify_argv)
     assert code == 0, err
     assert searches == [(2000, 0)]
@@ -358,6 +364,8 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     assert actions == [4]
     assert trivializations == [5]
     assert len(involutions) == 1
+    # step 5 reads the linking matrix's determinant, not the homology report
+    assert homologies == []
 
 
 def test_certify_inadmissible_cork_reports_no_fake_pair(fixtures):
@@ -846,10 +854,16 @@ def test_numbers_in_files_must_be_plain_ascii(fixtures, tmp_path, name, old, bad
      "curve e = [0, 1, 0, 1]\ncurve e = [1, 0, 0, 0]\n", ["fill"]),
     ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
      "curve e = [0, 1, 0, 1]\ncurve e = [1, 0, 0, 0]\n", None),
+    # the genus already gives c1, so a curve line for it would shadow a1
+    ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
+     "curve e = [0, 1, 0, 1]\ncurve c1 = [0, 1, 0, 0]\n", ["fill"]),
+    ("mazur_inflated.palf", "curve e = [0, 1, 0, 1]\n",
+     "curve e = [0, 1, 0, 1]\ncurve c1 = [0, 1, 0, 0]\n", None),
 ], ids=["orient", "knottype", "handle-parameter", "involution", "stein-component",
         "spec-knot", "spec-framing", "spec-untwisted", "spec-twisted",
         "palf-genus-fill", "palf-genus-certify", "palf-handles-fill", "palf-handles-certify",
-        "palf-curve-fill", "palf-curve-certify"])
+        "palf-curve-fill", "palf-curve-certify", "palf-chain-curve-fill",
+        "palf-chain-curve-certify"])
 def test_repeated_single_valued_statement_exits_2(fixtures, tmp_path, name, old, new, argv):
     text = (fixtures / name).read_text()
     assert text.count(old) == 1

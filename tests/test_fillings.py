@@ -14,7 +14,7 @@ from corktwist.fillings import (
     parse_palf,
     stabilize_openbook,
 )
-from corktwist.mcg import Surface, TwistWord
+from corktwist.mcg import TwistWord
 
 
 def chain_positive_word(g, letters):
@@ -24,7 +24,7 @@ def chain_positive_word(g, letters):
 
 def test_flagship_tally_genus_two_three_letters():
     word = chain_positive_word(2, (0, 1, 2))
-    plan = build_concave(OpenBook(Surface(2, 1), word))
+    plan = build_concave(OpenBook(2, word))
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
     assert per_letter == 39
     # length formula vs direct enumeration
@@ -41,41 +41,48 @@ def test_flagship_tally_genus_two_three_letters():
 
 def test_plan_euler_invariant_random_words():
     rng = random.Random(97)
-    for g in (2, 3):
+    for g in (2, 3, 1):
         chain = mcg.chain_curves(g)
         for _ in range(4):
             letters = tuple(
                 (chain[rng.randrange(len(chain))], 1)
                 for _ in range(rng.randint(1, 4))
             )
-            plan = build_concave(OpenBook(Surface(g, 1), TwistWord(letters)))
-            assert plan.euler_char == 1 + len(plan.trivializing_handles) + (2 - 2 * g)
-            assert plan.fiber_genus == g
-            assert plan.stabilizations == 0
+            plan = build_concave(OpenBook(g, TwistWord(letters)))
+            # a genus-1 page is stabilized once to genus 2, which adds one
+            # extender letter to the word the relator blocks undo
+            stabilized = 1 if g == 1 else 0
+            fiber_genus = g + stabilized
+            assert plan.stabilizations == stabilized
+            assert plan.fiber_genus == fiber_genus
+            assert plan.relator_blocks == len(letters) + stabilized
+            per_letter = 2 * fiber_genus * (4 * fiber_genus + 2) - 1
+            assert len(plan.trivializing_handles) == plan.relator_blocks * per_letter
+            assert plan.euler_char == 1 + len(plan.trivializing_handles) + (2 - 2 * fiber_genus)
 
 
 def test_empty_monodromy_needs_no_trivializing_handles():
-    plan = build_concave(OpenBook(Surface(3, 1), TwistWord(())))
+    plan = build_concave(OpenBook(3, TwistWord(())))
     assert len(plan.trivializing_handles) == 0
     assert plan.relator_blocks == 0
 
 
 def test_low_genus_pages_get_stabilized():
     word = chain_positive_word(1, (0, 1))
-    plan = build_concave(OpenBook(Surface(1, 1), word))
+    plan = build_concave(OpenBook(1, word))
     assert plan.fiber_genus == 2
     assert plan.stabilizations == 1
     assert plan.relator_blocks == len(word) + 1  # the extender letter joins the word
-    stabilized = stabilize_openbook(OpenBook(Surface(1, 1), word)).monodromy
+    stabilized = stabilize_openbook(OpenBook(1, word)).monodromy
     assert plan.closed_monodromy == stabilized
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
     assert len(plan.trivializing_handles) == 3 * per_letter
 
 
 def test_stabilization_extender_class():
-    book = OpenBook(Surface(1, 1), chain_positive_word(1, (0,)))
+    book = OpenBook(1, chain_positive_word(1, (0,)))
     up = stabilize_openbook(book)
-    assert up.page.genus == 2
+    assert up.genus == 2
     last_curve, exp = up.monodromy.letters[-1]
     assert exp == 1
     assert list(last_curve.h1_class) == [1, 0, 1, 0]
@@ -84,32 +91,23 @@ def test_stabilization_extender_class():
 def test_open_book_validation():
     word = chain_positive_word(2, (0,))
     with pytest.raises(FillingError):
-        OpenBook(Surface(1, 1), word)  # genus mismatch
+        OpenBook(1, word)  # genus mismatch
     neg = TwistWord(((mcg.chain_curves(2)[0], -1),))
     with pytest.raises(FillingError):
-        OpenBook(Surface(2, 1), neg)  # not positive
-
-
-def test_multi_boundary_page_cannot_be_planned():
-    # the binding must be connected: one boundary circle, no more, no less
-    word = chain_positive_word(2, (0,))
-    for boundary in (0, 2, 3):
-        with pytest.raises(FillingError) as info:
-            OpenBook(Surface(2, boundary), word)
-        assert "boundary circles" in str(info.value)
+        OpenBook(2, neg)  # not positive
+    with pytest.raises(FillingError):
+        OpenBook(-1, TwistWord(()))  # negative genus
 
 
 def test_palf_fixture_parses(load):
     p = parse_palf(load("mazur.palf"))
     assert p.page_genus == 2
     assert len(p.open_book.monodromy) == 4
-    assert p.source == {"one_handles": 1, "two_handles": 1}
 
 
 def test_inflated_palf_fixture(load):
     p = parse_palf(load("mazur_inflated.palf"))
     assert len(p.open_book.monodromy) == 5
-    assert p.source == {"one_handles": 1, "two_handles": 2}
 
 
 def test_palf_grammar_rejections():
@@ -165,7 +163,7 @@ def test_plan_doc_serializes(load):
 
 
 def test_empty_word_plan():
-    book = OpenBook(Surface(2, 1), TwistWord(()))
+    book = OpenBook(2, TwistWord(()))
     plan = build_concave(book)
     assert len(plan.trivializing_handles) == 0
     assert plan.euler_char == 1 + 0 + (2 - 2 * 2)

@@ -375,9 +375,8 @@ def test_relative_invariant_pair(pipeline):
     assert fact["derived_from"] == digest
 
 
-def test_fake_pair_report(pipeline):
-    plan = pipeline[3]
-    report = hfcert.fake_pair_report(plan)
+def test_fake_pair_report():
+    report = hfcert.fake_pair_report()
     assert "homeomorphic but not diffeomorphic" in report["statement"]
     assert len(report["computations"]) == 2
     names = {a["name"] for a in report["assumptions"]}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def cmd_fill(args: argparse.Namespace) -> int:
         return 0
     print(f"fiber genus {plan.fiber_genus} "
           f"(stabilized {plan.stabilizations} times from genus {p.page_genus})")
-    print(f"trivializing handles {len(plan.trivializing_handles)} "
+    print(f"trivializing handles {plan.trivializing_handles} "
           f"in {plan.relator_blocks} relator blocks")
     print(f"closing piece euler characteristic {2 - 2 * plan.fiber_genus}")
     print(f"plan euler characteristic {plan.euler_char}")
@@ -232,7 +233,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         untwisted = kirby.inflate(pair.untwisted_front, pair.framing, pair.untwisted_component)
         hfcert.require_untwisted_exact(untwisted)
         twisted = kirby.inflate(pair.twisted_front, pair.framing, pair.twisted_component)
-        plan = fillings.extend_with_cobordism(untwisted, palf)
+        plan = fillings.build_concave(fillings.palf_to_openbook(palf))
         cert = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
@@ -344,6 +345,13 @@ def main(argv: list[str] | None = None) -> int:
     except InputFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so that the interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return ABORTED
 
 
 if __name__ == "__main__":

@@ -21,12 +21,11 @@ being silently used.  Plans are immutable and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import mcg
 from .front import numbered_lines, parse_int, unique_keys
-from .kirby import CobordismRecord
-from .mcg import Curve, TwistWord
+from .mcg import Curve, RelatorBlock, TwistWord
 
 
 class FillingError(ValueError):
@@ -71,13 +70,6 @@ STANDARD_ASSUMPTIONS: tuple[Assumption, ...] = (
 )
 
 
-def _word_doc(word: TwistWord) -> list[dict]:
-    return [
-        {"curve": c.name, "class": list(c.h1_class), "exponent": e}
-        for c, e in word.letters
-    ]
-
-
 # -- fibration data types -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -103,7 +95,8 @@ class OpenBook:
     def to_doc(self) -> dict:
         return {
             "page": {"genus": self.genus, "boundary": 1},
-            "monodromy": _word_doc(self.monodromy),
+            "monodromy": [{"curve": c.name, "class": list(c.h1_class), "exponent": e}
+                          for c, e in self.monodromy.letters],
             "binding_components": 1,
         }
 
@@ -131,19 +124,17 @@ class FillingPlan:
     """Assembly instructions for the concave side of a closed fibration.
 
     closed is the source open book stabilized to page genus at least 2;
-    its page is the closed fiber and its word the monodromy that
-    trivializing_handles undoes, one relator block per letter.  The cap
-    v0 is one 0-framed 2-handle along the binding and the closing piece
-    is the closed fiber times a disk, so both are fixed by the fiber
-    genus and are written out only by to_doc.  trivializing_handles is a
-    positive word; each letter stands for one -1-framed 2-handle along
-    the named curve sitting in a fiber.
+    its page is the closed fiber and its word the monodromy that blocks
+    undo, one relator block per letter, last letter first.  The cap v0 is
+    one 0-framed 2-handle along the binding and the closing piece is the
+    closed fiber times a disk, so both are fixed by the fiber genus and
+    are written out only by to_doc.  Each letter of a block stands for one
+    -1-framed 2-handle along a curve sitting in a fiber.
     """
 
     source_open_book: OpenBook
     closed: OpenBook
-    trivializing_handles: TwistWord
-    extension_absorbed: bool = False
+    blocks: tuple[RelatorBlock, ...]
 
     @property
     def fiber_genus(self) -> int:
@@ -151,7 +142,12 @@ class FillingPlan:
 
     @property
     def relator_blocks(self) -> int:
-        return len(self.closed.monodromy)
+        return len(self.blocks)
+
+    @property
+    def trivializing_handles(self) -> int:
+        """One 2-handle per letter of each relator block."""
+        return sum(len(b) for b in self.blocks)
 
     @property
     def stabilizations(self) -> int:
@@ -165,7 +161,7 @@ class FillingPlan:
     @property
     def euler_char(self) -> int:
         """Cap, one 2-handle per trivializing letter, and the closing piece."""
-        return 1 + len(self.trivializing_handles) + (2 - 2 * self.fiber_genus)
+        return 1 + self.trivializing_handles + (2 - 2 * self.fiber_genus)
 
     def to_doc(self) -> dict:
         return {
@@ -177,8 +173,13 @@ class FillingPlan:
             },
             "trivializing_handles": {
                 "framing_per_letter": -1,
-                "count": len(self.trivializing_handles),
-                "letters": _word_doc(self.trivializing_handles),
+                "count": self.trivializing_handles,
+                "relator": mcg.RELATOR,
+                "blocks": [
+                    {"letter": {"curve": b.letter.name, "class": list(b.letter.h1_class)},
+                     "chain_images": [list(v) for v in b.chain_images]}
+                    for b in self.blocks
+                ],
             },
             "closing_piece": {
                 "fiber_genus": self.fiber_genus,
@@ -190,7 +191,6 @@ class FillingPlan:
             "relator_blocks": self.relator_blocks,
             "assumptions": [a.to_doc() for a in STANDARD_ASSUMPTIONS],
             "stabilizations": self.stabilizations,
-            "extension_absorbed": self.extension_absorbed,
             "source_open_book": self.source_open_book.to_doc(),
         }
 
@@ -236,26 +236,7 @@ def build_concave(ob: OpenBook) -> FillingPlan:
     while closed.genus < 2:
         closed = stabilize_openbook(closed)
     m = closed.monodromy
-    trivializing = mcg.trivialize(m) if m.letters else m
-    return FillingPlan(ob, closed, trivializing)
-
-
-def extend_with_cobordism(m: CobordismRecord, p: PALF) -> FillingPlan:
-    """Plan the concave filling after an extra Stein 2-handle is attached.
-
-    p is fibration data for the extended domain.  The extra handle is
-    absorbed into the closing piece by reordering it after the cap, which
-    keeps the concave filling's contact-level conclusion available; the
-    plan records that this reordering was used.
-    """
-    status = m.stein["status"]
-    if status != "exact":
-        raise FillingError(
-            f"cobordism attachment is not Stein (status {status!r}); "
-            "the absorbed handles must satisfy framing = tb - 1"
-        )
-    plan = build_concave(palf_to_openbook(p))
-    return replace(plan, extension_absorbed=True)
+    return FillingPlan(ob, closed, mcg.trivialize(m) if m.letters else ())
 
 
 # -- fixture text grammar -----------------------------------------------------

@@ -432,12 +432,8 @@ def certify_distinct(
     ))
 
     # (3) the concave plan for the extended domain
-    _require(
-        plan.extension_absorbed,
-        "plan does not record absorbing the attached 2-handle past the cap",
-    )
     g_hat = plan.fiber_genus
-    handles = len(plan.trivializing_handles)
+    handles = plan.trivializing_handles
     monodromy = [list(c.h1_class) for c, _ in plan.closed_monodromy.letters]
     steps.append(Step(
         rule="concave_filling_plan",
@@ -683,8 +679,8 @@ def fake_pair_report() -> dict:
     """Report the fake pair: same topology, different basic-class behavior.
 
     Call only after a finished DISTINCT certificate: certify_distinct has
-    already required an admissible cork and a plan that absorbed the
-    attached 2-handle.
+    already required an admissible cork and a Stein-exact untwisted
+    attachment.
     """
     return {
         "statement": (

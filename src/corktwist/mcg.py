@@ -236,7 +236,7 @@ def symplectic_frame(c: Curve) -> Matrix:
     return s
 
 
-def _chain_images(s: Matrix) -> list[tuple[int, ...]]:
+def _chain_images(s: Matrix) -> tuple[tuple[int, ...], ...]:
     """The classes S c_1, ..., S c_2g, read off the columns of s.
 
     S a_1 is column 0, S b_i is column 2i - 1, and S(a_i + a_{i+1}) is the
@@ -249,19 +249,35 @@ def _chain_images(s: Matrix) -> list[tuple[int, ...]]:
             images.append(cols[k - 1])
         else:
             images.append(tuple(x + y for x, y in zip(cols[k - 3], cols[k - 1])))
-    return images
+    return tuple(images)
 
 
-def trivialize(word: TwistWord) -> TwistWord:
-    """A positive word w' with word . w' acting as the identity on H_1.
+# The chain relator that cancels one letter, as a pattern over the chain c1, ..., c2g.
+RELATOR = "c2 ... c2g (c1 ... c2g)^(4g+1)"
 
-    Appends the positive inverse of each letter c in reverse order: the
-    relator block c2 ... c2g (c1 ... c2g)^(4g+1) conjugated by the frame S
-    of c, so |w'| = |word| * (2g(4g+2) - 1).  By the chain relation the
-    standard block acts as T_{c1}^-1, and since T_{Sd} = S T_d S^-1 the
-    conjugated block acts as T_c^-1.  So once the chain relation is
-    checked at g, w' acts as the inverse word, whatever the letters of
-    word are; no product of actions is needed to know that they cancel.
+
+@dataclass(frozen=True)
+class RelatorBlock:
+    """RELATOR with each c_k read as S c_k, S a frame of letter: a positive T_letter^-1."""
+
+    letter: Curve
+    chain_images: tuple[tuple[int, ...], ...]  # S c_1, ..., S c_2g
+
+    def __len__(self) -> int:
+        """Letters in the block: 2g - 1, then 2g letters 4g + 1 times."""
+        g = len(self.chain_images) // 2
+        return 2 * g * (4 * g + 2) - 1
+
+
+def trivialize(word: TwistWord) -> tuple[RelatorBlock, ...]:
+    """Relator blocks whose letters, read in order after word, act as the identity on H_1.
+
+    One block per letter c of word, last letter first: RELATOR conjugated
+    by the frame S of c.  By the chain relation the standard block acts as
+    T_{c1}^-1, and since T_{Sd} = S T_d S^-1 the conjugated block acts as
+    T_c^-1.  So once the chain relation is checked at g, the blocks act
+    as the inverse word, whatever the letters of word are; no product of
+    actions is needed to know that they cancel.
     """
     if not word.is_positive:
         raise ValueError("only positive monodromy words are trivialized")
@@ -271,10 +287,5 @@ def trivialize(word: TwistWord) -> TwistWord:
     assert g is not None
     if not verify_chain_relation(g):
         raise ArithmeticError(f"the chain relation fails at genus {g}")
-    letters: list[tuple[Curve, int]] = []
-    for curve, _ in reversed(word.letters):
-        s = symplectic_frame(curve)
-        conj = [(Curve(f"{curve.name}~c{k + 1}", v), 1)
-                for k, v in enumerate(_chain_images(s))]
-        letters.extend(conj[1:] + conj * (4 * g + 1))
-    return TwistWord(tuple(letters))
+    return tuple(RelatorBlock(curve, _chain_images(symplectic_frame(curve)))
+                 for curve, _ in reversed(word.letters))

@@ -58,7 +58,10 @@ def test_criterion_02_positive_inversion_length_and_action():
                 while not any(vec) or not intmat.is_primitive(vec):
                     vec = [rng.randint(-3, 3) for _ in range(2 * g)]
                 c = mcg.Curve("c", tuple(vec))
-                w = mcg.trivialize(TwistWord(((c, 1),)))
+                (block,) = mcg.trivialize(TwistWord(((c, 1),)))
+                # the block's letters: c2 ... c2g (c1 ... c2g)^(4g+1) read as S c_k
+                conj = [(mcg.Curve(f"S c{k + 1}", v), 1) for k, v in enumerate(block.chain_images)]
+                w = TwistWord(tuple(conj[1:] + conj * (4 * g + 1)))
                 assert len(w.letters) == 2 * g * (4 * g + 2) - 1
                 assert w.is_positive
                 total = TwistWord(((c, 1),) + w.letters)
@@ -164,10 +167,15 @@ def test_criterion_06_filling_tallies_two_ways():
         # formula
         assert plan.relator_blocks * per_letter == 117
         assert plan.euler_char == 116
-        # enumeration
-        assert len(plan.trivializing_handles.letters) == 117
-        assert 1 + len(plan.trivializing_handles.letters) + (2 - 2 * 2) == 116
-        assert plan.euler_char == 1 + len(plan.trivializing_handles) - 2
+        # enumeration: each block's letters are c2 ... c4 (c1 ... c4)^9 read as S c_k
+        letters = []
+        for block in plan.blocks:
+            conj = [(mcg.Curve(f"S c{k + 1}", v), 1) for k, v in enumerate(block.chain_images)]
+            letters.extend(conj[1:] + conj * (4 * 2 + 1))
+        trivializing = TwistWord(tuple(letters))
+        assert len(trivializing.letters) == 117
+        assert 1 + len(trivializing.letters) + (2 - 2 * 2) == 116
+        assert plan.euler_char == 1 + plan.trivializing_handles - 2
 
 
 def test_criterion_07_degree_formula_against_rational_oracle():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, the certify bundle."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -189,6 +190,70 @@ def test_genus_at_the_limit_is_accepted(tmp_path):
     palf = tmp_path / "top.palf"
     palf.write_text(f"genus {mcg.MAX_GENUS}\nword T(c1)\n")
     assert fillings.parse_palf(palf.read_text()).page_genus == mcg.MAX_GENUS
+
+
+def test_fill_doc_states_each_relator_block_once(tmp_path):
+    # a block is its letter and 2g chain images, not its 2g(4g+2) - 1
+    # letters: at genus 16 the doc of two blocks is tens of KB, where the
+    # letter expansion, 2 * 2,111 letters of 32 entries each, took 2.1 MB
+    palf = tmp_path / "g16.palf"
+    palf.write_text("genus 16\nword T(c1) T(c2)\n")
+    code, out, _ = run(["fill", str(palf), "--format", "doc"])
+    assert code == 0
+    handles = json.loads(out)["trivializing_handles"]
+    assert handles["count"] == 2 * 2111
+    assert [len(b["chain_images"]) for b in handles["blocks"]] == [32, 32]
+    assert len(out.encode()) < 100_000
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr(fixtures, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe(fd)), contextlib.redirect_stderr(err):
+            code = cli.main(["fill", str(fixtures / "mazur.palf"), "--format", "doc"])
+        assert code == 1
+        assert err.getvalue() == ""
+        # stdout now points at devnull, so a flush at exit has nowhere to fail
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+def test_reader_closing_the_pipe_early_ends_quietly(tmp_path):
+    # `fill g64.palf --format doc | head -c 100`: the doc, about 250 KB, is
+    # larger than a pipe buffer, so the write fails once the reader is gone
+    palf = tmp_path / "g64.palf"
+    palf.write_text("genus 64\nword T(c1)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "corktwist.cli", "fill", str(palf), "--format", "doc"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100
+    assert code == 1
+    assert err == b""
 
 
 def _sawtooth(segments, comp="K"):

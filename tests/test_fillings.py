@@ -4,17 +4,18 @@ import random
 
 import pytest
 
-from corktwist import front, intmat, kirby, mcg
+from corktwist import intmat, mcg
 from corktwist.fillings import (
     FillingError,
     OpenBook,
     build_concave,
-    extend_with_cobordism,
     palf_to_openbook,
     parse_palf,
     stabilize_openbook,
 )
 from corktwist.mcg import TwistWord
+
+from test_mcg import expand
 
 
 def chain_positive_word(g, letters):
@@ -28,14 +29,15 @@ def test_flagship_tally_genus_two_three_letters():
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
     assert per_letter == 39
     # length formula vs direct enumeration
-    assert len(plan.trivializing_handles) == 117
-    assert len(plan.trivializing_handles.letters) == len(word) * per_letter
+    assert plan.trivializing_handles == 117
+    trivializing = expand(plan.blocks)
+    assert len(trivializing.letters) == len(word) * per_letter
     assert plan.relator_blocks == 3
     # euler characteristic two ways
     assert plan.euler_char == 116
     assert plan.euler_char == 1 + 117 + (2 - 2 * 2)
     # the trivialized word really closes the fibration
-    total = TwistWord(word.letters + plan.trivializing_handles.letters)
+    total = TwistWord(word.letters + trivializing.letters)
     assert intmat.is_identity(mcg.h1_action(total))
 
 
@@ -57,13 +59,14 @@ def test_plan_euler_invariant_random_words():
             assert plan.fiber_genus == fiber_genus
             assert plan.relator_blocks == len(letters) + stabilized
             per_letter = 2 * fiber_genus * (4 * fiber_genus + 2) - 1
-            assert len(plan.trivializing_handles) == plan.relator_blocks * per_letter
-            assert plan.euler_char == 1 + len(plan.trivializing_handles) + (2 - 2 * fiber_genus)
+            assert plan.trivializing_handles == plan.relator_blocks * per_letter
+            assert plan.euler_char == 1 + plan.trivializing_handles + (2 - 2 * fiber_genus)
 
 
 def test_empty_monodromy_needs_no_trivializing_handles():
     plan = build_concave(OpenBook(3, TwistWord(())))
-    assert len(plan.trivializing_handles) == 0
+    assert plan.blocks == ()
+    assert plan.trivializing_handles == 0
     assert plan.relator_blocks == 0
 
 
@@ -76,7 +79,7 @@ def test_low_genus_pages_get_stabilized():
     stabilized = stabilize_openbook(OpenBook(1, word)).monodromy
     assert plan.closed_monodromy == stabilized
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
-    assert len(plan.trivializing_handles) == 3 * per_letter
+    assert plan.trivializing_handles == 3 * per_letter
 
 
 def test_stabilization_extender_class():
@@ -129,23 +132,10 @@ def test_palf_grammar_rejections():
         parse_palf("genus 2\nhandles -1 -1\nword T(c1) T(c2) T(c3) T(c4)\n")  # negative
 
 
-def test_extend_absorbs_stein_cobordism(load):
-    over_handle = front.parse_front(load("trefoil_handle.front"))
-    record = kirby.inflate(over_handle, 1)
-    p = parse_palf(load("mazur_inflated.palf"))
-    plan = extend_with_cobordism(record, p)
-    assert plan.extension_absorbed
+def test_inflated_palf_plan_tallies(load):
+    plan = build_concave(palf_to_openbook(parse_palf(load("mazur_inflated.palf"))))
     assert plan.relator_blocks == 5
-    assert len(plan.trivializing_handles) == 5 * 39
-
-
-def test_extend_rejects_non_stein_attachment(load):
-    over_handle = front.parse_front(load("trefoil_handle.front"))
-    record = kirby.inflate(over_handle, 0)  # realizable, not exact
-    p = parse_palf(load("mazur_inflated.palf"))
-    with pytest.raises(FillingError) as info:
-        extend_with_cobordism(record, p)
-    assert "not Stein" in str(info.value)
+    assert plan.trivializing_handles == 5 * 39
 
 
 def test_plan_doc_serializes(load):
@@ -154,8 +144,18 @@ def test_plan_doc_serializes(load):
     import json
     doc = plan.to_doc()
     json.dumps(doc)
-    assert doc["trivializing_handles"]["framing_per_letter"] == -1
-    assert doc["trivializing_handles"]["count"] == len(plan.trivializing_handles)
+    handles = doc["trivializing_handles"]
+    assert handles["framing_per_letter"] == -1
+    assert handles["count"] == plan.trivializing_handles == 4 * 39
+    assert handles["relator"] == mcg.RELATOR
+    # one block per letter, last letter first, each with its 2g chain images
+    letters = [c for c, _ in reversed(plan.closed_monodromy.letters)]
+    assert [b["letter"] for b in handles["blocks"]] == [
+        {"curve": c.name, "class": list(c.h1_class)} for c in letters
+    ]
+    assert [b["chain_images"] for b in handles["blocks"]] == [
+        [list(v) for v in mcg._chain_images(mcg.symplectic_frame(c))] for c in letters
+    ]
     assert {a["name"] for a in doc["assumptions"]} >= {
         "symplectic-structure", "b2plus-at-least-2",
     }
@@ -165,5 +165,5 @@ def test_plan_doc_serializes(load):
 def test_empty_word_plan():
     book = OpenBook(2, TwistWord(()))
     plan = build_concave(book)
-    assert len(plan.trivializing_handles) == 0
+    assert plan.trivializing_handles == 0
     assert plan.euler_char == 1 + 0 + (2 - 2 * 2)

@@ -35,7 +35,7 @@ def pipeline(load):
     over_handle = front.parse_front(load("trefoil_handle.front"))
     inflation = kirby.inflate(over_handle, 1)
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
-    plan = fillings.extend_with_cobordism(inflation, palf)
+    plan = fillings.build_concave(fillings.palf_to_openbook(palf))
     twisted = kirby.inflate(front.parse_front(load("trefoil.front")), 1)
     return cork, adm, inflation, plan, twisted
 
@@ -345,15 +345,6 @@ def test_abort_on_inadmissible_cork(pipeline, load):
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(hopf, kirby.check_admissible(hopf), inflation, plan, twisted)
     assert "admissibility" in str(info.value)
-
-
-def test_abort_on_plan_without_absorption(pipeline, load):
-    cork, adm, inflation, _, twisted = pipeline
-    plain = fillings.build_concave(
-        fillings.palf_to_openbook(fillings.parse_palf(load("mazur.palf")))
-    )
-    with pytest.raises(CertificateAbort):
-        certify_distinct(cork, adm, inflation, plain, twisted)
 
 
 def test_abort_on_unobstructed_twisted_side(pipeline, load):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from corktwist import intmat, mcg
+from corktwist import fillings, intmat, mcg
 from corktwist.mcg import Curve, TwistWord
 
 
@@ -139,6 +139,59 @@ def test_chain_relation_sharp_at_genus_one():
     assert not intmat.is_identity(m)
 
 
+def expand(blocks):
+    """The positive word the relator blocks stand for, letter for letter.
+
+    Each block reads mcg.RELATOR, c2 ... c2g (c1 ... c2g)^(4g+1), with c_k
+    replaced by its chain image S c_k.
+    """
+    letters = []
+    for block in blocks:
+        conj = [(Curve(f"{block.letter.name}~c{k + 1}", v), 1)
+                for k, v in enumerate(block.chain_images)]
+        g = len(conj) // 2
+        letters.extend(conj[1:] + conj * (4 * g + 1))
+    return TwistWord(tuple(letters))
+
+
+def letter_by_letter_trivialization(word):
+    """The positive inverse word built letter by letter, last letter first.
+
+    Per letter c, conj lists the classes S c_1, ..., S c_2g for the frame S
+    of c, each a matrix-vector product, and the word gains
+    conj[1:] + conj * (4g + 1).
+    """
+    g = word.genus()
+    letters = []
+    for curve, _ in reversed(word.letters):
+        s = mcg.symplectic_frame(curve)
+        conj = [(Curve(f"{curve.name}~{d.name}", tuple(intmat.mat_vec(s, list(d.h1_class)))), 1)
+                for d in mcg.chain_curves(g)]
+        letters.extend(conj[1:] + conj * (4 * g + 1))
+    return TwistWord(tuple(letters))
+
+
+def test_blocks_expand_to_the_letter_by_letter_trivialization():
+    # the plan keeps one block per letter and a count; expanded, the
+    # blocks give the word built letter by letter, and the count its length
+    start = time.time()
+    rng = random.Random(83)
+    for g in range(1, 9):
+        chain = mcg.chain_curves(g)
+        for _ in range(2):
+            word = TwistWord(tuple((rng.choice(chain), 1) for _ in range(rng.randint(1, 3))))
+            blocks = mcg.trivialize(word)
+            assert [b.letter for b in blocks] == [c for c, _ in reversed(word.letters)]
+            assert expand(blocks) == letter_by_letter_trivialization(word)
+            plan = fillings.build_concave(fillings.OpenBook(g, word))
+            closed = plan.closed_monodromy
+            assert plan.stabilizations == (1 if g == 1 else 0)  # genus 1 is stabilized
+            assert expand(plan.blocks) == letter_by_letter_trivialization(closed)
+            assert plan.trivializing_handles == len(expand(plan.blocks))
+            assert plan.relator_blocks == len(closed)
+    assert time.time() - start < 1.0
+
+
 def test_positive_inverse_length_and_identity():
     start = time.time()
     rng = random.Random(41)
@@ -146,7 +199,9 @@ def test_positive_inverse_length_and_identity():
         want_len = 2 * g * (4 * g + 2) - 1
         for i in range(10):
             c = random_primitive_curve(rng, g, f"r{i}")
-            w = mcg.trivialize(TwistWord(((c, 1),)))
+            (block,) = mcg.trivialize(TwistWord(((c, 1),)))
+            assert len(block) == want_len
+            w = expand([block])
             assert w.is_positive
             assert len(w) == want_len
             total = TwistWord(((c, 1),) + w.letters)
@@ -158,7 +213,7 @@ def test_trivialize_length_and_action():
     chain = mcg.chain_curves(2)
     word = TwistWord(tuple((c, 1) for c in chain[:3]))
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
-    t = mcg.trivialize(word)
+    t = expand(mcg.trivialize(word))
     assert t.is_positive
     assert len(t) == len(word) * per_letter
     assert intmat.is_identity(mcg.h1_action(TwistWord(word.letters + t.letters)))
@@ -175,7 +230,7 @@ def test_trivialize_action_matches_letter_by_letter_oracle():
             if g == 2:
                 pool.append(e)
             word = TwistWord(tuple((rng.choice(pool), 1) for _ in range(rng.randint(1, 4))))
-            t = mcg.trivialize(word)
+            t = expand(mcg.trivialize(word))
             assert mcg.h1_action(t) == mcg.h1_action(TwistWord(inverse_letters(word)))
             assert intmat.is_identity(mcg.h1_action(TwistWord(word.letters + t.letters)))
 
@@ -186,8 +241,10 @@ def test_block_letters_are_the_frame_images_of_the_chain():
         c = random_primitive_curve(rng, g)
         s = mcg.symplectic_frame(c)
         images = [tuple(intmat.mat_vec(s, list(d.h1_class))) for d in mcg.chain_curves(g)]
+        (block,) = mcg.trivialize(TwistWord(((c, 1),)))
+        assert block.chain_images == tuple(images)
         want = images[1:] + images * (4 * g + 1)
-        assert [d.h1_class for d, _ in mcg.trivialize(TwistWord(((c, 1),))).letters] == want
+        assert [d.h1_class for d, _ in expand([block]).letters] == want
 
 
 def test_trivialize_rejects_negative_words():

@@ -135,11 +135,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 def cmd_fill(args: argparse.Namespace) -> int:
     p = _load(fillings.parse_palf, fillings.FillingError, args.palf_path)
-    try:
-        plan = fillings.build_concave(fillings.palf_to_openbook(p))
-    except fillings.FillingError as exc:
-        print(f"fill aborted: {exc}", file=sys.stderr)
-        return ABORTED
+    plan = fillings.build_concave(fillings.palf_to_openbook(p))
     if args.format == "doc":
         _emit_doc(plan.to_doc())
         return 0
@@ -190,12 +186,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise InputFailure(
                 "certify --validate takes no DIAGRAM PALF INFLATION, --out, --budget or --seed"
             )
-        try:
-            doc = json.loads(_read(validate), object_pairs_hook=front.unique_keys)
-        except ValueError as exc:  # also an integer too long to convert, or a repeated key
-            raise InputFailure(f"{validate}: not valid JSON: {exc}")
-        except RecursionError:
-            raise InputFailure(f"{validate}: JSON is nested too deeply") from None
+        doc = front.load_json(_read(validate), InputFailure, f"{validate}: ")
         problems = hfcert.validate_certificate(doc)
         if args.format == "doc":
             fields = doc if isinstance(doc, dict) else {}
@@ -240,7 +231,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         if exc.condition is not None:
             print(f"failing check: {exc.condition}", file=sys.stderr)
         return ABORTED
-    except (kirby.KirbyError, fillings.FillingError, hfcert.HFError) as exc:
+    except kirby.KirbyError as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         return ABORTED
 

@@ -20,11 +20,10 @@ being silently used.  Plans are immutable and safe to share.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import mcg
-from .front import numbered_lines, parse_int, unique_keys
+from .front import load_json, numbered_lines, parse_int
 from .mcg import Curve, RelatorBlock, TwistWord
 
 
@@ -296,12 +295,7 @@ def parse_palf(text: str) -> PALF:
                     f"line {lineno}: {name!r} is a chain curve of genus {genus}; "
                     "a curve line would give it a second class"
                 )
-            try:
-                cls = json.loads(vec.strip(), object_pairs_hook=unique_keys)
-            except ValueError as exc:  # also an integer too long to convert, or a repeated key
-                raise FillingError(f"line {lineno}: bad class vector: {exc}")
-            except RecursionError:
-                raise FillingError(f"line {lineno}: class vector is nested too deeply") from None
+            cls = load_json(vec.strip(), FillingError, f"line {lineno}: class vector: ")
             if (not isinstance(cls, list)
                     or len(cls) != 2 * genus
                     or not all(type(v) is int for v in cls)):  # JSON integers, not booleans

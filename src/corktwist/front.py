@@ -31,6 +31,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -772,7 +773,9 @@ def _points_over_lcm(ratios: list[tuple[int, int]]) -> tuple[tuple[Point, ...], 
 
 
 class FrontBuilder:
-    """Accumulates parsed statements, then builds a validated diagram."""
+    """Takes one front statement per call, with every check on it, then builds
+    the diagram.  The line grammar (`statement`) and JSON (`front_from_doc`)
+    only split their spelling into these calls; `line` is None for JSON."""
 
     def __init__(self) -> None:
         self.arcs: list[Arc] = []
@@ -781,73 +784,94 @@ class FrontBuilder:
         self.knottypes: list[tuple[str, str]] = []
         self.segments = 0
 
+    def arc(self, component: object, ratios: Iterable[tuple[int, int]],
+            line: int | None = None) -> None:
+        """An arc through the points whose coordinates x0, y0, x1, ... `ratios` gives."""
+        name = check_name(component, "component", line)
+        ratios = list(ratios)
+        if not ratios:
+            raise FrontParseError("arc has no points", line)
+        arc = Arc(name, *_points_over_lcm(ratios))
+        self.segments += len(arc.points) - 1
+        if self.segments > MAX_SEGMENTS:
+            raise FrontParseError(
+                f"too many segments: a front has at most {MAX_SEGMENTS} segments", line
+            )
+        self.arcs.append(arc)
+
+    def handle(self, handle: object, params: Iterable[tuple[str, str]],
+               line: int | None = None) -> None:
+        """One ball of a handle from its (key, value) parameters x, ytop and ybot."""
+        name = check_name(handle, "handle id", line)
+        vals: dict[str, tuple[int, int]] = {}
+        for key, val in params:
+            if key not in ("x", "ytop", "ybot") or not val:
+                raise FrontParseError(f"bad handle parameter {key!r}", line)
+            if key in vals:
+                raise FrontParseError(f"handle parameter {key}= given twice", line)
+            vals[key] = parse_ratio(val, line)
+        if len(vals) != 3:
+            raise FrontParseError("handle needs x=, ytop= and ybot=", line)
+        self.balls.append(_ball(name, vals["x"], vals["ytop"], vals["ybot"]))
+
+    def orient(self, component: object, sign: object, line: int | None = None) -> None:
+        name = check_name(component, "component", line)
+        if sign not in ("+", "-"):
+            raise FrontParseError(f"orientation {sign!r} of {name!r} is not '+' or '-'", line)
+        if any(comp == name for comp, _ in self.orientations):
+            raise FrontParseError(f"second orient line for {name!r}", line)
+        self.orientations.append((name, 1 if sign == "+" else -1))
+
+    def knottype(self, component: object, knot: object, line: int | None = None) -> None:
+        name = check_name(component, "component", line)
+        knot = check_name(knot, "knot type", line)
+        if any(comp == name for comp, _ in self.knottypes):
+            raise FrontParseError(f"second knottype line for {name!r}", line)
+        self.knottypes.append((name, knot))
+
     def statement(self, text: str, line: int) -> bool:
-        """Consume one front-grammar line; False if the keyword is foreign."""
+        """Split one front-grammar line into its call; False if the keyword is foreign."""
         head, _, rest = text.partition(" ")
         if head == "arc":
             name, _, pts = rest.partition(":")
-            name = name.strip()
-            if not name:
-                raise FrontParseError("arc needs a component id", line)
-            arc = Arc(name, *_parse_points(pts, line))
-            self.segments = _count_segments(self.segments, arc, line)
-            self.arcs.append(arc)
-            return True
-        if head == "handle":
+            self.arc(name.strip(), _parse_points(pts, line), line)
+        elif head == "handle":
             name, _, params = rest.partition(":")
-            name = name.strip()
-            vals: dict[str, tuple[int, int]] = {}
-            for tok in params.split():
-                key, _, val = tok.partition("=")
-                if key not in ("x", "ytop", "ybot") or not val:
-                    raise FrontParseError(f"bad handle parameter {tok!r}", line)
-                if key in vals:
-                    raise FrontParseError(f"handle parameter {key}= given twice", line)
-                vals[key] = parse_ratio(val, line)
-            if set(vals) != {"x", "ytop", "ybot"}:
-                raise FrontParseError("handle needs x=, ytop= and ybot=", line)
-            self.balls.append(_ball(name, vals["x"], vals["ytop"], vals["ybot"]))
-            return True
-        if head == "orient":
-            parts = rest.split()
-            if len(parts) != 2 or parts[1] not in ("+", "-"):
-                raise FrontParseError("usage: orient <component> +|-", line)
-            if any(comp == parts[0] for comp, _ in self.orientations):
-                raise FrontParseError(f"second orient line for {parts[0]!r}", line)
-            self.orientations.append((parts[0], 1 if parts[1] == "+" else -1))
-            return True
-        if head == "knottype":
+            pairs = (tok.partition("=") for tok in params.split())
+            self.handle(name.strip(), ((key, val) for key, _, val in pairs), line)
+        elif head in ("orient", "knottype"):
             parts = rest.split()
             if len(parts) != 2:
-                raise FrontParseError("usage: knottype <component> <name>", line)
-            if any(comp == parts[0] for comp, _ in self.knottypes):
-                raise FrontParseError(f"second knottype line for {parts[0]!r}", line)
-            self.knottypes.append((parts[0], parts[1]))
-            return True
-        return False
+                usage = "<component> +|-" if head == "orient" else "<component> <name>"
+                raise FrontParseError(f"usage: {head} {usage}", line)
+            (self.orient if head == "orient" else self.knottype)(*parts, line)
+        else:
+            return False
+        return True
 
     def build(self) -> FrontDiagram:
-        try:
-            return FrontDiagram(
-                tuple(self.arcs),
-                tuple(self.balls),
-                tuple(self.orientations),
-                tuple(self.knottypes),
-            )
-        except FrontError:
-            raise
-        except ValueError as exc:
-            raise FrontGeometryError(str(exc))
-
-
-def _count_segments(total: int, arc: Arc, line: int | None = None) -> int:
-    """total plus the arc's segments; more than MAX_SEGMENTS raises."""
-    total += len(arc.points) - 1
-    if total > MAX_SEGMENTS:
-        raise FrontParseError(
-            f"too many segments: a front has at most {MAX_SEGMENTS} segments", line
+        return FrontDiagram(
+            tuple(self.arcs),
+            tuple(self.balls),
+            tuple(self.orientations),
+            tuple(self.knottypes),
         )
-    return total
+
+
+_NAME = re.compile(r"[^\s:#]+\Z")
+
+
+def check_name(name: object, what: str, line: int | None = None) -> str:
+    """name, if it is a non-empty string with no whitespace, `:` or `#`: what
+    the printers can spell back.  A name that is no string is a TypeError."""
+    if type(name) is not str:
+        raise TypeError(f"{what} {name!r} is not a string")
+    if not _NAME.match(name):
+        raise FrontParseError(
+            f"{what} {name!r} is not a name: it must be non-empty, "
+            "with no whitespace, ':' or '#'", line
+        )
+    return name
 
 
 def _ball(handle: str, *ratios: tuple[int, int]) -> HandleBall:
@@ -856,20 +880,16 @@ def _ball(handle: str, *ratios: tuple[int, int]) -> HandleBall:
     return HandleBall(handle, *(n * (scale // d) for n, d in ratios), scale)
 
 
-def _parse_points(text: str, line: int) -> tuple[tuple[Point, ...], int]:
-    """The tokens `(x,y) ...` as points over the lcm of their denominators, and that lcm."""
-    ratios: list[tuple[int, int]] = []
+def _parse_points(text: str, line: int) -> Iterator[tuple[int, int]]:
+    """The coordinates of the tokens `(x,y) ...`, as ratios x0, y0, x1, y1, ..."""
     for tok in text.split():
         if not (tok.startswith("(") and tok.endswith(")")):
             raise FrontParseError(f"expected (x,y), got {tok!r}", line)
         x, comma, y = tok[1:-1].partition(",")
         if not comma:
             raise FrontParseError(f"expected (x,y), got {tok!r}", line)
-        ratios.append(parse_ratio(x, line))
-        ratios.append(parse_ratio(y, line))
-    if not ratios:
-        raise FrontParseError("arc has no points", line)
-    return _points_over_lcm(ratios)
+        yield parse_ratio(x, line)
+        yield parse_ratio(y, line)
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -896,55 +916,72 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+def load_json(text: str, error: type[Exception], where: str = "", **options) -> object:
+    """json.loads with unique_keys; JSON that is malformed, holds an integer too
+    long to convert or is nested too deeply raises error, prefixed with where."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys, **options)
+    except ValueError as exc:
+        raise error(f"{where}not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{where}JSON document is nested too deeply") from None
+
+
+def json_object(obj: object, what: str, keys: tuple[str, ...]) -> dict:
+    """obj, a JSON object with no key but `keys`: a key that names nothing is refused."""
+    unknown = [key for key in obj.keys() if key not in keys]  # no keys(): ill-typed
+    if unknown:
+        raise FrontParseError(f"unknown key {unknown[0]!r} in {what}")
+    return obj
+
+
+@contextmanager
+def reading_doc(what: str, error: type[Exception]) -> Iterator[None]:
+    """Raise a missing or ill-typed field of a JSON document as `error`."""
+    try:
+        yield
+    except FrontError:
+        raise
+    except KeyError as exc:
+        raise error(f"{what} is missing key {exc}") from None
+    except (TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise error(f"{what} has an ill-typed field: {exc}") from None
+
+
 def parse_front(text: str) -> FrontDiagram:
     """Parse the line grammar, or the JSON equivalent if text starts with '{'."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            # numbers with a fraction part stay strings, for parse_ratio
-            doc = json.loads(text, parse_float=str, object_pairs_hook=unique_keys)
-        except ValueError as exc:  # also an integer too long to convert, or a repeated key
-            raise FrontParseError(f"not valid JSON: {exc}") from None
-        except RecursionError:
-            raise FrontParseError("JSON document is nested too deeply") from None
-        return front_from_doc(doc)
+    if text.lstrip().startswith("{"):
+        # numbers with a fraction part stay strings, for parse_ratio
+        return front_from_doc(load_json(text, FrontParseError, parse_float=str))
     builder = FrontBuilder()
     for lineno, line in numbered_lines(text):
         if not builder.statement(line, lineno):
             raise FrontParseError(f"unknown statement {line.split()[0]!r}", lineno)
-    if not builder.arcs:
-        raise FrontParseError("no arcs in document")
     return builder.build()
+
+
+def front_doc_statements(doc: object, builder: FrontBuilder) -> None:
+    """Walk a JSON front into `builder`'s statement calls."""
+    doc = json_object(doc, "front", ("arcs", "handles", "orient", "knottypes"))
+    for a in doc.get("arcs", []):
+        a = json_object(a, "arc", ("component", "points"))
+        builder.arc(a["component"], (parse_ratio(str(v)) for x, y in a["points"] for v in (x, y)))
+    for h in doc.get("handles", []):
+        h = json_object(h, "handle", ("id", "balls"))
+        for ball in h["balls"]:
+            builder.handle(h["id"], ((key, str(v)) for key, v in ball.items()))
+    for comp, sign in doc.get("orient", {}).items():
+        builder.orient(comp, sign)
+    for comp, knot in doc.get("knottypes", {}).items():
+        builder.knottype(comp, knot)
 
 
 def front_from_doc(doc: dict) -> FrontDiagram:
     """Diagram from its JSON document; a missing or ill-typed field is a FrontParseError."""
-    try:
-        arcs: list[Arc] = []
-        segments = 0
-        for a in doc.get("arcs", []):
-            ratios = [parse_ratio(str(v)) for x, y in a["points"] for v in (x, y)]
-            arc = Arc(a["component"], *_points_over_lcm(ratios))
-            segments = _count_segments(segments, arc)
-            arcs.append(arc)
-        balls: list[HandleBall] = []
-        for h in doc.get("handles", []):
-            for ball in h["balls"]:
-                ratios = [parse_ratio(str(ball[k])) for k in ("x", "ytop", "ybot")]
-                balls.append(_ball(h["id"], *ratios))
-        orient = doc.get("orient", {})
-        for comp, s in orient.items():
-            if s not in ("+", "-"):
-                raise FrontParseError(f"orientation {s!r} of {comp!r} is not '+' or '-'")
-        orientations = tuple((comp, 1 if s == "+" else -1) for comp, s in orient.items())
-        knottypes = tuple(doc.get("knottypes", {}).items())
-        return FrontDiagram(tuple(arcs), tuple(balls), orientations, knottypes)
-    except FrontError:
-        raise
-    except KeyError as exc:
-        raise FrontParseError(f"front document is missing key {exc}") from None
-    except (TypeError, IndexError, AttributeError, ValueError) as exc:
-        raise FrontParseError(f"front document has an ill-typed field: {exc}") from None
+    builder = FrontBuilder()
+    with reading_doc("front document", FrontParseError):
+        front_doc_statements(doc, builder)
+    return builder.build()
 
 
 def _spelled(pts: Iterable[Point], scale: int) -> list[tuple[str, str]]:

@@ -55,13 +55,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    rows, cols = shape(a)
-    if cols != len(v):
-        raise ValueError(f"shape mismatch: {rows}x{cols} times vector of length {len(v)}")
-    return [sum(a[i][j] * v[j] for j in range(cols)) for i in range(rows)]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return shape(a) == shape(b) and all(a[i] == b[i] for i in range(len(a)))
 
@@ -146,17 +139,14 @@ def _negate_row(a: Matrix, i: int) -> None:
     a[i] = [-x for x in a[i]]
 
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (d, u, v) with u*a*v = d diagonal, u and v unimodular.
+def smith_normal_form(a: Matrix) -> Matrix:
+    """The diagonal d = u*a*v for some unimodular u and v, which are not formed.
 
     Diagonal entries are non-negative and satisfy the divisibility chain
-    d[0] | d[1] | ... .  The usual pivot-and-reduce loop; row operations
-    accumulate in u, column operations in v.
+    d[0] | d[1] | ... .  The usual pivot-and-reduce loop.
     """
     rows, cols = shape(a)
     d = clone(a)
-    u = identity(rows)
-    v = identity(cols)
 
     def pivot_at(t: int) -> bool:
         # move a minimal-magnitude nonzero entry of d[t:, t:] to (t, t)
@@ -170,10 +160,8 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         bi, bj = best
         if bi != t:
             _swap_rows(d, t, bi)
-            _swap_rows(u, t, bi)
         if bj != t:
             _swap_cols(d, t, bj)
-            _swap_cols(v, t, bj)
         return True
 
     t = 0
@@ -186,21 +174,15 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             dirty = False
             for i in range(t + 1, rows):
                 if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    _add_row(d, t, i, -q)
-                    _add_row(u, t, i, -q)
+                    _add_row(d, t, i, -(d[i][t] // d[t][t]))
                     if d[i][t] != 0:
                         _swap_rows(d, t, i)
-                        _swap_rows(u, t, i)
                         dirty = True
             for j in range(t + 1, cols):
                 if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    _add_col(d, t, j, -q)
-                    _add_col(v, t, j, -q)
+                    _add_col(d, t, j, -(d[t][j] // d[t][t]))
                     if d[t][j] != 0:
                         _swap_cols(d, t, j)
-                        _swap_cols(v, t, j)
                         dirty = True
         # enforce divisibility: d[t][t] must divide everything below-right
         offender = None
@@ -213,20 +195,18 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 break
         if offender:
             _add_row(d, offender[0], t, 1)
-            _add_row(u, offender[0], t, 1)
             continue  # redo this pivot
         t += 1
 
     for i in range(min(rows, cols)):
         if d[i][i] < 0:
             _negate_row(d, i)
-            _negate_row(u, i)
-    return d, u, v
+    return d
 
 
 def invariant_factors(a: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    d, _, _ = smith_normal_form(a)
+    d = smith_normal_form(a)
     return [d[i][i] for i in range(min(shape(a))) if d[i][i] != 0]
 
 

@@ -17,14 +17,13 @@ dot-to-zero surgery substitution.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import front as front_mod
 from . import intmat, moves
-from .front import FrontDiagram, FrontParseError
+from .front import FrontDiagram, FrontParseError, json_object
 
 # Facts about specific knot types used to certify Stein obstructions.
 # The maximal Thurston-Bennequin numbers are classical bounds for knots
@@ -52,12 +51,6 @@ class Involution:
 
     def spelled_centre(self) -> tuple[str, str]:
         return front_mod.fmt_ratio(self.cx, self.scale), front_mod.fmt_ratio(self.cy, self.scale)
-
-
-def _involution(comp1: str, comp2: str, cx: tuple[int, int], cy: tuple[int, int]) -> Involution:
-    """An Involution from its centre's coordinates given as ratios (n, d)."""
-    scale = math.lcm(cx[1], cy[1])
-    return Involution(comp1, comp2, cx[0] * (scale // cx[1]), cy[0] * (scale // cy[1]), scale)
 
 
 @dataclass(frozen=True)
@@ -150,115 +143,116 @@ class KirbyDiagram:
 # -- parsing ------------------------------------------------------------------
 
 
-def parse_kirby(text: str) -> KirbyDiagram:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            # numbers with a fraction part stay strings, for parse_ratio
-            doc = json.loads(text, parse_float=str, object_pairs_hook=front_mod.unique_keys)
-        except ValueError as exc:  # also an integer too long to convert, or a repeated key
-            raise KirbyError(f"not valid JSON: {exc}") from None
-        except RecursionError:
-            raise KirbyError("JSON document is nested too deeply") from None
-        return kirby_from_doc(doc)
-    builder = front_mod.FrontBuilder()
-    stein_builder = front_mod.FrontBuilder()
-    dots: list[str] = []
-    frames: list[tuple[str, int]] = []
-    involution: Involution | None = None
-    stein_component: str | None = None
-    saw_stein = False
-    for lineno, line in front_mod.numbered_lines(text):
-        head, _, rest = line.partition(" ")
+class KirbyBuilder:
+    """Takes one diagram statement per call, with every check on it, then builds
+    the diagram; `front` and `stein` take the front statements of the diagram
+    and of its Stein section.  parse_kirby's lines and kirby_from_doc's
+    document only split their spelling into these calls."""
+
+    def __init__(self) -> None:
+        self.front = front_mod.FrontBuilder()
+        self.stein = front_mod.FrontBuilder()
+        self.stein_lines = False  # a `stein` line was read
+        self.dots: list[str] = []
+        self.frames: list[tuple[str, int]] = []
+        self.rot180: Involution | None = None
+        self.stein_name: str | None = None
+
+    def dot(self, component: object, line: int | None = None) -> None:
+        self.dots.append(front_mod.check_name(component, "component", line))
+
+    def frame(self, component: object, framing: object, line: int | None = None) -> None:
+        name = front_mod.check_name(component, "component", line)
+        if type(framing) is not int:  # no floats, no booleans
+            raise TypeError(f"framing {framing!r} of {name!r} is not an integer")
+        self.frames.append((name, framing))
+
+    def involution(self, comp1: object, comp2: object, cx: tuple[int, int],
+                   cy: tuple[int, int], line: int | None = None) -> None:
+        """The half-turn about (cx, cy), given as ratios, exchanging comp1 and comp2."""
+        names = [front_mod.check_name(c, "component", line) for c in (comp1, comp2)]
+        if self.rot180 is not None:
+            raise FrontParseError("second involution line", line)
+        scale = math.lcm(cx[1], cy[1])
+        self.rot180 = Involution(*names, cx[0] * (scale // cx[1]), cy[0] * (scale // cy[1]), scale)
+
+    def stein_component(self, component: object, line: int | None = None) -> None:
+        if self.stein_name is not None:
+            raise FrontParseError("second stein component line", line)
+        self.stein_name = front_mod.check_name(component, "stein component", line)
+
+    def statement(self, text: str, line: int) -> None:
+        """Split one line of the .kirby grammar into its call."""
+        head, _, rest = text.partition(" ")
         if head == "dot":
-            name = rest.strip()
-            if not name:
-                raise FrontParseError("dot needs a component id", lineno)
-            dots.append(name)
+            self.dot(rest.strip(), line)
         elif head == "frame":
             parts = rest.split()
             if len(parts) != 2:
-                raise FrontParseError("usage: frame <component> <integer>", lineno)
+                raise FrontParseError("usage: frame <component> <integer>", line)
             try:
-                frames.append((parts[0], front_mod.parse_int(parts[1])))
+                framing = front_mod.parse_int(parts[1])
             except ValueError:
-                raise FrontParseError(f"framing {parts[1]!r} is not an integer", lineno)
+                raise FrontParseError(f"framing {parts[1]!r} is not an integer", line)
+            self.frame(parts[0], framing, line)
         elif head == "involution":
             name_part, _, script = rest.partition(":")
             names = name_part.split()
             toks = script.split()
             if len(names) != 2 or len(toks) != 3 or toks[0] != "rot180":
-                raise FrontParseError(
-                    "usage: involution <c1> <c2> : rot180 <cx> <cy>", lineno
-                )
-            if involution is not None:
-                raise FrontParseError("second involution line", lineno)
-            involution = _involution(
-                names[0],
-                names[1],
-                front_mod.parse_ratio(toks[1], lineno),
-                front_mod.parse_ratio(toks[2], lineno),
-            )
+                raise FrontParseError("usage: involution <c1> <c2> : rot180 <cx> <cy>", line)
+            cx, cy = (front_mod.parse_ratio(t, line) for t in toks[1:])
+            self.involution(*names, cx, cy, line)
         elif head == "stein":
-            saw_stein = True
+            self.stein_lines = True
             inner_head, _, inner_rest = rest.strip().partition(" ")
             if inner_head == "component":
-                if stein_component is not None:
-                    raise FrontParseError("second stein component line", lineno)
-                stein_component = inner_rest.strip()
-                if not stein_component:
-                    raise FrontParseError("stein component needs an id", lineno)
-            elif not stein_builder.statement(rest.strip(), lineno):
-                raise FrontParseError(f"unknown stein statement {inner_head!r}", lineno)
-        elif not builder.statement(line, lineno):
-            raise FrontParseError(f"unknown statement {head!r}", lineno)
-    if not builder.arcs:
-        raise FrontParseError("no arcs in document")
-    stein_front = None
-    if saw_stein:
-        if stein_component is None:
+                self.stein_component(inner_rest.strip(), line)
+            elif not self.stein.statement(rest.strip(), line):
+                raise FrontParseError(f"unknown stein statement {inner_head!r}", line)
+        elif not self.front.statement(text, line):
+            raise FrontParseError(f"unknown statement {head!r}", line)
+
+    def build(self) -> KirbyDiagram:
+        if self.stein_lines and self.stein_name is None:
             raise FrontParseError("stein section is missing a 'stein component' line")
-        stein_front = stein_builder.build()
-    return KirbyDiagram(
-        builder.build(), tuple(dots), tuple(frames), involution, stein_front, stein_component
-    )
+        stein_front = None if self.stein_name is None else self.stein.build()
+        return KirbyDiagram(self.front.build(), tuple(self.dots), tuple(self.frames),
+                            self.rot180, stein_front, self.stein_name)
+
+
+def parse_kirby(text: str) -> KirbyDiagram:
+    """Parse the .kirby line grammar, or the JSON equivalent if text starts with '{'."""
+    if text.lstrip().startswith("{"):
+        # numbers with a fraction part stay strings, for parse_ratio
+        return kirby_from_doc(front_mod.load_json(text, KirbyError, parse_float=str))
+    builder = KirbyBuilder()
+    for lineno, line in front_mod.numbered_lines(text):
+        builder.statement(line, lineno)
+    return builder.build()
 
 
 def kirby_from_doc(doc: dict) -> KirbyDiagram:
     """Diagram from its JSON document; a missing or ill-typed field is a KirbyError."""
-    try:
-        involution = None
-        if doc.get("involution"):
-            iv = doc["involution"]
-            involution = _involution(
-                iv["components"][0],
-                iv["components"][1],
-                front_mod.parse_ratio(str(iv["center"][0])),
-                front_mod.parse_ratio(str(iv["center"][1])),
-            )
-        frames = tuple(doc.get("frames", {}).items())
-        for c, k in frames:
-            if type(k) is not int:  # JSON integers only: no floats, no booleans
-                raise TypeError(f"framing {k!r} of {c!r} is not an integer")
-        stein_front = None
-        stein_component = None
+    builder = KirbyBuilder()
+    with front_mod.reading_doc("diagram document", KirbyError):
+        doc = json_object(doc, "diagram document",
+                          ("front", "dots", "frames", "involution", "stein"))
+        front_mod.front_doc_statements(doc["front"], builder.front)
+        for comp in doc.get("dots", []):
+            builder.dot(comp)
+        for comp, framing in doc.get("frames", {}).items():
+            builder.frame(comp, framing)
+        if doc.get("involution"):  # kirby_to_doc writes null for none
+            iv = json_object(doc["involution"], "involution", ("components", "center"))
+            comp1, comp2 = iv["components"]
+            cx, cy = (front_mod.parse_ratio(str(v)) for v in iv["center"])
+            builder.involution(comp1, comp2, cx, cy)
         if doc.get("stein"):
-            stein_front = front_mod.front_from_doc(doc["stein"]["front"])
-            stein_component = doc["stein"]["component"]
-        return KirbyDiagram(
-            front_mod.front_from_doc(doc["front"]),
-            tuple(doc.get("dots", [])),
-            frames,
-            involution,
-            stein_front,
-            stein_component,
-        )
-    except (front_mod.FrontError, KirbyError):
-        raise
-    except KeyError as exc:
-        raise KirbyError(f"diagram document is missing key {exc}") from None
-    except (TypeError, IndexError, AttributeError, ValueError) as exc:
-        raise KirbyError(f"diagram document has an ill-typed field: {exc}") from None
+            stein = json_object(doc["stein"], "stein section", ("front", "component"))
+            front_mod.front_doc_statements(stein["front"], builder.stein)
+            builder.stein_component(stein["component"])
+    return builder.build()
 
 
 def kirby_to_doc(d: KirbyDiagram) -> dict:

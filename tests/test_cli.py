@@ -106,14 +106,24 @@ def test_homology(fixtures):
     assert code == 0
 
 
-def test_twist_output_round_trips(fixtures, load):
-    code, out, _ = run(["twist", str(fixtures / "mazur.kirby")])
-    assert code == 0
-    once = kirby.parse_kirby(out)
-    twice = kirby.cork_twist(once)
+@pytest.mark.parametrize("spelling", ["text", "json"])
+def test_twist_output_round_trips(fixtures, load, tmp_path, spelling):
+    """The printed twist reads back, and twisting it again gives the diagram back."""
     orig = kirby.parse_kirby(load("mazur.kirby"))
-    assert twice.dots == orig.dots
-    assert twice.frames == orig.frames
+    path = fixtures / "mazur.kirby"
+    if spelling == "json":
+        path = tmp_path / "mazur.json"
+        path.write_text(json.dumps(kirby.kirby_to_doc(orig)))
+    code, out, _ = run(["twist", str(path)])
+    assert code == 0
+    once = tmp_path / "once.kirby"
+    once.write_text(out)
+    code, out, _ = run(["twist", str(once)])
+    assert code == 0
+    twice = kirby.parse_kirby(out)
+    assert twice.dots == orig.dots == ("K1",)
+    assert twice.frames == orig.frames == (("K2", 0),)
+    assert twice.front.arcs == orig.front.arcs
 
 
 def test_twist_without_involution_aborts(tmp_path):
@@ -600,13 +610,67 @@ def test_admissible_records_the_given_seed(fixtures):
     assert json.loads(out)["seed"] == 7
 
 
+MAZUR_TEXT = (Path(kirby.__file__).parent / "fixtures" / "mazur.kirby").read_text()
+MAZUR_JSON = json.dumps(kirby.kirby_to_doc(kirby.parse_kirby(MAZUR_TEXT)))
+
+
+def _edited(text, edit):
+    """The JSON document text with edit applied to its parsed value."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _extra_key(*path):
+    """An edit that adds an unknown key to the object at path."""
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc["extra"] = 1
+    return edit
+
+
+# mazur's arcs, and a Stein section over a 1-handle whose component line
+# comes first: with only these, a `dot`, `frame` and `stein component` line,
+# a name with a space has nothing but the name rule to refuse it
+ARCS = ("arc K1 : (0,0) (4,2) (7,-3) (8,3) (7,3) (4,-2) (0,0)\n"
+        "arc K2 : (12,0) (8,-2) (5,3) (4,-3) (5,-3) (8,2) (12,0)\n")
+STEIN = ("stein component K1\n"
+         "stein arc K1 : (0,1) (3,-1) (5,1) (7,-1) (10,-1) (9,-3) (14,-3) (20,-1)\n"
+         "stein arc K1 : (0,-1) (3,1) (5,-1) (7,1) (20,1)\n"
+         "stein handle h1 : x=0 ytop=2 ybot=-2\nstein handle h1 : x=20 ytop=2 ybot=-2\n")
+
+
 @pytest.mark.parametrize("text", [
     "{",                                       # malformed JSON
     '{"dots": []}',                            # no "front"
     "[" * 100000,                              # not JSON, not a diagram either
     '{"a": ' * 100000,                         # JSON nested past the recursion limit
     '{"front": {"arcs": 1}}',                  # ill-typed arcs
-], ids=["malformed", "no-front", "brackets", "deep", "arcs"])
+    # a name the printers cannot spell back, in either spelling
+    MAZUR_JSON.replace('"K1"', '""'),
+    MAZUR_JSON.replace('"K1"', '"K 1"'),
+    MAZUR_JSON.replace('"K1"', '"K:1"'),
+    MAZUR_JSON.replace('"K1"', '"K#1"'),
+    MAZUR_JSON.replace('"h1"', '"h 1"'),
+    MAZUR_JSON.replace('"unknot"', '"un knot"'),
+    MAZUR_JSON.replace('"unknot"', "7"),
+    (ARCS + "dot K1\nframe K2 0\n").replace("K1", "K 1"),
+    ("dot K1\n" + ARCS + "frame K2 0\n").replace("K1", "K 1"),
+    ARCS + "dot K1\nframe K2 0\n" + STEIN.replace("K1", "K 1"),
+    # a key that names no statement
+    _edited(MAZUR_JSON, _extra_key()),
+    _edited(MAZUR_JSON, _extra_key("front")),
+    _edited(MAZUR_JSON, _extra_key("front", "arcs", 0)),
+    _edited(MAZUR_JSON, _extra_key("involution")),
+    _edited(MAZUR_JSON, _extra_key("stein")),
+    _edited(MAZUR_JSON, _extra_key("stein", "front", "handles", 0)),
+    _edited(MAZUR_JSON, _extra_key("stein", "front", "handles", 0, "balls", 0)),
+], ids=["malformed", "no-front", "brackets", "deep", "arcs",
+        "name-empty", "name-space", "name-colon", "name-hash", "handle-id", "knottype",
+        "knottype-number", "line-arc", "line-dot", "line-stein-component",
+        "key-top", "key-front", "key-arc", "key-involution", "key-stein", "key-handle",
+        "key-ball"])
 def test_bad_kirby_document_exits_2(tmp_path, text):
     path = tmp_path / "bad.kirby"
     path.write_text(text)
@@ -614,6 +678,15 @@ def test_bad_kirby_document_exits_2(tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def _lens_json(name="K", **fields):
+    return json.dumps({**_front_json([(name, pts) for _, pts in LENS]), **fields})
+
+
+TREFOIL_HANDLE = (Path(kirby.__file__).parent / "fixtures" / "trefoil_handle.front").read_text()
+TREFOIL_HANDLE_JSON = json.dumps(front.front_to_doc(front.parse_front(TREFOIL_HANDLE)))
 
 
 @pytest.mark.parametrize("text", [
@@ -624,7 +697,21 @@ def test_bad_kirby_document_exits_2(tmp_path, text):
     '{"arcs": ' + "[" * 100000,                # JSON nested past the recursion limit
     '{"arcs": [{"component": "K", "points": [[0, 0], [4, 2], [8, 0]]}, '
     '{"component": "K", "points": [[8, 0], [4, -2], [0, 0]]}], "orient": {"K": "x"}}',
-], ids=["malformed", "no-points", "arcs", "brackets", "deep", "orient"])
+    # a name the printers cannot spell back, in either spelling
+    _lens_json(""), _lens_json("K 1"), _lens_json("K:1"), _lens_json("K#"), _lens_json(7),
+    _lens_json(knottypes={"K": 7}), _lens_json(knottypes={"K": ["unknot"]}),
+    TREFOIL_HANDLE_JSON.replace('"h1"', '"h 1"'),
+    "arc K 1 : (0,0) (4,2) (8,0)\narc K 1 : (8,0) (4,-2) (0,0)\n",
+    TREFOIL_HANDLE.replace("handle h1", "handle h 1"),
+    # a key that names no statement
+    _lens_json(extra=1),
+    _edited(_lens_json(), _extra_key("arcs", 0)),
+    _edited(TREFOIL_HANDLE_JSON, _extra_key("handles", 0)),
+    _edited(TREFOIL_HANDLE_JSON, _extra_key("handles", 0, "balls", 0)),
+], ids=["malformed", "no-points", "arcs", "brackets", "deep", "orient",
+        "name-empty", "name-space", "name-colon", "name-hash", "name-number",
+        "knottype-number", "knottype-list", "handle-id", "line-arc", "line-handle",
+        "key-top", "key-arc", "key-handle", "key-ball"])
 @pytest.mark.parametrize("via", ["tb", "certify-spec"])
 def test_bad_front_document_exits_2(fixtures, tmp_path, text, via):
     path = tmp_path / "bad.front"
@@ -647,6 +734,7 @@ def test_bad_front_document_exits_2(fixtures, tmp_path, text, via):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("handles,reason", [
@@ -712,6 +800,8 @@ def test_boolean_curve_vector_exits_2(fixtures, tmp_path, via):
 @pytest.mark.parametrize("field,value", [
     ("frames", []), ("frames", {"K2": "zero"}), ("involution", {"components": ["K1"]}),
     ("frames", {"K2": 0.5}), ("frames", {"K2": True}),
+    ("involution", {"components": ["K1", "K2", "K1"], "center": ["6", "0"]}),
+    ("stein", {"front": json.loads(_lens_json(7)), "component": 7}),
 ])
 def test_ill_typed_kirby_field_exits_2(fixtures, tmp_path, field, value):
     doc = kirby.kirby_to_doc(kirby.parse_kirby((fixtures / "mazur.kirby").read_text()))

@@ -7,10 +7,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corktwist import front, kirby
@@ -116,6 +117,56 @@ def test_fixture_fronts_roundtrip_through_doc(load):
     doc = kirby.kirby_to_doc(d)
     back = kirby.kirby_from_doc(doc)
     assert kirby.kirby_to_doc(back) == doc
+
+
+KIRBY_FIXTURES = {name: kirby.parse_kirby((Path(kirby.__file__).parent / "fixtures" / name)
+                                          .read_text())
+                  for name in ("mazur.kirby", "hopf.kirby", "knotted.kirby")}
+
+
+RENAMED = ("K1", "K2", "h1", "unknot", "right_trefoil")
+
+
+def _renamed(d, new):
+    """d with each component, handle id and knot type called `new[old name]`."""
+    def renamed_front(f):
+        return front.FrontDiagram(
+            tuple(dataclasses.replace(a, component=new[a.component]) for a in f.arcs),
+            tuple(dataclasses.replace(b, handle=new[b.handle]) for b in f.balls),
+            tuple((new[c], s) for c, s in f.orientations),
+            tuple((new[c], new[k]) for c, k in f.knottypes))
+    iv = d.involution
+    return kirby.KirbyDiagram(
+        renamed_front(d.front), tuple(new[c] for c in d.dots),
+        tuple((new[c], k) for c, k in d.frames),
+        dataclasses.replace(iv, comp1=new[iv.comp1], comp2=new[iv.comp2]),
+        renamed_front(d.stein_front), new[d.stein_component])
+
+
+def _read(parse, spelled):
+    try:
+        return kirby.kirby_to_doc(parse(spelled))
+    except (front.FrontError, kirby.KirbyError):
+        return None
+
+
+# new names drawn with the empty one, a space, `:` and `#`, which no statement
+# takes.  A name with only surrounding spaces prints to a line that reads back
+# as the stripped name, so the line spelling may read another diagram: it
+# must give d back exactly when the JSON spelling is accepted.
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(KIRBY_FIXTURES)),
+       st.dictionaries(st.sampled_from(RENAMED), st.text(alphabet="Kh1 :#", max_size=3),
+                       min_size=1, max_size=2))
+def test_both_spellings_accept_the_same_names(fixture, renames):
+    new = {name: renames.get(name, name) for name in RENAMED}
+    assume(len(set(new.values())) == len(new))
+    d = _renamed(KIRBY_FIXTURES[fixture], new)
+    doc = kirby.kirby_to_doc(d)
+    from_text = _read(kirby.parse_kirby, kirby.kirby_to_text(d))
+    from_doc = _read(kirby.kirby_from_doc, doc)
+    assert (from_doc is not None) == (from_text == doc)
+    assert from_doc in (None, doc)
 
 
 LENS_A = "arc A : (0,0) (4,2) (8,0)\narc A : (8,0) (4,-2) (0,0)\n"

@@ -5,9 +5,8 @@ bookkeeping over H1, concave filling plans, and replayable distinctness
 certificates, all in integer and rational arithmetic.
 """
 
-# `cli` is left out so that `python -m corktwist.cli` imports it only once, as __main__
-from . import fillings, front, hfcert, intmat, kirby, mcg, moves
-
+# no submodule is imported here: each command loads only the modules it uses,
+# and `python -m corktwist.cli` imports cli only once, as __main__
 __all__ = [
     "cli",
     "fillings",

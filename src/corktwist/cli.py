@@ -15,11 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import fillings, front, hfcert, kirby, mcg
-from .moves import DEFAULT_BUDGET, DEFAULT_SEED
+# every subcommand reads through front; each handler imports the other
+# modules it uses, so that a call loads only its own subcommand's code
+from . import front
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
-DIAGRAM_ERRORS = (front.FrontError, kirby.KirbyError)
 
 
 class InputFailure(Exception):
@@ -41,12 +41,19 @@ def _load(parse, errors, path: str):
         raise InputFailure(f"{path}: {exc}")
 
 
+def _load_diagram(parse, path: str):
+    """_load for a reader of diagrams, whose errors are front's and kirby's."""
+    from . import kirby
+    return _load(parse, (front.FrontError, kirby.KirbyError), path)
+
+
 def _emit_doc(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
 
 
 def _search_settings(args: argparse.Namespace) -> tuple[int, int]:
     """--budget and --seed, with their defaults filled in where they were not given."""
+    from .moves import DEFAULT_BUDGET, DEFAULT_SEED
     return (
         DEFAULT_BUDGET if args.budget is None else args.budget,
         DEFAULT_SEED if args.seed is None else args.seed,
@@ -85,7 +92,8 @@ def cmd_tb(args: argparse.Namespace) -> int:
 
 
 def cmd_admissible(args: argparse.Namespace) -> int:
-    d = _load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path)
+    from . import kirby
+    d = _load_diagram(kirby.parse_kirby, args.diagram_path)
     budget, seed = _search_settings(args)
     rep = kirby.check_admissible(d, budget=budget, seed=seed)
     if args.format == "doc":
@@ -106,7 +114,8 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    rep = kirby.homology(_load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path))
+    from . import kirby
+    rep = kirby.homology(_load_diagram(kirby.parse_kirby, args.diagram_path))
     if args.format == "doc":
         _emit_doc(rep.to_doc())
         return 0
@@ -120,7 +129,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 
 def cmd_twist(args: argparse.Namespace) -> int:
-    d = _load(kirby.parse_kirby, DIAGRAM_ERRORS, args.diagram_path)
+    from . import kirby
+    d = _load_diagram(kirby.parse_kirby, args.diagram_path)
     try:
         t = kirby.cork_twist(d)
     except kirby.KirbyError as exc:
@@ -134,6 +144,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 
 def cmd_fill(args: argparse.Namespace) -> int:
+    from . import fillings
     p = _load(fillings.parse_palf, fillings.FillingError, args.palf_path)
     plan = fillings.build_concave(fillings.palf_to_openbook(p))
     if args.format == "doc":
@@ -151,6 +162,7 @@ def cmd_fill(args: argparse.Namespace) -> int:
 
 
 def cmd_mcg(args: argparse.Namespace) -> int:
+    from . import mcg
     genus = args.chain_genus if args.chain_genus is not None else args.genus
     if genus is None:
         raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
@@ -168,7 +180,7 @@ def cmd_mcg(args: argparse.Namespace) -> int:
     return 0 if ok else ABORTED
 
 
-def _human_certificate(cert: hfcert.Certificate) -> None:
+def _human_certificate(cert) -> None:
     for i, step in enumerate(cert.steps, start=1):
         print(f"step {i}: {step.rule}")
         print(f"    {step.quote}")
@@ -180,6 +192,7 @@ def _human_certificate(cert: hfcert.Certificate) -> None:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from . import hfcert
     validate, out = args.validate, args.out
     if validate is not None:
         if args.inputs or out is not None or args.budget is not None or args.seed is not None:
@@ -207,11 +220,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     if len(args.inputs) != 3:
         raise InputFailure("certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON")
+    from . import fillings, kirby
     cork_path, palf_path, spec_path = args.inputs
-    cork = _load(kirby.parse_kirby, DIAGRAM_ERRORS, cork_path)
+    cork = _load_diagram(kirby.parse_kirby, cork_path)
     palf = _load(fillings.parse_palf, fillings.FillingError, palf_path)
-    pair = _load(lambda text: kirby.parse_inflation_spec(text, Path(spec_path).parent),
-                 DIAGRAM_ERRORS, spec_path)
+    pair = _load_diagram(lambda text: kirby.parse_inflation_spec(text, Path(spec_path).parent),
+                         spec_path)
 
     budget, seed = _search_settings(args)
     adm = kirby.check_admissible(cork, budget=budget, seed=seed)

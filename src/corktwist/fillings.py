@@ -20,10 +20,10 @@ being silently used.  Plans are immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import mcg
-from .front import load_json, numbered_lines, parse_int
+from .front import Record, load_json, numbered_lines, parse_int
 from .mcg import Curve, RelatorBlock, TwistWord
 
 
@@ -33,8 +33,7 @@ class FillingError(ValueError):
 
 # -- assumptions able to be cited by certificate rules ------------------------
 
-@dataclass(frozen=True)
-class Assumption:
+class Assumption(NamedTuple):
     """A fact the plan uses but does not verify."""
 
     name: str
@@ -71,25 +70,26 @@ STANDARD_ASSUMPTIONS: tuple[Assumption, ...] = (
 
 # -- fibration data types -----------------------------------------------------
 
-@dataclass(frozen=True)
-class OpenBook:
+class OpenBook(Record):
     """Boundary fibration: a genus-g page with one boundary circle and a positive word.
 
     Only one-boundary pages are accepted, so the binding is connected and
     a single 2-handle caps it.
     """
 
+    __slots__ = _fields = ("genus", "monodromy")
     genus: int
     monodromy: TwistWord
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise FillingError(f"page genus must not be negative, got {self.genus}")
-        if not self.monodromy.is_positive:
+    def __init__(self, genus: int, monodromy: TwistWord) -> None:
+        if genus < 0:
+            raise FillingError(f"page genus must not be negative, got {genus}")
+        if not monodromy.is_positive:
             raise FillingError("open-book monodromy here must be a positive word")
-        wg = self.monodromy.genus()
-        if wg is not None and wg != self.genus:
-            raise FillingError(f"twist word lives on genus {wg}, page has genus {self.genus}")
+        wg = monodromy.genus()
+        if wg is not None and wg != genus:
+            raise FillingError(f"twist word lives on genus {wg}, page has genus {genus}")
+        self._assign(genus, monodromy)
 
     def to_doc(self) -> dict:
         return {
@@ -100,8 +100,7 @@ class OpenBook:
         }
 
 
-@dataclass(frozen=True)
-class PALF:
+class PALF(NamedTuple):
     """Positive allowable fibration data for a Stein domain over the disk.
 
     The vanishing cycles are the monodromy letters in attaching order;
@@ -118,8 +117,7 @@ class PALF:
 
 # -- the plan -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FillingPlan:
+class FillingPlan(NamedTuple):
     """Assembly instructions for the concave side of a closed fibration.
 
     closed is the source open book stabilized to page genus at least 2;

@@ -32,7 +32,6 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
@@ -61,46 +60,81 @@ class FrontGeometryError(FrontError):
     """Genericity violation: touching endpoints, triple points, overlaps, ..."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Record:
+    """An immutable record: equality, hashing and repr over the fields it names.
+
+    A subclass lists its fields in `__slots__` and `_fields`, checks its
+    arguments in `__init__` and stores them with `_assign`; assigning a
+    field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Arc(Record):
     """A polyline of one component, its points as integers over `scale`."""
 
+    __slots__ = _fields = ("component", "points", "scale")
     component: str
     points: tuple[Point, ...]
-    scale: int = 1
+    scale: int
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
-            raise FrontGeometryError(f"arc of {self.component!r} needs at least 2 points")
-        for a, b in zip(self.points, self.points[1:]):
+    def __init__(self, component: str, points: tuple[Point, ...], scale: int = 1) -> None:
+        if len(points) < 2:
+            raise FrontGeometryError(f"arc of {component!r} needs at least 2 points")
+        for a, b in zip(points, points[1:]):
             if a[0] == b[0]:
                 if a[1] == b[1]:
                     raise FrontGeometryError(
-                        f"zero-length segment at {_fmt_pt(a, self.scale)} in {self.component!r}"
+                        f"zero-length segment at {_fmt_pt(a, scale)} in {component!r}"
                     )
                 raise FrontGeometryError(
-                    f"vertical segment at x={fmt_ratio(a[0], self.scale)} in {self.component!r}; "
+                    f"vertical segment at x={fmt_ratio(a[0], scale)} in {component!r}; "
                     "fronts replace vertical tangencies with cusps"
                 )
+        self._assign(component, points, scale)
 
 
-@dataclass(frozen=True)
-class HandleBall:
+class HandleBall(Record):
     """One attaching ball of a 1-handle: x and ybot..ytop as integers over `scale`."""
 
+    __slots__ = _fields = ("handle", "x", "ytop", "ybot", "scale")
     handle: str
     x: int
     ytop: int
     ybot: int
-    scale: int = 1
+    scale: int
 
-    def __post_init__(self) -> None:
-        if self.ytop <= self.ybot:
-            raise FrontGeometryError(f"handle ball {self.handle!r} has ytop <= ybot")
+    def __init__(self, handle: str, x: int, ytop: int, ybot: int, scale: int = 1) -> None:
+        if ytop <= ybot:
+            raise FrontGeometryError(f"handle ball {handle!r} has ytop <= ybot")
+        self._assign(handle, x, ytop, ybot, scale)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     point: tuple[int, int, int]  # (x, y, den): the point (x/den, y/den), in lowest terms
     over_component: str
     under_component: str
@@ -130,19 +164,25 @@ class Frame(NamedTuple):
     balls: list[tuple[str, int, int, int]]  # (handle, x, ytop, ybot) per ball
 
 
-@dataclass(frozen=True)
-class FrontDiagram:
+class FrontDiagram(Record):
+    __slots__ = ("arcs", "balls", "orientations", "knottypes",
+                 # populated during validation; excluded from equality and hashing
+                 "_traversals", "_frame", "_crossings", "_cusps", "_jumps")
+    _fields = ("arcs", "balls", "orientations", "knottypes")
     arcs: tuple[Arc, ...]
-    balls: tuple[HandleBall, ...] = ()
-    orientations: tuple[tuple[str, int], ...] = ()
-    knottypes: tuple[tuple[str, str], ...] = ()
+    balls: tuple[HandleBall, ...]
+    orientations: tuple[tuple[str, int], ...]
+    knottypes: tuple[tuple[str, str], ...]
 
-    # populated during validation; excluded from equality and hashing
-    _traversals: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _frame: Frame | None = field(default=None, compare=False, repr=False, hash=False)
-    _crossings: tuple = field(default=(), compare=False, repr=False, hash=False)
-    _cusps: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _jumps: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    def __init__(
+        self,
+        arcs: tuple[Arc, ...],
+        balls: tuple[HandleBall, ...] = (),
+        orientations: tuple[tuple[str, int], ...] = (),
+        knottypes: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self._assign(arcs, balls, orientations, knottypes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         scale, points, balls = _integer_frame(self.arcs, self.balls)
@@ -935,6 +975,13 @@ def json_object(obj: object, what: str, keys: tuple[str, ...]) -> dict:
     return obj
 
 
+def json_list(obj: object, what: str) -> list:
+    """obj, a JSON array: a string would iterate as its characters."""
+    if type(obj) is not list:
+        raise TypeError(f"{what} is not a list")
+    return obj
+
+
 @contextmanager
 def reading_doc(what: str, error: type[Exception]) -> Iterator[None]:
     """Raise a missing or ill-typed field of a JSON document as `error`."""
@@ -963,17 +1010,25 @@ def parse_front(text: str) -> FrontDiagram:
 def front_doc_statements(doc: object, builder: FrontBuilder) -> None:
     """Walk a JSON front into `builder`'s statement calls."""
     doc = json_object(doc, "front", ("arcs", "handles", "orient", "knottypes"))
-    for a in doc.get("arcs", []):
+    for a in json_list(doc.get("arcs", []), "arcs"):
         a = json_object(a, "arc", ("component", "points"))
-        builder.arc(a["component"], (parse_ratio(str(v)) for x, y in a["points"] for v in (x, y)))
-    for h in doc.get("handles", []):
+        builder.arc(a["component"], _doc_coordinates(a["points"]))
+    for h in json_list(doc.get("handles", []), "handles"):
         h = json_object(h, "handle", ("id", "balls"))
-        for ball in h["balls"]:
+        for ball in json_list(h["balls"], "balls"):
             builder.handle(h["id"], ((key, str(v)) for key, v in ball.items()))
     for comp, sign in doc.get("orient", {}).items():
         builder.orient(comp, sign)
     for comp, knot in doc.get("knottypes", {}).items():
         builder.knottype(comp, knot)
+
+
+def _doc_coordinates(points: object) -> Iterator[tuple[int, int]]:
+    """The coordinates of a JSON list of [x, y] points, as ratios x0, y0, x1, y1, ..."""
+    for point in json_list(points, "points"):
+        x, y = json_list(point, "point")
+        yield parse_ratio(str(x))
+        yield parse_ratio(str(y))
 
 
 def front_from_doc(doc: dict) -> FrontDiagram:

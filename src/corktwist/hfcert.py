@@ -24,11 +24,9 @@ input of a step to be the output of an earlier step.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import intmat, kirby, mcg
 from .fillings import STANDARD_ASSUMPTIONS, Assumption, FillingPlan
@@ -77,8 +75,7 @@ TWISTED_CONTACT = "τ*c+(ξ)"
 
 # -- numeric decorations ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinCDecoration:
+class SpinCDecoration(NamedTuple):
     """Numeric shadow of a spin-c structure: only what the formulas eat."""
 
     c1_squared: int
@@ -200,8 +197,7 @@ def eval_condition(cond: object) -> bool:
 
 # -- certificates -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SideCondition:
+class SideCondition(NamedTuple):
     """A check from CHECKS and the evidence it held on."""
 
     check: str
@@ -218,8 +214,7 @@ class SideCondition:
         return f"{self.check}({args})"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
@@ -239,8 +234,7 @@ class Step:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     steps: tuple[Step, ...]
     verdict: str
     assumptions: tuple[Assumption, ...]
@@ -260,6 +254,8 @@ class Certificate:
 
 def certificate_digest(body: dict) -> str:
     """Stable content hash over everything except the digest itself."""
+    import hashlib  # here, so that only the commands that hash a certificate import it
+
     trimmed = {k: v for k, v in body.items() if k != "digest"}
     blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -18,12 +18,12 @@ dot-to-zero surgery substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import front as front_mod
 from . import intmat, moves
-from .front import FrontDiagram, FrontParseError, json_object
+from .front import FrontDiagram, FrontParseError, Record, json_list, json_object
 
 # Facts about specific knot types used to certify Stein obstructions.
 # The maximal Thurston-Bennequin numbers are classical bounds for knots
@@ -39,8 +39,7 @@ class KirbyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(NamedTuple):
     """The half-turn about (cx, cy), integers over `scale`, exchanging comp1 and comp2."""
 
     comp1: str
@@ -53,20 +52,21 @@ class Involution:
         return front_mod.fmt_ratio(self.cx, self.scale), front_mod.fmt_ratio(self.cy, self.scale)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form."""
 
+    __slots__ = _fields = ("rank", "torsion")
     rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion orders must form a divisibility chain")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion orders must be at least 2")
+        self._assign(rank, torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -94,19 +94,29 @@ def cokernel(matrix: list[list[int]], ambient_rank: int) -> AbelianGroup:
     return AbelianGroup(ambient_rank - len(factors), torsion)
 
 
-@dataclass(frozen=True)
-class KirbyDiagram:
+class KirbyDiagram(Record):
+    __slots__ = _fields = (
+        "front", "dots", "frames", "involution", "stein_front", "stein_component"
+    )
     front: FrontDiagram
-    dots: tuple[str, ...] = ()
-    frames: tuple[tuple[str, int], ...] = ()
-    involution: Involution | None = None
-    stein_front: FrontDiagram | None = None
-    stein_component: str | None = None
+    dots: tuple[str, ...]
+    frames: tuple[tuple[str, int], ...]
+    involution: Involution | None
+    stein_front: FrontDiagram | None
+    stein_component: str | None
 
-    def __post_init__(self) -> None:
-        comps = self.front.components()
-        framed = dict(self.frames)
-        for c in self.dots:
+    def __init__(
+        self,
+        front: FrontDiagram,
+        dots: tuple[str, ...] = (),
+        frames: tuple[tuple[str, int], ...] = (),
+        involution: Involution | None = None,
+        stein_front: FrontDiagram | None = None,
+        stein_component: str | None = None,
+    ) -> None:
+        comps = front.components()
+        framed = dict(frames)
+        for c in dots:
             if c not in comps:
                 raise KirbyError(f"dot on unknown component {c!r}")
             if c in framed:
@@ -114,24 +124,25 @@ class KirbyDiagram:
         for c in framed:
             if c not in comps:
                 raise KirbyError(f"framing on unknown component {c!r}")
-        undecorated = [c for c in comps if c not in self.dots and c not in framed]
+        undecorated = [c for c in comps if c not in dots and c not in framed]
         if undecorated:
             raise KirbyError(f"components without dot or framing: {undecorated}")
-        if len(self.dots) != len(set(self.dots)) or len(framed) != len(self.frames):
+        if len(dots) != len(set(dots)) or len(framed) != len(frames):
             raise KirbyError("duplicate decoration")
-        if self.involution is not None:
-            for c in (self.involution.comp1, self.involution.comp2):
+        if involution is not None:
+            for c in (involution.comp1, involution.comp2):
                 if c not in comps:
                     raise KirbyError(f"involution names unknown component {c!r}")
-            if self.involution.comp1 == self.involution.comp2:
+            if involution.comp1 == involution.comp2:
                 raise KirbyError("exchanging involution needs two distinct components")
-        if (self.stein_front is None) != (self.stein_component is None):
+        if (stein_front is None) != (stein_component is None):
             raise KirbyError("stein section needs both a front and a component choice")
-        if self.stein_front is not None:
-            if self.stein_component not in self.stein_front.components():
+        if stein_front is not None:
+            if stein_component not in stein_front.components():
                 raise KirbyError(
-                    f"stein component {self.stein_component!r} is not in the stein front"
+                    f"stein component {stein_component!r} is not in the stein front"
                 )
+        self._assign(front, dots, frames, involution, stein_front, stein_component)
 
     def dotted(self) -> list[str]:
         return [c for c in self.front.components() if c in self.dots]
@@ -239,16 +250,17 @@ def kirby_from_doc(doc: dict) -> KirbyDiagram:
         doc = json_object(doc, "diagram document",
                           ("front", "dots", "frames", "involution", "stein"))
         front_mod.front_doc_statements(doc["front"], builder.front)
-        for comp in doc.get("dots", []):
+        for comp in json_list(doc.get("dots", []), "dots"):
             builder.dot(comp)
         for comp, framing in doc.get("frames", {}).items():
             builder.frame(comp, framing)
-        if doc.get("involution"):  # kirby_to_doc writes null for none
+        # kirby_to_doc writes null for no involution and no stein section
+        if doc.get("involution") is not None:
             iv = json_object(doc["involution"], "involution", ("components", "center"))
-            comp1, comp2 = iv["components"]
-            cx, cy = (front_mod.parse_ratio(str(v)) for v in iv["center"])
+            comp1, comp2 = json_list(iv["components"], "components")
+            cx, cy = (front_mod.parse_ratio(str(v)) for v in json_list(iv["center"], "center"))
             builder.involution(comp1, comp2, cx, cy)
-        if doc.get("stein"):
+        if doc.get("stein") is not None:
             stein = json_object(doc["stein"], "stein section", ("front", "component"))
             front_mod.front_doc_statements(stein["front"], builder.stein)
             builder.stein_component(stein["component"])
@@ -352,8 +364,7 @@ def linking_matrix(d: KirbyDiagram) -> tuple[list[str], list[list[int]]]:
     return comps, m
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     components: tuple[str, ...]
     linking_matrix: tuple[tuple[int, ...], ...]
     h_of_W: tuple[AbelianGroup, ...]       # degrees 0..4
@@ -420,8 +431,7 @@ def homology(d: KirbyDiagram) -> HomologyReport:
 # -- admissibility ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """The evidence of the four cork-candidate checks, and the statuses it implies.
 
     The report stores only what the checks produce; every status and the
@@ -611,8 +621,7 @@ def stein_side_status(
 # -- inflation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CobordismRecord:
+class CobordismRecord(NamedTuple):
     """One 2-handle attached to the boundary of a diagram's 4-manifold.
 
     The attaching knot comes as its own front, possibly drawn over a
@@ -651,8 +660,7 @@ def inflate(
 # -- inflation spec files -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InflationSpec:
+class InflationSpec(NamedTuple):
     """A paired attachment: the same knot seen before and after the twist."""
 
     knot: str

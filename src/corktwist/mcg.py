@@ -13,50 +13,52 @@ matrices on column vectors  action(u v) = action(v) * action(u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import intmat
+from .front import Record
 from .intmat import Matrix, Vector
 
 MAX_GENUS = 64  # chain curves take O(g^2) ints, so larger pages are refused
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """A simple closed curve known only through its homology class."""
 
+    __slots__ = _fields = ("name", "h1_class")
     name: str
     h1_class: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.h1_class) == 0 or len(self.h1_class) % 2 != 0:
-            raise ValueError(f"h1 class of {self.name!r} must have even positive length")
-        if not intmat.is_primitive(list(self.h1_class)):
+    def __init__(self, name: str, h1_class: tuple[int, ...]) -> None:
+        if len(h1_class) == 0 or len(h1_class) % 2 != 0:
+            raise ValueError(f"h1 class of {name!r} must have even positive length")
+        if not intmat.is_primitive(list(h1_class)):
             raise ValueError(
-                f"curve {self.name!r} has imprimitive class {self.h1_class}; "
+                f"curve {name!r} has imprimitive class {h1_class}; "
                 "simple closed curves are primitive or zero, and zero classes "
                 "(separating curves) are not twistable here"
             )
+        self._assign(name, h1_class)
 
     @property
     def genus(self) -> int:
         return len(self.h1_class) // 2
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Record):
     """Word in Dehn twists: letters are (curve, exponent) with exponent +-1."""
 
+    __slots__ = _fields = ("letters",)
     letters: tuple[tuple[Curve, int], ...]
 
-    def __post_init__(self) -> None:
-        for curve, exp in self.letters:
+    def __init__(self, letters: tuple[tuple[Curve, int], ...]) -> None:
+        for curve, exp in letters:
             if exp not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {exp}")
-        genera = {curve.genus for curve, _ in self.letters}
+        genera = {curve.genus for curve, _ in letters}
         if len(genera) > 1:
             raise ValueError(f"letters live on different surfaces: genera {sorted(genera)}")
+        self._assign(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -256,12 +258,15 @@ def _chain_images(s: Matrix) -> tuple[tuple[int, ...], ...]:
 RELATOR = "c2 ... c2g (c1 ... c2g)^(4g+1)"
 
 
-@dataclass(frozen=True)
-class RelatorBlock:
+class RelatorBlock(Record):
     """RELATOR with each c_k read as S c_k, S a frame of letter: a positive T_letter^-1."""
 
+    __slots__ = _fields = ("letter", "chain_images")
     letter: Curve
     chain_images: tuple[tuple[int, ...], ...]  # S c_1, ..., S c_2g
+
+    def __init__(self, letter: Curve, chain_images: tuple[tuple[int, ...], ...]) -> None:
+        self._assign(letter, chain_images)
 
     def __len__(self) -> int:
         """Letters in the block: 2g - 1, then 2g letters 4g + 1 times."""

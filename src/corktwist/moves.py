@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from . import front as front_mod
 
@@ -65,8 +65,7 @@ def _angle_cmp(v1: Vec, v2: Vec) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Vertex:
+class _Vertex(NamedTuple):
     ends: tuple[int, int, int, int]  # dart ids, counterclockwise
     over_parity: int  # 0: strand through slots 0 and 2 is over; 1: slots 1 and 3
 
@@ -178,6 +177,8 @@ class Shadow:
         soon as its prefix exceeds the best code so far, and a tie keeps the
         earlier start, so the labels are those of the full comparison; the
         starts that tie it are recorded after it, and none when it has no tie.
+        Every code opens with 4 * 0 + the low bits of its first step, so only
+        the starts whose first step has the least low bits are walked.
         """
         step: dict[int, tuple[int, int, int]] = {}  # dart -> (vertex, low bits, next dart)
         for vid, v in self.vertices.items():
@@ -188,7 +189,8 @@ class Shadow:
         best: list[int] = []
         best_labels: dict[int, int] = {}
         ties: list[int] = []
-        for start in sorted(self.theta):
+        low = min(bits for _, bits, _ in step.values())
+        for start in sorted(d for d, (_, bits, _) in step.items() if bits == low):
             labels: dict[int, int] = {}
             code: list[int] = []
             tied = bool(best)  # prefix equal to the best code so far

@@ -630,6 +630,11 @@ def _extra_key(*path):
     return edit
 
 
+def _set(key, value):
+    """An edit that sets a top-level key."""
+    return lambda doc: doc.update({key: value})
+
+
 # mazur's arcs, and a Stein section over a 1-handle whose component line
 # comes first: with only these, a `dot`, `frame` and `stein component` line,
 # a name with a space has nothing but the name rule to refuse it
@@ -666,11 +671,15 @@ STEIN = ("stein component K1\n"
     _edited(MAZUR_JSON, _extra_key("stein")),
     _edited(MAZUR_JSON, _extra_key("stein", "front", "handles", 0)),
     _edited(MAZUR_JSON, _extra_key("stein", "front", "handles", 0, "balls", 0)),
+    # only null marks a section as absent
+    *(_edited(MAZUR_JSON, _set(key, value))
+      for key in ("involution", "stein") for value in ({}, False, 0)),
 ], ids=["malformed", "no-front", "brackets", "deep", "arcs",
         "name-empty", "name-space", "name-colon", "name-hash", "handle-id", "knottype",
         "knottype-number", "line-arc", "line-dot", "line-stein-component",
         "key-top", "key-front", "key-arc", "key-involution", "key-stein", "key-handle",
-        "key-ball"])
+        "key-ball", "involution-empty", "involution-false", "involution-zero",
+        "stein-empty", "stein-false", "stein-zero"])
 def test_bad_kirby_document_exits_2(tmp_path, text):
     path = tmp_path / "bad.kirby"
     path.write_text(text)
@@ -679,6 +688,15 @@ def test_bad_kirby_document_exits_2(tmp_path, text):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["involution", "stein"])
+def test_null_section_reads_as_absent(tmp_path, key):
+    path = tmp_path / "mazur.kirby"
+    path.write_text(_edited(MAZUR_JSON, _set(key, None)))
+    code, out, _ = run(["admissible", str(path), "--format", "doc"])
+    assert code == 1
+    assert json.loads(out)["report"]["verdict"] == "not admissible"
 
 
 def _lens_json(name="K", **fields):
@@ -708,10 +726,14 @@ TREFOIL_HANDLE_JSON = json.dumps(front.front_to_doc(front.parse_front(TREFOIL_HA
     _edited(_lens_json(), _extra_key("arcs", 0)),
     _edited(TREFOIL_HANDLE_JSON, _extra_key("handles", 0)),
     _edited(TREFOIL_HANDLE_JSON, _extra_key("handles", 0, "balls", 0)),
+    # a string where a list belongs would iterate as its characters
+    '{"arcs": [{"component": "K", "points": "00"}]}',
+    '{"arcs": [{"component": "K", "points": ["01", "43", "81"]}, '
+    '{"component": "K", "points": ["81", "40", "01"]}]}',
 ], ids=["malformed", "no-points", "arcs", "brackets", "deep", "orient",
         "name-empty", "name-space", "name-colon", "name-hash", "name-number",
         "knottype-number", "knottype-list", "handle-id", "line-arc", "line-handle",
-        "key-top", "key-arc", "key-handle", "key-ball"])
+        "key-top", "key-arc", "key-handle", "key-ball", "points-string", "point-string"])
 @pytest.mark.parametrize("via", ["tb", "certify-spec"])
 def test_bad_front_document_exits_2(fixtures, tmp_path, text, via):
     path = tmp_path / "bad.front"
@@ -802,6 +824,12 @@ def test_boolean_curve_vector_exits_2(fixtures, tmp_path, via):
     ("frames", {"K2": 0.5}), ("frames", {"K2": True}),
     ("involution", {"components": ["K1", "K2", "K1"], "center": ["6", "0"]}),
     ("stein", {"front": json.loads(_lens_json(7)), "component": 7}),
+    # a string where a list belongs would iterate as its characters
+    ("dots", "K1"),
+    ("involution", {"components": "K1", "center": ["6", "0"]}),
+    ("involution", {"components": ["K1", "K2"], "center": "60"}),
+    ("front", {**json.loads(MAZUR_JSON)["front"], "arcs": [{"component": "K1", "points": "00"}]}),
+    ("front", json.loads(MAZUR_JSON.replace('["4", "2"]', '"42"'))["front"]),
 ])
 def test_ill_typed_kirby_field_exits_2(fixtures, tmp_path, field, value):
     doc = kirby.kirby_to_doc(kirby.parse_kirby((fixtures / "mazur.kirby").read_text()))
@@ -919,6 +947,44 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert proc.returncode == 0
     assert "usage:" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+# runs `corktwist ARGV` in a fresh interpreter, then prints what it has imported
+_IMPORTS_PROBE = """
+import json, sys
+from corktwist import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def _imports_after(argv):
+    """The exit code of a fresh `corktwist argv`, the package modules it loaded, and
+    which of dataclasses and hashlib it loaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_PROBE, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    package = {name for name in loaded if name.split(".")[0] == "corktwist"}
+    return code, package, {"dataclasses", "hashlib"} & set(loaded)
+
+
+def test_each_command_imports_only_what_it_uses(fixtures, certify_argv, tmp_path):
+    assert _imports_after(["tb", str(fixtures / "trefoil.front")]) == (
+        0, {"corktwist", "corktwist.cli", "corktwist.front"}, set())
+    assert _imports_after(["mcg", "verify-chain", "2"]) == (
+        0, {"corktwist", "corktwist.cli", "corktwist.front", "corktwist.mcg",
+            "corktwist.intmat"}, set())
+    # --validate loads the whole package through hfcert's imports
+    cert = tmp_path / "cert.json"
+    assert run([*certify_argv, "--out", str(cert)])[0] == 0
+    assert _imports_after(["certify", "--validate", str(cert)]) == (
+        0, {"corktwist", "corktwist.cli", "corktwist.fillings", "corktwist.front",
+            "corktwist.hfcert", "corktwist.intmat", "corktwist.kirby", "corktwist.mcg",
+            "corktwist.moves"}, {"hashlib"})
 
 
 def test_shared_parser_keeps_no_state_between_calls(fixtures):

@@ -1,6 +1,5 @@
 """Front parsing and the tb / linking arithmetic on the shipped fixtures."""
 
-import dataclasses
 import json
 import math
 import random
@@ -131,15 +130,15 @@ def _renamed(d, new):
     """d with each component, handle id and knot type called `new[old name]`."""
     def renamed_front(f):
         return front.FrontDiagram(
-            tuple(dataclasses.replace(a, component=new[a.component]) for a in f.arcs),
-            tuple(dataclasses.replace(b, handle=new[b.handle]) for b in f.balls),
+            tuple(front.Arc(new[a.component], a.points, a.scale) for a in f.arcs),
+            tuple(front.HandleBall(new[b.handle], b.x, b.ytop, b.ybot, b.scale) for b in f.balls),
             tuple((new[c], s) for c, s in f.orientations),
             tuple((new[c], new[k]) for c, k in f.knottypes))
     iv = d.involution
     return kirby.KirbyDiagram(
         renamed_front(d.front), tuple(new[c] for c in d.dots),
         tuple((new[c], k) for c, k in d.frames),
-        dataclasses.replace(iv, comp1=new[iv.comp1], comp2=new[iv.comp2]),
+        iv._replace(comp1=new[iv.comp1], comp2=new[iv.comp2]),
         renamed_front(d.stein_front), new[d.stein_component])
 
 
@@ -194,6 +193,16 @@ LENS_A = "arc A : (0,0) (4,2) (8,0)\narc A : (8,0) (4,-2) (0,0)\n"
 def test_genericity_violations_are_rejected(text, fragment):
     with pytest.raises(FrontGeometryError, match=re.escape(fragment)):
         parse_front(text)
+
+
+def test_records_compare_by_fields_and_refuse_assignment():
+    d, again = parse_front(LENS_A), parse_front(LENS_A)
+    assert d == again and hash(d) == hash(again) and d is not again
+    assert d != front.FrontDiagram(d.arcs, orientations=(("A", -1),))
+    assert d != d.arcs[0] and d.arcs[0] != d.arcs[1]
+    assert repr(d.arcs[0]) == "Arc(component='A', points=((0, 0), (4, 2), (8, 0)), scale=1)"
+    with pytest.raises(AttributeError, match="cannot assign to field 'arcs'"):
+        d.arcs = ()
 
 
 # -- the integer frame against the Fraction geometry it replaced ---------------
@@ -402,8 +411,7 @@ def _fraction_balls(frame):
 def _fraction_crossing(c, scale):
     """c with its fields in the Fractions the oracles build."""
     x, y, den = c.point
-    return dataclasses.replace(
-        c,
+    return c._replace(
         point=(Fraction(x, den), Fraction(y, den)),
         over_dir=tuple(Fraction(v, scale) for v in c.over_dir),
         under_dir=tuple(Fraction(v, scale) for v in c.under_dir),

@@ -1,7 +1,6 @@
 """Diagram-level checks: parsing, involution, homology, admissibility,
 the twist move, and the Stein framing rule."""
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -122,7 +121,9 @@ def _over_lcm(values):
 def _with_centre(d, cx, cy):
     iv = d.involution
     (x, y), scale = _over_lcm([cx, cy])
-    return dataclasses.replace(d, involution=kirby.Involution(iv.comp1, iv.comp2, x, y, scale))
+    return kirby.KirbyDiagram(d.front, d.dots, d.frames,
+                              kirby.Involution(iv.comp1, iv.comp2, x, y, scale),
+                              d.stein_front, d.stein_component)
 
 
 def _translated(d, ox, oy):
@@ -137,10 +138,12 @@ def _translated(d, ox, oy):
                                  for v, o in ((b.x, ox), (b.ytop, oy), (b.ybot, oy))])
         return front.HandleBall(b.handle, *vals, scale)
 
-    moved = dataclasses.replace(d.front, arcs=tuple(arc(a) for a in d.front.arcs),
-                                balls=tuple(ball(b) for b in d.front.balls))
+    moved = front.FrontDiagram(tuple(arc(a) for a in d.front.arcs),
+                               tuple(ball(b) for b in d.front.balls),
+                               d.front.orientations, d.front.knottypes)
     iv = d.involution
-    return _with_centre(dataclasses.replace(d, front=moved),
+    return _with_centre(kirby.KirbyDiagram(moved, d.dots, d.frames, d.involution,
+                                           d.stein_front, d.stein_component),
                         Fraction(iv.cx, iv.scale) + ox, Fraction(iv.cy, iv.scale) + oy)
 
 

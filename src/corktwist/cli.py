@@ -95,7 +95,11 @@ def cmd_admissible(args: argparse.Namespace) -> int:
     from . import kirby
     d = _load_diagram(kirby.parse_kirby, args.diagram_path)
     budget, seed = _search_settings(args)
-    rep = kirby.check_admissible(d, budget=budget, seed=seed)
+    try:
+        rep = kirby.check_admissible(d, budget=budget, seed=seed)
+    except kirby.KirbyError as exc:
+        print(f"admissibility aborted: {exc}", file=sys.stderr)
+        return ABORTED
     if args.format == "doc":
         _emit_doc({"report": rep.to_doc(), "budget": budget, "seed": seed})
     else:
@@ -228,13 +232,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
                          spec_path)
 
     budget, seed = _search_settings(args)
-    adm = kirby.check_admissible(cork, budget=budget, seed=seed)
-    if adm.verdict == "inconclusive":
-        print(f"certification inconclusive: cork admissibility undecided "
-              f"at budget {budget}, seed {seed}", file=sys.stderr)
-        return INCONCLUSIVE
-
     try:
+        adm = kirby.check_admissible(cork, budget=budget, seed=seed)
+        if adm.verdict == "inconclusive":
+            print(f"certification inconclusive: cork admissibility undecided "
+                  f"at budget {budget}, seed {seed}", file=sys.stderr)
+            return INCONCLUSIVE
         untwisted = kirby.inflate(pair.untwisted_front, pair.framing, pair.untwisted_component)
         hfcert.require_untwisted_exact(untwisted)
         twisted = kirby.inflate(pair.twisted_front, pair.framing, pair.twisted_component)

@@ -30,9 +30,10 @@ import json
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -44,6 +45,9 @@ HANDLE_CONVENTION = "cusps and crossings counted as drawn; no correction per bal
 # segments per front (the main and the Stein section of a .kirby each count
 # on their own); LHP(64) has 261
 MAX_SEGMENTS = 4096
+# segment pairs the sweep may hand on to be classified, each a crossing in
+# a front that builds; LHP(64) has 191
+MAX_CROSSINGS = 5000
 
 
 class FrontError(ValueError):
@@ -148,14 +152,6 @@ class Crossing(NamedTuple):
     under_at: tuple[str, int, int, int]
 
 
-class _Step(NamedTuple):
-    """One directed segment of a component traversal, in frame integers."""
-
-    seg: Segment
-    arc_index: int
-    after_jump: bool  # entered through a handle ball
-
-
 class Frame(NamedTuple):
     """A diagram's coordinates as integers over one common denominator `scale`."""
 
@@ -167,7 +163,7 @@ class Frame(NamedTuple):
 class FrontDiagram(Record):
     __slots__ = ("arcs", "balls", "orientations", "knottypes",
                  # populated during validation; excluded from equality and hashing
-                 "_traversals", "_frame", "_crossings", "_cusps", "_jumps")
+                 "_walks", "_frame", "_crossings", "_cusps", "_jumps")
     _fields = ("arcs", "balls", "orientations", "knottypes")
     arcs: tuple[Arc, ...]
     balls: tuple[HandleBall, ...]
@@ -186,30 +182,26 @@ class FrontDiagram(Record):
 
     def __post_init__(self) -> None:
         scale, points, balls = _integer_frame(self.arcs, self.balls)
-        traversals, jumps = _chain_components(self.arcs, scale, points, balls)
         orient = dict(self.orientations)
+        walks, segs, jumps = _chain_components(self.arcs, scale, points, balls, orient)
         for comp in orient:
-            if comp not in traversals:
+            if comp not in walks:
                 raise FrontParseError(f"orientation for unknown component {comp!r}")
         for comp, _ in self.knottypes:
-            if comp not in traversals:
+            if comp not in walks:
                 raise FrontParseError(f"knot type for unknown component {comp!r}")
-        for comp, steps in traversals.items():
-            if orient.get(comp, 1) == -1:
-                traversals[comp] = _reverse_steps(steps)
-        frame = Frame(scale, {comp: [s.seg for s in steps] for comp, steps in traversals.items()},
-                      balls)
-        cusps = {comp: _find_cusps(steps) for comp, steps in traversals.items()}
+        frame = Frame(scale, segs, balls)
+        cusps = {comp: _find_cusps(steps, jumps[comp]) for comp, steps in segs.items()}
         for comp, pts in cusps.items():
             if len(pts) % 2 != 0:
                 raise FrontGeometryError(
                     f"component {comp!r} has {len(pts)} cusps; a closed front "
                     "reverses x-direction an even number of times"
                 )
-            if jumps[comp] == 0 and len(pts) < 2:
+            if not jumps[comp] and len(pts) < 2:
                 raise FrontGeometryError(f"component {comp!r} is closed in the plane but has no cusps")
-        crossings = _find_crossings(traversals, frame)
-        object.__setattr__(self, "_traversals", traversals)
+        crossings = _find_crossings(frame, jumps)
+        object.__setattr__(self, "_walks", walks)
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_crossings", tuple(crossings))
         object.__setattr__(self, "_cusps", cusps)
@@ -245,7 +237,7 @@ class FrontDiagram(Record):
 
     def handle_passes(self, comp: str) -> int:
         self._require(comp)
-        return self._jumps[comp]
+        return len(self._jumps[comp])
 
     def writhe(self, comp: str) -> int:
         self._require(comp)
@@ -278,7 +270,7 @@ class FrontDiagram(Record):
         return total // 2
 
     def _require(self, comp: str) -> None:
-        if comp not in self._traversals:
+        if comp not in self._walks:
             raise KeyError(f"no component {comp!r}; have {self.components()}")
 
     def tb_report(self, comp: str) -> dict:
@@ -316,7 +308,7 @@ def _integer_frame(
     points = []
     for arc in arcs:
         k = scale // arc.scale
-        points.append(arc.points if k == 1 else tuple((x * k, y * k) for x, y in arc.points))
+        points.append(arc.points if k == 1 else tuple([(x * k, y * k) for x, y in arc.points]))
     framed = []
     for b in balls:
         k = scale // b.scale
@@ -371,11 +363,17 @@ def _chain_components(
     scale: int,
     points: list[tuple[Point, ...]],
     balls: list[tuple[str, int, int, int]],
-) -> tuple[dict[str, list[_Step]], dict[str, int]]:
-    """Walk the arcs into one closed traversal per component.
+    orient: dict[str, int],
+) -> tuple[dict[str, list[tuple[int, bool, bool]]], dict[str, list[Segment]],
+           dict[str, list[int]]]:
+    """Walk the arcs into one closed traversal per component, in its orientation.
 
     `points` holds each arc's points and `balls` each ball's (handle, x,
-    ytop, ybot), all as integers over `scale`.
+    ytop, ybot), all as integers over `scale`; a component that `orient`
+    maps to -1 runs against the direction its first arc is drawn in.
+    Returns, per component, its walk: (arc index, traversed forward,
+    entered through a ball) per arc in traversal order; its segments, one
+    per step; and the indices of the steps entered through a ball.
     """
     if not arcs:
         raise FrontParseError("diagram has no arcs")
@@ -429,54 +427,53 @@ def _chain_components(
             partner[a] = (b, True)
             partner[b] = (a, True)
 
-    # walk cycles
-    traversals: dict[str, list[_Step]] = {}
-    jumps: dict[str, int] = {}
+    # walk each cycle forward from its first arc, then lay its steps down
+    # in the component's orientation
+    walks: dict[str, list[tuple[int, bool, bool]]] = {}
+    segs: dict[str, list[Segment]] = {}
+    jumps: dict[str, list[int]] = {}
     visited = [False] * len(arcs)
     for start in range(len(arcs)):
         if visited[start]:
             continue
         comp = arcs[start].component
-        if comp in traversals:
+        if comp in walks:
             raise FrontGeometryError(f"component {comp!r} splits into several closed curves")
-        steps: list[_Step] = []
-        njumps = 0
-        current = start
-        forward = True
-        entered_by_jump = False
+        walk: list[tuple[int, bool, bool]] = []
+        current, forward, via_ball = start, True, False
         while True:
             visited[current] = True
             if arcs[current].component != comp:
                 raise FrontGeometryError(
                     f"arcs labelled {comp!r} and {arcs[current].component!r} chain into one curve"
                 )
-            pts = points[current] if forward else points[current][::-1]
-            first = len(steps)
-            steps.extend(_Step(a + b, current, False) for a, b in zip(pts, pts[1:]))
-            if entered_by_jump:
-                steps[first] = steps[first]._replace(after_jump=True)
-            exit_end = (current, 1 if forward else 0)
-            nxt, via_ball = partner[exit_end]
-            if via_ball:
-                njumps += 1
-            entered_by_jump = via_ball
-            current, entry = nxt
+            walk.append((current, forward, via_ball))
+            (current, entry), via_ball = partner[(current, 1 if forward else 0)]
             forward = entry == 0
             if current == start and forward:
-                # adjust the recorded entry flag of the first step
-                if entered_by_jump != steps[0].after_jump:
-                    steps[0] = steps[0]._replace(after_jump=entered_by_jump)
+                walk[0] = (start, True, via_ball)
                 break
-            if visited[current] and not (current == start):
+            if visited[current]:
                 raise FrontGeometryError(f"arc chaining of {comp!r} revisits an arc; bad matching")
-        traversals[comp] = steps
-        jumps[comp] = njumps
+        if orient.get(comp, 1) == -1:
+            # backwards, each arc entered where the forward walk left it
+            n = len(walk)
+            walk = [(walk[k][0], not walk[k][1], walk[(k + 1) % n][2])
+                    for k in range(n - 1, -1, -1)]
+        steps: list[Segment] = []
+        entered: list[int] = []
+        for i, fwd, via in walk:
+            if via:
+                entered.append(len(steps))
+            pts = points[i] if fwd else points[i][::-1]
+            steps += map(tuple.__add__, pts, pts[1:])
+        walks[comp], segs[comp], jumps[comp] = walk, steps, entered
 
     declared = {arc.component for arc in arcs}
-    missing = declared - set(traversals)
+    missing = declared - set(walks)
     if missing:
         raise FrontGeometryError(f"components never closed: {sorted(missing)}")
-    return traversals, jumps
+    return walks, segs, jumps
 
 
 def _on_ball(p: Point, ball: tuple[str, int, int, int]) -> bool:
@@ -490,6 +487,8 @@ def _validate_balls(
     points: list[tuple[Point, ...]],
     balls: list[tuple[str, int, int, int]],
 ) -> None:
+    if not balls:
+        return
     counts: dict[str, int] = {}
     for ball in balls:
         counts[ball[0]] = counts.get(ball[0], 0) + 1
@@ -511,55 +510,53 @@ def _validate_balls(
                     )
 
 
-def _reverse_steps(steps: list[_Step]) -> list[_Step]:
-    out: list[_Step] = []
-    n = len(steps)
-    for i in range(n - 1, -1, -1):
-        s = steps[i]
-        # after reversal the jump flag belongs to the step that FOLLOWS the jump,
-        # which is the reversal of the step that preceded it
-        flag = steps[(i + 1) % n].after_jump
-        out.append(_Step(s.seg[2:] + s.seg[:2], s.arc_index, flag))
-    return out
-
-
-def _find_cusps(steps: list[_Step]) -> list[Point]:
+def _find_cusps(segs: list[Segment], jumps: list[int]) -> list[Point]:
     """Each step end where the x-direction reverses, unless the next step enters through a ball."""
-    rightward = [s.seg[0] < s.seg[2] for s in steps]
-    return [
-        s.seg[2:]
-        for s, right, nxt, nxt_right in zip(
-            steps, rightward, steps[1:] + steps[:1], rightward[1:] + rightward[:1]
-        )
-        if right != nxt_right and not nxt.after_jump
-    ]
+    rightward = [s[0] < s[2] for s in segs]
+    n = len(segs)
+    # rightward[i + 1 - n] is the next step's flag, step 0's for the last step
+    return [segs[i][2:] for i in range(n)
+            if rightward[i] != rightward[i + 1 - n] and (i + 1) % n not in jumps]
 
 
-def _find_crossings(traversals: dict[str, list[_Step]], frame: Frame) -> list[Crossing]:
+def _find_crossings(frame: Frame, jumps: dict[str, list[int]]) -> list[Crossing]:
     """Every crossing, in order of segment index pairs; a genericity violation raises.
 
-    The ball check, the sweep, `_seg_meet` and the triple-point check all
+    `jumps` gives, per component, the steps entered through a ball.  The
+    ball check, the sweep, `_seg_meet` and the triple-point check all
     work on the integers of `frame`, and so does every field a `Crossing`
     stores: its point in lowest terms, the integer directions of its two
     segments and the parameter along each.
     """
-    segs = [(comp, i) for comp, steps in traversals.items() for i in range(len(steps))]
-    ints = [seg for comp_segs in frame.segs.values() for seg in comp_segs]
+    # per segment in one list: its component, and the index of the next
+    # step when the two are joined at a shared vertex, else -1
+    ints: list[Segment] = []
+    comps: list[str] = []
+    joined: list[int] = []
+    offset: dict[str, int] = {}
+    for comp, segs in frame.segs.items():
+        start, n = len(ints), len(segs)
+        offset[comp] = start
+        ints += segs
+        comps += [comp] * n
+        nxt = list(range(start + 1, start + n))
+        nxt.append(start)
+        for i in jumps[comp]:
+            nxt[i - 1] = -1
+        joined += nxt
     if frame.balls:
-        for (comp, _), seg in zip(segs, ints):
+        for comp, seg in zip(comps, ints):
             _check_ball_contacts(comp, seg, frame.balls)
 
+    pairs = _meeting_pairs(ints, joined)
+    if len(pairs) > MAX_CROSSINGS:
+        raise FrontGeometryError(
+            f"too many crossings: a front has at most {MAX_CROSSINGS} crossings"
+        )
     scale = frame.scale
     crossings: list[Crossing] = []
-    for a, b in _meeting_pairs(ints):
-        comp1, i1 = segs[a]
-        comp2, i2 = segs[b]
-        if comp1 == comp2:
-            n1 = len(traversals[comp1])
-            successor = (i1 + 1) % n1 == i2 and not traversals[comp1][i2].after_jump
-            predecessor = (i2 + 1) % n1 == i1 and not traversals[comp1][i1].after_jump
-            if successor or predecessor:
-                continue  # joined at a shared vertex
+    for a, b in pairs:
+        comp1, comp2 = comps[a], comps[b]
         result = _seg_meet(ints[a], ints[b])
         kind = result[0]
         if kind == "none":
@@ -575,6 +572,7 @@ def _find_crossings(traversals: dict[str, list[_Step]], frame: Frame) -> list[Cr
                 "perturb the diagram"
             )
         _, t, u, x, y, den = result
+        i1, i2 = a - offset[comp1], b - offset[comp2]
         px, py, qx, qy = ints[a]
         rx, ry, sx, sy = ints[b]
         d1, d2 = (qx - px, qy - py), (sx - rx, sy - ry)
@@ -598,24 +596,28 @@ def _find_crossings(traversals: dict[str, list[_Step]], frame: Frame) -> list[Cr
             )
         )
 
-    repeats = Counter(c.point for c in crossings)
-    for c in crossings:
-        if repeats[c.point] > 1:
-            raise FrontGeometryError(f"triple point at {_fmt_pt(c.point[:2], c.point[2])}")
+    if len({c.point for c in crossings}) < len(crossings):
+        repeats = Counter(c.point for c in crossings)
+        for c in crossings:
+            if repeats[c.point] > 1:
+                raise FrontGeometryError(f"triple point at {_fmt_pt(c.point[:2], c.point[2])}")
     return crossings
 
 
-def _meeting_pairs(ints: list[Segment]) -> list[tuple[int, int]]:
-    """Index pairs a < b, in increasing order, of the segments that share a point.
+def _meeting_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, int]]:
+    """Index pairs a < b, in increasing order, of the segments that share a point,
+    less each segment and the next step joined to it, `joined[a]`.
 
     A sweep over the integer segments sorted by left x pairs each one with
     the later ones whose left x is at most its right x, so a shared x still
     counts.  A candidate whose y-extent is disjoint from the segment's is
     dropped first: two segments that meet, or are collinear and share an x,
-    share a y as well.  Integer orientation tests then drop a pair when both
-    ends of one segment lie strictly on one side of the other's line, each
-    line written as dx * y - dy * x = c.  Every dropped pair is one that
-    `_seg_meet` classifies as "none".
+    share a y as well.  A pair of steps joined at their shared vertex goes
+    next.  Integer orientation tests then drop a pair when both ends of one
+    segment lie strictly on one side of the other's line, each line written
+    as dx * y - dy * x = c.  Every dropped pair other than a joined one is
+    one that `_seg_meet` classifies as "none".  The sweep stops at the first
+    pair past MAX_CROSSINGS.
     """
     segs = []
     for k, (px, py, qx, qy) in enumerate(ints):
@@ -623,20 +625,22 @@ def _meeting_pairs(ints: list[Segment]) -> list[tuple[int, int]]:
             px, py, qx, qy = qx, qy, px, py
         dx, dy = qx - px, qy - py
         lo, hi = (py, qy) if py < qy else (qy, py)
-        segs.append((px, qx, lo, hi, py, qy, dx, dy, dx * py - dy * px, k))
+        segs.append((px, qx, lo, hi, py, qy, dx, dy, dx * py - dy * px, k, joined[k]))
     segs.sort()
     pairs: list[tuple[int, int]] = []
-    for n, (px, qx, lo, hi, py, qy, dx, dy, c, a) in enumerate(segs):
-        for rx, sx, rlo, rhi, ry, sy, ex, ey, e, b in islice(segs, n + 1, None):
+    for n, (px, qx, lo, hi, py, qy, dx, dy, c, a, na) in enumerate(segs):
+        for rx, sx, rlo, rhi, ry, sy, ex, ey, e, b, nb in islice(segs, n + 1, None):
             if rx > qx:
                 break
-            if rlo > hi or rhi < lo:
+            if rlo > hi or rhi < lo or b == na or a == nb:
                 continue
             if (dx * ry - dy * rx - c) * (dx * sy - dy * sx - c) > 0:
                 continue
             if (ex * py - ey * px - e) * (ex * qy - ey * qx - e) > 0:
                 continue
             pairs.append((a, b) if a < b else (b, a))
+            if len(pairs) > MAX_CROSSINGS:
+                return pairs  # the caller refuses the front: the rest need not be found
     pairs.sort()
     return pairs
 
@@ -673,9 +677,9 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     if sign not in (1, -1):
         raise ValueError("stabilization sign must be +1 or -1")
     d._require(comp)
-    steps = d._traversals[comp]
     seg_index = 0
-    step = steps[seg_index]
+    arc_index = d._walks[comp][0][0]
+    step = d._frame.segs[comp][seg_index]
     params = sorted(
         Fraction(at[2], at[3])
         for c in d._crossings
@@ -689,15 +693,15 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     width = (hi - lo) / 3
 
     old_crossing_count = len(d._crossings)
-    arc = d.arcs[step.arc_index]
+    arc = d.arcs[arc_index]
     # locate the stored segment matching this step (traversal may run it
     # backwards when the component is negatively oriented)
     k = d._frame.scale // arc.scale
     stored = forward = None
     for i, (a, b) in enumerate(zip(arc.points, arc.points[1:])):
         seg = (a[0] * k, a[1] * k, b[0] * k, b[1] * k)
-        if step.seg in (seg, seg[2:] + seg[:2]):
-            stored, forward = i, step.seg == seg
+        if step in (seg, seg[2:] + seg[:2]):
+            stored, forward = i, step == seg
             break
     assert stored is not None, "traversal step lost its arc segment"
     a, b = ((Fraction(x, arc.scale), Fraction(y, arc.scale))
@@ -721,7 +725,7 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
         zb = (m1[0] + Fraction(1, 4) * dx, m1[1] + Fraction(1, 4) * dy - sign * h)
         zigzag = [v.as_integer_ratio() for p in (m1, za, zb, m2) for v in p]
         arcs = list(d.arcs)
-        arcs[step.arc_index] = Arc(
+        arcs[arc_index] = Arc(
             arc.component, *_points_over_lcm(ratios[:cut] + zigzag + ratios[cut:])
         )
         try:
@@ -760,7 +764,13 @@ def _plain(tok: str) -> bool:
 
 # the spellings Fraction(str) accepts, less digit separators and exponents:
 # sign, then p, p/q or a decimal, with surrounding whitespace
-_RATIONAL = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?)\s*\Z")
+_COORD = r"([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?)"
+_RATIONAL = re.compile(rf"\s*{_COORD}\s*\Z")
+# the tokens `(x,y) ...` of an arc line, each followed by whitespace or the
+# end; _COORD's groups go uncaptured there, saving a third of the match time
+_UNCAPTURED = _COORD.replace("([", "(?:[")
+_POINTS = re.compile(rf"(?:\s*\({_UNCAPTURED},{_UNCAPTURED}\)(?!\S))*\s*\Z")
+_COORDS = re.compile(_COORD)
 
 
 def parse_int(tok: str) -> int:
@@ -785,20 +795,25 @@ def parse_ratio(tok: str, line: int | None = None) -> tuple[int, int]:
         else:
             reason = f"Invalid literal for Fraction: {tok!r}"
         raise FrontParseError(f"bad rational {tok!r}: {reason}", line)
-    sign, num, den, decimal = m.groups()
     try:
-        n, d = int(num or "0"), 1
-        if den:
-            d = int(den)
-        elif decimal:
-            d = 10 ** len(decimal)
-            n = n * d + int(decimal)
-    except ValueError as exc:  # too many digits
+        return _ratio(*m.groups())
+    except (ValueError, ZeroDivisionError) as exc:  # too many digits, or a zero denominator
         raise FrontParseError(f"bad rational {tok!r}: {exc}", line)
+
+
+def _ratio(sign: str, num: str, den: str, decimal: str) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms from the groups of `_COORD`; a
+    zero denominator raises ZeroDivisionError, a number too long ValueError."""
+    n, d = int(num or "0"), 1
+    if den:
+        d = int(den)
+    elif decimal:
+        d = 10 ** len(decimal)
+        n = n * d + int(decimal)
     if sign == "-":
         n = -n
-    if d == 0:  # Fraction's own words for it
-        raise FrontParseError(f"bad rational {tok!r}: Fraction({n}, 0)", line)
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")  # Fraction's own words for it
     if d != 1:
         g = math.gcd(n, d)
         n, d = n // g, d // g
@@ -824,14 +839,15 @@ class FrontBuilder:
         self.knottypes: list[tuple[str, str]] = []
         self.segments = 0
 
-    def arc(self, component: object, ratios: Iterable[tuple[int, int]],
+    def arc(self, component: object, read: Callable[[], tuple[tuple[Point, ...], int]],
             line: int | None = None) -> None:
-        """An arc through the points whose coordinates x0, y0, x1, ... `ratios` gives."""
+        """An arc through the points `read()` gives, as integers over the scale it
+        gives with them; it is called once the name has passed."""
         name = check_name(component, "component", line)
-        ratios = list(ratios)
-        if not ratios:
+        points, scale = read()
+        if not points:
             raise FrontParseError("arc has no points", line)
-        arc = Arc(name, *_points_over_lcm(ratios))
+        arc = Arc(name, points, scale)
         self.segments += len(arc.points) - 1
         if self.segments > MAX_SEGMENTS:
             raise FrontParseError(
@@ -874,7 +890,7 @@ class FrontBuilder:
         head, _, rest = text.partition(" ")
         if head == "arc":
             name, _, pts = rest.partition(":")
-            self.arc(name.strip(), _parse_points(pts, line), line)
+            self.arc(name.strip(), partial(_scan_points, pts, line), line)
         elif head == "handle":
             name, _, params = rest.partition(":")
             pairs = (tok.partition("=") for tok in params.split())
@@ -918,6 +934,26 @@ def _ball(handle: str, *ratios: tuple[int, int]) -> HandleBall:
     """A ball from its x, ytop and ybot given as ratios (n, d)."""
     scale = math.lcm(*(d for _, d in ratios))
     return HandleBall(handle, *(n * (scale // d) for n, d in ratios), scale)
+
+
+def _scan_points(text: str, line: int) -> tuple[tuple[Point, ...], int]:
+    """The points of the tokens `(x,y) ...` as integers over their lcm, and the lcm.
+
+    One pattern checks the whole text; the coordinates are then the words
+    left between its brackets and commas.  Text that the pattern refuses,
+    or that holds a number too long to convert or a zero denominator, is
+    read token by token by `_parse_points`, which words the error."""
+    if _POINTS.match(text):
+        words = text.replace("(", " ").replace(")", " ").replace(",", " ").split()
+        try:
+            if "/" not in text and "." not in text:
+                ints = map(int, words)
+                return tuple(zip(ints, ints)), 1
+            return _points_over_lcm([(int(w), 1) if "/" not in w and "." not in w
+                                     else _ratio(*_COORDS.match(w).groups()) for w in words])
+        except (ValueError, ZeroDivisionError):
+            pass
+    return _points_over_lcm(list(_parse_points(text, line)))
 
 
 def _parse_points(text: str, line: int) -> Iterator[tuple[int, int]]:
@@ -1012,7 +1048,7 @@ def front_doc_statements(doc: object, builder: FrontBuilder) -> None:
     doc = json_object(doc, "front", ("arcs", "handles", "orient", "knottypes"))
     for a in json_list(doc.get("arcs", []), "arcs"):
         a = json_object(a, "arc", ("component", "points"))
-        builder.arc(a["component"], _doc_coordinates(a["points"]))
+        builder.arc(a["component"], partial(_doc_points, a["points"]))
     for h in json_list(doc.get("handles", []), "handles"):
         h = json_object(h, "handle", ("id", "balls"))
         for ball in json_list(h["balls"], "balls"):
@@ -1023,12 +1059,13 @@ def front_doc_statements(doc: object, builder: FrontBuilder) -> None:
         builder.knottype(comp, knot)
 
 
-def _doc_coordinates(points: object) -> Iterator[tuple[int, int]]:
-    """The coordinates of a JSON list of [x, y] points, as ratios x0, y0, x1, y1, ..."""
+def _doc_points(points: object) -> tuple[tuple[Point, ...], int]:
+    """A JSON list of [x, y] points as integers over their lcm, and the lcm."""
+    ratios = []
     for point in json_list(points, "points"):
         x, y = json_list(point, "point")
-        yield parse_ratio(str(x))
-        yield parse_ratio(str(y))
+        ratios += parse_ratio(str(x)), parse_ratio(str(y))
+    return _points_over_lcm(ratios)
 
 
 def front_from_doc(doc: dict) -> FrontDiagram:

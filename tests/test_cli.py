@@ -290,7 +290,7 @@ LENS = [("L", [(0, 0), (4, 2), (8, 0)]), ("L", [(8, 0), (4, -2), (0, 0)])]
 @pytest.mark.parametrize("site", ["front", "front-json", "kirby", "kirby-stein",
                                   "kirby-json", "kirby-json-stein"])
 def test_segment_count_above_the_limit_exits_2_before_the_sweep(tmp_path, monkeypatch, site):
-    def no_sweep(ints):
+    def no_sweep(ints, joined):
         raise AssertionError(f"swept {len(ints)} segments past the segment limit")
 
     big = _sawtooth(front.MAX_SEGMENTS + 1)
@@ -325,6 +325,29 @@ def test_segment_count_at_the_limit_is_accepted():
     d = front.parse_front(_front_text(_sawtooth(front.MAX_SEGMENTS)))
     assert sum(len(a.points) - 1 for a in d.arcs) == front.MAX_SEGMENTS
     assert (d.tb("K"), d.crossings()) == (-1, ())
+
+
+@pytest.mark.parametrize("spelling", ["text", "json"])
+def test_crossing_count_above_the_limit_exits_2_before_any_pair_is_classified(
+        fixtures, tmp_path, monkeypatch, spelling):
+    # the trefoil front has 3 crossings: the limit is lowered to it, not a big front built
+    path = fixtures / "trefoil.front"
+    if spelling == "json":
+        path = tmp_path / "trefoil.json"
+        path.write_text(json.dumps(front.front_to_doc(front.parse_front(
+            (fixtures / "trefoil.front").read_text()))))
+    monkeypatch.setattr(front, "MAX_CROSSINGS", 3)
+    code, out, _ = run(["tb", str(path)])
+    assert code == 0 and "tb = 1" in out
+
+    def no_classifying(a, b):
+        raise AssertionError("classified a segment pair past the crossing limit")
+
+    monkeypatch.setattr(front, "MAX_CROSSINGS", 2)
+    monkeypatch.setattr(front, "_seg_meet", no_classifying)
+    code, out, err = run(["tb", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: too many crossings: a front has at most 2 crossings\n"
 
 
 def test_genus_flag_belongs_to_mcg_only(fixtures):
@@ -466,6 +489,32 @@ def test_certify_cork_without_involution_fails_admissibility(certify_argv, tmp_p
     assert code == 1
     assert out == ""
     assert "cork admissibility failed: verdict 'not admissible'" in err
+
+
+# readable corks that kirby.check_admissible refuses: the edit to mazur.kirby
+# and the refusal's words
+REFUSED_CORKS = {
+    "framing": (("frame K2 0\n", "frame K2 1\n"),
+                "the framed component must carry framing 0, got 1"),
+    "decorations": (("frame K2 0\n", "dot K2\n"),
+                    "admissibility needs one dotted and one framed component"),
+    "components": (("dot K1\n", "arc L : (30,0) (34,2) (38,0)\n"
+                                 "arc L : (38,0) (34,-2) (30,0)\nframe L 0\ndot K1\n"),
+                   "admissibility needs exactly 2 components, got 3"),
+}
+
+
+@pytest.mark.parametrize("command", ["admissible", "certify"])
+@pytest.mark.parametrize("refusal", sorted(REFUSED_CORKS))
+def test_refused_cork_aborts_with_one_line(certify_argv, tmp_path, refusal, command):
+    (old, new), reason = REFUSED_CORKS[refusal]
+    text = Path(certify_argv[1]).read_text()
+    assert old in text
+    cork = tmp_path / "refused.kirby"
+    cork.write_text(text.replace(old, new))
+    code, out, err = run([command, str(cork)] + certify_argv[2:] * (command == "certify"))
+    prefix = "admissibility" if command == "admissible" else "certification"
+    assert (code, out, err) == (1, "", f"{prefix} aborted: {reason}\n")
 
 
 def test_certify_validate_round_trip(certify_argv, tmp_path):

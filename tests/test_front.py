@@ -384,23 +384,24 @@ def _ball(handle, x, ytop, ybot):
     return front._ball(handle, *(v.as_integer_ratio() for v in (x, ytop, ybot)))
 
 
-def _framed(arcs, balls):
-    """The traversals and the Frame that FrontDiagram builds from arcs and balls."""
+def _framed(arcs, balls, sign=1):
+    """The walks, the steps entered through a ball and the Frame that
+    FrontDiagram builds from arcs and balls, each component oriented `sign`."""
     scale, points, framed = front._integer_frame(arcs, balls)
-    traversals, _ = front._chain_components(arcs, scale, points, framed)
-    segs = {comp: [s.seg for s in steps] for comp, steps in traversals.items()}
-    return traversals, front.Frame(scale, segs, framed)
+    orient = {arc.component: sign for arc in arcs}
+    walks, segs, jumps = front._chain_components(arcs, scale, points, framed, orient)
+    return walks, jumps, front.Frame(scale, segs, framed)
 
 
 def _fractions(pts, scale):
     return [(Fraction(x, scale), Fraction(y, scale)) for x, y in pts]
 
 
-def _fraction_steps(traversals, scale):
+def _fraction_steps(jumps, frame):
     """Each traversal step with its ends as Fraction points."""
-    return {comp: [_FractionStep(*_fractions((s.seg[:2], s.seg[2:]), scale), s.after_jump)
-                   for s in steps]
-            for comp, steps in traversals.items()}
+    return {comp: [_FractionStep(*_fractions((seg[:2], seg[2:]), frame.scale), i in jumps[comp])
+                   for i, seg in enumerate(segs)]
+            for comp, segs in frame.segs.items()}
 
 
 def _fraction_balls(frame):
@@ -430,7 +431,7 @@ def _grid(rng):
 
 
 def _random_closed_polygons(rng):
-    """Traversals and frame of 1-3 closed polygons that often touch, overlap or meet at a point.
+    """Arcs and balls of 1-3 closed polygons that often touch, overlap or meet at a point.
 
     Components mostly share one small grid, so vertices and edges coincide.
     In about a third of the inputs every first edge is centred on one point,
@@ -460,9 +461,16 @@ def _random_closed_polygons(rng):
             balls = (_ball("h", x, oy + 4 * step, oy),
                      _ball("h", Fraction(40), Fraction(1), Fraction(0)))
         try:
-            return _framed(tuple(_arc(name, pts) for name, pts in polygons), balls)
+            arcs = tuple(_arc(name, pts) for name, pts in polygons)
+            _framed(arcs, balls)
         except FrontGeometryError:
             continue  # a vertical or zero-length edge, or arc ends that do not chain
+        return arcs, balls
+
+
+def _both_orientations(arcs, balls):
+    """The jumps and frame of the diagram with every component oriented + and then -."""
+    return [_framed(arcs, balls, sign)[1:] for sign in (1, -1)]
 
 
 def _outcome(find, *args):
@@ -472,22 +480,29 @@ def _outcome(find, *args):
         return ("error", str(exc))
 
 
-def _integer_crossings(traversals, frame):
-    return [_fraction_crossing(c, frame.scale) for c in front._find_crossings(traversals, frame)]
+def _integer_crossings(jumps, frame):
+    return [_fraction_crossing(c, frame.scale) for c in front._find_crossings(frame, jumps)]
+
+
+def _assert_crossings_match_oracle(jumps, frame):
+    """The all-pairs oracle's outcome, which the sweep's must equal."""
+    expected = _outcome(_all_pairs_crossings, _fraction_steps(jumps, frame),
+                        _fraction_balls(frame))
+    assert _outcome(_integer_crossings, jumps, frame) == expected
+    return expected
 
 
 def test_sweep_matches_all_pairs_oracle():
     rng = random.Random(20110411)
     kinds = Counter()
     for _ in range(600):
-        traversals, frame = _random_closed_polygons(rng)
-        expected = _outcome(_all_pairs_crossings, _fraction_steps(traversals, frame.scale),
-                            _fraction_balls(frame))
-        assert _outcome(_integer_crossings, traversals, frame) == expected
-        if isinstance(expected, list):
-            kinds["crossings" if expected else "no crossings"] += 1
-        else:
-            kinds[next(k for k in ("touch", "overlap", "triple", "ball") if k in expected[1])] += 1
+        for jumps, frame in _both_orientations(*_random_closed_polygons(rng)):
+            expected = _assert_crossings_match_oracle(jumps, frame)
+            if isinstance(expected, list):
+                kinds["crossings" if expected else "no crossings"] += 1
+            else:
+                kinds[next(k for k in ("touch", "overlap", "triple", "ball")
+                           if k in expected[1])] += 1
     assert set(kinds) == {"crossings", "no crossings", "touch", "overlap", "triple", "ball"}, kinds
 
 
@@ -513,19 +528,37 @@ def _plain_sweep_pairs(ints):
     return pairs
 
 
+def _joined_successors(jumps, frame):
+    """Per segment of the frame in one list, the index of the next step of its
+    component when the two meet at a shared vertex (not through a ball), else -1."""
+    successors = []
+    for comp, segs in frame.segs.items():
+        first = len(successors)
+        for i in range(len(segs)):
+            nxt = (i + 1) % len(segs)
+            successors.append(-1 if nxt in jumps[comp] else first + nxt)
+    return successors
+
+
 def test_sweep_lists_the_pairs_of_the_plain_x_sweep():
-    frames = [kirby.linked_handle_pair(n).front.frame() for n in range(2, 65)]
     rng = random.Random(20110411)
-    frames += [_random_closed_polygons(rng)[1] for _ in range(600)]
-    for frame in frames:
+    cases = [_framed(*_random_closed_polygons(rng))[1:] for _ in range(600)]
+    cases += [(d._jumps, d.frame()) for d in (kirby.linked_handle_pair(n).front
+                                              for n in range(2, 65))]
+    for jumps, frame in cases:
         ints = [seg for segs in frame.segs.values() for seg in segs]
-        assert front._meeting_pairs(ints) == _plain_sweep_pairs(ints)
+        successors = _joined_successors(jumps, frame)
+        joined = {tuple(sorted((a, b))) for a, b in enumerate(successors) if b >= 0}
+        assert (front._meeting_pairs(ints, successors)
+                == [pair for pair in _plain_sweep_pairs(ints) if pair not in joined])
+    # the last case, LHP(64): 452 pairs meet, 261 of them steps joined at a vertex
+    assert (len(_plain_sweep_pairs(ints)), len(joined)) == (452, 261)
 
 
-def _assert_frame_matches_oracles(traversals, frame):
-    steps, balls = _fraction_steps(traversals, frame.scale), _fraction_balls(frame)
-    for comp in traversals:
-        assert (_fractions(front._find_cusps(traversals[comp]), frame.scale)
+def _assert_frame_matches_oracles(jumps, frame):
+    steps, balls = _fraction_steps(jumps, frame), _fraction_balls(frame)
+    for comp in frame.segs:
+        assert (_fractions(front._find_cusps(frame.segs[comp], jumps[comp]), frame.scale)
                 == _fraction_find_cusps(steps[comp]))
         for s, seg in zip(steps[comp], frame.segs[comp]):
             assert (_outcome(front._check_ball_contacts, comp, seg, frame.balls)
@@ -535,7 +568,8 @@ def _assert_frame_matches_oracles(traversals, frame):
 def test_integer_cusps_and_ball_contacts_match_fraction_oracles(load):
     rng = random.Random(20110411)
     for _ in range(600):
-        _assert_frame_matches_oracles(*_random_closed_polygons(rng))
+        for jumps, frame in _both_orientations(*_random_closed_polygons(rng)):
+            _assert_frame_matches_oracles(jumps, frame)
     # strands through handles; in the last one the x-direction reverses at
     # both jumps, which makes no cusp
     reversing = parse_front(
@@ -543,8 +577,67 @@ def test_integer_cusps_and_ball_contacts_match_fraction_oracles(load):
         "handle h : x=0 ytop=2 ybot=-2\nhandle h : x=10 ytop=2 ybot=-2\n")
     assert reversing.cusp_points("K") == [(-2, 0), (8, 0)]
     for d in (parse_front(load("trefoil_handle.front")),
-              kirby.parse_kirby(load("mazur.kirby")).front, reversing):
-        _assert_frame_matches_oracles(d._traversals, d.frame())
+              kirby.parse_kirby(load("mazur.kirby")).front, reversing,
+              parse_front(HANDLE_AND_VERTEX)):
+        for jumps, frame in _both_orientations(d.arcs, d.balls):
+            _assert_frame_matches_oracles(jumps, frame)
+            _assert_crossings_match_oracle(jumps, frame)
+
+
+class _Step(NamedTuple):
+    """One directed segment of a traversal, as chaining once kept it per step."""
+
+    seg: tuple
+    arc_index: int
+    after_jump: bool  # entered through a handle ball
+
+
+def _reverse_steps(steps):
+    """The steps of a '-' component, as FrontDiagram once built them from its '+'
+    steps in a second pass: the reference for chaining in the orientation."""
+    out = []
+    n = len(steps)
+    for i in range(n - 1, -1, -1):
+        s = steps[i]
+        # after reversal the jump flag belongs to the step that FOLLOWS the jump,
+        # which is the reversal of the step that preceded it
+        flag = steps[(i + 1) % n].after_jump
+        out.append(_Step(s.seg[2:] + s.seg[:2], s.arc_index, flag))
+    return out
+
+
+def _steps(arcs, walks, jumps, frame):
+    """Each component's traversal as one _Step per segment."""
+    steps = {}
+    for comp, walk in walks.items():
+        arc_of_step = [i for i, _, _ in walk for _ in arcs[i].points[1:]]
+        steps[comp] = [_Step(seg, i, k in jumps[comp])
+                       for k, (seg, i) in enumerate(zip(frame.segs[comp], arc_of_step))]
+    return steps
+
+
+# K passes the handle twice and meets itself once at (10,-6): one arc is
+# entered at a shared vertex, the other two through a ball
+HANDLE_AND_VERTEX = ("arc K : (0,1) (10,4) (20,-1)\narc K : (0,-1) (5,-4) (10,-6)\n"
+                     "arc K : (10,-6) (15,-8) (20,1)\n"
+                     "handle h : x=0 ytop=2 ybot=-2\nhandle h : x=20 ytop=2 ybot=-2\n")
+
+
+def test_chaining_in_orientation_matches_reversing_the_steps(load):
+    rng = random.Random(20110411)
+    diagrams = [_random_closed_polygons(rng) for _ in range(600)]
+    for d in (parse_front(load("trefoil_handle.front")), kirby.parse_kirby(load("mazur.kirby")),
+              parse_front(load("trefoil.front")), parse_front(HANDLE_AND_VERTEX)):
+        for f in (d.front, d.stein_front) if isinstance(d, kirby.KirbyDiagram) else (d,):
+            diagrams.append((f.arcs, f.balls))
+    for arcs, balls in diagrams:
+        plus, minus = (_steps(arcs, *_framed(arcs, balls, sign)) for sign in (1, -1))
+        assert minus == {comp: _reverse_steps(steps) for comp, steps in plus.items()}
+    # a '-' diagram keeps the steps of its chaining, step 0 first, with their jumps
+    d = parse_front(load("trefoil_handle.front").replace("orient K +", "orient K -"))
+    minus = _steps(d.arcs, *_framed(d.arcs, d.balls, -1))
+    assert _steps(d.arcs, d._walks, d._jumps, d.frame()) == minus
+    assert d.handle_passes("K") == sum(s.after_jump for s in minus["K"]) == 2
 
 
 @pytest.mark.parametrize("ybot, ytop, hit", [
@@ -567,9 +660,9 @@ def test_ball_denominators_join_the_frame(ybot, ytop, hit):
     d = parse_front(LENS_A)
     balls = (_ball("h", Fraction(1, 11), ytop, ybot),
              _ball("h", Fraction(20), Fraction(1), Fraction(-1)))
-    traversals, frame = _framed(d.arcs, balls)
+    _, jumps, frame = _framed(d.arcs, balls)
     assert frame.scale % math.lcm(11, ytop.denominator, ybot.denominator) == 0
-    _assert_frame_matches_oracles(traversals, frame)
+    _assert_frame_matches_oracles(jumps, frame)
 
 
 def test_no_fraction_between_parse_and_output(fixtures, monkeypatch):
@@ -632,6 +725,74 @@ def test_parse_rational_matches_fraction(tok):
     except FrontParseError:
         got = None
     assert got == (None if expected is None else expected.as_integer_ratio())
+
+
+def _points_token_by_token(text, line):
+    """An arc line's points read token by token with parse_ratio, as the line
+    grammar read them before one pattern scanned the whole line."""
+    ratios = []
+    for tok in text.split():
+        x, comma, y = tok[1:-1].partition(",")
+        if not (tok.startswith("(") and tok.endswith(")") and comma):
+            raise FrontParseError(f"expected (x,y), got {tok!r}", line)
+        ratios += front.parse_ratio(x, line), front.parse_ratio(y, line)
+    return front._points_over_lcm(ratios)
+
+
+def _scanned(read, text):
+    try:
+        return read(text, 7)
+    except FrontParseError as exc:
+        return ("error", str(exc), exc.line)
+
+
+# the spellings test_parse_rational_matches_fraction draws and its examples,
+# with well-formed numbers mixed in so that whole lines scan
+_spelling = st.one_of(
+    st.text(alphabet="0123456789+-/. \te_\u0663", max_size=8),
+    st.sampled_from(("1/0", " -.5 ", "+1.", "1.5/2", "1_0", "1e5", "\u0663", ".", "9" * 4301)),
+    st.builds("{}{}{}".format, st.sampled_from(("", "+", "-")), st.integers(0, 999),
+              st.sampled_from(("", "/3", "/12", ".", ".5", ".25", "/0"))),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_spelling, _spelling, st.sampled_from((" ", "\t", "  ", ""))),
+                max_size=4),
+       st.sampled_from(("", " ")))
+@example([("1", "2", " "), ("3/6", "-4", " "), ("0.50", "+.25", "\t")], "")
+@example([("1", "2", " "), ("-0", "007", "")], " ")
+@example([("1/0", "2", " ")], "")
+def test_arc_line_scan_matches_parse_ratio(points, end):
+    text = "".join(sep + f"({x},{y})" for x, y, sep in points) + end
+    assert _scanned(front._scan_points, text) == _scanned(_points_token_by_token, text)
+
+
+def test_arc_lines_are_read_token_by_token_only_to_word_an_error(fixtures, monkeypatch):
+    texts = [(fixtures / name).read_text() for name in ("lens.front", "trefoil.front",
+                                                         "trefoil_handle.front")]
+    texts += [LENS_A.replace("(4,2)", "(4.0,+2)").replace("(4,-2)", "(8/2,-2.00)"),
+              "arc U : (0,0) (1/3,1/7) (2,0)\narc U : (2,0) (1,-1/2) (0,0)\n"]
+    expected = [parse_front(text) for text in texts]
+
+    def refuse(text, line):
+        raise AssertionError(f"line {line} read token by token")
+
+    monkeypatch.setattr(front, "_parse_points", refuse)
+    assert [parse_front(text) for text in texts] == expected
+    with pytest.raises(AssertionError, match="line 1 read token by token"):
+        parse_front("arc U : (0,0) (1/0,1)\n")
+
+
+@pytest.mark.parametrize("arc, message", [
+    ({"component": 7}, "missing key 'points'"),
+    ({"component": "K 1", "points": 5}, "'K 1' is not a name"),
+    ({"component": "K", "points": 5}, "points is not a list"),
+    ({"component": "K", "points": [[0, "1/0"]]}, "bad rational '1/0'"),
+])
+def test_json_arc_reads_both_keys_then_the_name_then_the_points(arc, message):
+    with pytest.raises(FrontParseError, match=re.escape(message)):
+        front.front_from_doc({"arcs": [arc]})
 
 
 # -- the integer classifier against the Fraction one --------------------------

@@ -1,0 +1,102 @@
+"""What every reader of the package shares: the input-error type, immutable
+records, numbered lines, plain integers and JSON with unique keys.
+
+This module imports nothing of the package, so that a module needing a
+record or a reader does not load the front parser with it.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Callable, Iterator
+
+
+class InputError(ValueError):
+    """Input that cannot be read; a given line number prefixes the text."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line else message)
+
+
+class Record:
+    """An immutable record: equality, hashing and repr over the fields it names.
+
+    A subclass lists its fields in `__slots__` and `_fields`, checks its
+    arguments in `__init__` and stores them with `_assign`; assigning a
+    field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _plain(tok: str) -> bool:
+    """ASCII and no `_`: int() and Fraction() also take digit separators and
+    non-ASCII digits, which no input may spell a number with."""
+    return tok.isascii() and "_" not in tok
+
+
+def parse_int(tok: str) -> int:
+    """int(tok) for a plain ASCII spelling; anything else raises ValueError."""
+    if not _plain(tok):
+        raise ValueError(f"invalid integer {tok!r}: ASCII digits only, no '_'")
+    return int(tok)
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number from 1, line) with `#` comments and blank lines dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, for json.loads' object_pairs_hook.
+
+    A repeated key raises ValueError: a document must not say one thing
+    twice and let the last spelling win.
+    """
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+def load_json(text: str, error: Callable[[str], Exception], where: str = "",
+              **options) -> object:
+    """json.loads with unique_keys; JSON that is malformed, holds an integer too
+    long to convert or is nested too deeply raises error, prefixed with where."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys, **options)
+    except ValueError as exc:
+        raise error(f"{where}not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{where}JSON document is nested too deeply") from None

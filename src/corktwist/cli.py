@@ -15,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-# every subcommand reads through front; each handler imports the other
-# modules it uses, so that a call loads only its own subcommand's code
-from . import front
+# each handler imports the modules it uses, so that a call loads only its
+# own subcommand's code
+from .base import InputError, load_json, parse_int
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
 
@@ -28,23 +28,19 @@ class InputFailure(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFailure(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputFailure(f"cannot read {path}: {exc}")
 
 
-def _load(parse, errors, path: str):
-    """parse(text of path), with the parser's own errors turned into InputFailure."""
+def _load(parse, path: str):
+    """parse(text of path), with unreadable input turned into InputFailure."""
     try:
         return parse(_read(path))
-    except errors as exc:
+    except InputError as exc:
         raise InputFailure(f"{path}: {exc}")
-
-
-def _load_diagram(parse, path: str):
-    """_load for a reader of diagrams, whose errors are front's and kirby's."""
-    from . import kirby
-    return _load(parse, (front.FrontError, kirby.KirbyError), path)
 
 
 def _emit_doc(doc: dict) -> None:
@@ -63,7 +59,8 @@ def _search_settings(args: argparse.Namespace) -> tuple[int, int]:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_tb(args: argparse.Namespace) -> int:
-    d = _load(front.parse_front, front.FrontError, args.front_path)
+    from . import front
+    d = _load(front.parse_front, args.front_path)
     comps = d.components()
     component = args.component
     if component is None:
@@ -93,7 +90,7 @@ def cmd_tb(args: argparse.Namespace) -> int:
 
 def cmd_admissible(args: argparse.Namespace) -> int:
     from . import kirby
-    d = _load_diagram(kirby.parse_kirby, args.diagram_path)
+    d = _load(kirby.parse_kirby, args.diagram_path)
     budget, seed = _search_settings(args)
     try:
         rep = kirby.check_admissible(d, budget=budget, seed=seed)
@@ -119,7 +116,7 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 def cmd_homology(args: argparse.Namespace) -> int:
     from . import kirby
-    rep = kirby.homology(_load_diagram(kirby.parse_kirby, args.diagram_path))
+    rep = kirby.homology(_load(kirby.parse_kirby, args.diagram_path))
     if args.format == "doc":
         _emit_doc(rep.to_doc())
         return 0
@@ -134,7 +131,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 def cmd_twist(args: argparse.Namespace) -> int:
     from . import kirby
-    d = _load_diagram(kirby.parse_kirby, args.diagram_path)
+    d = _load(kirby.parse_kirby, args.diagram_path)
     try:
         t = kirby.cork_twist(d)
     except kirby.KirbyError as exc:
@@ -149,7 +146,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 def cmd_fill(args: argparse.Namespace) -> int:
     from . import fillings
-    p = _load(fillings.parse_palf, fillings.FillingError, args.palf_path)
+    p = _load(fillings.parse_palf, args.palf_path)
     plan = fillings.build_concave(fillings.palf_to_openbook(p))
     if args.format == "doc":
         _emit_doc(plan.to_doc())
@@ -203,7 +200,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise InputFailure(
                 "certify --validate takes no DIAGRAM PALF INFLATION, --out, --budget or --seed"
             )
-        doc = front.load_json(_read(validate), InputFailure, f"{validate}: ")
+        doc = load_json(_read(validate), InputFailure, f"{validate}: ")
         problems = hfcert.validate_certificate(doc)
         if args.format == "doc":
             fields = doc if isinstance(doc, dict) else {}
@@ -226,10 +223,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise InputFailure("certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON")
     from . import fillings, kirby
     cork_path, palf_path, spec_path = args.inputs
-    cork = _load_diagram(kirby.parse_kirby, cork_path)
-    palf = _load(fillings.parse_palf, fillings.FillingError, palf_path)
-    pair = _load_diagram(lambda text: kirby.parse_inflation_spec(text, Path(spec_path).parent),
-                         spec_path)
+    cork = _load(kirby.parse_kirby, cork_path)
+    palf = _load(fillings.parse_palf, palf_path)
+    pair = _load(lambda text: kirby.parse_inflation_spec(text, Path(spec_path).parent),
+                 spec_path)
 
     budget, seed = _search_settings(args)
     try:
@@ -239,7 +236,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
                   f"at budget {budget}, seed {seed}", file=sys.stderr)
             return INCONCLUSIVE
         untwisted = kirby.inflate(pair.untwisted_front, pair.framing, pair.untwisted_component)
-        hfcert.require_untwisted_exact(untwisted)
         twisted = kirby.inflate(pair.twisted_front, pair.framing, pair.twisted_component)
         plan = fillings.build_concave(fillings.palf_to_openbook(palf))
         cert = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
@@ -254,9 +250,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     cert_doc = cert.to_doc()
     if out is not None:
-        Path(out).write_text(
-            json.dumps(cert_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        )
+        try:
+            Path(out).write_text(
+                json.dumps(cert_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            raise InputFailure(f"cannot write {out}: {exc.strerror}")
     non_extension = hfcert.non_extension_fact(cert_doc["digest"])
     first, second = non_extension["relative_values"]
     bundle = {
@@ -283,7 +283,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def _int(text: str) -> int:
     try:
-        return front.parse_int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

@@ -20,14 +20,15 @@ being silently used.  Plans are immutable and safe to share.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from . import mcg
-from .front import Record, load_json, numbered_lines, parse_int
+from .base import InputError, Record, load_json, numbered_lines, parse_int
 from .mcg import Curve, RelatorBlock, TwistWord
 
 
-class FillingError(ValueError):
+class FillingError(InputError):
     """A planning input violates the fibration contracts."""
 
 
@@ -173,9 +174,9 @@ class FillingPlan(NamedTuple):
                 "count": self.trivializing_handles,
                 "relator": mcg.RELATOR,
                 "blocks": [
-                    {"letter": {"curve": b.letter.name, "class": list(b.letter.h1_class)},
+                    {"letter": {"curve": c.name, "class": list(c.h1_class)},
                      "chain_images": [list(v) for v in b.chain_images]}
-                    for b in self.blocks
+                    for b, (c, _) in zip(self.blocks, reversed(self.closed.monodromy.letters))
                 ],
             },
             "closing_piece": {
@@ -258,58 +259,56 @@ def parse_palf(text: str) -> PALF:
         head, _, rest = line.partition(" ")
         if head == "genus":
             if genus is not None:
-                raise FillingError(f"line {lineno}: second genus line")
+                raise FillingError("second genus line", lineno)
             try:
                 genus = parse_int(rest.strip())
             except ValueError:
-                raise FillingError(f"line {lineno}: bad genus {rest.strip()!r}")
+                raise FillingError(f"bad genus {rest.strip()!r}", lineno)
             if not 1 <= genus <= mcg.MAX_GENUS:
                 raise FillingError(
-                    f"line {lineno}: genus must be between 1 and {mcg.MAX_GENUS}, got {genus}"
+                    f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}", lineno
                 )
         elif head == "handles":
             if handles is not None:
-                raise FillingError(f"line {lineno}: second handles line")
+                raise FillingError("second handles line", lineno)
             parts = rest.split()
             if len(parts) != 2:
-                raise FillingError(f"line {lineno}: usage: handles <one> <two>")
+                raise FillingError("usage: handles <one> <two>", lineno)
             try:
                 handles = (parse_int(parts[0]), parse_int(parts[1]))
             except ValueError:
-                raise FillingError(f"line {lineno}: bad handle counts {rest!r}")
+                raise FillingError(f"bad handle counts {rest!r}", lineno)
             if min(handles) < 0:
-                raise FillingError(f"line {lineno}: negative handle count {rest!r}")
+                raise FillingError(f"negative handle count {rest!r}", lineno)
         elif head == "curve":
             if genus is None:
-                raise FillingError(f"line {lineno}: genus must come before curves")
+                raise FillingError("genus must come before curves", lineno)
             name, eq, vec = rest.partition("=")
             name = name.strip()
             if not eq or not name:
-                raise FillingError(f"line {lineno}: usage: curve <name> = [..]")
+                raise FillingError("usage: curve <name> = [..]", lineno)
             if name in named:
-                raise FillingError(f"line {lineno}: second curve line for {name!r}")
+                raise FillingError(f"second curve line for {name!r}", lineno)
             if name in {f"c{k}" for k in range(1, 2 * genus + 1)}:
                 raise FillingError(
-                    f"line {lineno}: {name!r} is a chain curve of genus {genus}; "
-                    "a curve line would give it a second class"
+                    f"{name!r} is a chain curve of genus {genus}; "
+                    "a curve line would give it a second class", lineno
                 )
-            cls = load_json(vec.strip(), FillingError, f"line {lineno}: class vector: ")
+            cls = load_json(vec.strip(), partial(FillingError, line=lineno), "class vector: ")
             if (not isinstance(cls, list)
                     or len(cls) != 2 * genus
                     or not all(type(v) is int for v in cls)):  # JSON integers, not booleans
-                raise FillingError(
-                    f"line {lineno}: class must be a list of {2 * genus} integers"
-                )
+                raise FillingError(f"class must be a list of {2 * genus} integers", lineno)
             try:
                 named[name] = Curve(name, tuple(cls))
             except ValueError as exc:
-                raise FillingError(f"line {lineno}: {exc}")
+                raise FillingError(str(exc), lineno)
         elif head == "word":
             if word_line is not None:
-                raise FillingError(f"line {lineno}: second word line")
+                raise FillingError("second word line", lineno)
             word_line = rest.strip()
         else:
-            raise FillingError(f"line {lineno}: unknown statement {head!r}")
+            raise FillingError(f"unknown statement {head!r}", lineno)
     if genus is None:
         raise FillingError("missing genus line")
     if word_line is None:

@@ -26,7 +26,6 @@ of cusps, both read off this diagram.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -36,6 +35,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
+
+from .base import InputError, Record, _plain, load_json, numbered_lines
 
 Point = tuple[int, int]  # integer numerators over the scale of what holds the point
 Segment = tuple[int, int, int, int]  # (px, py, qx, qy) in a diagram's frame
@@ -50,52 +51,16 @@ MAX_SEGMENTS = 4096
 MAX_CROSSINGS = 5000
 
 
-class FrontError(ValueError):
+class FrontError(InputError):
     """Base class for front diagram problems."""
 
 
 class FrontParseError(FrontError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
+    """A statement that cannot be read, with the line it is on if it has one."""
 
 
 class FrontGeometryError(FrontError):
     """Genericity violation: touching endpoints, triple points, overlaps, ..."""
-
-
-class Record:
-    """An immutable record: equality, hashing and repr over the fields it names.
-
-    A subclass lists its fields in `__slots__` and `_fields`, checks its
-    arguments in `__init__` and stores them with `_assign`; assigning a
-    field afterwards raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _assign(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class Arc(Record):
@@ -453,8 +418,6 @@ def _chain_components(
             if current == start and forward:
                 walk[0] = (start, True, via_ball)
                 break
-            if visited[current]:
-                raise FrontGeometryError(f"arc chaining of {comp!r} revisits an arc; bad matching")
         if orient.get(comp, 1) == -1:
             # backwards, each arc entered where the forward walk left it
             n = len(walk)
@@ -468,11 +431,6 @@ def _chain_components(
             pts = points[i] if fwd else points[i][::-1]
             steps += map(tuple.__add__, pts, pts[1:])
         walks[comp], segs[comp], jumps[comp] = walk, steps, entered
-
-    declared = {arc.component for arc in arcs}
-    missing = declared - set(walks)
-    if missing:
-        raise FrontGeometryError(f"components never closed: {sorted(missing)}")
     return walks, segs, jumps
 
 
@@ -756,12 +714,6 @@ def _fmt_pt(p: Point, scale: int) -> str:
     return f"({fmt_ratio(p[0], scale)},{fmt_ratio(p[1], scale)})"
 
 
-def _plain(tok: str) -> bool:
-    """ASCII and no `_`: int() and Fraction() also take digit separators and
-    non-ASCII digits, which no input may spell a number with."""
-    return tok.isascii() and "_" not in tok
-
-
 # the spellings Fraction(str) accepts, less digit separators and exponents:
 # sign, then p, p/q or a decimal, with surrounding whitespace
 _COORD = r"([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?)"
@@ -771,13 +723,6 @@ _RATIONAL = re.compile(rf"\s*{_COORD}\s*\Z")
 _UNCAPTURED = _COORD.replace("([", "(?:[")
 _POINTS = re.compile(rf"(?:\s*\({_UNCAPTURED},{_UNCAPTURED}\)(?!\S))*\s*\Z")
 _COORDS = re.compile(_COORD)
-
-
-def parse_int(tok: str) -> int:
-    """int(tok) for a plain ASCII spelling; anything else raises ValueError."""
-    if not _plain(tok):
-        raise ValueError(f"invalid integer {tok!r}: ASCII digits only, no '_'")
-    return int(tok)
 
 
 def parse_ratio(tok: str, line: int | None = None) -> tuple[int, int]:
@@ -968,41 +913,6 @@ def _parse_points(text: str, line: int) -> Iterator[tuple[int, int]]:
         yield parse_ratio(y, line)
 
 
-def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (line number from 1, line) with `#` comments and blank lines dropped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict, for json.loads' object_pairs_hook.
-
-    A repeated key raises ValueError: a document must not say one thing
-    twice and let the last spelling win.
-    """
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValueError(f"repeated key {key!r}")
-            seen.add(key)
-    return doc
-
-
-def load_json(text: str, error: type[Exception], where: str = "", **options) -> object:
-    """json.loads with unique_keys; JSON that is malformed, holds an integer too
-    long to convert or is nested too deeply raises error, prefixed with where."""
-    try:
-        return json.loads(text, object_pairs_hook=unique_keys, **options)
-    except ValueError as exc:
-        raise error(f"{where}not valid JSON: {exc}") from None
-    except RecursionError:
-        raise error(f"{where}JSON document is nested too deeply") from None
-
-
 def json_object(obj: object, what: str, keys: tuple[str, ...]) -> dict:
     """obj, a JSON object with no key but `keys`: a key that names nothing is refused."""
     unknown = [key for key in obj.keys() if key not in keys]  # no keys(): ill-typed
@@ -1023,7 +933,7 @@ def reading_doc(what: str, error: type[Exception]) -> Iterator[None]:
     """Raise a missing or ill-typed field of a JSON document as `error`."""
     try:
         yield
-    except FrontError:
+    except InputError:
         raise
     except KeyError as exc:
         raise error(f"{what} is missing key {exc}") from None

@@ -371,15 +371,6 @@ def _checked(check: str, failure: str | None = None, **evidence: object) -> Side
     return cond
 
 
-def require_untwisted_exact(inflation: CobordismRecord) -> SideCondition:
-    """The framing check of an untwisted attachment exactly at the contact framing."""
-    tb = inflation.exhibited_tb
-    return _checked(
-        "contact_framing", f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
-        framing=inflation.framing, tb=tb,
-    )
-
-
 def certify_distinct(
     cork: KirbyDiagram,
     adm: AdmissibilityReport,
@@ -423,7 +414,10 @@ def certify_distinct(
             f"given: 2-handle along a {inflation.knot or 'declared'} curve, "
             f"framing {framing}, exhibited tb {tb}",
         ),
-        side_conditions=(require_untwisted_exact(inflation),),
+        side_conditions=(_checked(
+            "contact_framing", f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
+            framing=framing, tb=tb,
+        ),),
         outputs=(W_PRIME_STEIN,),
     ))
 

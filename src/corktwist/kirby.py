@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from . import front as front_mod
 from . import intmat, moves
-from .front import FrontDiagram, FrontParseError, Record, json_list, json_object
+from .base import InputError, Record, load_json, numbered_lines, parse_int
+from .front import FrontDiagram, FrontParseError, json_list, json_object
 
 # Facts about specific knot types used to certify Stein obstructions.
 # The maximal Thurston-Bennequin numbers are classical bounds for knots
@@ -35,7 +36,7 @@ KNOT_FACTS = {
 }
 
 
-class KirbyError(ValueError):
+class KirbyError(InputError):
     pass
 
 
@@ -202,7 +203,7 @@ class KirbyBuilder:
             if len(parts) != 2:
                 raise FrontParseError("usage: frame <component> <integer>", line)
             try:
-                framing = front_mod.parse_int(parts[1])
+                framing = parse_int(parts[1])
             except ValueError:
                 raise FrontParseError(f"framing {parts[1]!r} is not an integer", line)
             self.frame(parts[0], framing, line)
@@ -236,9 +237,9 @@ def parse_kirby(text: str) -> KirbyDiagram:
     """Parse the .kirby line grammar, or the JSON equivalent if text starts with '{'."""
     if text.lstrip().startswith("{"):
         # numbers with a fraction part stay strings, for parse_ratio
-        return kirby_from_doc(front_mod.load_json(text, KirbyError, parse_float=str))
+        return kirby_from_doc(load_json(text, KirbyError, parse_float=str))
     builder = KirbyBuilder()
-    for lineno, line in front_mod.numbered_lines(text):
+    for lineno, line in numbered_lines(text):
         builder.statement(line, lineno)
     return builder.build()
 
@@ -675,7 +676,7 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
     base = Path(base_dir)
     fields: dict = {}
     seen: set[str] = set()  # every statement of a spec is single-valued
-    for lineno, line in front_mod.numbered_lines(text):
+    for lineno, line in numbered_lines(text):
         head, _, rest = line.partition(" ")
         parts = rest.split()
         if head in seen:
@@ -689,7 +690,7 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
             if len(parts) != 1:
                 raise FrontParseError("usage: framing <integer>", lineno)
             try:
-                fields["framing"] = front_mod.parse_int(parts[0])
+                fields["framing"] = parse_int(parts[0])
             except ValueError:
                 raise FrontParseError(f"framing {parts[0]!r} is not an integer", lineno)
         elif head in ("untwisted", "twisted"):
@@ -697,21 +698,14 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
                 raise FrontParseError(f"usage: {head} <front-file> <component>", lineno)
             path = base / parts[0]
             try:
-                loaded = front_mod.parse_front(path.read_text())
-            except OSError as exc:
+                loaded = front_mod.parse_front(path.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:
                 raise FrontParseError(f"cannot read {path}: {exc}", lineno)
             fields[f"{head}_front"] = loaded
             fields[f"{head}_component"] = parts[1]
         else:
             raise FrontParseError(f"unknown statement {head!r}", lineno)
-    missing = {
-        "knot",
-        "framing",
-        "untwisted_front",
-        "untwisted_component",
-        "twisted_front",
-        "twisted_component",
-    } - set(fields)
+    missing = set(InflationSpec._fields) - set(fields)
     if missing:
         raise FrontParseError(f"inflation spec is missing: {sorted(missing)}")
     spec = InflationSpec(**fields)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import intmat
-from .front import Record
+from .base import Record
 from .intmat import Matrix, Vector
 
 MAX_GENUS = 64  # chain curves take O(g^2) ints, so larger pages are refused
@@ -259,14 +259,13 @@ RELATOR = "c2 ... c2g (c1 ... c2g)^(4g+1)"
 
 
 class RelatorBlock(Record):
-    """RELATOR with each c_k read as S c_k, S a frame of letter: a positive T_letter^-1."""
+    """RELATOR with each c_k read as S c_k, S a frame of a letter c: a positive T_c^-1."""
 
-    __slots__ = _fields = ("letter", "chain_images")
-    letter: Curve
+    __slots__ = _fields = ("chain_images",)
     chain_images: tuple[tuple[int, ...], ...]  # S c_1, ..., S c_2g
 
-    def __init__(self, letter: Curve, chain_images: tuple[tuple[int, ...], ...]) -> None:
-        self._assign(letter, chain_images)
+    def __init__(self, chain_images: tuple[tuple[int, ...], ...]) -> None:
+        self._assign(chain_images)
 
     def __len__(self) -> int:
         """Letters in the block: 2g - 1, then 2g letters 4g + 1 times."""
@@ -292,5 +291,5 @@ def trivialize(word: TwistWord) -> tuple[RelatorBlock, ...]:
     assert g is not None
     if not verify_chain_relation(g):
         raise ArithmeticError(f"the chain relation fails at genus {g}")
-    return tuple(RelatorBlock(curve, _chain_images(symplectic_frame(curve)))
+    return tuple(RelatorBlock(_chain_images(symplectic_frame(curve)))
                  for curve, _ in reversed(word.letters))

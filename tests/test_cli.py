@@ -609,6 +609,64 @@ def test_certify_input_errors(fixtures, tmp_path):
     assert code == 2
 
 
+def _spec_over(tmp_path, untwisted, twisted, framing=1):
+    """An inflation spec in tmp_path attaching along the fronts at the two paths."""
+    spec = tmp_path / "over.spec"
+    spec.write_text(f"knot right_trefoil\nframing {framing}\nuntwisted {untwisted} K\n"
+                    f"twisted {twisted} K\n")
+    return spec
+
+
+@pytest.mark.parametrize("site", ["tb", "fill", "admissible", "validate", "untwisted", "twisted"])
+def test_undecodable_input_exits_2(fixtures, tmp_path, site):
+    bad = tmp_path / "bad.front"
+    bad.write_bytes(b"\xff\xfe")
+    decode = ("cannot read {}: 'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte")
+    if site in ("untwisted", "twisted"):
+        fronts = {"untwisted": fixtures / "trefoil_handle.front",
+                  "twisted": fixtures / "trefoil.front", site: bad}
+        spec = _spec_over(tmp_path, **fronts)
+        argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
+                str(spec)]
+        line = 3 if site == "untwisted" else 4
+        want = f"error: {spec}: line {line}: {decode.format(bad)}\n"
+    else:
+        argv = ["certify", "--validate", str(bad)] if site == "validate" else [site, str(bad)]
+        want = f"error: {decode.format(bad)}\n"
+    assert run(argv) == (2, "", want)
+
+
+def test_missing_input_keeps_its_os_error_text(fixtures, tmp_path):
+    missing = tmp_path / "missing.front"
+    assert run(["tb", str(missing)]) == (
+        2, "", f"error: cannot read {missing}: No such file or directory\n")
+    spec = _spec_over(tmp_path, missing, fixtures / "trefoil.front")
+    argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
+            str(spec)]
+    assert run(argv) == (2, "", f"error: {spec}: line 3: cannot read {missing}: "
+                                f"[Errno 2] No such file or directory: '{missing}'\n")
+
+
+@pytest.mark.parametrize("target, code", [("nowhere/cert.json", errno.ENOENT), ("", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_certify_out_that_cannot_be_written_exits_2(certify_argv, tmp_path, target, code):
+    out_path = tmp_path / target if target else tmp_path
+    assert run([*certify_argv, "--out", str(out_path)]) == (
+        2, "", f"error: cannot write {out_path}: {os.strerror(code)}\n")
+
+
+def test_certify_inadmissible_cork_aborts_at_step_one_first(fixtures, tmp_path):
+    # hopf.kirby is not admissible and the spec's framing is not tb - 1: the
+    # deduction checks the cork (step 1) before the attachment (step 2)
+    spec = _spec_over(tmp_path, fixtures / "trefoil_handle.front", fixtures / "trefoil.front",
+                      framing=0)
+    argv = ["certify", str(fixtures / "hopf.kirby"), str(fixtures / "mazur_inflated.palf"),
+            str(spec)]
+    assert run(argv) == (
+        1, "", "certification aborted: cork admissibility failed: verdict 'not admissible'\n")
+
+
 @pytest.mark.parametrize("extra", ["inputs", "out"])
 def test_certify_validate_rejects_options_it_would_ignore(certify_argv, tmp_path, extra):
     cert_path = tmp_path / "cert.json"
@@ -1023,17 +1081,21 @@ def _imports_after(argv):
 
 def test_each_command_imports_only_what_it_uses(fixtures, certify_argv, tmp_path):
     assert _imports_after(["tb", str(fixtures / "trefoil.front")]) == (
-        0, {"corktwist", "corktwist.cli", "corktwist.front"}, set())
+        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.front"}, set())
+    # records and readers come from base, so mcg and fill never load the front parser
     assert _imports_after(["mcg", "verify-chain", "2"]) == (
-        0, {"corktwist", "corktwist.cli", "corktwist.front", "corktwist.mcg",
+        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.mcg",
             "corktwist.intmat"}, set())
+    assert _imports_after(["fill", str(fixtures / "mazur.palf")]) == (
+        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.fillings",
+            "corktwist.mcg", "corktwist.intmat"}, set())
     # --validate loads the whole package through hfcert's imports
     cert = tmp_path / "cert.json"
     assert run([*certify_argv, "--out", str(cert)])[0] == 0
     assert _imports_after(["certify", "--validate", str(cert)]) == (
-        0, {"corktwist", "corktwist.cli", "corktwist.fillings", "corktwist.front",
-            "corktwist.hfcert", "corktwist.intmat", "corktwist.kirby", "corktwist.mcg",
-            "corktwist.moves"}, {"hashlib"})
+        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.fillings",
+            "corktwist.front", "corktwist.hfcert", "corktwist.intmat", "corktwist.kirby",
+            "corktwist.mcg", "corktwist.moves"}, {"hashlib"})
 
 
 def test_shared_parser_keeps_no_state_between_calls(fixtures):

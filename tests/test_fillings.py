@@ -30,7 +30,7 @@ def test_flagship_tally_genus_two_three_letters():
     assert per_letter == 39
     # length formula vs direct enumeration
     assert plan.trivializing_handles == 117
-    trivializing = expand(plan.blocks)
+    trivializing = expand(plan.blocks, plan.closed_monodromy)
     assert len(trivializing.letters) == len(word) * per_letter
     assert plan.relator_blocks == 3
     # euler characteristic two ways

@@ -631,7 +631,17 @@ def test_chaining_in_orientation_matches_reversing_the_steps(load):
         for f in (d.front, d.stein_front) if isinstance(d, kirby.KirbyDiagram) else (d,):
             diagrams.append((f.arcs, f.balls))
     for arcs, balls in diagrams:
-        plus, minus = (_steps(arcs, *_framed(arcs, balls, sign)) for sign in (1, -1))
+        framed = [_framed(arcs, balls, sign) for sign in (1, -1)]
+        for walks, jumps, frame in framed:
+            # arc ends and their partners form disjoint cycles: every arc is walked
+            # exactly once, and each walk closes on its own start, every step but
+            # one entered through a ball starting where the step before it ends
+            walked = sorted(i for walk in walks.values() for i, _, _ in walk)
+            assert walked == list(range(len(arcs)))
+            for comp, segs in frame.segs.items():
+                assert all(segs[k - 1][2:] == segs[k][:2]
+                           for k in range(len(segs)) if k not in jumps[comp])
+        plus, minus = (_steps(arcs, *f) for f in framed)
         assert minus == {comp: _reverse_steps(steps) for comp, steps in plus.items()}
     # a '-' diagram keeps the steps of its chaining, step 0 first, with their jumps
     d = parse_front(load("trefoil_handle.front").replace("orient K +", "orient K -"))

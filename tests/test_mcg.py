@@ -144,15 +144,16 @@ def test_chain_relation_sharp_at_genus_one():
     assert not intmat.is_identity(m)
 
 
-def expand(blocks):
-    """The positive word the relator blocks stand for, letter for letter.
+def expand(blocks, word):
+    """The positive word the relator blocks of word stand for, letter for letter.
 
-    Each block reads mcg.RELATOR, c2 ... c2g (c1 ... c2g)^(4g+1), with c_k
-    replaced by its chain image S c_k.
+    Block j belongs to the j-th letter of word from the end, and reads
+    mcg.RELATOR, c2 ... c2g (c1 ... c2g)^(4g+1), with c_k replaced by its
+    chain image S c_k.
     """
     letters = []
-    for block in blocks:
-        conj = [(Curve(f"{block.letter.name}~c{k + 1}", v), 1)
+    for block, (letter, _) in zip(blocks, reversed(word.letters), strict=True):
+        conj = [(Curve(f"{letter.name}~c{k + 1}", v), 1)
                 for k, v in enumerate(block.chain_images)]
         g = len(conj) // 2
         letters.extend(conj[1:] + conj * (4 * g + 1))
@@ -186,13 +187,13 @@ def test_blocks_expand_to_the_letter_by_letter_trivialization():
         for _ in range(2):
             word = TwistWord(tuple((rng.choice(chain), 1) for _ in range(rng.randint(1, 3))))
             blocks = mcg.trivialize(word)
-            assert [b.letter for b in blocks] == [c for c, _ in reversed(word.letters)]
-            assert expand(blocks) == letter_by_letter_trivialization(word)
+            assert len(blocks) == len(word)
+            assert expand(blocks, word) == letter_by_letter_trivialization(word)
             plan = fillings.build_concave(fillings.OpenBook(g, word))
             closed = plan.closed_monodromy
             assert plan.stabilizations == (1 if g == 1 else 0)  # genus 1 is stabilized
-            assert expand(plan.blocks) == letter_by_letter_trivialization(closed)
-            assert plan.trivializing_handles == len(expand(plan.blocks))
+            assert expand(plan.blocks, closed) == letter_by_letter_trivialization(closed)
+            assert plan.trivializing_handles == len(expand(plan.blocks, closed))
             assert plan.relator_blocks == len(closed)
     assert time.time() - start < 1.0
 
@@ -204,9 +205,10 @@ def test_positive_inverse_length_and_identity():
         want_len = 2 * g * (4 * g + 2) - 1
         for i in range(10):
             c = random_primitive_curve(rng, g, f"r{i}")
-            (block,) = mcg.trivialize(TwistWord(((c, 1),)))
+            word = TwistWord(((c, 1),))
+            (block,) = mcg.trivialize(word)
             assert len(block) == want_len
-            w = expand([block])
+            w = expand([block], word)
             assert w.is_positive
             assert len(w) == want_len
             total = TwistWord(((c, 1),) + w.letters)
@@ -218,7 +220,7 @@ def test_trivialize_length_and_action():
     chain = mcg.chain_curves(2)
     word = TwistWord(tuple((c, 1) for c in chain[:3]))
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
-    t = expand(mcg.trivialize(word))
+    t = expand(mcg.trivialize(word), word)
     assert t.is_positive
     assert len(t) == len(word) * per_letter
     assert intmat.is_identity(mcg.h1_action(TwistWord(word.letters + t.letters)))
@@ -235,7 +237,7 @@ def test_trivialize_action_matches_letter_by_letter_oracle():
             if g == 2:
                 pool.append(e)
             word = TwistWord(tuple((rng.choice(pool), 1) for _ in range(rng.randint(1, 4))))
-            t = expand(mcg.trivialize(word))
+            t = expand(mcg.trivialize(word), word)
             assert mcg.h1_action(t) == mcg.h1_action(TwistWord(inverse_letters(word)))
             assert intmat.is_identity(mcg.h1_action(TwistWord(word.letters + t.letters)))
 
@@ -246,10 +248,11 @@ def test_block_letters_are_the_frame_images_of_the_chain():
         c = random_primitive_curve(rng, g)
         s = mcg.symplectic_frame(c)
         images = [tuple(mat_vec(s, list(d.h1_class))) for d in mcg.chain_curves(g)]
-        (block,) = mcg.trivialize(TwistWord(((c, 1),)))
+        word = TwistWord(((c, 1),))
+        (block,) = mcg.trivialize(word)
         assert block.chain_images == tuple(images)
         want = images[1:] + images * (4 * g + 1)
-        assert [d.h1_class for d, _ in expand([block]).letters] == want
+        assert [d.h1_class for d, _ in expand([block], word).letters] == want
 
 
 def test_trivialize_rejects_negative_words():

@@ -1,5 +1,6 @@
-"""What every reader of the package shares: the input-error type, immutable
-records, numbered lines, plain integers and JSON with unique keys.
+"""What every reader of the package shares: the input-error type, input
+files read as UTF-8, immutable records, numbered lines, plain integers and
+JSON with unique keys.
 
 This module imports nothing of the package, so that a module needing a
 record or a reader does not load the front parser with it.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
+from pathlib import Path
 
 
 class InputError(ValueError):
@@ -17,6 +19,20 @@ class InputError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+def read_text(path: str | Path, line: int | None = None) -> str:
+    """The text of the file at path, read as UTF-8.
+
+    A file that cannot be opened or decoded, or a path that no file can
+    have, raises InputError, at the given line of the file naming path.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}", line) from None
+    except ValueError as exc:  # undecodable, or a NUL in the path
+        raise InputError(f"cannot read {path}: {exc}", line) from None
 
 
 class Record:

@@ -17,30 +17,18 @@ from pathlib import Path
 
 # each handler imports the modules it uses, so that a call loads only its
 # own subcommand's code
-from .base import InputError, load_json, parse_int
+from .base import InputError, load_json, parse_int, read_text
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
 
 
-class InputFailure(Exception):
-    """Wraps any parse or IO failure so main can map it to exit 2."""
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFailure(f"cannot read {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise InputFailure(f"cannot read {path}: {exc}")
-
-
 def _load(parse, path: str):
-    """parse(text of path), with unreadable input turned into InputFailure."""
+    """parse(text of path), with the path prefixed to a parse error."""
+    text = read_text(path)
     try:
-        return parse(_read(path))
+        return parse(text)
     except InputError as exc:
-        raise InputFailure(f"{path}: {exc}")
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _emit_doc(doc: dict) -> None:
@@ -65,12 +53,12 @@ def cmd_tb(args: argparse.Namespace) -> int:
     component = args.component
     if component is None:
         if len(comps) != 1:
-            raise InputFailure(
+            raise InputError(
                 f"front has components {comps}; pick one with --component"
             )
         component = comps[0]
     elif component not in comps:
-        raise InputFailure(f"front has no component {component!r}")
+        raise InputError(f"front has no component {component!r}")
     report = d.tb_report(component)
     if args.format == "doc":
         _emit_doc(report)
@@ -166,11 +154,11 @@ def cmd_mcg(args: argparse.Namespace) -> int:
     from . import mcg
     genus = args.chain_genus if args.chain_genus is not None else args.genus
     if genus is None:
-        raise InputFailure("mcg verify-chain needs a genus (positional or --genus)")
+        raise InputError("mcg verify-chain needs a genus (positional or --genus)")
     if args.genus is not None and args.genus != genus:
-        raise InputFailure(f"mcg verify-chain got genus {genus} and --genus {args.genus}")
+        raise InputError(f"mcg verify-chain got genus {genus} and --genus {args.genus}")
     if not 1 <= genus <= mcg.MAX_GENUS:
-        raise InputFailure(f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}")
+        raise InputError(f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}")
     ok = mcg.verify_chain_relation(genus)
     if args.format == "doc":
         _emit_doc({"genus": genus, "chain_relation_holds": ok})
@@ -181,15 +169,16 @@ def cmd_mcg(args: argparse.Namespace) -> int:
     return 0 if ok else ABORTED
 
 
-def _human_certificate(cert) -> None:
-    for i, step in enumerate(cert.steps, start=1):
-        print(f"step {i}: {step.rule}")
-        print(f"    {step.quote}")
-        for cond in step.side_conditions:
-            print(f"    check {cond}")
-        for out in step.outputs:
+def _human_certificate(cert: dict) -> None:
+    from .hfcert import condition_text
+    for i, step in enumerate(cert["steps"], start=1):
+        print(f"step {i}: {step['rule']}")
+        print(f"    {step['quote']}")
+        for cond in step["side_conditions"]:
+            print(f"    check {condition_text(cond)}")
+        for out in step["outputs"]:
             print(f"    => {out}")
-    print(f"verdict: {cert.verdict}")
+    print(f"verdict: {cert['verdict']}")
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -197,10 +186,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     validate, out = args.validate, args.out
     if validate is not None:
         if args.inputs or out is not None or args.budget is not None or args.seed is not None:
-            raise InputFailure(
+            raise InputError(
                 "certify --validate takes no DIAGRAM PALF INFLATION, --out, --budget or --seed"
             )
-        doc = load_json(_read(validate), InputFailure, f"{validate}: ")
+        doc = load_json(read_text(validate), InputError, f"{validate}: ")
         problems = hfcert.validate_certificate(doc)
         if args.format == "doc":
             fields = doc if isinstance(doc, dict) else {}
@@ -220,7 +209,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return ABORTED if problems else 0
 
     if len(args.inputs) != 3:
-        raise InputFailure("certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON")
+        raise InputError("certify wants DIAGRAM PALF INFLATION, or --validate CERT_JSON")
     from . import fillings, kirby
     cork_path, palf_path, spec_path = args.inputs
     cork = _load(kirby.parse_kirby, cork_path)
@@ -238,17 +227,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         untwisted = kirby.inflate(pair.untwisted_front, pair.framing, pair.untwisted_component)
         twisted = kirby.inflate(pair.twisted_front, pair.framing, pair.twisted_component)
         plan = fillings.build_concave(fillings.palf_to_openbook(palf))
-        cert = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
+        cert_doc = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         if exc.condition is not None:
-            print(f"failing check: {exc.condition}", file=sys.stderr)
+            print(f"failing check: {hfcert.condition_text(exc.condition)}", file=sys.stderr)
         return ABORTED
     except kirby.KirbyError as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         return ABORTED
 
-    cert_doc = cert.to_doc()
     if out is not None:
         try:
             Path(out).write_text(
@@ -256,7 +244,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 encoding="utf-8",
             )
         except OSError as exc:
-            raise InputFailure(f"cannot write {out}: {exc.strerror}")
+            raise InputError(f"cannot write {out}: {exc.strerror}")
     non_extension = hfcert.non_extension_fact(cert_doc["digest"])
     first, second = non_extension["relative_values"]
     bundle = {
@@ -270,7 +258,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.format == "doc":
         _emit_doc(bundle)
     else:
-        _human_certificate(cert)
+        _human_certificate(cert_doc)
         print(f"relative invariant: (±{first['magnitude']}, {second})")
         print(non_extension["statement"])
         print(bundle["fake_pair"]["statement"])
@@ -350,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else PARSE_ERROR
     try:
         return args.run(args)
-    except InputFailure as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except BrokenPipeError:

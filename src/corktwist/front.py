@@ -636,8 +636,7 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
         raise ValueError("stabilization sign must be +1 or -1")
     d._require(comp)
     seg_index = 0
-    arc_index = d._walks[comp][0][0]
-    step = d._frame.segs[comp][seg_index]
+    arc_index, forward, _ = d._walks[comp][0]
     params = sorted(
         Fraction(at[2], at[3])
         for c in d._crossings
@@ -652,16 +651,8 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
 
     old_crossing_count = len(d._crossings)
     arc = d.arcs[arc_index]
-    # locate the stored segment matching this step (traversal may run it
-    # backwards when the component is negatively oriented)
-    k = d._frame.scale // arc.scale
-    stored = forward = None
-    for i, (a, b) in enumerate(zip(arc.points, arc.points[1:])):
-        seg = (a[0] * k, a[1] * k, b[0] * k, b[1] * k)
-        if step in (seg, seg[2:] + seg[:2]):
-            stored, forward = i, step == seg
-            break
-    assert stored is not None, "traversal step lost its arc segment"
+    # the first step runs the arc's first segment, or its last one backwards
+    stored = 0 if forward else len(arc.points) - 2
     a, b = ((Fraction(x, arc.scale), Fraction(y, arc.scale))
             for x, y in arc.points[stored : stored + 2])
     # the arc's coordinates as ratios, and where the zigzag's four points go

@@ -2,14 +2,14 @@
 
 Nothing in this module computes Floer homology.  certify_distinct replays
 the fixed chain of deductions that separates the two contact classes as
-a certificate: a list of steps, each citing one axiom in plain words,
-naming its elements by fixed strings, and carrying side conditions that
-can be re-checked from the certificate alone.  The split is deliberate:
-applicability arithmetic is checked exhaustively here (the adjunction
-rule is the numeric rule it uses; the degree shift is only stated, as a
-conditional output, since nothing pins down the signature), and every
-imported fact is surfaced as a declared assumption instead of being
-silently used.
+a certificate, one JSON document: a list of steps, each citing one
+axiom in plain words, naming its elements by fixed strings, and carrying
+side conditions that can be re-checked from the certificate alone.  The
+split is deliberate: applicability arithmetic is checked exhaustively
+here (the adjunction rule is the numeric rule it uses; the degree shift
+is only stated, as a conditional output, since nothing pins down the
+signature), and every imported fact is surfaced as a declared assumption
+instead of being silently used.
 
 A side condition names a check and the evidence it was run on,
 {"check": NAME, "evidence": {...}}: JSON integers, or for a monodromy a
@@ -23,14 +23,17 @@ input of a step to be the output of an earlier step.
 
 from __future__ import annotations
 
-import copy
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import intmat, kirby, mcg
-from .fillings import STANDARD_ASSUMPTIONS, Assumption, FillingPlan
-from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
+# the checker needs only these two; the deduction and the reports import
+# kirby and fillings where they run, so that --validate loads no parser
+from . import intmat, mcg
+
+if TYPE_CHECKING:
+    from .fillings import FillingPlan
+    from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
 
 
 class HFError(ValueError):
@@ -42,9 +45,9 @@ class RuleNotApplicable(ValueError):
 
 
 class CertificateAbort(ValueError):
-    """A deduction died; carries the side condition that failed, if one did."""
+    """A deduction died; carries the side condition document that failed, if one did."""
 
-    def __init__(self, message: str, condition: SideCondition | None = None) -> None:
+    def __init__(self, message: str, condition: dict | None = None) -> None:
         super().__init__(message)
         self.condition = condition
 
@@ -53,6 +56,7 @@ class CertificateAbort(ValueError):
 
 def hf_s3(version: str, n: int) -> AbelianGroup:
     """Degree-n piece of the three-sphere's plus or minus tower."""
+    from .kirby import AbelianGroup
     if version not in ("+", "-"):
         raise HFError(f"version must be '+' or '-', got {version!r}")
     if n % 2 != 0:
@@ -197,59 +201,12 @@ def eval_condition(cond: object) -> bool:
 
 # -- certificates -------------------------------------------------------------
 
-class SideCondition(NamedTuple):
-    """A check from CHECKS and the evidence it held on."""
-
-    check: str
-    evidence: dict
-
-    def to_doc(self) -> dict:
-        # a copy, so that a document never shares evidence with another step
-        return {"check": self.check, "evidence": copy.deepcopy(self.evidence)}
-
-    def __str__(self) -> str:
-        args = ", ".join(
-            f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in self.evidence.items()
-        )
-        return f"{self.check}({args})"
-
-
-class Step(NamedTuple):
-    rule: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    side_conditions: tuple[SideCondition, ...] = ()
-
-    @property
-    def quote(self) -> str:
-        return AXIOMS[self.rule]
-
-    def to_doc(self) -> dict:
-        return {
-            "rule": self.rule,
-            "quote": self.quote,
-            "inputs": list(self.inputs),
-            "side_conditions": [c.to_doc() for c in self.side_conditions],
-            "outputs": list(self.outputs),
-        }
-
-
-class Certificate(NamedTuple):
-    steps: tuple[Step, ...]
-    verdict: str
-    assumptions: tuple[Assumption, ...]
-
-    def to_doc(self) -> dict:
-        body = self.body_doc()
-        body["digest"] = certificate_digest(body)
-        return body
-
-    def body_doc(self) -> dict:
-        return {
-            "steps": [s.to_doc() for s in self.steps],
-            "verdict": self.verdict,
-            "assumptions": [a.to_doc() for a in self.assumptions],
-        }
+def condition_text(cond: dict) -> str:
+    """A side condition as one line: check(key=value, ...), values in compact JSON."""
+    args = ", ".join(
+        f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in cond["evidence"].items()
+    )
+    return f"{cond['check']}({args})"
 
 
 def certificate_digest(body: dict) -> str:
@@ -322,17 +279,25 @@ RULE_CHECKS: dict[str, tuple[str, ...]] = {
     "twisted_adjunction_obstruction": ("tb_obstructed", "adjunction_violated"),
 }
 
-SIGN_CAVEAT = Assumption(
-    "sign-ambiguity",
-    "element equalities here hold up to an overall sign; the descent "
-    "conclusion silently excludes the x = -x(pullback) coincidence",
-)
+# assumption documents; each use copies one, so that no certificate or
+# report shares a dict with this module
+SIGN_CAVEAT = {
+    "name": "sign-ambiguity",
+    "statement": (
+        "element equalities here hold up to an overall sign; the descent "
+        "conclusion silently excludes the x = -x(pullback) coincidence"
+    ),
+    "status": "declared-unverified",
+}
 
-FREEDMAN_ASSUMPTION = Assumption(
-    "topological-homeomorphism",
-    "two simply connected closed 4-manifolds with isomorphic intersection "
-    "forms and equal Kirby-Siebenmann data are homeomorphic",
-)
+FREEDMAN_ASSUMPTION = {
+    "name": "topological-homeomorphism",
+    "statement": (
+        "two simply connected closed 4-manifolds with isomorphic intersection "
+        "forms and equal Kirby-Siebenmann data are homeomorphic"
+    ),
+    "status": "declared-unverified",
+}
 
 
 # -- the claims the steps chain -----------------------------------------------
@@ -359,16 +324,31 @@ def _require(ok: bool, message: str) -> None:
         raise CertificateAbort(message)
 
 
-def _checked(check: str, failure: str | None = None, **evidence: object) -> SideCondition:
-    """Run a check on the evidence about to be recorded; abort unless it holds."""
-    cond = SideCondition(check, evidence)
+def _checked(check: str, failure: str | None = None, **evidence: object) -> dict:
+    """Run a check on the evidence about to be recorded; abort unless it holds.
+
+    Returns a fresh side condition document.
+    """
+    cond = {"check": check, "evidence": evidence}
     try:
-        holds = eval_condition({"check": check, "evidence": evidence})
+        holds = eval_condition(cond)
     except (HFError, RuleNotApplicable) as exc:
         raise CertificateAbort(str(exc), cond) from exc
     if not holds:
-        raise CertificateAbort(failure or f"check {cond} fails", cond)
+        raise CertificateAbort(failure or f"check {condition_text(cond)} fails", cond)
     return cond
+
+
+def _step(rule: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
+          side_conditions: tuple[dict, ...] = ()) -> dict:
+    """A step document citing the axiom of rule."""
+    return {
+        "rule": rule,
+        "quote": AXIOMS[rule],
+        "inputs": list(inputs),
+        "side_conditions": list(side_conditions),
+        "outputs": list(outputs),
+    }
 
 
 def certify_distinct(
@@ -377,7 +357,7 @@ def certify_distinct(
     inflation: CobordismRecord,
     plan: FillingPlan,
     twisted: CobordismRecord,
-) -> Certificate:
+) -> dict:
     """Replay the two-sided computation that separates the contact classes.
 
     The untwisted side must be Stein-exact and flows through the concave
@@ -385,16 +365,20 @@ def certify_distinct(
     the same knot and framing attached after the twist, is obstructed by
     registered knot facts and adjunction, forcing a zero image.  adm is
     the cork's admissibility report, computed by the caller with the
-    search budget it records.
+    search budget it records.  Returns the certificate document: its steps,
+    verdict, assumptions and digest.
     """
-    steps: list[Step] = []
+    from . import kirby
+    from .fillings import STANDARD_ASSUMPTIONS
+
+    steps: list[dict] = []
 
     # (1) the cork itself
     _require(
         adm.verdict == "admissible",
         f"cork admissibility failed: verdict {adm.verdict!r}",
     )
-    steps.append(Step(
+    steps.append(_step(
         rule="cork_admissible",
         inputs=("given: the candidate diagram and its admissibility report",),
         side_conditions=(
@@ -407,7 +391,7 @@ def certify_distinct(
     # (2) untwisted Stein attachment
     framing = inflation.framing
     tb = inflation.exhibited_tb
-    steps.append(Step(
+    steps.append(_step(
         rule="stein_untwisted_attachment",
         inputs=(
             IS_CORK,
@@ -425,7 +409,7 @@ def certify_distinct(
     g_hat = plan.fiber_genus
     handles = plan.trivializing_handles
     monodromy = [list(c.h1_class) for c, _ in plan.closed_monodromy.letters]
-    steps.append(Step(
+    steps.append(_step(
         rule="concave_filling_plan",
         inputs=(W_PRIME_STEIN, "given: the shipped fibration word for W'"),
         side_conditions=(
@@ -445,7 +429,7 @@ def certify_distinct(
     )
     # nothing in the inputs pins down sigma(X), so the degree bookkeeping
     # is emitted conditionally rather than with an invented value
-    steps.append(Step(
+    steps.append(_step(
         rule="lefschetz_nonvanishing",
         inputs=(
             CONCAVE_FILLING,
@@ -466,7 +450,7 @@ def certify_distinct(
     det = intmat.det(kirby.linking_matrix(cork)[1])
     _require(det != 0, "boundary first homology has free rank; contact c1 not torsion")
     unimodular = _checked("unit_determinant", det=det)
-    steps.append(Step(
+    steps.append(_step(
         rule="concave_hits_contact",
         inputs=(
             CONCAVE_FILLING,
@@ -477,11 +461,12 @@ def certify_distinct(
     ))
 
     # (6) composing across the homology-sphere cut: exactly one decoration
-    # glues there, so the composite is a single term
-    steps.append(Step(
+    # glues there, so the composite is a single term; the check step 5 ran,
+    # recorded in a document of its own
+    steps.append(_step(
         rule="compose_unique_gluing",
         inputs=(X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
-        side_conditions=(unimodular,),
+        side_conditions=({"check": "unit_determinant", "evidence": {"det": det}},),
         outputs=(f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO),
     ))
 
@@ -510,7 +495,7 @@ def certify_distinct(
     )
     obstruction = _checked("tb_obstructed", not_obstructed, framing=framing, max_tb=max_tb)
     _require(twisted_status["status"] == "obstructed", not_obstructed)
-    steps.append(Step(
+    steps.append(_step(
         rule="twisted_adjunction_obstruction",
         inputs=(
             IS_CORK,
@@ -529,21 +514,21 @@ def certify_distinct(
     ))
 
     # (8) so the twisted mixed map vanishes
-    steps.append(Step(
+    steps.append(_step(
         rule="twisted_mixed_vanishes",
         inputs=(NO_BASIC_CLASS, V_HITS_CONTACT),
         outputs=(f"F_mix of X'' kills {THETA_MINUS}", TWISTED_IMAGE_ZERO),
     ))
 
     # (9) the two images differ
-    steps.append(Step(
+    steps.append(_step(
         rule="conclude_distinct",
         inputs=(CONTACT_IMAGE_NONZERO, TWISTED_IMAGE_ZERO),
         outputs=(CONTACTS_DIFFER, "verdict: DISTINCT"),
     ))
 
     # (10) descent to the reduced quotient
-    steps.append(Step(
+    steps.append(_step(
         rule="reduced_descent",
         inputs=(CONTACTS_DIFFER, "assumption: sign-ambiguity"),
         outputs=(
@@ -552,11 +537,13 @@ def certify_distinct(
         ),
     ))
 
-    return Certificate(
-        steps=tuple(steps),
-        verdict="DISTINCT",
-        assumptions=STANDARD_ASSUMPTIONS + (SIGN_CAVEAT,),
-    )
+    cert = {
+        "steps": steps,
+        "verdict": "DISTINCT",
+        "assumptions": [*(a.to_doc() for a in STANDARD_ASSUMPTIONS), dict(SIGN_CAVEAT)],
+    }
+    cert["digest"] = certificate_digest(cert)
+    return cert
 
 
 # -- certificate validation ---------------------------------------------------
@@ -672,6 +659,7 @@ def fake_pair_report() -> dict:
     already required an admissible cork and a Stein-exact untwisted
     attachment.
     """
+    from .fillings import STANDARD_ASSUMPTIONS
     return {
         "statement": (
             "the closed fibration and its cork-twisted companion are "
@@ -685,7 +673,7 @@ def fake_pair_report() -> dict:
             "no decoration of X'' is basic",
         ],
         "assumptions": [
-            FREEDMAN_ASSUMPTION.to_doc(),
+            dict(FREEDMAN_ASSUMPTION),
             *[a.to_doc() for a in STANDARD_ASSUMPTIONS],
         ],
     }

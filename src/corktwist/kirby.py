@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import front as front_mod
 from . import intmat, moves
-from .base import InputError, Record, load_json, numbered_lines, parse_int
+from .base import InputError, Record, load_json, numbered_lines, parse_int, read_text
 from .front import FrontDiagram, FrontParseError, json_list, json_object
 
 # Facts about specific knot types used to certify Stein obstructions.
@@ -696,12 +696,7 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
         elif head in ("untwisted", "twisted"):
             if len(parts) != 2:
                 raise FrontParseError(f"usage: {head} <front-file> <component>", lineno)
-            path = base / parts[0]
-            try:
-                loaded = front_mod.parse_front(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise FrontParseError(f"cannot read {path}: {exc}", lineno)
-            fields[f"{head}_front"] = loaded
+            fields[f"{head}_front"] = front_mod.parse_front(read_text(base / parts[0], lineno))
             fields[f"{head}_component"] = parts[1]
         else:
             raise FrontParseError(f"unknown statement {head!r}", lineno)

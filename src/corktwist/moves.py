@@ -31,9 +31,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import cmp_to_key
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import front as front_mod
+if TYPE_CHECKING:
+    from . import front as front_mod
 
 Vec = tuple[int, int]  # a segment direction in a front's frame integers
 

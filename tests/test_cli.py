@@ -645,7 +645,16 @@ def test_missing_input_keeps_its_os_error_text(fixtures, tmp_path):
     argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
             str(spec)]
     assert run(argv) == (2, "", f"error: {spec}: line 3: cannot read {missing}: "
-                                f"[Errno 2] No such file or directory: '{missing}'\n")
+                                "No such file or directory\n")
+
+
+def test_spec_front_path_with_a_nul_exits_2(fixtures, tmp_path):
+    # a path no file can have: open() raises ValueError, not OSError
+    nul = tmp_path / "a\0b.front"
+    spec = _spec_over(tmp_path, nul, fixtures / "trefoil.front")
+    argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
+            str(spec)]
+    assert run(argv) == (2, "", f"error: {spec}: line 3: cannot read {nul}: embedded null byte\n")
 
 
 @pytest.mark.parametrize("target, code", [("nowhere/cert.json", errno.ENOENT), ("", errno.EISDIR)],
@@ -1089,13 +1098,24 @@ def test_each_command_imports_only_what_it_uses(fixtures, certify_argv, tmp_path
     assert _imports_after(["fill", str(fixtures / "mazur.palf")]) == (
         0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.fillings",
             "corktwist.mcg", "corktwist.intmat"}, set())
-    # --validate loads the whole package through hfcert's imports
+    # --validate loads the checker and what its checks run on: no parser, no search
     cert = tmp_path / "cert.json"
     assert run([*certify_argv, "--out", str(cert)])[0] == 0
     assert _imports_after(["certify", "--validate", str(cert)]) == (
-        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.fillings",
-            "corktwist.front", "corktwist.hfcert", "corktwist.intmat", "corktwist.kirby",
-            "corktwist.mcg", "corktwist.moves"}, {"hashlib"})
+        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.hfcert",
+            "corktwist.intmat", "corktwist.mcg"}, {"hashlib"})
+
+
+def test_unknot_search_imports_nothing_of_the_package():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import json, sys, corktwist.moves; print(json.dumps(list(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = {name for name in json.loads(proc.stdout) if name.split(".")[0] == "corktwist"}
+    assert loaded == {"corktwist", "corktwist.moves"}
 
 
 def test_shared_parser_keeps_no_state_between_calls(fixtures):

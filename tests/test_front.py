@@ -63,6 +63,20 @@ def test_stabilization_is_a_zigzag(load):
     assert after["cusp_count"] == before["cusp_count"] + 2
 
 
+@pytest.mark.parametrize("name", ["trefoil.front", "trefoil_handle.front"])
+def test_stabilization_against_the_orientation(load, name):
+    # run backwards, the walk enters its first arc at the arc's far end
+    d = parse_front(load(name).replace("orient K +", "orient K -"))
+    assert d._walks["K"][0][1] is False
+    for step in range(3):
+        before = d.tb_report("K")
+        d = stabilize(d, "K", 1 if step % 2 else -1)
+        after = d.tb_report("K")
+        assert after["tb"] == before["tb"] - 1
+        assert after["crossings"] == before["crossings"]
+        assert after["cusp_count"] == before["cusp_count"] + 2
+
+
 def test_linking_number_hopf():
     text = """
 arc A : (0,0) (4,4) (8,0)

@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corktwist import fillings, front, hfcert, kirby, mcg
 from corktwist.hfcert import (
@@ -15,11 +17,11 @@ from corktwist.hfcert import (
     CertificateAbort,
     HFError,
     RuleNotApplicable,
-    SideCondition,
     SpinCDecoration,
     adjunction_violated,
     certificate_digest,
     certify_distinct,
+    condition_text,
     degree_shift,
     eval_condition,
     hf_s3,
@@ -55,9 +57,9 @@ def test_hf_s3_table():
 
 
 def test_named_tower_generators_sit_in_nonzero_degrees(pipeline):
-    step = certify_distinct(*pipeline).steps[3]
-    assert step.rule == "lefschetz_nonvanishing"
-    named = set(re.findall(r"Θ([+-])\((-?\d+)\)", " ".join(step.outputs)))
+    step = certify_distinct(*pipeline)["steps"][3]
+    assert step["rule"] == "lefschetz_nonvanishing"
+    named = set(re.findall(r"Θ([+-])\((-?\d+)\)", " ".join(step["outputs"])))
     assert named == {("-", "-2"), ("+", "0")}
     for version, degree in named:
         assert not hf_s3(version, int(degree)).is_trivial
@@ -201,10 +203,9 @@ def test_validate_survives_documents_too_deep_to_digest():
 
 
 def test_certificate_distinct_and_valid(pipeline):
-    cert = certify_distinct(*pipeline)
-    assert cert.verdict == "DISTINCT"
-    assert len(cert.steps) == 10
-    doc = cert.to_doc()
+    doc = certify_distinct(*pipeline)
+    assert doc["verdict"] == "DISTINCT"
+    assert len(doc["steps"]) == 10
     assert validate_certificate(doc) == []
     for step in doc["steps"]:
         assert [c["check"] for c in step["side_conditions"]] == list(
@@ -218,22 +219,123 @@ def test_certificate_distinct_and_valid(pipeline):
 
 
 def test_certify_emits_every_registered_check(pipeline):
-    steps = certify_distinct(*pipeline).steps
-    emitted = [c.check for step in steps for c in step.side_conditions]
+    steps = certify_distinct(*pipeline)["steps"]
+    emitted = [c["check"] for step in steps for c in step["side_conditions"]]
     assert set(emitted) == set(CHECKS)
     assert len(emitted) == 11
-    assert "given: the candidate diagram and its admissibility report" in steps[0].inputs
+    assert "given: the candidate diagram and its admissibility report" in steps[0]["inputs"]
 
 
 def test_certificate_digest_is_content_addressed(pipeline):
-    doc1 = certify_distinct(*pipeline).to_doc()
-    doc2 = certify_distinct(*pipeline).to_doc()
+    doc1 = certify_distinct(*pipeline)
+    doc2 = certify_distinct(*pipeline)
     assert doc1["digest"] == doc2["digest"]
     assert doc1 == doc2
 
 
+def _mark_everywhere(node):
+    """Add a key to every dict and an element to every list inside node."""
+    children = node.values() if isinstance(node, dict) else node
+    for child in list(children):
+        if isinstance(child, (dict, list)):
+            _mark_everywhere(child)
+    if isinstance(node, dict):
+        node["marked"] = True
+    else:
+        node.append("marked")
+
+
+def test_certificate_shares_nothing_between_calls(pipeline):
+    """Editing a returned certificate or report reaches no later one."""
+    cert, report = certify_distinct(*pipeline), hfcert.fake_pair_report()
+    pristine = copy.deepcopy((cert, report))
+    _mark_everywhere(cert)
+    _mark_everywhere(report)
+    assert "marked" in cert["steps"][4]["side_conditions"][0]["evidence"]
+    assert (certify_distinct(*pipeline), hfcert.fake_pair_report()) == pristine
+
+
+# JSON values come from flat bytes read by _json_value: hypothesis draws and
+# shrinks bytes several times faster than a recursive strategy
+_KEYS = ("", "x", "check", "evidence", "steps", "rule", "quote", "inputs", "outputs",
+         "side_conditions", "digest", "verdict", "assumptions", "name", "lk", "monodromy")
+_ATOMS = (None, True, False, 0, 1, -1, 2, 10**30, 1.0, -0.5, float("inf"), float("nan"),
+          "DISTINCT", "verdict: DISTINCT", "given: x", "assumption: x", *_KEYS)
+
+
+def _json_value(data: bytes, at: int = 0) -> tuple[object, int]:
+    """The JSON value that data spells from index at, and the index past it.
+
+    A byte b opens a list (b % 4 == 0) or an object (b % 4 == 1) of b // 4 % 4
+    members, each object member led by a byte naming its key; any other byte
+    is an atom, and past the end every value is null.
+    """
+    if at >= len(data):
+        return None, at
+    b, at = data[at], at + 1
+    if b % 4 > 1:
+        return _ATOMS[b // 4 % len(_ATOMS)], at
+    is_object, members = b % 4 == 1, []
+    for _ in range(b // 4 % 4):
+        key = ""
+        if is_object:
+            key = _KEYS[data[at] % len(_KEYS)] if at < len(data) else ""
+            at += 1
+        value, at = _json_value(data, at)
+        members.append((key, value))
+    if is_object:
+        return dict(members), at
+    return [value for _, value in members], at
+
+
+JSON_VALUES = st.binary(max_size=48).map(lambda data: _json_value(data)[0])
+
+
+def _sites(node, path=()):
+    """The path of every value inside node, node itself included."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _sites(child, (*path, key))
+
+
+def test_validate_is_total(pipeline):
+    """On any JSON value, and on the certificate with any one value replaced by
+    it, validation returns a list of strings; the list is empty only if the
+    certificate is unchanged."""
+    canonical = json.dumps(certify_distinct(*pipeline), sort_keys=True)
+    sites = list(_sites(json.loads(canonical)))
+
+    def problems_of(doc):
+        problems = validate_certificate(doc)
+        assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+        return problems
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sites), JSON_VALUES)
+    def replaced(path, value):
+        problems_of(value)
+        if not path:
+            return
+        doc = json.loads(canonical)
+        *parents, last = path
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        parent[last] = value
+        if not problems_of(doc):
+            assert json.dumps(doc, sort_keys=True) == canonical
+
+    replaced()
+
+
 def test_tampering_single_integer_fails(pipeline):
-    bad = certify_distinct(*pipeline).to_doc()
+    bad = certify_distinct(*pipeline)
     relator = bad["steps"][2]["side_conditions"][1]
     assert relator == cond("relator_handles", handles=195, blocks=5, fiber_genus=2)
     relator["evidence"]["handles"] = 196
@@ -261,7 +363,7 @@ FORGERIES = [
 @pytest.mark.parametrize("step, check, key, value", FORGERIES,
                          ids=[f"{s}-{c}-{k}" for s, c, k, _ in FORGERIES])
 def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, key, value):
-    doc = certify_distinct(*pipeline).to_doc()
+    doc = certify_distinct(*pipeline)
     [target] = [c for c in doc["steps"][step - 1]["side_conditions"] if c["check"] == check]
     target["evidence"][key] = value
     doc["digest"] = certificate_digest(doc)
@@ -271,7 +373,7 @@ def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, key, value)
 
 
 def test_dropped_or_reordered_checks_fail_with_fresh_digest(pipeline):
-    doc = certify_distinct(*pipeline).to_doc()
+    doc = certify_distinct(*pipeline)
     dropped, swapped = copy.deepcopy(doc), copy.deepcopy(doc)
     del dropped["steps"][2]["side_conditions"][2]
     swapped["steps"][6]["side_conditions"].reverse()
@@ -282,7 +384,7 @@ def test_dropped_or_reordered_checks_fail_with_fresh_digest(pipeline):
 
 
 def test_old_format_certificate_is_invalid(pipeline):
-    doc = certify_distinct(*pipeline).to_doc()
+    doc = certify_distinct(*pipeline)
     doc["steps"][0]["side_conditions"] = [{"expr": "abs(1) == 1", "value": True},
                                           {"expr": "2 >= 1", "value": True}]
     doc["digest"] = certificate_digest(doc)
@@ -298,13 +400,13 @@ def test_old_format_certificate_is_invalid(pipeline):
 
 
 def test_tampering_text_only_fails_digest(pipeline):
-    blob = json.dumps(certify_distinct(*pipeline).to_doc())
+    blob = json.dumps(certify_distinct(*pipeline))
     bad = json.loads(blob.replace("verdict: DISTINCT", "verdict: SAME"))
     assert any("digest" in p for p in validate_certificate(bad))
 
 
 def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
-    doc = certify_distinct(*pipeline).to_doc()
+    doc = certify_distinct(*pipeline)
     doc["steps"] = doc["steps"][::-1]
     doc["digest"] = certificate_digest(doc)
     problems = validate_certificate(doc)
@@ -312,7 +414,7 @@ def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
 
 
 def test_rewritten_axiom_fails(pipeline):
-    doc = certify_distinct(*pipeline).to_doc()
+    doc = certify_distinct(*pipeline)
     doc["steps"][0]["quote"] = "trust me"
     doc["digest"] = certificate_digest(doc)
     assert any("axiom" in p for p in validate_certificate(doc))
@@ -325,8 +427,8 @@ def test_abort_on_wrong_framing(pipeline, load):
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, low, plan, twisted)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
-    assert info.value.condition == SideCondition("contact_framing", {"framing": 0, "tb": 2})
-    assert str(info.value.condition) == "contact_framing(framing=0, tb=2)"
+    assert info.value.condition == cond("contact_framing", framing=0, tb=2)
+    assert condition_text(info.value.condition) == "contact_framing(framing=0, tb=2)"
 
 
 def test_abort_on_unknot_inflation(pipeline, load):
@@ -336,7 +438,7 @@ def test_abort_on_unknot_inflation(pipeline, load):
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, record, plan, record)
     assert "adjunction rule not applicable" in str(info.value)
-    assert info.value.condition.check == "adjunction_violated"
+    assert info.value.condition["check"] == "adjunction_violated"
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
@@ -358,7 +460,7 @@ def test_abort_on_unobstructed_twisted_side(pipeline, load):
 
 
 def test_relative_invariant_pair(pipeline):
-    digest = certify_distinct(*pipeline).to_doc()["digest"]
+    digest = certify_distinct(*pipeline)["digest"]
     fact = hfcert.non_extension_fact(digest)
     assert fact["relative_values"] == [{"magnitude": 1, "sign_ambiguous": True}, 0]
     assert "does not extend" in fact["statement"]

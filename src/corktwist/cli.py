@@ -86,18 +86,19 @@ def cmd_admissible(args: argparse.Namespace) -> int:
         print(f"admissibility aborted: {exc}", file=sys.stderr)
         return ABORTED
     if args.format == "doc":
-        _emit_doc({"report": rep.to_doc(), "budget": budget, "seed": seed})
+        _emit_doc({"report": rep, "budget": budget, "seed": seed})
     else:
-        for comp, status in rep.cond1:
+        for comp, status in rep["cond1"].items():
             print(f"condition 1 [{comp}]: {status}")
-        print(f"condition 2: {rep.cond2} ({rep.cond2_detail})")
-        print(f"condition 3: {rep.cond3_status} (linking number {rep.cond3_value})")
-        print(f"condition 4': {rep.cond4prime_status} ({rep.cond4prime_detail})")
+        cond3, cond4 = rep["cond3"], rep["cond4prime"]
+        print(f"condition 2: {rep['cond2']} ({rep['cond2_detail']})")
+        print(f"condition 3: {cond3['status']} (linking number {cond3['value']})")
+        print(f"condition 4': {cond4['status']} ({cond4['detail']})")
         print(f"budget {budget}, seed {seed}")
-        print(f"verdict: {rep.verdict}")
-    if rep.verdict == "admissible":
+        print(f"verdict: {rep['verdict']}")
+    if rep["verdict"] == "admissible":
         return 0
-    if rep.verdict == "not admissible":
+    if rep["verdict"] == "not admissible":
         return ABORTED
     return INCONCLUSIVE
 
@@ -106,14 +107,14 @@ def cmd_homology(args: argparse.Namespace) -> int:
     from . import kirby
     rep = kirby.homology(_load(kirby.parse_kirby, args.diagram_path))
     if args.format == "doc":
-        _emit_doc(rep.to_doc())
+        _emit_doc(rep)
         return 0
-    for i, g in enumerate(rep.h_of_W):
-        print(f"H_{i}(W) = {g.describe()}")
-    for i, g in enumerate(rep.h_of_boundary):
-        print(f"H_{i}(boundary) = {g.describe()}")
-    print(f"contractible: {rep.is_contractible}")
-    print(f"homology sphere boundary: {rep.is_homology_sphere}")
+    for i, g in enumerate(rep["h_of_W"]):
+        print(f"H_{i}(W) = {g['pretty']}")
+    for i, g in enumerate(rep["h_of_boundary"]):
+        print(f"H_{i}(boundary) = {g['pretty']}")
+    print(f"contractible: {rep['is_contractible']}")
+    print(f"homology sphere boundary: {rep['is_homology_sphere']}")
     return 0
 
 
@@ -146,7 +147,7 @@ def cmd_fill(args: argparse.Namespace) -> int:
     print(f"closing piece euler characteristic {2 - 2 * plan.fiber_genus}")
     print(f"plan euler characteristic {plan.euler_char}")
     for a in fillings.STANDARD_ASSUMPTIONS:
-        print(f"assumption [{a.name}]: {a.statement}")
+        print(f"assumption [{a['name']}]: {a['statement']}")
     return 0
 
 
@@ -220,7 +221,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     budget, seed = _search_settings(args)
     try:
         adm = kirby.check_admissible(cork, budget=budget, seed=seed)
-        if adm.verdict == "inconclusive":
+        if adm["verdict"] == "inconclusive":
             print(f"certification inconclusive: cork admissibility undecided "
                   f"at budget {budget}, seed {seed}", file=sys.stderr)
             return INCONCLUSIVE

@@ -34,38 +34,40 @@ class FillingError(InputError):
 
 # -- assumptions able to be cited by certificate rules ------------------------
 
-class Assumption(NamedTuple):
-    """A fact the plan uses but does not verify."""
-
-    name: str
-    statement: str
-    status: str = "declared-unverified"
-
-    def to_doc(self) -> dict:
-        return {"name": self.name, "statement": self.statement, "status": self.status}
-
-
-STANDARD_ASSUMPTIONS: tuple[Assumption, ...] = (
-    Assumption(
-        "symplectic-structure",
-        "a Lefschetz fibration whose fiber class is homologically essential "
-        "carries a symplectic form making the fibers symplectic",
-    ),
-    Assumption(
-        "b2plus-at-least-2",
-        "the closing piece can be arranged so that the concave filling has "
-        "b2+ at least 2",
-    ),
-    Assumption(
-        "relative-minimality",
-        "a fibration whose vanishing cycles are all non-separating contains "
-        "no sphere of self-intersection -1 in a fiber",
-    ),
-    Assumption(
-        "section-exists",
-        "the closed fibration admits a section, so the fiber class pairs "
-        "with a dual section class",
-    ),
+# facts the plan uses but does not verify, as documents; each use copies them
+STANDARD_ASSUMPTIONS: tuple[dict, ...] = (
+    {
+        "name": "symplectic-structure",
+        "statement": (
+            "a Lefschetz fibration whose fiber class is homologically essential "
+            "carries a symplectic form making the fibers symplectic"
+        ),
+        "status": "declared-unverified",
+    },
+    {
+        "name": "b2plus-at-least-2",
+        "statement": (
+            "the closing piece can be arranged so that the concave filling has "
+            "b2+ at least 2"
+        ),
+        "status": "declared-unverified",
+    },
+    {
+        "name": "relative-minimality",
+        "statement": (
+            "a fibration whose vanishing cycles are all non-separating contains "
+            "no sphere of self-intersection -1 in a fiber"
+        ),
+        "status": "declared-unverified",
+    },
+    {
+        "name": "section-exists",
+        "statement": (
+            "the closed fibration admits a section, so the fiber class pairs "
+            "with a dual section class"
+        ),
+        "status": "declared-unverified",
+    },
 )
 
 
@@ -187,7 +189,7 @@ class FillingPlan(NamedTuple):
             "euler_char": self.euler_char,
             "fiber_genus": self.fiber_genus,
             "relator_blocks": self.relator_blocks,
-            "assumptions": [a.to_doc() for a in STANDARD_ASSUMPTIONS],
+            "assumptions": [dict(a) for a in STANDARD_ASSUMPTIONS],
             "stabilizations": self.stabilizations,
             "source_open_book": self.source_open_book.to_doc(),
         }

@@ -33,7 +33,7 @@ from . import intmat, mcg
 
 if TYPE_CHECKING:
     from .fillings import FillingPlan
-    from .kirby import AbelianGroup, AdmissibilityReport, CobordismRecord, KirbyDiagram
+    from .kirby import AbelianGroup, CobordismRecord, KirbyDiagram
 
 
 class HFError(ValueError):
@@ -353,7 +353,7 @@ def _step(rule: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
 
 def certify_distinct(
     cork: KirbyDiagram,
-    adm: AdmissibilityReport,
+    adm: dict,
     inflation: CobordismRecord,
     plan: FillingPlan,
     twisted: CobordismRecord,
@@ -364,7 +364,7 @@ def certify_distinct(
     filling to a nonzero image of the contact element; the twisted side,
     the same knot and framing attached after the twist, is obstructed by
     registered knot facts and adjunction, forcing a zero image.  adm is
-    the cork's admissibility report, computed by the caller with the
+    the cork's admissibility document, computed by the caller with the
     search budget it records.  Returns the certificate document: its steps,
     verdict, assumptions and digest.
     """
@@ -375,15 +375,15 @@ def certify_distinct(
 
     # (1) the cork itself
     _require(
-        adm.verdict == "admissible",
-        f"cork admissibility failed: verdict {adm.verdict!r}",
+        adm["verdict"] == "admissible",
+        f"cork admissibility failed: verdict {adm['verdict']!r}",
     )
     steps.append(_step(
         rule="cork_admissible",
         inputs=("given: the candidate diagram and its admissibility report",),
         side_conditions=(
-            _checked("unit_linking", lk=adm.cond3_value),
-            _checked("tb_at_least_one", tb=adm.cond4prime_tb),
+            _checked("unit_linking", lk=adm["cond3"]["value"]),
+            _checked("tb_at_least_one", tb=adm["cond4prime"]["tb"]),
         ),
         outputs=(IS_CORK,),
     ))
@@ -540,7 +540,7 @@ def certify_distinct(
     cert = {
         "steps": steps,
         "verdict": "DISTINCT",
-        "assumptions": [*(a.to_doc() for a in STANDARD_ASSUMPTIONS), dict(SIGN_CAVEAT)],
+        "assumptions": [*(dict(a) for a in STANDARD_ASSUMPTIONS), dict(SIGN_CAVEAT)],
     }
     cert["digest"] = certificate_digest(cert)
     return cert
@@ -674,6 +674,6 @@ def fake_pair_report() -> dict:
         ],
         "assumptions": [
             dict(FREEDMAN_ASSUMPTION),
-            *[a.to_doc() for a in STANDARD_ASSUMPTIONS],
+            *(dict(a) for a in STANDARD_ASSUMPTIONS),
         ],
     }

@@ -365,27 +365,9 @@ def linking_matrix(d: KirbyDiagram) -> tuple[list[str], list[list[int]]]:
     return comps, m
 
 
-class HomologyReport(NamedTuple):
-    components: tuple[str, ...]
-    linking_matrix: tuple[tuple[int, ...], ...]
-    h_of_W: tuple[AbelianGroup, ...]       # degrees 0..4
-    h_of_boundary: tuple[AbelianGroup, ...]  # degrees 0..3
-    is_contractible: bool
-    is_homology_sphere: bool
-
-    def to_doc(self) -> dict:
-        return {
-            "components": list(self.components),
-            "linking_matrix": [list(r) for r in self.linking_matrix],
-            "h_of_W": [g.to_doc() for g in self.h_of_W],
-            "h_of_boundary": [g.to_doc() for g in self.h_of_boundary],
-            "is_contractible": self.is_contractible,
-            "is_homology_sphere": self.is_homology_sphere,
-        }
-
-
-def homology(d: KirbyDiagram) -> HomologyReport:
-    """Homology of the handlebody and of its closed boundary 3-manifold.
+def homology(d: KirbyDiagram) -> dict:
+    """The homology document of the handlebody (degrees 0..4) and of its
+    closed boundary 3-manifold (degrees 0..3).
 
     The contractibility flag asserts trivial reduced homology together
     with equal 1- and 2-handle counts.  With at most one 1-handle that
@@ -419,101 +401,77 @@ def homology(d: KirbyDiagram) -> HomologyReport:
     )
     balanced = len(dotted) == len(framed)
     point_homology = h1_w.is_trivial and h2_w.is_trivial
-    return HomologyReport(
-        components=tuple(comps),
-        linking_matrix=tuple(tuple(r) for r in link),
-        h_of_W=h_of_w,
-        h_of_boundary=h_of_boundary,
-        is_contractible=point_homology and balanced,
-        is_homology_sphere=h1_bd.is_trivial,
-    )
+    return {
+        "components": comps,
+        "linking_matrix": link,
+        "h_of_W": [g.to_doc() for g in h_of_w],
+        "h_of_boundary": [g.to_doc() for g in h_of_boundary],
+        "is_contractible": point_homology and balanced,
+        "is_homology_sphere": h1_bd.is_trivial,
+    }
 
 
 # -- admissibility ------------------------------------------------------------
 
 
-class AdmissibilityReport(NamedTuple):
-    """The evidence of the four cork-candidate checks, and the statuses it implies.
+def admissibility(
+    cond1_evidence: dict[str, dict],
+    involution_ok: bool,
+    cond2_detail: str,
+    cond3_value: int,
+    cond4prime_tb: int | None,
+) -> dict:
+    """The admissibility document: the evidence of the four cork-candidate
+    checks, and the statuses and verdict it implies.
 
-    The report stores only what the checks produce; every status and the
-    verdict are read off that evidence.  cond1 is the per-component
-    unknottedness certificate (one-sided: verified or inconclusive, never
-    refuted).  cond2 is the exchanging involution.  cond3 is linking
-    number a unit.  cond4prime is the exhibited Thurston-Bennequin
-    condition: the Stein section must show the 2-handle curve over the
-    1-handle with tb at least +1; a diagram without a certifying exhibit
-    is not admissible as presented.  A definite failure of cond2, cond3
-    or cond4prime makes the verdict "not admissible" whatever cond1 says;
+    cond1 is the per-component unknottedness certificate, keyed by component
+    (one-sided: verified or inconclusive, never refuted).  cond2 is the
+    exchanging involution.  cond3 is linking number a unit; cond3_value is
+    the linking number of the two components.  cond4prime is the exhibited
+    Thurston-Bennequin condition: the Stein section must show the 2-handle
+    curve over the 1-handle with tb at least +1; cond4prime_tb is None when
+    there is no Stein section, and a diagram without a certifying exhibit is
+    not admissible as presented.  A definite failure of cond2, cond3 or
+    cond4prime makes the verdict "not admissible" whatever cond1 says;
     otherwise an unsettled cond1 makes it "inconclusive".
     """
-
-    cond1_evidence: tuple[tuple[str, dict], ...]  # (component, unknot certificate)
-    involution_ok: bool
-    cond2_detail: str
-    cond3_value: int  # linking number of the two components
-    cond4prime_tb: int | None  # exhibited tb; None when there is no Stein section
-
-    @property
-    def cond1(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (c, "verified" if cert["verdict"] == "unknot" else "inconclusive")
-            for c, cert in self.cond1_evidence
-        )
-
-    @property
-    def cond2(self) -> str:
-        return "verified" if self.involution_ok else "absent"
-
-    @property
-    def cond3_status(self) -> str:
-        return "holds" if abs(self.cond3_value) == 1 else "fails"
-
-    @property
-    def cond4prime_status(self) -> str:
-        tb = self.cond4prime_tb
-        return "certified" if tb is not None and tb >= 1 else "not-certified"
-
-    @property
-    def cond4prime_detail(self) -> str:
-        tb = self.cond4prime_tb
-        if tb is None:
-            return "no Stein section exhibits the 2-handle curve over the 1-handle"
-        if tb >= 1:
-            return f"exhibited Thurston-Bennequin number {tb} over the 1-handle is at least +1"
-        return f"exhibited Thurston-Bennequin number {tb} is below +1"
-
-    @property
-    def verdict(self) -> str:
-        if (
-            not self.involution_ok
-            or self.cond3_status == "fails"
-            or self.cond4prime_status == "not-certified"
-        ):
-            return "not admissible"
-        if any(s != "verified" for _, s in self.cond1):
-            return "inconclusive"
-        return "admissible"
-
-    def to_doc(self) -> dict:
-        return {
-            "cond1": {c: s for c, s in self.cond1},
-            "cond1_evidence": {c: e for c, e in self.cond1_evidence},
-            "cond2": self.cond2,
-            "cond2_detail": self.cond2_detail,
-            "cond3": {"status": self.cond3_status, "value": self.cond3_value},
-            "cond4prime": {
-                "status": self.cond4prime_status,
-                "tb": self.cond4prime_tb,
-                "detail": self.cond4prime_detail,
-            },
-            "verdict": self.verdict,
-            "note": "condition (4) checked via its exhibited form (4')",
-        }
+    cond1 = {
+        c: "verified" if cert["verdict"] == "unknot" else "inconclusive"
+        for c, cert in cond1_evidence.items()
+    }
+    cond3 = "holds" if abs(cond3_value) == 1 else "fails"
+    tb = cond4prime_tb
+    if tb is None:
+        cond4 = "not-certified"
+        cond4_detail = "no Stein section exhibits the 2-handle curve over the 1-handle"
+    elif tb >= 1:
+        cond4 = "certified"
+        cond4_detail = f"exhibited Thurston-Bennequin number {tb} over the 1-handle is at least +1"
+    else:
+        cond4 = "not-certified"
+        cond4_detail = f"exhibited Thurston-Bennequin number {tb} is below +1"
+    if not involution_ok or cond3 == "fails" or cond4 == "not-certified":
+        verdict = "not admissible"
+    elif any(s != "verified" for s in cond1.values()):
+        verdict = "inconclusive"
+    else:
+        verdict = "admissible"
+    return {
+        "cond1": cond1,
+        "cond1_evidence": cond1_evidence,
+        "cond2": "verified" if involution_ok else "absent",
+        "cond2_detail": cond2_detail,
+        "cond3": {"status": cond3, "value": cond3_value},
+        "cond4prime": {"status": cond4, "tb": tb, "detail": cond4_detail},
+        "verdict": verdict,
+        "note": "condition (4) checked via its exhibited form (4')",
+    }
 
 
 def check_admissible(
     d: KirbyDiagram, budget: int = moves.DEFAULT_BUDGET, seed: int = moves.DEFAULT_SEED
-) -> AdmissibilityReport:
+) -> dict:
+    """Run the four cork-candidate checks on d; returns the admissibility document."""
     comps = d.front.components()
     if len(comps) != 2:
         raise KirbyError(f"admissibility needs exactly 2 components, got {len(comps)}")
@@ -522,10 +480,8 @@ def check_admissible(
     if d.frames[0][1] != 0:
         raise KirbyError(f"the framed component must carry framing 0, got {d.frames[0][1]}")
     ok, detail = involution_verified(d)
-    return AdmissibilityReport(
-        cond1_evidence=tuple(
-            (c, moves.unknot_certificate(d.front, c, budget=budget, seed=seed)) for c in comps
-        ),
+    return admissibility(
+        {c: moves.unknot_certificate(d.front, c, budget=budget, seed=seed) for c in comps},
         involution_ok=ok,
         cond2_detail=detail,
         cond3_value=d.front.linking_number(comps[0], comps[1]),

@@ -29,3 +29,41 @@ def load():
     def _load(name: str) -> str:
         return (FIXTURES / name).read_text()
     return _load
+
+
+def _mark_everywhere(node):
+    """Add a key to every dict and an element to every list inside node."""
+    children = node.values() if isinstance(node, dict) else node
+    for child in list(children):
+        if isinstance(child, (dict, list)):
+            _mark_everywhere(child)
+    if isinstance(node, dict):
+        node["marked"] = True
+    else:
+        node.append("marked")
+
+
+@pytest.fixture
+def mark_everywhere():
+    """Edits every dict and list of a returned document, to show that a later
+    call shares none of them."""
+    return _mark_everywhere
+
+
+def _spelled(data: bytes, heads: tuple[str, ...], args: tuple[str, ...]) -> str:
+    """The lines that data spells: a byte b opens a line with a head when
+    b % 4 == 0 or no line is open yet, and otherwise adds an argument."""
+    lines: list[list[str]] = []
+    for b in data:
+        if b % 4 == 0 or not lines:
+            lines.append([heads[b // 4 % len(heads)]])
+        else:
+            lines[-1].append(args[b // 4 % len(args)])
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@pytest.fixture
+def spelled():
+    """Text of a grammar's tokens from flat bytes: hypothesis draws and shrinks
+    bytes several times faster than nested lists."""
+    return _spelled

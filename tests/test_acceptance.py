@@ -128,18 +128,18 @@ def test_criterion_04_linked_pair_homology_against_snf_oracle():
             factors = snf_factors(raw)
             oracle_rank = len(raw) - len(factors)
             oracle_torsion = sorted(f for f in factors if f > 1)
-            got = kirby.homology(d).h_of_boundary[1]
-            assert got.rank == oracle_rank, n
-            assert sorted(got.torsion) == oracle_torsion, n
+            got = kirby.homology(d)["h_of_boundary"][1]
+            assert got["rank"] == oracle_rank, n
+            assert sorted(got["torsion"]) == oracle_torsion, n
             if n == 0:
-                assert got.rank == 2 and not got.torsion
+                assert got["rank"] == 2 and not got["torsion"]
             elif n == 1:
-                assert got.is_trivial
+                assert got["pretty"] == "0"
                 rep = kirby.homology(d)
-                assert rep.is_homology_sphere
-                assert rep.is_contractible
+                assert rep["is_homology_sphere"]
+                assert rep["is_contractible"]
             else:
-                assert list(got.torsion) == [n, n]
+                assert got["torsion"] == [n, n]
 
 
 def test_criterion_05_stein_framing_rule_on_the_two_sides(load):

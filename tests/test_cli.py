@@ -106,6 +106,15 @@ def test_homology(fixtures):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["mazur.kirby", "knotted.kirby", "hopf.kirby"])
+def test_kirby_reports_are_the_printed_documents(fixtures, load, name):
+    d = kirby.parse_kirby(load(name))
+    _, out, _ = run(["admissible", str(fixtures / name), "--format", "doc"])
+    assert kirby.check_admissible(d) == json.loads(out)["report"]
+    _, out, _ = run(["homology", str(fixtures / name), "--format", "doc"])
+    assert kirby.homology(d) == json.loads(out)
+
+
 @pytest.mark.parametrize("spelling", ["text", "json"])
 def test_twist_output_round_trips(fixtures, load, tmp_path, spelling):
     """The printed twist reads back, and twisting it again gives the diagram back."""

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corktwist import intmat, mcg
+from corktwist.base import InputError
 from corktwist.fillings import (
     FillingError,
     OpenBook,
@@ -167,3 +170,28 @@ def test_empty_word_plan():
     plan = build_concave(book)
     assert plan.trivializing_handles == 0
     assert plan.euler_char == 1 + 0 + (2 - 2 * 2)
+
+
+# lines spelled from the PALF grammar's own tokens, and from some it refuses
+_PALF_HEADS = ("genus", "handles", "curve", "word", "word", "#", "T(c1)")
+_PALF_ARGS = (
+    "0", "1", "2", "-1", "64", "65", "99999999999999999999", "1.5", "\u0663", "=",
+    "e", "c1", "c5", "T(c1)", "T(c2)", "T(c4)", "T(e)", "T(c99)", "T'(c1)", "T(", ")",
+    "[0, 1, 0, 1]", "[0, 1]", "[0, 2, 0, 0]", "[0, 0, 0, 0]", "[true, 0, 0, 0]", "[[[[",
+    "\0", "# comment",
+)
+
+
+def test_parse_palf_is_total(spelled):
+    """Text of PALF tokens parses, or raises an InputError and nothing else."""
+
+    @settings(max_examples=150)
+    @given(st.binary(max_size=40))
+    @example(bytes([0, 9, 12, 53]))  # genus 2, word T(c1): a fibration word
+    def parsed(data):
+        try:
+            parse_palf(spelled(data, _PALF_HEADS, _PALF_ARGS))
+        except InputError:
+            pass
+
+    parsed()

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from corktwist import cli
+from corktwist import cli, kirby
 
 CERTIFY = ["certify", "mazur.kirby", "mazur_inflated.palf", "trefoil_inflation.spec"]
 CERT_DIGEST = "6e051359bfe7b9ca7353c1c255bc91eff855ac9da50f697cfdcda880d1b8144c"
@@ -81,6 +81,22 @@ def test_stabilized_plan_output_is_pinned(tmp_path):
         code, out = run_cli(["fill", str(palf)], tmp_path, fmt)
         assert code == 0
         assert digest_of(out) == digest
+
+
+def test_nontrivial_homology_output_is_pinned(tmp_path):
+    # every shipped fixture has trivial homology; the linked pairs LHP(n)
+    # have boundary H1 = Z^2 for n = 0 and Z/3 + Z/3 for n = 3
+    pins = {
+        0: {"human": "72e06b398271ae43", "doc": "01ec50a6959bd902"},
+        3: {"human": "8ddcce0362d34671", "doc": "31058a572854a5bd"},
+    }
+    for n, digests in pins.items():
+        path = tmp_path / f"lhp{n}.kirby"
+        path.write_text(kirby.kirby_to_text(kirby.linked_handle_pair(n)))
+        for fmt, digest in digests.items():
+            code, out = run_cli(["homology", str(path)], tmp_path, fmt)
+            assert code == 0
+            assert digest_of(out) == digest
 
 
 HUMAN = [

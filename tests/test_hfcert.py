@@ -233,24 +233,12 @@ def test_certificate_digest_is_content_addressed(pipeline):
     assert doc1 == doc2
 
 
-def _mark_everywhere(node):
-    """Add a key to every dict and an element to every list inside node."""
-    children = node.values() if isinstance(node, dict) else node
-    for child in list(children):
-        if isinstance(child, (dict, list)):
-            _mark_everywhere(child)
-    if isinstance(node, dict):
-        node["marked"] = True
-    else:
-        node.append("marked")
-
-
-def test_certificate_shares_nothing_between_calls(pipeline):
+def test_certificate_shares_nothing_between_calls(pipeline, mark_everywhere):
     """Editing a returned certificate or report reaches no later one."""
     cert, report = certify_distinct(*pipeline), hfcert.fake_pair_report()
     pristine = copy.deepcopy((cert, report))
-    _mark_everywhere(cert)
-    _mark_everywhere(report)
+    mark_everywhere(cert)
+    mark_everywhere(report)
     assert "marked" in cert["steps"][4]["side_conditions"][0]["evidence"]
     assert (certify_distinct(*pipeline), hfcert.fake_pair_report()) == pristine
 

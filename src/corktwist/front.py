@@ -26,6 +26,7 @@ of cusps, both read off this diagram.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -33,7 +34,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .base import InputError, Record, _plain, load_json, numbered_lines
@@ -49,6 +50,9 @@ MAX_SEGMENTS = 4096
 # segment pairs the sweep may hand on to be classified, each a crossing in
 # a front that builds; LHP(64) has 191
 MAX_CROSSINGS = 5000
+# segments from which `_meeting_pairs` sweeps in y-order rather than by
+# x-windows: the measured crossover on LHP(n), which has 4n + 5 segments
+ORDERED_FROM = 85
 
 
 class FrontError(InputError):
@@ -241,19 +245,21 @@ class FrontDiagram(Record):
     def tb_report(self, comp: str) -> dict:
         """Structured tb computation: every crossing sign and cusp listed."""
         self._require(comp)
-        selfx = sorted(
-            (Fraction(x, den), Fraction(y, den), c.sign)
-            for c in self._crossings
-            if c.over_component == comp and c.under_component == comp
-            for x, y, den in [c.point]
-        )
+        own = [c.point + (c.sign,) for c in self._crossings
+               if c.over_component == comp and c.under_component == comp]
+        # in (x, y) order: each point over the lcm of their denominators
+        lcm = math.lcm(*(den for _, _, den, _ in own))
+        own.sort(key=lambda p: (p[0] * (lcm // p[2]), p[1] * (lcm // p[2])))
+        scale = self._frame.scale
         return {
             "component": comp,
             "crossings": [
-                {"point": [str(x), str(y)], "sign": sign} for x, y, sign in selfx
+                {"point": [fmt_ratio(x, den), fmt_ratio(y, den)], "sign": sign}
+                for x, y, den, sign in own
             ],
             "writhe": self.writhe(comp),
-            "cusps": [[str(p[0]), str(p[1])] for p in self.cusp_points(comp)],
+            "cusps": [[fmt_ratio(x, scale), fmt_ratio(y, scale)]
+                      for x, y in sorted(self._cusps[comp])],
             "cusp_count": self.cusp_count(comp),
             "tb": self.tb(comp),
             "handle_passes": self.handle_passes(comp),
@@ -566,16 +572,27 @@ def _meeting_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
     """Index pairs a < b, in increasing order, of the segments that share a point,
     less each segment and the next step joined to it, `joined[a]`.
 
-    A sweep over the integer segments sorted by left x pairs each one with
-    the later ones whose left x is at most its right x, so a shared x still
-    counts.  A candidate whose y-extent is disjoint from the segment's is
-    dropped first: two segments that meet, or are collinear and share an x,
-    share a y as well.  A pair of steps joined at their shared vertex goes
-    next.  Integer orientation tests then drop a pair when both ends of one
-    segment lie strictly on one side of the other's line, each line written
-    as dx * y - dy * x = c.  Every dropped pair other than a joined one is
-    one that `_seg_meet` classifies as "none".  The sweep stops at the first
-    pair past MAX_CROSSINGS.
+    Every pair left out other than a joined one is one that `_seg_meet`
+    classifies as "none".  Past MAX_CROSSINGS pairs the search stops and
+    returns what it holds, unsorted: the caller refuses the front.  Fronts
+    of fewer than ORDERED_FROM segments are searched by `_window_pairs`,
+    larger ones by `_ordered_pairs`; both return the same pairs.
+    """
+    find = _window_pairs if len(ints) < ORDERED_FROM else _ordered_pairs
+    return find(ints, joined)
+
+
+def _window_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, int]]:
+    """`_meeting_pairs` by a sweep over the segments sorted by left x.
+
+    It pairs each segment with the later ones whose left x is at most its
+    right x, so a shared x still counts.  A candidate whose y-extent is
+    disjoint from the segment's is dropped first: two segments that meet,
+    or are collinear and share an x, share a y as well.  A pair of steps
+    joined at their shared vertex goes next.  Integer orientation tests
+    then drop a pair when both ends of one segment lie strictly on one side
+    of the other's line, each line written as dx * y - dy * x = c.  The
+    cost grows with the pairs whose x-ranges overlap.
     """
     segs = []
     for k, (px, py, qx, qy) in enumerate(ints):
@@ -601,6 +618,162 @@ def _meeting_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
                 return pairs  # the caller refuses the front: the rest need not be found
     pairs.sort()
     return pairs
+
+
+def _ordered_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, int]]:
+    """`_meeting_pairs` by a sweep that keeps the segments across it in y-order
+    (Bentley and Ottmann, with the degenerate events of de Berg et al., ch. 2).
+
+    Event points are the segment ends and the crossings found, taken in
+    (x, y) order.  A point (X/D, Y/D) is keyed by the integers
+    floor(X * m / D) and floor(Y * m / D).  No D exceeds B = 2 * w * h, for
+    w and h (at least 1) the width and height of all the segment ends, as no
+    |dx1 * dy2 - dy1 * dx2| does; so with m = B**2 two event coordinates
+    that differ differ by at least 1/m, and the keys order the points
+    exactly.  The status lists the segments across the
+    sweep line from below.  The segments through a point are found by
+    bisection on c * D + dy * X - dx * Y, which has the sign of a segment's
+    height above it, and every two of them (ending, passing or starting
+    there) are a pair unless joined.  Those going on are put back in slope
+    order, and only segments then adjacent are tested for a crossing ahead.
+    The two commonest points need no search: a corner, where one step ends
+    and the step joined to it starts, and a crossing of two segments, each
+    with nothing else through it.  The cost grows with the segments and the
+    pairs found, not with the x-ranges that overlap.
+    """
+    # each segment left to right as (px, py, qx, qy, dx, dy, c, index), its
+    # line dx * y - dy * x = c; per end point, the segments ending and starting
+    starts: dict[Point, list[tuple[int, ...]]] = {}
+    ends: dict[Point, list[int]] = {}
+    for k, (px, py, qx, qy) in enumerate(ints):
+        if px > qx:
+            px, py, qx, qy = qx, qy, px, py
+        dx, dy = qx - px, qy - py
+        starts.setdefault((px, py), []).append((px, py, qx, qy, dx, dy, dx * py - dy * px, k))
+        ends.setdefault((qx, qy), []).append(k)
+    vertices = starts.keys() | ends.keys()
+    points = sorted(vertices)
+    ys = [y for _, y in points]
+    m = (2 * (points[-1][0] - points[0][0]) * max(1, max(ys) - min(ys))) ** 2
+    at_ends = [(x * m, y * m, x, y) for x, y in points]
+    x0, x1, y0, y1 = points[0][0] - 1, points[-1][0] + 1, min(ys) - 1, max(ys) + 1
+    crossings: list[tuple[int, ...]] = []  # a heap of (keys, X, Y, D, lower, upper)
+    queued: set[tuple[int, int, int]] = set()
+    # the status: a slot [segment, slot below, slot above] per segment across
+    # the sweep line, from below, between a floor and a ceiling that run
+    # level past every point and meet nothing; slot_of[k] is segment k's
+    floor = [(x0, y0, x1, y0, x1 - x0, 0, (x1 - x0) * y0, -1), None, None]
+    ceiling = [(x0, y1, x1, y1, x1 - x0, 0, (x1 - x0) * y1, -1), floor, None]
+    floor[2] = ceiling
+    status: list[list] = [floor, ceiling]
+    slot_of: dict[int, list] = {}
+    pairs: set[tuple[int, int]] = set()
+
+    def ahead(r: tuple[int, ...], s: tuple[int, ...]) -> None:
+        """Queue the point where r, below s at the sweep line, crosses it
+        inside both: where one ends first on the far side of the other."""
+        qx, qy, sx, sy = r[2], r[3], s[2], s[3]
+        if s[4] * qy - s[5] * qx > s[6] if qx <= sx else r[4] * sy - r[5] * sx < r[6]:
+            px, py, _, _, d1x, d1y, _, a = r
+            rx, ry, _, _, d2x, d2y, _, b = s
+            den = d1x * d2y - d1y * d2x
+            t = (rx - px) * d2y - (ry - py) * d2x
+            if den < 0:
+                den, t = -den, -t
+            X, Y = px * den + t * d1x, py * den + t * d1y
+            g = math.gcd(X, Y, den)
+            point = (X // g, Y // g, den // g)
+            # a crossing at a segment end is met at that end's point
+            if point not in queued and (point[2] != 1 or point[:2] not in vertices):
+                queued.add(point)
+                heapq.heappush(crossings, (X * m // den, Y * m // den, *point, a, b))
+
+    e = 0
+    while True:
+        if e < len(at_ends) and (not crossings or at_ends[e] < crossings[0]):
+            _, _, X, Y = at_ends[e]
+            e += 1
+            D = 1
+            ending, starting = ends.get((X, Y), ()), starts.get((X, Y), ())
+            if len(ending) == 1 and len(starting) == 1:
+                a, s = ending[0], starting[0]
+                b = s[7]
+                slot = slot_of[a]
+                below, above = slot[1], slot[2]
+                # a corner, unless a third segment passes through the point
+                if ((joined[a] == b or joined[b] == a)
+                        and (r := below[0])[6] + r[5] * X != r[4] * Y
+                        and (r := above[0])[6] + r[5] * X != r[4] * Y):
+                    # a corner: the next step takes the place of the one ending
+                    slot[0] = s
+                    slot_of[b] = slot
+                    ahead(below[0], s)
+                    ahead(s, above[0])
+                    continue
+        elif crossings:
+            _, _, X, Y, D, a, b = heapq.heappop(crossings)
+            ending = starting = ()
+            lower, upper = slot_of[a], slot_of[b]
+            below, above = lower[1], upper[2]
+            if (lower[2] is upper
+                    and (r := below[0])[6] * D + r[5] * X != r[4] * Y
+                    and (r := above[0])[6] * D + r[5] * X != r[4] * Y):
+                # two segments cross, and no third passes: they change places
+                r, s = lower[0], upper[0]
+                lower[0], upper[0] = s, r
+                slot_of[a], slot_of[b] = upper, lower
+                pairs.add((a, b) if a < b else (b, a))
+                if len(pairs) > MAX_CROSSINGS:
+                    return list(pairs)  # the caller refuses the front
+                ahead(below[0], s)
+                ahead(r, above[0])
+                continue
+        else:
+            break
+        # the first segment not below the point, and then those through it
+        lo, hi = 1, len(status) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            _, _, _, _, dx, dy, c, _ = status[mid][0]
+            if c * D + dy * X < dx * Y:
+                lo = mid + 1
+            else:
+                hi = mid
+        while (r := status[hi][0])[6] * D + r[5] * X == r[4] * Y:
+            hi += 1
+        meeting = [slot[0] for slot in status[lo:hi]]
+        # those going on: the ones passing, in the reverse of their order
+        # before the point, and the ones starting, each put in by slope
+        going = meeting[::-1]
+        if ending:
+            going = [r for r in going if r[7] not in ending]
+        for r in starting:
+            i = len(going)
+            while i and going[i - 1][5] * r[4] > r[5] * going[i - 1][4]:
+                i -= 1
+            going.insert(i, r)
+            meeting.append(r)
+        for r, s in combinations(meeting, 2):
+            a, b = r[7], s[7]
+            if joined[a] != b and joined[b] != a:
+                pairs.add((a, b) if a < b else (b, a))
+        if len(pairs) > MAX_CROSSINGS:
+            return list(pairs)  # the caller refuses the front: the rest need not be found
+        # a slot for each going on, linked in from the slot below to the one above
+        below = status[lo - 1]
+        new = []
+        for r in going:
+            below[2] = slot = [r, below, None]
+            slot_of[r[7]] = slot
+            new.append(slot)
+            below = slot
+        above = status[hi]
+        below[2], above[1] = above, below
+        status[lo:hi] = new
+        ahead(status[lo - 1][0], status[lo][0])
+        if new:
+            ahead(below[0], above[0])
+    return sorted(pairs)
 
 
 def _check_ball_contacts(comp: str, seg: Segment, balls: list[tuple[str, int, int, int]]) -> None:

@@ -336,27 +336,41 @@ def test_segment_count_at_the_limit_is_accepted():
     assert (d.tb("K"), d.crossings()) == (-1, ())
 
 
-@pytest.mark.parametrize("spelling", ["text", "json"])
+@pytest.mark.parametrize("spelling", ["text", "json", "ordered"])
 def test_crossing_count_above_the_limit_exits_2_before_any_pair_is_classified(
         fixtures, tmp_path, monkeypatch, spelling):
-    # the trefoil front has 3 crossings: the limit is lowered to it, not a big front built
-    path = fixtures / "trefoil.front"
+    # the limit is lowered to a front's crossing count, not a big front built:
+    # the trefoil front has 3 crossings, and LHP(64), whose 261 segments are
+    # past the crossover to the ordered sweep, has 191
+    path, argv, crossings, tb = fixtures / "trefoil.front", ["tb"], 3, "tb = 1"
     if spelling == "json":
         path = tmp_path / "trefoil.json"
         path.write_text(json.dumps(front.front_to_doc(front.parse_front(
             (fixtures / "trefoil.front").read_text()))))
-    monkeypatch.setattr(front, "MAX_CROSSINGS", 3)
-    code, out, _ = run(["tb", str(path)])
-    assert code == 0 and "tb = 1" in out
+    elif spelling == "ordered":
+        d = kirby.linked_handle_pair(64).front
+        assert sum(map(len, d.frame().segs.values())) >= front.ORDERED_FROM
+        path = tmp_path / "lhp64.front"
+        path.write_text(front.front_to_text(d))
+        argv, crossings, tb = ["tb", "--component", "K2"], 191, "tb = -127"
+
+        def no_window(ints, joined):
+            raise AssertionError(f"window scan over {len(ints)} segments")
+
+        monkeypatch.setattr(front, "_window_pairs", no_window)
+    monkeypatch.setattr(front, "MAX_CROSSINGS", crossings)
+    code, out, _ = run(argv + [str(path)])
+    assert code == 0 and tb in out
 
     def no_classifying(a, b):
         raise AssertionError("classified a segment pair past the crossing limit")
 
-    monkeypatch.setattr(front, "MAX_CROSSINGS", 2)
+    monkeypatch.setattr(front, "MAX_CROSSINGS", crossings - 1)
     monkeypatch.setattr(front, "_seg_meet", no_classifying)
-    code, out, err = run(["tb", str(path)])
+    code, out, err = run(argv + [str(path)])
     assert (code, out) == (2, "")
-    assert err == f"error: {path}: too many crossings: a front has at most 2 crossings\n"
+    assert err == (f"error: {path}: too many crossings: "
+                   f"a front has at most {crossings - 1} crossings\n")
 
 
 def test_genus_flag_belongs_to_mcg_only(fixtures):

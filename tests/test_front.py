@@ -506,12 +506,16 @@ def _assert_crossings_match_oracle(jumps, frame):
     return expected
 
 
-def test_sweep_matches_all_pairs_oracle():
+def test_sweep_matches_all_pairs_oracle(monkeypatch):
     rng = random.Random(20110411)
     kinds = Counter()
     for _ in range(600):
         for jumps, frame in _both_orientations(*_random_closed_polygons(rng)):
             expected = _assert_crossings_match_oracle(jumps, frame)
+            # these fronts are below the crossover: the ordered sweep, too
+            with monkeypatch.context() as m:
+                m.setattr(front, "ORDERED_FROM", 0)
+                assert _outcome(_integer_crossings, jumps, frame) == expected
             if isinstance(expected, list):
                 kinds["crossings" if expected else "no crossings"] += 1
             else:
@@ -554,19 +558,64 @@ def _joined_successors(jumps, frame):
     return successors
 
 
+def _degenerate_segments(rng):
+    """Segments on a grid of even integers, and each one's joined successor or
+    -1, built to meet in every degenerate way: a path of joined steps, then a
+    segment from the end of a step it is not joined to, one from the midpoint
+    of a step, one along a step's line over its second half and beyond, and
+    three through one point."""
+    while True:
+        pts = [(2 * rng.randint(0, 6), 2 * rng.randint(0, 6)) for _ in range(rng.randint(3, 7))]
+        path = [p + q for p, q in zip(pts, pts[1:])]
+        px, py, qx, qy = rng.choice(path)
+        mx, my = (px + qx) // 2, (py + qy) // 2
+        cx, cy = 2 * rng.randint(1, 5), 2 * rng.randint(1, 5)
+        spokes = [(rng.randint(1, 3), rng.randint(-3, 3)) for _ in range(3)]
+        segs = path + [
+            (qx, qy, 2 * rng.randint(0, 6), 2 * rng.randint(0, 6)),
+            (mx, my, 2 * rng.randint(0, 6), 2 * rng.randint(0, 6)),
+            (mx, my, 2 * qx - mx, 2 * qy - my),
+        ] + [(cx - vx, cy - vy, cx + vx, cy + vy) for vx, vy in spokes]
+        if all(s[0] != s[2] for s in segs):
+            return segs, [*range(1, len(path)), -1] + [-1] * 6
+
+
 def test_sweep_lists_the_pairs_of_the_plain_x_sweep():
     rng = random.Random(20110411)
     cases = [_framed(*_random_closed_polygons(rng))[1:] for _ in range(600)]
     cases += [(d._jumps, d.frame()) for d in (kirby.linked_handle_pair(n).front
                                               for n in range(2, 65))]
-    for jumps, frame in cases:
-        ints = [seg for segs in frame.segs.values() for seg in segs]
-        successors = _joined_successors(jumps, frame)
+    sets = [([seg for segs in frame.segs.values() for seg in segs],
+             _joined_successors(jumps, frame)) for jumps, frame in cases]
+    sets[600:600] = [_degenerate_segments(rng) for _ in range(200)]
+    # crossings closer in x than 1/B for the bound B of `_ordered_pairs`
+    # (1/20 with B = 12, 2/39 with B = 18): event keys scaled by B would tie
+    sets[800:800] = [([(0, 3, 1, 1), (0, 3, 1, 0), (0, 1, 2, 0), (0, 0, 1, 1)], [-1] * 4),
+                     ([(2, 1, 1, 1), (2, 2, 0, 2), (0, 0, 3, 2), (2, 0, 0, 3)], [-1] * 4)]
+    for ints, successors in sets:
         joined = {tuple(sorted((a, b))) for a, b in enumerate(successors) if b >= 0}
-        assert (front._meeting_pairs(ints, successors)
-                == [pair for pair in _plain_sweep_pairs(ints) if pair not in joined])
+        expected = [pair for pair in _plain_sweep_pairs(ints) if pair not in joined]
+        assert front._meeting_pairs(ints, successors) == expected
+        # both sweeps, whichever side of the crossover the set is on
+        assert front._window_pairs(ints, successors) == expected
+        assert front._ordered_pairs(ints, successors) == expected
     # the last case, LHP(64): 452 pairs meet, 261 of them steps joined at a vertex
     assert (len(_plain_sweep_pairs(ints)), len(joined)) == (452, 261)
+    assert len(ints) >= front.ORDERED_FROM
+
+
+def test_zigzag_of_4082_segments_over_one_x_range_builds_by_the_ordered_sweep(monkeypatch):
+    # every pair of the 4,078 zigzag steps shares its x-range, so the window
+    # scan would visit 8.3 million candidates for no crossing
+    def no_window(ints, joined):
+        raise AssertionError(f"window scan over {len(ints)} segments")
+
+    monkeypatch.setattr(front, "_window_pairs", no_window)
+    zigzag = [(100 * (i % 2), i) for i in range(4079)]
+    back = [(-1, 4079), (-2, 2039), (-1, -1), (0, 0)]
+    d = parse_front("arc K : " + " ".join(f"({x},{y})" for x, y in zigzag + back) + "\n")
+    assert sum(len(a.points) - 1 for a in d.arcs) == 4082
+    assert (d.crossings(), d.cusp_count("K"), d.tb("K")) == ((), 4078, -2039)
 
 
 def _assert_frame_matches_oracles(jumps, frame):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from bisect import bisect_right, insort
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
@@ -50,9 +51,9 @@ MAX_SEGMENTS = 4096
 # segment pairs the sweep may hand on to be classified, each a crossing in
 # a front that builds; LHP(64) has 191
 MAX_CROSSINGS = 5000
-# segments from which `_meeting_pairs` sweeps in y-order rather than by
-# x-windows: the measured crossover on LHP(n), which has 4n + 5 segments
-ORDERED_FROM = 85
+# window-scan candidates that take as long as one event of the ordered
+# sweep: the measured crossover on LHP(n) lies between 12.8 and 15.3
+CANDIDATES_PER_EVENT = 14
 
 
 class FrontError(InputError):
@@ -198,11 +199,6 @@ class FrontDiagram(Record):
     def cusp_count(self, comp: str) -> int:
         self._require(comp)
         return len(self._cusps[comp])
-
-    def cusp_points(self, comp: str) -> list[tuple[Fraction, Fraction]]:
-        self._require(comp)
-        scale = self._frame.scale
-        return [(Fraction(x, scale), Fraction(y, scale)) for x, y in sorted(self._cusps[comp])]
 
     def handle_passes(self, comp: str) -> int:
         self._require(comp)
@@ -574,12 +570,32 @@ def _meeting_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
 
     Every pair left out other than a joined one is one that `_seg_meet`
     classifies as "none".  Past MAX_CROSSINGS pairs the search stops and
-    returns what it holds, unsorted: the caller refuses the front.  Fronts
-    of fewer than ORDERED_FROM segments are searched by `_window_pairs`,
-    larger ones by `_ordered_pairs`; both return the same pairs.
+    returns what it holds, unsorted: the caller refuses the front.
+
+    `_window_pairs` costs about one unit per candidate, a pair of segments
+    whose x-ranges overlap; `_ordered_pairs` costs CANDIDATES_PER_EVENT
+    units per event, two per segment and one per pair found.  So the
+    ordered sweep is the cheaper while it has found at most `most` pairs,
+    the candidates' cost in events less two per segment.  It runs when
+    `most` is past the segment count, since fronts seldom have more
+    crossings than segments (LHP(n) has 3n - 1 among 4n + 5), and it gives
+    up for the window scan at the first pair past `most`: a front whose
+    segments nearly all cross costs at most about twice its window scan.
+    Both return the same pairs.
     """
-    find = _window_pairs if len(ints) < ORDERED_FROM else _ordered_pairs
-    return find(ints, joined)
+    n = len(ints)
+    # n segments have at most n * (n - 1) / 2 candidates, too few below this
+    # to cost as much as 3 * n events
+    if n > 6 * CANDIDATES_PER_EVENT:
+        lefts = sorted([px if px < qx else qx for px, _, qx, _ in ints])
+        rights = [qx if px < qx else px for px, _, qx, _ in ints]
+        candidates = sum(map(partial(bisect_right, lefts), rights)) - n * (n + 1) // 2
+        most = candidates // CANDIDATES_PER_EVENT - 2 * n
+        if most > n:
+            pairs = _ordered_pairs(ints, joined, min(most, MAX_CROSSINGS))
+            if len(pairs) <= most or len(pairs) > MAX_CROSSINGS:
+                return pairs
+    return _window_pairs(ints, joined)
 
 
 def _window_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, int]]:
@@ -620,9 +636,12 @@ def _window_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, int
     return pairs
 
 
-def _ordered_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, int]]:
+def _ordered_pairs(ints: list[Segment], joined: list[int],
+                   most: int | None = None) -> list[tuple[int, int]]:
     """`_meeting_pairs` by a sweep that keeps the segments across it in y-order
     (Bentley and Ottmann, with the degenerate events of de Berg et al., ch. 2).
+    It stops at the first pair past `most`, MAX_CROSSINGS if None, and
+    returns what it holds, unsorted.
 
     Event points are the segment ends and the crossings found, taken in
     (x, y) order.  A point (X/D, Y/D) is keyed by the integers
@@ -641,6 +660,8 @@ def _ordered_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
     with nothing else through it.  The cost grows with the segments and the
     pairs found, not with the x-ranges that overlap.
     """
+    if most is None:
+        most = MAX_CROSSINGS
     # each segment left to right as (px, py, qx, qy, dx, dy, c, index), its
     # line dx * y - dy * x = c; per end point, the segments ending and starting
     starts: dict[Point, list[tuple[int, ...]]] = {}
@@ -657,6 +678,13 @@ def _ordered_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
     m = (2 * (points[-1][0] - points[0][0]) * max(1, max(ys) - min(ys))) ** 2
     at_ends = [(x * m, y * m, x, y) for x, y in points]
     x0, x1, y0, y1 = points[0][0] - 1, points[-1][0] + 1, min(ys) - 1, max(ys) + 1
+    w2 = (points[-1][0] - points[0][0]) ** 2
+
+    def slope(r: tuple[int, ...]) -> int:
+        """An integer in the order of r's slope dy / dx: slopes that differ
+        do so by at least 1 / w**2, w the width of all the ends."""
+        return r[5] * w2 // r[4]
+
     crossings: list[tuple[int, ...]] = []  # a heap of (keys, X, Y, D, lower, upper)
     queued: set[tuple[int, int, int]] = set()
     # the status: a slot [segment, slot below, slot above] per segment across
@@ -723,8 +751,8 @@ def _ordered_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
                 lower[0], upper[0] = s, r
                 slot_of[a], slot_of[b] = upper, lower
                 pairs.add((a, b) if a < b else (b, a))
-                if len(pairs) > MAX_CROSSINGS:
-                    return list(pairs)  # the caller refuses the front
+                if len(pairs) > most:
+                    return list(pairs)
                 ahead(below[0], s)
                 ahead(r, above[0])
                 continue
@@ -746,19 +774,17 @@ def _ordered_pairs(ints: list[Segment], joined: list[int]) -> list[tuple[int, in
         # before the point, and the ones starting, each put in by slope
         going = meeting[::-1]
         if ending:
-            going = [r for r in going if r[7] not in ending]
+            gone = set(ending)
+            going = [r for r in going if r[7] not in gone]
         for r in starting:
-            i = len(going)
-            while i and going[i - 1][5] * r[4] > r[5] * going[i - 1][4]:
-                i -= 1
-            going.insert(i, r)
+            insort(going, r, key=slope)
             meeting.append(r)
         for r, s in combinations(meeting, 2):
             a, b = r[7], s[7]
             if joined[a] != b and joined[b] != a:
                 pairs.add((a, b) if a < b else (b, a))
-        if len(pairs) > MAX_CROSSINGS:
-            return list(pairs)  # the caller refuses the front: the rest need not be found
+                if len(pairs) > most:
+                    return list(pairs)
         # a slot for each going on, linked in from the slot below to the one above
         below = status[lo - 1]
         new = []

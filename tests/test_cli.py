@@ -340,8 +340,8 @@ def test_segment_count_at_the_limit_is_accepted():
 def test_crossing_count_above_the_limit_exits_2_before_any_pair_is_classified(
         fixtures, tmp_path, monkeypatch, spelling):
     # the limit is lowered to a front's crossing count, not a big front built:
-    # the trefoil front has 3 crossings, and LHP(64), whose 261 segments are
-    # past the crossover to the ordered sweep, has 191
+    # the trefoil front has 3 crossings, and LHP(64), whose 261 segments
+    # select the ordered sweep, has 191
     path, argv, crossings, tb = fixtures / "trefoil.front", ["tb"], 3, "tb = 1"
     if spelling == "json":
         path = tmp_path / "trefoil.json"
@@ -349,7 +349,6 @@ def test_crossing_count_above_the_limit_exits_2_before_any_pair_is_classified(
             (fixtures / "trefoil.front").read_text()))))
     elif spelling == "ordered":
         d = kirby.linked_handle_pair(64).front
-        assert sum(map(len, d.frame().segs.values())) >= front.ORDERED_FROM
         path = tmp_path / "lhp64.front"
         path.write_text(front.front_to_text(d))
         argv, crossings, tb = ["tb", "--component", "K2"], 191, "tb = -127"

@@ -512,9 +512,9 @@ def test_sweep_matches_all_pairs_oracle(monkeypatch):
     for _ in range(600):
         for jumps, frame in _both_orientations(*_random_closed_polygons(rng)):
             expected = _assert_crossings_match_oracle(jumps, frame)
-            # these fronts are below the crossover: the ordered sweep, too
+            # these fronts take the window scan: the ordered sweep, too
             with monkeypatch.context() as m:
-                m.setattr(front, "ORDERED_FROM", 0)
+                m.setattr(front, "_meeting_pairs", front._ordered_pairs)
                 assert _outcome(_integer_crossings, jumps, frame) == expected
             if isinstance(expected, list):
                 kinds["crossings" if expected else "no crossings"] += 1
@@ -580,7 +580,24 @@ def _degenerate_segments(rng):
             return segs, [*range(1, len(path)), -1] + [-1] * 6
 
 
-def test_sweep_lists_the_pairs_of_the_plain_x_sweep():
+def _no_window(ints, joined):
+    raise AssertionError(f"window scan over {len(ints)} segments")
+
+
+def _counting_ordered_pairs(monkeypatch):
+    """Patch `_ordered_pairs` to record (most, pairs returned) per call."""
+    calls, ordered = [], front._ordered_pairs
+
+    def counted(ints, joined, most=None):
+        pairs = ordered(ints, joined, most)
+        calls.append((most, len(pairs)))
+        return pairs
+
+    monkeypatch.setattr(front, "_ordered_pairs", counted)
+    return calls
+
+
+def test_sweep_lists_the_pairs_of_the_plain_x_sweep(monkeypatch):
     rng = random.Random(20110411)
     cases = [_framed(*_random_closed_polygons(rng))[1:] for _ in range(600)]
     cases += [(d._jumps, d.frame()) for d in (kirby.linked_handle_pair(n).front
@@ -596,21 +613,52 @@ def test_sweep_lists_the_pairs_of_the_plain_x_sweep():
         joined = {tuple(sorted((a, b))) for a, b in enumerate(successors) if b >= 0}
         expected = [pair for pair in _plain_sweep_pairs(ints) if pair not in joined]
         assert front._meeting_pairs(ints, successors) == expected
-        # both sweeps, whichever side of the crossover the set is on
+        # both sweeps, whichever one the set selects
         assert front._window_pairs(ints, successors) == expected
         assert front._ordered_pairs(ints, successors) == expected
-    # the last case, LHP(64): 452 pairs meet, 261 of them steps joined at a vertex
+    # the last case, LHP(64): 452 pairs meet, 261 of them steps joined at a
+    # vertex; its 29,064 candidates select the ordered sweep
     assert (len(_plain_sweep_pairs(ints)), len(joined)) == (452, 261)
-    assert len(ints) >= front.ORDERED_FROM
+    monkeypatch.setattr(front, "_window_pairs", _no_window)
+    assert front._meeting_pairs(ints, successors) == expected
+
+
+def test_dense_segments_give_the_ordered_sweep_up_for_the_window_scan(monkeypatch):
+    # two paths of 70 steps over one x-range, nearly level and steep, each
+    # step crossing every step of the other: their 7,384 candidates cost as
+    # much as 7384 // 14 = 527 events, so the ordered sweep may find
+    # 527 - 2 * 140 = 247 pairs, and it stops at the 248th of 4,900
+    level = [(7000 * (i % 2), i) for i in range(71)]
+    steep = [(700 + 80 * j, 280 * (j % 2) - 5) for j in range(71)]
+    ints = [p + q for pts in (level, steep) for p, q in zip(pts, pts[1:])]
+    joined = [*range(1, 70), -1, *range(71, 140), -1]
+    expected = front._window_pairs(ints, joined)
+    assert len(expected) == 4900
+    calls = _counting_ordered_pairs(monkeypatch)
+    assert front._meeting_pairs(ints, joined) == expected
+    assert calls == [(247, 248)]
+
+
+def test_segments_through_one_point_stop_the_ordered_sweep_at_the_limit(monkeypatch):
+    # 1,365 thin triangles in disjoint sectors around the origin: nothing
+    # meets left of it, and its 2,730 segments would make 3.7 million pairs
+    calls = _counting_ordered_pairs(monkeypatch)
+
+    def no_classifying(a, b):
+        raise AssertionError("classified a segment pair past the crossing limit")
+
+    monkeypatch.setattr(front, "_seg_meet", no_classifying)
+    text = "".join(f"arc T{i} : (2,{4 * i}) (1,{2 * i + 1}) (0,0) (2,{4 * i})\n"
+                   for i in range(1365))
+    with pytest.raises(FrontGeometryError, match="at most 5000 crossings"):
+        parse_front(text)
+    assert calls == [(5000, 5001)]
 
 
 def test_zigzag_of_4082_segments_over_one_x_range_builds_by_the_ordered_sweep(monkeypatch):
     # every pair of the 4,078 zigzag steps shares its x-range, so the window
     # scan would visit 8.3 million candidates for no crossing
-    def no_window(ints, joined):
-        raise AssertionError(f"window scan over {len(ints)} segments")
-
-    monkeypatch.setattr(front, "_window_pairs", no_window)
+    monkeypatch.setattr(front, "_window_pairs", _no_window)
     zigzag = [(100 * (i % 2), i) for i in range(4079)]
     back = [(-1, 4079), (-2, 2039), (-1, -1), (0, 0)]
     d = parse_front("arc K : " + " ".join(f"({x},{y})" for x, y in zigzag + back) + "\n")
@@ -638,7 +686,7 @@ def test_integer_cusps_and_ball_contacts_match_fraction_oracles(load):
     reversing = parse_front(
         "arc K : (0,1) (-2,0) (0,-1)\narc K : (10,-1) (8,0) (10,1)\n"
         "handle h : x=0 ytop=2 ybot=-2\nhandle h : x=10 ytop=2 ybot=-2\n")
-    assert reversing.cusp_points("K") == [(-2, 0), (8, 0)]
+    assert reversing.tb_report("K")["cusps"] == [["-2", "0"], ["8", "0"]]
     for d in (parse_front(load("trefoil_handle.front")),
               kirby.parse_kirby(load("mazur.kirby")).front, reversing,
               parse_front(HANDLE_AND_VERTEX)):

@@ -12,12 +12,19 @@ finger move, so a garland of k kinks is certified in k expansions.  It
 builds only what it reads: the result of a move, and a state's list of
 finger moves, are built when their queue entry is popped, states are
 deduplicated by canonical code as they are popped, and a state's
-canonical code is derived on first use.  A finger move builds two
-candidate splices, not every combination of rotations.  Finger moves are
-listed once per orbit of the shadow's automorphisms: the starts that tie
-the canonical code give candidate maps, each is checked against the map
-before it is used, and a move that a checked automorphism carries from
-an earlier-listed move would only rebuild that move's children.
+canonical code is derived on first use.  A move's result is derived
+from its parent: per-dart tables are copied, and only the faces through
+the rewired darts are walked again, with the full walk's planarity
+check.  A shadow built from a front is checked by the full walk.  A
+finger move builds one splice, and a mirrored second splice only when
+the mates of its two darts share a face, which is when it is planar; the
+removal that would undo a finger move gives back its parent, and the
+search never queues it.  Finger moves are listed once per orbit of the
+shadow's automorphisms: the starts that tie the canonical code give
+candidate maps, each is checked against the map before it is used, and
+a move that a checked automorphism carries from an earlier-listed move
+would only rebuild that move's children.  A component with more than
+MAX_SEARCH_CROSSINGS self-crossings is not searched.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -40,6 +47,12 @@ Vec = tuple[int, int]  # a segment direction in a front's frame integers
 
 # the unknot search's state budget and recorded seed when a caller gives none
 DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
+
+# The most self-crossings a search may start from.  At the default budget,
+# searches from six random polygon fronts of 90 to 99 crossings spent their
+# 2,000 states in 2.0-2.7 s, and garland k = 100 was certified in 0.15 s
+# (one core of an Intel Xeon); past the bound a component is not searched.
+MAX_SEARCH_CROSSINGS = 100
 
 
 def _angle_cmp(v1: Vec, v2: Vec) -> int:
@@ -81,61 +94,134 @@ class Shadow:
     Darts are edge ends; theta swaps the two ends of each edge; each
     vertex lists its four darts counterclockwise.  A dart is read as
     "arriving at this vertex along its edge", so the strand continues
-    through the opposite slot.  The strand orbit, faces and crossing
-    signs are derived once, at construction; the canonical code is
-    derived at most once, on first use.  A shadow is never changed
-    afterwards.
+    through the opposite slot.  Per-dart tables (vertex, opposite end,
+    next counterclockwise end, over bit), the strand orbit, faces and
+    crossing signs are derived once, at construction: by the full walk in
+    `Shadow(vertices, theta)`, or from the parent for the result of a move
+    (`_derive`).  The canonical code is derived at most once, on first use.
+    A shadow is never changed afterwards.
     """
 
     def __init__(self, vertices: dict[int, _Vertex], theta: dict[int, int]):
         self.vertices = dict(vertices)
         self.theta = dict(theta)
-        self._slot: dict[int, tuple[int, int]] = {}
-        for vid, v in self.vertices.items():
-            for k, e in enumerate(v.ends):
-                self._slot[e] = (vid, k)
+        self._vertex: dict[int, int] = {}
+        self._opp: dict[int, int] = {}
+        self._ccw: dict[int, int] = {}
+        self._over: dict[int, bool] = {}
+        self._add_tables(self.vertices)
         self._orbit, self._faces = self._validate()
-        arrival_slot: dict[tuple[int, bool], int] = {}
-        for e in self._orbit:
-            vid, k = self._slot[e]
-            arrival_slot[vid, self.is_over(e)] = k
-        # crossing sign, orientation independent
-        self._sign = {
-            vid: 1 if (arrival_slot[vid, False] - arrival_slot[vid, True]) % 4 == 1 else -1
-            for vid in self.vertices
-        }
+        self._sign = _signs(self._orbit, self._vertex, self._over, self._ccw)
         self._code: tuple | None = None
         self._labels: dict[int, int] = {}
         self._ties: tuple[int, ...] = ()  # starts giving the code, labelled one first; () if one
+
+    def _add_tables(self, vertices: dict[int, _Vertex]) -> None:
+        """Record each dart's vertex, opposite end, next counterclockwise end and over bit."""
+        vertex, opp, ccw, over = self._vertex, self._opp, self._ccw, self._over
+        for vid, ((a, b, c, d), over_parity) in vertices.items():
+            vertex[a] = vertex[b] = vertex[c] = vertex[d] = vid
+            opp[a], opp[b], opp[c], opp[d] = c, d, a, b
+            ccw[a], ccw[b], ccw[c], ccw[d] = b, c, d, a
+            over[a] = over[c] = over_parity == 0
+            over[b] = over[d] = over_parity == 1
+
+    def _derive(
+        self,
+        theta: dict[int, int],
+        orbit: list[int],
+        touched: set[int],
+        dead: set[int] = frozenset(),
+        added: dict[int, _Vertex] | None = None,
+        arrivals: tuple[int, ...] = (),
+    ) -> "Shadow":
+        """The shadow that this one becomes when the vertices `dead` go, the
+        vertices `added` come and the edge pairing becomes `theta`, whose
+        strand orbit from min(theta) is `orbit`.  `arrivals` are the darts of
+        the orbit at the added vertices.
+
+        `touched` holds every dart of each face of this shadow that meets a
+        dart whose mate or vertex changes.  Every other face is kept as it
+        is, in its place; only the touched darts and the new ones are
+        walked.  The planarity check is the full walk's: n + 2 faces.
+        """
+        child = object.__new__(Shadow)
+        child.vertices = dict(self.vertices)
+        child.theta = theta
+        child._vertex, child._opp = dict(self._vertex), dict(self._opp)
+        child._ccw, child._over = dict(self._ccw), dict(self._over)
+        child._sign = dict(self._sign)
+        for vid in dead:
+            for e in child.vertices.pop(vid).ends:
+                del child._vertex[e], child._opp[e], child._ccw[e], child._over[e]
+            del child._sign[vid]
+        new_darts: list[int] = []
+        if added:
+            child.vertices.update(added)
+            child._add_tables(added)
+            child._sign.update(_signs(arrivals, child._vertex, child._over, child._ccw))
+            for v in added.values():
+                new_darts += v.ends
+        kept = [face for face in self._faces if face[0] not in touched]
+        walked = child._walk_faces(sorted([d for d in touched if d in theta] + new_darts))
+        faces = sorted(kept + walked)
+        if len(faces) != len(child.vertices) + 2:
+            raise ShadowError("map is not planar")
+        child._orbit, child._faces = orbit, faces
+        child._code, child._labels, child._ties = None, {}, ()
+        return child
 
     # -- structure ------------------------------------------------------------
 
     def crossing_count(self) -> int:
         return len(self.vertices)
 
-    def _opposite(self, dart: int) -> int:
-        vid, k = self._slot[dart]
-        return self.vertices[vid].ends[(k + 2) % 4]
-
-    def _succ(self, dart: int) -> int:
-        """Next arrival dart along the strand."""
-        return self.theta[self._opposite(dart)]
-
     def strand_orbit(self, start: int) -> list[int]:
+        """The arrival darts along the strand from `start`."""
+        theta, opp = self.theta, self._opp
         out = [start]
-        cur = self._succ(start)
+        cur = theta[opp[start]]
         while cur != start:
             out.append(cur)
-            cur = self._succ(cur)
+            cur = theta[opp[cur]]
         return out
 
     def faces(self) -> list[tuple[int, ...]]:
         return list(self._faces)
 
+    def _walk_faces(self, starts: list[int]) -> list[tuple[int, ...]]:
+        """The faces through `starts`, in order of their first dart.  A face
+        lies to the right of each of its darts, and each face starts at its
+        least dart when `starts` is sorted and holds whole faces."""
+        theta, ccw = self.theta, self._ccw
+        done: set[int] = set()
+        faces: list[tuple[int, ...]] = []
+        for start in starts:
+            if start in done:
+                continue
+            cycle = [start]
+            cur = ccw[theta[start]]
+            while cur != start:
+                cycle.append(cur)
+                cur = ccw[theta[cur]]
+            done.update(cycle)
+            faces.append(tuple(cycle))
+        return faces
+
+    def _faces_through(self, darts) -> set[int]:
+        """Every dart of the faces through `darts`."""
+        theta, ccw = self.theta, self._ccw
+        out: set[int] = set()
+        for cur in darts:
+            while cur not in out:
+                out.add(cur)
+                cur = ccw[theta[cur]]
+        return out
+
     def _validate(self) -> tuple[list[int], list[tuple[int, ...]]]:
         """Check for one closed planar strand; return its orbit from min(theta) and its faces."""
         n = len(self.vertices)
-        if set(self.theta) != set(self._slot):
+        if self.theta.keys() != self._vertex.keys():
             raise ShadowError("edge pairing and vertex ends disagree")
         for a, b in self.theta.items():
             if a == b or self.theta[b] != a:
@@ -145,29 +231,13 @@ class Shadow:
         orbit = self.strand_orbit(min(self.theta))
         if len(orbit) != 2 * n:
             raise ShadowError("not a single closed strand")
-        theta, slot, vertices = self.theta, self._slot, self.vertices
-        remaining = set(theta)
-        faces: list[tuple[int, ...]] = []
-        for start in sorted(theta):
-            if start not in remaining:
-                continue
-            cycle: list[int] = []
-            cur = start
-            while True:
-                cycle.append(cur)
-                remaining.discard(cur)
-                vid, k = slot[theta[cur]]
-                cur = vertices[vid].ends[(k + 1) % 4]
-                if cur == start:
-                    break
-            faces.append(tuple(cycle))
+        faces = self._walk_faces(sorted(self.theta))
         if len(faces) != n + 2:
             raise ShadowError("map is not planar")
         return orbit, faces
 
     def is_over(self, dart: int) -> bool:
-        vid, k = self._slot[dart]
-        return self.vertices[vid].over_parity == k % 2
+        return self._over[dart]
 
     def _minimal_code(self) -> tuple[tuple, dict[int, int], tuple[int, ...]]:
         """Minimal signed over/under code over all starts, with its vertex
@@ -181,17 +251,17 @@ class Shadow:
         Every code opens with 4 * 0 + the low bits of its first step, so only
         the starts whose first step has the least low bits are walked.
         """
-        step: dict[int, tuple[int, int, int]] = {}  # dart -> (vertex, low bits, next dart)
-        for vid, v in self.vertices.items():
-            positive = self._sign[vid] > 0
-            for k, e in enumerate(v.ends):
-                over = v.over_parity == k % 2
-                step[e] = (vid, 2 * over + positive, self.theta[v.ends[(k + 2) % 4]])
+        theta, vertex, over = self.theta, self._vertex, self._over
+        positive = {vid: sign > 0 for vid, sign in self._sign.items()}
+        step = {  # dart -> (vertex, low bits, next dart)
+            e: (vertex[e], 2 * over[e] + positive[vertex[e]], theta[self._opp[e]]) for e in theta
+        }
         best: list[int] = []
         best_labels: dict[int, int] = {}
         ties: list[int] = []
-        low = min(bits for _, bits, _ in step.values())
-        for start in sorted(d for d, (_, bits, _) in step.items() if bits == low):
+        # each vertex has two under ends, whose low bits are its sign bit
+        low = min(positive.values())
+        for start in sorted(e for e in theta if not over[e] and positive[vertex[e]] == low):
             labels: dict[int, int] = {}
             code: list[int] = []
             tied = bool(best)  # prefix equal to the best code so far
@@ -247,7 +317,7 @@ class Shadow:
         for start in self._ties[1:]:
             sigma: dict[int, int] = {}
             for a, b in zip(base, self.strand_orbit(start)):
-                sigma[a], sigma[self._opposite(a)] = b, self._opposite(b)
+                sigma[a], sigma[self._opp[a]] = b, self._opp[b]
             if self._is_automorphism(sigma):
                 out.append(sigma)
         return out
@@ -255,43 +325,43 @@ class Shadow:
     def _is_automorphism(self, sigma: dict[int, int]) -> bool:
         """sigma commutes with theta, carries each vertex's ends to another
         vertex's ends in the same counterclockwise order, and keeps over bits."""
-        for d, image in sigma.items():
-            if sigma[self.theta[d]] != self.theta[image] or self.is_over(d) != self.is_over(image):
-                return False
-        for v in self.vertices.values():
-            wid, k = self._slot[sigma[v.ends[0]]]
-            ends = self.vertices[wid].ends
-            if any(sigma[v.ends[i]] != ends[(k + i) % 4] for i in range(1, 4)):
-                return False
-        return True
+        theta, ccw, over = self.theta, self._ccw, self._over
+        return all(
+            sigma[theta[d]] == theta[image]
+            and sigma[ccw[d]] == ccw[image]
+            and over[d] == over[image]
+            for d, image in sigma.items()
+        )
 
     # -- reducing moves -------------------------------------------------------
 
     def _without(self, dead: set[int]) -> "Shadow":
         """Remove vertices and splice the strand straight through them."""
-        survivors = {vid: v for vid, v in self.vertices.items() if vid not in dead}
-        if not survivors:
+        if len(dead) == len(self.vertices):
             return Shadow({}, {})
-        kept: list[tuple[int, int]] = []  # (arrival dart, exit dart)
-        for e in self._orbit:
-            vid, _ = self._slot[e]
-            if vid in survivors:
-                kept.append((e, self._opposite(e)))
-        theta: dict[int, int] = {}
-        for i, (_, exit_dart) in enumerate(kept):
-            arrival = kept[(i + 1) % len(kept)][0]
-            theta[exit_dart] = arrival
-            theta[arrival] = exit_dart
-        return Shadow(survivors, theta)
+        theta, opp = self.theta, self._opp
+        gone = {e for vid in dead for e in self.vertices[vid].ends}
+        spliced = dict(theta)
+        for e in gone:
+            del spliced[e]
+        for e in gone:
+            a = theta[e]
+            if a not in gone:  # a's mate goes: follow the strand on to the next survivor
+                mate = e
+                while mate in gone:
+                    mate = theta[opp[mate]]
+                spliced[a] = mate
+        orbit = _strand_from([e for e in self._orbit if e not in gone], min(spliced), opp)
+        # a face through a rewired dart a steps from a to an end of a removed vertex
+        return self._derive(spliced, orbit, self._faces_through(gone), dead=dead)
 
     def kink_sites(self) -> list[int]:
         """Vertices carrying a loop edge between adjacent slots."""
+        theta, ccw = self.theta, self._ccw
         out = []
         for vid, v in sorted(self.vertices.items()):
-            for k, e in enumerate(v.ends):
-                mate = self.theta[e]
-                mv, mk = self._slot[mate]
-                if mv == vid and (mk - k) % 4 == 1:
+            for e in v.ends:
+                if theta[e] == ccw[e]:
                     out.append(vid)
                     break
         return out
@@ -303,11 +373,11 @@ class Shadow:
             if len(face) != 2:
                 continue
             e1, e2 = face
-            v1 = self._slot[e1][0]
-            v2 = self._slot[e2][0]
+            v1 = self._vertex[e1]
+            v2 = self._vertex[e2]
             if v1 == v2:
                 continue
-            if self.is_over(e1) == self.is_over(self.theta[e1]):
+            if self._over[e1] == self._over[self.theta[e1]]:
                 pair = tuple(sorted((v1, v2)))
                 if pair not in out:
                     out.append(pair)
@@ -362,29 +432,44 @@ class Shadow:
         the edges of x and y run in opposite directions: walking from x to
         its mate, the finger first crosses y's edge at Q, the new crossing
         nearer y's mate, and comes back through P.  That fixes the order
-        of the splice.  Pushed into the face, the finger gives P and Q the
-        rotations of the first candidate below.  The second mirrors both
+        of the splice.  P and Q are numbered one and two past the largest
+        vertex.  Pushed into the face, the finger gives P and Q the
+        rotations of the first splice below.  The second mirrors both
         rotations: the same finger pushed through the face on the other
-        side of both edges, which is planar when the mates of x and y
-        share a face too.  The other six combinations of rotations and
-        crossing order are not built; the oracle test in tests/test_moves.py
-        checks, on every finger move of the states the exhausted pinned
-        searches expand, of each pinned start and the states one finger
-        move from it, and of a sample of their finger children, that all
-        eight give the same children in the same order as these two.
+        side of both edges.  It is built only when the mates of x and y
+        share a face, which is when it is planar; the oracle tests in
+        tests/test_moves.py check both, against the full walk, on every
+        finger move of the states they cover.  The other six combinations
+        of rotations and crossing order are not built; the eight-splice
+        oracle checks, on every finger move of the states the exhausted
+        pinned searches expand, of each pinned start and the states one
+        finger move from it, and of a sample of their finger children,
+        that all eight give the same children in the same order as these
+        two.
 
-        A candidate is kept only if it is a valid planar single-strand map
-        in which the two new crossings bound a removable bigon.  Removing
-        that bigon restores this diagram exactly, so every kept candidate
-        is a genuine Reidemeister 2 ascent.
+        Each splice is derived from this shadow: only the faces through x,
+        y and their mates are walked again, and a splice that is not a
+        planar map is dropped.  In either splice P and Q bound a two-sided
+        face whose finger side passes over at both ends, or under at both,
+        so they bound a removable bigon, and removing it restores this
+        diagram exactly: every kept splice is a genuine Reidemeister 2
+        ascent.  The mirrored splice is dropped when its code equals the
+        first's.
         """
+        splices = self._finger_splices(x, y, over)
+        if len(splices) == 2 and splices[0].canonical_code() == splices[1].canonical_code():
+            splices.pop()
+        return splices
+
+    def _finger_splices(self, x: int, y: int, over: bool) -> list["Shadow"]:
+        """The planar splices of push_finger, before the second is compared with the first."""
         if y == x or y == self.theta[x]:
             raise ShadowError("finger needs two distinct edges")
         xp = self.theta[x]
         yp = self.theta[y]
-        fresh = max(self._slot) + 1
+        fresh = max(self.theta) + 1
         b_y, f_a, b_q, f_t, c_p, g_t, c_y2, g_a = range(fresh, fresh + 8)
-        pv = max(self.vertices) + 1 if self.vertices else 0
+        pv = max(self.vertices) + 1
         qv = pv + 1
         parity = 1 if over else 0
         theta = dict(self.theta)
@@ -392,24 +477,54 @@ class Shadow:
         for a, b in ((x, g_a), (g_t, f_t), (f_a, xp), (y, b_y), (b_q, c_p), (c_y2, yp)):
             theta[a] = b
             theta[b] = a
-        results: list[Shadow] = []
+        # the new darts are the largest, so the orbit keeps its start and direction
+        orbit = list(self._orbit)
+        finger = (g_a, f_t) if xp in orbit else (f_a, g_t)  # the strand runs x, Q, P, xp or back
+        _insert_before(orbit, xp if xp in orbit else x, finger)
+        crossed = (b_y, c_p) if yp in orbit else (c_y2, b_q)  # y, P, Q, yp or back
+        _insert_before(orbit, yp if yp in orbit else y, crossed)
+        mates = self._faces_through([xp])
+        mirrored = yp in mates
+        touched = mates | self._faces_through([x] if mirrored else [x, yp])
+        splices = []
         for p_ends, q_ends in (
             ((b_y, f_a, b_q, f_t), (c_p, g_a, c_y2, g_t)),  # finger pushed into the face
             ((b_y, f_t, b_q, f_a), (c_p, g_t, c_y2, g_a)),  # mirrored
-        ):
-            vertices = dict(self.vertices)
-            vertices[pv] = _Vertex(p_ends, parity)
-            vertices[qv] = _Vertex(q_ends, parity)
+        )[: 2 if mirrored else 1]:
+            added = {pv: _Vertex(p_ends, parity), qv: _Vertex(q_ends, parity)}
             try:
-                cand = Shadow(vertices, theta)
+                splices.append(
+                    self._derive(theta, orbit, touched, added=added, arrivals=finger + crossed)
+                )
             except ShadowError:
                 continue
-            if (pv, qv) not in cand.bigon_sites():
-                continue
-            if results and cand.canonical_code() == results[0].canonical_code():
-                continue
-            results.append(cand)
-        return results
+        return splices
+
+
+def _signs(
+    arrivals, vertex: dict[int, int], over: dict[int, bool], ccw: dict[int, int]
+) -> dict[int, int]:
+    """Crossing sign of each vertex that the strand reaches at `arrivals`,
+    orientation independent: +1 when the under strand arrives at the slot
+    after the over strand's, counterclockwise."""
+    over_in, under_in = {}, {}
+    for e in arrivals:
+        (over_in if over[e] else under_in)[vertex[e]] = e
+    return {vid: 1 if ccw[e] == under_in[vid] else -1 for vid, e in over_in.items()}
+
+
+def _strand_from(arrivals: list[int], start: int, opp: dict[int, int]) -> list[int]:
+    """The strand orbit from `start`, given the arrival darts of one direction in strand order."""
+    if start not in arrivals:  # start arrives the other way round
+        arrivals = [opp[e] for e in reversed(arrivals)]
+    i = arrivals.index(start)
+    return arrivals[i:] + arrivals[:i]
+
+
+def _insert_before(orbit: list[int], dart: int, run: tuple[int, int]) -> None:
+    """Insert `run` into a strand orbit just before `dart`, keeping its first dart first."""
+    i = orbit.index(dart) or len(orbit)
+    orbit[i:i] = run
 
 
 # -- building the shadow from a front ----------------------------------------
@@ -494,36 +609,44 @@ def search_unknot(start: Shadow, budget: int) -> dict:
     queued every child as it was generated and dropped the repeated ones.
     A move left out of the list is the image of an earlier-listed move, so
     its children have the codes of children popped before it and would
-    have been skipped.  The goal check stays at generation: a removal is
+    have been skipped.  A finger child's entry records its new crossings,
+    and the removal of the bigon between them is not queued: it gives back
+    the parent exactly, whose code is seen.  The record sits on the entry,
+    not on the Shadow, so a search that starts at a finger child still
+    removes that bigon.  The goal check stays at generation: a removal is
     the goal when it removes every crossing, and a finger child always has
-    at least two.
+    at least two.  A removal is applied without asking the state for its
+    sites again, since they were read off that same state.
     """
     if start.crossing_count() == 0:
         return {"found": True, "moves": [], "expanded": 0, "queue_emptied": False}
     cap = start.crossing_count() + 2
     seen: set[tuple] = set()
-    heap: list[tuple[int, int, tuple[int, ...], Shadow, tuple[str, ...], tuple | None]] = [
-        (start.crossing_count(), 0, (0,), start, (), None)
-    ]
+    # (crossings, depth, place, state, path, deferred move, bigon undoing a finger move)
+    heap: list[tuple] = [(start.crossing_count(), 0, (0,), start, (), None, None)]
     order = itertools.count(1)
     expanded = 0
     while heap:
-        crossings, depth, place, state, path, move = heapq.heappop(heap)
+        crossings, depth, place, state, path, move, undo = heapq.heappop(heap)
         if move is not None:
             kind, *sites = move
             if kind in ("fingers", "finger"):
                 if kind == "fingers":
-                    stand_ins = [(state, path, ("finger", *f)) for f in state.finger_orbits()]
+                    stand_ins = [(state, path, ("finger", *f), None) for f in state.finger_orbits()]
                 else:
                     n, over = state.crossing_count(), sites[2]
                     child_path = path + (
                         f"push {'over' if over else 'under'} finger, {n} to {n + 2} crossings",
                     )
-                    stand_ins = [(child, child_path, None) for child in state.push_finger(*sites)]
+                    pv = max(state.vertices) + 1  # push_finger's P; Q is pv + 1
+                    stand_ins = [
+                        (child, child_path, None, (pv, pv + 1))
+                        for child in state.push_finger(*sites)
+                    ]
                 for j, entry in enumerate(stand_ins):
                     heapq.heappush(heap, (crossings, depth, place + (j,), *entry))
                 continue
-            state = state.remove_kink(*sites) if kind == "kink" else state.remove_bigon(*sites)
+            state = state._without(set(sites))
         code = state.canonical_code()
         if code in seen:
             continue
@@ -545,6 +668,7 @@ def search_unknot(start: Shadow, budget: int) -> dict:
                 ("bigon", v1, v2),
             )
             for v1, v2 in state.bigon_sites()
+            if (v1, v2) != undo
         ]
         for describe, removal in removals:
             if len(removal) - 1 == crossings:  # removes every crossing
@@ -556,10 +680,12 @@ def search_unknot(start: Shadow, budget: int) -> dict:
                 }
             heapq.heappush(heap, (
                 crossings - (len(removal) - 1), depth + 1, (next(order),),
-                state, path + (describe,), removal,
+                state, path + (describe,), removal, None,
             ))
         if crossings + 2 <= cap:
-            heapq.heappush(heap, (crossings + 2, depth + 1, (next(order),), state, path, ("fingers",)))
+            heapq.heappush(
+                heap, (crossings + 2, depth + 1, (next(order),), state, path, ("fingers",), None)
+            )
     return {"found": False, "moves": None, "expanded": expanded, "queue_emptied": True}
 
 
@@ -570,8 +696,10 @@ def unknot_certificate(
 
     The verdict is "unknot" only when a move sequence to the crossingless
     diagram was found; it is never "knotted", because the move set is
-    deliberately small.  The seed is recorded for report stability; the
-    search itself is deterministic.
+    deliberately small.  A component over a 1-handle, or with more than
+    MAX_SEARCH_CROSSINGS self-crossings, is not searched and stays
+    "inconclusive", with the reason in the note.  The seed is recorded for
+    report stability; the search itself is deterministic.
     """
     report = {
         "component": comp,
@@ -591,6 +719,12 @@ def unknot_certificate(
         return report
     shadow = shadow_of_component(d, comp)
     report["self_crossings"] = shadow.crossing_count()
+    if shadow.crossing_count() > MAX_SEARCH_CROSSINGS:
+        report["note"] = (
+            f"self-crossing count {shadow.crossing_count()} exceeds the "
+            f"{MAX_SEARCH_CROSSINGS} a search may start from"
+        )
+        return report
     outcome = search_unknot(shadow, budget)
     report["expanded"] = outcome["expanded"]
     if outcome["found"]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from corktwist import cli, fillings, front, hfcert, kirby, mcg
+from corktwist import cli, fillings, front, hfcert, kirby, mcg, moves
 
 
 def run(argv):
@@ -85,6 +85,21 @@ def test_admissible_exit_codes(fixtures):
         ["admissible", str(fixtures / "mazur.kirby"), "--budget", "-1"]
     )
     assert code == 2
+
+
+def test_admissible_past_the_search_limit_exits_3(fixtures, monkeypatch):
+    """A cork whose components have more self-crossings than a search may
+    start from is inconclusive (exit 3), never "not admissible"; mazur.kirby's
+    components have one each, so a limit of 0 is one below."""
+    monkeypatch.setattr(moves, "MAX_SEARCH_CROSSINGS", 0)
+    code, out, _ = run(["admissible", str(fixtures / "mazur.kirby"), "--format", "doc"])
+    assert code == 3
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "inconclusive"
+    assert set(report["cond1"].values()) == {"inconclusive"}
+    for cert in report["cond1_evidence"].values():
+        assert (cert["verdict"], cert["expanded"], cert["self_crossings"]) == ("inconclusive", 0, 1)
+        assert cert["note"] == "self-crossing count 1 exceeds the 0 a search may start from"
 
 
 def test_admissible_doc(fixtures):

@@ -92,6 +92,28 @@ def test_handle_passes_outside_search(load):
     assert "1-handle" in cert["note"]
 
 
+def test_search_start_above_the_limit_is_inconclusive(load, monkeypatch):
+    """A component with more self-crossings than MAX_SEARCH_CROSSINGS is not
+    searched: it stays inconclusive, with the reason in the note, and is never
+    called knotted.  The limit is lowered to the garland's 4 crossings, which
+    are searched, and then to 3, so nothing large is built."""
+    assert moves.MAX_SEARCH_CROSSINGS >= 16  # every pinned search still runs
+    d, comp = _search_case(load, "garland4")
+    monkeypatch.setattr(moves, "MAX_SEARCH_CROSSINGS", 4)
+    assert moves.unknot_certificate(d, comp)["verdict"] == "unknot"
+
+    def refuse(*_):
+        raise AssertionError("searched past the limit")
+
+    monkeypatch.setattr(moves, "MAX_SEARCH_CROSSINGS", 3)
+    monkeypatch.setattr(moves, "search_unknot", refuse)
+    cert = moves.unknot_certificate(d, comp)
+    assert (cert["verdict"], cert["moves"], cert["expanded"], cert["self_crossings"]) == (
+        "inconclusive", None, 0, 4
+    )
+    assert cert["note"] == "self-crossing count 4 exceeds the 3 a search may start from"
+
+
 def test_crossingless_component_is_trivially_unknotted(load):
     d = front.parse_front(load("lens.front"))
     cert = moves.unknot_certificate(d, "U")
@@ -114,6 +136,25 @@ def test_search_removes_bigons():
         pytest.skip("geometry collapsed to no crossings")
     cert = moves.unknot_certificate(d, "B")
     assert cert["verdict"] == "unknot"
+
+
+def test_removals_check_their_sites(load):
+    """remove_kink and remove_bigon refuse a site the shadow does not carry;
+    the search applies the sites it reads off a state without this check.
+    Removing a finger move's bigon gives back the shadow it was pushed on."""
+    garland = moves.shadow_of_component(*_search_case(load, "garland2"))
+    v, w = garland.kink_sites()
+    assert garland.remove_kink(v).crossing_count() == 1
+    with pytest.raises(moves.ShadowError, match="carries no kink"):
+        garland.remove_kink(max(garland.vertices) + 1)
+    with pytest.raises(moves.ShadowError, match="bound no removable bigon"):
+        garland.remove_bigon(v, w)
+    trefoil = moves.shadow_of_component(*_search_case(load, "trefoil"))
+    pv = max(trefoil.vertices) + 1
+    child = trefoil.push_finger(*trefoil.finger_moves()[0])[0]
+    assert child.remove_bigon(pv, pv + 1).canonical_code() == trefoil.canonical_code()
+    with pytest.raises(moves.ShadowError, match="carries no kink"):
+        child.remove_kink(pv)
 
 
 EXHAUSTED = "move set exhausted below the crossing cap without reduction"
@@ -201,23 +242,32 @@ def test_search_is_deterministic(load, monkeypatch):
     assert runs[0][0]["expanded"] == 200
 
 
-@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20), ("trefoil", 2000, 20)])
+@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20), ("trefoil", 2000, 8)])
 def test_search_builds_only_the_states_it_pops(load, monkeypatch, k, budget, most):
-    """Finger and removal children are built when popped, not when generated.
-    The exhausted trefoil search lists one finger move per orbit of the
-    shadow's six symmetries: it builds 17 Shadows, where listing all 36
-    finger moves of the start built 77."""
+    """Finger and removal children are built when popped, not when generated;
+    both constructors are counted, the full walk and the derivation from a
+    parent, and the start is not.  The exhausted trefoil search lists one
+    finger move per orbit of the shadow's six symmetries, builds a mirrored
+    splice only where it is planar, and never queues the removal that undoes
+    a finger move: it builds 8 Shadows, all planar.  Listing all 36 finger
+    moves of the start built 77; building both splices of each listed move
+    and every removal built 17, 6 of them rejected as not planar."""
     start = moves.shadow_of_component(
         *_search_case(load, k if k == "trefoil" else f"garland{k}")
     )
     built = []
-    init = moves.Shadow.__init__
+    init, derive = moves.Shadow.__init__, moves.Shadow._derive
 
     def counted_init(self, vertices, theta):
         built.append(len(vertices))
         init(self, vertices, theta)
 
+    def counted_derive(self, theta, *args, **kwargs):
+        built.append(len(theta) // 4)
+        return derive(self, theta, *args, **kwargs)
+
     monkeypatch.setattr(moves.Shadow, "__init__", counted_init)
+    monkeypatch.setattr(moves.Shadow, "_derive", counted_derive)
     moves.search_unknot(start, budget)
     assert len(built) <= most
 
@@ -253,13 +303,11 @@ def _all_eight_splices(s, x, y, over):
 ORACLE_CASES = ["garland1", "garland2", "garland3", "trefoil", "bigon", "knotted:K1", "knotted:K2"]
 
 
-def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
-    """Every finger move on a set of states that does not depend on the search
-    order, and on 40 seeded picks among their finger children, gives the same
-    children in the same order as the eight-splice enumeration.  The states are
-    those the exhausted searches expand (a search that empties its queue expands
-    every state below its cap, whatever the order), each case's start, and every
-    state one finger move from a start."""
+def _oracle_states(load, monkeypatch):
+    """A set of states that does not depend on the search order, by code: those
+    the exhausted searches expand (a search that empties its queue expands
+    every state below its cap, whatever the order), each case's start, and
+    every state one finger move from a start."""
     expanded = []
     kink_sites = moves.Shadow.kink_sites
 
@@ -276,7 +324,14 @@ def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
     for case in ORACLE_CASES:
         start = moves.shadow_of_component(*_search_case(load, case))
         near += [start] + [c for move in start.finger_moves() for c in start.push_finger(*move)]
-    states = {s.canonical_code(): s for s in expanded + near}
+    return {s.canonical_code(): s for s in expanded + near}
+
+
+def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
+    """Every finger move on the oracle states, and on 40 seeded picks among
+    their finger children, gives the same children in the same order as the
+    eight-splice enumeration."""
+    states = _oracle_states(load, monkeypatch)
     children = {}
     tested = doubles = 0
 
@@ -294,6 +349,63 @@ def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
     for code in random.Random(20110411).sample(sorted(children.keys() - states.keys()), 40):
         check(children[code])
     assert tested > 8000 and doubles > 0, (tested, doubles)
+
+
+def _spliced_theta(s, dead):
+    """The edge pairing once the vertices `dead` are removed, spliced along the
+    full strand orbit: the construction the derived removal replaced."""
+    kept = [(e, s._opp[e]) for e in s.strand_orbit(min(s.theta))
+            if s._vertex[e] not in dead]
+    theta = {}
+    for (_, exit_dart), (arrival, _) in zip(kept, kept[1:] + kept[:1]):
+        theta[exit_dart], theta[arrival] = arrival, exit_dart
+    return theta
+
+
+def test_derived_shadows_match_the_full_walk(load, monkeypatch):
+    """A finger splice or a removal derives its result from its parent.  On
+    every oracle state, each splice and each removal result equals the shadow
+    that `Shadow(vertices, theta)` builds with the full walk: the same strand
+    orbit, the same faces in the same order, the same crossing signs and
+    per-dart tables.  A splice that the full walk rejects is rejected or never
+    built, and the rule push_finger builds by holds: the first splice is always
+    planar, and the mirrored one exactly when the mates of x and y share a face."""
+    states = _oracle_states(load, monkeypatch)
+    splices = removals = mirrored = 0
+    for s in states.values():
+        face_of = {d: face for face in s.faces() for d in face}
+        for x, y, over in s.finger_moves():
+            xp, yp = s.theta[x], s.theta[y]
+            fresh = max(s.theta) + 1
+            b_y, f_a, b_q, f_t, c_p, g_t, c_y2, g_a = range(fresh, fresh + 8)
+            pv = max(s.vertices) + 1
+            theta = dict(s.theta)
+            for a, b in ((x, g_a), (g_t, f_t), (f_a, xp), (y, b_y), (b_q, c_p), (c_y2, yp)):
+                theta[a], theta[b] = b, a
+            derived = {c.vertices[pv].ends: c for c in s._finger_splices(x, y, over)}
+            rotations = (((b_y, f_a, b_q, f_t), (c_p, g_a, c_y2, g_t)),
+                         ((b_y, f_t, b_q, f_a), (c_p, g_t, c_y2, g_a)))
+            full = {}
+            for p_ends, q_ends in rotations:
+                vertices = dict(s.vertices)
+                vertices[pv] = moves._Vertex(p_ends, 1 if over else 0)
+                vertices[pv + 1] = moves._Vertex(q_ends, 1 if over else 0)
+                try:
+                    full[p_ends] = moves.Shadow(vertices, theta)
+                except moves.ShadowError:
+                    assert p_ends not in derived
+            assert list(full) == [p for p, _ in rotations][: 2 if yp in face_of[xp] else 1]
+            assert list(derived) == list(full)
+            assert [vars(c) for c in derived.values()] == [vars(c) for c in full.values()]
+            splices += len(full)
+            mirrored += len(full) == 2
+        sites = [{v} for v in s.kink_sites()] + [set(pair) for pair in s.bigon_sites()]
+        for dead in sites:
+            got = s._without(dead)
+            assert got.theta == _spliced_theta(s, dead)
+            assert vars(got) == vars(moves.Shadow(got.vertices, got.theta))
+            removals += 1
+    assert splices > 3000 and mirrored > 400 and removals > 80, (splices, mirrored, removals)
 
 
 # -- automorphisms and the search once per orbit ------------------------------
@@ -320,7 +432,7 @@ def _walk_map(s, base, start):
     """The dart map sending the strand walk from `base` onto the walk from `start`."""
     sigma = {}
     for a, b in zip(s.strand_orbit(base), s.strand_orbit(start)):
-        sigma[a], sigma[s._opposite(a)] = b, s._opposite(b)
+        sigma[a], sigma[s._opp[a]] = b, s._opp[b]
     return sigma
 
 
@@ -401,7 +513,11 @@ def test_check_rejects_a_map_that_breaks_theta(load):
 
 def _unpruned_search(start, budget):
     """search_unknot as it was before finger moves were listed once per
-    orbit, kept as the oracle: the ("fingers",) entry lists every finger move."""
+    orbit and before a finger move's undoing was left out, kept as the
+    oracle: the ("fingers",) entry lists every finger move, and every
+    removal is queued.  Like the search, it applies a removal without
+    asking the state for its sites again, so each state asked for its kinks
+    is a state expanded."""
     if start.crossing_count() == 0:
         return {"found": True, "moves": [], "expanded": 0, "queue_emptied": False}
     cap = start.crossing_count() + 2
@@ -425,7 +541,7 @@ def _unpruned_search(start, budget):
                 for j, entry in enumerate(stand_ins):
                     heapq.heappush(heap, (crossings, depth, place + (j,), *entry))
                 continue
-            state = state.remove_kink(*sites) if kind == "kink" else state.remove_bigon(*sites)
+            state = state._without(set(sites))
         code = state.canonical_code()
         if code in seen:
             continue

@@ -2,8 +2,8 @@
 
 A component of a front is projected to its knot shadow: a combinatorial
 planar map with one 4-valent vertex per self-crossing, counterclockwise
-end order taken from the exact segment directions, and an over/under bit
-per vertex.  On that map the search applies reducing kink and bigon
+end order read from the crossing's sign, and an over/under bit per
+vertex.  On that map the search applies reducing kink and bigon
 moves (R1 down, R2 down) and finger moves (R2 up) that push one edge of
 a face across another, capped at two crossings above the starting
 diagram.  The search is best-first by crossing count, ties by depth then
@@ -24,7 +24,8 @@ shadow's automorphisms: the starts that tie the canonical code give
 candidate maps, each is checked against the map before it is used, and
 a move that a checked automorphism carries from an earlier-listed move
 would only rebuild that move's children.  A component with more than
-MAX_SEARCH_CROSSINGS self-crossings is not searched.
+MAX_SEARCH_CROSSINGS self-crossings is not searched, and no shadow is
+built for it.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -37,13 +38,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import cmp_to_key
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from . import front as front_mod
-
-Vec = tuple[int, int]  # a segment direction in a front's frame integers
 
 # the unknot search's state budget and recorded seed when a caller gives none
 DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
@@ -53,30 +51,6 @@ DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
 # 2,000 states in 2.0-2.7 s, and garland k = 100 was certified in 0.15 s
 # (one core of an Intel Xeon); past the bound a component is not searched.
 MAX_SEARCH_CROSSINGS = 100
-
-
-def _angle_cmp(v1: Vec, v2: Vec) -> int:
-    """Counterclockwise order of direction vectors, starting at east."""
-
-    def quadrant(v: Vec) -> int:
-        dx, dy = v
-        if dx > 0 and dy >= 0:
-            return 0
-        if dx <= 0 and dy > 0:
-            return 1
-        if dx < 0 and dy <= 0:
-            return 2
-        return 3
-
-    q1, q2 = quadrant(v1), quadrant(v2)
-    if q1 != q2:
-        return -1 if q1 < q2 else 1
-    cross = v1[0] * v2[1] - v1[1] * v2[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
 
 
 class _Vertex(NamedTuple):
@@ -235,9 +209,6 @@ class Shadow:
         if len(faces) != n + 2:
             raise ShadowError("map is not planar")
         return orbit, faces
-
-    def is_over(self, dart: int) -> bool:
-        return self._over[dart]
 
     def _minimal_code(self) -> tuple[tuple, dict[int, int], tuple[int, ...]]:
         """Minimal signed over/under code over all starts, with its vertex
@@ -530,58 +501,47 @@ def _insert_before(orbit: list[int], dart: int, run: tuple[int, int]) -> None:
 # -- building the shadow from a front ----------------------------------------
 
 
-def _strand_order(v, w) -> int:
-    """Order two visits by segment index, then by parameter t/den, cross-multiplied."""
-    (i, t, d), (j, u, e) = v[0], w[0]
-    if i != j:
-        return -1 if i < j else 1
-    return (t * e > u * d) - (t * e < u * d)
+def shadow_of_component(
+    d: front_mod.FrontDiagram, comp: str, crossings: list[front_mod.Crossing] | None = None
+) -> Shadow:
+    """The shadow of component `comp`: vertex i is its i-th self-crossing in
+    d.crossings(), which `crossings` gives when the caller has them, and its
+    darts 4 * i + slot run counterclockwise from east.
 
-
-def shadow_of_component(d: front_mod.FrontDiagram, comp: str) -> Shadow:
-    crossings = [
-        c
-        for c in d.crossings()
-        if c.over_component == comp and c.under_component == comp
-    ]
+    The ends of a crossing run counterclockwise over-out, under-out,
+    over-in, under-in when its sign is +1, and over-out, under-in, over-in,
+    under-out when it is -1.  Slot 0 is the end at or above the x-axis that
+    follows one below it.  The strand meets the crossings in the order of
+    (segment index, t/den), where t/den and t'/den' differ by at least
+    1/m for m the square of the largest den, so t * m // den orders them.
+    """
+    if crossings is None:
+        crossings = [c for c in d.crossings() if c.over_component == comp == c.under_component]
     if not crossings:
         return Shadow({}, {})
-    # each visit's place along the strand is (segment index, t, den): parameter t/den
-    visits: list[tuple[tuple[int, int, int], int, str]] = []
-    for i, c in enumerate(crossings):
-        visits.append((c.over_at[1:], i, "over"))
-        visits.append((c.under_at[1:], i, "under"))
-    visits.sort(key=cmp_to_key(_strand_order))
-
     vertices: dict[int, _Vertex] = {}
-    dart_ids: dict[tuple[int, str, str], int] = {}
+    exit_, entry = {}, {}  # (crossing, 0 over or 1 under) -> dart
     for i, c in enumerate(crossings):
-        u = c.over_dir
-        v = c.under_dir
-        labelled = [
-            ((-u[0], -u[1]), (i, "over", "in")),
-            (u, (i, "over", "out")),
-            ((-v[0], -v[1]), (i, "under", "in")),
-            (v, (i, "under", "out")),
-        ]
-        labelled.sort(key=cmp_to_key(lambda a, b: _angle_cmp(a[0], b[0])))
-        ends = []
-        over_parity = None
-        for k, (_, tag) in enumerate(labelled):
-            dart = 4 * i + k
-            dart_ids[tag] = dart
-            ends.append(dart)
-            if tag[1] == "over":
-                over_parity = k % 2
-        vertices[i] = _Vertex(tuple(ends), over_parity)
-
+        uy, vy = c.over_dir[1], c.under_dir[1]
+        # (y, over or under, out) of each end, counterclockwise from over-out
+        if c.sign > 0:
+            ring = ((uy, 0, True), (vy, 1, True), (-uy, 0, False), (-vy, 1, False))
+        else:
+            ring = ((uy, 0, True), (-vy, 1, False), (-uy, 0, False), (vy, 1, True))
+        first = next(k for k in range(4) if ring[k - 1][0] < 0 <= ring[k][0])
+        for k, (_, strand, out) in enumerate(ring):
+            (exit_ if out else entry)[i, strand] = 4 * i + (k - first) % 4
+        vertices[i] = _Vertex((4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3), first % 2)
+    m = max(c.over_at[3] for c in crossings) ** 2
+    visits = sorted(
+        (at[1], at[2] * m // at[3], i, strand)
+        for i, c in enumerate(crossings)
+        for strand, at in enumerate((c.over_at, c.under_at))
+    )
     theta: dict[int, int] = {}
-    for k, (_, ci, role) in enumerate(visits):
-        _, cj, role_next = visits[(k + 1) % len(visits)]
-        a = dart_ids[(ci, role, "out")]
-        b = dart_ids[(cj, role_next, "in")]
-        theta[a] = b
-        theta[b] = a
+    for (*_, i, r), (*_, j, s) in zip(visits, visits[1:] + visits[:1]):
+        a, b = exit_[i, r], entry[j, s]
+        theta[a], theta[b] = b, a
     return Shadow(vertices, theta)
 
 
@@ -717,15 +677,15 @@ def unknot_certificate(
             "is outside the move search"
         )
         return report
-    shadow = shadow_of_component(d, comp)
-    report["self_crossings"] = shadow.crossing_count()
-    if shadow.crossing_count() > MAX_SEARCH_CROSSINGS:
+    own = [c for c in d.crossings() if c.over_component == comp == c.under_component]
+    report["self_crossings"] = len(own)
+    if len(own) > MAX_SEARCH_CROSSINGS:  # refused before any map is built
         report["note"] = (
-            f"self-crossing count {shadow.crossing_count()} exceeds the "
+            f"self-crossing count {len(own)} exceeds the "
             f"{MAX_SEARCH_CROSSINGS} a search may start from"
         )
         return report
-    outcome = search_unknot(shadow, budget)
+    outcome = search_unknot(shadow_of_component(d, comp, own), budget)
     report["expanded"] = outcome["expanded"]
     if outcome["found"]:
         report["verdict"] = "unknot"

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corktwist import front, kirby
+from corktwist.base import InputError
 from corktwist.front import FrontGeometryError, FrontParseError, parse_front, stabilize
 
 
@@ -903,6 +904,31 @@ def test_arc_lines_are_read_token_by_token_only_to_word_an_error(fixtures, monke
     assert [parse_front(text) for text in texts] == expected
     with pytest.raises(AssertionError, match="line 1 read token by token"):
         parse_front("arc U : (0,0) (1/0,1)\n")
+
+
+# lines spelled from the front grammar's own tokens, and from some it refuses
+_FRONT_HEADS = ("arc K :", "arc K :", "arc L :", "handle h :", "orient", "knottype", "#", "arc")
+_FRONT_ARGS = (
+    "(0,0)", "(4,2)", "(8,0)", "(4,-2)", "(1/2,3)", "(0.5,-1)", "(1/0,1)", "(1e3,1)",
+    "(\u0663,1)", "(99999999999999999999,1)", "(0,0)(1,1)", "(1,2", "(", ")", "x=0", "ytop=2",
+    "ybot=-2", "x=1/0", "x=", "K", "L", "+", "-", "unknot", ":", "3/4", "-1", "rot180",
+    "stein", "component", "\0", "# comment",
+)
+
+
+def test_parse_front_is_total(spelled):
+    """Text of front tokens parses, or raises an InputError and nothing else."""
+
+    @settings(max_examples=150)
+    @given(st.binary(max_size=40))
+    @example(bytes([0, 1, 5, 9, 0, 9, 13, 1, 16, 77, 85]))  # a lens, oriented +
+    def parsed(data):
+        try:
+            parse_front(spelled(data, _FRONT_HEADS, _FRONT_ARGS))
+        except InputError:
+            pass
+
+    parsed()
 
 
 @pytest.mark.parametrize("arc, message", [

@@ -403,6 +403,34 @@ def test_inflation_spec_fixture(load, fixtures):
     assert spec.twisted_front.tb(spec.twisted_component) == 1
 
 
+# lines spelled from the diagram grammar's own tokens, and from some it refuses
+_KIRBY_HEADS = ("arc K1 :", "arc K2 :", "handle h :", "orient", "knottype", "dot", "frame",
+                "involution", "stein", "stein arc K2 :", "#", "K1")
+_KIRBY_ARGS = (
+    "(0,0)", "(4,2)", "(8,0)", "(4,-2)", "(12,0)", "(16,2)", "(20,0)", "(16,-2)", "(1/2,3)",
+    "(1/0,1)", "(\u0663,1)", "(", "x=0", "ytop=2", "ybot=-2", "K1", "K2", "K3", "0", "-1",
+    "1/2", "10", "1.5", "99999999999999999999", "\u0663", "+", ":", "rot180", "stein",
+    "component", "arc", "\0", "# comment",
+)
+
+
+def test_parse_kirby_is_total(spelled):
+    """Text of diagram tokens parses, or raises an InputError and nothing else."""
+
+    @settings(max_examples=150)
+    @given(st.binary(max_size=40))
+    # a dotted lens and a 0-framed lens, exchanged by the half-turn about (10,0)
+    @example(bytes([0, 1, 5, 9, 0, 9, 13, 1, 4, 17, 21, 25, 4, 25, 29, 17,
+                    20, 61, 24, 65, 73, 28, 61, 65, 105, 109, 85, 73]))
+    def parsed(data):
+        try:
+            kirby.parse_kirby(spelled(data, _KIRBY_HEADS, _KIRBY_ARGS))
+        except InputError:
+            pass
+
+    parsed()
+
+
 def test_abelian_group_describe():
     assert kirby.AbelianGroup(0).describe() == "0"
     assert kirby.AbelianGroup(1).describe() == "Z"

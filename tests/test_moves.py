@@ -10,7 +10,9 @@ the same code.
 import heapq
 import itertools
 import random
+import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -96,17 +98,19 @@ def test_search_start_above_the_limit_is_inconclusive(load, monkeypatch):
     """A component with more self-crossings than MAX_SEARCH_CROSSINGS is not
     searched: it stays inconclusive, with the reason in the note, and is never
     called knotted.  The limit is lowered to the garland's 4 crossings, which
-    are searched, and then to 3, so nothing large is built."""
+    are searched, and then to 3, so nothing large is built; past the limit
+    the component's crossings are counted and no map is built."""
     assert moves.MAX_SEARCH_CROSSINGS >= 16  # every pinned search still runs
     d, comp = _search_case(load, "garland4")
     monkeypatch.setattr(moves, "MAX_SEARCH_CROSSINGS", 4)
     assert moves.unknot_certificate(d, comp)["verdict"] == "unknot"
 
     def refuse(*_):
-        raise AssertionError("searched past the limit")
+        raise AssertionError("called past the limit")
 
     monkeypatch.setattr(moves, "MAX_SEARCH_CROSSINGS", 3)
     monkeypatch.setattr(moves, "search_unknot", refuse)
+    monkeypatch.setattr(moves, "shadow_of_component", refuse)
     cert = moves.unknot_certificate(d, comp)
     assert (cert["verdict"], cert["moves"], cert["expanded"], cert["self_crossings"]) == (
         "inconclusive", None, 0, 4
@@ -272,6 +276,146 @@ def test_search_builds_only_the_states_it_pops(load, monkeypatch, k, budget, mos
     assert len(built) <= most
 
 
+# -- the shadow of a front, against the comparator sorts it replaced -----------
+
+
+def _angle_cmp(v1, v2) -> int:
+    """Counterclockwise order of direction vectors, starting at east."""
+
+    def quadrant(v) -> int:
+        dx, dy = v
+        if dx > 0 and dy >= 0:
+            return 0
+        if dx <= 0 and dy > 0:
+            return 1
+        if dx < 0 and dy <= 0:
+            return 2
+        return 3
+
+    q1, q2 = quadrant(v1), quadrant(v2)
+    if q1 != q2:
+        return -1 if q1 < q2 else 1
+    cross = v1[0] * v2[1] - v1[1] * v2[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    return 0
+
+
+def _strand_order(v, w) -> int:
+    """Order two visits by segment index, then by parameter t/den, cross-multiplied."""
+    (i, t, d), (j, u, e) = v[0], w[0]
+    if i != j:
+        return -1 if i < j else 1
+    return (t * e > u * d) - (t * e < u * d)
+
+
+def _reference_shadow(d, comp):
+    """The vertices and theta of a component's shadow, with each crossing's
+    four ends sorted by angle and the strand's visits by parameter."""
+    crossings = [
+        c for c in d.crossings() if c.over_component == comp and c.under_component == comp
+    ]
+    # each visit's place along the strand is (segment index, t, den): parameter t/den
+    visits = []
+    for i, c in enumerate(crossings):
+        visits.append((c.over_at[1:], i, "over"))
+        visits.append((c.under_at[1:], i, "under"))
+    visits.sort(key=cmp_to_key(_strand_order))
+    vertices = {}
+    dart_ids = {}
+    for i, c in enumerate(crossings):
+        u, v = c.over_dir, c.under_dir
+        labelled = [
+            ((-u[0], -u[1]), (i, "over", "in")),
+            (u, (i, "over", "out")),
+            ((-v[0], -v[1]), (i, "under", "in")),
+            (v, (i, "under", "out")),
+        ]
+        labelled.sort(key=cmp_to_key(lambda a, b: _angle_cmp(a[0], b[0])))
+        ends = []
+        over_parity = None
+        for k, (_, tag) in enumerate(labelled):
+            dart = 4 * i + k
+            dart_ids[tag] = dart
+            ends.append(dart)
+            if tag[1] == "over":
+                over_parity = k % 2
+        vertices[i] = moves._Vertex(tuple(ends), over_parity)
+    theta = {}
+    for k, (_, ci, role) in enumerate(visits):
+        _, cj, role_next = visits[(k + 1) % len(visits)]
+        a = dart_ids[(ci, role, "out")]
+        b = dart_ids[(cj, role_next, "in")]
+        theta[a] = b
+        theta[b] = a
+    return vertices, theta
+
+
+def _redrawn(text, sx, sy, dx, dy, orient):
+    """text with each point (x,y) moved to (sx x + dx, sy y + dy) and every
+    component oriented `orient`: the same front, stretched, mirrored or moved."""
+    text = re.sub(
+        r"\(([^,()]+),([^,()]+)\)",
+        lambda m: f"({sx * Fraction(m[1]) + dx},{sy * Fraction(m[2]) + dy})",
+        text,
+    )
+    return re.sub(r"^orient (\S+) [+-]$", rf"orient \1 {orient}", text, flags=re.M)
+
+
+def _random_polygon(rng):
+    """A closed polygon of 4 to 8 points on a small grid, no edge vertical;
+    on a grid of 5 rows, many edges are horizontal."""
+    while True:
+        pts = [(rng.randint(0, 8), rng.randint(0, 4)) for _ in range(rng.randint(4, 8))]
+        if all(p[0] != q[0] for p, q in zip(pts, pts[1:] + pts[:1])):
+            spelled = " ".join(f"({x},{y})" for x, y in pts + pts[:1])
+            return f"arc P : {spelled}\norient P {rng.choice('+-')}\n"
+
+
+def test_shadow_of_component_matches_the_comparator_sorts(load):
+    """Each crossing's rotation, read off its sign, and the strand order, read
+    off integer keys, give the vertices and theta of the comparator sorts on
+    every fixture component, on stretched, mirrored and moved garlands,
+    bigons and trefoils in both orientations, on LHP(n), and on random
+    polygons, many with a horizontal strand at a crossing."""
+    rng = random.Random(20110411)
+    fronts = []
+    for name in ("lens.front", "trefoil.front", "trefoil_handle.front"):
+        fronts.append(front.parse_front(load(name)))
+    for name in ("hopf.kirby", "knotted.kirby", "mazur.kirby"):
+        d = kirby.parse_kirby(load(name))
+        fronts += [d.front, d.stein_front]
+    shapes = [garland_text(k, rng.choice(DEPTHS), rng.choice((5, 6)), "+") for k in range(1, 7)]
+    shapes += [CLASPED_BIGON, load("trefoil.front")]
+    for text in shapes:
+        for orient in "+-":
+            for _ in range(2):
+                sx, sy = rng.choice((1, 2, 3, -1)), rng.choice((1, Fraction(1, 3), -2))
+                dx, dy = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+                fronts.append(front.parse_front(_redrawn(text, sx, sy, dx, dy, orient)))
+    fronts += [kirby.linked_handle_pair(n).front for n in (2, 3, 8, 17)]
+    random_crossings = horizontal = 0
+    while random_crossings < 1500:
+        try:
+            d = front.parse_front(_random_polygon(rng))
+            d.crossings()
+        except front.FrontGeometryError:
+            continue  # touching or overlapping edges, or a triple point
+        fronts.append(d)
+        random_crossings += len(d.crossings())
+        horizontal += sum(0 in (c.over_dir[1], c.under_dir[1]) for c in d.crossings())
+    assert horizontal > 150, horizontal
+    compared = 0
+    for d in fronts:
+        for comp in d.components():
+            got = moves.shadow_of_component(d, comp)
+            assert (got.vertices, got.theta) == _reference_shadow(d, comp), front.front_to_text(d)
+            compared += got.crossing_count()
+    assert compared > 1600, compared
+
+
 def _all_eight_splices(s, x, y, over):
     """The enumeration `Shadow.push_finger` replaced, kept as its oracle: codes of
     the distinct valid splices over both rotations of each new crossing and
@@ -416,7 +560,7 @@ def _rotations(s):
 
 
 def _keeps_over_bits(s, sigma):
-    return all(s.is_over(d) == s.is_over(sigma[d]) for d in sigma)
+    return all(s._over[d] == s._over[sigma[d]] for d in sigma)
 
 
 def _respects_the_map(s, sigma):

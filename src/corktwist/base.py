@@ -1,6 +1,6 @@
 """What every reader of the package shares: the input-error type, input
-files read as UTF-8, immutable records, numbered lines, plain integers and
-JSON with unique keys.
+files read as UTF-8, immutable records, numbered lines, plain integers,
+JSON read with unique keys, and the one writer of indented JSON.
 
 This module imports nothing of the package, so that a module needing a
 record or a reader does not load the front parser with it.
@@ -116,3 +116,66 @@ def load_json(text: str, error: Callable[[str], Exception], where: str = "",
         raise error(f"{where}not valid JSON: {exc}") from None
     except RecursionError:
         raise error(f"{where}JSON document is nested too deeply") from None
+
+
+_quote = json.encoder.encode_basestring
+
+
+def dump_json(doc: object) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False), built faster.
+
+    The standard library writes indented JSON with its pure-Python
+    generator encoder.  This writer appends the same pieces to one list
+    and joins it once: strings and keys through the C escaper, ints through
+    int.__repr__, and any other leaf (a float) through json.dumps, so the
+    two agree on every JSON value whose keys are strings.  A key that is
+    not a string raises TypeError, where json.dumps would convert it.
+    """
+    pieces: list[str] = []
+    _write(doc, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _write(v: object, indent: str, put: Callable[[str], None]) -> None:
+    """Put the pieces of v at the given newline-and-indent.
+
+    A module function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep every call's pieces alive until the
+    cyclic collector runs.
+    """
+    if isinstance(v, str):
+        put(_quote(v))
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(v):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _quote(key) + ": ")
+            _write(v[key], inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in v:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        put(json.dumps(v))

@@ -9,15 +9,16 @@ the same invocation on the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
-import json
+import io
 import os
 import sys
 from pathlib import Path
 
 # each handler imports the modules it uses, so that a call loads only its
 # own subcommand's code
-from .base import InputError, load_json, parse_int, read_text
+from .base import InputError, dump_json, load_json, parse_int, read_text
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
 
@@ -32,7 +33,7 @@ def _load(parse, path: str):
 
 
 def _emit_doc(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
+    print(dump_json(doc))
 
 
 def _search_settings(args: argparse.Namespace) -> tuple[int, int]:
@@ -172,14 +173,14 @@ def cmd_mcg(args: argparse.Namespace) -> int:
 
 def _human_certificate(cert: dict) -> None:
     from .hfcert import condition_text
+    lines = []
     for i, step in enumerate(cert["steps"], start=1):
-        print(f"step {i}: {step['rule']}")
-        print(f"    {step['quote']}")
-        for cond in step["side_conditions"]:
-            print(f"    check {condition_text(cond)}")
-        for out in step["outputs"]:
-            print(f"    => {out}")
-    print(f"verdict: {cert['verdict']}")
+        lines.append(f"step {i}: {step['rule']}")
+        lines.append(f"    {step['quote']}")
+        lines.extend(f"    check {condition_text(cond)}" for cond in step["side_conditions"])
+        lines.extend(f"    => {out}" for out in step["outputs"])
+    lines.append(f"verdict: {cert['verdict']}")
+    print("\n".join(lines))
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -240,12 +241,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     if out is not None:
         try:
-            Path(out).write_text(
-                json.dumps(cert_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
+            Path(out).write_text(dump_json(cert_doc) + "\n", encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror}")
+            raise InputError(f"cannot write {out}: {exc.strerror}") from None
+        except ValueError as exc:  # a NUL in the path
+            raise InputError(f"cannot write {out}: {exc}") from None
     non_extension = hfcert.non_extension_fact(cert_doc["digest"])
     first, second = non_extension["relative_values"]
     bundle = {
@@ -333,6 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is written as UTF-8 whatever the locale, as input files are read
+    # and --out files written, with the stream's own error handler; a stream
+    # that is not a text file, such as a StringIO, is left as it is
+    stdout = sys.stdout
+    if isinstance(stdout, io.TextIOWrapper) and codecs.lookup(stdout.encoding).name != "utf-8":
+        stdout.reconfigure(encoding="utf-8", errors=stdout.errors)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -167,6 +167,13 @@ CHECKS: dict[str, Callable[..., bool]] = {
     "adjunction_violated": adjunction_violated,
 }
 
+# each check's parameters in order, read once: a side condition's evidence
+# keys must be exactly these
+_PARAMETERS: dict[str, tuple[str, ...]] = {
+    name: check.__code__.co_varnames[:check.__code__.co_argcount]
+    for name, check in CHECKS.items()
+}
+
 # every evidence value is a JSON integer, never a bool or a float, except a
 # monodromy: a list of integer classes
 _INTEGER = ("an integer", lambda v: type(v) is int)
@@ -189,8 +196,8 @@ def eval_condition(cond: object) -> bool:
     check = CHECKS.get(name) if isinstance(name, str) else None
     if check is None:
         raise HFError(f"unknown check {name!r}")
-    keys = check.__code__.co_varnames[:check.__code__.co_argcount]
-    if not isinstance(evidence, dict) or set(evidence) != set(keys):
+    keys = _PARAMETERS[name]
+    if not isinstance(evidence, dict) or evidence.keys() != set(keys):
         raise HFError(f"check {name} wants evidence {', '.join(keys)}")
     for key in keys:
         kind, fits = _SHAPES.get(key, _INTEGER)
@@ -201,10 +208,17 @@ def eval_condition(cond: object) -> bool:
 
 # -- certificates -------------------------------------------------------------
 
+# json.dumps(v, separators=(",", ":")) without and with sort_keys, each
+# encoder built once; on deep nesting encode raises RecursionError as json.dumps does
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def condition_text(cond: dict) -> str:
     """A side condition as one line: check(key=value, ...), values in compact JSON."""
     args = ", ".join(
-        f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in cond["evidence"].items()
+        f"{k}={v}" if type(v) is int else f"{k}={_COMPACT.encode(v)}"
+        for k, v in cond["evidence"].items()
     )
     return f"{cond['check']}({args})"
 
@@ -214,8 +228,7 @@ def certificate_digest(body: dict) -> str:
     import hashlib  # here, so that only the commands that hash a certificate import it
 
     trimmed = {k: v for k, v in body.items() if k != "digest"}
-    blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(trimmed).encode("utf-8")).hexdigest()
 
 
 # -- axioms (stated in this package's own words) ------------------------------

@@ -694,12 +694,17 @@ def test_spec_front_path_with_a_nul_exits_2(fixtures, tmp_path):
     assert run(argv) == (2, "", f"error: {spec}: line 3: cannot read {nul}: embedded null byte\n")
 
 
-@pytest.mark.parametrize("target, code", [("nowhere/cert.json", errno.ENOENT), ("", errno.EISDIR)],
-                         ids=["missing-directory", "directory"])
-def test_certify_out_that_cannot_be_written_exits_2(certify_argv, tmp_path, target, code):
+@pytest.mark.parametrize("target, reason", [
+    ("nowhere/cert.json", os.strerror(errno.ENOENT)),
+    ("", os.strerror(errno.EISDIR)),
+    # a path no file can have: open() raises ValueError, not OSError; only a
+    # caller in process can pass one, since an argv string cannot hold a NUL
+    ("a\0b.json", "embedded null byte"),
+], ids=["missing-directory", "directory", "nul-byte"])
+def test_certify_out_that_cannot_be_written_exits_2(certify_argv, tmp_path, target, reason):
     out_path = tmp_path / target if target else tmp_path
     assert run([*certify_argv, "--out", str(out_path)]) == (
-        2, "", f"error: cannot write {out_path}: {os.strerror(code)}\n")
+        2, "", f"error: cannot write {out_path}: {reason}\n")
 
 
 def test_certify_inadmissible_cork_aborts_at_step_one_first(fixtures, tmp_path):
@@ -1088,6 +1093,22 @@ def test_validate_deeply_nested_json_exits_2(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["human", "doc"])
+def test_output_is_utf8_whatever_the_stdout_encoding(certify_argv, fmt):
+    # Θ, ξ and ± cannot be written to an ASCII stdout: the command line
+    # writes UTF-8 there, as it writes --out files
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [*certify_argv, "--format", fmt]
+    proc = subprocess.run(
+        [sys.executable, "-m", "corktwist.cli", *argv],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("utf-8") == run(argv)[1]
+    assert "Θ" in proc.stdout.decode("utf-8")
 
 
 def test_module_entry_point_runs_without_runpy_warning():

@@ -13,9 +13,12 @@ import json
 import pytest
 
 from corktwist import cli, kirby
+from corktwist.base import dump_json
 
 CERTIFY = ["certify", "mazur.kirby", "mazur_inflated.palf", "trefoil_inflation.spec"]
 CERT_DIGEST = "6e051359bfe7b9ca7353c1c255bc91eff855ac9da50f697cfdcda880d1b8144c"
+# the first 16 hex digits of the sha256 of the file `certify --out` writes
+CERT_FILE = "ffa146b68e7932ec"
 
 GOLDEN = [
     (["tb", "trefoil.front"], 0, "10d8086fb68e52bb"),
@@ -56,6 +59,25 @@ def test_doc_output_is_pinned(argv, code, digest, fixtures):
     got_code, out = run_doc(argv, fixtures)
     assert got_code == code
     assert digest_of(out) == digest
+
+
+def _keys_are_strings(node):
+    if isinstance(node, dict):
+        return all(isinstance(k, str) and _keys_are_strings(v) for k, v in node.items())
+    if isinstance(node, (list, tuple)):
+        return all(_keys_are_strings(v) for v in node)
+    return True
+
+
+def test_emitted_documents_have_string_keys_only(fixtures, monkeypatch):
+    # dump_json refuses a key that is not a string, where json.dumps would
+    # convert it: no document a GOLDEN case emits has one
+    emitted = []
+    monkeypatch.setattr(cli, "dump_json", lambda doc: emitted.append(doc) or dump_json(doc))
+    for argv, code, _ in GOLDEN:
+        assert run_doc(argv, fixtures)[0] == code
+    assert len(emitted) == len(GOLDEN)
+    assert all(_keys_are_strings(doc) for doc in emitted)
 
 
 def test_high_genus_output_is_pinned(tmp_path):
@@ -136,3 +158,10 @@ def test_certificate_digest_is_pinned(fixtures):
     code, out = run_doc(CERTIFY, fixtures)
     assert code == 0
     assert json.loads(out)["certificate"]["digest"] == CERT_DIGEST
+
+
+def test_certificate_file_is_pinned(fixtures, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _ = run_cli(CERTIFY + ["--out", str(path)], fixtures, "human")
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CERT_FILE

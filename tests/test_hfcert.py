@@ -419,6 +419,24 @@ def test_abort_on_wrong_framing(pipeline, load):
     assert condition_text(info.value.condition) == "contact_framing(framing=0, tb=2)"
 
 
+def _old_condition_text(c):
+    """condition_text as it spelled every value: json.dumps with compact separators."""
+    args = ", ".join(f"{k}={json.dumps(v, separators=(',', ':'))}"
+                     for k, v in c["evidence"].items())
+    return f"{c['check']}({args})"
+
+
+def test_condition_text_spells_values_in_compact_json(pipeline):
+    conds = [c for step in certify_distinct(*pipeline)["steps"] for c in step["side_conditions"]]
+    assert any("monodromy" in c["evidence"] for c in conds)
+    # evidence a failed check can carry into an abort: a negative int, nested
+    # int lists, a bool and a null
+    conds += [cond("unit_linking", lk=-3), cond("x", a=[[1, -2], [], [3]], b=True, c=None)]
+    for c in conds:
+        assert condition_text(c) == _old_condition_text(c)
+    assert condition_text(conds[-1]) == "x(a=[[1,-2],[],[3]], b=true, c=null)"
+
+
 def test_abort_on_unknot_inflation(pipeline, load):
     cork, adm, _, plan, _ = pipeline
     unknot = front.parse_front(load("lens.front"))

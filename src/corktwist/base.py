@@ -9,6 +9,7 @@ record or a reader does not load the front parser with it.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -106,16 +107,32 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def load_json(text: str, error: Callable[[str], Exception], where: str = "",
               **options) -> object:
     """json.loads with unique_keys; JSON that is malformed, holds an integer too
-    long to convert or is nested too deeply raises error, prefixed with where."""
+    long to convert, is nested too deeply or spells a lone surrogate, which no
+    UTF-8 output can write, raises error, prefixed with where."""
     try:
-        return json.loads(text, object_pairs_hook=unique_keys, **options)
+        doc = json.loads(text, object_pairs_hook=unique_keys, **options)
     except ValueError as exc:
         raise error(f"{where}not valid JSON: {exc}") from None
     except RecursionError:
         raise error(f"{where}JSON document is nested too deeply") from None
+    # text read as UTF-8 holds no surrogate, so only a \u escape spells one;
+    # the walk keeps its own stack, as a document json.loads took may be deep
+    stack = [doc] if "\\u" in text else []
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            stack += [*v, *v.values()]
+        elif isinstance(v, list):
+            stack += v
+        elif isinstance(v, str) and _SURROGATE.search(v):
+            raise error(f"{where}not valid JSON: a string spells a lone surrogate")
+    return doc
 
 
 _quote = json.encoder.encode_basestring

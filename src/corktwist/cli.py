@@ -36,6 +36,14 @@ def _emit_doc(doc: dict) -> None:
     print(dump_json(doc))
 
 
+def _shown_path(path: str) -> str:
+    """path as stdout writes it: a byte that is not UTF-8, a lone surrogate in
+    argv, as itself where stdout writes surrogate escapes, else as \\xNN."""
+    if getattr(sys.stdout, "errors", None) == "surrogateescape":
+        return path
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _search_settings(args: argparse.Namespace) -> tuple[int, int]:
     """--budget and --seed, with their defaults filled in where they were not given."""
     from .moves import DEFAULT_BUDGET, DEFAULT_SEED
@@ -226,10 +234,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
             print(f"certification inconclusive: cork admissibility undecided "
                   f"at budget {budget}, seed {seed}", file=sys.stderr)
             return INCONCLUSIVE
-        untwisted = kirby.inflate(pair.untwisted_front, pair.framing, pair.untwisted_component)
-        twisted = kirby.inflate(pair.twisted_front, pair.framing, pair.twisted_component)
         plan = fillings.build_concave(fillings.palf_to_openbook(palf))
-        cert_doc = hfcert.certify_distinct(cork, adm, untwisted, plan, twisted=twisted)
+        cert_doc = hfcert.certify_distinct(cork, adm, pair, plan)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         if exc.condition is not None:
@@ -264,7 +270,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(non_extension["statement"])
         print(bundle["fake_pair"]["statement"])
         if out is not None:
-            print(f"certificate written to {out}")
+            print(f"certificate written to {_shown_path(out)}")
     return 0
 
 
@@ -333,12 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # stdout is written as UTF-8 whatever the locale, as input files are read
-    # and --out files written, with the stream's own error handler; a stream
-    # that is not a text file, such as a StringIO, is left as it is
-    stdout = sys.stdout
-    if isinstance(stdout, io.TextIOWrapper) and codecs.lookup(stdout.encoding).name != "utf-8":
-        stdout.reconfigure(encoding="utf-8", errors=stdout.errors)
+    # stdout and stderr are written as UTF-8 whatever the locale, as input
+    # files are read and --out files written, each with the stream's own
+    # error handler; a stream that is not a text file, such as a StringIO,
+    # is left as it is
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper) and codecs.lookup(stream.encoding).name != "utf-8":
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -33,7 +33,7 @@ from . import intmat, mcg
 
 if TYPE_CHECKING:
     from .fillings import FillingPlan
-    from .kirby import AbelianGroup, CobordismRecord, KirbyDiagram
+    from .kirby import AbelianGroup, InflationSpec, KirbyDiagram
 
 
 class HFError(ValueError):
@@ -367,23 +367,30 @@ def _step(rule: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
 def certify_distinct(
     cork: KirbyDiagram,
     adm: dict,
-    inflation: CobordismRecord,
+    spec: InflationSpec,
     plan: FillingPlan,
-    twisted: CobordismRecord,
 ) -> dict:
     """Replay the two-sided computation that separates the contact classes.
 
-    The untwisted side must be Stein-exact and flows through the concave
-    filling to a nonzero image of the contact element; the twisted side,
-    the same knot and framing attached after the twist, is obstructed by
-    registered knot facts and adjunction, forcing a zero image.  adm is
-    the cork's admissibility document, computed by the caller with the
-    search budget it records.  Returns the certificate document: its steps,
-    verdict, assumptions and digest.
+    spec exhibits the knot, the untwisted exhibit's declared knot type, on
+    both sides.  The untwisted exhibit must be Stein-exact (step 2), and
+    flows through the concave filling to a nonzero image of the contact
+    element; the twisted one, the same knot and framing attached after the
+    twist, is obstructed by registered knot facts and adjunction (step 7),
+    forcing a zero image.  adm is the cork's admissibility document,
+    computed by the caller with the search budget it records.  Returns the
+    certificate document: its steps, verdict, assumptions and digest.
     """
     from . import kirby
     from .fillings import STANDARD_ASSUMPTIONS
 
+    framing = spec.framing
+    untwisted, u_comp = spec.untwisted_front, spec.untwisted_component
+    twisted, t_comp = spec.twisted_front, spec.twisted_component
+    knot, twisted_knot = untwisted.knottype(u_comp), twisted.knottype(t_comp)
+    for declared in (knot, twisted_knot):
+        _require(declared is None or declared in kirby.KNOT_FACTS,
+                 f"unregistered knot type {declared!r}")
     steps: list[dict] = []
 
     # (1) the cork itself
@@ -402,13 +409,12 @@ def certify_distinct(
     ))
 
     # (2) untwisted Stein attachment
-    framing = inflation.framing
-    tb = inflation.exhibited_tb
+    tb = untwisted.tb(u_comp)
     steps.append(_step(
         rule="stein_untwisted_attachment",
         inputs=(
             IS_CORK,
-            f"given: 2-handle along a {inflation.knot or 'declared'} curve, "
+            f"given: 2-handle along a {knot or 'declared'} curve, "
             f"framing {framing}, exhibited tb {tb}",
         ),
         side_conditions=(_checked(
@@ -484,7 +490,7 @@ def certify_distinct(
     ))
 
     # (7) twisted side: the attachment is obstructed and adjunction bites
-    facts = kirby.KNOT_FACTS.get(inflation.knot)
+    facts = kirby.KNOT_FACTS.get(knot)
     _require(
         facts is not None,
         "no registered facts for the attaching knot; "
@@ -497,28 +503,28 @@ def certify_distinct(
         "adjunction bound not violated at pairing 0; monotonicity gives no exclusion",
         genus=genus_k, self_intersection=framing, pairing=0,
     )
-    _require(
-        twisted.framing == framing and twisted.knot == inflation.knot,
-        "twisted-side record disagrees with the untwisted attachment",
-    )
-    twisted_status = twisted.stein
+    _require(twisted_knot == knot, "twisted-side record disagrees with the untwisted attachment")
+    # max tb bounds a plain front only, so the exhibit must pass no 1-handle,
+    # and it must not itself reach the framing
+    twisted_tb, passes = twisted.tb(t_comp), twisted.handle_passes(t_comp)
     not_obstructed = (
         "twisted-side attachment is not obstructed "
-        f"(status {twisted_status['status']!r}); no separation"
+        f"(exhibited tb {twisted_tb}, {passes} handle passes); no separation"
     )
     obstruction = _checked("tb_obstructed", not_obstructed, framing=framing, max_tb=max_tb)
-    _require(twisted_status["status"] == "obstructed", not_obstructed)
+    _require(passes == 0 and framing > twisted_tb - 1, not_obstructed)
+    reason = f"framing {framing} ≠ tb − 1 for exhibited tb ≤ {max_tb}"
     steps.append(_step(
         rule="twisted_adjunction_obstruction",
         inputs=(
             IS_CORK,
-            f"given: registered facts for {inflation.knot}: "
+            f"given: registered facts for {knot}: "
             f"max tb {max_tb}, Seifert genus {genus_k}",
-            f"given: twisted-side verdict: {twisted_status['reason']}",
+            f"given: twisted-side verdict: {reason}",
         ),
         side_conditions=(obstruction, adjunction),
         outputs=(
-            f"the twisted attachment is never Stein: {twisted_status['reason']}",
+            f"the twisted attachment is never Stein: {reason}",
             f"a closed torus of genus {genus_k} and self-intersection {framing} "
             "sits in the twisted closed fibration X''",
             "every decoration of X'' violates the adjunction bound on that torus",

@@ -521,99 +521,6 @@ def cork_twist(d: KirbyDiagram) -> KirbyDiagram:
     )
 
 
-# -- Stein realizability ------------------------------------------------------
-
-
-def stein_side_status(
-    framing: int,
-    exhibited_tb: int | None,
-    handle_passes: int | None,
-    knot: str | None,
-) -> dict:
-    """Classify a 2-handle attachment against the Stein framing rule.
-
-    Returns {"status", "reason"}: status is "exact", "realizable",
-    "obstructed" or "unknown", and reason says which numbers decided it.
-    An attachment along a Legendrian representative with framing at most
-    tb - 1 is Stein; stabilization only lowers tb, so an exhibit with
-    framing <= tb - 1 settles the question and equality is the exact
-    contact-framing case.  A definitive obstruction needs the maximal
-    Thurston-Bennequin number of the knot type, which is only applicable
-    to fronts with no 1-handle passes.
-    """
-    out: dict = {"status": "unknown", "reason": None}
-    if exhibited_tb is not None and framing <= exhibited_tb - 1:
-        if framing == exhibited_tb - 1:
-            out["status"] = "exact"
-            out["reason"] = f"framing {framing} equals exhibited tb {exhibited_tb} minus 1"
-        else:
-            out["status"] = "realizable"
-            out["reason"] = (
-                f"framing {framing} is below exhibited tb {exhibited_tb} minus 1; "
-                "stabilize the exhibit down to meet it exactly"
-            )
-        return out
-    if knot is not None and knot in KNOT_FACTS and handle_passes == 0:
-        max_tb = KNOT_FACTS[knot]["max_tb"]
-        if framing > max_tb - 1:
-            out["status"] = "obstructed"
-            out["reason"] = f"framing {framing} ≠ tb − 1 for exhibited tb ≤ {max_tb}"
-        else:
-            out["status"] = "realizable"
-            out["reason"] = (
-                f"framing {framing} is at most maximal tb {max_tb} minus 1, which a "
-                "maximal representative realizes"
-            )
-        return out
-    if exhibited_tb is not None:
-        out["reason"] = (
-            f"exhibit shows tb {exhibited_tb}, too low for framing {framing}, and no "
-            "maximal-tb fact applies"
-        )
-    else:
-        out["reason"] = "no exhibit and no applicable knot fact"
-    return out
-
-
-# -- inflation ----------------------------------------------------------------
-
-
-class CobordismRecord(NamedTuple):
-    """One 2-handle attached to the boundary of a diagram's 4-manifold.
-
-    The attaching knot comes as its own front, possibly drawn over a
-    1-handle ball pair.  The record keeps the knot type (registered in
-    KNOT_FACTS, or None), the framing, the exhibited tb of the chosen
-    component and the stein_side_status verdict of the attachment.
-    """
-
-    knot: str | None
-    framing: int
-    exhibited_tb: int
-    stein: dict
-
-
-def inflate(
-    attaching: FrontDiagram, framing: int, component: str | None = None
-) -> CobordismRecord:
-    """Attach a 2-handle to the boundary along the given front's knot."""
-    comps = attaching.components()
-    if component is None:
-        if len(comps) != 1:
-            raise KirbyError(
-                f"attaching front has {len(comps)} components; name one explicitly"
-            )
-        component = comps[0]
-    elif component not in comps:
-        raise KirbyError(f"attaching front has no component {component!r}")
-    knot = attaching.knottype(component)
-    if knot is not None and knot not in KNOT_FACTS:
-        raise KirbyError(f"unregistered knot type {knot!r}")
-    tb = attaching.tb(component)
-    stein = stein_side_status(framing, tb, attaching.handle_passes(component), knot)
-    return CobordismRecord(knot=knot, framing=framing, exhibited_tb=tb, stein=stein)
-
-
 # -- inflation spec files -----------------------------------------------------
 
 

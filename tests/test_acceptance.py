@@ -142,18 +142,31 @@ def test_criterion_04_linked_pair_homology_against_snf_oracle():
                 assert got["torsion"] == [n, n]
 
 
-def test_criterion_05_stein_framing_rule_on_the_two_sides(load):
+def test_criterion_05_stein_framing_rule_on_the_two_sides(load, fixtures):
     with criterion(5, "framing 1 is Stein untwisted and obstructed twisted"):
-        over_handle = front.parse_front(load("trefoil_handle.front"))
-        planar = front.parse_front(load("trefoil.front"))
-        assert over_handle.tb("K") == 2
+        spec = kirby.parse_inflation_spec(load("trefoil_inflation.spec"), fixtures)
+        assert spec.framing == 1
+        assert spec.untwisted_front.tb("K") == 2
+        cork = kirby.parse_kirby(load("mazur.kirby"))
+        palf = fillings.parse_palf(load("mazur_inflated.palf"))
+        plan = build_concave(fillings.palf_to_openbook(palf))
+        cert = hfcert.certify_distinct(cork, kirby.check_admissible(cork), spec, plan)
 
-        untwisted = kirby.inflate(over_handle, 1)
-        assert untwisted.stein["status"] == "exact"
+        untwisted = cert["steps"][1]
+        assert untwisted["rule"] == "stein_untwisted_attachment"
+        # exact: framing 1 = tb 2 - 1
+        assert untwisted["side_conditions"] == [
+            {"check": "contact_framing", "evidence": {"framing": 1, "tb": 2}}
+        ]
 
-        twisted = kirby.inflate(planar, 1)
-        assert twisted.stein["status"] == "obstructed"
-        assert twisted.stein["reason"] == (
+        twisted = cert["steps"][6]
+        assert twisted["rule"] == "twisted_adjunction_obstruction"
+        # obstructed: framing 1 > max tb 1 - 1
+        assert twisted["side_conditions"][0] == {
+            "check": "tb_obstructed", "evidence": {"framing": 1, "max_tb": 1}
+        }
+        assert twisted["outputs"][0] == (
+            "the twisted attachment is never Stein: "
             "framing 1 ≠ tb − 1 for exhibited tb ≤ 1"
         )
 

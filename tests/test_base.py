@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corktwist.base import dump_json
+from corktwist.base import InputError, dump_json, load_json
 
 
 def reference(doc):
@@ -93,3 +93,16 @@ def test_dump_json_refuses_a_key_that_is_not_a_string(doc):
     # json.dumps would convert the key; no document the command line emits has one
     with pytest.raises(TypeError):
         dump_json(doc)
+
+
+def test_load_json_refuses_a_lone_surrogate_and_reads_a_pair():
+    # json.loads reads an unpaired \udcff escape into a string no UTF-8 stream can write
+    for text in ('"\\udcff"', '["a", {"k": ["\\ud800x"]}]', '{"\\udfff": 1}'):
+        with pytest.raises(InputError, match="^not valid JSON: a string spells a lone surrogate$"):
+            load_json(text, InputError)
+    assert load_json('{"v": "\\ud83d\\ude00"}', InputError) == {"v": "\U0001F600"}
+    # an escaped backslash spells the text \udcff, not a surrogate
+    assert load_json('"\\\\udcff"', InputError) == "\\udcff"
+    # a walk with its own stack: nesting json.loads takes is never too deep for it
+    deep = "[" * 900 + '"\\u00e9"' + "]" * 900
+    assert load_json(deep, InputError) is not None

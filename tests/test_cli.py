@@ -1095,17 +1095,24 @@ def test_validate_deeply_nested_json_exits_2(tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _cli_process(argv, encoding=None):
+    """`corktwist argv` in a fresh interpreter, with PYTHONIOENCODING=encoding, or
+    under the POSIX locale when encoding is None; argv may hold bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8") and not k.startswith("LC_")}
+    env.update(PYTHONPATH=str(src), **({"LC_ALL": "C"} if encoding is None else
+                                       {"PYTHONIOENCODING": encoding}))
+    return subprocess.run([sys.executable, "-m", "corktwist.cli", *argv],
+                          capture_output=True, timeout=60, env=env)
+
+
 @pytest.mark.parametrize("fmt", ["human", "doc"])
 def test_output_is_utf8_whatever_the_stdout_encoding(certify_argv, fmt):
     # Θ, ξ and ± cannot be written to an ASCII stdout: the command line
     # writes UTF-8 there, as it writes --out files
-    src = Path(__file__).resolve().parent.parent / "src"
     argv = [*certify_argv, "--format", fmt]
-    proc = subprocess.run(
-        [sys.executable, "-m", "corktwist.cli", *argv],
-        capture_output=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"},
-    )
+    proc = _cli_process(argv, "ascii")
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.decode("utf-8") == run(argv)[1]
     assert "Θ" in proc.stdout.decode("utf-8")
@@ -1473,3 +1480,85 @@ def test_exponent_in_a_rational_exits_2_without_building_it(fixtures, tmp_path, 
     assert out == ""
     assert err.startswith("error:") and "bad rational '1e1000000': no exponent" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("site", ["tb", "homology", "validate"])
+def test_lone_surrogate_in_json_input_exits_2(fixtures, tmp_path, site):
+    # json.loads reads an unpaired \udcff escape into a string that no UTF-8
+    # stream can write; every JSON input refuses it as it is read
+    if site == "tb":
+        doc = json.loads(_lens_json())
+        for arc in doc["arcs"]:
+            arc["component"] = "\udcff"
+        doc["orient"] = {"\udcff": "+"}
+        argv = ["tb"]
+    elif site == "homology":
+        doc = json.loads(MAZUR_JSON.replace('"K2"', '"\\udcff"'))
+        argv = ["homology", "--format", "doc"]
+    else:
+        doc = {"verdict": "\udcff", "steps": []}
+        argv = ["certify", "--format", "doc", "--validate"]
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(doc))  # ASCII: the surrogate is a \u escape
+    assert "\\udcff" in path.read_text()
+    proc = _cli_process([*argv, str(path)], "utf-8")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode("utf-8") == (
+        f"error: {path}: not valid JSON: a string spells a lone surrogate\n")
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "latin-1", None])
+def test_certify_out_path_that_is_not_utf8_is_reported(certify_argv, tmp_path, encoding):
+    out = os.fsencode(tmp_path) + b"/\xff.json"
+    proc = _cli_process([*certify_argv, "--out", out], encoding)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert os.path.exists(out)
+    # the POSIX locale writes surrogate escapes back as the path's own bytes
+    shown = out if encoding is None else os.fsencode(tmp_path) + b"/\\xff.json"
+    assert proc.stdout.splitlines()[-1] == b"certificate written to " + shown
+
+
+def test_stderr_is_utf8_whatever_its_encoding(fixtures, tmp_path):
+    spec = tmp_path / "framing0.spec"
+    spec.write_text(
+        "knot right_trefoil\nframing 0\n"
+        f"untwisted {fixtures / 'trefoil_handle.front'} K\n"
+        f"twisted {fixtures / 'trefoil.front'} K\n"
+    )
+    argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
+            str(spec)]
+    proc = _cli_process(argv, "ascii")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode("utf-8") == (
+        "certification aborted: untwisted Stein check wants framing = tb − 1 = 1\n"
+        "failing check: contact_framing(framing=0, tb=2)\n"
+    )
+    assert proc.stderr.decode("utf-8") == run(argv)[2]
+
+
+_CINQUEFOIL = ("arc K : (0,0) (4,2) (8,0)\narc K : (8,0) (4,-2) (0,0)\norient K +\n"
+               "knottype K cinquefoil\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    # both exhibits declare a knot with no registered facts
+    ("knot cinquefoil\nframing 1\nuntwisted c.front K\ntwisted c.front K\n",
+     "unregistered knot type 'cinquefoil'"),
+    # neither exhibit declares its knot
+    ("knot right_trefoil\nframing 1\nuntwisted bare_handle.front K\ntwisted bare.front K\n",
+     "no registered facts for the attaching knot; twisted-side obstruction unavailable"),
+    # the twisted exhibit over the handle reaches the framing
+    ("knot right_trefoil\nframing 1\nuntwisted {handle} K\ntwisted {handle} K\n",
+     "twisted-side attachment is not obstructed (exhibited tb 2, 2 handle passes); "
+     "no separation"),
+], ids=["unregistered", "undeclared", "over-handle"])
+def test_certify_stein_side_aborts(fixtures, tmp_path, spec, message):
+    (tmp_path / "c.front").write_text(_CINQUEFOIL)
+    for name in ("trefoil_handle.front", "trefoil.front"):
+        text = (fixtures / name).read_text().replace("knottype K right_trefoil\n", "")
+        (tmp_path / name.replace("trefoil", "bare")).write_text(text)
+    path = tmp_path / "inflation.spec"
+    path.write_text(spec.format(handle=fixtures / "trefoil_handle.front"))
+    code, out, err = run(["certify", str(fixtures / "mazur.kirby"),
+                          str(fixtures / "mazur_inflated.palf"), str(path)])
+    assert (code, out, err) == (1, "", f"certification aborted: {message}\n")

@@ -30,16 +30,15 @@ from corktwist.hfcert import (
 
 
 @pytest.fixture
-def pipeline(load):
-    """The mazur certificate's inputs: the trefoil at framing 1 over the handle and after the twist."""
+def pipeline(load, fixtures):
+    """The mazur certificate's inputs: the shipped spec attaches the trefoil at
+    framing 1 over the handle and after the twist."""
     cork = kirby.parse_kirby(load("mazur.kirby"))
     adm = kirby.check_admissible(cork)
-    over_handle = front.parse_front(load("trefoil_handle.front"))
-    inflation = kirby.inflate(over_handle, 1)
+    spec = kirby.parse_inflation_spec(load("trefoil_inflation.spec"), fixtures)
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
     plan = fillings.build_concave(fillings.palf_to_openbook(palf))
-    twisted = kirby.inflate(front.parse_front(load("trefoil.front")), 1)
-    return cork, adm, inflation, plan, twisted
+    return cork, adm, spec, plan
 
 
 def test_hf_s3_table():
@@ -408,12 +407,10 @@ def test_rewritten_axiom_fails(pipeline):
     assert any("axiom" in p for p in validate_certificate(doc))
 
 
-def test_abort_on_wrong_framing(pipeline, load):
-    cork, adm, _, plan, twisted = pipeline
-    over_handle = front.parse_front(load("trefoil_handle.front"))
-    low = kirby.inflate(over_handle, 0)
+def test_abort_on_wrong_framing(pipeline):
+    cork, adm, spec, plan = pipeline
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, low, plan, twisted)
+        certify_distinct(cork, adm, spec._replace(framing=0), plan)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
     assert info.value.condition == cond("contact_framing", framing=0, tb=2)
     assert condition_text(info.value.condition) == "contact_framing(framing=0, tb=2)"
@@ -438,31 +435,86 @@ def test_condition_text_spells_values_in_compact_json(pipeline):
 
 
 def test_abort_on_unknot_inflation(pipeline, load):
-    cork, adm, _, plan, _ = pipeline
+    cork, adm, _, plan = pipeline
     unknot = front.parse_front(load("lens.front"))
-    record = kirby.inflate(unknot, -2)  # exact: tb -1, framing tb - 1
+    spec = kirby.InflationSpec("unknot", -2, unknot, "U", unknot, "U")  # exact: tb -1, framing tb - 1
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, record, plan, record)
+        certify_distinct(cork, adm, spec, plan)
     assert "adjunction rule not applicable" in str(info.value)
     assert info.value.condition["check"] == "adjunction_violated"
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
-    _, _, inflation, plan, twisted = pipeline
+    _, _, spec, plan = pipeline
     hopf = kirby.parse_kirby(load("hopf.kirby"))
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(hopf, kirby.check_admissible(hopf), inflation, plan, twisted)
+        certify_distinct(hopf, kirby.check_admissible(hopf), spec, plan)
     assert "admissibility" in str(info.value)
 
 
-def test_abort_on_unobstructed_twisted_side(pipeline, load):
-    cork, adm, inflation, plan, _ = pipeline
-    over_handle = kirby.inflate(front.parse_front(load("trefoil_handle.front")), 1)
+def test_abort_on_unobstructed_twisted_side(pipeline):
+    cork, adm, spec, plan = pipeline
+    # the exhibit over the handle reaches framing 1 = tb - 1 on the twisted side too
+    over_handle = spec._replace(twisted_front=spec.untwisted_front)
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, inflation, plan, over_handle)
+        certify_distinct(cork, adm, over_handle, plan)
     assert str(info.value) == (
-        "twisted-side attachment is not obstructed (status 'exact'); no separation"
+        "twisted-side attachment is not obstructed "
+        "(exhibited tb 2, 2 handle passes); no separation"
     )
+    assert info.value.condition is None
+
+
+def test_stein_framing_rule_branches(pipeline, load):
+    """Each way the Stein framing rule decides an attachment, read from the spec's exhibits."""
+    cork, adm, spec, plan = pipeline
+    # exact: framing 1 = tb - 1 on the untwisted exhibit
+    steps = certify_distinct(cork, adm, spec, plan)["steps"]
+    assert steps[1]["side_conditions"] == [cond("contact_framing", framing=1, tb=2)]
+    # realizable below the exhibit, but not exact: step 2 aborts
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(cork, adm, spec._replace(framing=0), plan)
+    assert info.value.condition == cond("contact_framing", framing=0, tb=2)
+    # obstructed: a plain trefoil with tb 1 < framing + 1
+    assert steps[6]["side_conditions"][0] == cond("tb_obstructed", framing=1, max_tb=1)
+    assert "given: twisted-side verdict: framing 1 ≠ tb − 1 for exhibited tb ≤ 1" in (
+        steps[6]["inputs"])
+    # unknown: a twisted exhibit over a handle that falls short of the framing;
+    # max tb bounds only a plain front, so nothing obstructs it
+    low = front.stabilize(spec.untwisted_front, "K", 1)
+    assert (low.tb("K"), low.handle_passes("K")) == (1, 2)
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(cork, adm, spec._replace(twisted_front=low), plan)
+    assert str(info.value) == (
+        "twisted-side attachment is not obstructed "
+        "(exhibited tb 1, 2 handle passes); no separation"
+    )
+    # realizable after the twist: a plain front labelled a trefoil, the (2,5)
+    # torus knot with tb 3, reaches the framing, whatever max tb the label cites
+    torus = front.parse_front(
+        "arc K : (0,1) (3,-1) (5,1) (7,-1) (9,1) (11,-1) (14,-1)\n"
+        "arc K : (14,-1) (7,-3) (0,-1)\n"
+        "arc K : (0,-1) (3,1) (5,-1) (7,1) (9,-1) (11,1) (14,1)\n"
+        "arc K : (14,1) (7,3) (0,1)\norient K +\nknottype K right_trefoil\n")
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(cork, adm, spec._replace(twisted_front=torus), plan)
+    assert str(info.value) == (
+        "twisted-side attachment is not obstructed "
+        "(exhibited tb 3, 0 handle passes); no separation"
+    )
+    # unknown: no knot declared, so no registered fact applies
+    undeclared = [front.parse_front(load(name).replace("knottype K right_trefoil\n", ""))
+                  for name in ("trefoil_handle.front", "trefoil.front")]
+    bare = spec._replace(untwisted_front=undeclared[0], twisted_front=undeclared[1])
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(cork, adm, bare, plan)
+    assert str(info.value) == (
+        "no registered facts for the attaching knot; twisted-side obstruction unavailable"
+    )
+    # the twisted exhibit must declare the untwisted exhibit's knot
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(cork, adm, spec._replace(twisted_front=undeclared[1]), plan)
+    assert str(info.value) == "twisted-side record disagrees with the untwisted attachment"
 
 
 def test_relative_invariant_pair(pipeline):
@@ -483,3 +535,26 @@ def test_fake_pair_report():
     assert all(
         a.get("status") == "declared-unverified" for a in report["assumptions"]
     )
+
+
+def test_untwisted_exhibit_exact_twisted_obstructed(pipeline):
+    """The shipped spec: framing 1 is Stein over the handle and obstructed after the twist."""
+    steps = certify_distinct(*pipeline)["steps"]
+    assert steps[1]["inputs"][1] == (
+        "given: 2-handle along a right_trefoil curve, framing 1, exhibited tb 2"
+    )
+    assert steps[6]["outputs"][0] == (
+        "the twisted attachment is never Stein: framing 1 ≠ tb − 1 for exhibited tb ≤ 1"
+    )
+
+
+def test_certify_refuses_unregistered_knottype(pipeline, load):
+    """An unregistered declared knot on either exhibit aborts before step 1."""
+    _, _, spec, plan = pipeline
+    hopf = kirby.parse_kirby(load("hopf.kirby"))  # step 1 would abort too
+    text = "arc K : (0,0) (4,2) (8,0)\narc K : (8,0) (4,-2) (0,0)\norient K +\nknottype K cinquefoil\n"
+    for side in ("untwisted", "twisted"):
+        unregistered = spec._replace(**{f"{side}_front": front.parse_front(text)})
+        with pytest.raises(CertificateAbort) as info:
+            certify_distinct(hopf, kirby.check_admissible(hopf), unregistered, plan)
+        assert str(info.value) == "unregistered knot type 'cinquefoil'"

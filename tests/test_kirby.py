@@ -1,8 +1,9 @@
 """Diagram-level checks: parsing, involution, homology, admissibility,
-the twist move, and the Stein framing rule."""
+and the twist move."""
 
 import copy
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corktwist import front, intmat, kirby
-from corktwist.base import InputError
+from corktwist.base import InputError, load_json
 
 
 # independent Smith oracle: invariant factors from determinantal divisors
@@ -364,37 +365,6 @@ def test_stein_exhibit_tb(load):
     assert kirby.check_admissible(d)["cond4prime"]["tb"] == 2
 
 
-def test_stein_side_status_branches():
-    exact = kirby.stein_side_status(1, 2, 2, "right_trefoil")
-    assert exact["status"] == "exact"
-    low = kirby.stein_side_status(0, 2, 2, "right_trefoil")
-    assert low["status"] == "realizable"
-    blocked = kirby.stein_side_status(1, 1, 0, "right_trefoil")
-    assert blocked["status"] == "obstructed"
-    assert blocked["reason"] == "framing 1 ≠ tb − 1 for exhibited tb ≤ 1"
-    unknown = kirby.stein_side_status(5, 1, 3, None)
-    assert unknown["status"] == "unknown"
-
-
-def test_inflate_untwisted_passes_twisted_fails(load, fixtures):
-    over_handle = front.parse_front(load("trefoil_handle.front"))
-    planar = front.parse_front(load("trefoil.front"))
-
-    untw = kirby.inflate(over_handle, 1)
-    assert untw.stein["status"] == "exact"
-    assert untw.exhibited_tb == 2
-
-    twisted = kirby.inflate(planar, 1)
-    assert twisted.stein["status"] == "obstructed"
-    assert twisted.stein["reason"] == "framing 1 ≠ tb − 1 for exhibited tb ≤ 1"
-
-
-def test_inflate_rejects_unregistered_knottype(load):
-    text = "arc K : (0,0) (4,2) (8,0)\narc K : (8,0) (4,-2) (0,0)\norient K +\nknottype K cinquefoil\n"
-    with pytest.raises(kirby.KirbyError):
-        kirby.inflate(front.parse_front(text), 1)
-
-
 def test_inflation_spec_fixture(load, fixtures):
     spec = kirby.parse_inflation_spec(load("trefoil_inflation.spec"), fixtures)
     assert spec.knot == "right_trefoil"
@@ -463,3 +433,73 @@ def test_parse_inflation_spec_is_total(fixtures, spelled):
             pass
 
     parsed()
+
+
+# leaves of every JSON kind, the names and numbers the readers know, and
+# strings with a lone surrogate; keys mostly name a document field
+_DOC_KEYS = ("front", "dots", "frames", "involution", "stein", "component", "components",
+             "center", "arcs", "handles", "orient", "knottypes", "points", "id", "balls",
+             "x", "ytop", "ybot")
+_JSON_STRINGS = st.sampled_from(
+    ("K", "K1", "K2", "h1", "+", "-", "0", "1/2", "right_trefoil", "\udcff", "K\ud800")
+) | st.text(st.characters(codec=None, blacklist_categories=()), max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_DOC_KEYS) | _JSON_STRINGS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _edits(doc, name):
+    """doc with one node replaced by any JSON value, or with every use of the
+    name `name` renamed."""
+    paths, stack = [], [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        paths.append(path)
+        children = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        stack.extend((path + (key,), child) for key, child in children)
+
+    def edited(path, value):
+        if not path:
+            return value
+        out = copy.deepcopy(doc)
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return out
+
+    def renamed(new):
+        return json.loads(json.dumps(doc).replace(json.dumps(name), json.dumps(new)))
+
+    return st.builds(edited, st.sampled_from(paths), _JSON_VALUES) | st.builds(
+        renamed, _JSON_STRINGS)
+
+
+@pytest.mark.parametrize("reader", ["front", "kirby"])
+def test_json_doc_readers_end_in_a_diagram_or_an_input_error(load, reader):
+    """Any JSON value, read as every JSON input is, through load_json, ends in a
+    diagram whose names write as UTF-8, a FrontError or a KirbyError."""
+    if reader == "front":
+        read, write = front.front_from_doc, front.front_to_doc
+        doc, name = write(front.parse_front(load("trefoil_handle.front"))), "K"
+    else:
+        read, write = kirby.kirby_from_doc, kirby.kirby_to_doc
+        doc, name = write(kirby.parse_kirby(load("mazur.kirby"))), "K2"
+
+    @settings(max_examples=30)
+    @given(_JSON_VALUES | _edits(doc, name))
+    # every use of the name spelled as a lone surrogate
+    @example(json.loads(json.dumps(doc).replace(json.dumps(name), '"\\udcff"')))
+    def read_back(value):
+        text = json.dumps(value)  # ASCII: a lone surrogate is spelled as a \u escape
+        try:
+            d = read(load_json(text, kirby.KirbyError, parse_float=str))
+        except (front.FrontError, kirby.KirbyError):
+            return
+        json.dumps(write(d), ensure_ascii=False).encode("utf-8")
+
+    read_back()

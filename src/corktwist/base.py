@@ -1,6 +1,7 @@
 """What every reader of the package shares: the input-error type, input
-files read as UTF-8, immutable records, numbered lines, plain integers,
-JSON read with unique keys, and the one writer of indented JSON.
+files read as UTF-8, paths spelled for messages, immutable records,
+numbered lines, plain integers, JSON read with unique keys, and the one
+writer of indented JSON.
 
 This module imports nothing of the package, so that a module needing a
 record or a reader does not load the front parser with it.
@@ -9,6 +10,7 @@ record or a reader does not load the front parser with it.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections.abc import Callable, Iterator
 from pathlib import Path
@@ -22,6 +24,17 @@ class InputError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
+def spell_path(path: str | Path) -> str:
+    """path as a message spells it: a byte that is not UTF-8, which a str path
+    holds as a lone surrogate, as \\xNN, whatever the stream's encoding."""
+    text = os.fspath(path)
+    try:
+        raw = text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # a surrogate that stands for no byte
+        raw = text.encode("utf-8", "backslashreplace")
+    return raw.decode("utf-8", "backslashreplace")
+
+
 def read_text(path: str | Path, line: int | None = None) -> str:
     """The text of the file at path, read as UTF-8.
 
@@ -31,9 +44,9 @@ def read_text(path: str | Path, line: int | None = None) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}", line) from None
+        raise InputError(f"cannot read {spell_path(path)}: {exc.strerror}", line) from None
     except ValueError as exc:  # undecodable, or a NUL in the path
-        raise InputError(f"cannot read {path}: {exc}", line) from None
+        raise InputError(f"cannot read {spell_path(path)}: {exc}", line) from None
 
 
 class Record:

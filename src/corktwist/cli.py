@@ -18,7 +18,7 @@ from pathlib import Path
 
 # each handler imports the modules it uses, so that a call loads only its
 # own subcommand's code
-from .base import InputError, dump_json, load_json, parse_int, read_text
+from .base import InputError, dump_json, load_json, parse_int, read_text, spell_path
 
 PARSE_ERROR, ABORTED, INCONCLUSIVE = 2, 1, 3
 
@@ -29,7 +29,7 @@ def _load(parse, path: str):
     try:
         return parse(text)
     except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise InputError(f"{spell_path(path)}: {exc}") from None
 
 
 def _emit_doc(doc: dict) -> None:
@@ -41,7 +41,7 @@ def _shown_path(path: str) -> str:
     argv, as itself where stdout writes surrogate escapes, else as \\xNN."""
     if getattr(sys.stdout, "errors", None) == "surrogateescape":
         return path
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+    return spell_path(path)
 
 
 def _search_settings(args: argparse.Namespace) -> tuple[int, int]:
@@ -199,7 +199,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise InputError(
                 "certify --validate takes no DIAGRAM PALF INFLATION, --out, --budget or --seed"
             )
-        doc = load_json(read_text(validate), InputError, f"{validate}: ")
+        doc = load_json(read_text(validate), InputError, f"{spell_path(validate)}: ")
         problems = hfcert.validate_certificate(doc)
         if args.format == "doc":
             fields = doc if isinstance(doc, dict) else {}
@@ -249,9 +249,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
         try:
             Path(out).write_text(dump_json(cert_doc) + "\n", encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror}") from None
+            raise InputError(f"cannot write {spell_path(out)}: {exc.strerror}") from None
         except ValueError as exc:  # a NUL in the path
-            raise InputError(f"cannot write {out}: {exc}") from None
+            raise InputError(f"cannot write {spell_path(out)}: {exc}") from None
     non_extension = hfcert.non_extension_fact(cert_doc["digest"])
     first, second = non_extension["relative_values"]
     bundle = {

@@ -255,8 +255,10 @@ def parse_palf(text: str) -> PALF:
     """
     genus: int | None = None
     handles: tuple[int, int] | None = None
+    handles_at = 0
     named: dict[str, Curve] = {}
     word_line: str | None = None
+    word_at = 0
     for lineno, line in numbered_lines(text):
         head, _, rest = line.partition(" ")
         if head == "genus":
@@ -282,6 +284,7 @@ def parse_palf(text: str) -> PALF:
                 raise FillingError(f"bad handle counts {rest!r}", lineno)
             if min(handles) < 0:
                 raise FillingError(f"negative handle count {rest!r}", lineno)
+            handles_at = lineno
         elif head == "curve":
             if genus is None:
                 raise FillingError("genus must come before curves", lineno)
@@ -308,7 +311,7 @@ def parse_palf(text: str) -> PALF:
         elif head == "word":
             if word_line is not None:
                 raise FillingError("second word line", lineno)
-            word_line = rest.strip()
+            word_line, word_at = rest.strip(), lineno
         else:
             raise FillingError(f"unknown statement {head!r}", lineno)
     if genus is None:
@@ -320,14 +323,14 @@ def parse_palf(text: str) -> PALF:
     for tok in word_line.split():
         if tok.startswith("T'("):
             raise FillingError(
-                f"negative letter {tok!r}: fibration words must be positive"
+                f"negative letter {tok!r}: fibration words must be positive", word_at
             )
         if not (tok.startswith("T(") and tok.endswith(")")):
-            raise FillingError(f"bad word letter {tok!r}; expected T(<curve>)")
+            raise FillingError(f"bad word letter {tok!r}; expected T(<curve>)", word_at)
         name = tok[2:-1]
         curve = named.get(name) or chain.get(name)
         if curve is None:
-            raise FillingError(f"unknown curve {name!r} in word")
+            raise FillingError(f"unknown curve {name!r} in word", word_at)
         letters.append((curve, 1))
     word = TwistWord(tuple(letters))
     if handles is not None:
@@ -337,6 +340,7 @@ def parse_palf(text: str) -> PALF:
         if by_handles != by_fibration:
             raise FillingError(
                 f"handles {one} {two} give euler characteristic {by_handles} but "
-                f"a genus-{genus} page with {len(word)} letters gives {by_fibration}"
+                f"a genus-{genus} page with {len(word)} letters gives {by_fibration}",
+                handles_at,
             )
     return PALF(OpenBook(genus, word))

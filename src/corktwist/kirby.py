@@ -228,7 +228,10 @@ class KirbyBuilder:
     def build(self) -> KirbyDiagram:
         if self.stein_lines and self.stein_name is None:
             raise FrontParseError("stein section is missing a 'stein component' line")
-        stein_front = None if self.stein_name is None else self.stein.build()
+        try:
+            stein_front = None if self.stein_name is None else self.stein.build()
+        except front_mod.FrontError as exc:  # the main front may name the same components
+            raise type(exc)(f"stein section: {exc}") from None
         return KirbyDiagram(self.front.build(), tuple(self.dots), tuple(self.frames),
                             self.rot180, stein_front, self.stein_name)
 
@@ -559,7 +562,11 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
         elif head in ("untwisted", "twisted"):
             if len(parts) != 2:
                 raise FrontParseError(f"usage: {head} <front-file> <component>", lineno)
-            fields[f"{head}_front"] = front_mod.parse_front(read_text(base / parts[0], lineno))
+            exhibit = read_text(base / parts[0], lineno)
+            try:
+                fields[f"{head}_front"] = front_mod.parse_front(exhibit)
+            except front_mod.FrontError as exc:  # say which spec line and which file
+                raise type(exc)(f"{parts[0]}: {exc}", lineno) from None
             fields[f"{head}_component"] = parts[1]
         else:
             raise FrontParseError(f"unknown statement {head!r}", lineno)

@@ -13,19 +13,20 @@ builds only what it reads: the result of a move, and a state's list of
 finger moves, are built when their queue entry is popped, states are
 deduplicated by canonical code as they are popped, and a state's
 canonical code is derived on first use.  A move's result is derived
-from its parent: per-dart tables are copied, and only the faces through
-the rewired darts are walked again, with the full walk's planarity
-check.  A shadow built from a front is checked by the full walk.  A
-finger move builds one splice, and a mirrored second splice only when
-the mates of its two darts share a face, which is when it is planar; the
-removal that would undo a finger move gives back its parent, and the
-search never queues it.  Finger moves are listed once per orbit of the
-shadow's automorphisms: the starts that tie the canonical code give
-candidate maps, each is checked against the map before it is used, and
-a move that a checked automorphism carries from an earlier-listed move
-would only rebuild that move's children.  A component with more than
-MAX_SEARCH_CROSSINGS self-crossings is not searched, and no shadow is
-built for it.
+from its parent: per-dart tables are copied, the orientation (the set of
+darts the strand arrives at) loses the removed darts or gains the new
+ones, and only the faces through the rewired darts are walked again,
+with the full walk's planarity check.  A shadow built from a front is
+checked by the full walk.  A finger move builds one splice, and a
+mirrored second splice only when the mates of its two darts share a
+face, which is when it is planar; the removal that would undo a finger
+move gives back its parent, and the search never queues it.  Finger
+moves are listed once per orbit of the shadow's automorphisms: the
+starts that tie the canonical code give candidate maps, each is checked
+against the map before it is used, and a move that a checked
+automorphism carries from an earlier-listed move would only rebuild
+that move's children.  A component with more than MAX_SEARCH_CROSSINGS
+self-crossings is not searched, and no shadow is built for it.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -69,11 +70,13 @@ class Shadow:
     vertex lists its four darts counterclockwise.  A dart is read as
     "arriving at this vertex along its edge", so the strand continues
     through the opposite slot.  Per-dart tables (vertex, opposite end,
-    next counterclockwise end, over bit), the strand orbit, faces and
-    crossing signs are derived once, at construction: by the full walk in
+    next counterclockwise end, over bit), faces and the orientation are
+    derived once, at construction: by the full walk in
     `Shadow(vertices, theta)`, or from the parent for the result of a move
-    (`_derive`).  The canonical code is derived at most once, on first use.
-    A shadow is never changed afterwards.
+    (`_derive`).  The orientation is the set of darts that the strand
+    arrives at when walked from min(theta); it fixes every crossing's
+    sign.  The canonical code is derived at most once, on first use.  A
+    shadow is never changed afterwards.
     """
 
     def __init__(self, vertices: dict[int, _Vertex], theta: dict[int, int]):
@@ -84,8 +87,7 @@ class Shadow:
         self._ccw: dict[int, int] = {}
         self._over: dict[int, bool] = {}
         self._add_tables(self.vertices)
-        self._orbit, self._faces = self._validate()
-        self._sign = _signs(self._orbit, self._vertex, self._over, self._ccw)
+        self._arrivals, self._faces = self._validate()
         self._code: tuple | None = None
         self._labels: dict[int, int] = {}
         self._ties: tuple[int, ...] = ()  # starts giving the code, labelled one first; () if one
@@ -103,16 +105,15 @@ class Shadow:
     def _derive(
         self,
         theta: dict[int, int],
-        orbit: list[int],
+        arrivals: frozenset[int],
         touched: set[int],
         dead: set[int] = frozenset(),
         added: dict[int, _Vertex] | None = None,
-        arrivals: tuple[int, ...] = (),
     ) -> "Shadow":
         """The shadow that this one becomes when the vertices `dead` go, the
-        vertices `added` come and the edge pairing becomes `theta`, whose
-        strand orbit from min(theta) is `orbit`.  `arrivals` are the darts of
-        the orbit at the added vertices.
+        vertices `added` come and the edge pairing becomes `theta`, along
+        whose strand one direction arrives at `arrivals`.  A set without
+        min(theta) is turned round, to the full walk's direction.
 
         `touched` holds every dart of each face of this shadow that meets a
         dart whose mate or vertex changes.  Every other face is kept as it
@@ -124,16 +125,13 @@ class Shadow:
         child.theta = theta
         child._vertex, child._opp = dict(self._vertex), dict(self._opp)
         child._ccw, child._over = dict(self._ccw), dict(self._over)
-        child._sign = dict(self._sign)
         for vid in dead:
             for e in child.vertices.pop(vid).ends:
                 del child._vertex[e], child._opp[e], child._ccw[e], child._over[e]
-            del child._sign[vid]
         new_darts: list[int] = []
         if added:
             child.vertices.update(added)
             child._add_tables(added)
-            child._sign.update(_signs(arrivals, child._vertex, child._over, child._ccw))
             for v in added.values():
                 new_darts += v.ends
         kept = [face for face in self._faces if face[0] not in touched]
@@ -141,7 +139,9 @@ class Shadow:
         faces = sorted(kept + walked)
         if len(faces) != len(child.vertices) + 2:
             raise ShadowError("map is not planar")
-        child._orbit, child._faces = orbit, faces
+        if min(theta) not in arrivals:
+            arrivals = frozenset([child._opp[e] for e in arrivals])
+        child._arrivals, child._faces = arrivals, faces
         child._code, child._labels, child._ties = None, {}, ()
         return child
 
@@ -192,8 +192,8 @@ class Shadow:
                 cur = ccw[theta[cur]]
         return out
 
-    def _validate(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        """Check for one closed planar strand; return its orbit from min(theta) and its faces."""
+    def _validate(self) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+        """Check for one closed planar strand; return its arrivals from min(theta), its faces."""
         n = len(self.vertices)
         if self.theta.keys() != self._vertex.keys():
             raise ShadowError("edge pairing and vertex ends disagree")
@@ -201,14 +201,14 @@ class Shadow:
             if a == b or self.theta[b] != a:
                 raise ShadowError("edge pairing is not a free involution")
         if n == 0:
-            return [], []
+            return frozenset(), []
         orbit = self.strand_orbit(min(self.theta))
         if len(orbit) != 2 * n:
             raise ShadowError("not a single closed strand")
         faces = self._walk_faces(sorted(self.theta))
         if len(faces) != n + 2:
             raise ShadowError("map is not planar")
-        return orbit, faces
+        return frozenset(orbit), faces
 
     def _minimal_code(self) -> tuple[tuple, dict[int, int], tuple[int, ...]]:
         """Minimal signed over/under code over all starts, with its vertex
@@ -223,7 +223,8 @@ class Shadow:
         the starts whose first step has the least low bits are walked.
         """
         theta, vertex, over = self.theta, self._vertex, self._over
-        positive = {vid: sign > 0 for vid, sign in self._sign.items()}
+        signs = _signs(self._arrivals, vertex, over, self._ccw)
+        positive = {vid: sign > 0 for vid, sign in signs.items()}
         step = {  # dart -> (vertex, low bits, next dart)
             e: (vertex[e], 2 * over[e] + positive[vertex[e]], theta[self._opp[e]]) for e in theta
         }
@@ -322,9 +323,8 @@ class Shadow:
                 while mate in gone:
                     mate = theta[opp[mate]]
                 spliced[a] = mate
-        orbit = _strand_from([e for e in self._orbit if e not in gone], min(spliced), opp)
         # a face through a rewired dart a steps from a to an end of a removed vertex
-        return self._derive(spliced, orbit, self._faces_through(gone), dead=dead)
+        return self._derive(spliced, self._arrivals - gone, self._faces_through(gone), dead=dead)
 
     def kink_sites(self) -> list[int]:
         """Vertices carrying a loop edge between adjacent slots."""
@@ -448,12 +448,10 @@ class Shadow:
         for a, b in ((x, g_a), (g_t, f_t), (f_a, xp), (y, b_y), (b_q, c_p), (c_y2, yp)):
             theta[a] = b
             theta[b] = a
-        # the new darts are the largest, so the orbit keeps its start and direction
-        orbit = list(self._orbit)
-        finger = (g_a, f_t) if xp in orbit else (f_a, g_t)  # the strand runs x, Q, P, xp or back
-        _insert_before(orbit, xp if xp in orbit else x, finger)
-        crossed = (b_y, c_p) if yp in orbit else (c_y2, b_q)  # y, P, Q, yp or back
-        _insert_before(orbit, yp if yp in orbit else y, crossed)
+        arrivals = self._arrivals
+        finger = (g_a, f_t) if xp in arrivals else (f_a, g_t)  # strand x, Q, P, xp or back
+        crossed = (b_y, c_p) if yp in arrivals else (c_y2, b_q)  # y, P, Q, yp or back
+        arrivals = arrivals.union(finger, crossed)
         mates = self._faces_through([xp])
         mirrored = yp in mates
         touched = mates | self._faces_through([x] if mirrored else [x, yp])
@@ -464,9 +462,7 @@ class Shadow:
         )[: 2 if mirrored else 1]:
             added = {pv: _Vertex(p_ends, parity), qv: _Vertex(q_ends, parity)}
             try:
-                splices.append(
-                    self._derive(theta, orbit, touched, added=added, arrivals=finger + crossed)
-                )
+                splices.append(self._derive(theta, arrivals, touched, added=added))
             except ShadowError:
                 continue
         return splices
@@ -482,20 +478,6 @@ def _signs(
     for e in arrivals:
         (over_in if over[e] else under_in)[vertex[e]] = e
     return {vid: 1 if ccw[e] == under_in[vid] else -1 for vid, e in over_in.items()}
-
-
-def _strand_from(arrivals: list[int], start: int, opp: dict[int, int]) -> list[int]:
-    """The strand orbit from `start`, given the arrival darts of one direction in strand order."""
-    if start not in arrivals:  # start arrives the other way round
-        arrivals = [opp[e] for e in reversed(arrivals)]
-    i = arrivals.index(start)
-    return arrivals[i:] + arrivals[:i]
-
-
-def _insert_before(orbit: list[int], dart: int, run: tuple[int, int]) -> None:
-    """Insert `run` into a strand orbit just before `dart`, keeping its first dart first."""
-    i = orbit.index(dart) or len(orbit)
-    orbit[i:i] = run
 
 
 # -- building the shadow from a front ----------------------------------------

@@ -13,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corktwist import cli, fillings, front, hfcert, kirby, mcg, moves
 
@@ -694,6 +696,60 @@ def test_spec_front_path_with_a_nul_exits_2(fixtures, tmp_path):
     assert run(argv) == (2, "", f"error: {spec}: line 3: cannot read {nul}: embedded null byte\n")
 
 
+@pytest.mark.parametrize("points, error", [
+    ("(20,0) (20,x) (0,0)", "line 2: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    ("(20,0) (10,-1) (10,1) (0,0)",
+     "vertical segment at x=10 in 'K'; fronts replace vertical tangencies with cusps"),
+], ids=["parse", "geometry"])
+def test_exhibit_error_names_the_spec_line_and_the_exhibit(fixtures, tmp_path, points, error):
+    (tmp_path / "bad.front").write_text(f"arc K : (0,0) (10,1) (20,0)\narc K : {points}\n")
+    spec = _spec_over(tmp_path, "bad.front", fixtures / "trefoil.front")
+    argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
+            str(spec)]
+    assert run(argv) == (2, "", f"error: {spec}: line 3: bad.front: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["admissible", "homology"])
+@pytest.mark.parametrize("spelling", ["text", "json"])
+def test_stein_section_error_says_it_is_the_stein_section(tmp_path, spelling, command):
+    # the main front has a K2 as well, which the message alone would not tell apart
+    if spelling == "text":
+        text = MAZUR_TEXT.replace("(7,1) (20,1)\n", "(7,1) (10,-1) (20,1)\n")
+    else:
+        text = _edited(MAZUR_JSON, lambda doc: doc["stein"]["front"]["arcs"][1]["points"]
+                       .insert(-1, ["10", "-1"]))
+    path = tmp_path / "m2.kirby"
+    path.write_text(text)
+    assert text != (MAZUR_TEXT if spelling == "text" else MAZUR_JSON)
+    assert run([command, str(path)]) == (
+        2, "", f"error: {path}: stein section: segments of 'K2' and 'K2' touch at (10,-1); "
+               "perturb the diagram\n")
+
+
+def test_a_path_byte_that_is_not_utf8_reads_as_stdout_spells_it(certify_argv, tmp_path):
+    """argv holds a byte that is not UTF-8 as a lone surrogate; every message
+    spells it \\xNN, as `certificate written to` does."""
+    bad = os.fsdecode(os.fsencode(tmp_path) + b"/\xff")
+    shown = f"{tmp_path}/\\xff"
+    missing = os.strerror(errno.ENOENT)
+    assert run(["tb", bad + "/k.front"]) == (
+        2, "", f"error: cannot read {shown}/k.front: {missing}\n")
+    assert run([*certify_argv, "--out", bad + "/cert.json"]) == (
+        2, "", f"error: cannot write {shown}/cert.json: {missing}\n")
+    Path(bad + ".palf").write_text("genus 2\n")
+    assert run(["fill", bad + ".palf"]) == (2, "", f"error: {shown}.palf: missing word line\n")
+    Path(bad + ".json").write_text("{")
+    code, out, err = run(["certify", "--validate", bad + ".json"])
+    assert (code, out) == (2, "") and err.startswith(f"error: {shown}.json: not valid JSON: ")
+    proc = _cli_process(["tb", os.fsencode(bad) + b"/k.front"], "utf-8")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == f"error: cannot read {shown}/k.front: {missing}\n".encode()
+    # only a caller in process can pass a surrogate that stands for no byte
+    code, out, err = run(["tb", "/nonexistent/\ud800.front"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read /nonexistent/\\ud800.front: ")
+
+
 @pytest.mark.parametrize("target, reason", [
     ("nowhere/cert.json", os.strerror(errno.ENOENT)),
     ("", os.strerror(errno.EISDIR)),
@@ -1318,6 +1374,29 @@ def test_numbers_on_the_command_line_must_be_plain_ascii(fixtures, argv):
     assert out == ""
     assert f"error: argument {argv[-2] if argv[-2].startswith('--') else 'chain_genus'}" in err
     assert f"invalid int value: {argv[-1]!r}" in err
+
+
+_COMMANDS = ("tb", "admissible", "homology", "twist", "fill", "mcg", "certify")
+_FLAGS = ("verify-chain", "--format", "--budget", "--seed", "--component", "--genus",
+          "--validate", "--help")
+_VALUES = ("doc", "xml", "0", "-1", "65", "1_0", "٣", "K", "K1", "K2")
+
+
+def test_no_command_line_raises(fixtures, tmp_path):
+    """One subcommand, then up to five tokens: names, flags, values, every
+    shipped fixture, a missing path and a directory.  `--out` always comes
+    with a path under tmp_path, so that no draw writes over a fixture."""
+    paths = [*map(str, sorted(fixtures.iterdir())), str(tmp_path / "missing"), str(tmp_path)]
+    tokens = [(t,) for t in (*_COMMANDS, *_FLAGS, *_VALUES, *paths)]
+    tokens.append(("--out", str(tmp_path / "cert.json")))
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(_COMMANDS), st.lists(st.sampled_from(tokens), max_size=5))
+    def ran(command, groups):
+        argv = [command, *(t for group in groups for t in group)]
+        assert run(argv)[0] in (0, 1, 2, 3), argv
+
+    ran()
 
 
 # Python refuses to convert an integer literal of more than 4,300 digits and

@@ -133,6 +133,17 @@ def test_palf_grammar_rejections():
         parse_palf("genus 2\nhandles 1 2\nword T(c1)\n")  # 2 != (1 - 4) + 1
     with pytest.raises(FillingError):
         parse_palf("genus 2\nhandles -1 -1\nword T(c1) T(c2) T(c3) T(c4)\n")  # negative
+    # an error in the word, or a handles count the word contradicts, names its line
+    for text, message in [
+        ("genus 2\n\nword T(c1) T'(c1)\n", "line 3: negative letter \"T'(c1)\": "),
+        ("genus 2\nword T(c1) X\n", "line 2: bad word letter 'X'; expected T(<curve>)"),
+        ("# c9 is past genus 2\ngenus 2\nword T(c9)\n", "line 3: unknown curve 'c9' in word"),
+        ("genus 2\nhandles 1 3\nword T(c1) T(c2) T(c3) T(c4)\n",
+         "line 2: handles 1 3 give euler characteristic 3 but "),
+    ]:
+        with pytest.raises(FillingError) as info:
+            parse_palf(text)
+        assert str(info.value).startswith(message), info.value
 
 
 def test_inflated_palf_plan_tallies(load):

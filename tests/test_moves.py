@@ -379,7 +379,8 @@ def test_shadow_of_component_matches_the_comparator_sorts(load):
     off integer keys, give the vertices and theta of the comparator sorts on
     every fixture component, on stretched, mirrored and moved garlands,
     bigons and trefoils in both orientations, on LHP(n), and on random
-    polygons, many with a horizontal strand at a crossing."""
+    polygons, many with a horizontal strand at a crossing.  The sign that
+    the canonical code gives each vertex is its crossing's sign."""
     rng = random.Random(20110411)
     fronts = []
     for name in ("lens.front", "trefoil.front", "trefoil_handle.front"):
@@ -412,6 +413,11 @@ def test_shadow_of_component_matches_the_comparator_sorts(load):
         for comp in d.components():
             got = moves.shadow_of_component(d, comp)
             assert (got.vertices, got.theta) == _reference_shadow(d, comp), front.front_to_text(d)
+            own = [c for c in d.crossings() if c.over_component == comp == c.under_component]
+            sign_at = {label: sign for label, _, sign in got.canonical_code()}
+            assert [sign_at[got.vertex_label(i)] for i in range(len(own))] == [
+                c.sign for c in own
+            ], front.front_to_text(d)
             compared += got.crossing_count()
     assert compared > 1600, compared
 
@@ -509,9 +515,9 @@ def _spliced_theta(s, dead):
 def test_derived_shadows_match_the_full_walk(load, monkeypatch):
     """A finger splice or a removal derives its result from its parent.  On
     every oracle state, each splice and each removal result equals the shadow
-    that `Shadow(vertices, theta)` builds with the full walk: the same strand
-    orbit, the same faces in the same order, the same crossing signs and
-    per-dart tables.  A splice that the full walk rejects is rejected or never
+    that `Shadow(vertices, theta)` builds with the full walk: the same
+    orientation, the same faces in the same order and the same per-dart
+    tables.  A splice that the full walk rejects is rejected or never
     built, and the rule push_finger builds by holds: the first splice is always
     planar, and the mirrored one exactly when the mates of x and y share a face."""
     states = _oracle_states(load, monkeypatch)

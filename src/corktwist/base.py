@@ -35,18 +35,20 @@ def spell_path(path: str | Path) -> str:
     return raw.decode("utf-8", "backslashreplace")
 
 
-def read_text(path: str | Path, line: int | None = None) -> str:
+def read_text(path: str | Path, line: int | None = None, shown: str | None = None) -> str:
     """The text of the file at path, read as UTF-8.
 
     A file that cannot be opened or decoded, or a path that no file can
-    have, raises InputError, at the given line of the file naming path.
+    have, raises InputError, at the given line of the file naming path;
+    the message spells the path as `shown` when one is given.
     """
+    name = spell_path(path) if shown is None else shown
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {spell_path(path)}: {exc.strerror}", line) from None
+        raise InputError(f"cannot read {name}: {exc.strerror}", line) from None
     except ValueError as exc:  # undecodable, or a NUL in the path
-        raise InputError(f"cannot read {spell_path(path)}: {exc}", line) from None
+        raise InputError(f"cannot read {name}: {exc}", line) from None
 
 
 class Record:

@@ -266,7 +266,10 @@ def kirby_from_doc(doc: dict) -> KirbyDiagram:
             builder.involution(comp1, comp2, cx, cy)
         if doc.get("stein") is not None:
             stein = json_object(doc["stein"], "stein section", ("front", "component"))
-            front_mod.front_doc_statements(stein["front"], builder.stein)
+            try:
+                front_mod.front_doc_statements(stein["front"], builder.stein)
+            except front_mod.FrontError as exc:  # as in KirbyBuilder.build
+                raise type(exc)(f"stein section: {exc}") from None
             builder.stein_component(stein["component"])
     return builder.build()
 
@@ -471,10 +474,38 @@ def admissibility(
     }
 
 
+def _image_certificate(cert: dict, comp: str) -> dict:
+    """The unknot certificate `cert` carried across the verified half-turn
+    onto `comp`: named `comp`, with no states expanded, a note and the
+    searched component under `image_of`; every other field is as in `cert`,
+    sharing no list."""
+    return {
+        **cert,
+        "component": comp,
+        "moves": None if cert["moves"] is None else list(cert["moves"]),
+        "expanded": 0,
+        "note": (
+            f"not searched: the verified half-turn carries {cert['component']}'s "
+            f"shadow onto this one"
+        ),
+        "image_of": cert["component"],
+    }
+
+
 def check_admissible(
     d: KirbyDiagram, budget: int = moves.DEFAULT_BUDGET, seed: int = moves.DEFAULT_SEED
 ) -> dict:
-    """Run the four cork-candidate checks on d; returns the admissibility document."""
+    """Run the four cork-candidate checks on d; returns the admissibility document.
+
+    Only the first component in diagram order is searched when cond 2 holds.
+    The verified half-turn p -> 2c - p carries its segments onto the other
+    component's; it is a rotation of R^3 that keeps every front slope, so it
+    keeps the over/under bits, the vertex rotations and the crossing signs.
+    The two shadows are isomorphic, with one canonical code, and a move list
+    written in canonical labels replays on the other as written, so the
+    other's evidence is the first one's image.  Without a verified
+    half-turn both components are searched.
+    """
     comps = d.front.components()
     if len(comps) != 2:
         raise KirbyError(f"admissibility needs exactly 2 components, got {len(comps)}")
@@ -483,11 +514,17 @@ def check_admissible(
     if d.frames[0][1] != 0:
         raise KirbyError(f"the framed component must carry framing 0, got {d.frames[0][1]}")
     ok, detail = involution_verified(d)
+    first, other = comps
+    searched = moves.unknot_certificate(d.front, first, budget=budget, seed=seed)
     return admissibility(
-        {c: moves.unknot_certificate(d.front, c, budget=budget, seed=seed) for c in comps},
+        {
+            first: searched,
+            other: _image_certificate(searched, other) if ok
+            else moves.unknot_certificate(d.front, other, budget=budget, seed=seed),
+        },
         involution_ok=ok,
         cond2_detail=detail,
-        cond3_value=d.front.linking_number(comps[0], comps[1]),
+        cond3_value=d.front.linking_number(first, other),
         cond4prime_tb=None if d.stein_front is None else d.stein_front.tb(d.stein_component),
     )
 
@@ -562,7 +599,7 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
         elif head in ("untwisted", "twisted"):
             if len(parts) != 2:
                 raise FrontParseError(f"usage: {head} <front-file> <component>", lineno)
-            exhibit = read_text(base / parts[0], lineno)
+            exhibit = read_text(base / parts[0], lineno, shown=parts[0])
             try:
                 fields[f"{head}_front"] = front_mod.parse_front(exhibit)
             except front_mod.FrontError as exc:  # say which spec line and which file

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from corktwist import mcg
+from corktwist import mcg, moves
 
 # the same examples on every run, and no example database left behind
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
@@ -29,6 +29,20 @@ def load():
     def _load(name: str) -> str:
         return (FIXTURES / name).read_text()
     return _load
+
+
+@pytest.fixture
+def search_budgets(monkeypatch) -> list[int]:
+    """The budget of every moves.search_unknot call the test makes."""
+    budgets: list[int] = []
+    search = moves.search_unknot
+
+    def counted(start, budget):
+        budgets.append(budget)
+        return search(start, budget)
+
+    monkeypatch.setattr(moves, "search_unknot", counted)
+    return budgets
 
 
 def _mark_everywhere(node):

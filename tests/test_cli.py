@@ -92,16 +92,21 @@ def test_admissible_exit_codes(fixtures):
 def test_admissible_past_the_search_limit_exits_3(fixtures, monkeypatch):
     """A cork whose components have more self-crossings than a search may
     start from is inconclusive (exit 3), never "not admissible"; mazur.kirby's
-    components have one each, so a limit of 0 is one below."""
+    components have one each, so a limit of 0 is one below.  K1 is refused
+    before a search, and K2, across the verified half-turn, is its image."""
     monkeypatch.setattr(moves, "MAX_SEARCH_CROSSINGS", 0)
     code, out, _ = run(["admissible", str(fixtures / "mazur.kirby"), "--format", "doc"])
     assert code == 3
     report = json.loads(out)["report"]
     assert report["verdict"] == "inconclusive"
     assert set(report["cond1"].values()) == {"inconclusive"}
-    for cert in report["cond1_evidence"].values():
+    k1, k2 = report["cond1_evidence"]["K1"], report["cond1_evidence"]["K2"]
+    for cert in (k1, k2):
         assert (cert["verdict"], cert["expanded"], cert["self_crossings"]) == ("inconclusive", 0, 1)
-        assert cert["note"] == "self-crossing count 1 exceeds the 0 a search may start from"
+    assert k1["note"] == "self-crossing count 1 exceeds the 0 a search may start from"
+    assert "image_of" not in k1
+    assert k2["note"] == "not searched: the verified half-turn carries K1's shadow onto this one"
+    assert k2["image_of"] == "K1"
 
 
 def test_admissible_doc(fixtures):
@@ -459,6 +464,13 @@ def test_certify_zero_budget_is_inconclusive(certify_argv):
     assert len(err.splitlines()) == 1
 
 
+def test_certify_searches_one_component(certify_argv, search_budgets):
+    """mazur.kirby's verified half-turn makes K2's evidence K1's image."""
+    assert run(certify_argv)[0] == 0
+    assert run(certify_argv + ["--budget", "0"])[0] == 3
+    assert search_budgets == [2000, 0]
+
+
 def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     searches, actions, trivializations, involutions, homologies = [], [], [], [], []
     check_admissible, h1_action = kirby.check_admissible, mcg.h1_action
@@ -687,6 +699,19 @@ def test_missing_input_keeps_its_os_error_text(fixtures, tmp_path):
                                 "No such file or directory\n")
 
 
+@pytest.mark.parametrize("exhibit, error", [
+    ("missing.front", "cannot read missing.front: No such file or directory"),
+    ("bad.front", "bad.front: line 1: bad rational 'x': Invalid literal for Fraction: 'x'"),
+], ids=["unreadable", "unparsable"])
+def test_exhibit_is_named_as_the_spec_line_spells_it(fixtures, tmp_path, exhibit, error):
+    # the spec spells the exhibit relative to its own directory
+    (tmp_path / "bad.front").write_text("arc K : (0,0) (3,x)\n")
+    spec = _spec_over(tmp_path, exhibit, fixtures / "trefoil.front")
+    argv = ["certify", str(fixtures / "mazur.kirby"), str(fixtures / "mazur_inflated.palf"),
+            str(spec)]
+    assert run(argv) == (2, "", f"error: {spec}: line 3: {error}\n")
+
+
 def test_spec_front_path_with_a_nul_exits_2(fixtures, tmp_path):
     # a path no file can have: open() raises ValueError, not OSError
     nul = tmp_path / "a\0b.front"
@@ -724,6 +749,22 @@ def test_stein_section_error_says_it_is_the_stein_section(tmp_path, spelling, co
     assert run([command, str(path)]) == (
         2, "", f"error: {path}: stein section: segments of 'K2' and 'K2' touch at (10,-1); "
                "perturb the diagram\n")
+
+
+def test_json_stein_front_error_says_it_is_the_stein_section(tmp_path):
+    """The same bad point in the main front and in the Stein front reads apart."""
+    messages = []
+    for where in ("front", "stein"):
+        def edit(doc):
+            fr = doc["stein"]["front"] if where == "stein" else doc["front"]
+            fr["arcs"][0]["points"][1] = ["3", "x"]
+        path = tmp_path / f"{where}.kirby"
+        path.write_text(_edited(MAZUR_JSON, edit))
+        code, out, err = run(["homology", str(path)])
+        assert (code, out) == (2, "")
+        messages.append(err.removeprefix(f"error: {path}: "))
+    bad = "bad rational 'x': Invalid literal for Fraction: 'x'\n"
+    assert messages == [bad, f"stein section: {bad}"]
 
 
 def test_a_path_byte_that_is_not_utf8_reads_as_stdout_spells_it(certify_argv, tmp_path):

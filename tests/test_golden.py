@@ -24,9 +24,9 @@ GOLDEN = [
     (["tb", "trefoil.front"], 0, "10d8086fb68e52bb"),
     (["tb", "lens.front"], 0, "e829e413cacf68e2"),
     (["tb", "trefoil_handle.front"], 0, "416be57fe2b435d6"),
-    (["admissible", "mazur.kirby"], 0, "abbf09b3dc57cc00"),
-    (["admissible", "hopf.kirby"], 1, "05370a6f9a410474"),
-    (["admissible", "knotted.kirby"], 3, "7aeb7c7de2fe4fc3"),
+    (["admissible", "mazur.kirby"], 0, "5bd46a1e1b993351"),
+    (["admissible", "hopf.kirby"], 1, "6f340492f4e3550f"),
+    (["admissible", "knotted.kirby"], 3, "1a4dc728e8ff469a"),
     (["homology", "mazur.kirby"], 0, "aceb8be0baf71089"),
     (["twist", "mazur.kirby"], 0, "4e520d16715a97e5"),
     (["fill", "mazur.palf"], 0, "734b0650a3f22a03"),

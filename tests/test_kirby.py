@@ -5,14 +5,16 @@ import copy
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corktwist import front, intmat, kirby
+from corktwist import front, intmat, kirby, moves
 from corktwist.base import InputError, load_json
+from test_moves import CLASPED_BIGON, garland_text
 
 
 # independent Smith oracle: invariant factors from determinantal divisors
@@ -356,6 +358,96 @@ def test_reports_share_nothing_between_calls(load, mark_everywhere, name):
     assert "marked" in adm["cond1_evidence"]["K1"]
     assert hom["h_of_W"][1]["torsion"] == ["marked"]
     assert (kirby.check_admissible(d), kirby.homology(d)) == pristine
+
+
+@pytest.mark.parametrize("name, centre, searches", [
+    ("mazur.kirby", None, 1),
+    ("hopf.kirby", None, 1),
+    ("knotted.kirby", None, 1),
+    # a half-turn about (7, 0) carries K1 nowhere near K2: cond 2 is absent
+    ("mazur.kirby", "rot180 7 0", 2),
+], ids=["mazur", "hopf", "knotted", "mazur-unverified"])
+def test_cond1_searches_once_across_a_verified_half_turn(load, search_budgets, name, centre,
+                                                          searches):
+    text = load(name)
+    if centre is not None:
+        text = text.replace("rot180 6 0", centre)
+    d = kirby.parse_kirby(text)
+    rep = kirby.check_admissible(d, budget=50, seed=7)
+    assert search_budgets == [50] * searches
+    assert rep["cond2"] == ("verified" if searches == 1 else "absent")
+    k1, k2 = rep["cond1_evidence"]["K1"], rep["cond1_evidence"]["K2"]
+    assert k1 == moves.unknot_certificate(d.front, "K1", budget=50, seed=7)
+    if searches == 2:
+        assert k2 == moves.unknot_certificate(d.front, "K2", budget=50, seed=7)
+        return
+    same = ("verdict", "moves", "self_crossings", "budget", "seed")
+    assert {key: k2[key] for key in same} == {key: k1[key] for key in same}
+    assert (k2["component"], k2["image_of"], k2["expanded"]) == ("K2", "K1", 0)
+    assert k2["note"] == "not searched: the verified half-turn carries K1's shadow onto this one"
+    assert set(k2) == set(k1) | {"image_of"}
+    assert k1["moves"] is None or k2["moves"] is not k1["moves"]
+
+
+def _with_half_turn_image(text: str, name: str, orient: str) -> str:
+    """A diagram of the knot `name` of a front text as K1, beside its half-turn
+    image K2 oriented `orient`; the centre lies right of every point of K1."""
+    arcs = [
+        [(Fraction(x), Fraction(y)) for x, y in re.findall(r"\(([^,()]+),([^()]+)\)", line)]
+        for line in text.splitlines() if line.startswith(f"arc {name} ")
+    ]
+    cx = max(x for arc in arcs for x, _ in arc) + 5
+    return "".join(
+        [f"arc K1 : {' '.join(f'({x},{y})' for x, y in arc)}\n" for arc in arcs]
+        + [f"arc K2 : {' '.join(f'({2 * cx - x},{-y})' for x, y in arc)}\n" for arc in arcs]
+        + [f"orient K1 +\norient K2 {orient}\ndot K1\nframe K2 0\n"
+           f"involution K1 K2 : rot180 {cx} 0\n"]
+    )
+
+
+def _replayed(shadow: moves.Shadow, move_list: list[str]) -> moves.Shadow:
+    """The shadow after a kink and bigon move list, read through vertex_label."""
+    for move in move_list:
+        vid = {shadow.vertex_label(v): v for v in shadow.vertices}
+        sites = [vid[int(label)] for label in re.findall(r"\d+", move)]
+        if move.startswith("remove kink"):
+            shadow = shadow.remove_kink(*sites)
+        else:
+            assert move.startswith("remove bigon"), move
+            shadow = shadow.remove_bigon(*sites)
+    return shadow
+
+
+# a four-crossing polygon unknot whose certificate removes a bigon, then two kinks
+BIGON_THEN_KINKS = "arc P : (5,2) (2,1) (0,2) (8,3) (1,2) (8,4) (0,3) (5,2)\n"
+
+
+@pytest.mark.parametrize("orient", ["+", "-"])
+@pytest.mark.parametrize(
+    "case", ["garland1", "garland2", "garland3", "bigon", "bigon-then-kinks", "trefoil"]
+)
+def test_derived_evidence_holds_on_the_image_component(load, case, orient):
+    """K2's evidence, carried across the verified half-turn, is what K2's own
+    shadow gives: the two shadows share a canonical code, the verdicts agree,
+    and the move list replays on K2 to the empty diagram."""
+    if case.startswith("garland"):
+        text, name = garland_text(int(case[7:]), Fraction(1, 2), 5, "+"), "G"
+    else:
+        text, name = {
+            "bigon": (CLASPED_BIGON, "B"),
+            "bigon-then-kinks": (BIGON_THEN_KINKS, "P"),
+            "trefoil": (load("trefoil.front"), "K"),
+        }[case]
+    d = kirby.parse_kirby(_with_half_turn_image(text, name, orient))
+    assert kirby.involution_verified(d)[0]
+    s1, s2 = (moves.shadow_of_component(d.front, c) for c in ("K1", "K2"))
+    assert s1.crossing_count() > 0
+    assert s1.canonical_code() == s2.canonical_code()
+    derived = kirby.check_admissible(d)["cond1_evidence"]["K2"]
+    assert derived["image_of"] == "K1"
+    assert derived["verdict"] == moves.unknot_certificate(d.front, "K2")["verdict"]
+    if derived["moves"] is not None:
+        assert _replayed(s2, derived["moves"]).crossing_count() == 0
 
 
 def test_stein_exhibit_tb(load):

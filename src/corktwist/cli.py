@@ -185,7 +185,7 @@ def _human_certificate(cert: dict) -> None:
     for i, step in enumerate(cert["steps"], start=1):
         lines.append(f"step {i}: {step['rule']}")
         lines.append(f"    {step['quote']}")
-        lines.extend(f"    check {condition_text(cond)}" for cond in step["side_conditions"])
+        lines.extend(f"    check {condition_text(c, cert['facts'])}" for c in step["checks"])
         lines.extend(f"    => {out}" for out in step["outputs"])
     lines.append(f"verdict: {cert['verdict']}")
     print("\n".join(lines))
@@ -238,8 +238,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         cert_doc = hfcert.certify_distinct(cork, adm, pair, plan)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
-        if exc.condition is not None:
-            print(f"failing check: {hfcert.condition_text(exc.condition)}", file=sys.stderr)
+        if exc.check is not None:
+            print(f"failing check: {hfcert.condition_text(exc.check, exc.facts)}", file=sys.stderr)
         return ABORTED
     except kirby.KirbyError as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)

@@ -3,22 +3,22 @@
 Nothing in this module computes Floer homology.  certify_distinct replays
 the fixed chain of deductions that separates the two contact classes as
 a certificate, one JSON document: a list of steps, each citing one
-axiom in plain words, naming its elements by fixed strings, and carrying
-side conditions that can be re-checked from the certificate alone.  The
-split is deliberate: applicability arithmetic is checked exhaustively
-here (the adjunction rule is the numeric rule it uses; the degree shift
-is only stated, as a conditional output, since nothing pins down the
-signature), and every imported fact is surfaced as a declared assumption
-instead of being silently used.
+axiom in plain words, naming its elements by fixed strings, and naming
+the checks its rule runs.  The split is deliberate: applicability
+arithmetic is checked exhaustively here (the adjunction rule is the
+numeric rule it uses; the degree shift is only stated, as a conditional
+output, since nothing pins down the signature), and every imported fact
+is surfaced as a declared assumption instead of being silently used.
 
-A side condition names a check and the evidence it was run on,
-{"check": NAME, "evidence": {...}}: JSON integers, or for a monodromy a
-list of integer classes.  eval_condition dispatches NAME to CHECKS, a
-small registry of functions whose parameters are exactly the evidence
-keys.  Certify runs every check before recording it, so a certificate
+Every number a check reads is recorded once, by name, in the
+certificate's facts table: a JSON integer, or for the monodromy a list
+of integer classes.  CHECKS is a small registry of functions whose
+parameters are fact names, and eval_condition runs one on the facts.
+Certify runs every check before recording its name, so a certificate
 never records a false one.  Validation re-runs each rule's fixed list of
-checks, recomputes the content digest, and requires every non-given
-input of a step to be the output of an earlier step.
+checks, recomputes the content digest, reports every key and fact that
+nothing reads, and requires every non-given input of a step to be the
+output of an earlier step.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 
 class HFError(ValueError):
-    """An unknown tower or an unreadable side condition."""
+    """An unknown tower, or a check that cannot read its facts."""
 
 
 class RuleNotApplicable(ValueError):
@@ -45,11 +45,11 @@ class RuleNotApplicable(ValueError):
 
 
 class CertificateAbort(ValueError):
-    """A deduction died; carries the side condition document that failed, if one did."""
+    """A deduction died; carries the check that failed and the facts it read, if one did."""
 
-    def __init__(self, message: str, condition: dict | None = None) -> None:
+    def __init__(self, message: str, check: str | None = None, facts: dict | None = None):
         super().__init__(message)
-        self.condition = condition
+        self.check, self.facts = check, facts
 
 
 # -- the three-sphere's towers and the named elements -------------------------
@@ -117,41 +117,40 @@ def adjunction_violated(genus: int, self_intersection: int, pairing: int) -> boo
     return abs(pairing) + self_intersection > 2 * genus - 2
 
 
-# -- named checks over recorded evidence --------------------------------------
+# -- named checks over recorded facts -----------------------------------------
 
-def word_trivial_on_h1(genus: int, monodromy: list[list[int]]) -> bool:
+def word_trivial_on_h1(fiber_genus: int, monodromy: list[list[int]]) -> bool:
     """The relator blocks that close the monodromy cancel it on H1.
 
     monodromy lists the classes of the positive word's letters; each must
-    be a primitive class of length 2 genus, the class of a twistable curve.
-    Each letter's relator block is a chain relator conjugated by a frame
-    of the letter (mcg.trivialize), so once the chain relation holds at
-    genus the blocks act as the inverse word and cancel any such
-    monodromy.  The verdict is therefore the chain relation's; multiplying
-    the two actions would give the identity for every input.
+    be a primitive class of length 2 fiber_genus, the class of a twistable
+    curve.  Each letter's relator block is a chain relator conjugated by a
+    frame of the letter (mcg.trivialize), so once the chain relation holds
+    at the fiber genus the blocks act as the inverse word and cancel any
+    such monodromy.  The verdict is therefore the chain relation's;
+    multiplying the two actions would give the identity for every input.
     """
-    if not 1 <= genus <= mcg.MAX_GENUS:
-        raise HFError(f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}")
+    if not 1 <= fiber_genus <= mcg.MAX_GENUS:
+        raise HFError(f"genus must be between 1 and {mcg.MAX_GENUS}, got {fiber_genus}")
     if not monodromy:
         raise HFError("the monodromy has no letters")
-    if any(len(c) != 2 * genus for c in monodromy):
-        raise HFError(f"every monodromy class must have {2 * genus} entries")
+    if any(len(c) != 2 * fiber_genus for c in monodromy):
+        raise HFError(f"every monodromy class must have {2 * fiber_genus} entries")
     try:
         for i, c in enumerate(monodromy, start=1):
             mcg.Curve(f"m{i}", tuple(c))
     except ValueError as exc:  # an imprimitive class
         raise HFError(str(exc)) from None
-    return mcg.verify_chain_relation(genus)
+    return mcg.verify_chain_relation(fiber_genus)
 
 
-# The checks a side condition may name.  A check's parameters are exactly
-# its evidence keys.
+# The checks a step may name; a check's parameters name the facts it reads.
 CHECKS: dict[str, Callable[..., bool]] = {
-    # admissibility conditions 3 and 4': the handles link once, and tb >= 1
+    # admissibility conditions 3 and 4': the handles link once, the cork's exhibit has tb >= 1
     "unit_linking": lambda lk: abs(lk) == 1,
-    "tb_at_least_one": lambda tb: tb >= 1,
-    # the 2-handle sits exactly at the contact framing
-    "contact_framing": lambda framing, tb: framing == tb - 1,
+    "tb_at_least_one": lambda cork_tb: cork_tb >= 1,
+    # the 2-handle sits exactly at the contact framing of the spec's exhibit
+    "contact_framing": lambda framing, exhibit_tb: framing == exhibit_tb - 1,
     # the cap, one 2-handle per trivializing letter, the closed fiber times a disk
     "plan_euler_characteristic": lambda euler_char, handles, fiber_genus: (
         euler_char == 1 + handles + (2 - 2 * fiber_genus)),
@@ -164,46 +163,46 @@ CHECKS: dict[str, Callable[..., bool]] = {
     "unit_determinant": lambda det: abs(det) == 1,
     # no Legendrian representative of the knot reaches framing = tb - 1
     "tb_obstructed": lambda framing, max_tb: framing > max_tb - 1,
-    "adjunction_violated": adjunction_violated,
+    # a torus of the knot's genus and self-intersection the framing breaks the
+    # bound at pairing 0, so at every pairing: the bound grows with |pairing|
+    "adjunction_violated": lambda knot_genus, framing: adjunction_violated(knot_genus, framing, 0),
 }
 
-# each check's parameters in order, read once: a side condition's evidence
-# keys must be exactly these
+# each check's parameters in order, read once: the facts it reads
 _PARAMETERS: dict[str, tuple[str, ...]] = {
     name: check.__code__.co_varnames[:check.__code__.co_argcount]
     for name, check in CHECKS.items()
 }
 
-# every evidence value is a JSON integer, never a bool or a float, except a
+# every fact is a JSON integer, never a bool or a float, except the
 # monodromy: a list of integer classes
 _INTEGER = ("an integer", lambda v: type(v) is int)
 _SHAPES = {"monodromy": ("a list of integer lists", lambda v: type(v) is list and all(
     type(row) is list and all(type(x) is int for x in row) for row in v))}
 
 
-def eval_condition(cond: object) -> bool:
-    """Run the check a side condition names on the evidence it records.
+def eval_condition(check: object, facts: object) -> bool:
+    """Run the named check on the facts it reads.
 
-    Raises HFError when cond is not a mapping of exactly a check name and
-    its evidence, when the name is not in CHECKS, when the evidence keys
-    are not exactly the check's parameters or a value has the wrong JSON
-    shape, or when the check finds the evidence outside its domain; and
+    Raises HFError when check is not a name in CHECKS, when facts is not a
+    mapping, when a fact the check reads is missing or has the wrong JSON
+    shape, or when the check finds the facts outside its domain; and
     RuleNotApplicable when the check's rule does not apply.
     """
-    if not isinstance(cond, dict) or set(cond) != {"check", "evidence"}:
-        raise HFError("side condition is not a mapping of a check and its evidence")
-    name, evidence = cond["check"], cond["evidence"]
-    check = CHECKS.get(name) if isinstance(name, str) else None
-    if check is None:
-        raise HFError(f"unknown check {name!r}")
-    keys = _PARAMETERS[name]
-    if not isinstance(evidence, dict) or evidence.keys() != set(keys):
-        raise HFError(f"check {name} wants evidence {', '.join(keys)}")
-    for key in keys:
+    run = CHECKS.get(check) if isinstance(check, str) else None
+    if run is None:
+        raise HFError(f"unknown check {check!r}")
+    if not isinstance(facts, dict):
+        raise HFError("the facts are not a mapping")
+    args = {}
+    for key in _PARAMETERS[check]:
+        if key not in facts:
+            raise HFError(f"check {check} wants fact {key}")
         kind, fits = _SHAPES.get(key, _INTEGER)
-        if not fits(evidence[key]):
-            raise HFError(f"evidence {key} of check {name} is not {kind}")
-    return check(**evidence)
+        if not fits(facts[key]):
+            raise HFError(f"fact {key} of check {check} is not {kind}")
+        args[key] = facts[key]
+    return run(**args)
 
 
 # -- certificates -------------------------------------------------------------
@@ -214,13 +213,10 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def condition_text(cond: dict) -> str:
-    """A side condition as one line: check(key=value, ...), values in compact JSON."""
-    args = ", ".join(
-        f"{k}={v}" if type(v) is int else f"{k}={_COMPACT.encode(v)}"
-        for k, v in cond["evidence"].items()
-    )
-    return f"{cond['check']}({args})"
+def condition_text(check: str, facts: dict) -> str:
+    """A check as one line: check(fact=value, ...), values in compact JSON."""
+    args = ", ".join(f"{k}={_COMPACT.encode(facts[k])}" for k in _PARAMETERS[check])
+    return f"{check}({args})"
 
 
 def certificate_digest(body: dict) -> str:
@@ -337,29 +333,26 @@ def _require(ok: bool, message: str) -> None:
         raise CertificateAbort(message)
 
 
-def _checked(check: str, failure: str | None = None, **evidence: object) -> dict:
-    """Run a check on the evidence about to be recorded; abort unless it holds.
-
-    Returns a fresh side condition document.
-    """
-    cond = {"check": check, "evidence": evidence}
+def _checked(check: str, facts: dict, failure: str | None = None) -> str:
+    """Run a check on the facts about to be recorded; abort unless it holds; return its name."""
     try:
-        holds = eval_condition(cond)
+        holds = eval_condition(check, facts)
     except (HFError, RuleNotApplicable) as exc:
-        raise CertificateAbort(str(exc), cond) from exc
+        raise CertificateAbort(str(exc), check, facts) from exc
     if not holds:
-        raise CertificateAbort(failure or f"check {condition_text(cond)} fails", cond)
-    return cond
+        raise CertificateAbort(
+            failure or f"check {condition_text(check, facts)} fails", check, facts)
+    return check
 
 
 def _step(rule: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
-          side_conditions: tuple[dict, ...] = ()) -> dict:
+          checks: tuple[str, ...] = ()) -> dict:
     """A step document citing the axiom of rule."""
     return {
         "rule": rule,
         "quote": AXIOMS[rule],
         "inputs": list(inputs),
-        "side_conditions": list(side_conditions),
+        "checks": list(checks),
         "outputs": list(outputs),
     }
 
@@ -379,12 +372,11 @@ def certify_distinct(
     twist, is obstructed by registered knot facts and adjunction (step 7),
     forcing a zero image.  adm is the cork's admissibility document,
     computed by the caller with the search budget it records.  Returns the
-    certificate document: its steps, verdict, assumptions and digest.
+    certificate document: its facts, steps, verdict, assumptions and digest.
     """
     from . import kirby
     from .fillings import STANDARD_ASSUMPTIONS
 
-    framing = spec.framing
     untwisted, u_comp = spec.untwisted_front, spec.untwisted_component
     twisted, t_comp = spec.twisted_front, spec.twisted_component
     knot, twisted_knot = untwisted.knottype(u_comp), twisted.knottype(t_comp)
@@ -392,59 +384,52 @@ def certify_distinct(
         _require(declared is None or declared in kirby.KNOT_FACTS,
                  f"unregistered knot type {declared!r}")
     steps: list[dict] = []
+    # each number a check reads, recorded once: the steps name only their checks
+    facts: dict = {}
 
     # (1) the cork itself
-    _require(
-        adm["verdict"] == "admissible",
-        f"cork admissibility failed: verdict {adm['verdict']!r}",
-    )
+    _require(adm["verdict"] == "admissible",
+             f"cork admissibility failed: verdict {adm['verdict']!r}")
+    facts.update(lk=adm["cond3"]["value"], cork_tb=adm["cond4prime"]["tb"])
     steps.append(_step(
         rule="cork_admissible",
         inputs=("given: the candidate diagram and its admissibility report",),
-        side_conditions=(
-            _checked("unit_linking", lk=adm["cond3"]["value"]),
-            _checked("tb_at_least_one", tb=adm["cond4prime"]["tb"]),
-        ),
+        checks=(_checked("unit_linking", facts), _checked("tb_at_least_one", facts)),
         outputs=(IS_CORK,),
     ))
 
     # (2) untwisted Stein attachment
-    tb = untwisted.tb(u_comp)
+    framing, tb = spec.framing, untwisted.tb(u_comp)
+    facts.update(framing=framing, exhibit_tb=tb)
     steps.append(_step(
         rule="stein_untwisted_attachment",
         inputs=(
             IS_CORK,
-            f"given: 2-handle along a {knot or 'declared'} curve, "
-            f"framing {framing}, exhibited tb {tb}",
+            f"given: 2-handle along a {knot or 'declared'} curve: "
+            "the inflation spec's framing and untwisted exhibit",
         ),
-        side_conditions=(_checked(
-            "contact_framing", f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
-            framing=framing, tb=tb,
+        checks=(_checked(
+            "contact_framing", facts, f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
         ),),
         outputs=(W_PRIME_STEIN,),
     ))
 
     # (3) the concave plan for the extended domain
     g_hat = plan.fiber_genus
-    handles = plan.trivializing_handles
-    monodromy = [list(c.h1_class) for c, _ in plan.closed_monodromy.letters]
+    facts.update(euler_char=plan.euler_char, handles=plan.trivializing_handles,
+                 blocks=plan.relator_blocks, fiber_genus=g_hat,
+                 monodromy=[list(c.h1_class) for c, _ in plan.closed_monodromy.letters])
     steps.append(_step(
         rule="concave_filling_plan",
         inputs=(W_PRIME_STEIN, "given: the shipped fibration word for W'"),
-        side_conditions=(
-            _checked("plan_euler_characteristic",
-                     euler_char=plan.euler_char, handles=handles, fiber_genus=g_hat),
-            _checked("relator_handles",
-                     handles=handles, blocks=plan.relator_blocks, fiber_genus=g_hat),
-            _checked("word_trivial_on_h1", genus=g_hat, monodromy=monodromy),
-        ),
+        checks=tuple(_checked(check, facts) for check in (
+            "plan_euler_characteristic", "relator_handles", "word_trivial_on_h1")),
         outputs=(CONCAVE_FILLING,),
     ))
 
     # (4) nonvanishing over the closed fibration
     nonvanishing = _checked(
-        "fiber_genus_above_one", f"fiber genus {g_hat} too small for the nonvanishing rule",
-        fiber_genus=g_hat,
+        "fiber_genus_above_one", facts, f"fiber genus {g_hat} too small for the nonvanishing rule",
     )
     # nothing in the inputs pins down sigma(X), so the degree bookkeeping
     # is emitted conditionally rather than with an invented value
@@ -455,7 +440,7 @@ def certify_distinct(
             "assumption: b2plus-at-least-2",
             "assumption: relative-minimality",
         ),
-        side_conditions=(nonvanishing,),
+        checks=(nonvanishing,),
         outputs=(
             X_SENDS_BOTTOM_TO_TOP,
             "the canonical decoration of X is a basic class",
@@ -468,40 +453,40 @@ def certify_distinct(
     # homology is the cokernel of the linking matrix, finite iff det != 0
     det = intmat.det(kirby.linking_matrix(cork)[1])
     _require(det != 0, "boundary first homology has free rank; contact c1 not torsion")
-    unimodular = _checked("unit_determinant", det=det)
+    facts["det"] = det
+    unimodular = _checked("unit_determinant", facts)
     steps.append(_step(
         rule="concave_hits_contact",
         inputs=(
             CONCAVE_FILLING,
             "given: the boundary of W is a homology sphere, so c1 restricts torsion",
         ),
-        side_conditions=(unimodular,),
+        checks=(unimodular,),
         outputs=(V_HITS_CONTACT,),
     ))
 
     # (6) composing across the homology-sphere cut: exactly one decoration
-    # glues there, so the composite is a single term; the check step 5 ran,
-    # recorded in a document of its own
+    # glues there, so the composite is a single term; the check step 5 ran
+    # on the same fact
     steps.append(_step(
         rule="compose_unique_gluing",
         inputs=(X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
-        side_conditions=({"check": "unit_determinant", "evidence": {"det": det}},),
+        checks=(unimodular,),
         outputs=(f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO),
     ))
 
     # (7) twisted side: the attachment is obstructed and adjunction bites
-    facts = kirby.KNOT_FACTS.get(knot)
+    registered = kirby.KNOT_FACTS.get(knot)
     _require(
-        facts is not None,
+        registered is not None,
         "no registered facts for the attaching knot; "
         "twisted-side obstruction unavailable",
     )
-    genus_k = facts["seifert_genus"]
-    max_tb = facts["max_tb"]
+    genus_k, max_tb = registered["seifert_genus"], registered["max_tb"]
+    facts.update(max_tb=max_tb, knot_genus=genus_k)
     adjunction = _checked(
-        "adjunction_violated",
+        "adjunction_violated", facts,
         "adjunction bound not violated at pairing 0; monotonicity gives no exclusion",
-        genus=genus_k, self_intersection=framing, pairing=0,
     )
     _require(twisted_knot == knot, "twisted-side record disagrees with the untwisted attachment")
     # max tb bounds a plain front only, so the exhibit must pass no 1-handle,
@@ -511,18 +496,17 @@ def certify_distinct(
         "twisted-side attachment is not obstructed "
         f"(exhibited tb {twisted_tb}, {passes} handle passes); no separation"
     )
-    obstruction = _checked("tb_obstructed", not_obstructed, framing=framing, max_tb=max_tb)
+    obstruction = _checked("tb_obstructed", facts, not_obstructed)
     _require(passes == 0 and framing > twisted_tb - 1, not_obstructed)
     reason = f"framing {framing} ≠ tb − 1 for exhibited tb ≤ {max_tb}"
     steps.append(_step(
         rule="twisted_adjunction_obstruction",
         inputs=(
             IS_CORK,
-            f"given: registered facts for {knot}: "
-            f"max tb {max_tb}, Seifert genus {genus_k}",
-            f"given: twisted-side verdict: {reason}",
+            f"given: registered facts for {knot}: its max tb and Seifert genus",
+            "given: twisted-side verdict on the inflation spec's twisted exhibit",
         ),
-        side_conditions=(obstruction, adjunction),
+        checks=(obstruction, adjunction),
         outputs=(
             f"the twisted attachment is never Stein: {reason}",
             f"a closed torus of genus {genus_k} and self-intersection {framing} "
@@ -557,6 +541,7 @@ def certify_distinct(
     ))
 
     cert = {
+        "facts": facts,
         "steps": steps,
         "verdict": "DISTINCT",
         "assumptions": [*(dict(a) for a in STANDARD_ASSUMPTIONS), dict(SIGN_CAVEAT)],
@@ -571,11 +556,16 @@ def _is_str_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+# the keys the checker reads; a value under any other would ride along unchecked
+_CERT_KEYS = ("facts", "steps", "verdict", "assumptions", "digest")
+_STEP_KEYS = ("rule", "quote", "inputs", "checks", "outputs")
+
+
 def validate_certificate(doc: dict) -> list[str]:
     """Re-check a serialized certificate; returns problems, empty if clean.
 
     Total on any JSON value: a field of the wrong type is a problem, not
-    an exception.
+    an exception, and so is a key or a fact that nothing reads.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -587,6 +577,11 @@ def validate_certificate(doc: dict) -> list[str]:
         return ["certificate is nested too deeply to re-check"]
     if doc.get("digest") != recomputed:
         problems.append("digest mismatch: certificate content was altered")
+    problems.extend(f"unknown certificate key {k!r}" for k in doc if k not in _CERT_KEYS)
+    facts = doc.get("facts")
+    if not isinstance(facts, dict):
+        problems.append("certificate has no facts table")
+        facts = {}
     steps = doc.get("steps")
     if not isinstance(steps, list) or not steps:
         problems.append("certificate has no steps")
@@ -595,6 +590,7 @@ def validate_certificate(doc: dict) -> list[str]:
     if verdict != "DISTINCT":
         problems.append(f"unknown verdict {verdict!r}")
     known_outputs: set[str] = set()
+    read: set[str] = set()
     assumptions = doc.get("assumptions", [])
     if not isinstance(assumptions, list):
         problems.append("assumptions are not a list")
@@ -609,26 +605,24 @@ def validate_certificate(doc: dict) -> list[str]:
         rule = step.get("rule", "?")
         axiom = AXIOMS.get(rule) if isinstance(rule, str) else None
         where = f"step {idx + 1} ({rule})"
+        problems.extend(f"{where}: unknown key {k!r}" for k in step if k not in _STEP_KEYS)
         if axiom is None:
             problems.append(f"{where}: unknown rule")
         if step.get("quote") != axiom:
             problems.append(f"{where}: quote does not match the axiom text")
-        conds = step.get("side_conditions", [])
-        if not isinstance(conds, list):
-            problems.append(f"{where}: side conditions are not a list")
-            conds = []
-        names = [cond.get("check") if isinstance(cond, dict) else None for cond in conds]
-        wanted = list(RULE_CHECKS.get(rule, ())) if axiom is not None else names
-        if names != wanted:
-            problems.append(f"{where}: checks {names} are not the rule's checks {wanted}")
-        for cond in conds:
+        wanted = list(RULE_CHECKS.get(rule, ())) if axiom is not None else []
+        checks = step.get("checks", [])
+        if checks != wanted:
+            problems.append(f"{where}: checks {checks} are not the rule's checks {wanted}")
+        for check in wanted:
+            read.update(_PARAMETERS[check])
             try:
-                holds = eval_condition(cond)
+                holds = eval_condition(check, facts)
             except (HFError, RuleNotApplicable) as exc:
-                problems.append(f"{where}: unreadable side condition: {exc}")
+                problems.append(f"{where}: unreadable check: {exc}")
                 continue
             if not holds:
-                problems.append(f"{where}: check {cond['check']} fails on its evidence")
+                problems.append(f"{where}: check {check} fails on its facts")
         inputs, outputs = step.get("inputs", []), step.get("outputs", [])
         if not _is_str_list(inputs) or not _is_str_list(outputs):
             problems.append(f"{where}: inputs and outputs are not lists of strings")
@@ -646,6 +640,7 @@ def validate_certificate(doc: dict) -> list[str]:
                     "nor an earlier output"
                 )
         known_outputs.update(outputs)
+    problems.extend(f"fact {k!r} is read by no check" for k in facts if k not in read)
     if verdict == "DISTINCT":
         if "verdict: DISTINCT" not in known_outputs:
             problems.append("verdict is not supported by any step output")

@@ -155,16 +155,14 @@ def test_criterion_05_stein_framing_rule_on_the_two_sides(load, fixtures):
         untwisted = cert["steps"][1]
         assert untwisted["rule"] == "stein_untwisted_attachment"
         # exact: framing 1 = tb 2 - 1
-        assert untwisted["side_conditions"] == [
-            {"check": "contact_framing", "evidence": {"framing": 1, "tb": 2}}
-        ]
+        assert untwisted["checks"] == ["contact_framing"]
+        assert (cert["facts"]["framing"], cert["facts"]["exhibit_tb"]) == (1, 2)
 
         twisted = cert["steps"][6]
         assert twisted["rule"] == "twisted_adjunction_obstruction"
-        # obstructed: framing 1 > max tb 1 - 1
-        assert twisted["side_conditions"][0] == {
-            "check": "tb_obstructed", "evidence": {"framing": 1, "max_tb": 1}
-        }
+        # obstructed: framing 1 > max tb 1 - 1, the same framing fact as step 2's
+        assert twisted["checks"][0] == "tb_obstructed"
+        assert cert["facts"]["max_tb"] == 1
         assert twisted["outputs"][0] == (
             "the twisted attachment is never Stein: "
             "framing 1 ≠ tb − 1 for exhibited tb ≤ 1"
@@ -260,10 +258,10 @@ def test_criterion_09_end_to_end_certificate(fixtures, tmp_path):
         cert_doc = json.loads(cert_path.read_text())
         assert hfcert.validate_certificate(cert_doc) == []
         for step in cert_doc["steps"]:
-            for cond in step["side_conditions"]:
-                assert hfcert.eval_condition(cond) is True
+            for check in step["checks"]:
+                assert hfcert.eval_condition(check, cert_doc["facts"]) is True
 
-        # every single recorded evidence integer is load-bearing
+        # every single recorded fact integer is load-bearing
         def integer_paths(value, path=()):
             if isinstance(value, dict):
                 items = value.items()
@@ -276,26 +274,23 @@ def test_criterion_09_end_to_end_certificate(fixtures, tmp_path):
                 yield from integer_paths(item, path + (key,))
 
         sites = 0
-        for si, step in enumerate(cert_doc["steps"]):
-            for ci, cond in enumerate(step["side_conditions"]):
-                for *head, last in integer_paths(cond["evidence"]):
-                    sites += 1
-                    bad = copy.deepcopy(cert_doc)
-                    target = bad["steps"][si]["side_conditions"][ci]["evidence"]
-                    for key in head:
-                        target = target[key]
-                    target[last] += 1
-                    bad_path = tmp_path / "mutated.json"
-                    bad_path.write_text(json.dumps(bad))
-                    vcode, _ = run(["certify", "--validate", str(bad_path)])
-                    assert vcode == 1, (si, ci, head, last)
+        for *head, last in integer_paths(cert_doc["facts"]):
+            sites += 1
+            bad = copy.deepcopy(cert_doc)
+            target = bad["facts"]
+            for key in head:
+                target = target[key]
+            target[last] += 1
+            bad_path = tmp_path / "mutated.json"
+            bad_path.write_text(json.dumps(bad))
+            vcode, _ = run(["certify", "--validate", str(bad_path)])
+            assert vcode == 1, (head, last)
         assert sites >= 20
 
         # the replay layer catches a mutation even with a fresh digest
         forged = copy.deepcopy(cert_doc)
-        relator = forged["steps"][2]["side_conditions"][1]
-        assert relator["check"] == "relator_handles"
-        relator["evidence"]["handles"] += 1
+        assert "relator_handles" in forged["steps"][2]["checks"]
+        forged["facts"]["handles"] += 1
         forged["digest"] = hfcert.certificate_digest(forged)
         assert hfcert.validate_certificate(forged) != []
 

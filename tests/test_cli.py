@@ -627,7 +627,7 @@ def test_certify_abort_prints_side_condition(fixtures, tmp_path):
     ])
     assert code == 1
     assert "untwisted Stein check wants framing = tb − 1 = 1" in err
-    assert "failing check: contact_framing(framing=0, tb=2)" in err
+    assert "failing check: contact_framing(framing=0, exhibit_tb=2)" in err
 
 
 def test_certify_empty_word_aborts_on_its_check(fixtures, tmp_path):
@@ -643,7 +643,7 @@ def test_certify_empty_word_aborts_on_its_check(fixtures, tmp_path):
     assert out == ""
     assert err.splitlines() == [
         "certification aborted: the monodromy has no letters",
-        "failing check: word_trivial_on_h1(genus=2, monodromy=[])",
+        "failing check: word_trivial_on_h1(fiber_genus=2, monodromy=[])",
     ]
 
 
@@ -1099,9 +1099,9 @@ def test_ill_typed_kirby_field_exits_2(fixtures, tmp_path, field, value):
 
 @pytest.mark.parametrize("doc", [
     {"steps": [1]},
-    {"steps": [{"rule": "cork_admissible", "side_conditions": 5}]},
-    {"steps": [{"rule": "cork_admissible", "side_conditions": [1]}]},
-    {"steps": [{"rule": "cork_admissible", "side_conditions": [{"expr": ["1 == 1"]}]}]},
+    {"steps": [{"rule": "cork_admissible", "checks": 5}], "facts": {"lk": 1, "cork_tb": 2}},
+    {"steps": [{"rule": "cork_admissible", "checks": [1]}], "facts": {"lk": 1, "cork_tb": 2}},
+    {"steps": [{"rule": "cork_admissible", "checks": [{"expr": ["1 == 1"]}]}], "facts": 5},
     {"steps": [{"rule": "cork_admissible", "inputs": [1]}]},
     {"steps": [{"rule": "cork_admissible", "outputs": [["verdict: DISTINCT"]]}]},
     {"steps": [{"rule": ["cork_admissible"]}], "assumptions": [{"name": []}]},
@@ -1124,9 +1124,17 @@ def certificate(certify_argv, tmp_path):
     return json.loads(cert_path.read_text())
 
 
-def _validate_with_condition(tmp_path, doc, step, index, condition):
-    """Validate doc with one side condition replaced under a fresh digest: (code, out, err)."""
-    doc["steps"][step - 1]["side_conditions"][index] = condition
+def _validate_edited(tmp_path, doc, edits):
+    """Validate doc with each (path, value) of edits applied under a fresh
+    digest, a value of None deleting its key: (code, out, err)."""
+    for (*parents, last), value in edits:
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
     doc["digest"] = hfcert.certificate_digest(doc)
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
@@ -1137,49 +1145,52 @@ def test_validate_reports_deeply_nested_condition(certificate, tmp_path):
     deep = 1
     for _ in range(500):
         deep = [deep]
-    code, out, err = _validate_with_condition(
-        tmp_path, certificate, 1, 0, {"check": "unit_linking", "evidence": {"lk": deep}})
+    code, out, err = _validate_edited(tmp_path, certificate, [(("facts", "lk"), deep)])
     assert code == 1
     assert out.splitlines() == [
-        "invalid: step 1 (cork_admissible): unreadable side condition: "
-        "evidence lk of check unit_linking is not an integer"
+        "invalid: step 1 (cork_admissible): unreadable check: "
+        "fact lk of check unit_linking is not an integer"
     ]
     assert err == ""
 
 
-WORD = "word_trivial_on_h1"
+def _fact(name, value):
+    return ("facts", name), value
+
+
+def _word(genus, monodromy):
+    return [_fact("fiber_genus", genus), _fact("monodromy", monodromy)]
+
+
+# each case: the edits, and the start and a part of one problem line it must print
 HOSTILE_EVIDENCE = {
-    "unknown-check": (1, 0, {"check": "is_identity", "evidence": {"lk": 1}}, "unknown check"),
-    "old-format": (1, 0, {"expr": "abs(1) == 1", "value": True}, "not a mapping of a check"),
-    "missing-key": (1, 0, {"check": "unit_linking", "evidence": {}}, "wants evidence lk"),
-    "extra-key": (1, 0, {"check": "unit_linking", "evidence": {"lk": 1, "tb": 2}},
-                  "wants evidence lk"),
-    "true": (1, 0, {"check": "unit_linking", "evidence": {"lk": True}}, "not an integer"),
-    "float": (1, 0, {"check": "unit_linking", "evidence": {"lk": 1.0}}, "not an integer"),
-    "string": (1, 0, {"check": "unit_linking", "evidence": {"lk": "1"}}, "not an integer"),
-    "nested-list": (1, 0, {"check": "unit_linking", "evidence": {"lk": [[1]]}}, "not an integer"),
-    "genus-0": (3, 2, {"check": WORD, "evidence": {"genus": 0, "monodromy": [[]]}},
-                "genus must be between 1 and 64, got 0"),
-    "genus-65": (3, 2, {"check": WORD, "evidence": {"genus": 65, "monodromy": [[1] + [0] * 129]}},
+    "unknown-check": ([(("steps", 0, "checks", 0), "is_identity")], "invalid: step 1 ",
+                      "are not the rule's checks"),
+    "old-format": ([(("steps", 0, "side_conditions"), [{"expr": "abs(1) == 1", "value": True}])],
+                   "invalid: step 1 ", "unknown key 'side_conditions'"),
+    "missing-key": ([_fact("lk", None)], "invalid: step 1 ", "wants fact lk"),
+    "extra-key": ([_fact("tb", 2)], "invalid: fact 'tb'", "is read by no check"),
+    "true": ([_fact("lk", True)], "invalid: step 1 ", "not an integer"),
+    "float": ([_fact("lk", 1.0)], "invalid: step 1 ", "not an integer"),
+    "string": ([_fact("lk", "1")], "invalid: step 1 ", "not an integer"),
+    "nested-list": ([_fact("lk", [[1]])], "invalid: step 1 ", "not an integer"),
+    "genus-0": (_word(0, [[]]), "invalid: step 3 ", "genus must be between 1 and 64, got 0"),
+    "genus-65": (_word(65, [[1] + [0] * 129]), "invalid: step 3 ",
                  "genus must be between 1 and 64, got 65"),
-    "class-length": (3, 2, {"check": WORD, "evidence": {"genus": 2, "monodromy": [[1, 0]]}},
+    "class-length": (_word(2, [[1, 0]]), "invalid: step 3 ",
                      "every monodromy class must have 4 entries"),
-    "imprimitive-class": (3, 2, {"check": WORD, "evidence": {"genus": 2,
-                                                             "monodromy": [[2, 0, 0, 0]]}},
-                          "imprimitive class"),
-    "empty-monodromy": (3, 2, {"check": WORD, "evidence": {"genus": 2, "monodromy": []}},
-                        "the monodromy has no letters"),
+    "imprimitive-class": (_word(2, [[2, 0, 0, 0]]), "invalid: step 3 ", "imprimitive class"),
+    "empty-monodromy": (_word(2, []), "invalid: step 3 ", "the monodromy has no letters"),
 }
 
 
 @pytest.mark.parametrize("case", HOSTILE_EVIDENCE)
 def test_validate_rejects_hostile_evidence(certificate, tmp_path, case):
-    step, index, condition, reason = HOSTILE_EVIDENCE[case]
-    code, out, err = _validate_with_condition(tmp_path, certificate, step, index, condition)
+    edits, start, reason = HOSTILE_EVIDENCE[case]
+    code, out, err = _validate_edited(tmp_path, certificate, edits)
     assert code == 1
     assert out.startswith("invalid:")
-    assert any(line.startswith(f"invalid: step {step} ") and reason in line
-               for line in out.splitlines()), out
+    assert any(line.startswith(start) and reason in line for line in out.splitlines()), out
     assert err == ""
 
 
@@ -1525,9 +1536,9 @@ def test_repeated_json_key_exits_2(fixtures, certify_argv, tmp_path, site):
 @pytest.mark.parametrize("site", ["evidence-integer", "monodromy-entry"])
 def test_validate_refuses_oversized_integer_in_evidence(certificate, tmp_path, site):
     if site == "evidence-integer":
-        certificate["steps"][0]["side_conditions"][0]["evidence"]["lk"] = 987654321
+        certificate["facts"]["lk"] = 987654321
     else:
-        certificate["steps"][2]["side_conditions"][2]["evidence"]["monodromy"][0][0] = 987654321
+        certificate["facts"]["monodromy"][0][0] = 987654321
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(certificate).replace("987654321", HUGE))
     code, out, err = run(["certify", "--validate", str(path)])
@@ -1539,12 +1550,11 @@ def test_validate_refuses_oversized_integer_in_evidence(certificate, tmp_path, s
 
 def test_validate_reports_non_ascii_digit_in_condition(certificate, tmp_path):
     # `\u0661` is ARABIC-INDIC DIGIT ONE, which int() would read as 1
-    code, out, err = _validate_with_condition(
-        tmp_path, certificate, 1, 0, {"check": "unit_linking", "evidence": {"lk": "\u0661"}})
+    code, out, err = _validate_edited(tmp_path, certificate, [(("facts", "lk"), "\u0661")])
     assert code == 1
     assert out.splitlines() == [
-        "invalid: step 1 (cork_admissible): unreadable side condition: "
-        "evidence lk of check unit_linking is not an integer"
+        "invalid: step 1 (cork_admissible): unreadable check: "
+        "fact lk of check unit_linking is not an integer"
     ]
     assert err == ""
 
@@ -1651,7 +1661,7 @@ def test_stderr_is_utf8_whatever_its_encoding(fixtures, tmp_path):
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr.decode("utf-8") == (
         "certification aborted: untwisted Stein check wants framing = tb − 1 = 1\n"
-        "failing check: contact_framing(framing=0, tb=2)\n"
+        "failing check: contact_framing(framing=0, exhibit_tb=2)\n"
     )
     assert proc.stderr.decode("utf-8") == run(argv)[2]
 

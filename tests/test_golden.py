@@ -16,9 +16,9 @@ from corktwist import cli, kirby
 from corktwist.base import dump_json
 
 CERTIFY = ["certify", "mazur.kirby", "mazur_inflated.palf", "trefoil_inflation.spec"]
-CERT_DIGEST = "6e051359bfe7b9ca7353c1c255bc91eff855ac9da50f697cfdcda880d1b8144c"
+CERT_DIGEST = "997c927c9f5a3a4da1afd9d2e6540d4b2005ba87bc5b6e25e1c85a9874ef872e"
 # the first 16 hex digits of the sha256 of the file `certify --out` writes
-CERT_FILE = "ffa146b68e7932ec"
+CERT_FILE = "9a20ca94d8b747dd"
 
 GOLDEN = [
     (["tb", "trefoil.front"], 0, "10d8086fb68e52bb"),
@@ -32,7 +32,7 @@ GOLDEN = [
     (["fill", "mazur.palf"], 0, "734b0650a3f22a03"),
     (["fill", "mazur_inflated.palf"], 0, "edf52f9ab5a7897f"),
     (["mcg", "verify-chain", "2"], 0, "8b6c8c0e9441c293"),
-    (CERTIFY, 0, "840843d069d39e29"),
+    (CERTIFY, 0, "9d15d262fcdc5b86"),
 ]
 
 
@@ -151,7 +151,7 @@ def test_human_fill_output_is_pinned(fixtures):
 def test_human_certify_output_is_pinned(fixtures):
     code, out = run_cli(CERTIFY, fixtures, "human")
     assert code == 0
-    assert digest_of(out) == "52b04743f7086334"
+    assert digest_of(out) == "0e36ad831ea26678"
 
 
 def test_certificate_digest_is_pinned(fixtures):

@@ -1,6 +1,7 @@
 """The certificate engine and the numeric rules it uses."""
 
 import copy
+import inspect
 import json
 import random
 import re
@@ -39,6 +40,9 @@ def pipeline(load, fixtures):
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
     plan = fillings.build_concave(fillings.palf_to_openbook(palf))
     return cork, adm, spec, plan
+
+
+WORD = "word_trivial_on_h1"
 
 
 def test_hf_s3_table():
@@ -110,42 +114,54 @@ def test_adjunction_refuses_out_of_scope():
         adjunction_violated(1, -1, 0)
 
 
-def cond(check, **evidence):
-    return {"check": check, "evidence": evidence}
-
-
 def test_eval_condition_runs_named_checks():
     chain = [list(c.h1_class) for c in mcg.chain_curves(2)]
+    # (check, facts it holds on, facts it fails on)
     cases = [
-        (cond("unit_linking", lk=-1), cond("unit_linking", lk=0)),
-        (cond("tb_at_least_one", tb=1), cond("tb_at_least_one", tb=0)),
-        (cond("contact_framing", framing=1, tb=2), cond("contact_framing", framing=2, tb=2)),
-        (cond("plan_euler_characteristic", euler_char=194, handles=195, fiber_genus=2),
-         cond("plan_euler_characteristic", euler_char=195, handles=195, fiber_genus=2)),
-        (cond("relator_handles", handles=195, blocks=5, fiber_genus=2),
-         cond("relator_handles", handles=196, blocks=5, fiber_genus=2)),
-        (cond("fiber_genus_above_one", fiber_genus=2), cond("fiber_genus_above_one", fiber_genus=1)),
-        (cond("unit_determinant", det=-1), cond("unit_determinant", det=2)),
-        (cond("tb_obstructed", framing=1, max_tb=1), cond("tb_obstructed", framing=0, max_tb=1)),
-        (cond("adjunction_violated", genus=1, self_intersection=1, pairing=0),
-         cond("adjunction_violated", genus=2, self_intersection=0, pairing=2)),
+        ("unit_linking", {"lk": -1}, {"lk": 0}),
+        ("tb_at_least_one", {"cork_tb": 1}, {"cork_tb": 0}),
+        ("contact_framing", {"framing": 1, "exhibit_tb": 2}, {"framing": 2, "exhibit_tb": 2}),
+        ("plan_euler_characteristic", {"euler_char": 194, "handles": 195, "fiber_genus": 2},
+         {"euler_char": 195, "handles": 195, "fiber_genus": 2}),
+        ("relator_handles", {"handles": 195, "blocks": 5, "fiber_genus": 2},
+         {"handles": 196, "blocks": 5, "fiber_genus": 2}),
+        ("fiber_genus_above_one", {"fiber_genus": 2}, {"fiber_genus": 1}),
+        ("unit_determinant", {"det": -1}, {"det": 2}),
+        ("tb_obstructed", {"framing": 1, "max_tb": 1}, {"framing": 0, "max_tb": 1}),
+        ("adjunction_violated", {"knot_genus": 1, "framing": 1},
+         {"knot_genus": 2, "framing": 2}),
     ]
-    for holds, fails in cases:
-        assert eval_condition(holds) is True
-        assert eval_condition(fails) is False
-    assert {holds["check"] for holds, _ in cases} | {"word_trivial_on_h1"} == set(CHECKS)
-    assert eval_condition(cond("word_trivial_on_h1", genus=2, monodromy=chain)) is True
-    assert eval_condition(cond("word_trivial_on_h1", genus=1, monodromy=[[0, 1]])) is True
+    for check, holds, fails in cases:
+        assert eval_condition(check, holds) is True
+        assert eval_condition(check, fails) is False
+    assert {check for check, _, _ in cases} | {"word_trivial_on_h1"} == set(CHECKS)
+    # a check reads only the facts it names from the shared table
+    assert eval_condition("unit_linking", {"lk": 1, "cork_tb": [1.5]}) is True
+    assert eval_condition(
+        "word_trivial_on_h1", {"fiber_genus": 2, "monodromy": chain}) is True
+    assert eval_condition(
+        "word_trivial_on_h1", {"fiber_genus": 1, "monodromy": [[0, 1]]}) is True
     with pytest.raises(RuleNotApplicable):
-        eval_condition(cond("adjunction_violated", genus=0, self_intersection=1, pairing=0))
+        eval_condition("adjunction_violated", {"knot_genus": 0, "framing": 1})
+
+
+def test_adjunction_check_reads_pairing_zero_the_strongest_case():
+    """The check evaluates the rule at pairing 0: wherever that violates the
+    bound, every pairing does, so no certificate needs to record one."""
+    for g in range(1, 4):
+        for self_int in range(5):
+            holds = eval_condition("adjunction_violated", {"knot_genus": g, "framing": self_int})
+            assert holds is adjunction_violated(g, self_int, 0)
+            if holds:
+                assert all(adjunction_violated(g, self_int, p) for p in range(-6, 7))
 
 
 def test_word_trivial_on_h1_replays_the_chain_relation(monkeypatch):
     """The check holds only because the chain relation makes each block an inverse twist."""
-    evidence = cond("word_trivial_on_h1", genus=3, monodromy=[[1, 0, 1, 0, 0, 0]])
-    assert eval_condition(evidence) is True
+    facts = {"fiber_genus": 3, "monodromy": [[1, 0, 1, 0, 0, 0]]}
+    assert eval_condition("word_trivial_on_h1", facts) is True
     monkeypatch.setattr(mcg, "verify_chain_relation", lambda g: False)
-    assert eval_condition(evidence) is False
+    assert eval_condition("word_trivial_on_h1", facts) is False
 
 
 def test_eval_condition_caps_nesting():
@@ -153,43 +169,42 @@ def test_eval_condition_caps_nesting():
     deep = 1
     for _ in range(500):
         deep = [deep]
-    for bad, kind in [
-        (cond("unit_linking", lk=[[1]]), "an integer"),
-        (cond("unit_linking", lk=deep), "an integer"),
-        (cond("word_trivial_on_h1", genus=1, monodromy=[1, 0]), "a list of integer lists"),
-        (cond("word_trivial_on_h1", genus=1, monodromy=[[[1], 0]]), "a list of integer lists"),
-        (cond("word_trivial_on_h1", genus=1, monodromy=deep), "a list of integer lists"),
+    for check, bad, kind in [
+        ("unit_linking", {"lk": [[1]]}, "an integer"),
+        ("unit_linking", {"lk": deep}, "an integer"),
+        (WORD, {"fiber_genus": 1, "monodromy": [1, 0]}, "a list of integer lists"),
+        (WORD, {"fiber_genus": 1, "monodromy": [[[1], 0]]}, "a list of integer lists"),
+        (WORD, {"fiber_genus": 1, "monodromy": deep}, "a list of integer lists"),
     ]:
         with pytest.raises(HFError, match=f"is not {kind}$"):
-            eval_condition(bad)
+            eval_condition(check, bad)
 
 
-@pytest.mark.parametrize("bad, message", [
-    ("not a mapping", "not a mapping of a check"),
-    ({"expr": "1 == 1", "value": True}, "not a mapping of a check"),
-    ({"check": "unit_linking", "evidence": {"lk": 1}, "value": True}, "not a mapping of a check"),
-    (cond("is_identity", lk=1), "unknown check 'is_identity'"),
-    ({"check": ["unit_linking"], "evidence": {"lk": 1}}, "unknown check"),
-    ({"check": "unit_linking", "evidence": [1]}, "wants evidence lk"),
-    (cond("unit_linking"), "wants evidence lk"),
-    (cond("unit_linking", lk=1, tb=2), "wants evidence lk"),
-    (cond("unit_linking", lk=True), "evidence lk of check unit_linking is not an integer"),
-    (cond("unit_linking", lk=1.0), "is not an integer"),
-    (cond("unit_linking", lk="1"), "is not an integer"),
-    (cond("word_trivial_on_h1", genus=0, monodromy=[[]]), "genus must be between 1 and 64"),
-    (cond("word_trivial_on_h1", genus=mcg.MAX_GENUS + 1, monodromy=[[1] + [0] * 129]),
+@pytest.mark.parametrize("check, facts, message", [
+    ("unit_linking", "not a mapping", "the facts are not a mapping"),
+    # a side condition document of an older certificate where a check name goes
+    ({"expr": "1 == 1", "value": True}, {"lk": 1}, "unknown check {'expr'"),
+    ("is_identity", {"lk": 1}, "unknown check 'is_identity'"),
+    (["unit_linking"], {"lk": 1}, "unknown check ['unit_linking']"),
+    ("unit_linking", [1], "the facts are not a mapping"),
+    ("unit_linking", {"cork_tb": 2}, "check unit_linking wants fact lk"),
+    ("unit_linking", {"lk": True}, "fact lk of check unit_linking is not an integer"),
+    ("unit_linking", {"lk": 1.0}, "is not an integer"),
+    ("unit_linking", {"lk": "1"}, "is not an integer"),
+    (WORD, {"fiber_genus": 0, "monodromy": [[]]}, "genus must be between 1 and 64"),
+    (WORD, {"fiber_genus": mcg.MAX_GENUS + 1, "monodromy": [[1] + [0] * 129]},
      "genus must be between 1 and 64, got 65"),
-    (cond("word_trivial_on_h1", genus=2, monodromy=[[1, 0]]), "must have 4 entries"),
-    (cond("word_trivial_on_h1", genus=1, monodromy=[[2, 0]]), "imprimitive"),
-    (cond("word_trivial_on_h1", genus=1, monodromy=[[0, 0]]), "imprimitive"),
-    (cond("word_trivial_on_h1", genus=1, monodromy=[]), "the monodromy has no letters"),
-], ids=["not-a-mapping", "old-format", "extra-field", "unknown-check", "check-not-a-string",
-        "evidence-not-a-mapping", "missing-key", "extra-key", "true", "float", "string",
+    (WORD, {"fiber_genus": 2, "monodromy": [[1, 0]]}, "must have 4 entries"),
+    (WORD, {"fiber_genus": 1, "monodromy": [[2, 0]]}, "imprimitive"),
+    (WORD, {"fiber_genus": 1, "monodromy": [[0, 0]]}, "imprimitive"),
+    (WORD, {"fiber_genus": 1, "monodromy": []}, "the monodromy has no letters"),
+], ids=["not-a-mapping", "old-format", "unknown-check", "check-not-a-string",
+        "evidence-not-a-mapping", "missing-key", "true", "float", "string",
         "genus-0", "genus-65", "class-length", "imprimitive-class", "zero-class",
         "empty-monodromy"])
-def test_eval_condition_refuses_hostile_evidence(bad, message):
+def test_eval_condition_refuses_hostile_evidence(check, facts, message):
     with pytest.raises(HFError, match=re.escape(message)):
-        eval_condition(bad)
+        eval_condition(check, facts)
 
 
 def test_validate_survives_documents_too_deep_to_digest():
@@ -207,11 +222,9 @@ def test_certificate_distinct_and_valid(pipeline):
     assert len(doc["steps"]) == 10
     assert validate_certificate(doc) == []
     for step in doc["steps"]:
-        assert [c["check"] for c in step["side_conditions"]] == list(
-            RULE_CHECKS.get(step["rule"], ())
-        )
-        for condition in step["side_conditions"]:
-            assert eval_condition(condition) is True
+        assert step["checks"] == list(RULE_CHECKS.get(step["rule"], ()))
+        for check in step["checks"]:
+            assert eval_condition(check, doc["facts"]) is True
     # the registered obstruction string appears verbatim in the outputs
     joined = json.dumps(doc, ensure_ascii=False)
     assert "framing 1 ≠ tb − 1 for exhibited tb ≤ 1" in joined
@@ -219,7 +232,7 @@ def test_certificate_distinct_and_valid(pipeline):
 
 def test_certify_emits_every_registered_check(pipeline):
     steps = certify_distinct(*pipeline)["steps"]
-    emitted = [c["check"] for step in steps for c in step["side_conditions"]]
+    emitted = [check for step in steps for check in step["checks"]]
     assert set(emitted) == set(CHECKS)
     assert len(emitted) == 11
     assert "given: the candidate diagram and its admissibility report" in steps[0]["inputs"]
@@ -238,13 +251,13 @@ def test_certificate_shares_nothing_between_calls(pipeline, mark_everywhere):
     pristine = copy.deepcopy((cert, report))
     mark_everywhere(cert)
     mark_everywhere(report)
-    assert "marked" in cert["steps"][4]["side_conditions"][0]["evidence"]
+    assert "marked" in cert["facts"] and "marked" in cert["facts"]["monodromy"][0]
     assert (certify_distinct(*pipeline), hfcert.fake_pair_report()) == pristine
 
 
 # JSON values come from flat bytes read by _json_value: hypothesis draws and
 # shrinks bytes several times faster than a recursive strategy
-_KEYS = ("", "x", "check", "evidence", "steps", "rule", "quote", "inputs", "outputs",
+_KEYS = ("", "x", "facts", "checks", "steps", "rule", "quote", "inputs", "outputs",
          "side_conditions", "digest", "verdict", "assumptions", "name", "lk", "monodromy")
 _ATOMS = (None, True, False, 0, 1, -1, 2, 10**30, 1.0, -0.5, float("inf"), float("nan"),
           "DISTINCT", "verdict: DISTINCT", "given: x", "assumption: x", *_KEYS)
@@ -323,67 +336,197 @@ def test_validate_is_total(pipeline):
 
 def test_tampering_single_integer_fails(pipeline):
     bad = certify_distinct(*pipeline)
-    relator = bad["steps"][2]["side_conditions"][1]
-    assert relator == cond("relator_handles", handles=195, blocks=5, fiber_genus=2)
-    relator["evidence"]["handles"] = 196
+    assert bad["facts"]["handles"] == 195
+    bad["facts"]["handles"] = 196
     problems = validate_certificate(bad)
     assert any("digest" in p for p in problems)
-    assert any("check relator_handles fails on its evidence" in p for p in problems)
+    assert any("check relator_handles fails on its facts" in p for p in problems)
 
 
-# one forgery per check that an edited integer can falsify: (step, check, key, value)
+def _fails(step, check):
+    return step, f"check {check} fails on its facts"
+
+
+# one forgery per check that an edited fact can falsify: (step, check, fact,
+# value, and the problem at every step that reads the fact)
 FORGERIES = [
-    (1, "unit_linking", "lk", 2),
-    (1, "tb_at_least_one", "tb", 0),
-    (2, "contact_framing", "framing", 0),
-    (3, "plan_euler_characteristic", "euler_char", 195),
-    (3, "relator_handles", "handles", 196),
-    (3, "relator_handles", "blocks", 4),
-    (4, "fiber_genus_above_one", "fiber_genus", 1),
-    (5, "unit_determinant", "det", 2),
-    (6, "unit_determinant", "det", 2),
-    (7, "tb_obstructed", "max_tb", 2),
-    (7, "adjunction_violated", "self_intersection", 0),
+    (1, "unit_linking", "lk", 2, [_fails(1, "unit_linking")]),
+    (1, "tb_at_least_one", "cork_tb", 0, [_fails(1, "tb_at_least_one")]),
+    # the framing is read at steps 2 and 7
+    (2, "contact_framing", "framing", 0, [
+        _fails(2, "contact_framing"), _fails(7, "tb_obstructed"),
+        _fails(7, "adjunction_violated")]),
+    (3, "plan_euler_characteristic", "euler_char", 195, [_fails(3, "plan_euler_characteristic")]),
+    (3, "relator_handles", "handles", 196, [
+        _fails(3, "plan_euler_characteristic"), _fails(3, "relator_handles")]),
+    (3, "relator_handles", "blocks", 4, [_fails(3, "relator_handles")]),
+    # the fiber genus is read at steps 3 and 4
+    (4, "fiber_genus_above_one", "fiber_genus", 1, [
+        _fails(3, "plan_euler_characteristic"), _fails(3, "relator_handles"),
+        (3, "unreadable check: every monodromy class must have 2 entries"),
+        _fails(4, "fiber_genus_above_one")]),
+    # the determinant is read at steps 5 and 6
+    (5, "unit_determinant", "det", 2, [_fails(5, "unit_determinant"), _fails(6, "unit_determinant")]),
+    (6, "unit_determinant", "det", 0, [_fails(5, "unit_determinant"), _fails(6, "unit_determinant")]),
+    (7, "tb_obstructed", "max_tb", 2, [_fails(7, "tb_obstructed")]),
+    (7, "adjunction_violated", "knot_genus", 2, [_fails(7, "adjunction_violated")]),
 ]
 
 
-@pytest.mark.parametrize("step, check, key, value", FORGERIES,
-                         ids=[f"{s}-{c}-{k}" for s, c, k, _ in FORGERIES])
-def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, key, value):
+@pytest.mark.parametrize("step, check, fact, value, problems", FORGERIES,
+                         ids=[f"{s}-{c}-{f}" for s, c, f, _, _ in FORGERIES])
+def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, fact, value, problems):
     doc = certify_distinct(*pipeline)
-    [target] = [c for c in doc["steps"][step - 1]["side_conditions"] if c["check"] == check]
-    target["evidence"][key] = value
+    assert _fails(step, check) in problems
+    doc["facts"][fact] = value
     doc["digest"] = certificate_digest(doc)
     assert validate_certificate(doc) == [
-        f"step {step} ({doc['steps'][step - 1]['rule']}): check {check} fails on its evidence"
+        f"step {s} ({doc['steps'][s - 1]['rule']}): {problem}" for s, problem in problems
     ]
 
 
 def test_dropped_or_reordered_checks_fail_with_fresh_digest(pipeline):
     doc = certify_distinct(*pipeline)
     dropped, swapped = copy.deepcopy(doc), copy.deepcopy(doc)
-    del dropped["steps"][2]["side_conditions"][2]
-    swapped["steps"][6]["side_conditions"].reverse()
+    del dropped["steps"][2]["checks"][2]
+    swapped["steps"][6]["checks"].reverse()
     for forged in (dropped, swapped):
         forged["digest"] = certificate_digest(forged)
         [problem] = validate_certificate(forged)
         assert "are not the rule's checks" in problem
 
 
+def _parent_format(doc):
+    """doc as the format before the facts table wrote it: each step carries
+    its checks as side conditions, each with its own copy of the evidence."""
+    old = copy.deepcopy(doc)
+    f = old.pop("facts")
+    evidence = {
+        "unit_linking": {"lk": f["lk"]},
+        "tb_at_least_one": {"tb": f["cork_tb"]},
+        "contact_framing": {"framing": f["framing"], "tb": f["exhibit_tb"]},
+        "plan_euler_characteristic": {
+            "euler_char": f["euler_char"], "handles": f["handles"], "fiber_genus": f["fiber_genus"]},
+        "relator_handles": {
+            "handles": f["handles"], "blocks": f["blocks"], "fiber_genus": f["fiber_genus"]},
+        WORD: {"genus": f["fiber_genus"], "monodromy": f["monodromy"]},
+        "fiber_genus_above_one": {"fiber_genus": f["fiber_genus"]},
+        "unit_determinant": {"det": f["det"]},
+        "tb_obstructed": {"framing": f["framing"], "max_tb": f["max_tb"]},
+        "adjunction_violated": {
+            "genus": f["knot_genus"], "self_intersection": f["framing"], "pairing": 0},
+    }
+    for step in old["steps"]:
+        step["side_conditions"] = [{"check": c, "evidence": evidence[c]}
+                                   for c in step.pop("checks")]
+    old["digest"] = certificate_digest(old)
+    return old
+
+
 def test_old_format_certificate_is_invalid(pipeline):
+    problems = validate_certificate(_parent_format(certify_distinct(*pipeline)))
+    assert problems[0] == "certificate has no facts table"
+    assert problems[1:4] == [
+        "step 1 (cork_admissible): unknown key 'side_conditions'",
+        "step 1 (cork_admissible): checks [] are not the rule's checks "
+        "['unit_linking', 'tb_at_least_one']",
+        "step 1 (cork_admissible): unreadable check: check unit_linking wants fact lk",
+    ]
+    assert sum("unknown key 'side_conditions'" in p for p in problems) == 10
+
+
+# a value where the checker reads none: (where, key, value, the problem it reports)
+UNREAD = [
+    ("certificate", "pairing", 0, "unknown certificate key 'pairing'"),
+    ("step 1", "side_conditions", [], "step 1 (cork_admissible): unknown key 'side_conditions'"),
+    ("step 1", "evidence", {"lk": 1}, "step 1 (cork_admissible): unknown key 'evidence'"),
+    ("facts", "pairing", 0, "fact 'pairing' is read by no check"),
+    ("facts", "tb", 2, "fact 'tb' is read by no check"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, problem", UNREAD,
+                         ids=["certificate-key", "step-key", "step-evidence", "unread-fact",
+                              "unread-copy"])
+def test_validate_refuses_unread_data(pipeline, where, key, value, problem):
     doc = certify_distinct(*pipeline)
-    doc["steps"][0]["side_conditions"] = [{"expr": "abs(1) == 1", "value": True},
-                                          {"expr": "2 >= 1", "value": True}]
+    {"certificate": doc, "step 1": doc["steps"][0], "facts": doc["facts"]}[where][key] = value
     doc["digest"] = certificate_digest(doc)
-    problems = validate_certificate(doc)
-    assert problems[0] == (
-        "step 1 (cork_admissible): checks [None, None] are not the rule's checks "
-        "['unit_linking', 'tb_at_least_one']"
-    )
-    assert problems[1:] == [
-        "step 1 (cork_admissible): unreadable side condition: side condition is not "
-        "a mapping of a check and its evidence"
-    ] * 2
+    assert validate_certificate(doc) == [problem]
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _integer_sites(doc):
+    return [path for path in _sites(doc) if type(_at(doc, path)) is int]
+
+
+def test_every_integer_is_a_fact_recorded_once(pipeline):
+    doc = certify_distinct(*pipeline)
+    sites = _integer_sites(doc)
+    assert all(path[0] == "facts" for path in sites)
+    # 11 integer facts and the monodromy's 5 classes of 4 entries
+    assert len(sites) == 31
+    assert len(doc["facts"]) == 12
+
+
+EDITS = {"+1": lambda v: v + 1, "negate": lambda v: -v}
+
+# monodromy class i of the mazur certificate: the entries where +1, and where
+# negation, keep the class primitive
+_MONODROMY = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 1]]
+_PRIMITIVE_EDITS = [
+    ((1, 2, 3), (0,)),
+    ((0, 2, 3), (1,)),
+    ((0, 1, 2, 3), (0, 2)),
+    ((0, 1, 2), (3,)),
+    ((0, 1, 2, 3), (1, 3)),
+]
+_PRIMITIVE_ONLY = (
+    "word_trivial_on_h1 decides only that each class is primitive: nothing yet "
+    "ties the fibration word to the diagram, so any primitive class passes")
+
+# Every edit of one integer of the mazur certificate that validation still
+# accepts under a fresh digest, with why: {(site, edit): reason}.  The gate
+# requires the accepted edits to be exactly these, so a change that makes
+# one more integer load-bearing shrinks this table on purpose.
+ACCEPTED_EDITS = {
+    (("facts", "lk"), "negate"): "lk = -1 links once as well: an equivalent value",
+    (("facts", "det"), "negate"): "det = 1 is unimodular as well: an equivalent value",
+    (("facts", "cork_tb"), "+1"): (
+        "tb_at_least_one is one-sided (tb >= 1), and the cork's exhibit is a given "
+        "input that validation does not replay"),
+    (("facts", "max_tb"), "negate"): (
+        "max tb is a given registry fact; a smaller bound obstructs the framing as well"),
+    **{(("facts", "monodromy", i, j), edit): _PRIMITIVE_ONLY
+       for i, (plus_one, negated) in enumerate(_PRIMITIVE_EDITS)
+       for edit, entries in (("+1", plus_one), ("negate", negated)) for j in entries},
+}
+
+
+def test_mutation_gate_accepts_only_the_allowlist(pipeline):
+    """+1 and negation of every integer, under a fresh digest: validation
+    rejects each edit that the allowlist does not name, and accepts each one it does."""
+    doc = certify_distinct(*pipeline)
+    assert doc["facts"]["monodromy"] == _MONODROMY
+    accepted = set()
+    for path in _integer_sites(doc):
+        *parents, last = path
+        for edit, change in EDITS.items():
+            value = _at(doc, path)
+            if change(value) == value:  # negating 0 edits nothing
+                continue
+            bad = copy.deepcopy(doc)
+            _at(bad, parents)[last] = change(value)
+            bad["digest"] = certificate_digest(bad)
+            if not validate_certificate(bad):
+                accepted.add((path, edit))
+    assert len(ACCEPTED_EDITS) == 28
+    assert accepted == set(ACCEPTED_EDITS)
 
 
 def test_tampering_text_only_fails_digest(pipeline):
@@ -412,26 +555,32 @@ def test_abort_on_wrong_framing(pipeline):
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, spec._replace(framing=0), plan)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
-    assert info.value.condition == cond("contact_framing", framing=0, tb=2)
-    assert condition_text(info.value.condition) == "contact_framing(framing=0, tb=2)"
+    assert info.value.check == "contact_framing"
+    assert condition_text(info.value.check, info.value.facts) == (
+        "contact_framing(framing=0, exhibit_tb=2)")
 
 
-def _old_condition_text(c):
-    """condition_text as it spelled every value: json.dumps with compact separators."""
-    args = ", ".join(f"{k}={json.dumps(v, separators=(',', ':'))}"
-                     for k, v in c["evidence"].items())
-    return f"{c['check']}({args})"
+def _json_condition_text(check, facts):
+    """The oracle: each fact the check reads, in parameter order, by json.dumps
+    with compact separators."""
+    args = ", ".join(f"{k}={json.dumps(facts[k], separators=(',', ':'))}"
+                     for k in inspect.signature(CHECKS[check]).parameters)
+    return f"{check}({args})"
 
 
 def test_condition_text_spells_values_in_compact_json(pipeline):
-    conds = [c for step in certify_distinct(*pipeline)["steps"] for c in step["side_conditions"]]
-    assert any("monodromy" in c["evidence"] for c in conds)
-    # evidence a failed check can carry into an abort: a negative int, nested
+    doc = certify_distinct(*pipeline)
+    conds = [(c, doc["facts"]) for step in doc["steps"] for c in step["checks"]]
+    assert ("word_trivial_on_h1", doc["facts"]) in conds
+    # facts a failed check can carry into an abort: a negative int, nested
     # int lists, a bool and a null
-    conds += [cond("unit_linking", lk=-3), cond("x", a=[[1, -2], [], [3]], b=True, c=None)]
+    conds += [("unit_linking", {"lk": -3}), ("unit_linking", {"lk": None}),
+              (WORD, {"fiber_genus": True, "monodromy": [[1, -2], [], [3]]})]
     for c in conds:
-        assert condition_text(c) == _old_condition_text(c)
-    assert condition_text(conds[-1]) == "x(a=[[1,-2],[],[3]], b=true, c=null)"
+        assert condition_text(*c) == _json_condition_text(*c)
+    assert condition_text(*conds[-2]) == "unit_linking(lk=null)"
+    assert condition_text(*conds[-1]) == (
+        "word_trivial_on_h1(fiber_genus=true, monodromy=[[1,-2],[],[3]])")
 
 
 def test_abort_on_unknot_inflation(pipeline, load):
@@ -441,7 +590,7 @@ def test_abort_on_unknot_inflation(pipeline, load):
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, spec, plan)
     assert "adjunction rule not applicable" in str(info.value)
-    assert info.value.condition["check"] == "adjunction_violated"
+    assert info.value.check == "adjunction_violated"
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
@@ -462,22 +611,26 @@ def test_abort_on_unobstructed_twisted_side(pipeline):
         "twisted-side attachment is not obstructed "
         "(exhibited tb 2, 2 handle passes); no separation"
     )
-    assert info.value.condition is None
+    assert info.value.check is None
 
 
 def test_stein_framing_rule_branches(pipeline, load):
     """Each way the Stein framing rule decides an attachment, read from the spec's exhibits."""
     cork, adm, spec, plan = pipeline
     # exact: framing 1 = tb - 1 on the untwisted exhibit
-    steps = certify_distinct(cork, adm, spec, plan)["steps"]
-    assert steps[1]["side_conditions"] == [cond("contact_framing", framing=1, tb=2)]
+    cert = certify_distinct(cork, adm, spec, plan)
+    steps, facts = cert["steps"], cert["facts"]
+    assert steps[1]["checks"] == ["contact_framing"]
+    assert (facts["framing"], facts["exhibit_tb"]) == (1, 2)
     # realizable below the exhibit, but not exact: step 2 aborts
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, spec._replace(framing=0), plan)
-    assert info.value.condition == cond("contact_framing", framing=0, tb=2)
+    assert condition_text(info.value.check, info.value.facts) == (
+        "contact_framing(framing=0, exhibit_tb=2)")
     # obstructed: a plain trefoil with tb 1 < framing + 1
-    assert steps[6]["side_conditions"][0] == cond("tb_obstructed", framing=1, max_tb=1)
-    assert "given: twisted-side verdict: framing 1 ≠ tb − 1 for exhibited tb ≤ 1" in (
+    assert steps[6]["checks"][0] == "tb_obstructed"
+    assert facts["max_tb"] == 1
+    assert "given: twisted-side verdict on the inflation spec's twisted exhibit" in (
         steps[6]["inputs"])
     # unknown: a twisted exhibit over a handle that falls short of the framing;
     # max tb bounds only a plain front, so nothing obstructs it
@@ -541,7 +694,8 @@ def test_untwisted_exhibit_exact_twisted_obstructed(pipeline):
     """The shipped spec: framing 1 is Stein over the handle and obstructed after the twist."""
     steps = certify_distinct(*pipeline)["steps"]
     assert steps[1]["inputs"][1] == (
-        "given: 2-handle along a right_trefoil curve, framing 1, exhibited tb 2"
+        "given: 2-handle along a right_trefoil curve: "
+        "the inflation spec's framing and untwisted exhibit"
     )
     assert steps[6]["outputs"][0] == (
         "the twisted attachment is never Stein: framing 1 ≠ tb − 1 for exhibited tb ≤ 1"

@@ -1,24 +1,27 @@
 """The certificate engine: a fixed proof scheme replayed as checkable steps.
 
-Nothing in this module computes Floer homology.  certify_distinct replays
-the fixed chain of deductions that separates the two contact classes as
-a certificate, one JSON document: a list of steps, each citing one
-axiom in plain words, naming its elements by fixed strings, and naming
-the checks its rule runs.  The split is deliberate: applicability
-arithmetic is checked exhaustively here (the adjunction rule is the
-numeric rule it uses; the degree shift is only stated, as a conditional
-output, since nothing pins down the signature), and every imported fact
-is surfaced as a declared assumption instead of being silently used.
+Nothing in this module computes Floer homology.  The fixed chain of
+deductions that separates the two contact classes is spelled once, as
+SCHEME: one row per step, naming its rule, inputs, checks and outputs.
+certify_distinct fills it in as a certificate, one JSON document: a list
+of steps, each citing one axiom in plain words, naming its elements by
+fixed strings, and naming the checks its rule runs.  The split is
+deliberate: applicability arithmetic is checked exhaustively here (the
+adjunction rule is the numeric rule it uses; the degree shift is only
+stated, as a conditional output, since nothing pins down the signature),
+and every imported fact is surfaced as a declared assumption instead of
+being silently used.
 
 Every number a check reads is recorded once, by name, in the
 certificate's facts table: a JSON integer, or for the monodromy a list
 of integer classes.  CHECKS is a small registry of functions whose
 parameters are fact names, and eval_condition runs one on the facts.
 Certify runs every check before recording its name, so a certificate
-never records a false one.  Validation re-runs each rule's fixed list of
-checks, recomputes the content digest, reports every key and fact that
-nothing reads, and requires every non-given input of a step to be the
-output of an earlier step.
+never records a false one.  Validation recomputes the content digest,
+compares every step with its row of SCHEME (a given input by its place
+and prefix only, an output spelled from the facts), re-runs each row's
+checks on the facts, requires each assumption a row cites to be declared,
+and reports every key and fact that nothing reads.
 """
 
 from __future__ import annotations
@@ -275,19 +278,6 @@ AXIOMS: dict[str, str] = {
     ),
 }
 
-# the checks each rule's step carries, in order; the other rules carry none
-RULE_CHECKS: dict[str, tuple[str, ...]] = {
-    "cork_admissible": ("unit_linking", "tb_at_least_one"),
-    "stein_untwisted_attachment": ("contact_framing",),
-    "concave_filling_plan": (
-        "plan_euler_characteristic", "relator_handles", "word_trivial_on_h1",
-    ),
-    "lefschetz_nonvanishing": ("fiber_genus_above_one",),
-    "concave_hits_contact": ("unit_determinant",),
-    "compose_unique_gluing": ("unit_determinant",),
-    "twisted_adjunction_obstruction": ("tb_obstructed", "adjunction_violated"),
-}
-
 # assumption documents; each use copies one, so that no certificate or
 # report shares a dict with this module
 SIGN_CAVEAT = {
@@ -309,10 +299,10 @@ FREEDMAN_ASSUMPTION = {
 }
 
 
-# -- the claims the steps chain -----------------------------------------------
+# -- the proof scheme ---------------------------------------------------------
 
-# each is an output of one step and an input of every later step that uses
-# it; validation matches the two spellings, so each claim is spelled here once
+# each claim is an output of one step and an input of every later step that
+# uses it, so it is spelled here once for the rows that share it
 IS_CORK = "the domain W is a cork; its boundary carries the exchanging involution"
 W_PRIME_STEIN = "the extended domain W' = W + 2-handle is Stein"
 CONCAVE_FILLING = (
@@ -325,6 +315,83 @@ NO_BASIC_CLASS = "X'' has no basic class"
 TWISTED_IMAGE_ZERO = f"F+_W'({TWISTED_CONTACT}) = 0"
 CONTACTS_DIFFER = f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory"
 
+# The chain of deductions, one row per step in order: (rule, inputs, checks,
+# outputs).  certify_distinct fills it in and validate_certificate compares
+# every step with its row.  A name in braces is filled in: the knot in a
+# given input, a fact in an output.  A given input is compared only by its
+# place and its prefix; every other text must match exactly.
+SCHEME: tuple[tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...] = (
+    ("cork_admissible",
+     ("given: the candidate diagram and its admissibility report",),
+     ("unit_linking", "tb_at_least_one"),
+     (IS_CORK,)),
+    ("stein_untwisted_attachment",
+     (IS_CORK, "given: 2-handle along a {knot} curve: "
+               "the inflation spec's framing and untwisted exhibit"),
+     ("contact_framing",),
+     (W_PRIME_STEIN,)),
+    ("concave_filling_plan",
+     (W_PRIME_STEIN, "given: the shipped fibration word for W'"),
+     ("plan_euler_characteristic", "relator_handles", "word_trivial_on_h1"),
+     (CONCAVE_FILLING,)),
+    # nothing in the inputs pins down sigma(X), so the degree bookkeeping
+    # is a conditional output rather than an invented value
+    ("lefschetz_nonvanishing",
+     (CONCAVE_FILLING, "assumption: b2plus-at-least-2", "assumption: relative-minimality"),
+     ("fiber_genus_above_one",),
+     (X_SENDS_BOTTOM_TO_TOP, "the canonical decoration of X is a basic class",
+      "conditional: given sigma(X), the mixed map shifts degree by "
+      "(c1^2 - 3*sigma - 2*chi) / 4")),
+    ("concave_hits_contact",
+     (CONCAVE_FILLING, "given: the boundary of W is a homology sphere, so c1 restricts torsion"),
+     ("unit_determinant",),
+     (V_HITS_CONTACT,)),
+    # exactly one decoration glues across the homology-sphere cut, so the
+    # composite is a single term
+    ("compose_unique_gluing",
+     (X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
+     ("unit_determinant",),
+     (f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO)),
+    ("twisted_adjunction_obstruction",
+     (IS_CORK, "given: registered facts for {knot}: its max tb and Seifert genus",
+      "given: twisted-side verdict on the inflation spec's twisted exhibit"),
+     ("tb_obstructed", "adjunction_violated"),
+     ("the twisted attachment is never Stein: "
+      "framing {framing} ≠ tb − 1 for exhibited tb ≤ {max_tb}",
+      "a closed torus of genus {knot_genus} and self-intersection {framing} "
+      "sits in the twisted closed fibration X''",
+      "every decoration of X'' violates the adjunction bound on that torus",
+      NO_BASIC_CLASS)),
+    ("twisted_mixed_vanishes",
+     (NO_BASIC_CLASS, V_HITS_CONTACT),
+     (),
+     (f"F_mix of X'' kills {THETA_MINUS}", TWISTED_IMAGE_ZERO)),
+    ("conclude_distinct",
+     (CONTACT_IMAGE_NONZERO, TWISTED_IMAGE_ZERO),
+     (),
+     (CONTACTS_DIFFER, "verdict: DISTINCT")),
+    ("reduced_descent",
+     (CONTACTS_DIFFER, "assumption: sign-ambiguity"),
+     (),
+     (f"{CONTACT} and {TWISTED_CONTACT} descend non-trivially to the reduced quotient",)),
+)
+
+
+def _spell(texts: tuple[str, ...], values: dict) -> list[str]:
+    """The texts with each name in braces filled from values; only a
+    scheme text is ever a template, and only one with a name is formatted."""
+    return [text.format_map(values) if "{" in text else text for text in texts]
+
+
+def scheme_steps(facts: dict, knot: str) -> list[dict]:
+    """The step documents of SCHEME: its given inputs name knot, its outputs spell facts."""
+    named = {"knot": knot}
+    return [
+        {"rule": rule, "quote": AXIOMS[rule], "inputs": _spell(inputs, named),
+         "checks": list(checks), "outputs": _spell(outputs, facts)}
+        for rule, inputs, checks, outputs in SCHEME
+    ]
+
 
 # -- the main deduction -------------------------------------------------------
 
@@ -333,8 +400,8 @@ def _require(ok: bool, message: str) -> None:
         raise CertificateAbort(message)
 
 
-def _checked(check: str, facts: dict, failure: str | None = None) -> str:
-    """Run a check on the facts about to be recorded; abort unless it holds; return its name."""
+def _checked(check: str, facts: dict, failure: str | None = None) -> None:
+    """Run a check on the facts about to be recorded; abort unless it holds."""
     try:
         holds = eval_condition(check, facts)
     except (HFError, RuleNotApplicable) as exc:
@@ -342,19 +409,6 @@ def _checked(check: str, facts: dict, failure: str | None = None) -> str:
     if not holds:
         raise CertificateAbort(
             failure or f"check {condition_text(check, facts)} fails", check, facts)
-    return check
-
-
-def _step(rule: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
-          checks: tuple[str, ...] = ()) -> dict:
-    """A step document citing the axiom of rule."""
-    return {
-        "rule": rule,
-        "quote": AXIOMS[rule],
-        "inputs": list(inputs),
-        "checks": list(checks),
-        "outputs": list(outputs),
-    }
 
 
 def certify_distinct(
@@ -371,8 +425,10 @@ def certify_distinct(
     element; the twisted one, the same knot and framing attached after the
     twist, is obstructed by registered knot facts and adjunction (step 7),
     forcing a zero image.  adm is the cork's admissibility document,
-    computed by the caller with the search budget it records.  Returns the
-    certificate document: its facts, steps, verdict, assumptions and digest.
+    computed by the caller with the search budget it records.  Gathers the
+    facts and runs each check of SCHEME on them, step by step, then fills
+    in the scheme.  Returns the certificate document: its facts, steps,
+    verdict, assumptions and digest.
     """
     from . import kirby
     from .fillings import STANDARD_ASSUMPTIONS
@@ -383,7 +439,6 @@ def certify_distinct(
     for declared in (knot, twisted_knot):
         _require(declared is None or declared in kirby.KNOT_FACTS,
                  f"unregistered knot type {declared!r}")
-    steps: list[dict] = []
     # each number a check reads, recorded once: the steps name only their checks
     facts: dict = {}
 
@@ -391,89 +446,33 @@ def certify_distinct(
     _require(adm["verdict"] == "admissible",
              f"cork admissibility failed: verdict {adm['verdict']!r}")
     facts.update(lk=adm["cond3"]["value"], cork_tb=adm["cond4prime"]["tb"])
-    steps.append(_step(
-        rule="cork_admissible",
-        inputs=("given: the candidate diagram and its admissibility report",),
-        checks=(_checked("unit_linking", facts), _checked("tb_at_least_one", facts)),
-        outputs=(IS_CORK,),
-    ))
+    _checked("unit_linking", facts)
+    _checked("tb_at_least_one", facts)
 
     # (2) untwisted Stein attachment
     framing, tb = spec.framing, untwisted.tb(u_comp)
     facts.update(framing=framing, exhibit_tb=tb)
-    steps.append(_step(
-        rule="stein_untwisted_attachment",
-        inputs=(
-            IS_CORK,
-            f"given: 2-handle along a {knot or 'declared'} curve: "
-            "the inflation spec's framing and untwisted exhibit",
-        ),
-        checks=(_checked(
-            "contact_framing", facts, f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
-        ),),
-        outputs=(W_PRIME_STEIN,),
-    ))
+    _checked("contact_framing", facts, f"untwisted Stein check wants framing = tb − 1 = {tb - 1}")
 
     # (3) the concave plan for the extended domain
     g_hat = plan.fiber_genus
     facts.update(euler_char=plan.euler_char, handles=plan.trivializing_handles,
                  blocks=plan.relator_blocks, fiber_genus=g_hat,
                  monodromy=[list(c.h1_class) for c, _ in plan.closed_monodromy.letters])
-    steps.append(_step(
-        rule="concave_filling_plan",
-        inputs=(W_PRIME_STEIN, "given: the shipped fibration word for W'"),
-        checks=tuple(_checked(check, facts) for check in (
-            "plan_euler_characteristic", "relator_handles", "word_trivial_on_h1")),
-        outputs=(CONCAVE_FILLING,),
-    ))
+    for check in ("plan_euler_characteristic", "relator_handles", "word_trivial_on_h1"):
+        _checked(check, facts)
 
     # (4) nonvanishing over the closed fibration
-    nonvanishing = _checked(
-        "fiber_genus_above_one", facts, f"fiber genus {g_hat} too small for the nonvanishing rule",
-    )
-    # nothing in the inputs pins down sigma(X), so the degree bookkeeping
-    # is emitted conditionally rather than with an invented value
-    steps.append(_step(
-        rule="lefschetz_nonvanishing",
-        inputs=(
-            CONCAVE_FILLING,
-            "assumption: b2plus-at-least-2",
-            "assumption: relative-minimality",
-        ),
-        checks=(nonvanishing,),
-        outputs=(
-            X_SENDS_BOTTOM_TO_TOP,
-            "the canonical decoration of X is a basic class",
-            "conditional: given sigma(X), the mixed map shifts degree by "
-            "(c1^2 - 3*sigma - 2*chi) / 4",
-        ),
-    ))
+    _checked("fiber_genus_above_one", facts,
+             f"fiber genus {g_hat} too small for the nonvanishing rule")
 
     # (5) the concave piece hits the contact element; the boundary's first
-    # homology is the cokernel of the linking matrix, finite iff det != 0
+    # homology is the cokernel of the linking matrix, finite iff det != 0.
+    # (6) reads the same fact, so the check runs once for both steps
     det = intmat.det(kirby.linking_matrix(cork)[1])
     _require(det != 0, "boundary first homology has free rank; contact c1 not torsion")
     facts["det"] = det
-    unimodular = _checked("unit_determinant", facts)
-    steps.append(_step(
-        rule="concave_hits_contact",
-        inputs=(
-            CONCAVE_FILLING,
-            "given: the boundary of W is a homology sphere, so c1 restricts torsion",
-        ),
-        checks=(unimodular,),
-        outputs=(V_HITS_CONTACT,),
-    ))
-
-    # (6) composing across the homology-sphere cut: exactly one decoration
-    # glues there, so the composite is a single term; the check step 5 ran
-    # on the same fact
-    steps.append(_step(
-        rule="compose_unique_gluing",
-        inputs=(X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
-        checks=(unimodular,),
-        outputs=(f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO),
-    ))
+    _checked("unit_determinant", facts)
 
     # (7) twisted side: the attachment is obstructed and adjunction bites
     registered = kirby.KNOT_FACTS.get(knot)
@@ -482,12 +481,9 @@ def certify_distinct(
         "no registered facts for the attaching knot; "
         "twisted-side obstruction unavailable",
     )
-    genus_k, max_tb = registered["seifert_genus"], registered["max_tb"]
-    facts.update(max_tb=max_tb, knot_genus=genus_k)
-    adjunction = _checked(
-        "adjunction_violated", facts,
-        "adjunction bound not violated at pairing 0; monotonicity gives no exclusion",
-    )
+    facts.update(max_tb=registered["max_tb"], knot_genus=registered["seifert_genus"])
+    _checked("adjunction_violated", facts,
+             "adjunction bound not violated at pairing 0; monotonicity gives no exclusion")
     _require(twisted_knot == knot, "twisted-side record disagrees with the untwisted attachment")
     # max tb bounds a plain front only, so the exhibit must pass no 1-handle,
     # and it must not itself reach the framing
@@ -496,53 +492,13 @@ def certify_distinct(
         "twisted-side attachment is not obstructed "
         f"(exhibited tb {twisted_tb}, {passes} handle passes); no separation"
     )
-    obstruction = _checked("tb_obstructed", facts, not_obstructed)
+    _checked("tb_obstructed", facts, not_obstructed)
     _require(passes == 0 and framing > twisted_tb - 1, not_obstructed)
-    reason = f"framing {framing} ≠ tb − 1 for exhibited tb ≤ {max_tb}"
-    steps.append(_step(
-        rule="twisted_adjunction_obstruction",
-        inputs=(
-            IS_CORK,
-            f"given: registered facts for {knot}: its max tb and Seifert genus",
-            "given: twisted-side verdict on the inflation spec's twisted exhibit",
-        ),
-        checks=(obstruction, adjunction),
-        outputs=(
-            f"the twisted attachment is never Stein: {reason}",
-            f"a closed torus of genus {genus_k} and self-intersection {framing} "
-            "sits in the twisted closed fibration X''",
-            "every decoration of X'' violates the adjunction bound on that torus",
-            NO_BASIC_CLASS,
-        ),
-    ))
 
-    # (8) so the twisted mixed map vanishes
-    steps.append(_step(
-        rule="twisted_mixed_vanishes",
-        inputs=(NO_BASIC_CLASS, V_HITS_CONTACT),
-        outputs=(f"F_mix of X'' kills {THETA_MINUS}", TWISTED_IMAGE_ZERO),
-    ))
-
-    # (9) the two images differ
-    steps.append(_step(
-        rule="conclude_distinct",
-        inputs=(CONTACT_IMAGE_NONZERO, TWISTED_IMAGE_ZERO),
-        outputs=(CONTACTS_DIFFER, "verdict: DISTINCT"),
-    ))
-
-    # (10) descent to the reduced quotient
-    steps.append(_step(
-        rule="reduced_descent",
-        inputs=(CONTACTS_DIFFER, "assumption: sign-ambiguity"),
-        outputs=(
-            f"{CONTACT} and {TWISTED_CONTACT} descend non-trivially "
-            "to the reduced quotient",
-        ),
-    ))
-
+    # (8) to (10) run no check
     cert = {
         "facts": facts,
-        "steps": steps,
+        "steps": scheme_steps(facts, knot),
         "verdict": "DISTINCT",
         "assumptions": [*(dict(a) for a in STANDARD_ASSUMPTIONS), dict(SIGN_CAVEAT)],
     }
@@ -552,20 +508,26 @@ def certify_distinct(
 
 # -- certificate validation ---------------------------------------------------
 
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 # the keys the checker reads; a value under any other would ride along unchecked
 _CERT_KEYS = ("facts", "steps", "verdict", "assumptions", "digest")
 _STEP_KEYS = ("rule", "quote", "inputs", "checks", "outputs")
 
 
+def _scheme_inputs(inputs: object, wanted: tuple[str, ...]) -> bool:
+    """inputs are the row's, a given input compared by its place and prefix only."""
+    return isinstance(inputs, list) and len(inputs) == len(wanted) and all(
+        got == want or (want.startswith("given: ") and isinstance(got, str)
+                        and got.startswith("given: "))
+        for got, want in zip(inputs, wanted))
+
+
 def validate_certificate(doc: dict) -> list[str]:
     """Re-check a serialized certificate; returns problems, empty if clean.
 
-    Total on any JSON value: a field of the wrong type is a problem, not
-    an exception, and so is a key or a fact that nothing reads.
+    Compares every step with its row of SCHEME and re-runs the row's checks
+    on the facts table.  Total on any JSON value: a field of the wrong type
+    is a problem, not an exception, and so is a key or a fact that nothing
+    reads.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -589,32 +551,31 @@ def validate_certificate(doc: dict) -> list[str]:
     verdict = doc.get("verdict")
     if verdict != "DISTINCT":
         problems.append(f"unknown verdict {verdict!r}")
-    known_outputs: set[str] = set()
-    read: set[str] = set()
     assumptions = doc.get("assumptions", [])
     if not isinstance(assumptions, list):
         problems.append("assumptions are not a list")
         assumptions = []
-    assumption_names = {
+    declared = {
         a["name"] for a in assumptions if isinstance(a, dict) and isinstance(a.get("name"), str)
     }
-    for idx, step in enumerate(steps):
+    if len(steps) != len(SCHEME):
+        problems.append(f"certificate has {len(steps)} steps; the scheme has {len(SCHEME)}")
+    read: set[str] = set()
+    for idx, (step, (rule, inputs, checks, outputs)) in enumerate(zip(steps, SCHEME), start=1):
         if not isinstance(step, dict):
-            problems.append(f"step {idx + 1}: not a mapping")
+            problems.append(f"step {idx}: not a mapping")
             continue
-        rule = step.get("rule", "?")
-        axiom = AXIOMS.get(rule) if isinstance(rule, str) else None
-        where = f"step {idx + 1} ({rule})"
+        # recorded text is printed only by repr, so it cannot start a line of its own
+        where = f"step {idx} ({rule})"
         problems.extend(f"{where}: unknown key {k!r}" for k in step if k not in _STEP_KEYS)
-        if axiom is None:
-            problems.append(f"{where}: unknown rule")
-        if step.get("quote") != axiom:
+        if step.get("rule") != rule:
+            problems.append(f"{where}: rule {step.get('rule')!r} is not the scheme's")
+        if step.get("quote") != AXIOMS[rule]:
             problems.append(f"{where}: quote does not match the axiom text")
-        wanted = list(RULE_CHECKS.get(rule, ())) if axiom is not None else []
-        checks = step.get("checks", [])
-        if checks != wanted:
-            problems.append(f"{where}: checks {checks} are not the rule's checks {wanted}")
-        for check in wanted:
+        recorded = step.get("checks", [])
+        if recorded != list(checks):
+            problems.append(f"{where}: checks {recorded!r} are not the rule's checks {list(checks)}")
+        for check in checks:
             read.update(_PARAMETERS[check])
             try:
                 holds = eval_condition(check, facts)
@@ -623,27 +584,18 @@ def validate_certificate(doc: dict) -> list[str]:
                 continue
             if not holds:
                 problems.append(f"{where}: check {check} fails on its facts")
-        inputs, outputs = step.get("inputs", []), step.get("outputs", [])
-        if not _is_str_list(inputs) or not _is_str_list(outputs):
-            problems.append(f"{where}: inputs and outputs are not lists of strings")
-            continue
-        for inp in inputs:
-            if inp.startswith("given: "):
-                continue
-            if inp.startswith("assumption: "):
-                if inp[len("assumption: "):] not in assumption_names:
-                    problems.append(f"{where}: undeclared assumption {inp!r}")
-                continue
-            if inp not in known_outputs:
-                problems.append(
-                    f"{where}: input {inp!r} is neither given, assumed, "
-                    "nor an earlier output"
-                )
-        known_outputs.update(outputs)
+        if not _scheme_inputs(step.get("inputs"), inputs):
+            problems.append(f"{where}: inputs are not the scheme's inputs")
+        problems.extend(f"{where}: undeclared assumption {want!r}" for want in inputs
+                        if want.startswith("assumption: ")
+                        and want[len("assumption: "):] not in declared)
+        try:
+            spelled = step.get("outputs") == _spell(outputs, facts)
+        except KeyError:  # an output names a fact the table lacks
+            spelled = False
+        if not spelled:
+            problems.append(f"{where}: outputs are not the scheme's outputs spelled from the facts")
     problems.extend(f"fact {k!r} is read by no check" for k in facts if k not in read)
-    if verdict == "DISTINCT":
-        if "verdict: DISTINCT" not in known_outputs:
-            problems.append("verdict is not supported by any step output")
     return problems
 
 

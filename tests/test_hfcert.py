@@ -6,6 +6,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from corktwist import fillings, front, hfcert, kirby, mcg
 from corktwist.hfcert import (
     CHECKS,
-    RULE_CHECKS,
+    SCHEME,
     CertificateAbort,
     HFError,
     RuleNotApplicable,
@@ -221,8 +222,8 @@ def test_certificate_distinct_and_valid(pipeline):
     assert doc["verdict"] == "DISTINCT"
     assert len(doc["steps"]) == 10
     assert validate_certificate(doc) == []
-    for step in doc["steps"]:
-        assert step["checks"] == list(RULE_CHECKS.get(step["rule"], ()))
+    for step, (rule, _, checks, _) in zip(doc["steps"], SCHEME, strict=True):
+        assert (step["rule"], step["checks"]) == (rule, list(checks))
         for check in step["checks"]:
             assert eval_condition(check, doc["facts"]) is True
     # the registered obstruction string appears verbatim in the outputs
@@ -230,11 +231,15 @@ def test_certificate_distinct_and_valid(pipeline):
     assert "framing 1 ≠ tb − 1 for exhibited tb ≤ 1" in joined
 
 
-def test_certify_emits_every_registered_check(pipeline):
+def test_certify_emits_every_registered_check(pipeline, monkeypatch):
+    ran, run = [], hfcert.eval_condition
+    monkeypatch.setattr(hfcert, "eval_condition", lambda c, facts: ran.append(c) or run(c, facts))
     steps = certify_distinct(*pipeline)["steps"]
     emitted = [check for step in steps for check in step["checks"]]
     assert set(emitted) == set(CHECKS)
     assert len(emitted) == 11
+    # certify runs each check it records, unit_determinant once for steps 5 and 6
+    assert sorted(ran) == sorted(set(emitted)) and len(ran) == 10
     assert "given: the candidate diagram and its admissibility report" in steps[0]["inputs"]
 
 
@@ -347,6 +352,12 @@ def _fails(step, check):
     return step, f"check {check} fails on its facts"
 
 
+_INPUTS = "inputs are not the scheme's inputs"
+_OUTPUTS = "outputs are not the scheme's outputs spelled from the facts"
+# step 7's outputs spell the framing, max_tb and knot_genus facts
+_STEP_7_OUTPUTS = (7, _OUTPUTS)
+
+
 # one forgery per check that an edited fact can falsify: (step, check, fact,
 # value, and the problem at every step that reads the fact)
 FORGERIES = [
@@ -355,7 +366,7 @@ FORGERIES = [
     # the framing is read at steps 2 and 7
     (2, "contact_framing", "framing", 0, [
         _fails(2, "contact_framing"), _fails(7, "tb_obstructed"),
-        _fails(7, "adjunction_violated")]),
+        _fails(7, "adjunction_violated"), _STEP_7_OUTPUTS]),
     (3, "plan_euler_characteristic", "euler_char", 195, [_fails(3, "plan_euler_characteristic")]),
     (3, "relator_handles", "handles", 196, [
         _fails(3, "plan_euler_characteristic"), _fails(3, "relator_handles")]),
@@ -368,8 +379,8 @@ FORGERIES = [
     # the determinant is read at steps 5 and 6
     (5, "unit_determinant", "det", 2, [_fails(5, "unit_determinant"), _fails(6, "unit_determinant")]),
     (6, "unit_determinant", "det", 0, [_fails(5, "unit_determinant"), _fails(6, "unit_determinant")]),
-    (7, "tb_obstructed", "max_tb", 2, [_fails(7, "tb_obstructed")]),
-    (7, "adjunction_violated", "knot_genus", 2, [_fails(7, "adjunction_violated")]),
+    (7, "tb_obstructed", "max_tb", 2, [_fails(7, "tb_obstructed"), _STEP_7_OUTPUTS]),
+    (7, "adjunction_violated", "knot_genus", 2, [_fails(7, "adjunction_violated"), _STEP_7_OUTPUTS]),
 ]
 
 
@@ -455,6 +466,74 @@ def test_validate_refuses_unread_data(pipeline, where, key, value, problem):
     assert validate_certificate(doc) == [problem]
 
 
+def _at_step(step, problem):
+    return f"step {step} ({SCHEME[step - 1][0]}): {problem}"
+
+
+def _reword_is_cork(doc):
+    for step, field in ((0, "outputs"), (1, "inputs"), (6, "inputs")):
+        texts = doc["steps"][step][field]
+        texts[texts.index(hfcert.IS_CORK)] = "the domain W is contractible"
+
+
+# an edit of the chain of deductions under a fresh digest: {name: (edit, the
+# problems validation gives)}
+SCHEME_FORGERIES = {
+    "inputs-emptied": (lambda doc: [step.update(inputs=[]) for step in doc["steps"]],
+                       [_at_step(s, _INPUTS) for s in range(1, 11)]),
+    "step-10-dropped": (lambda doc: doc["steps"].pop(),
+                        ["certificate has 9 steps; the scheme has 10"]),
+    "step-11-appended": (lambda doc: doc["steps"].append(copy.deepcopy(doc["steps"][-1])),
+                         ["certificate has 11 steps; the scheme has 10"]),
+    "conditional-output-dropped": (lambda doc: doc["steps"][3]["outputs"].pop(),
+                                   [_at_step(4, _OUTPUTS)]),
+    "step-7-output-reworded": (
+        lambda doc: doc["steps"][6]["outputs"].__setitem__(
+            0, "the twisted attachment is Stein after all"),
+        [_at_step(7, _OUTPUTS)]),
+    "is-cork-reworded": (_reword_is_cork,
+                         [_at_step(1, _OUTPUTS), _at_step(2, _INPUTS), _at_step(7, _INPUTS)]),
+    "given-replaced-by-output": (
+        lambda doc: doc["steps"][2]["inputs"].__setitem__(1, hfcert.IS_CORK),
+        [_at_step(3, _INPUTS)]),
+    "output-replaced-by-given": (
+        lambda doc: doc["steps"][1]["inputs"].__setitem__(0, "given: W is a cork"),
+        [_at_step(2, _INPUTS)]),
+    # recorded text is printed by repr: its newline starts no line of its own
+    "text-spells-a-line": (
+        lambda doc: doc["steps"][0].update(rule="x\nvalid", checks="y\nvalid"), [
+            _at_step(1, "rule 'x\\nvalid' is not the scheme's"),
+            _at_step(1, "checks 'y\\nvalid' are not the rule's checks "
+                        "['unit_linking', 'tb_at_least_one']")]),
+    # the scheme fixes the names steps 4 and 10 cite; the list must declare them
+    "assumptions-emptied": (lambda doc: doc.update(assumptions=[]), [
+        _at_step(4, "undeclared assumption 'assumption: b2plus-at-least-2'"),
+        _at_step(4, "undeclared assumption 'assumption: relative-minimality'"),
+        _at_step(10, "undeclared assumption 'assumption: sign-ambiguity'")]),
+}
+
+
+@pytest.mark.parametrize("edit, problems", SCHEME_FORGERIES.values(), ids=SCHEME_FORGERIES)
+def test_validate_compares_every_step_with_the_scheme(pipeline, edit, problems):
+    doc = certify_distinct(*pipeline)
+    edit(doc)
+    doc["digest"] = certificate_digest(doc)
+    assert validate_certificate(doc) == problems
+
+
+def test_readme_check_table_is_the_scheme():
+    """README's certify --validate table of (step, check, facts) is what SCHEME and
+    the checks' parameters give, row by row."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### certify --validate CERT\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([\d, ]+) \| `(\w+)` \| (.*) \|$", section, flags=re.M)
+    documented = [(int(step), check, tuple(re.findall(r"`(\w+)`", facts)))
+                  for steps, check, facts in rows for step in steps.split(", ")]
+    assert documented == [(i, check, hfcert._PARAMETERS[check])
+                          for i, (_, _, checks, _) in enumerate(SCHEME, start=1)
+                          for check in checks]
+
+
 def _at(node, path):
     for key in path:
         node = node[key]
@@ -493,15 +572,16 @@ _PRIMITIVE_ONLY = (
 # Every edit of one integer of the mazur certificate that validation still
 # accepts under a fresh digest, with why: {(site, edit): reason}.  The gate
 # requires the accepted edits to be exactly these, so a change that makes
-# one more integer load-bearing shrinks this table on purpose.
+# one more integer load-bearing shrinks this table on purpose.  max_tb
+# negated is refused, but only because step 7's first output spells the
+# bound: validation still takes the registry's value on trust and does not
+# re-derive it from the knot.
 ACCEPTED_EDITS = {
     (("facts", "lk"), "negate"): "lk = -1 links once as well: an equivalent value",
     (("facts", "det"), "negate"): "det = 1 is unimodular as well: an equivalent value",
     (("facts", "cork_tb"), "+1"): (
         "tb_at_least_one is one-sided (tb >= 1), and the cork's exhibit is a given "
         "input that validation does not replay"),
-    (("facts", "max_tb"), "negate"): (
-        "max tb is a given registry fact; a smaller bound obstructs the framing as well"),
     **{(("facts", "monodromy", i, j), edit): _PRIMITIVE_ONLY
        for i, (plus_one, negated) in enumerate(_PRIMITIVE_EDITS)
        for edit, entries in (("+1", plus_one), ("negate", negated)) for j in entries},
@@ -525,7 +605,7 @@ def test_mutation_gate_accepts_only_the_allowlist(pipeline):
             bad["digest"] = certificate_digest(bad)
             if not validate_certificate(bad):
                 accepted.add((path, edit))
-    assert len(ACCEPTED_EDITS) == 28
+    assert len(ACCEPTED_EDITS) == 27
     assert accepted == set(ACCEPTED_EDITS)
 
 
@@ -540,7 +620,7 @@ def test_reordered_steps_fail_even_with_fresh_digest(pipeline):
     doc["steps"] = doc["steps"][::-1]
     doc["digest"] = certificate_digest(doc)
     problems = validate_certificate(doc)
-    assert any("earlier output" in p for p in problems)
+    assert "step 1 (cork_admissible): rule 'reduced_descent' is not the scheme's" in problems
 
 
 def test_rewritten_axiom_fails(pipeline):

@@ -1,7 +1,7 @@
 """What every reader of the package shares: the input-error type, input
 files read as UTF-8, paths spelled for messages, immutable records,
-numbered lines, plain integers, JSON read with unique keys, and the one
-writer of indented JSON.
+numbered lines, plain integers, JSON read with unique keys, the one
+writer of indented JSON, and the one table of assumptions.
 
 This module imports nothing of the package, so that a module needing a
 record or a reader does not load the front parser with it.
@@ -83,6 +83,49 @@ class Record:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
+
+
+# -- facts used but not verified ---------------------------------------------
+
+# what the filling plans, the certificate and the fake-pair report borrow
+# from the literature, by name; each is declared, never verified
+ASSUMPTIONS: dict[str, str] = {
+    "symplectic-structure": (
+        "a Lefschetz fibration whose fiber class is homologically essential "
+        "carries a symplectic form making the fibers symplectic"
+    ),
+    "b2plus-at-least-2": (
+        "the closing piece can be arranged so that the concave filling has "
+        "b2+ at least 2"
+    ),
+    "relative-minimality": (
+        "a fibration whose vanishing cycles are all non-separating contains "
+        "no sphere of self-intersection -1 in a fiber"
+    ),
+    "section-exists": (
+        "the closed fibration admits a section, so the fiber class pairs "
+        "with a dual section class"
+    ),
+    "sign-ambiguity": (
+        "element equalities here hold up to an overall sign; the descent "
+        "conclusion silently excludes the x = -x(pullback) coincidence"
+    ),
+    "topological-homeomorphism": (
+        "two simply connected closed 4-manifolds with isomorphic intersection "
+        "forms and equal Kirby-Siebenmann data are homeomorphic"
+    ),
+}
+
+# the assumptions a concave filling plan declares, in order
+PLAN_ASSUMPTIONS = (
+    "symplectic-structure", "b2plus-at-least-2", "relative-minimality", "section-exists",
+)
+
+
+def declared(*names: str) -> list[dict]:
+    """The named assumptions as fresh documents, each declared and unverified."""
+    return [{"name": name, "statement": ASSUMPTIONS[name], "status": "declared-unverified"}
+            for name in names]
 
 
 def _plain(tok: str) -> bool:

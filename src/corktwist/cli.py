@@ -144,6 +144,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 def cmd_fill(args: argparse.Namespace) -> int:
     from . import fillings
+    from .base import ASSUMPTIONS, PLAN_ASSUMPTIONS
     p = _load(fillings.parse_palf, args.palf_path)
     plan = fillings.build_concave(fillings.palf_to_openbook(p))
     if args.format == "doc":
@@ -155,8 +156,8 @@ def cmd_fill(args: argparse.Namespace) -> int:
           f"in {plan.relator_blocks} relator blocks")
     print(f"closing piece euler characteristic {2 - 2 * plan.fiber_genus}")
     print(f"plan euler characteristic {plan.euler_char}")
-    for a in fillings.STANDARD_ASSUMPTIONS:
-        print(f"assumption [{a['name']}]: {a['statement']}")
+    for name in PLAN_ASSUMPTIONS:
+        print(f"assumption [{name}]: {ASSUMPTIONS[name]}")
     return 0
 
 

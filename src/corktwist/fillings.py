@@ -15,7 +15,8 @@ Everything is tallied at the level of handle counts and the homological
 monodromy action; facts the construction borrows from the literature
 (existence of the symplectic structure, b2+ >= 2, relative minimality,
 a section) are emitted as declared-unverified assumptions instead of
-being silently used.  Plans are immutable and safe to share.
+being silently used, their texts read from the one table in base.
+Plans are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from functools import partial
 from typing import NamedTuple
 
 from . import mcg
-from .base import InputError, Record, load_json, numbered_lines, parse_int
+from .base import (PLAN_ASSUMPTIONS, InputError, Record, declared, load_json,
+                   numbered_lines, parse_int)
 from .mcg import Curve, RelatorBlock, TwistWord
 
 
@@ -32,43 +34,9 @@ class FillingError(InputError):
     """A planning input violates the fibration contracts."""
 
 
-# -- assumptions able to be cited by certificate rules ------------------------
-
-# facts the plan uses but does not verify, as documents; each use copies them
-STANDARD_ASSUMPTIONS: tuple[dict, ...] = (
-    {
-        "name": "symplectic-structure",
-        "statement": (
-            "a Lefschetz fibration whose fiber class is homologically essential "
-            "carries a symplectic form making the fibers symplectic"
-        ),
-        "status": "declared-unverified",
-    },
-    {
-        "name": "b2plus-at-least-2",
-        "statement": (
-            "the closing piece can be arranged so that the concave filling has "
-            "b2+ at least 2"
-        ),
-        "status": "declared-unverified",
-    },
-    {
-        "name": "relative-minimality",
-        "statement": (
-            "a fibration whose vanishing cycles are all non-separating contains "
-            "no sphere of self-intersection -1 in a fiber"
-        ),
-        "status": "declared-unverified",
-    },
-    {
-        "name": "section-exists",
-        "statement": (
-            "the closed fibration admits a section, so the fiber class pairs "
-            "with a dual section class"
-        ),
-        "status": "declared-unverified",
-    },
-)
+# a plan holds (2 max(g, 2))^2 chain-image integers per letter, and builds
+# them in about linear time: a word is refused past this many, as it is read
+MAX_PLAN_ENTRIES = 2**20
 
 
 # -- fibration data types -----------------------------------------------------
@@ -189,7 +157,7 @@ class FillingPlan(NamedTuple):
             "euler_char": self.euler_char,
             "fiber_genus": self.fiber_genus,
             "relator_blocks": self.relator_blocks,
-            "assumptions": [dict(a) for a in STANDARD_ASSUMPTIONS],
+            "assumptions": declared(*PLAN_ASSUMPTIONS),
             "stabilizations": self.stabilizations,
             "source_open_book": self.source_open_book.to_doc(),
         }
@@ -251,7 +219,8 @@ def parse_palf(text: str) -> PALF:
     line may not redefine one; negative letters T'(x) are rejected since
     the word must stay positive.  A handles line must give the
     fibration's Euler characteristic:
-    1 - one + two == (1 - 2G) + letters.
+    1 - one + two == (1 - 2G) + letters.  A word may have at most
+    MAX_PLAN_ENTRIES // (2 max(G, 2))^2 letters.
     """
     genus: int | None = None
     handles: tuple[int, int] | None = None
@@ -318,9 +287,14 @@ def parse_palf(text: str) -> PALF:
         raise FillingError("missing genus line")
     if word_line is None:
         raise FillingError("missing word line")
+    tokens = word_line.split()
+    most = MAX_PLAN_ENTRIES // (2 * max(genus, 2)) ** 2
+    if len(tokens) > most:
+        raise FillingError(
+            f"too many letters: a genus-{genus} word has at most {most} letters", word_at)
     chain = {c.name: c for c in mcg.chain_curves(genus)}
     letters: list[tuple[Curve, int]] = []
-    for tok in word_line.split():
+    for tok in tokens:
         if tok.startswith("T'("):
             raise FillingError(
                 f"negative letter {tok!r}: fibration words must be positive", word_at

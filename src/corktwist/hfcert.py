@@ -17,11 +17,12 @@ certificate's facts table: a JSON integer, or for the monodromy a list
 of integer classes.  CHECKS is a small registry of functions whose
 parameters are fact names, and eval_condition runs one on the facts.
 Certify runs every check before recording its name, so a certificate
-never records a false one.  Validation recomputes the content digest,
-compares every step with its row of SCHEME (a given input by its place
-and prefix only, an output spelled from the facts), re-runs each row's
-checks on the facts, requires each assumption a row cites to be declared,
-and reports every key and fact that nothing reads.
+never records a false one.  certificate_body spells the whole document
+from the facts and the knot, for certify and the checker alike.
+Validation recomputes the content digest, rebuilds the body from the
+recorded facts and knot, and reports each place where the document
+differs from it; it re-runs each row's checks on the facts, and reports
+every fact that no check reads.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# the checker needs only these two; the deduction and the reports import
-# kirby and fillings where they run, so that --validate loads no parser
+# the checker needs only these; the deduction imports kirby where it runs,
+# so that --validate loads no parser
 from . import intmat, mcg
+from .base import PLAN_ASSUMPTIONS, declared
 
 if TYPE_CHECKING:
     from .fillings import FillingPlan
@@ -278,27 +280,6 @@ AXIOMS: dict[str, str] = {
     ),
 }
 
-# assumption documents; each use copies one, so that no certificate or
-# report shares a dict with this module
-SIGN_CAVEAT = {
-    "name": "sign-ambiguity",
-    "statement": (
-        "element equalities here hold up to an overall sign; the descent "
-        "conclusion silently excludes the x = -x(pullback) coincidence"
-    ),
-    "status": "declared-unverified",
-}
-
-FREEDMAN_ASSUMPTION = {
-    "name": "topological-homeomorphism",
-    "statement": (
-        "two simply connected closed 4-manifolds with isomorphic intersection "
-        "forms and equal Kirby-Siebenmann data are homeomorphic"
-    ),
-    "status": "declared-unverified",
-}
-
-
 # -- the proof scheme ---------------------------------------------------------
 
 # each claim is an output of one step and an input of every later step that
@@ -316,10 +297,9 @@ TWISTED_IMAGE_ZERO = f"F+_W'({TWISTED_CONTACT}) = 0"
 CONTACTS_DIFFER = f"{CONTACT} ≠ {TWISTED_CONTACT} in the boundary's plus theory"
 
 # The chain of deductions, one row per step in order: (rule, inputs, checks,
-# outputs).  certify_distinct fills it in and validate_certificate compares
-# every step with its row.  A name in braces is filled in: the knot in a
-# given input, a fact in an output.  A given input is compared only by its
-# place and its prefix; every other text must match exactly.
+# outputs).  certificate_body fills it in, for certify_distinct and for
+# validate_certificate alike.  A name in braces is filled in: the knot in a
+# given input, a fact in an output.
 SCHEME: tuple[tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...] = (
     ("cork_admissible",
      ("given: the candidate diagram and its admissibility report",),
@@ -377,20 +357,38 @@ SCHEME: tuple[tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...
 )
 
 
+class _Named(dict):
+    """Values for str.format_map: a name without one stays unfilled, as {name}."""
+
+    def __missing__(self, name: str) -> str:
+        return f"{{{name}}}"
+
+
 def _spell(texts: tuple[str, ...], values: dict) -> list[str]:
     """The texts with each name in braces filled from values; only a
     scheme text is ever a template, and only one with a name is formatted."""
     return [text.format_map(values) if "{" in text else text for text in texts]
 
 
-def scheme_steps(facts: dict, knot: str) -> list[dict]:
-    """The step documents of SCHEME: its given inputs name knot, its outputs spell facts."""
-    named = {"knot": knot}
-    return [
-        {"rule": rule, "quote": AXIOMS[rule], "inputs": _spell(inputs, named),
-         "checks": list(checks), "outputs": _spell(outputs, facts)}
-        for rule, inputs, checks, outputs in SCHEME
-    ]
+def certificate_body(facts: dict, knot: str) -> dict:
+    """The certificate on these facts and this knot, all but its digest.
+
+    The steps are SCHEME's rows: the given inputs name the knot and the
+    outputs spell the facts.  The assumptions are the plan's and the
+    sign caveat the last step cites.
+    """
+    named, values = {"knot": knot}, _Named(facts)
+    return {
+        "facts": facts,
+        "knot": knot,
+        "steps": [
+            {"rule": rule, "quote": AXIOMS[rule], "inputs": _spell(inputs, named),
+             "checks": list(checks), "outputs": _spell(outputs, values)}
+            for rule, inputs, checks, outputs in SCHEME
+        ],
+        "verdict": "DISTINCT",
+        "assumptions": declared(*PLAN_ASSUMPTIONS, "sign-ambiguity"),
+    }
 
 
 # -- the main deduction -------------------------------------------------------
@@ -427,11 +425,10 @@ def certify_distinct(
     forcing a zero image.  adm is the cork's admissibility document,
     computed by the caller with the search budget it records.  Gathers the
     facts and runs each check of SCHEME on them, step by step, then fills
-    in the scheme.  Returns the certificate document: its facts, steps,
-    verdict, assumptions and digest.
+    in the scheme.  Returns the certificate document: its facts, knot,
+    steps, verdict, assumptions and digest.
     """
     from . import kirby
-    from .fillings import STANDARD_ASSUMPTIONS
 
     untwisted, u_comp = spec.untwisted_front, spec.untwisted_component
     twisted, t_comp = spec.twisted_front, spec.twisted_component
@@ -496,38 +493,21 @@ def certify_distinct(
     _require(passes == 0 and framing > twisted_tb - 1, not_obstructed)
 
     # (8) to (10) run no check
-    cert = {
-        "facts": facts,
-        "steps": scheme_steps(facts, knot),
-        "verdict": "DISTINCT",
-        "assumptions": [*(dict(a) for a in STANDARD_ASSUMPTIONS), dict(SIGN_CAVEAT)],
-    }
+    cert = certificate_body(facts, knot)
     cert["digest"] = certificate_digest(cert)
     return cert
 
 
 # -- certificate validation ---------------------------------------------------
 
-# the keys the checker reads; a value under any other would ride along unchecked
-_CERT_KEYS = ("facts", "steps", "verdict", "assumptions", "digest")
-_STEP_KEYS = ("rule", "quote", "inputs", "checks", "outputs")
-
-
-def _scheme_inputs(inputs: object, wanted: tuple[str, ...]) -> bool:
-    """inputs are the row's, a given input compared by its place and prefix only."""
-    return isinstance(inputs, list) and len(inputs) == len(wanted) and all(
-        got == want or (want.startswith("given: ") and isinstance(got, str)
-                        and got.startswith("given: "))
-        for got, want in zip(inputs, wanted))
-
-
 def validate_certificate(doc: dict) -> list[str]:
     """Re-check a serialized certificate; returns problems, empty if clean.
 
-    Compares every step with its row of SCHEME and re-runs the row's checks
-    on the facts table.  Total on any JSON value: a field of the wrong type
-    is a problem, not an exception, and so is a key or a fact that nothing
-    reads.
+    Rebuilds the certificate body from the recorded facts and knot, reports
+    each key where the document differs from it, and re-runs each row's
+    checks on the facts table.  Total on any JSON value: a field of the
+    wrong type is a problem, not an exception, and so is a key or a fact
+    that nothing reads.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -539,42 +519,42 @@ def validate_certificate(doc: dict) -> list[str]:
         return ["certificate is nested too deeply to re-check"]
     if doc.get("digest") != recomputed:
         problems.append("digest mismatch: certificate content was altered")
-    problems.extend(f"unknown certificate key {k!r}" for k in doc if k not in _CERT_KEYS)
-    facts = doc.get("facts")
+    facts, knot = doc.get("facts"), doc.get("knot")
+    # a fact or a knot that is missing stays unfilled, as {name}
+    want = certificate_body(facts if isinstance(facts, dict) else {},
+                            knot if isinstance(knot, str) else "{knot}")
+    problems.extend(f"unknown certificate key {k!r}" for k in doc
+                    if k not in want and k != "digest")
     if not isinstance(facts, dict):
         problems.append("certificate has no facts table")
-        facts = {}
+    facts = want["facts"]
     steps = doc.get("steps")
     if not isinstance(steps, list) or not steps:
         problems.append("certificate has no steps")
         return problems
     verdict = doc.get("verdict")
-    if verdict != "DISTINCT":
+    if verdict != want["verdict"]:
         problems.append(f"unknown verdict {verdict!r}")
-    assumptions = doc.get("assumptions", [])
-    if not isinstance(assumptions, list):
-        problems.append("assumptions are not a list")
-        assumptions = []
-    declared = {
-        a["name"] for a in assumptions if isinstance(a, dict) and isinstance(a.get("name"), str)
-    }
+    if doc.get("assumptions") != want["assumptions"]:
+        problems.append("assumptions are not the ones certify declares")
     if len(steps) != len(SCHEME):
         problems.append(f"certificate has {len(steps)} steps; the scheme has {len(SCHEME)}")
     read: set[str] = set()
-    for idx, (step, (rule, inputs, checks, outputs)) in enumerate(zip(steps, SCHEME), start=1):
+    for idx, (step, wanted) in enumerate(zip(steps, want["steps"]), start=1):
         if not isinstance(step, dict):
             problems.append(f"step {idx}: not a mapping")
             continue
         # recorded text is printed only by repr, so it cannot start a line of its own
-        where = f"step {idx} ({rule})"
-        problems.extend(f"{where}: unknown key {k!r}" for k in step if k not in _STEP_KEYS)
-        if step.get("rule") != rule:
+        where = f"step {idx} ({wanted['rule']})"
+        problems.extend(f"{where}: unknown key {k!r}" for k in step if k not in wanted)
+        if step.get("rule") != wanted["rule"]:
             problems.append(f"{where}: rule {step.get('rule')!r} is not the scheme's")
-        if step.get("quote") != AXIOMS[rule]:
+        if step.get("quote") != wanted["quote"]:
             problems.append(f"{where}: quote does not match the axiom text")
+        checks = wanted["checks"]
         recorded = step.get("checks", [])
-        if recorded != list(checks):
-            problems.append(f"{where}: checks {recorded!r} are not the rule's checks {list(checks)}")
+        if recorded != checks:
+            problems.append(f"{where}: checks {recorded!r} are not the rule's checks {checks}")
         for check in checks:
             read.update(_PARAMETERS[check])
             try:
@@ -584,16 +564,9 @@ def validate_certificate(doc: dict) -> list[str]:
                 continue
             if not holds:
                 problems.append(f"{where}: check {check} fails on its facts")
-        if not _scheme_inputs(step.get("inputs"), inputs):
+        if step.get("inputs") != wanted["inputs"]:
             problems.append(f"{where}: inputs are not the scheme's inputs")
-        problems.extend(f"{where}: undeclared assumption {want!r}" for want in inputs
-                        if want.startswith("assumption: ")
-                        and want[len("assumption: "):] not in declared)
-        try:
-            spelled = step.get("outputs") == _spell(outputs, facts)
-        except KeyError:  # an output names a fact the table lacks
-            spelled = False
-        if not spelled:
+        if step.get("outputs") != wanted["outputs"]:
             problems.append(f"{where}: outputs are not the scheme's outputs spelled from the facts")
     problems.extend(f"fact {k!r} is read by no check" for k in facts if k not in read)
     return problems
@@ -625,7 +598,6 @@ def fake_pair_report() -> dict:
     already required an admissible cork and a Stein-exact untwisted
     attachment.
     """
-    from .fillings import STANDARD_ASSUMPTIONS
     return {
         "statement": (
             "the closed fibration and its cork-twisted companion are "
@@ -638,8 +610,5 @@ def fake_pair_report() -> dict:
             f"F_mix of X'' kills {THETA_MINUS}: "
             "no decoration of X'' is basic",
         ],
-        "assumptions": [
-            dict(FREEDMAN_ASSUMPTION),
-            *(dict(a) for a in STANDARD_ASSUMPTIONS),
-        ],
+        "assumptions": declared("topological-homeomorphism", *PLAN_ASSUMPTIONS),
     }

@@ -233,6 +233,33 @@ def test_genus_at_the_limit_is_accepted(tmp_path):
     assert fillings.parse_palf(palf.read_text()).page_genus == mcg.MAX_GENUS
 
 
+def test_word_above_the_letter_limit_exits_2_before_any_curve_is_built(
+        fixtures, tmp_path, monkeypatch):
+    # a plan holds (2 max(g, 2))^2 integers per letter: 64 letters at genus 64
+    assert fillings.MAX_PLAN_ENTRIES == 2**20
+    palf = tmp_path / "long.palf"
+    palf.write_text("genus 64\nword" + " T(c1)" * 65 + "\n")
+    code, out, err = run(["fill", str(palf)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {palf}: line 2: too many letters: a genus-64 word has at most 64 letters\n"
+    # genus 1 counts as genus 2, the fiber genus its plan is stabilized to
+    monkeypatch.setattr(fillings, "MAX_PLAN_ENTRIES", 5 * 4**2)
+    palf.write_text("genus 2\nword" + " T(c1)" * 5 + "\n")
+    assert run(["fill", str(palf)])[0] == 0
+    palf.write_text("genus 1\nword" + " T(c1)" * 6 + "\n")
+
+    def no_chain(g):
+        raise AssertionError(f"chain_curves({g}) called past the letter limit")
+
+    monkeypatch.setattr(mcg, "chain_curves", no_chain)
+    certify = ["certify", str(fixtures / "mazur.kirby"), str(palf),
+               str(fixtures / "trefoil_inflation.spec")]
+    for argv in (["fill", str(palf)], certify):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("line 2: too many letters: a genus-1 word has at most 5 letters\n")
+
+
 def test_fill_doc_states_each_relator_block_once(tmp_path):
     # a block is its letter and 2g chain images, not its 2g(4g+2) - 1
     # letters: at genus 16 the doc of two blocks is tens of KB, where the

@@ -16,9 +16,9 @@ from corktwist import cli, kirby
 from corktwist.base import dump_json
 
 CERTIFY = ["certify", "mazur.kirby", "mazur_inflated.palf", "trefoil_inflation.spec"]
-CERT_DIGEST = "997c927c9f5a3a4da1afd9d2e6540d4b2005ba87bc5b6e25e1c85a9874ef872e"
+CERT_DIGEST = "18ea9626319f86b94377fc2d89e5359e8f009e669996da11456c0773cdabb87b"
 # the first 16 hex digits of the sha256 of the file `certify --out` writes
-CERT_FILE = "9a20ca94d8b747dd"
+CERT_FILE = "fe23580d4795ee0f"
 
 GOLDEN = [
     (["tb", "trefoil.front"], 0, "10d8086fb68e52bb"),
@@ -32,7 +32,7 @@ GOLDEN = [
     (["fill", "mazur.palf"], 0, "734b0650a3f22a03"),
     (["fill", "mazur_inflated.palf"], 0, "edf52f9ab5a7897f"),
     (["mcg", "verify-chain", "2"], 0, "8b6c8c0e9441c293"),
-    (CERTIFY, 0, "9d15d262fcdc5b86"),
+    (CERTIFY, 0, "a23211882d212715"),
 ]
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corktwist import fillings, front, hfcert, kirby, mcg
+from corktwist.base import ASSUMPTIONS
 from corktwist.hfcert import (
     CHECKS,
     SCHEME,
@@ -262,7 +263,7 @@ def test_certificate_shares_nothing_between_calls(pipeline, mark_everywhere):
 
 # JSON values come from flat bytes read by _json_value: hypothesis draws and
 # shrinks bytes several times faster than a recursive strategy
-_KEYS = ("", "x", "facts", "checks", "steps", "rule", "quote", "inputs", "outputs",
+_KEYS = ("", "x", "facts", "knot", "checks", "steps", "rule", "quote", "inputs", "outputs",
          "side_conditions", "digest", "verdict", "assumptions", "name", "lk", "monodromy")
 _ATOMS = (None, True, False, 0, 1, -1, 2, 10**30, 1.0, -0.5, float("inf"), float("nan"),
           "DISTINCT", "verdict: DISTINCT", "given: x", "assumption: x", *_KEYS)
@@ -354,6 +355,7 @@ def _fails(step, check):
 
 _INPUTS = "inputs are not the scheme's inputs"
 _OUTPUTS = "outputs are not the scheme's outputs spelled from the facts"
+_ASSUMPTIONS = "assumptions are not the ones certify declares"
 # step 7's outputs spell the framing, max_tb and knot_genus facts
 _STEP_7_OUTPUTS = (7, _OUTPUTS)
 
@@ -505,11 +507,28 @@ SCHEME_FORGERIES = {
             _at_step(1, "rule 'x\\nvalid' is not the scheme's"),
             _at_step(1, "checks 'y\\nvalid' are not the rule's checks "
                         "['unit_linking', 'tb_at_least_one']")]),
-    # the scheme fixes the names steps 4 and 10 cite; the list must declare them
-    "assumptions-emptied": (lambda doc: doc.update(assumptions=[]), [
-        _at_step(4, "undeclared assumption 'assumption: b2plus-at-least-2'"),
-        _at_step(4, "undeclared assumption 'assumption: relative-minimality'"),
-        _at_step(10, "undeclared assumption 'assumption: sign-ambiguity'")]),
+    # a given input is compared as certify spells it, not by its prefix
+    "given-3-rewritten": (
+        lambda doc: doc["steps"][2]["inputs"].__setitem__(1, "given: any fibration word"),
+        [_at_step(3, _INPUTS)]),
+    "given-7-names-unknot": (
+        lambda doc: doc["steps"][6]["inputs"].__setitem__(
+            1, "given: registered facts for unknot: its max tb and Seifert genus"),
+        [_at_step(7, _INPUTS)]),
+    # the knot is a label that steps 2 and 7 spell
+    "knot-renamed-at-top-level": (lambda doc: doc.update(knot="unknot"),
+                                  [_at_step(2, _INPUTS), _at_step(7, _INPUTS)]),
+    "knot-not-a-string": (lambda doc: doc.update(knot=["right_trefoil"]),
+                          [_at_step(2, _INPUTS), _at_step(7, _INPUTS)]),
+    # the assumptions are compared whole with the ones certify declares
+    "assumptions-emptied": (lambda doc: doc.update(assumptions=[]), [_ASSUMPTIONS]),
+    "assumption-rewritten-as-verified": (
+        lambda doc: doc["assumptions"][1].update(statement="b2+ is 3", status="verified"),
+        [_ASSUMPTIONS]),
+    "uncited-assumptions-dropped": (
+        lambda doc: doc.update(assumptions=[a for a in doc["assumptions"] if a["name"] not in (
+            "symplectic-structure", "section-exists")]),
+        [_ASSUMPTIONS]),
 }
 
 
@@ -757,6 +776,18 @@ def test_relative_invariant_pair(pipeline):
     assert "does not extend" in fact["statement"]
     assert "relative values ±1 and 0" in fact["statement"]
     assert fact["derived_from"] == digest
+
+
+def test_assumption_table_holds_exactly_the_cited_names(pipeline):
+    """Each name the scheme cites, a plan lists or the fake-pair report lists is
+    in the table, each table key is one of them, and the certificate declares
+    every name the scheme cites."""
+    cited = {text.removeprefix("assumption: ") for _, inputs, _, _ in SCHEME
+             for text in inputs if text.startswith("assumption: ")}
+    listed = [{a["name"] for a in doc["assumptions"]}
+              for doc in (pipeline[3].to_doc(), hfcert.fake_pair_report())]
+    assert cited.union(*listed) == set(ASSUMPTIONS)
+    assert cited <= {a["name"] for a in certify_distinct(*pipeline)["assumptions"]}
 
 
 def test_fake_pair_report():

@@ -148,14 +148,14 @@ def cmd_fill(args: argparse.Namespace) -> int:
     p = _load(fillings.parse_palf, args.palf_path)
     plan = fillings.build_concave(fillings.palf_to_openbook(p))
     if args.format == "doc":
-        _emit_doc(plan.to_doc())
+        _emit_doc(plan)
         return 0
-    print(f"fiber genus {plan.fiber_genus} "
-          f"(stabilized {plan.stabilizations} times from genus {p.page_genus})")
-    print(f"trivializing handles {plan.trivializing_handles} "
-          f"in {plan.relator_blocks} relator blocks")
-    print(f"closing piece euler characteristic {2 - 2 * plan.fiber_genus}")
-    print(f"plan euler characteristic {plan.euler_char}")
+    print(f"fiber genus {plan['fiber_genus']} (stabilized {plan['stabilizations']} "
+          f"times from genus {plan['source_open_book']['page']['genus']})")
+    print(f"trivializing handles {plan['trivializing_handles']['count']} "
+          f"in {plan['relator_blocks']} relator blocks")
+    print(f"closing piece euler characteristic {plan['closing_piece']['euler_char']}")
+    print(f"plan euler characteristic {plan['euler_char']}")
     for name in PLAN_ASSUMPTIONS:
         print(f"assumption [{name}]: {ASSUMPTIONS[name]}")
     return 0

@@ -16,7 +16,7 @@ monodromy action; facts the construction borrows from the literature
 (existence of the symplectic structure, b2+ >= 2, relative minimality,
 a section) are emitted as declared-unverified assumptions instead of
 being silently used, their texts read from the one table in base.
-Plans are immutable and safe to share.
+A plan is the JSON document that `fill --format doc` prints.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 from . import mcg
 from .base import (PLAN_ASSUMPTIONS, InputError, Record, declared, load_json,
                    numbered_lines, parse_int)
-from .mcg import Curve, RelatorBlock, TwistWord
+from .mcg import Curve, TwistWord
 
 
 class FillingError(InputError):
@@ -86,83 +86,6 @@ class PALF(NamedTuple):
         return self.open_book.genus
 
 
-# -- the plan -----------------------------------------------------------------
-
-class FillingPlan(NamedTuple):
-    """Assembly instructions for the concave side of a closed fibration.
-
-    closed is the source open book stabilized to page genus at least 2;
-    its page is the closed fiber and its word the monodromy that blocks
-    undo, one relator block per letter, last letter first.  The cap v0 is
-    one 0-framed 2-handle along the binding and the closing piece is the
-    closed fiber times a disk, so both are fixed by the fiber genus and
-    are written out only by to_doc.  Each letter of a block stands for one
-    -1-framed 2-handle along a curve sitting in a fiber.
-    """
-
-    source_open_book: OpenBook
-    closed: OpenBook
-    blocks: tuple[RelatorBlock, ...]
-
-    @property
-    def fiber_genus(self) -> int:
-        return self.closed.genus
-
-    @property
-    def relator_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def trivializing_handles(self) -> int:
-        """One 2-handle per letter of each relator block."""
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def stabilizations(self) -> int:
-        return self.closed.genus - self.source_open_book.genus
-
-    @property
-    def closed_monodromy(self) -> TwistWord:
-        """The word the trivializing handles undo: the source word, stabilized."""
-        return self.closed.monodromy
-
-    @property
-    def euler_char(self) -> int:
-        """Cap, one 2-handle per trivializing letter, and the closing piece."""
-        return 1 + self.trivializing_handles + (2 - 2 * self.fiber_genus)
-
-    def to_doc(self) -> dict:
-        return {
-            "v0": {
-                "two_handles": 1,
-                "framing_rel_page": 0,
-                "euler_char": 1,
-                "along": "binding",
-            },
-            "trivializing_handles": {
-                "framing_per_letter": -1,
-                "count": self.trivializing_handles,
-                "relator": mcg.RELATOR,
-                "blocks": [
-                    {"letter": {"curve": c.name, "class": list(c.h1_class)},
-                     "chain_images": [list(v) for v in b.chain_images]}
-                    for b, (c, _) in zip(self.blocks, reversed(self.closed.monodromy.letters))
-                ],
-            },
-            "closing_piece": {
-                "fiber_genus": self.fiber_genus,
-                "euler_char": 2 - 2 * self.fiber_genus,
-                "bundle": "closed fiber x disk",
-            },
-            "euler_char": self.euler_char,
-            "fiber_genus": self.fiber_genus,
-            "relator_blocks": self.relator_blocks,
-            "assumptions": declared(*PLAN_ASSUMPTIONS),
-            "stabilizations": self.stabilizations,
-            "source_open_book": self.source_open_book.to_doc(),
-        }
-
-
 # -- operations ---------------------------------------------------------------
 
 def palf_to_openbook(p: PALF) -> OpenBook:
@@ -191,20 +114,45 @@ def stabilize_openbook(ob: OpenBook) -> OpenBook:
     return OpenBook(new_g, TwistWord(letters))
 
 
-def build_concave(ob: OpenBook) -> FillingPlan:
-    """Plan the concave filling of the fibered boundary.
+def build_concave(ob: OpenBook) -> dict:
+    """Plan the concave filling of the fibered boundary: the document `fill` prints.
 
     Pages of genus below 2 are stabilized first, so the closed fibration
-    has fiber genus at least 2; the plan keeps the stabilized book as
-    closed.  Capping the binding keeps the twist word letter for letter
-    on the closed fiber, and mcg.trivialize closes it with one relator
-    block per letter; the empty word needs none.
+    has fiber genus at least 2.  Capping the binding keeps the twist word
+    letter for letter on the closed fiber, and mcg.trivialize closes it
+    with one relator block per letter, last letter first; the empty word
+    needs none.  Each letter of a block stands for one -1-framed 2-handle
+    along a curve sitting in a fiber.  The cap v0 is one 0-framed 2-handle
+    along the binding and the closing piece is the closed fiber times a
+    disk.  Each call builds a fresh document.
     """
     closed = ob
     while closed.genus < 2:
         closed = stabilize_openbook(closed)
-    m = closed.monodromy
-    return FillingPlan(ob, closed, mcg.trivialize(m) if m.letters else ())
+    g, letters = closed.genus, closed.monodromy.letters
+    blocks = mcg.trivialize(closed.monodromy) if letters else ()
+    handles = len(blocks) * mcg.relator_letters(g)
+    return {
+        "v0": {"two_handles": 1, "framing_rel_page": 0, "euler_char": 1, "along": "binding"},
+        "trivializing_handles": {
+            "framing_per_letter": -1,
+            "count": handles,
+            "relator": mcg.RELATOR,
+            "blocks": [
+                {"letter": {"curve": c.name, "class": list(c.h1_class)},
+                 "chain_images": [list(v) for v in images]}
+                for images, (c, _) in zip(blocks, reversed(letters))
+            ],
+        },
+        "closing_piece": {"fiber_genus": g, "euler_char": 2 - 2 * g,
+                          "bundle": "closed fiber x disk"},
+        "euler_char": 1 + handles + (2 - 2 * g),
+        "fiber_genus": g,
+        "relator_blocks": len(blocks),
+        "assumptions": declared(*PLAN_ASSUMPTIONS),
+        "stabilizations": g - ob.genus,
+        "source_open_book": ob.to_doc(),
+    }
 
 
 # -- fixture text grammar -----------------------------------------------------
@@ -216,7 +164,8 @@ def parse_palf(text: str) -> PALF:
     `curve <name> = [..]` declarations (one per name), and one
     `word T(x) T(y) ...` line.
     Chain curves c1..c2g are available without declaration, and a curve
-    line may not redefine one; negative letters T'(x) are rejected since
+    line may not redefine one, nor at genus 1 the c3 that stabilizing
+    adds; negative letters T'(x) are rejected since
     the word must stay positive.  A handles line must give the
     fibration's Euler characteristic:
     1 - one + two == (1 - 2G) + letters.  A word may have at most
@@ -266,6 +215,11 @@ def parse_palf(text: str) -> PALF:
             if name in {f"c{k}" for k in range(1, 2 * genus + 1)}:
                 raise FillingError(
                     f"{name!r} is a chain curve of genus {genus}; "
+                    "a curve line would give it a second class", lineno
+                )
+            if genus == 1 and name == "c3":  # the extender stabilize_openbook adds
+                raise FillingError(
+                    "'c3' is the chain curve that stabilizing to genus 2 adds; "
                     "a curve line would give it a second class", lineno
                 )
             cls = load_json(vec.strip(), partial(FillingError, line=lineno), "class vector: ")

@@ -37,7 +37,6 @@ from . import intmat, mcg
 from .base import PLAN_ASSUMPTIONS, declared
 
 if TYPE_CHECKING:
-    from .fillings import FillingPlan
     from .kirby import AbelianGroup, InflationSpec, KirbyDiagram
 
 
@@ -159,9 +158,9 @@ CHECKS: dict[str, Callable[..., bool]] = {
     # the cap, one 2-handle per trivializing letter, the closed fiber times a disk
     "plan_euler_characteristic": lambda euler_char, handles, fiber_genus: (
         euler_char == 1 + handles + (2 - 2 * fiber_genus)),
-    # a relator block c2 ... c2g (c1 ... c2g)^(4g+1) has 2g(4g+2) - 1 letters
+    # one 2-handle per letter of each relator block
     "relator_handles": lambda handles, blocks, fiber_genus: (
-        handles == blocks * (2 * fiber_genus * (4 * fiber_genus + 2) - 1)),
+        handles == blocks * mcg.relator_letters(fiber_genus)),
     "word_trivial_on_h1": word_trivial_on_h1,
     "fiber_genus_above_one": lambda fiber_genus: fiber_genus > 1,
     # a unimodular linking matrix, so the boundary is a homology sphere
@@ -413,7 +412,7 @@ def certify_distinct(
     cork: KirbyDiagram,
     adm: dict,
     spec: InflationSpec,
-    plan: FillingPlan,
+    plan: dict,
 ) -> dict:
     """Replay the two-sided computation that separates the contact classes.
 
@@ -423,7 +422,8 @@ def certify_distinct(
     element; the twisted one, the same knot and framing attached after the
     twist, is obstructed by registered knot facts and adjunction (step 7),
     forcing a zero image.  adm is the cork's admissibility document,
-    computed by the caller with the search budget it records.  Gathers the
+    computed by the caller with the search budget it records, and plan is
+    the filling plan's document (fillings.build_concave).  Gathers the
     facts and runs each check of SCHEME on them, step by step, then fills
     in the scheme.  Returns the certificate document: its facts, knot,
     steps, verdict, assumptions and digest.
@@ -452,10 +452,11 @@ def certify_distinct(
     _checked("contact_framing", facts, f"untwisted Stein check wants framing = tb − 1 = {tb - 1}")
 
     # (3) the concave plan for the extended domain
-    g_hat = plan.fiber_genus
-    facts.update(euler_char=plan.euler_char, handles=plan.trivializing_handles,
-                 blocks=plan.relator_blocks, fiber_genus=g_hat,
-                 monodromy=[list(c.h1_class) for c, _ in plan.closed_monodromy.letters])
+    g_hat = plan["fiber_genus"]
+    handles = plan["trivializing_handles"]
+    facts.update(euler_char=plan["euler_char"], handles=handles["count"],
+                 blocks=plan["relator_blocks"], fiber_genus=g_hat,
+                 monodromy=[list(b["letter"]["class"]) for b in reversed(handles["blocks"])])
     for check in ("plan_euler_characteristic", "relator_handles", "word_trivial_on_h1"):
         _checked(check, facts)
 

@@ -258,30 +258,21 @@ def _chain_images(s: Matrix) -> tuple[tuple[int, ...], ...]:
 RELATOR = "c2 ... c2g (c1 ... c2g)^(4g+1)"
 
 
-class RelatorBlock(Record):
-    """RELATOR with each c_k read as S c_k, S a frame of a letter c: a positive T_c^-1."""
-
-    __slots__ = _fields = ("chain_images",)
-    chain_images: tuple[tuple[int, ...], ...]  # S c_1, ..., S c_2g
-
-    def __init__(self, chain_images: tuple[tuple[int, ...], ...]) -> None:
-        self._assign(chain_images)
-
-    def __len__(self) -> int:
-        """Letters in the block: 2g - 1, then 2g letters 4g + 1 times."""
-        g = len(self.chain_images) // 2
-        return 2 * g * (4 * g + 2) - 1
+def relator_letters(g: int) -> int:
+    """Letters in one RELATOR block at genus g: 2g - 1, then 2g letters 4g + 1 times."""
+    return 2 * g * (4 * g + 2) - 1
 
 
-def trivialize(word: TwistWord) -> tuple[RelatorBlock, ...]:
+def trivialize(word: TwistWord) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Relator blocks whose letters, read in order after word, act as the identity on H_1.
 
     One block per letter c of word, last letter first: RELATOR conjugated
-    by the frame S of c.  By the chain relation the standard block acts as
-    T_{c1}^-1, and since T_{Sd} = S T_d S^-1 the conjugated block acts as
-    T_c^-1.  So once the chain relation is checked at g, the blocks act
-    as the inverse word, whatever the letters of word are; no product of
-    actions is needed to know that they cancel.
+    by the frame S of c, given as its chain images S c_1, ..., S c_2g.  By
+    the chain relation the standard block acts as T_{c1}^-1, and since
+    T_{Sd} = S T_d S^-1 the conjugated block acts as T_c^-1.  So once the
+    chain relation is checked at g, the blocks act as the inverse word,
+    whatever the letters of word are; no product of actions is needed to
+    know that they cancel.
     """
     if not word.is_positive:
         raise ValueError("only positive monodromy words are trivialized")
@@ -291,5 +282,4 @@ def trivialize(word: TwistWord) -> tuple[RelatorBlock, ...]:
     assert g is not None
     if not verify_chain_relation(g):
         raise ArithmeticError(f"the chain relation fails at genus {g}")
-    return tuple(RelatorBlock(_chain_images(symplectic_frame(curve)))
-                 for curve, _ in reversed(word.letters))
+    return tuple(_chain_images(symplectic_frame(curve)) for curve, _ in reversed(word.letters))

@@ -60,7 +60,7 @@ def test_criterion_02_positive_inversion_length_and_action():
                 c = mcg.Curve("c", tuple(vec))
                 (block,) = mcg.trivialize(TwistWord(((c, 1),)))
                 # the block's letters: c2 ... c2g (c1 ... c2g)^(4g+1) read as S c_k
-                conj = [(mcg.Curve(f"S c{k + 1}", v), 1) for k, v in enumerate(block.chain_images)]
+                conj = [(mcg.Curve(f"S c{k + 1}", v), 1) for k, v in enumerate(block)]
                 w = TwistWord(tuple(conj[1:] + conj * (4 * g + 1)))
                 assert len(w.letters) == 2 * g * (4 * g + 2) - 1
                 assert w.is_positive
@@ -176,17 +176,18 @@ def test_criterion_06_filling_tallies_two_ways():
         plan = build_concave(OpenBook(2, word))
         per_letter = 2 * 2 * (4 * 2 + 2) - 1
         # formula
-        assert plan.relator_blocks * per_letter == 117
-        assert plan.euler_char == 116
+        assert plan["relator_blocks"] * per_letter == 117
+        assert plan["euler_char"] == 116
         # enumeration: each block's letters are c2 ... c4 (c1 ... c4)^9 read as S c_k
         letters = []
-        for block in plan.blocks:
-            conj = [(mcg.Curve(f"S c{k + 1}", v), 1) for k, v in enumerate(block.chain_images)]
+        for block in plan["trivializing_handles"]["blocks"]:
+            conj = [(mcg.Curve(f"S c{k + 1}", tuple(v)), 1)
+                    for k, v in enumerate(block["chain_images"])]
             letters.extend(conj[1:] + conj * (4 * 2 + 1))
         trivializing = TwistWord(tuple(letters))
         assert len(trivializing.letters) == 117
         assert 1 + len(trivializing.letters) + (2 - 2 * 2) == 116
-        assert plan.euler_char == 1 + plan.trivializing_handles - 2
+        assert plan["euler_char"] == 1 + plan["trivializing_handles"]["count"] - 2
 
 
 def test_criterion_07_degree_formula_against_rational_oracle():

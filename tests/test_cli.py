@@ -233,6 +233,25 @@ def test_genus_at_the_limit_is_accepted(tmp_path):
     assert fillings.parse_palf(palf.read_text()).page_genus == mcg.MAX_GENUS
 
 
+@pytest.mark.parametrize("argv", [["fill"], ["fill", "--format", "doc"], None],
+                         ids=["fill", "fill-doc", "certify"])
+def test_curve_named_like_the_stabilization_extender_exits_2(fixtures, tmp_path, argv):
+    # stabilizing genus 1 to genus 2 adds the chain curve c3, so a curve line
+    # for c3 would leave the closed word with two classes named c3
+    palf = tmp_path / "extender.palf"
+    palf.write_text("genus 1\ncurve c3 = [1,1]\nword T(c3)\n")
+    if argv is None:
+        argv = ["certify", str(fixtures / "mazur.kirby"), str(palf),
+                str(fixtures / "trefoil_inflation.spec")]
+    else:
+        argv = argv + [str(palf)]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "line 2: 'c3' " in err
+    assert "a curve line would give it a second class" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_word_above_the_letter_limit_exits_2_before_any_curve_is_built(
         fixtures, tmp_path, monkeypatch):
     # a plan holds (2 max(g, 2))^2 integers per letter: 64 letters at genus 64
@@ -1304,6 +1323,26 @@ def test_each_command_imports_only_what_it_uses(fixtures, certify_argv, tmp_path
     assert _imports_after(["certify", "--validate", str(cert)]) == (
         0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.hfcert",
             "corktwist.intmat", "corktwist.mcg"}, {"hashlib"})
+
+
+def test_readme_trusted_base_is_measured(certify_argv, tmp_path):
+    """README's trusted-base sentence gives, by `wc -l`, the lines of the modules
+    `certify --validate` loads and the lines of the whole package."""
+    cert = tmp_path / "cert.json"
+    assert run([*certify_argv, "--out", str(cert)])[0] == 0
+    code, loaded, _ = _imports_after(["certify", "--validate", str(cert)])
+    assert code == 0
+    package = Path(__file__).resolve().parent.parent / "src" / "corktwist"
+
+    def lines(path):
+        return path.read_bytes().count(b"\n")
+
+    trusted = sum(lines(package / f"{name.partition('.')[2] or '__init__'}.py")
+                  for name in loaded)
+    total = sum(lines(path) for path in package.glob("*.py"))
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"([\d,]+) lines by `wc -l` \(of the package's ([\d,]+)\)", readme)
+    assert stated == [(f"{trusted:,}", f"{total:,}")]
 
 
 def test_unknot_search_imports_nothing_of_the_package():

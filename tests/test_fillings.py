@@ -1,5 +1,6 @@
 """Open books, fibration words, and concave filling plans."""
 
+import copy
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from corktwist.fillings import (
 )
 from corktwist.mcg import TwistWord
 
-from test_mcg import expand
+from test_mcg import expand, plan_blocks
 
 
 def chain_positive_word(g, letters):
@@ -32,13 +33,15 @@ def test_flagship_tally_genus_two_three_letters():
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
     assert per_letter == 39
     # length formula vs direct enumeration
-    assert plan.trivializing_handles == 117
-    trivializing = expand(plan.blocks, plan.closed_monodromy)
+    assert plan["trivializing_handles"]["count"] == 117
+    closed, images = plan_blocks(plan)
+    assert closed == word
+    trivializing = expand(images, closed)
     assert len(trivializing.letters) == len(word) * per_letter
-    assert plan.relator_blocks == 3
+    assert plan["relator_blocks"] == 3
     # euler characteristic two ways
-    assert plan.euler_char == 116
-    assert plan.euler_char == 1 + 117 + (2 - 2 * 2)
+    assert plan["euler_char"] == 116
+    assert plan["euler_char"] == 1 + 117 + (2 - 2 * 2)
     # the trivialized word really closes the fibration
     total = TwistWord(word.letters + trivializing.letters)
     assert intmat.is_identity(mcg.h1_action(total))
@@ -58,31 +61,42 @@ def test_plan_euler_invariant_random_words():
             # extender letter to the word the relator blocks undo
             stabilized = 1 if g == 1 else 0
             fiber_genus = g + stabilized
-            assert plan.stabilizations == stabilized
-            assert plan.fiber_genus == fiber_genus
-            assert plan.relator_blocks == len(letters) + stabilized
+            assert plan["stabilizations"] == stabilized
+            assert plan["fiber_genus"] == fiber_genus
+            assert plan["relator_blocks"] == len(letters) + stabilized
             per_letter = 2 * fiber_genus * (4 * fiber_genus + 2) - 1
-            assert plan.trivializing_handles == plan.relator_blocks * per_letter
-            assert plan.euler_char == 1 + plan.trivializing_handles + (2 - 2 * fiber_genus)
+            handles = plan["trivializing_handles"]["count"]
+            assert handles == plan["relator_blocks"] * per_letter
+            assert plan["euler_char"] == 1 + handles + (2 - 2 * fiber_genus)
 
 
 def test_empty_monodromy_needs_no_trivializing_handles():
     plan = build_concave(OpenBook(3, TwistWord(())))
-    assert plan.blocks == ()
-    assert plan.trivializing_handles == 0
-    assert plan.relator_blocks == 0
+    assert plan["trivializing_handles"]["blocks"] == []
+    assert plan["trivializing_handles"]["count"] == 0
+    assert plan["relator_blocks"] == 0
+
+
+def test_plan_shares_nothing_between_calls(mark_everywhere):
+    """Editing a returned plan document reaches no later one."""
+    book = OpenBook(1, chain_positive_word(1, (0, 1)))
+    plan = build_concave(book)
+    pristine = copy.deepcopy(plan)
+    mark_everywhere(plan)
+    assert "marked" in plan["trivializing_handles"]["blocks"][0]["chain_images"][0]
+    assert build_concave(book) == pristine
 
 
 def test_low_genus_pages_get_stabilized():
     word = chain_positive_word(1, (0, 1))
     plan = build_concave(OpenBook(1, word))
-    assert plan.fiber_genus == 2
-    assert plan.stabilizations == 1
-    assert plan.relator_blocks == len(word) + 1  # the extender letter joins the word
+    assert plan["fiber_genus"] == 2
+    assert plan["stabilizations"] == 1
+    assert plan["relator_blocks"] == len(word) + 1  # the extender letter joins the word
     stabilized = stabilize_openbook(OpenBook(1, word)).monodromy
-    assert plan.closed_monodromy == stabilized
+    assert plan_blocks(plan)[0] == stabilized
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
-    assert plan.trivializing_handles == 3 * per_letter
+    assert plan["trivializing_handles"]["count"] == 3 * per_letter
 
 
 def test_stabilization_extender_class():
@@ -140,6 +154,9 @@ def test_palf_grammar_rejections():
         ("# c9 is past genus 2\ngenus 2\nword T(c9)\n", "line 3: unknown curve 'c9' in word"),
         ("genus 2\nhandles 1 3\nword T(c1) T(c2) T(c3) T(c4)\n",
          "line 2: handles 1 3 give euler characteristic 3 but "),
+        # genus 1 is stabilized to genus 2, which adds the chain curve c3
+        ("genus 1\ncurve c3 = [1,1]\nword T(c3)\n",
+         "line 2: 'c3' is the chain curve that stabilizing to genus 2 adds; "),
     ]:
         with pytest.raises(FillingError) as info:
             parse_palf(text)
@@ -148,22 +165,22 @@ def test_palf_grammar_rejections():
 
 def test_inflated_palf_plan_tallies(load):
     plan = build_concave(palf_to_openbook(parse_palf(load("mazur_inflated.palf"))))
-    assert plan.relator_blocks == 5
-    assert plan.trivializing_handles == 5 * 39
+    assert plan["relator_blocks"] == 5
+    assert plan["trivializing_handles"]["count"] == 5 * 39
 
 
 def test_plan_doc_serializes(load):
     p = parse_palf(load("mazur.palf"))
-    plan = build_concave(palf_to_openbook(p))
     import json
-    doc = plan.to_doc()
+    doc = build_concave(palf_to_openbook(p))
     json.dumps(doc)
     handles = doc["trivializing_handles"]
     assert handles["framing_per_letter"] == -1
-    assert handles["count"] == plan.trivializing_handles == 4 * 39
+    assert handles["count"] == 4 * 39
     assert handles["relator"] == mcg.RELATOR
-    # one block per letter, last letter first, each with its 2g chain images
-    letters = [c for c, _ in reversed(plan.closed_monodromy.letters)]
+    # one block per letter, last letter first, each with its 2g chain images;
+    # a genus-2 page is not stabilized, so the closed word is the source word
+    letters = [c for c, _ in reversed(palf_to_openbook(p).monodromy.letters)]
     assert [b["letter"] for b in handles["blocks"]] == [
         {"curve": c.name, "class": list(c.h1_class)} for c in letters
     ]
@@ -179,8 +196,8 @@ def test_plan_doc_serializes(load):
 def test_empty_word_plan():
     book = OpenBook(2, TwistWord(()))
     plan = build_concave(book)
-    assert plan.trivializing_handles == 0
-    assert plan.euler_char == 1 + 0 + (2 - 2 * 2)
+    assert plan["trivializing_handles"]["count"] == 0
+    assert plan["euler_char"] == 1 + 0 + (2 - 2 * 2)
 
 
 # lines spelled from the PALF grammar's own tokens, and from some it refuses

@@ -785,9 +785,31 @@ def test_assumption_table_holds_exactly_the_cited_names(pipeline):
     cited = {text.removeprefix("assumption: ") for _, inputs, _, _ in SCHEME
              for text in inputs if text.startswith("assumption: ")}
     listed = [{a["name"] for a in doc["assumptions"]}
-              for doc in (pipeline[3].to_doc(), hfcert.fake_pair_report())]
+              for doc in (pipeline[3], hfcert.fake_pair_report())]
     assert cited.union(*listed) == set(ASSUMPTIONS)
     assert cited <= {a["name"] for a in certify_distinct(*pipeline)["assumptions"]}
+
+
+@pytest.mark.parametrize("palf", [
+    "mazur_inflated.palf",
+    "genus 1\nword T(c1) T(c2) T(c1)\n",  # stabilized once, to genus 2
+    "genus 8\nword " + " ".join(f"T(c{k})" for k in range(1, 17)) + "\n",
+], ids=["mazur-inflated", "genus-1-stabilized", "genus-8-chain"])
+def test_certify_reads_what_fill_prints(pipeline, load, palf):
+    """Step 3's facts are the plan document's fields, and certify leaves the
+    document as it found it."""
+    cork, adm, spec, _ = pipeline
+    text = load(palf) if palf.endswith(".palf") else palf
+    plan = fillings.build_concave(fillings.palf_to_openbook(fillings.parse_palf(text)))
+    printed = copy.deepcopy(plan)
+    facts = certify_distinct(cork, adm, spec, plan)["facts"]
+    assert plan == printed
+    handles = plan["trivializing_handles"]
+    assert (facts["euler_char"], facts["handles"], facts["blocks"], facts["fiber_genus"]) == (
+        plan["euler_char"], handles["count"], plan["relator_blocks"], plan["fiber_genus"])
+    letters = [b["letter"]["class"] for b in reversed(handles["blocks"])]
+    assert facts["monodromy"] == letters
+    assert not any(m is c for m, c in zip(facts["monodromy"], letters))
 
 
 def test_fake_pair_report():

@@ -147,17 +147,28 @@ def test_chain_relation_sharp_at_genus_one():
 def expand(blocks, word):
     """The positive word the relator blocks of word stand for, letter for letter.
 
-    Block j belongs to the j-th letter of word from the end, and reads
-    mcg.RELATOR, c2 ... c2g (c1 ... c2g)^(4g+1), with c_k replaced by its
-    chain image S c_k.
+    Block j belongs to the j-th letter of word from the end, lists the chain
+    images S c_1, ..., S c_2g, and reads mcg.RELATOR,
+    c2 ... c2g (c1 ... c2g)^(4g+1), with c_k replaced by S c_k.
     """
     letters = []
     for block, (letter, _) in zip(blocks, reversed(word.letters), strict=True):
-        conj = [(Curve(f"{letter.name}~c{k + 1}", v), 1)
-                for k, v in enumerate(block.chain_images)]
+        conj = [(Curve(f"{letter.name}~c{k + 1}", tuple(v)), 1) for k, v in enumerate(block)]
         g = len(conj) // 2
         letters.extend(conj[1:] + conj * (4 * g + 1))
     return TwistWord(tuple(letters))
+
+
+def plan_blocks(plan):
+    """The closed word a plan document's blocks undo, and the blocks' chain images.
+
+    The blocks run last letter first, so the closed word is their letters
+    read backwards.
+    """
+    blocks = plan["trivializing_handles"]["blocks"]
+    closed = TwistWord(tuple((Curve(b["letter"]["curve"], tuple(b["letter"]["class"])), 1)
+                             for b in reversed(blocks)))
+    return closed, [b["chain_images"] for b in blocks]
 
 
 def letter_by_letter_trivialization(word):
@@ -189,12 +200,14 @@ def test_blocks_expand_to_the_letter_by_letter_trivialization():
             blocks = mcg.trivialize(word)
             assert len(blocks) == len(word)
             assert expand(blocks, word) == letter_by_letter_trivialization(word)
-            plan = fillings.build_concave(fillings.OpenBook(g, word))
-            closed = plan.closed_monodromy
-            assert plan.stabilizations == (1 if g == 1 else 0)  # genus 1 is stabilized
-            assert expand(plan.blocks, closed) == letter_by_letter_trivialization(closed)
-            assert plan.trivializing_handles == len(expand(plan.blocks, closed))
-            assert plan.relator_blocks == len(closed)
+            book = fillings.OpenBook(g, word)
+            plan = fillings.build_concave(book)
+            closed, plan_images = plan_blocks(plan)
+            assert plan["stabilizations"] == (1 if g == 1 else 0)  # genus 1 is stabilized
+            assert closed == (fillings.stabilize_openbook(book).monodromy if g == 1 else word)
+            assert expand(plan_images, closed) == letter_by_letter_trivialization(closed)
+            assert plan["trivializing_handles"]["count"] == len(expand(plan_images, closed))
+            assert plan["relator_blocks"] == len(closed)
     assert time.time() - start < 1.0
 
 
@@ -207,7 +220,7 @@ def test_positive_inverse_length_and_identity():
             c = random_primitive_curve(rng, g, f"r{i}")
             word = TwistWord(((c, 1),))
             (block,) = mcg.trivialize(word)
-            assert len(block) == want_len
+            assert mcg.relator_letters(g) == want_len
             w = expand([block], word)
             assert w.is_positive
             assert len(w) == want_len
@@ -250,7 +263,7 @@ def test_block_letters_are_the_frame_images_of_the_chain():
         images = [tuple(mat_vec(s, list(d.h1_class))) for d in mcg.chain_curves(g)]
         word = TwistWord(((c, 1),))
         (block,) = mcg.trivialize(word)
-        assert block.chain_images == tuple(images)
+        assert block == tuple(images)
         want = images[1:] + images * (4 * g + 1)
         assert [d.h1_class for d, _ in expand([block], word).letters] == want
 

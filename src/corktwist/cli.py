@@ -292,8 +292,9 @@ def _budget(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing keeps no state in it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's own by name, built once per
+    process: parsing keeps no state in them."""
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("human", "doc"), default="human")
     searched = argparse.ArgumentParser(add_help=False, parents=[formatted])
@@ -306,9 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="analyze symmetric 2-handlebody diagrams and their fillings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, run, parent, help):
-        p = sub.add_parser(name, parents=[parent], help=help)
+        p = commands[name] = sub.add_parser(name, parents=[parent], help=help)
         p.set_defaults(run=run)
         return p
 
@@ -336,7 +338,26 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cork diagram, fibration word, inflation spec")
     p_cert.add_argument("--validate", default=None, metavar="CERT_JSON")
     p_cert.add_argument("--out", default=None, metavar="PATH")
-    return parser
+    return parser, commands
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """argv parsed once, by the parser of the subcommand that argv[0] names.  When
+    argv[0] names none, or that parser leaves a token over, the full parser parses
+    it again, so that every help text, usage error and exit code is its own."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -348,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(stream, io.TextIOWrapper) and codecs.lookup(stream.encoding).name != "utf-8":
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else PARSE_ERROR
     try:

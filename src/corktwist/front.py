@@ -33,12 +33,14 @@ from bisect import bisect_right, insort
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .base import InputError, Record, _plain, load_json, numbered_lines
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Point = tuple[int, int]  # integer numerators over the scale of what holds the point
 Segment = tuple[int, int, int, int]  # (px, py, qx, qy) in a diagram's frame
@@ -716,90 +718,98 @@ def _ordered_pairs(ints: list[Segment], joined: list[int],
                 queued.add(point)
                 heapq.heappush(crossings, (X * m // den, Y * m // den, *point, a, b))
 
-    e = 0
-    while True:
-        if e < len(at_ends) and (not crossings or at_ends[e] < crossings[0]):
-            _, _, X, Y = at_ends[e]
-            e += 1
-            D = 1
-            ending, starting = ends.get((X, Y), ()), starts.get((X, Y), ())
-            if len(ending) == 1 and len(starting) == 1:
-                a, s = ending[0], starting[0]
-                b = s[7]
-                slot = slot_of[a]
-                below, above = slot[1], slot[2]
-                # a corner, unless a third segment passes through the point
-                if ((joined[a] == b or joined[b] == a)
-                        and (r := below[0])[6] + r[5] * X != r[4] * Y
-                        and (r := above[0])[6] + r[5] * X != r[4] * Y):
-                    # a corner: the next step takes the place of the one ending
-                    slot[0] = s
-                    slot_of[b] = slot
+    # the slots link both ways, so each one leaving the status is unlinked, and
+    # the rest on every exit: the sweep leaves nothing for the cyclic collector
+    try:
+        e = 0
+        while True:
+            if e < len(at_ends) and (not crossings or at_ends[e] < crossings[0]):
+                _, _, X, Y = at_ends[e]
+                e += 1
+                D = 1
+                ending, starting = ends.get((X, Y), ()), starts.get((X, Y), ())
+                if len(ending) == 1 and len(starting) == 1:
+                    a, s = ending[0], starting[0]
+                    b = s[7]
+                    slot = slot_of[a]
+                    below, above = slot[1], slot[2]
+                    # a corner, unless a third segment passes through the point
+                    if ((joined[a] == b or joined[b] == a)
+                            and (r := below[0])[6] + r[5] * X != r[4] * Y
+                            and (r := above[0])[6] + r[5] * X != r[4] * Y):
+                        # a corner: the next step takes the place of the one ending
+                        slot[0] = s
+                        slot_of[b] = slot
+                        ahead(below[0], s)
+                        ahead(s, above[0])
+                        continue
+            elif crossings:
+                _, _, X, Y, D, a, b = heapq.heappop(crossings)
+                ending = starting = ()
+                lower, upper = slot_of[a], slot_of[b]
+                below, above = lower[1], upper[2]
+                if (lower[2] is upper
+                        and (r := below[0])[6] * D + r[5] * X != r[4] * Y
+                        and (r := above[0])[6] * D + r[5] * X != r[4] * Y):
+                    # two segments cross, and no third passes: they change places
+                    r, s = lower[0], upper[0]
+                    lower[0], upper[0] = s, r
+                    slot_of[a], slot_of[b] = upper, lower
+                    pairs.add((a, b) if a < b else (b, a))
+                    if len(pairs) > most:
+                        return list(pairs)
                     ahead(below[0], s)
-                    ahead(s, above[0])
+                    ahead(r, above[0])
                     continue
-        elif crossings:
-            _, _, X, Y, D, a, b = heapq.heappop(crossings)
-            ending = starting = ()
-            lower, upper = slot_of[a], slot_of[b]
-            below, above = lower[1], upper[2]
-            if (lower[2] is upper
-                    and (r := below[0])[6] * D + r[5] * X != r[4] * Y
-                    and (r := above[0])[6] * D + r[5] * X != r[4] * Y):
-                # two segments cross, and no third passes: they change places
-                r, s = lower[0], upper[0]
-                lower[0], upper[0] = s, r
-                slot_of[a], slot_of[b] = upper, lower
-                pairs.add((a, b) if a < b else (b, a))
-                if len(pairs) > most:
-                    return list(pairs)
-                ahead(below[0], s)
-                ahead(r, above[0])
-                continue
-        else:
-            break
-        # the first segment not below the point, and then those through it
-        lo, hi = 1, len(status) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            _, _, _, _, dx, dy, c, _ = status[mid][0]
-            if c * D + dy * X < dx * Y:
-                lo = mid + 1
             else:
-                hi = mid
-        while (r := status[hi][0])[6] * D + r[5] * X == r[4] * Y:
-            hi += 1
-        meeting = [slot[0] for slot in status[lo:hi]]
-        # those going on: the ones passing, in the reverse of their order
-        # before the point, and the ones starting, each put in by slope
-        going = meeting[::-1]
-        if ending:
-            gone = set(ending)
-            going = [r for r in going if r[7] not in gone]
-        for r in starting:
-            insort(going, r, key=slope)
-            meeting.append(r)
-        for r, s in combinations(meeting, 2):
-            a, b = r[7], s[7]
-            if joined[a] != b and joined[b] != a:
-                pairs.add((a, b) if a < b else (b, a))
-                if len(pairs) > most:
-                    return list(pairs)
-        # a slot for each going on, linked in from the slot below to the one above
-        below = status[lo - 1]
-        new = []
-        for r in going:
-            below[2] = slot = [r, below, None]
-            slot_of[r[7]] = slot
-            new.append(slot)
-            below = slot
-        above = status[hi]
-        below[2], above[1] = above, below
-        status[lo:hi] = new
-        ahead(status[lo - 1][0], status[lo][0])
-        if new:
-            ahead(below[0], above[0])
-    return sorted(pairs)
+                break
+            # the first segment not below the point, and then those through it
+            lo, hi = 1, len(status) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                _, _, _, _, dx, dy, c, _ = status[mid][0]
+                if c * D + dy * X < dx * Y:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            while (r := status[hi][0])[6] * D + r[5] * X == r[4] * Y:
+                hi += 1
+            meeting = [slot[0] for slot in status[lo:hi]]
+            # those going on: the ones passing, in the reverse of their order
+            # before the point, and the ones starting, each put in by slope
+            going = meeting[::-1]
+            if ending:
+                gone = set(ending)
+                going = [r for r in going if r[7] not in gone]
+            for r in starting:
+                insort(going, r, key=slope)
+                meeting.append(r)
+            for r, s in combinations(meeting, 2):
+                a, b = r[7], s[7]
+                if joined[a] != b and joined[b] != a:
+                    pairs.add((a, b) if a < b else (b, a))
+                    if len(pairs) > most:
+                        return list(pairs)
+            # a slot for each going on, linked in from the slot below to the one above
+            below = status[lo - 1]
+            new = []
+            for r in going:
+                below[2] = slot = [r, below, None]
+                slot_of[r[7]] = slot
+                new.append(slot)
+                below = slot
+            above = status[hi]
+            below[2], above[1] = above, below
+            for slot in status[lo:hi]:
+                slot[1] = slot[2] = None
+            status[lo:hi] = new
+            ahead(status[lo - 1][0], status[lo][0])
+            if new:
+                ahead(below[0], above[0])
+        return sorted(pairs)
+    finally:
+        for slot in status:
+            slot[1] = slot[2] = None
 
 
 def _check_ball_contacts(comp: str, seg: Segment, balls: list[tuple[str, int, int, int]]) -> None:
@@ -831,6 +841,8 @@ def stabilize(d: FrontDiagram, comp: str, sign: int) -> FrontDiagram:
     generic.  The four zigzag points are placed in Fractions and the arc
     that receives them is rescaled to the lcm of their denominators.
     """
+    from fractions import Fraction  # here, so that no command imports it
+
     if sign not in (1, -1):
         raise ValueError("stabilization sign must be +1 or -1")
     d._require(comp)

@@ -28,7 +28,6 @@ every fact that no check reads.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # the checker needs only these; the deduction imports kirby where it runs,
@@ -37,6 +36,8 @@ from . import intmat, mcg
 from .base import PLAN_ASSUMPTIONS, declared
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .kirby import AbelianGroup, InflationSpec, KirbyDiagram
 
 
@@ -93,6 +94,8 @@ class SpinCDecoration(NamedTuple):
 
 def degree_shift(s: SpinCDecoration) -> Fraction:
     """Exact degree shift (c1^2 - 3*sigma - 2*chi) / 4 of the induced maps."""
+    from fractions import Fraction  # here, so that no command imports it
+
     if s.sigma is None:
         raise RuleNotApplicable(
             "signature unknown; provide sigma to compute the degree shift"

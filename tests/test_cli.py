@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, the certify bundle."""
 
+import argparse
 import contextlib
 import errno
+import fractions
 import io
 import json
 import os
@@ -1295,7 +1297,7 @@ print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 
 def _imports_after(argv):
     """The exit code of a fresh `corktwist argv`, the package modules it loaded, and
-    which of dataclasses and hashlib it loaded."""
+    which of dataclasses, decimal, fractions and hashlib it loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_PROBE, *argv],
@@ -1304,12 +1306,15 @@ def _imports_after(argv):
     )
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     package = {name for name in loaded if name.split(".")[0] == "corktwist"}
-    return code, package, {"dataclasses", "hashlib"} & set(loaded)
+    return code, package, {"dataclasses", "decimal", "fractions", "hashlib"} & set(loaded)
 
 
 def test_each_command_imports_only_what_it_uses(fixtures, certify_argv, tmp_path):
     assert _imports_after(["tb", str(fixtures / "trefoil.front")]) == (
         0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.front"}, set())
+    assert _imports_after(["admissible", str(fixtures / "mazur.kirby")]) == (
+        0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.front",
+            "corktwist.intmat", "corktwist.kirby", "corktwist.moves"}, set())
     # records and readers come from base, so mcg and fill never load the front parser
     assert _imports_after(["mcg", "verify-chain", "2"]) == (
         0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.mcg",
@@ -1317,9 +1322,11 @@ def test_each_command_imports_only_what_it_uses(fixtures, certify_argv, tmp_path
     assert _imports_after(["fill", str(fixtures / "mazur.palf")]) == (
         0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.fillings",
             "corktwist.mcg", "corktwist.intmat"}, set())
-    # --validate loads the checker and what its checks run on: no parser, no search
+    # certify loads every module, and of these four only hashlib, for the digest
     cert = tmp_path / "cert.json"
-    assert run([*certify_argv, "--out", str(cert)])[0] == 0
+    code, _, stdlib = _imports_after([*certify_argv, "--out", str(cert)])
+    assert (code, stdlib) == (0, {"hashlib"})
+    # --validate loads the checker and what its checks run on: no parser, no search
     assert _imports_after(["certify", "--validate", str(cert)]) == (
         0, {"corktwist", "corktwist.cli", "corktwist.base", "corktwist.hfcert",
             "corktwist.intmat", "corktwist.mcg"}, {"hashlib"})
@@ -1363,11 +1370,12 @@ def test_shared_parser_keeps_no_state_between_calls(fixtures):
     each does in a fresh process."""
     trefoil = str(fixtures / "trefoil.front")
     usage_error = ["tb", trefoil, "--budget", "5"]
+    bogus = ["tb", trefoil, "--bogus"]
     valid = ["tb", trefoil, "--format", "doc"]
-    in_process = [run(argv) for argv in (usage_error, valid, usage_error)]
+    in_process = [run(argv) for argv in (usage_error, bogus, valid, bogus, usage_error)]
     src = Path(__file__).resolve().parent.parent / "src"
     fresh = []
-    for argv in (usage_error, valid):
+    for argv in (usage_error, bogus, valid):
         proc = subprocess.run(
             [sys.executable, "-m", "corktwist.cli", *argv],
             capture_output=True, text=True, timeout=60,
@@ -1376,8 +1384,9 @@ def test_shared_parser_keeps_no_state_between_calls(fixtures):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert cli._build_parser() is cli._build_parser()
     assert in_process[0][0] == 2 and "unrecognized arguments: --budget 5" in in_process[0][2]
-    assert in_process[1][0] == 0
-    assert in_process == [fresh[0], fresh[1], fresh[0]]
+    assert in_process[1][0] == 2 and "unrecognized arguments: --bogus" in in_process[1][2]
+    assert in_process[2][0] == 0
+    assert in_process == [fresh[0], fresh[1], fresh[2], fresh[1], fresh[0]]
 
 
 def _spelled(fixtures, tmp_path, name, old, new):
@@ -1500,10 +1509,63 @@ _FLAGS = ("verify-chain", "--format", "--budget", "--seed", "--component", "--ge
 _VALUES = ("doc", "xml", "0", "-1", "65", "1_0", "٣", "K", "K1", "K2")
 
 
+def _parsed(parse, argv):
+    """vars() of parse(argv), or the code it exits with, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parsed_by_both(argv):
+    """_parsed by the subcommand's dispatch and by the full parser, which must agree."""
+    dispatched = _parsed(cli._parse, argv)
+    assert dispatched == _parsed(lambda a: cli._build_parser().parse_args(a), argv), argv
+    return dispatched
+
+
+# a valid set of positionals per command, and what each command line adds to them
+_POSITIONALS = {"tb": ["x.front"], "admissible": ["x.kirby"], "homology": ["x.kirby"],
+                "twist": ["x.kirby"], "fill": ["x.palf"], "mcg": ["verify-chain", "2"],
+                "certify": ["x.kirby", "x.palf", "x.spec"]}
+_ADDED = ([], ["-h"], ["--help"], ["--he"], ["--format=doc"], ["--form", "doc"],
+          ["--format", "xml"], ["--bogus"], ["extra"], ["--"], ["-1"], ["--budget", "-1"],
+          ["--seed=3"], ["--validate"], ["--validate", "c.json"], ["--out"],
+          ["--out", "o.json"])
+
+
+def test_dispatch_parses_as_the_full_parser(monkeypatch):
+    """`cli._parse` hands argv to the parser of the subcommand argv[0] names, and
+    falls back to the full parser: the namespace or exit code, stdout and stderr
+    are the full parser's on every command line."""
+    corpus = [[], ["-h"], ["cert"], ["bogus"], ["--", "tb", "x"], ["--format", "doc", "tb", "x"]]
+    for command, positionals in _POSITIONALS.items():
+        corpus += [[command, *added] for added in _ADDED]
+        corpus += [[command, *positionals, *added] for added in _ADDED]
+        corpus.append([command, "--", *positionals])
+    results = [_parsed_by_both(argv) for argv in corpus]
+    assert {r[0] if isinstance(r[0], int) else "parsed" for r in results} == {0, 2, "parsed"}
+    # a command line that parses is parsed once, by the subcommand's parser
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args):
+        calls.append(self.prog)
+        return parse_known_args(self, *args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert vars(cli._parse(["tb", "x.front"]))["front_path"] == "x.front"
+    assert calls == ["corktwist tb"]
+
+
 def test_no_command_line_raises(fixtures, tmp_path):
     """One subcommand, then up to five tokens: names, flags, values, every
     shipped fixture, a missing path and a directory.  `--out` always comes
-    with a path under tmp_path, so that no draw writes over a fixture."""
+    with a path under tmp_path, so that no draw writes over a fixture.  The
+    subcommand's dispatch parses each as the full parser does."""
     paths = [*map(str, sorted(fixtures.iterdir())), str(tmp_path / "missing"), str(tmp_path)]
     tokens = [(t,) for t in (*_COMMANDS, *_FLAGS, *_VALUES, *paths)]
     tokens.append(("--out", str(tmp_path / "cert.json")))
@@ -1512,6 +1574,7 @@ def test_no_command_line_raises(fixtures, tmp_path):
     @given(st.sampled_from(_COMMANDS), st.lists(st.sampled_from(tokens), max_size=5))
     def ran(command, groups):
         argv = [command, *(t for group in groups for t in group)]
+        _parsed_by_both(argv)
         assert run(argv)[0] in (0, 1, 2, 3), argv
 
     ran()
@@ -1670,7 +1733,8 @@ def test_exponent_in_a_rational_exits_2_without_building_it(fixtures, tmp_path, 
         return Fraction(*args)
 
     path = _spelled(fixtures, tmp_path, "lens.front", "(4,2)", "(1e1000000,2)")
-    monkeypatch.setattr(front, "Fraction", refuse)
+    # front imports Fraction only where it uses it, so the patch goes on its module
+    monkeypatch.setattr(fractions, "Fraction", refuse)
     code, out, err = run(["tb", path])
     assert code == 2
     assert out == ""

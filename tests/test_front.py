@@ -1,5 +1,6 @@
 """Front parsing and the tb / linking arithmetic on the shipped fixtures."""
 
+import gc
 import json
 import math
 import random
@@ -654,6 +655,32 @@ def test_segments_through_one_point_stop_the_ordered_sweep_at_the_limit(monkeypa
     with pytest.raises(FrontGeometryError, match="at most 5000 crossings"):
         parse_front(text)
     assert calls == [(5000, 5001)]
+
+
+def _cyclic_garbage_after(run):
+    """What the cyclic collector frees after run(), with the collector off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_ordered_sweep_leaves_no_cyclic_garbage(monkeypatch):
+    # the status slots link to the slots below and above them: a sweep that
+    # left them linked would leave a cycle per run of adjacent slots
+    text = front.front_to_text(kirby.linked_handle_pair(32).front)
+    calls = _counting_ordered_pairs(monkeypatch)
+    assert _cyclic_garbage_after(lambda: parse_front(text)) == 0
+    assert len(calls) == 1 and calls[0][1] <= calls[0][0]  # swept to the end
+    # the dense paths below: the sweep gives up at its 248th pair
+    level = [(7000 * (i % 2), i) for i in range(71)]
+    steep = [(700 + 80 * j, 280 * (j % 2) - 5) for j in range(71)]
+    ints = [p + q for pts in (level, steep) for p, q in zip(pts, pts[1:])]
+    joined = [*range(1, 70), -1, *range(71, 140), -1]
+    assert _cyclic_garbage_after(lambda: front._ordered_pairs(ints, joined, 247)) == 0
 
 
 def test_zigzag_of_4082_segments_over_one_x_range_builds_by_the_ordered_sweep(monkeypatch):

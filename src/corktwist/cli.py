@@ -341,11 +341,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, commands
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser."""
-    return _parsers()[0]
-
-
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """argv parsed once, by the parser of the subcommand that argv[0] names.  When
     argv[0] names none, or that parser leaves a token over, the full parser parses

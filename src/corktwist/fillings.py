@@ -81,10 +81,6 @@ class PALF(NamedTuple):
 
     open_book: OpenBook
 
-    @property
-    def page_genus(self) -> int:
-        return self.open_book.genus
-
 
 # -- operations ---------------------------------------------------------------
 

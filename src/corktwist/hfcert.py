@@ -13,8 +13,9 @@ and every imported fact is surfaced as a declared assumption instead of
 being silently used.
 
 Every number a check reads is recorded once, by name, in the
-certificate's facts table: a JSON integer, or for the monodromy a list
-of integer classes.  CHECKS is a small registry of functions whose
+certificate's facts table: a JSON integer, for the monodromy a list of
+integer classes, and for the linking matrix and its inverse a 2 x 2
+integer matrix.  CHECKS is a small registry of functions whose
 parameters are fact names, and eval_condition runs one on the facts.
 Certify runs every check before recording its name, so a certificate
 never records a false one.  certificate_body spells the whole document
@@ -153,8 +154,11 @@ def word_trivial_on_h1(fiber_genus: int, monodromy: list[list[int]]) -> bool:
 
 # The checks a step may name; a check's parameters name the facts it reads.
 CHECKS: dict[str, Callable[..., bool]] = {
-    # admissibility conditions 3 and 4': the handles link once, the cork's exhibit has tb >= 1
-    "unit_linking": lambda lk: abs(lk) == 1,
+    # admissibility conditions 3 and 4': the handles link once, the cork's exhibit has tb >= 1;
+    # the dot becomes 0 on the diagonal, and the framed component carries framing 0
+    "unit_linking": lambda linking: (
+        linking[0][0] == linking[1][1] == 0
+        and linking[0][1] == linking[1][0] and abs(linking[0][1]) == 1),
     "tb_at_least_one": lambda cork_tb: cork_tb >= 1,
     # the 2-handle sits exactly at the contact framing of the spec's exhibit
     "contact_framing": lambda framing, exhibit_tb: framing == exhibit_tb - 1,
@@ -166,8 +170,9 @@ CHECKS: dict[str, Callable[..., bool]] = {
         handles == blocks * mcg.relator_letters(fiber_genus)),
     "word_trivial_on_h1": word_trivial_on_h1,
     "fiber_genus_above_one": lambda fiber_genus: fiber_genus > 1,
-    # a unimodular linking matrix, so the boundary is a homology sphere
-    "unit_determinant": lambda det: abs(det) == 1,
+    # the linking matrix has an integral inverse, so the boundary is a homology sphere
+    "unimodular": lambda linking, linking_inverse: intmat.is_identity(
+        intmat.mat_mul(linking, linking_inverse)),
     # no Legendrian representative of the knot reaches framing = tb - 1
     "tb_obstructed": lambda framing, max_tb: framing > max_tb - 1,
     # a torus of the knot's genus and self-intersection the framing breaks the
@@ -182,10 +187,15 @@ _PARAMETERS: dict[str, tuple[str, ...]] = {
 }
 
 # every fact is a JSON integer, never a bool or a float, except the
-# monodromy: a list of integer classes
+# monodromy, a list of integer classes, and the linking matrix and its
+# inverse: 2 x 2, as check_admissible allows only two components, which
+# keeps mat_mul's shapes matched and its cost fixed
 _INTEGER = ("an integer", lambda v: type(v) is int)
+_MATRIX = ("a 2 x 2 integer matrix", lambda v: type(v) is list and len(v) == 2 and all(
+    type(row) is list and len(row) == 2 and type(row[0]) is type(row[1]) is int for row in v))
 _SHAPES = {"monodromy": ("a list of integer lists", lambda v: type(v) is list and all(
-    type(row) is list and all(type(x) is int for x in row) for row in v))}
+    type(row) is list and all(type(x) is int for x in row) for row in v)),
+    "linking": _MATRIX, "linking_inverse": _MATRIX}
 
 
 def eval_condition(check: object, facts: object) -> bool:
@@ -325,14 +335,15 @@ SCHEME: tuple[tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...
       "conditional: given sigma(X), the mixed map shifts degree by "
       "(c1^2 - 3*sigma - 2*chi) / 4")),
     ("concave_hits_contact",
-     (CONCAVE_FILLING, "given: the boundary of W is a homology sphere, so c1 restricts torsion"),
-     ("unit_determinant",),
+     (CONCAVE_FILLING, "given: the cork diagram's linking matrix, so the boundary of W "
+                       "is a homology sphere and c1 restricts torsion"),
+     ("unimodular",),
      (V_HITS_CONTACT,)),
     # exactly one decoration glues across the homology-sphere cut, so the
     # composite is a single term
     ("compose_unique_gluing",
      (X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
-     ("unit_determinant",),
+     ("unimodular",),
      (f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO)),
     ("twisted_adjunction_obstruction",
      (IS_CORK, "given: registered facts for {knot}: its max tb and Seifert genus",
@@ -445,7 +456,7 @@ def certify_distinct(
     # (1) the cork itself
     _require(adm["verdict"] == "admissible",
              f"cork admissibility failed: verdict {adm['verdict']!r}")
-    facts.update(lk=adm["cond3"]["value"], cork_tb=adm["cond4prime"]["tb"])
+    facts.update(linking=kirby.linking_matrix(cork)[1], cork_tb=adm["cond4prime"]["tb"])
     _checked("unit_linking", facts)
     _checked("tb_at_least_one", facts)
 
@@ -467,13 +478,14 @@ def certify_distinct(
     _checked("fiber_genus_above_one", facts,
              f"fiber genus {g_hat} too small for the nonvanishing rule")
 
-    # (5) the concave piece hits the contact element; the boundary's first
-    # homology is the cokernel of the linking matrix, finite iff det != 0.
-    # (6) reads the same fact, so the check runs once for both steps
-    det = intmat.det(kirby.linking_matrix(cork)[1])
-    _require(det != 0, "boundary first homology has free rank; contact c1 not torsion")
-    facts["det"] = det
-    _checked("unit_determinant", facts)
+    # (5) the concave piece hits the contact element: the boundary's first
+    # homology is the cokernel of the linking matrix, trivial iff the matrix
+    # has an integral inverse; when det = ±1 that inverse is det * adjugate.
+    # (6) reads the same facts, so the check runs once for both steps
+    (a, b), (c, d) = facts["linking"]
+    det = a * d - b * c
+    facts["linking_inverse"] = [[det * d, -det * b], [-det * c, det * a]]
+    _checked("unimodular", facts)
 
     # (7) twisted side: the attachment is obstructed and adjunction bites
     registered = kirby.KNOT_FACTS.get(knot)

@@ -90,33 +90,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
         base = mat_mul(base, base)
 
 
-def det(a: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    work = clone(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
-
-
 def _swap_rows(a: Matrix, i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
 

@@ -232,7 +232,7 @@ def test_genus_at_the_limit_is_accepted(tmp_path):
     assert mcg.MAX_GENUS == 64
     palf = tmp_path / "top.palf"
     palf.write_text(f"genus {mcg.MAX_GENUS}\nword T(c1)\n")
-    assert fillings.parse_palf(palf.read_text()).page_genus == mcg.MAX_GENUS
+    assert fillings.parse_palf(palf.read_text()).open_book.genus == mcg.MAX_GENUS
 
 
 @pytest.mark.parametrize("argv", [["fill"], ["fill", "--format", "doc"], None],
@@ -1147,8 +1147,10 @@ def test_ill_typed_kirby_field_exits_2(fixtures, tmp_path, field, value):
 
 @pytest.mark.parametrize("doc", [
     {"steps": [1]},
-    {"steps": [{"rule": "cork_admissible", "checks": 5}], "facts": {"lk": 1, "cork_tb": 2}},
-    {"steps": [{"rule": "cork_admissible", "checks": [1]}], "facts": {"lk": 1, "cork_tb": 2}},
+    {"steps": [{"rule": "cork_admissible", "checks": 5}],
+     "facts": {"linking": [[0, 1], [1, 0]], "cork_tb": 2}},
+    {"steps": [{"rule": "cork_admissible", "checks": [1]}],
+     "facts": {"linking": [[0, 1], [1, 0]], "cork_tb": 2}},
     {"steps": [{"rule": "cork_admissible", "checks": [{"expr": ["1 == 1"]}]}], "facts": 5},
     {"steps": [{"rule": "cork_admissible", "inputs": [1]}]},
     {"steps": [{"rule": "cork_admissible", "outputs": [["verdict: DISTINCT"]]}]},
@@ -1189,15 +1191,21 @@ def _validate_edited(tmp_path, doc, edits):
     return run(["certify", "--validate", str(path)])
 
 
-def test_validate_reports_deeply_nested_condition(certificate, tmp_path):
+def _nested(depth):
+    """A list depth deep around an integer."""
     deep = 1
-    for _ in range(500):
+    for _ in range(depth):
         deep = [deep]
-    code, out, err = _validate_edited(tmp_path, certificate, [(("facts", "lk"), deep)])
+    return deep
+
+
+def test_validate_reports_deeply_nested_condition(certificate, tmp_path):
+    code, out, err = _validate_edited(
+        tmp_path, certificate, [(("facts", "cork_tb"), _nested(500))])
     assert code == 1
     assert out.splitlines() == [
         "invalid: step 1 (cork_admissible): unreadable check: "
-        "fact lk of check unit_linking is not an integer"
+        "fact cork_tb of check tb_at_least_one is not an integer"
     ]
     assert err == ""
 
@@ -1210,18 +1218,33 @@ def _word(genus, monodromy):
     return [_fact("fiber_genus", genus), _fact("monodromy", monodromy)]
 
 
+_NOT_A_MATRIX = "fact linking of check unit_linking is not a 2 x 2 integer matrix"
+
 # each case: the edits, and the start and a part of one problem line it must print
 HOSTILE_EVIDENCE = {
     "unknown-check": ([(("steps", 0, "checks", 0), "is_identity")], "invalid: step 1 ",
                       "are not the rule's checks"),
     "old-format": ([(("steps", 0, "side_conditions"), [{"expr": "abs(1) == 1", "value": True}])],
                    "invalid: step 1 ", "unknown key 'side_conditions'"),
-    "missing-key": ([_fact("lk", None)], "invalid: step 1 ", "wants fact lk"),
+    "missing-key": ([_fact("cork_tb", None)], "invalid: step 1 ", "wants fact cork_tb"),
     "extra-key": ([_fact("tb", 2)], "invalid: fact 'tb'", "is read by no check"),
-    "true": ([_fact("lk", True)], "invalid: step 1 ", "not an integer"),
-    "float": ([_fact("lk", 1.0)], "invalid: step 1 ", "not an integer"),
-    "string": ([_fact("lk", "1")], "invalid: step 1 ", "not an integer"),
-    "nested-list": ([_fact("lk", [[1]])], "invalid: step 1 ", "not an integer"),
+    "true": ([_fact("cork_tb", True)], "invalid: step 1 ", "not an integer"),
+    "float": ([_fact("cork_tb", 1.0)], "invalid: step 1 ", "not an integer"),
+    "string": ([_fact("cork_tb", "1")], "invalid: step 1 ", "not an integer"),
+    "nested-list": ([_fact("cork_tb", [[1]])], "invalid: step 1 ", "not an integer"),
+    # the linking matrix and its inverse are 2 x 2, so the product's shapes always match
+    "linking-3x3": ([_fact("linking", [[0, 1, 0], [1, 0, 0], [0, 0, 1]])], "invalid: step 1 ",
+                    _NOT_A_MATRIX),
+    "linking-ragged": ([_fact("linking", [[0, 1], [1]])], "invalid: step 1 ", _NOT_A_MATRIX),
+    "linking-empty": ([_fact("linking", [])], "invalid: step 1 ", _NOT_A_MATRIX),
+    "linking-true": ([_fact("linking", [[0, True], [True, 0]])], "invalid: step 1 ",
+                     _NOT_A_MATRIX),
+    "linking-float": ([_fact("linking", [[0, 1.0], [1.0, 0]])], "invalid: step 1 ",
+                      _NOT_A_MATRIX),
+    "inverse-3x3": ([_fact("linking_inverse", [[0, 1, 0], [1, 0, 0], [0, 0, 1]])],
+                    "invalid: step 5 ",
+                    "fact linking_inverse of check unimodular is not a 2 x 2 integer matrix"),
+    "linking-deep": ([_fact("linking", _nested(500))], "invalid: step 1 ", _NOT_A_MATRIX),
     "genus-0": (_word(0, [[]]), "invalid: step 3 ", "genus must be between 1 and 64, got 0"),
     "genus-65": (_word(65, [[1] + [0] * 129]), "invalid: step 3 ",
                  "genus must be between 1 and 64, got 65"),
@@ -1382,7 +1405,7 @@ def test_shared_parser_keeps_no_state_between_calls(fixtures):
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     assert in_process[0][0] == 2 and "unrecognized arguments: --budget 5" in in_process[0][2]
     assert in_process[1][0] == 2 and "unrecognized arguments: --bogus" in in_process[1][2]
     assert in_process[2][0] == 0
@@ -1523,7 +1546,7 @@ def _parsed(parse, argv):
 def _parsed_by_both(argv):
     """_parsed by the subcommand's dispatch and by the full parser, which must agree."""
     dispatched = _parsed(cli._parse, argv)
-    assert dispatched == _parsed(lambda a: cli._build_parser().parse_args(a), argv), argv
+    assert dispatched == _parsed(lambda a: cli._parsers()[0].parse_args(a), argv), argv
     return dispatched
 
 
@@ -1665,7 +1688,7 @@ def test_repeated_json_key_exits_2(fixtures, certify_argv, tmp_path, site):
 @pytest.mark.parametrize("site", ["evidence-integer", "monodromy-entry"])
 def test_validate_refuses_oversized_integer_in_evidence(certificate, tmp_path, site):
     if site == "evidence-integer":
-        certificate["facts"]["lk"] = 987654321
+        certificate["facts"]["cork_tb"] = 987654321
     else:
         certificate["facts"]["monodromy"][0][0] = 987654321
     path = tmp_path / "cert.json"
@@ -1679,11 +1702,11 @@ def test_validate_refuses_oversized_integer_in_evidence(certificate, tmp_path, s
 
 def test_validate_reports_non_ascii_digit_in_condition(certificate, tmp_path):
     # `\u0661` is ARABIC-INDIC DIGIT ONE, which int() would read as 1
-    code, out, err = _validate_edited(tmp_path, certificate, [(("facts", "lk"), "\u0661")])
+    code, out, err = _validate_edited(tmp_path, certificate, [(("facts", "cork_tb"), "\u0661")])
     assert code == 1
     assert out.splitlines() == [
         "invalid: step 1 (cork_admissible): unreadable check: "
-        "fact lk of check unit_linking is not an integer"
+        "fact cork_tb of check tb_at_least_one is not an integer"
     ]
     assert err == ""
 

@@ -121,7 +121,7 @@ def test_open_book_validation():
 
 def test_palf_fixture_parses(load):
     p = parse_palf(load("mazur.palf"))
-    assert p.page_genus == 2
+    assert p.open_book.genus == 2
     assert len(p.open_book.monodromy) == 4
 
 

@@ -120,7 +120,7 @@ def test_eval_condition_runs_named_checks():
     chain = [list(c.h1_class) for c in mcg.chain_curves(2)]
     # (check, facts it holds on, facts it fails on)
     cases = [
-        ("unit_linking", {"lk": -1}, {"lk": 0}),
+        ("unit_linking", {"linking": [[0, -1], [-1, 0]]}, {"linking": [[0, 1], [-1, 0]]}),
         ("tb_at_least_one", {"cork_tb": 1}, {"cork_tb": 0}),
         ("contact_framing", {"framing": 1, "exhibit_tb": 2}, {"framing": 2, "exhibit_tb": 2}),
         ("plan_euler_characteristic", {"euler_char": 194, "handles": 195, "fiber_genus": 2},
@@ -128,7 +128,8 @@ def test_eval_condition_runs_named_checks():
         ("relator_handles", {"handles": 195, "blocks": 5, "fiber_genus": 2},
          {"handles": 196, "blocks": 5, "fiber_genus": 2}),
         ("fiber_genus_above_one", {"fiber_genus": 2}, {"fiber_genus": 1}),
-        ("unit_determinant", {"det": -1}, {"det": 2}),
+        ("unimodular", {"linking": [[2, 1], [1, 1]], "linking_inverse": [[1, -1], [-1, 2]]},
+         {"linking": [[2, 1], [1, 1]], "linking_inverse": [[1, -1], [-1, 1]]}),
         ("tb_obstructed", {"framing": 1, "max_tb": 1}, {"framing": 0, "max_tb": 1}),
         ("adjunction_violated", {"knot_genus": 1, "framing": 1},
          {"knot_genus": 2, "framing": 2}),
@@ -138,7 +139,7 @@ def test_eval_condition_runs_named_checks():
         assert eval_condition(check, fails) is False
     assert {check for check, _, _ in cases} | {"word_trivial_on_h1"} == set(CHECKS)
     # a check reads only the facts it names from the shared table
-    assert eval_condition("unit_linking", {"lk": 1, "cork_tb": [1.5]}) is True
+    assert eval_condition("unit_linking", {"linking": [[0, 1], [1, 0]], "cork_tb": [1.5]}) is True
     assert eval_condition(
         "word_trivial_on_h1", {"fiber_genus": 2, "monodromy": chain}) is True
     assert eval_condition(
@@ -166,17 +167,21 @@ def test_word_trivial_on_h1_replays_the_chain_relation(monkeypatch):
     assert eval_condition("word_trivial_on_h1", facts) is False
 
 
+# a list 500 deep around an integer
+_DEEP = 1
+for _ in range(500):
+    _DEEP = [_DEEP]
+_NOT_A_MATRIX = "fact linking of check unit_linking is not a 2 x 2 integer matrix"
+
+
 def test_eval_condition_caps_nesting():
     """An integer is never a list, and a monodromy nests exactly two lists deep."""
-    deep = 1
-    for _ in range(500):
-        deep = [deep]
     for check, bad, kind in [
-        ("unit_linking", {"lk": [[1]]}, "an integer"),
-        ("unit_linking", {"lk": deep}, "an integer"),
+        ("tb_at_least_one", {"cork_tb": [[1]]}, "an integer"),
+        ("tb_at_least_one", {"cork_tb": _DEEP}, "an integer"),
         (WORD, {"fiber_genus": 1, "monodromy": [1, 0]}, "a list of integer lists"),
         (WORD, {"fiber_genus": 1, "monodromy": [[[1], 0]]}, "a list of integer lists"),
-        (WORD, {"fiber_genus": 1, "monodromy": deep}, "a list of integer lists"),
+        (WORD, {"fiber_genus": 1, "monodromy": _DEEP}, "a list of integer lists"),
     ]:
         with pytest.raises(HFError, match=f"is not {kind}$"):
             eval_condition(check, bad)
@@ -185,14 +190,25 @@ def test_eval_condition_caps_nesting():
 @pytest.mark.parametrize("check, facts, message", [
     ("unit_linking", "not a mapping", "the facts are not a mapping"),
     # a side condition document of an older certificate where a check name goes
-    ({"expr": "1 == 1", "value": True}, {"lk": 1}, "unknown check {'expr'"),
-    ("is_identity", {"lk": 1}, "unknown check 'is_identity'"),
-    (["unit_linking"], {"lk": 1}, "unknown check ['unit_linking']"),
+    ({"expr": "1 == 1", "value": True}, {"cork_tb": 2}, "unknown check {'expr'"),
+    ("is_identity", {"cork_tb": 2}, "unknown check 'is_identity'"),
+    (["unit_linking"], {"cork_tb": 2}, "unknown check ['unit_linking']"),
     ("unit_linking", [1], "the facts are not a mapping"),
-    ("unit_linking", {"cork_tb": 2}, "check unit_linking wants fact lk"),
-    ("unit_linking", {"lk": True}, "fact lk of check unit_linking is not an integer"),
-    ("unit_linking", {"lk": 1.0}, "is not an integer"),
-    ("unit_linking", {"lk": "1"}, "is not an integer"),
+    ("tb_at_least_one", {"linking": [[0, 1], [1, 0]]}, "check tb_at_least_one wants fact cork_tb"),
+    ("tb_at_least_one", {"cork_tb": True},
+     "fact cork_tb of check tb_at_least_one is not an integer"),
+    ("tb_at_least_one", {"cork_tb": 1.0}, "is not an integer"),
+    ("tb_at_least_one", {"cork_tb": "1"}, "is not an integer"),
+    # the linking matrix and its inverse are 2 x 2, so mat_mul's shapes always match
+    ("unit_linking", {"linking": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}, _NOT_A_MATRIX),
+    ("unit_linking", {"linking": [[0, 1], [1]]}, _NOT_A_MATRIX),
+    ("unit_linking", {"linking": []}, _NOT_A_MATRIX),
+    ("unit_linking", {"linking": [[0, True], [True, 0]]}, _NOT_A_MATRIX),
+    ("unit_linking", {"linking": [[0, 1.0], [1.0, 0]]}, _NOT_A_MATRIX),
+    ("unimodular", {"linking": [[0, 1], [1, 0]],
+                    "linking_inverse": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]},
+     "fact linking_inverse of check unimodular is not a 2 x 2 integer matrix"),
+    ("unit_linking", {"linking": _DEEP}, _NOT_A_MATRIX),
     (WORD, {"fiber_genus": 0, "monodromy": [[]]}, "genus must be between 1 and 64"),
     (WORD, {"fiber_genus": mcg.MAX_GENUS + 1, "monodromy": [[1] + [0] * 129]},
      "genus must be between 1 and 64, got 65"),
@@ -202,8 +218,9 @@ def test_eval_condition_caps_nesting():
     (WORD, {"fiber_genus": 1, "monodromy": []}, "the monodromy has no letters"),
 ], ids=["not-a-mapping", "old-format", "unknown-check", "check-not-a-string",
         "evidence-not-a-mapping", "missing-key", "true", "float", "string",
-        "genus-0", "genus-65", "class-length", "imprimitive-class", "zero-class",
-        "empty-monodromy"])
+        "linking-3x3", "linking-ragged", "linking-empty", "linking-true", "linking-float",
+        "inverse-3x3", "linking-deep", "genus-0", "genus-65", "class-length",
+        "imprimitive-class", "zero-class", "empty-monodromy"])
 def test_eval_condition_refuses_hostile_evidence(check, facts, message):
     with pytest.raises(HFError, match=re.escape(message)):
         eval_condition(check, facts)
@@ -239,7 +256,7 @@ def test_certify_emits_every_registered_check(pipeline, monkeypatch):
     emitted = [check for step in steps for check in step["checks"]]
     assert set(emitted) == set(CHECKS)
     assert len(emitted) == 11
-    # certify runs each check it records, unit_determinant once for steps 5 and 6
+    # certify runs each check it records, unimodular once for steps 5 and 6
     assert sorted(ran) == sorted(set(emitted)) and len(ran) == 10
     assert "given: the candidate diagram and its admissibility report" in steps[0]["inputs"]
 
@@ -264,7 +281,7 @@ def test_certificate_shares_nothing_between_calls(pipeline, mark_everywhere):
 # JSON values come from flat bytes read by _json_value: hypothesis draws and
 # shrinks bytes several times faster than a recursive strategy
 _KEYS = ("", "x", "facts", "knot", "checks", "steps", "rule", "quote", "inputs", "outputs",
-         "side_conditions", "digest", "verdict", "assumptions", "name", "lk", "monodromy")
+         "side_conditions", "digest", "verdict", "assumptions", "name", "linking", "monodromy")
 _ATOMS = (None, True, False, 0, 1, -1, 2, 10**30, 1.0, -0.5, float("inf"), float("nan"),
           "DISTINCT", "verdict: DISTINCT", "given: x", "assumption: x", *_KEYS)
 
@@ -360,38 +377,46 @@ _ASSUMPTIONS = "assumptions are not the ones certify declares"
 _STEP_7_OUTPUTS = (7, _OUTPUTS)
 
 
-# one forgery per check that an edited fact can falsify: (step, check, fact,
-# value, and the problem at every step that reads the fact)
+_UNIMODULAR = [_fails(5, "unimodular"), _fails(6, "unimodular")]
+
+# one forgery per check that edited facts can falsify: (step, check, the facts
+# and their forged values, and the problem at every step that reads them)
 FORGERIES = [
-    (1, "unit_linking", "lk", 2, [_fails(1, "unit_linking")]),
-    (1, "tb_at_least_one", "cork_tb", 0, [_fails(1, "tb_at_least_one")]),
+    # the linking matrix is read at steps 1, 5 and 6
+    (1, "unit_linking", {"linking": [[0, 2], [2, 0]]}, [_fails(1, "unit_linking"), *_UNIMODULAR]),
+    # symmetric and with its true inverse: only the zero diagonal refuses it
+    (1, "unit_linking", {"linking": [[1, 1], [1, 0]], "linking_inverse": [[0, 1], [1, -1]]},
+     [_fails(1, "unit_linking")]),
+    (1, "tb_at_least_one", {"cork_tb": 0}, [_fails(1, "tb_at_least_one")]),
     # the framing is read at steps 2 and 7
-    (2, "contact_framing", "framing", 0, [
+    (2, "contact_framing", {"framing": 0}, [
         _fails(2, "contact_framing"), _fails(7, "tb_obstructed"),
         _fails(7, "adjunction_violated"), _STEP_7_OUTPUTS]),
-    (3, "plan_euler_characteristic", "euler_char", 195, [_fails(3, "plan_euler_characteristic")]),
-    (3, "relator_handles", "handles", 196, [
+    (3, "plan_euler_characteristic", {"euler_char": 195},
+     [_fails(3, "plan_euler_characteristic")]),
+    (3, "relator_handles", {"handles": 196}, [
         _fails(3, "plan_euler_characteristic"), _fails(3, "relator_handles")]),
-    (3, "relator_handles", "blocks", 4, [_fails(3, "relator_handles")]),
+    (3, "relator_handles", {"blocks": 4}, [_fails(3, "relator_handles")]),
     # the fiber genus is read at steps 3 and 4
-    (4, "fiber_genus_above_one", "fiber_genus", 1, [
+    (4, "fiber_genus_above_one", {"fiber_genus": 1}, [
         _fails(3, "plan_euler_characteristic"), _fails(3, "relator_handles"),
         (3, "unreadable check: every monodromy class must have 2 entries"),
         _fails(4, "fiber_genus_above_one")]),
-    # the determinant is read at steps 5 and 6
-    (5, "unit_determinant", "det", 2, [_fails(5, "unit_determinant"), _fails(6, "unit_determinant")]),
-    (6, "unit_determinant", "det", 0, [_fails(5, "unit_determinant"), _fails(6, "unit_determinant")]),
-    (7, "tb_obstructed", "max_tb", 2, [_fails(7, "tb_obstructed"), _STEP_7_OUTPUTS]),
-    (7, "adjunction_violated", "knot_genus", 2, [_fails(7, "adjunction_violated"), _STEP_7_OUTPUTS]),
+    # the inverse is read at steps 5 and 6
+    (5, "unimodular", {"linking_inverse": [[0, 1], [1, 1]]}, _UNIMODULAR),
+    (6, "unimodular", {"linking_inverse": [[0, 0], [0, 0]]}, _UNIMODULAR),
+    (7, "tb_obstructed", {"max_tb": 2}, [_fails(7, "tb_obstructed"), _STEP_7_OUTPUTS]),
+    (7, "adjunction_violated", {"knot_genus": 2},
+     [_fails(7, "adjunction_violated"), _STEP_7_OUTPUTS]),
 ]
 
 
-@pytest.mark.parametrize("step, check, fact, value, problems", FORGERIES,
-                         ids=[f"{s}-{c}-{f}" for s, c, f, _, _ in FORGERIES])
-def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, fact, value, problems):
+@pytest.mark.parametrize("step, check, forged, problems", FORGERIES,
+                         ids=[f"{s}-{c}-{'+'.join(f)}" for s, c, f, _ in FORGERIES])
+def test_fresh_digest_forgery_fails_its_check(pipeline, step, check, forged, problems):
     doc = certify_distinct(*pipeline)
     assert _fails(step, check) in problems
-    doc["facts"][fact] = value
+    doc["facts"].update(forged)
     doc["digest"] = certificate_digest(doc)
     assert validate_certificate(doc) == [
         f"step {s} ({doc['steps'][s - 1]['rule']}): {problem}" for s, problem in problems
@@ -415,7 +440,7 @@ def _parent_format(doc):
     old = copy.deepcopy(doc)
     f = old.pop("facts")
     evidence = {
-        "unit_linking": {"lk": f["lk"]},
+        "unit_linking": {"linking": f["linking"]},
         "tb_at_least_one": {"tb": f["cork_tb"]},
         "contact_framing": {"framing": f["framing"], "tb": f["exhibit_tb"]},
         "plan_euler_characteristic": {
@@ -424,7 +449,7 @@ def _parent_format(doc):
             "handles": f["handles"], "blocks": f["blocks"], "fiber_genus": f["fiber_genus"]},
         WORD: {"genus": f["fiber_genus"], "monodromy": f["monodromy"]},
         "fiber_genus_above_one": {"fiber_genus": f["fiber_genus"]},
-        "unit_determinant": {"det": f["det"]},
+        "unimodular": {"linking": f["linking"], "linking_inverse": f["linking_inverse"]},
         "tb_obstructed": {"framing": f["framing"], "max_tb": f["max_tb"]},
         "adjunction_violated": {
             "genus": f["knot_genus"], "self_intersection": f["framing"], "pairing": 0},
@@ -443,7 +468,7 @@ def test_old_format_certificate_is_invalid(pipeline):
         "step 1 (cork_admissible): unknown key 'side_conditions'",
         "step 1 (cork_admissible): checks [] are not the rule's checks "
         "['unit_linking', 'tb_at_least_one']",
-        "step 1 (cork_admissible): unreadable check: check unit_linking wants fact lk",
+        "step 1 (cork_admissible): unreadable check: check unit_linking wants fact linking",
     ]
     assert sum("unknown key 'side_conditions'" in p for p in problems) == 10
 
@@ -452,7 +477,7 @@ def test_old_format_certificate_is_invalid(pipeline):
 UNREAD = [
     ("certificate", "pairing", 0, "unknown certificate key 'pairing'"),
     ("step 1", "side_conditions", [], "step 1 (cork_admissible): unknown key 'side_conditions'"),
-    ("step 1", "evidence", {"lk": 1}, "step 1 (cork_admissible): unknown key 'evidence'"),
+    ("step 1", "evidence", {"cork_tb": 2}, "step 1 (cork_admissible): unknown key 'evidence'"),
     ("facts", "pairing", 0, "fact 'pairing' is read by no check"),
     ("facts", "tb", 2, "fact 'tb' is read by no check"),
 ]
@@ -567,8 +592,9 @@ def test_every_integer_is_a_fact_recorded_once(pipeline):
     doc = certify_distinct(*pipeline)
     sites = _integer_sites(doc)
     assert all(path[0] == "facts" for path in sites)
-    # 11 integer facts and the monodromy's 5 classes of 4 entries
-    assert len(sites) == 31
+    # 9 integer facts, the linking matrix and its inverse of 4 entries each,
+    # and the monodromy's 5 classes of 4 entries
+    assert len(sites) == 37
     assert len(doc["facts"]) == 12
 
 
@@ -596,8 +622,6 @@ _PRIMITIVE_ONLY = (
 # bound: validation still takes the registry's value on trust and does not
 # re-derive it from the knot.
 ACCEPTED_EDITS = {
-    (("facts", "lk"), "negate"): "lk = -1 links once as well: an equivalent value",
-    (("facts", "det"), "negate"): "det = 1 is unimodular as well: an equivalent value",
     (("facts", "cork_tb"), "+1"): (
         "tb_at_least_one is one-sided (tb >= 1), and the cork's exhibit is a given "
         "input that validation does not replay"),
@@ -624,7 +648,7 @@ def test_mutation_gate_accepts_only_the_allowlist(pipeline):
             bad["digest"] = certificate_digest(bad)
             if not validate_certificate(bad):
                 accepted.add((path, edit))
-    assert len(ACCEPTED_EDITS) == 27
+    assert len(ACCEPTED_EDITS) == 25
     assert accepted == set(ACCEPTED_EDITS)
 
 
@@ -673,11 +697,11 @@ def test_condition_text_spells_values_in_compact_json(pipeline):
     assert ("word_trivial_on_h1", doc["facts"]) in conds
     # facts a failed check can carry into an abort: a negative int, nested
     # int lists, a bool and a null
-    conds += [("unit_linking", {"lk": -3}), ("unit_linking", {"lk": None}),
+    conds += [("tb_at_least_one", {"cork_tb": -3}), ("tb_at_least_one", {"cork_tb": None}),
               (WORD, {"fiber_genus": True, "monodromy": [[1, -2], [], [3]]})]
     for c in conds:
         assert condition_text(*c) == _json_condition_text(*c)
-    assert condition_text(*conds[-2]) == "unit_linking(lk=null)"
+    assert condition_text(*conds[-2]) == "tb_at_least_one(cork_tb=null)"
     assert condition_text(*conds[-1]) == (
         "word_trivial_on_h1(fiber_genus=true, monodromy=[[1,-2],[],[3]])")
 

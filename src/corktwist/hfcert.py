@@ -17,19 +17,20 @@ certificate's facts table: a JSON integer, for the monodromy a list of
 integer classes, and for the linking matrix and its inverse a 2 x 2
 integer matrix.  CHECKS is a small registry of functions whose
 parameters are fact names, and eval_condition runs one on the facts.
-Certify runs every check before recording its name, so a certificate
+Certify and the checker alike run each check SCHEME names once, in row
+order; certify aborts at the first that does not hold, so a certificate
 never records a false one.  certificate_body spells the whole document
 from the facts and the knot, for certify and the checker alike.
 Validation recomputes the content digest, rebuilds the body from the
 recorded facts and knot, and reports each place where the document
-differs from it; it re-runs each row's checks on the facts, and reports
-every fact that no check reads.
+differs from it; it reports each row's checks that fail on the facts,
+and every fact that no check reads.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 # the checker needs only these; the deduction imports kirby where it runs,
 # so that --validate loads no parser
@@ -411,15 +412,15 @@ def _require(ok: bool, message: str) -> None:
         raise CertificateAbort(message)
 
 
-def _checked(check: str, facts: dict, failure: str | None = None) -> None:
-    """Run a check on the facts about to be recorded; abort unless it holds."""
-    try:
-        holds = eval_condition(check, facts)
-    except (HFError, RuleNotApplicable) as exc:
-        raise CertificateAbort(str(exc), check, facts) from exc
-    if not holds:
-        raise CertificateAbort(
-            failure or f"check {condition_text(check, facts)} fails", check, facts)
+def _outcomes(facts: dict) -> Iterator[tuple[str, bool | ValueError]]:
+    """Run each check SCHEME names once, in row order, on the facts; yields
+    the check and True, False, or the HFError or RuleNotApplicable that stopped it."""
+    for check in dict.fromkeys(c for _, _, checks, _ in SCHEME for c in checks):
+        try:
+            holds: bool | ValueError = eval_condition(check, facts)
+        except (HFError, RuleNotApplicable) as exc:
+            holds = exc
+        yield check, holds
 
 
 def certify_distinct(
@@ -437,10 +438,11 @@ def certify_distinct(
     twist, is obstructed by registered knot facts and adjunction (step 7),
     forcing a zero image.  adm is the cork's admissibility document,
     computed by the caller with the search budget it records, and plan is
-    the filling plan's document (fillings.build_concave).  Gathers the
-    facts and runs each check of SCHEME on them, step by step, then fills
-    in the scheme.  Returns the certificate document: its facts, knot,
-    steps, verdict, assumptions and digest.
+    the filling plan's document (fillings.build_concave).  Reads the
+    givens, gathers the facts, runs SCHEME's checks on them and aborts at
+    the first that does not hold, then fills in the scheme.  Returns the
+    certificate document: its facts, knot, steps, verdict, assumptions
+    and digest.
     """
     from . import kirby
 
@@ -450,65 +452,58 @@ def certify_distinct(
     for declared in (knot, twisted_knot):
         _require(declared is None or declared in kirby.KNOT_FACTS,
                  f"unregistered knot type {declared!r}")
-    # each number a check reads, recorded once: the steps name only their checks
-    facts: dict = {}
-
-    # (1) the cork itself
     _require(adm["verdict"] == "admissible",
              f"cork admissibility failed: verdict {adm['verdict']!r}")
-    facts.update(linking=kirby.linking_matrix(cork)[1], cork_tb=adm["cond4prime"]["tb"])
-    _checked("unit_linking", facts)
-    _checked("tb_at_least_one", facts)
-
-    # (2) untwisted Stein attachment
-    framing, tb = spec.framing, untwisted.tb(u_comp)
-    facts.update(framing=framing, exhibit_tb=tb)
-    _checked("contact_framing", facts, f"untwisted Stein check wants framing = tb − 1 = {tb - 1}")
-
-    # (3) the concave plan for the extended domain
-    g_hat = plan["fiber_genus"]
-    handles = plan["trivializing_handles"]
-    facts.update(euler_char=plan["euler_char"], handles=handles["count"],
-                 blocks=plan["relator_blocks"], fiber_genus=g_hat,
-                 monodromy=[list(b["letter"]["class"]) for b in reversed(handles["blocks"])])
-    for check in ("plan_euler_characteristic", "relator_handles", "word_trivial_on_h1"):
-        _checked(check, facts)
-
-    # (4) nonvanishing over the closed fibration
-    _checked("fiber_genus_above_one", facts,
-             f"fiber genus {g_hat} too small for the nonvanishing rule")
-
-    # (5) the concave piece hits the contact element: the boundary's first
-    # homology is the cokernel of the linking matrix, trivial iff the matrix
-    # has an integral inverse; when det = ±1 that inverse is det * adjugate.
-    # (6) reads the same facts, so the check runs once for both steps
-    (a, b), (c, d) = facts["linking"]
-    det = a * d - b * c
-    facts["linking_inverse"] = [[det * d, -det * b], [-det * c, det * a]]
-    _checked("unimodular", facts)
-
-    # (7) twisted side: the attachment is obstructed and adjunction bites
     registered = kirby.KNOT_FACTS.get(knot)
     _require(
         registered is not None,
         "no registered facts for the attaching knot; "
         "twisted-side obstruction unavailable",
     )
-    facts.update(max_tb=registered["max_tb"], knot_genus=registered["seifert_genus"])
-    _checked("adjunction_violated", facts,
-             "adjunction bound not violated at pairing 0; monotonicity gives no exclusion")
     _require(twisted_knot == knot, "twisted-side record disagrees with the untwisted attachment")
-    # max tb bounds a plain front only, so the exhibit must pass no 1-handle,
-    # and it must not itself reach the framing
+
+    # the boundary's first homology is the cokernel of the linking matrix,
+    # trivial iff the matrix has an integral inverse; when det = ±1 that
+    # inverse is det * adjugate.  A matrix of another size, from an adm that
+    # is not this cork's, fails unit_linking's shape check first
+    linking = kirby.linking_matrix(cork)[1]
+    (a, b), (c, d) = linking if len(linking) == 2 else ((0, 0), (0, 0))
+    det = a * d - b * c
+    framing, tb, g_hat = spec.framing, untwisted.tb(u_comp), plan["fiber_genus"]
+    handles = plan["trivializing_handles"]
+    # each number a check reads, recorded once: the steps name only their checks
+    facts = {
+        "linking": linking, "cork_tb": adm["cond4prime"]["tb"],
+        "framing": framing, "exhibit_tb": tb,
+        "euler_char": plan["euler_char"], "handles": handles["count"],
+        "blocks": plan["relator_blocks"], "fiber_genus": g_hat,
+        "monodromy": [list(block["letter"]["class"]) for block in reversed(handles["blocks"])],
+        "linking_inverse": [[det * d, -det * b], [-det * c, det * a]],
+        "max_tb": registered["max_tb"], "knot_genus": registered["seifert_genus"],
+    }
+    # max tb bounds a plain front only, so the twisted exhibit must pass no
+    # 1-handle, and it must not itself reach the framing
     twisted_tb, passes = twisted.tb(t_comp), twisted.handle_passes(t_comp)
     not_obstructed = (
         "twisted-side attachment is not obstructed "
         f"(exhibited tb {twisted_tb}, {passes} handle passes); no separation"
     )
-    _checked("tb_obstructed", facts, not_obstructed)
+    failures = {
+        "contact_framing": f"untwisted Stein check wants framing = tb − 1 = {tb - 1}",
+        "fiber_genus_above_one": f"fiber genus {g_hat} too small for the nonvanishing rule",
+        "tb_obstructed": not_obstructed,
+        "adjunction_violated":
+            "adjunction bound not violated at pairing 0; monotonicity gives no exclusion",
+    }
+    for check, holds in _outcomes(facts):
+        if isinstance(holds, ValueError):
+            raise CertificateAbort(str(holds), check, facts) from holds
+        if not holds:
+            raise CertificateAbort(
+                failures.get(check) or f"check {condition_text(check, facts)} fails",
+                check, facts)
     _require(passes == 0 and framing > twisted_tb - 1, not_obstructed)
 
-    # (8) to (10) run no check
     cert = certificate_body(facts, knot)
     cert["digest"] = certificate_digest(cert)
     return cert
@@ -556,6 +551,7 @@ def validate_certificate(doc: dict) -> list[str]:
     if len(steps) != len(SCHEME):
         problems.append(f"certificate has {len(steps)} steps; the scheme has {len(SCHEME)}")
     read: set[str] = set()
+    outcomes = dict(_outcomes(facts))
     for idx, (step, wanted) in enumerate(zip(steps, want["steps"]), start=1):
         if not isinstance(step, dict):
             problems.append(f"step {idx}: not a mapping")
@@ -573,12 +569,10 @@ def validate_certificate(doc: dict) -> list[str]:
             problems.append(f"{where}: checks {recorded!r} are not the rule's checks {checks}")
         for check in checks:
             read.update(_PARAMETERS[check])
-            try:
-                holds = eval_condition(check, facts)
-            except (HFError, RuleNotApplicable) as exc:
-                problems.append(f"{where}: unreadable check: {exc}")
-                continue
-            if not holds:
+            holds = outcomes[check]
+            if isinstance(holds, ValueError):
+                problems.append(f"{where}: unreadable check: {holds}")
+            elif not holds:
                 problems.append(f"{where}: check {check} fails on its facts")
         if step.get("inputs") != wanted["inputs"]:
             problems.append(f"{where}: inputs are not the scheme's inputs")

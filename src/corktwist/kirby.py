@@ -436,10 +436,11 @@ def admissibility(
     the linking number of the two components.  cond4prime is the exhibited
     Thurston-Bennequin condition: the Stein section must show the 2-handle
     curve over the 1-handle with tb at least +1; cond4prime_tb is None when
-    there is no Stein section, and a diagram without a certifying exhibit is
-    not admissible as presented.  A definite failure of cond2, cond3 or
-    cond4prime makes the verdict "not admissible" whatever cond1 says;
-    otherwise an unsettled cond1 makes it "inconclusive".
+    no Stein section exhibits that curve, and a diagram without a
+    certifying exhibit is not admissible as presented.  A definite failure
+    of cond2, cond3 or cond4prime makes the verdict "not admissible"
+    whatever cond1 says; otherwise an unsettled cond1 makes it
+    "inconclusive".
     """
     cond1 = {
         c: "verified" if cert["verdict"] == "unknot" else "inconclusive"
@@ -515,6 +516,12 @@ def check_admissible(
         raise KirbyError(f"the framed component must carry framing 0, got {d.frames[0][1]}")
     ok, detail = involution_verified(d)
     first, other = comps
+    # condition 4' reads only a section that draws the framed component over
+    # one ball pair per dotted component and passes a 1-handle
+    stein, framed = d.stein_front, d.frames[0][0]
+    exhibits = (stein is not None and d.stein_component == framed
+                and len({ball.handle for ball in stein.balls}) == len(d.dots)
+                and stein.handle_passes(framed) > 0)
     searched = moves.unknot_certificate(d.front, first, budget=budget, seed=seed)
     return admissibility(
         {
@@ -525,7 +532,7 @@ def check_admissible(
         involution_ok=ok,
         cond2_detail=detail,
         cond3_value=d.front.linking_number(first, other),
-        cond4prime_tb=None if d.stein_front is None else d.stein_front.tb(d.stein_component),
+        cond4prime_tb=stein.tb(framed) if exhibits else None,
     )
 
 

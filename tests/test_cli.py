@@ -616,6 +616,50 @@ def test_refused_cork_aborts_with_one_line(certify_argv, tmp_path, refusal, comm
     assert (code, out, err) == (1, "", f"{prefix} aborted: {reason}\n")
 
 
+def _unexhibited_stein(case, mazur_lines, trefoil_lines):
+    """Stein lines for mazur.kirby that miss one thing condition 4' reads."""
+    own = [line.removeprefix("stein ") for line in mazur_lines if line.startswith("stein ")]
+    if case == "foreign-component":  # mazur.kirby's own exhibit, under another name
+        return [line.replace("K2", "K") for line in own]
+    if case == "second-ball-pair":  # and a pair for a 1-handle the cork does not have
+        return ["handle h2 : x=30 ytop=2 ybot=-2", "handle h2 : x=40 ytop=2 ybot=-2", *own]
+    plain = [line.replace(" K ", " K2 ") for line in trefoil_lines if not line.startswith("#")]
+    balls = ["handle h1 : x=20 ytop=2 ybot=-2", "handle h1 : x=30 ytop=2 ybot=-2"]
+    return [*plain, *balls * (case == "unpassed-ball-pair"), "component K2"]
+
+
+# each case's section: its Stein component, its ball pairs and that component's passes
+UNEXHIBITED_STEIN = {
+    "foreign-component": ("K", 1, 2),
+    "no-ball-pair": ("K2", 0, 0),
+    "second-ball-pair": ("K2", 2, 2),
+    "unpassed-ball-pair": ("K2", 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", UNEXHIBITED_STEIN)
+def test_condition_4prime_needs_the_framed_curve_over_the_handle(
+        certify_argv, fixtures, tmp_path, case):
+    """Condition 4' is certified only by a Stein section that draws the framed
+    component K2 over one ball pair per dotted component and passes it; each
+    case misses one of the three, and the cork is not admissible.  Without
+    balls nothing passes, so only a second pair tells the pair count apart."""
+    mazur = Path(certify_argv[1]).read_text().splitlines()
+    stein = _unexhibited_stein(case, mazur, (fixtures / "trefoil.front").read_text().splitlines())
+    cork = tmp_path / "unexhibited.kirby"
+    cork.write_text("".join(f"{line}\n" for line in mazur if not line.startswith("stein "))
+                    + "".join(f"stein {line}\n" for line in stein))
+    d = kirby.parse_kirby(cork.read_text())
+    assert (d.stein_component, len({ball.handle for ball in d.stein_front.balls}),
+            d.stein_front.handle_passes(d.stein_component)) == UNEXHIBITED_STEIN[case]
+    code, out, _ = run(["admissible", str(cork)])
+    assert code == 1
+    assert ("condition 4': not-certified "
+            "(no Stein section exhibits the 2-handle curve over the 1-handle)") in out.splitlines()
+    assert run(["certify", str(cork), *certify_argv[2:]]) == (
+        1, "", "certification aborted: cork admissibility failed: verdict 'not admissible'\n")
+
+
 def test_certify_validate_round_trip(certify_argv, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run(certify_argv + ["--out", str(cert_path)])

@@ -252,12 +252,18 @@ def test_certificate_distinct_and_valid(pipeline):
 def test_certify_emits_every_registered_check(pipeline, monkeypatch):
     ran, run = [], hfcert.eval_condition
     monkeypatch.setattr(hfcert, "eval_condition", lambda c, facts: ran.append(c) or run(c, facts))
-    steps = certify_distinct(*pipeline)["steps"]
+    cert = certify_distinct(*pipeline)
+    steps = cert["steps"]
     emitted = [check for step in steps for check in step["checks"]]
     assert set(emitted) == set(CHECKS)
     assert len(emitted) == 11
-    # certify runs each check it records, unimodular once for steps 5 and 6
-    assert sorted(ran) == sorted(set(emitted)) and len(ran) == 10
+    # certify runs each check it records once, in scheme order: unimodular
+    # once for steps 5 and 6; and the checker makes the same calls
+    once = list(dict.fromkeys(emitted))
+    assert ran == once and len(ran) == 10
+    ran.clear()
+    assert validate_certificate(cert) == []
+    assert ran == once
     assert "given: the candidate diagram and its admissibility report" in steps[0]["inputs"]
 
 
@@ -712,8 +718,14 @@ def test_abort_on_unknot_inflation(pipeline, load):
     spec = kirby.InflationSpec("unknot", -2, unknot, "U", unknot, "U")  # exact: tb -1, framing tb - 1
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(cork, adm, spec, plan)
-    assert "adjunction rule not applicable" in str(info.value)
-    assert info.value.check == "adjunction_violated"
+    # step 7 fails both ways; the abort names the first check in scheme order
+    assert str(info.value) == (
+        "twisted-side attachment is not obstructed "
+        "(exhibited tb -1, 0 handle passes); no separation"
+    )
+    assert info.value.check == "tb_obstructed"
+    with pytest.raises(RuleNotApplicable, match="adjunction rule not applicable"):
+        eval_condition("adjunction_violated", info.value.facts)
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
@@ -722,6 +734,18 @@ def test_abort_on_inadmissible_cork(pipeline, load):
     with pytest.raises(CertificateAbort) as info:
         certify_distinct(hopf, kirby.check_admissible(hopf), spec, plan)
     assert "admissibility" in str(info.value)
+
+
+def test_abort_on_a_cork_the_report_is_not_of(pipeline, load):
+    """A cork of three components, with the two-component cork's report,
+    aborts on its linking matrix's shape."""
+    _, adm, spec, plan = pipeline
+    three = kirby.parse_kirby(load("mazur.kirby").replace("dot K1\n", (
+        "arc L : (30,0) (34,2) (38,0)\narc L : (38,0) (34,-2) (30,0)\nframe L 0\ndot K1\n")))
+    with pytest.raises(CertificateAbort) as info:
+        certify_distinct(three, adm, spec, plan)
+    assert str(info.value) == "fact linking of check unit_linking is not a 2 x 2 integer matrix"
+    assert info.value.check == "unit_linking"
 
 
 def test_abort_on_unobstructed_twisted_side(pipeline):

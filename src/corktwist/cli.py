@@ -145,11 +145,11 @@ def cmd_twist(args: argparse.Namespace) -> int:
 def cmd_fill(args: argparse.Namespace) -> int:
     from . import fillings
     from .base import ASSUMPTIONS, PLAN_ASSUMPTIONS
-    p = _load(fillings.parse_palf, args.palf_path)
-    plan = fillings.build_concave(fillings.palf_to_openbook(p))
+    book = fillings.palf_to_openbook(_load(fillings.parse_palf, args.palf_path))
     if args.format == "doc":
-        _emit_doc(plan)
+        _emit_doc(fillings.build_concave(book))
         return 0
+    plan = fillings.plan_concave(book)
     print(f"fiber genus {plan['fiber_genus']} (stabilized {plan['stabilizations']} "
           f"times from genus {plan['source_open_book']['page']['genus']})")
     print(f"trivializing handles {plan['trivializing_handles']['count']} "
@@ -235,7 +235,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             print(f"certification inconclusive: cork admissibility undecided "
                   f"at budget {budget}, seed {seed}", file=sys.stderr)
             return INCONCLUSIVE
-        plan = fillings.build_concave(fillings.palf_to_openbook(palf))
+        plan = fillings.plan_concave(fillings.palf_to_openbook(palf))
         cert_doc = hfcert.certify_distinct(cork, adm, pair, plan)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)

@@ -16,7 +16,10 @@ monodromy action; facts the construction borrows from the literature
 (existence of the symplectic structure, b2+ >= 2, relative minimality,
 a section) are emitted as declared-unverified assumptions instead of
 being silently used, their texts read from the one table in base.
-A plan is the JSON document that `fill --format doc` prints.
+plan_concave gives that count-level plan, which human `fill` and
+`certify` read; build_concave adds each block's chain images (the
+symplectic frame of its letter applied to the chain) and gives the JSON
+document that `fill --format doc` prints, the one output that shows them.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ class FillingError(InputError):
     """A planning input violates the fibration contracts."""
 
 
-# a plan holds (2 max(g, 2))^2 chain-image integers per letter, and builds
-# them in about linear time: a word is refused past this many, as it is read
+# the document of `fill --format doc` holds (2 max(g, 2))^2 chain-image
+# integers per letter, and builds them in about linear time: a word is
+# refused past this many, as it is read, whatever the command
 MAX_PLAN_ENTRIES = 2**20
 
 
@@ -103,52 +107,73 @@ def stabilize_openbook(ob: OpenBook) -> OpenBook:
     """
     g = ob.genus
     new_g = g + 1
-    extender = mcg.chain_curves(new_g)[2 * g]  # class a_g + a_{g+1}
+    extender = mcg.chain_curve(new_g, 2 * g + 1)  # class a_g + a_{g+1}
     letters = tuple(
         (_pad_curve(c, new_g), e) for c, e in ob.monodromy.letters
     ) + ((extender, 1),)
     return OpenBook(new_g, TwistWord(letters))
 
 
-def build_concave(ob: OpenBook) -> dict:
-    """Plan the concave filling of the fibered boundary: the document `fill` prints.
-
-    Pages of genus below 2 are stabilized first, so the closed fibration
-    has fiber genus at least 2.  Capping the binding keeps the twist word
-    letter for letter on the closed fiber, and mcg.trivialize closes it
-    with one relator block per letter, last letter first; the empty word
-    needs none.  Each letter of a block stands for one -1-framed 2-handle
-    along a curve sitting in a fiber.  The cap v0 is one 0-framed 2-handle
-    along the binding and the closing piece is the closed fiber times a
-    disk.  Each call builds a fresh document.
-    """
+def _plan(ob: OpenBook) -> tuple[TwistWord, dict]:
+    """The closed word and the count-level plan of ob (plan_concave)."""
     closed = ob
     while closed.genus < 2:
         closed = stabilize_openbook(closed)
     g, letters = closed.genus, closed.monodromy.letters
-    blocks = mcg.trivialize(closed.monodromy) if letters else ()
-    handles = len(blocks) * mcg.relator_letters(g)
-    return {
+    if letters and not mcg.verify_chain_relation(g):
+        raise ArithmeticError(f"the chain relation fails at genus {g}")
+    handles = len(letters) * mcg.relator_letters(g)
+    return closed.monodromy, {
         "v0": {"two_handles": 1, "framing_rel_page": 0, "euler_char": 1, "along": "binding"},
         "trivializing_handles": {
             "framing_per_letter": -1,
             "count": handles,
             "relator": mcg.RELATOR,
-            "blocks": [
-                {"letter": {"curve": c.name, "class": list(c.h1_class)},
-                 "chain_images": [list(v) for v in images]}
-                for images, (c, _) in zip(blocks, reversed(letters))
-            ],
+            "blocks": [{"letter": {"curve": c.name, "class": list(c.h1_class)}}
+                       for c, _ in reversed(letters)],
         },
         "closing_piece": {"fiber_genus": g, "euler_char": 2 - 2 * g,
                           "bundle": "closed fiber x disk"},
         "euler_char": 1 + handles + (2 - 2 * g),
         "fiber_genus": g,
-        "relator_blocks": len(blocks),
+        "relator_blocks": len(letters),
         "assumptions": declared(*PLAN_ASSUMPTIONS),
         "stabilizations": g - ob.genus,
         "source_open_book": ob.to_doc(),
     }
+
+
+def plan_concave(ob: OpenBook) -> dict:
+    """Plan the concave filling of the fibered boundary, at the level of counts.
+
+    Pages of genus below 2 are stabilized first, so the closed fibration
+    has fiber genus at least 2.  Capping the binding keeps the twist word
+    letter for letter on the closed fiber, and one relator block per
+    letter closes it, last letter first; the empty word needs none.  Each
+    block's mcg.RELATOR letters stand for -1-framed 2-handles along curves
+    sitting in a fiber, and they cancel the letter because the chain
+    relation holds at the fiber genus, which is checked here.  The cap v0
+    is one 0-framed 2-handle along the binding and the closing piece is
+    the closed fiber times a disk.  A block names only its letter, so no
+    symplectic frame is built; human `fill` and `certify` read this plan.
+    Each call builds a fresh document.
+    """
+    return _plan(ob)[1]
+
+
+def build_concave(ob: OpenBook) -> dict:
+    """The plan document `fill --format doc` prints: plan_concave with chain images.
+
+    Each block gains the chain images mcg.trivialize gives its letter,
+    the classes its relator runs along.  Every block gets lists of its
+    own, so editing one block of the document reaches no other.
+    """
+    word, plan = _plan(ob)
+    if word.letters:
+        blocks = plan["trivializing_handles"]["blocks"]
+        for block, images in zip(blocks, mcg.trivialize(word)):
+            block["chain_images"] = [list(v) for v in images]
+    return plan
 
 
 # -- fixture text grammar -----------------------------------------------------
@@ -159,15 +184,16 @@ def parse_palf(text: str) -> PALF:
     Lines: one `genus G`, an optional `handles <one> <two>`, optional
     `curve <name> = [..]` declarations (one per name), and one
     `word T(x) T(y) ...` line.
-    Chain curves c1..c2g are available without declaration, and a curve
-    line may not redefine one, nor at genus 1 the c3 that stabilizing
-    adds; negative letters T'(x) are rejected since
-    the word must stay positive.  A handles line must give the
-    fibration's Euler characteristic:
+    Chain curves c1..c2g are available without declaration, each built
+    when the word first names it, and a curve line may not redefine one,
+    nor at genus 1 the c3 that stabilizing adds; negative letters T'(x)
+    are rejected since the word must stay positive.  A handles line must
+    give the fibration's Euler characteristic:
     1 - one + two == (1 - 2G) + letters.  A word may have at most
     MAX_PLAN_ENTRIES // (2 max(G, 2))^2 letters.
     """
     genus: int | None = None
+    chain: dict[str, int] = {}  # chain curve names of the genus, built on first use
     handles: tuple[int, int] | None = None
     handles_at = 0
     named: dict[str, Curve] = {}
@@ -186,6 +212,7 @@ def parse_palf(text: str) -> PALF:
                 raise FillingError(
                     f"genus must be between 1 and {mcg.MAX_GENUS}, got {genus}", lineno
                 )
+            chain = {f"c{k}": k for k in range(1, 2 * genus + 1)}
         elif head == "handles":
             if handles is not None:
                 raise FillingError("second handles line", lineno)
@@ -208,7 +235,7 @@ def parse_palf(text: str) -> PALF:
                 raise FillingError("usage: curve <name> = [..]", lineno)
             if name in named:
                 raise FillingError(f"second curve line for {name!r}", lineno)
-            if name in {f"c{k}" for k in range(1, 2 * genus + 1)}:
+            if name in chain:
                 raise FillingError(
                     f"{name!r} is a chain curve of genus {genus}; "
                     "a curve line would give it a second class", lineno
@@ -242,7 +269,6 @@ def parse_palf(text: str) -> PALF:
     if len(tokens) > most:
         raise FillingError(
             f"too many letters: a genus-{genus} word has at most {most} letters", word_at)
-    chain = {c.name: c for c in mcg.chain_curves(genus)}
     letters: list[tuple[Curve, int]] = []
     for tok in tokens:
         if tok.startswith("T'("):
@@ -252,9 +278,11 @@ def parse_palf(text: str) -> PALF:
         if not (tok.startswith("T(") and tok.endswith(")")):
             raise FillingError(f"bad word letter {tok!r}; expected T(<curve>)", word_at)
         name = tok[2:-1]
-        curve = named.get(name) or chain.get(name)
+        curve = named.get(name)
         if curve is None:
-            raise FillingError(f"unknown curve {name!r} in word", word_at)
+            if name not in chain:
+                raise FillingError(f"unknown curve {name!r} in word", word_at)
+            curve = named[name] = mcg.chain_curve(genus, chain[name])
         letters.append((curve, 1))
     word = TwistWord(tuple(letters))
     if handles is not None:

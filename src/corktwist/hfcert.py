@@ -438,7 +438,7 @@ def certify_distinct(
     twist, is obstructed by registered knot facts and adjunction (step 7),
     forcing a zero image.  adm is the cork's admissibility document,
     computed by the caller with the search budget it records, and plan is
-    the filling plan's document (fillings.build_concave).  Reads the
+    the count-level filling plan (fillings.plan_concave).  Reads the
     givens, gathers the facts, runs SCHEME's checks on them and aborts at
     the first that does not hold, then fills in the scheme.  Returns the
     certificate document: its facts, knot, steps, verdict, assumptions

@@ -135,34 +135,29 @@ def is_symplectic(m: Matrix, g: int) -> bool:
 
 # -- chain curves and the chain relation --------------------------------------
 
-def chain_curves(g: int) -> list[Curve]:
-    """2g twistable classes realizing the chain pattern.
+def chain_curve(g: int, k: int) -> Curve:
+    """The chain curve c_k of genus g, for 1 <= k <= 2g.
 
-    Consecutive classes pair to +-1, all other pairs to 0, mirroring a
-    chain of curves c1, ..., c2g where only neighbours meet once.
+    Consecutive chain curves pair to +-1, all other pairs to 0, mirroring
+    a chain of curves c1, ..., c2g where only neighbours meet once.
     Concretely: c1 = a1, c_{2i} = b_i, c_{2i+1} = a_i + a_{i+1}.
     """
+    vec = [0] * (2 * g)
+    if k == 1:
+        vec[0] = 1  # a1
+    elif k % 2 == 0:
+        vec[k - 1] = 1  # b_{k/2}
+    else:
+        i = k // 2  # c_{2i+1} = a_i + a_{i+1}
+        vec[2 * (i - 1)] = vec[2 * i] = 1
+    return Curve(f"c{k}", tuple(vec))
+
+
+def chain_curves(g: int) -> list[Curve]:
+    """The 2g twistable classes c1, ..., c2g of the chain pattern (chain_curve)."""
     if g < 1:
         raise ValueError("chain needs genus >= 1")
-    n = 2 * g
-
-    def basis(i: int) -> list[int]:
-        v = [0] * n
-        v[i] = 1
-        return v
-
-    curves: list[Curve] = []
-    for k in range(1, n + 1):
-        if k == 1:
-            vec = basis(0)  # a1
-        elif k % 2 == 0:
-            vec = basis(k - 1)  # b_{k/2}
-        else:
-            i = k // 2  # c_{2i+1} = a_i + a_{i+1}
-            vec = basis(2 * (i - 1))
-            vec[2 * i] += 1
-        curves.append(Curve(f"c{k}", tuple(vec)))
-    return curves
+    return [chain_curve(g, k) for k in range(1, 2 * g + 1)]
 
 
 def chain_word(g: int) -> TwistWord:
@@ -272,7 +267,10 @@ def trivialize(word: TwistWord) -> tuple[tuple[tuple[int, ...], ...], ...]:
     T_{Sd} = S T_d S^-1 the conjugated block acts as T_c^-1.  So once the
     chain relation is checked at g, the blocks act as the inverse word,
     whatever the letters of word are; no product of actions is needed to
-    know that they cancel.
+    know that they cancel.  The frame depends on the class alone, so one
+    frame is built per distinct class and its images are shared, read-only,
+    by every block of that class.  Only `fill --format doc` prints the
+    images (fillings.build_concave); the counts need none of them.
     """
     if not word.is_positive:
         raise ValueError("only positive monodromy words are trivialized")
@@ -282,4 +280,6 @@ def trivialize(word: TwistWord) -> tuple[tuple[tuple[int, ...], ...], ...]:
     assert g is not None
     if not verify_chain_relation(g):
         raise ArithmeticError(f"the chain relation fails at genus {g}")
-    return tuple(_chain_images(symplectic_frame(curve)) for curve, _ in reversed(word.letters))
+    by_class = {curve.h1_class: curve for curve, _ in word.letters}
+    images = {cls: _chain_images(symplectic_frame(curve)) for cls, curve in by_class.items()}
+    return tuple(images[curve.h1_class] for curve, _ in reversed(word.letters))

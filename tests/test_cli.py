@@ -210,14 +210,14 @@ def test_mcg_verify_chain_checks_each_genus_once_per_process(monkeypatch):
 
 
 def test_genus_above_the_limit_exits_2_before_any_allocation(tmp_path, monkeypatch):
-    # chain_curves would allocate O(g^2) ints; the limit must refuse the
-    # genus before it is ever called
-    def no_chain(g):
-        raise AssertionError(f"chain_curves({g}) called past the genus limit")
+    # the chain curves take O(g^2) ints; the limit must refuse the genus
+    # before chain_curve, which builds every one of them, is ever called
+    def no_chain(g, k):
+        raise AssertionError(f"chain_curve({g}, {k}) called past the genus limit")
 
     palf = tmp_path / "huge.palf"
     palf.write_text(f"genus {mcg.MAX_GENUS + 1}\nword T(c1)\n")
-    monkeypatch.setattr(mcg, "chain_curves", no_chain)
+    monkeypatch.setattr(mcg, "chain_curve", no_chain)
     for argv in (["mcg", "verify-chain", str(mcg.MAX_GENUS + 1)],
                  ["mcg", "verify-chain", "--genus", str(mcg.MAX_GENUS + 1)],
                  ["fill", str(palf)]):
@@ -269,10 +269,10 @@ def test_word_above_the_letter_limit_exits_2_before_any_curve_is_built(
     assert run(["fill", str(palf)])[0] == 0
     palf.write_text("genus 1\nword" + " T(c1)" * 6 + "\n")
 
-    def no_chain(g):
-        raise AssertionError(f"chain_curves({g}) called past the letter limit")
+    def no_chain(g, k):
+        raise AssertionError(f"chain_curve({g}, {k}) called past the letter limit")
 
-    monkeypatch.setattr(mcg, "chain_curves", no_chain)
+    monkeypatch.setattr(mcg, "chain_curve", no_chain)
     certify = ["certify", str(fixtures / "mazur.kirby"), str(palf),
                str(fixtures / "trefoil_inflation.spec")]
     for argv in (["fill", str(palf)], certify):
@@ -557,12 +557,39 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     # block c1..c4, for the chain relation at genus 2; no letter of the
     # 5 * 39 trivializing letters or of the monodromy is applied.  The
     # certificate's word_trivial_on_h1 check reads the verdict the plan
-    # computed.
+    # computed, and it reads no chain image, so none is built.
     assert actions == [4]
-    assert trivializations == [5]
+    assert trivializations == []
     assert len(involutions) == 1
     # step 5 reads the linking matrix's determinant, not the homology report
     assert homologies == []
+
+
+@pytest.mark.parametrize("word, classes", [
+    ("genus 1\nword T(c1) T(c2) T(c1) T(c2) T(c2)\n", 3),  # the extender c3 joins
+    ("genus 3\ncurve e = [1,1,0,0,1,0]\nword T(c1) T(e) T(c5) T(c1) T(e) T(c6) T(c5)\n", 4),
+], ids=["genus-1", "genus-3"])
+def test_symplectic_frames_are_built_only_for_the_plan_document(
+        fixtures, tmp_path, monkeypatch, word, classes):
+    """Human fill and certify print no chain image and build no frame;
+    fill --format doc builds one frame per distinct letter class."""
+    palf = tmp_path / "repeated.palf"
+    palf.write_text(word)
+    frames = []
+    symplectic_frame = mcg.symplectic_frame
+
+    def counted_frame(c):
+        frames.append(c.h1_class)
+        return symplectic_frame(c)
+
+    monkeypatch.setattr(mcg, "symplectic_frame", counted_frame)
+    certify = ["certify", str(fixtures / "mazur.kirby"), str(palf),
+               str(fixtures / "trefoil_inflation.spec")]
+    for argv in (["fill", str(palf)], certify):
+        assert run(argv)[0] == 0, argv
+    assert frames == []
+    assert run(["fill", "--format", "doc", str(palf)])[0] == 0
+    assert len(frames) == len(set(frames)) == classes
 
 
 def test_certify_inadmissible_cork_reports_no_fake_pair(fixtures):

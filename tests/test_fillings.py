@@ -15,6 +15,7 @@ from corktwist.fillings import (
     build_concave,
     palf_to_openbook,
     parse_palf,
+    plan_concave,
     stabilize_openbook,
 )
 from corktwist.mcg import TwistWord
@@ -85,6 +86,31 @@ def test_plan_shares_nothing_between_calls(mark_everywhere):
     mark_everywhere(plan)
     assert "marked" in plan["trivializing_handles"]["blocks"][0]["chain_images"][0]
     assert build_concave(book) == pristine
+
+
+@pytest.mark.parametrize("genus, classes", [
+    (1, [(1, 0), (0, 1), (1, 0), (1, 0), (0, 1)]),
+    (3, [(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 1, 0), (0, 0, 1, 0, 1, 0),
+         (1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]),
+], ids=["genus-1-stabilized", "genus-3"])
+def test_repeated_letters_get_the_per_letter_chain_images(genus, classes):
+    """A frame built once per class gives every block of that class its own images."""
+    book = OpenBook(genus, TwistWord(tuple((mcg.Curve(f"x{i}", cls), 1)
+                                           for i, cls in enumerate(classes))))
+    closed = stabilize_openbook(book) if genus < 2 else book
+    letters = [c for c, _ in reversed(closed.monodromy.letters)]
+    doc = build_concave(book)
+    blocks = doc["trivializing_handles"]["blocks"]
+    assert [b["chain_images"] for b in blocks] == [
+        [list(v) for v in mcg._chain_images(mcg.symplectic_frame(c))] for c in letters
+    ]
+    # no two blocks share a list, though repeated letters share a frame
+    lists = [id(v) for b in blocks for v in [b["chain_images"], *b["chain_images"]]]
+    assert len(set(lists)) == len(lists)
+    # the count-level plan is the document without its chain images
+    for b in blocks:
+        del b["chain_images"]
+    assert plan_concave(book) == doc
 
 
 def test_low_genus_pages_get_stabilized():

@@ -1,10 +1,10 @@
 """Concave-filling planner over the homological twist calculus.
 
 A Stein domain is presented here by a positive fibration word: a genus-g
-page with one boundary circle and an ordered list of right-handed twists
-along non-separating curves.  Only one-boundary pages are accepted, so
-the binding is always connected.  The planner runs the standard closing
-pipeline on the boundary fibration:
+page with one boundary circle and an ordered tuple of non-separating
+curves, one right-handed twist along each.  Only one-boundary pages are
+accepted, so the binding is always connected.  The planner runs the
+standard closing pipeline on the boundary fibration:
 
 * cap the binding with a single 0-framed 2-handle (the piece called v0),
 * undo the monodromy with one chain-relator block per letter, each block
@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import mcg
 from .base import (PLAN_ASSUMPTIONS, InputError, Record, declared, load_json,
                    numbered_lines, parse_int)
-from .mcg import Curve, TwistWord
+from .mcg import Curve
 
 
 class FillingError(InputError):
@@ -48,29 +48,30 @@ MAX_PLAN_ENTRIES = 2**20
 class OpenBook(Record):
     """Boundary fibration: a genus-g page with one boundary circle and a positive word.
 
-    Only one-boundary pages are accepted, so the binding is connected and
-    a single 2-handle caps it.
+    The monodromy is the tuple of curves twisted along, in order, each on
+    the page.  Only one-boundary pages are accepted, so the binding is
+    connected and a single 2-handle caps it.
     """
 
     __slots__ = _fields = ("genus", "monodromy")
     genus: int
-    monodromy: TwistWord
+    monodromy: tuple[Curve, ...]
 
-    def __init__(self, genus: int, monodromy: TwistWord) -> None:
+    def __init__(self, genus: int, monodromy: tuple[Curve, ...]) -> None:
         if genus < 0:
             raise FillingError(f"page genus must not be negative, got {genus}")
-        if not monodromy.is_positive:
-            raise FillingError("open-book monodromy here must be a positive word")
-        wg = monodromy.genus()
-        if wg is not None and wg != genus:
-            raise FillingError(f"twist word lives on genus {wg}, page has genus {genus}")
+        for c in monodromy:
+            if c.genus != genus:
+                raise FillingError(
+                    f"curve {c.name!r} lives on genus {c.genus}, page has genus {genus}")
         self._assign(genus, monodromy)
 
     def to_doc(self) -> dict:
+        # each letter is one right-handed twist: the constant 1 keeps the document's fields
         return {
             "page": {"genus": self.genus, "boundary": 1},
-            "monodromy": [{"curve": c.name, "class": list(c.h1_class), "exponent": e}
-                          for c, e in self.monodromy.letters],
+            "monodromy": [{"curve": c.name, "class": list(c.h1_class), "exponent": 1}
+                          for c in self.monodromy],
             "binding_components": 1,
         }
 
@@ -108,29 +109,27 @@ def stabilize_openbook(ob: OpenBook) -> OpenBook:
     g = ob.genus
     new_g = g + 1
     extender = mcg.chain_curve(new_g, 2 * g + 1)  # class a_g + a_{g+1}
-    letters = tuple(
-        (_pad_curve(c, new_g), e) for c, e in ob.monodromy.letters
-    ) + ((extender, 1),)
-    return OpenBook(new_g, TwistWord(letters))
+    letters = tuple(_pad_curve(c, new_g) for c in ob.monodromy) + (extender,)
+    return OpenBook(new_g, letters)
 
 
-def _plan(ob: OpenBook) -> tuple[TwistWord, dict]:
+def _plan(ob: OpenBook) -> tuple[tuple[Curve, ...], dict]:
     """The closed word and the count-level plan of ob (plan_concave)."""
     closed = ob
     while closed.genus < 2:
         closed = stabilize_openbook(closed)
-    g, letters = closed.genus, closed.monodromy.letters
+    g, letters = closed.genus, closed.monodromy
     if letters and not mcg.verify_chain_relation(g):
         raise ArithmeticError(f"the chain relation fails at genus {g}")
     handles = len(letters) * mcg.relator_letters(g)
-    return closed.monodromy, {
+    return letters, {
         "v0": {"two_handles": 1, "framing_rel_page": 0, "euler_char": 1, "along": "binding"},
         "trivializing_handles": {
             "framing_per_letter": -1,
             "count": handles,
             "relator": mcg.RELATOR,
             "blocks": [{"letter": {"curve": c.name, "class": list(c.h1_class)}}
-                       for c, _ in reversed(letters)],
+                       for c in reversed(letters)],
         },
         "closing_piece": {"fiber_genus": g, "euler_char": 2 - 2 * g,
                           "bundle": "closed fiber x disk"},
@@ -169,7 +168,7 @@ def build_concave(ob: OpenBook) -> dict:
     own, so editing one block of the document reaches no other.
     """
     word, plan = _plan(ob)
-    if word.letters:
+    if word:
         blocks = plan["trivializing_handles"]["blocks"]
         for block, images in zip(blocks, mcg.trivialize(word)):
             block["chain_images"] = [list(v) for v in images]
@@ -269,7 +268,7 @@ def parse_palf(text: str) -> PALF:
     if len(tokens) > most:
         raise FillingError(
             f"too many letters: a genus-{genus} word has at most {most} letters", word_at)
-    letters: list[tuple[Curve, int]] = []
+    letters: list[Curve] = []
     for tok in tokens:
         if tok.startswith("T'("):
             raise FillingError(
@@ -283,16 +282,15 @@ def parse_palf(text: str) -> PALF:
             if name not in chain:
                 raise FillingError(f"unknown curve {name!r} in word", word_at)
             curve = named[name] = mcg.chain_curve(genus, chain[name])
-        letters.append((curve, 1))
-    word = TwistWord(tuple(letters))
+        letters.append(curve)
     if handles is not None:
         one, two = handles
         by_handles = 1 - one + two
-        by_fibration = 1 - 2 * genus + len(word)
+        by_fibration = 1 - 2 * genus + len(letters)
         if by_handles != by_fibration:
             raise FillingError(
                 f"handles {one} {two} give euler characteristic {by_handles} but "
-                f"a genus-{genus} page with {len(word)} letters gives {by_fibration}",
+                f"a genus-{genus} page with {len(letters)} letters gives {by_fibration}",
                 handles_at,
             )
-    return PALF(OpenBook(genus, word))
+    return PALF(OpenBook(genus, tuple(letters)))

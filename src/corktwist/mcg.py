@@ -7,6 +7,10 @@ twist about c acts by x -> x + <x, c> c.  Identities produced here
 certified at this homological level only; that shadow is exactly what
 the filling planner consumes.
 
+A twist word is a tuple of curves, one right-handed twist per letter:
+the monodromy of a positive fibration and the relators that close it
+are products of right-handed twists, so a letter is just its curve.
+
 Composition convention: the leftmost letter of a word acts first, so as
 matrices on column vectors  action(u v) = action(v) * action(u).
 """
@@ -17,7 +21,7 @@ from functools import lru_cache
 
 from . import intmat
 from .base import Record
-from .intmat import Matrix, Vector
+from .intmat import Matrix
 
 MAX_GENUS = 64  # chain curves take O(g^2) ints, so larger pages are refused
 
@@ -45,38 +49,6 @@ class Curve(Record):
         return len(self.h1_class) // 2
 
 
-class TwistWord(Record):
-    """Word in Dehn twists: letters are (curve, exponent) with exponent +-1."""
-
-    __slots__ = _fields = ("letters",)
-    letters: tuple[tuple[Curve, int], ...]
-
-    def __init__(self, letters: tuple[tuple[Curve, int], ...]) -> None:
-        for curve, exp in letters:
-            if exp not in (1, -1):
-                raise ValueError(f"letter exponent must be +-1, got {exp}")
-        genera = {curve.genus for curve, _ in letters}
-        if len(genera) > 1:
-            raise ValueError(f"letters live on different surfaces: genera {sorted(genera)}")
-        self._assign(letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(exp == 1 for _, exp in self.letters)
-
-    def genus(self) -> int | None:
-        return self.letters[0][0].genus if self.letters else None
-
-    def __str__(self) -> str:
-        parts = []
-        for curve, exp in self.letters:
-            parts.append(f"T({curve.name})" if exp == 1 else f"T'({curve.name})")
-        return " ".join(parts)
-
-
 def j_matrix(g: int) -> Matrix:
     """Matrix of the intersection form in the (a1, b1, ..., ag, bg) basis."""
     j = intmat.zeros(2 * g, 2 * g)
@@ -86,31 +58,20 @@ def j_matrix(g: int) -> Matrix:
     return j
 
 
-def pairing(u: tuple[int, ...] | Vector, v: tuple[int, ...] | Vector) -> int:
-    """Algebraic intersection number <u, v>; <a_i, b_i> = +1."""
-    if len(u) != len(v) or len(u) % 2 != 0:
-        raise ValueError("classes must share an even length")
-    total = 0
-    for i in range(0, len(u), 2):
-        total += u[i] * v[i + 1] - u[i + 1] * v[i]
-    return total
-
-
-def h1_action(word: TwistWord) -> Matrix:
+def h1_action(word: tuple[Curve, ...]) -> Matrix:
     """Matrix of the word on H_1, leftmost letter applied first.
 
-    A letter (c, e) acts by x -> x + e<x, c> c, i.e. by I + e c (Jc)^T,
-    so it is applied to the running product R as a rank-1 row update:
-    w = (Jc)^T R, then row i of R gains e c_i w.  That is O(n^2) per
-    letter on n = 2g rows and builds no per-letter matrix.
+    A letter c acts by x -> x + <x, c> c, i.e. by I + c (Jc)^T, so it is
+    applied to the running product R as a rank-1 row update:
+    w = (Jc)^T R, then row i of R gains c_i w.  That is O(n^2) per
+    letter on n = 2g rows and builds no per-letter matrix.  The letters
+    share one genus g, read off the first (fillings.OpenBook checks it).
     """
-    if not word.letters:
+    if not word:
         raise ValueError("empty word has no well-defined surface; pass at least one letter")
-    g = word.genus()
-    assert g is not None
-    n = 2 * g
+    n = 2 * word[0].genus
     result = intmat.identity(n)
-    for curve, exp in word.letters:
+    for curve in word:
         c = curve.h1_class
         w = [0] * n
         for k in range(n):
@@ -120,8 +81,8 @@ def h1_action(word: TwistWord) -> Matrix:
                 for j in range(n):
                     w[j] += jc_k * row[j]
         for i in range(n):
-            if c[i]:
-                coef = exp * c[i]
+            coef = c[i]
+            if coef:
                 row = result[i]
                 for j in range(n):
                     row[j] += coef * w[j]
@@ -160,11 +121,6 @@ def chain_curves(g: int) -> list[Curve]:
     return [chain_curve(g, k) for k in range(1, 2 * g + 1)]
 
 
-def chain_word(g: int) -> TwistWord:
-    """One block t_{c1} ... t_{c2g} of the chain relation."""
-    return TwistWord(tuple((c, 1) for c in chain_curves(g)))
-
-
 @lru_cache(maxsize=MAX_GENUS)
 def verify_chain_relation(g: int) -> bool:
     """True iff (t_{c1} ... t_{c2g})^(4g+2) acts as the identity on H_1.
@@ -175,7 +131,7 @@ def verify_chain_relation(g: int) -> bool:
     file reaches it.  Callers bound g to 1..MAX_GENUS, so it holds at
     most MAX_GENUS booleans.
     """
-    block = h1_action(chain_word(g))
+    block = h1_action(tuple(chain_curves(g)))
     return intmat.is_identity(intmat.mat_pow(block, 4 * g + 2))
 
 
@@ -258,7 +214,7 @@ def relator_letters(g: int) -> int:
     return 2 * g * (4 * g + 2) - 1
 
 
-def trivialize(word: TwistWord) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def trivialize(word: tuple[Curve, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Relator blocks whose letters, read in order after word, act as the identity on H_1.
 
     One block per letter c of word, last letter first: RELATOR conjugated
@@ -272,14 +228,11 @@ def trivialize(word: TwistWord) -> tuple[tuple[tuple[int, ...], ...], ...]:
     by every block of that class.  Only `fill --format doc` prints the
     images (fillings.build_concave); the counts need none of them.
     """
-    if not word.is_positive:
-        raise ValueError("only positive monodromy words are trivialized")
-    if not word.letters:
+    if not word:
         raise ValueError("empty word has no well-defined surface; pass at least one letter")
-    g = word.genus()
-    assert g is not None
+    g = word[0].genus
     if not verify_chain_relation(g):
         raise ArithmeticError(f"the chain relation fails at genus {g}")
-    by_class = {curve.h1_class: curve for curve, _ in word.letters}
+    by_class = {curve.h1_class: curve for curve in word}
     images = {cls: _chain_images(symplectic_frame(curve)) for cls, curve in by_class.items()}
-    return tuple(images[curve.h1_class] for curve, _ in reversed(word.letters))
+    return tuple(images[curve.h1_class] for curve in reversed(word))

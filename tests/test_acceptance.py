@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from corktwist import cli, fillings, front, hfcert, intmat, kirby, mcg
 from corktwist.fillings import OpenBook, build_concave
-from corktwist.mcg import TwistWord
 
 
 @contextlib.contextmanager
@@ -33,8 +32,7 @@ def criterion(n, label):
 
 def chain_word(g, power):
     chain = mcg.chain_curves(g)
-    once = tuple((c, 1) for c in chain)
-    return TwistWord(once * power)
+    return tuple(chain) * power
 
 
 def test_criterion_01_chain_relation_is_homologically_trivial():
@@ -58,14 +56,12 @@ def test_criterion_02_positive_inversion_length_and_action():
                 while not any(vec) or not intmat.is_primitive(vec):
                     vec = [rng.randint(-3, 3) for _ in range(2 * g)]
                 c = mcg.Curve("c", tuple(vec))
-                (block,) = mcg.trivialize(TwistWord(((c, 1),)))
+                (block,) = mcg.trivialize((c,))
                 # the block's letters: c2 ... c2g (c1 ... c2g)^(4g+1) read as S c_k
-                conj = [(mcg.Curve(f"S c{k + 1}", v), 1) for k, v in enumerate(block)]
-                w = TwistWord(tuple(conj[1:] + conj * (4 * g + 1)))
-                assert len(w.letters) == 2 * g * (4 * g + 2) - 1
-                assert w.is_positive
-                total = TwistWord(((c, 1),) + w.letters)
-                assert intmat.is_identity(mcg.h1_action(total))
+                conj = [mcg.Curve(f"S c{k + 1}", v) for k, v in enumerate(block)]
+                w = tuple(conj[1:] + conj * (4 * g + 1))
+                assert len(w) == 2 * g * (4 * g + 2) - 1
+                assert intmat.is_identity(mcg.h1_action((c,) + w))
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -172,7 +168,7 @@ def test_criterion_05_stein_framing_rule_on_the_two_sides(load, fixtures):
 def test_criterion_06_filling_tallies_two_ways():
     with criterion(6, "concave filling tallies agree formula vs enumeration"):
         chain = mcg.chain_curves(2)
-        word = TwistWord(tuple((chain[i], 1) for i in (0, 1, 2)))
+        word = tuple(chain[i] for i in (0, 1, 2))
         plan = build_concave(OpenBook(2, word))
         per_letter = 2 * 2 * (4 * 2 + 2) - 1
         # formula
@@ -181,12 +177,11 @@ def test_criterion_06_filling_tallies_two_ways():
         # enumeration: each block's letters are c2 ... c4 (c1 ... c4)^9 read as S c_k
         letters = []
         for block in plan["trivializing_handles"]["blocks"]:
-            conj = [(mcg.Curve(f"S c{k + 1}", tuple(v)), 1)
-                    for k, v in enumerate(block["chain_images"])]
+            images = block["chain_images"]
+            conj = [mcg.Curve(f"S c{k + 1}", tuple(v)) for k, v in enumerate(images)]
             letters.extend(conj[1:] + conj * (4 * 2 + 1))
-        trivializing = TwistWord(tuple(letters))
-        assert len(trivializing.letters) == 117
-        assert 1 + len(trivializing.letters) + (2 - 2 * 2) == 116
+        assert len(letters) == 117
+        assert 1 + len(letters) + (2 - 2 * 2) == 116
         assert plan["euler_char"] == 1 + plan["trivializing_handles"]["count"] - 2
 
 

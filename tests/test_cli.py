@@ -176,7 +176,11 @@ def test_fill(fixtures):
     assert code == 0
     assert "trivializing handles 156" in out
     code, out, _ = run(["fill", str(fixtures / "mazur.palf"), "--format", "doc"])
-    assert json.loads(out)["euler_char"] == 155
+    doc = json.loads(out)
+    assert doc["euler_char"] == 155
+    # every letter is a right-handed twist; the field stays for the doc's readers
+    monodromy = doc["source_open_book"]["monodromy"]
+    assert [m["exponent"] for m in monodromy] == [1, 1, 1, 1]
 
 
 def test_mcg_verify_chain():

@@ -18,14 +18,13 @@ from corktwist.fillings import (
     plan_concave,
     stabilize_openbook,
 )
-from corktwist.mcg import TwistWord
 
 from test_mcg import expand, plan_blocks
 
 
 def chain_positive_word(g, letters):
     chain = mcg.chain_curves(g)
-    return TwistWord(tuple((chain[i], 1) for i in letters))
+    return tuple(chain[i] for i in letters)
 
 
 def test_flagship_tally_genus_two_three_letters():
@@ -38,14 +37,13 @@ def test_flagship_tally_genus_two_three_letters():
     closed, images = plan_blocks(plan)
     assert closed == word
     trivializing = expand(images, closed)
-    assert len(trivializing.letters) == len(word) * per_letter
+    assert len(trivializing) == len(word) * per_letter
     assert plan["relator_blocks"] == 3
     # euler characteristic two ways
     assert plan["euler_char"] == 116
     assert plan["euler_char"] == 1 + 117 + (2 - 2 * 2)
     # the trivialized word really closes the fibration
-    total = TwistWord(word.letters + trivializing.letters)
-    assert intmat.is_identity(mcg.h1_action(total))
+    assert intmat.is_identity(mcg.h1_action(word + trivializing))
 
 
 def test_plan_euler_invariant_random_words():
@@ -53,11 +51,8 @@ def test_plan_euler_invariant_random_words():
     for g in (2, 3, 1):
         chain = mcg.chain_curves(g)
         for _ in range(4):
-            letters = tuple(
-                (chain[rng.randrange(len(chain))], 1)
-                for _ in range(rng.randint(1, 4))
-            )
-            plan = build_concave(OpenBook(g, TwistWord(letters)))
+            letters = tuple(chain[rng.randrange(len(chain))] for _ in range(rng.randint(1, 4)))
+            plan = build_concave(OpenBook(g, letters))
             # a genus-1 page is stabilized once to genus 2, which adds one
             # extender letter to the word the relator blocks undo
             stabilized = 1 if g == 1 else 0
@@ -72,7 +67,7 @@ def test_plan_euler_invariant_random_words():
 
 
 def test_empty_monodromy_needs_no_trivializing_handles():
-    plan = build_concave(OpenBook(3, TwistWord(())))
+    plan = build_concave(OpenBook(3, ()))
     assert plan["trivializing_handles"]["blocks"] == []
     assert plan["trivializing_handles"]["count"] == 0
     assert plan["relator_blocks"] == 0
@@ -95,10 +90,9 @@ def test_plan_shares_nothing_between_calls(mark_everywhere):
 ], ids=["genus-1-stabilized", "genus-3"])
 def test_repeated_letters_get_the_per_letter_chain_images(genus, classes):
     """A frame built once per class gives every block of that class its own images."""
-    book = OpenBook(genus, TwistWord(tuple((mcg.Curve(f"x{i}", cls), 1)
-                                           for i, cls in enumerate(classes))))
+    book = OpenBook(genus, tuple(mcg.Curve(f"x{i}", cls) for i, cls in enumerate(classes)))
     closed = stabilize_openbook(book) if genus < 2 else book
-    letters = [c for c, _ in reversed(closed.monodromy.letters)]
+    letters = list(reversed(closed.monodromy))
     doc = build_concave(book)
     blocks = doc["trivializing_handles"]["blocks"]
     assert [b["chain_images"] for b in blocks] == [
@@ -129,20 +123,18 @@ def test_stabilization_extender_class():
     book = OpenBook(1, chain_positive_word(1, (0,)))
     up = stabilize_openbook(book)
     assert up.genus == 2
-    last_curve, exp = up.monodromy.letters[-1]
-    assert exp == 1
-    assert list(last_curve.h1_class) == [1, 0, 1, 0]
+    assert list(up.monodromy[-1].h1_class) == [1, 0, 1, 0]
 
 
 def test_open_book_validation():
     word = chain_positive_word(2, (0,))
-    with pytest.raises(FillingError):
+    with pytest.raises(FillingError, match="^curve 'c1' lives on genus 2, page has genus 1$"):
         OpenBook(1, word)  # genus mismatch
-    neg = TwistWord(((mcg.chain_curves(2)[0], -1),))
+    mixed = (mcg.chain_curves(3)[0], mcg.chain_curves(2)[1])
+    with pytest.raises(FillingError, match="^curve 'c2' lives on genus 2, page has genus 3$"):
+        OpenBook(3, mixed)  # one curve of another genus
     with pytest.raises(FillingError):
-        OpenBook(2, neg)  # not positive
-    with pytest.raises(FillingError):
-        OpenBook(-1, TwistWord(()))  # negative genus
+        OpenBook(-1, ())  # negative genus
 
 
 def test_palf_fixture_parses(load):
@@ -206,7 +198,7 @@ def test_plan_doc_serializes(load):
     assert handles["relator"] == mcg.RELATOR
     # one block per letter, last letter first, each with its 2g chain images;
     # a genus-2 page is not stabilized, so the closed word is the source word
-    letters = [c for c, _ in reversed(palf_to_openbook(p).monodromy.letters)]
+    letters = list(reversed(palf_to_openbook(p).monodromy))
     assert [b["letter"] for b in handles["blocks"]] == [
         {"curve": c.name, "class": list(c.h1_class)} for c in letters
     ]
@@ -220,7 +212,7 @@ def test_plan_doc_serializes(load):
 
 
 def test_empty_word_plan():
-    book = OpenBook(2, TwistWord(()))
+    book = OpenBook(2, ())
     plan = build_concave(book)
     assert plan["trivializing_handles"]["count"] == 0
     assert plan["euler_char"] == 1 + 0 + (2 - 2 * 2)

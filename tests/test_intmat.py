@@ -103,7 +103,7 @@ def test_mat_pow():
     assert intmat.mat_pow(a, 0) == intmat.identity(2)
     assert intmat.mat_pow(a, 5) == [[1, 5], [0, 1]]
     for g in (1, 2, 3):
-        block = mcg.h1_action(mcg.chain_word(g))
+        block = mcg.h1_action(tuple(mcg.chain_curves(g)))
         for k in (1, 2, 4 * g + 2):
             want = block
             for _ in range(k - 1):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from corktwist import fillings, intmat, mcg
-from corktwist.mcg import Curve, TwistWord
+from corktwist.mcg import Curve
 
 
 def random_primitive_curve(rng, g, name="c"):
@@ -20,6 +20,16 @@ def random_primitive_curve(rng, g, name="c"):
 def mat_vec(a, v):
     """The matrix a applied to the column vector v."""
     return [sum(x * y for x, y in zip(row, v, strict=True)) for row in a]
+
+
+def pairing(u, v):
+    """Algebraic intersection number <u, v>; <a_i, b_i> = +1."""
+    if len(u) != len(v) or len(u) % 2 != 0:
+        raise ValueError("classes must share an even length")
+    total = 0
+    for i in range(0, len(u), 2):
+        total += u[i] * v[i + 1] - u[i + 1] * v[i]
+    return total
 
 
 def transvection(c):
@@ -39,16 +49,8 @@ def test_curve_validation():
 
 
 def test_twist_word_basics():
-    a = Curve("a1", (1, 0))
-    b = Curve("b1", (0, 1))
-    w = TwistWord(((a, 1), (b, -1)))
-    assert str(w) == "T(a1) T'(b1)"
-    assert not w.is_positive
-    assert TwistWord(((a, 1),)).is_positive
-    assert w.genus() == 1
-    assert TwistWord(()).genus() is None
     with pytest.raises(ValueError):
-        mcg.h1_action(TwistWord(()))
+        mcg.h1_action(())
 
 
 def test_transvection_formula_small_cases():
@@ -60,34 +62,33 @@ def test_transvection_formula_small_cases():
     assert mat_vec(m, [0, 1]) == [-1, 1]
     x = [3, 5]
     shifted = mat_vec(m, x)
-    assert shifted == [x[0] + mcg.pairing(x, a.h1_class) * 1, x[1]]
+    assert shifted == [x[0] + pairing(x, a.h1_class) * 1, x[1]]
 
 
 def test_h1_action_leftmost_letter_first():
     a = Curve("a1", (1, 0))
     b = Curve("b1", (0, 1))
-    ab = mcg.h1_action(TwistWord(((a, 1), (b, 1))))
+    ab = mcg.h1_action((a, b))
     manual = intmat.mat_mul(transvection(b), transvection(a))
     assert ab == manual
 
 
 def test_h1_action_matches_transvection_product():
-    # oracle: multiply I + e c (Jc)^T per letter, leftmost letter first
+    # oracle: multiply I + c (Jc)^T per letter, leftmost letter first
     rng = random.Random(61)
     for g in range(1, 9):
         n = 2 * g
         for _ in range(4):
             letters = tuple(
-                (random_primitive_curve(rng, g, f"c{i}"), rng.choice((1, -1)))
-                for i in range(rng.randint(1, 40))
+                random_primitive_curve(rng, g, f"c{i}") for i in range(rng.randint(1, 40))
             )
             want = intmat.identity(n)
-            for curve, exp in letters:
+            for curve in letters:
                 c = list(curve.h1_class)
                 jc = mat_vec(mcg.j_matrix(g), c)
-                m = [[int(i == j) + exp * c[i] * jc[j] for j in range(n)] for i in range(n)]
+                m = [[int(i == j) + c[i] * jc[j] for j in range(n)] for i in range(n)]
                 want = intmat.mat_mul(m, want)
-            assert mcg.h1_action(TwistWord(letters)) == want
+            assert mcg.h1_action(letters) == want
 
 
 def test_h1_action_is_symplectic():
@@ -95,27 +96,10 @@ def test_h1_action_is_symplectic():
     for g in (1, 2, 3):
         for _ in range(8):
             letters = tuple(
-                (random_primitive_curve(rng, g, f"c{i}"), rng.choice((1, -1)))
-                for i in range(rng.randint(1, 5))
+                random_primitive_curve(rng, g, f"c{i}") for i in range(rng.randint(1, 5))
             )
-            m = mcg.h1_action(TwistWord(letters))
+            m = mcg.h1_action(letters)
             assert mcg.is_symplectic(m, g)
-
-
-def inverse_letters(word):
-    """The letters of word reversed, each exponent negated."""
-    return tuple((c, -e) for c, e in reversed(word.letters))
-
-
-def test_inverse_letter_cancels():
-    rng = random.Random(29)
-    for g in range(1, 7):
-        for i in range(4):
-            pool = mcg.chain_curves(g) + [random_primitive_curve(rng, g, f"r{k}") for k in range(3)]
-            word = TwistWord(tuple((rng.choice(pool), rng.choice((1, -1)))
-                                   for _ in range(rng.randint(1, 6))))
-            w = TwistWord(word.letters + inverse_letters(word))
-            assert intmat.is_identity(mcg.h1_action(w)), (g, i)
 
 
 def test_chain_curves_shape():
@@ -126,7 +110,7 @@ def test_chain_curves_shape():
         for i, c in enumerate(chain):
             for j, d in enumerate(chain):
                 want = 1 if abs(i - j) == 1 else 0
-                assert abs(mcg.pairing(c.h1_class, d.h1_class)) == want
+                assert abs(pairing(c.h1_class, d.h1_class)) == want
 
 
 def test_chain_relation_identity():
@@ -137,7 +121,7 @@ def test_chain_relation_identity():
 
 
 def test_chain_relation_sharp_at_genus_one():
-    w = mcg.chain_word(1)
+    w = tuple(mcg.chain_curves(1))
     g = 1
     power = 4 * g + 1
     m = intmat.mat_pow(mcg.h1_action(w), power)
@@ -152,11 +136,11 @@ def expand(blocks, word):
     c2 ... c2g (c1 ... c2g)^(4g+1), with c_k replaced by S c_k.
     """
     letters = []
-    for block, (letter, _) in zip(blocks, reversed(word.letters), strict=True):
-        conj = [(Curve(f"{letter.name}~c{k + 1}", tuple(v)), 1) for k, v in enumerate(block)]
+    for block, letter in zip(blocks, reversed(word), strict=True):
+        conj = [Curve(f"{letter.name}~c{k + 1}", tuple(v)) for k, v in enumerate(block)]
         g = len(conj) // 2
         letters.extend(conj[1:] + conj * (4 * g + 1))
-    return TwistWord(tuple(letters))
+    return tuple(letters)
 
 
 def plan_blocks(plan):
@@ -166,8 +150,8 @@ def plan_blocks(plan):
     read backwards.
     """
     blocks = plan["trivializing_handles"]["blocks"]
-    closed = TwistWord(tuple((Curve(b["letter"]["curve"], tuple(b["letter"]["class"])), 1)
-                             for b in reversed(blocks)))
+    closed = tuple(Curve(b["letter"]["curve"], tuple(b["letter"]["class"]))
+                   for b in reversed(blocks))
     return closed, [b["chain_images"] for b in blocks]
 
 
@@ -178,14 +162,14 @@ def letter_by_letter_trivialization(word):
     of c, each a matrix-vector product, and the word gains
     conj[1:] + conj * (4g + 1).
     """
-    g = word.genus()
+    g = word[0].genus
     letters = []
-    for curve, _ in reversed(word.letters):
+    for curve in reversed(word):
         s = mcg.symplectic_frame(curve)
-        conj = [(Curve(f"{curve.name}~{d.name}", tuple(mat_vec(s, list(d.h1_class)))), 1)
+        conj = [Curve(f"{curve.name}~{d.name}", tuple(mat_vec(s, list(d.h1_class))))
                 for d in mcg.chain_curves(g)]
         letters.extend(conj[1:] + conj * (4 * g + 1))
-    return TwistWord(tuple(letters))
+    return tuple(letters)
 
 
 def test_blocks_expand_to_the_letter_by_letter_trivialization():
@@ -196,7 +180,7 @@ def test_blocks_expand_to_the_letter_by_letter_trivialization():
     for g in range(1, 9):
         chain = mcg.chain_curves(g)
         for _ in range(2):
-            word = TwistWord(tuple((rng.choice(chain), 1) for _ in range(rng.randint(1, 3))))
+            word = tuple(rng.choice(chain) for _ in range(rng.randint(1, 3)))
             blocks = mcg.trivialize(word)
             assert len(blocks) == len(word)
             assert expand(blocks, word) == letter_by_letter_trivialization(word)
@@ -218,25 +202,33 @@ def test_positive_inverse_length_and_identity():
         want_len = 2 * g * (4 * g + 2) - 1
         for i in range(10):
             c = random_primitive_curve(rng, g, f"r{i}")
-            word = TwistWord(((c, 1),))
+            word = (c,)
             (block,) = mcg.trivialize(word)
             assert mcg.relator_letters(g) == want_len
             w = expand([block], word)
-            assert w.is_positive
             assert len(w) == want_len
-            total = TwistWord(((c, 1),) + w.letters)
-            assert intmat.is_identity(mcg.h1_action(total))
+            assert intmat.is_identity(mcg.h1_action(word + w))
     assert time.time() - start < 1.0
 
 
 def test_trivialize_length_and_action():
     chain = mcg.chain_curves(2)
-    word = TwistWord(tuple((c, 1) for c in chain[:3]))
+    word = tuple(chain[:3])
     per_letter = 2 * 2 * (4 * 2 + 2) - 1
     t = expand(mcg.trivialize(word), word)
-    assert t.is_positive
     assert len(t) == len(word) * per_letter
-    assert intmat.is_identity(mcg.h1_action(TwistWord(word.letters + t.letters)))
+    assert intmat.is_identity(mcg.h1_action(word + t))
+
+
+def inverse_action(word):
+    """Reference action of the inverse of word: I - c (Jc)^T per letter, last letter first."""
+    n = 2 * word[0].genus
+    result = intmat.identity(n)
+    for c in reversed(word):
+        inverse = [[2 * int(i == j) - x for j, x in enumerate(row)]
+                   for i, row in enumerate(transvection(c))]
+        result = intmat.mat_mul(inverse, result)
+    return result
 
 
 def test_trivialize_action_matches_letter_by_letter_oracle():
@@ -249,10 +241,10 @@ def test_trivialize_action_matches_letter_by_letter_oracle():
             pool = mcg.chain_curves(g) + [random_primitive_curve(rng, g, f"r{i}") for i in range(3)]
             if g == 2:
                 pool.append(e)
-            word = TwistWord(tuple((rng.choice(pool), 1) for _ in range(rng.randint(1, 4))))
+            word = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
             t = expand(mcg.trivialize(word), word)
-            assert mcg.h1_action(t) == mcg.h1_action(TwistWord(inverse_letters(word)))
-            assert intmat.is_identity(mcg.h1_action(TwistWord(word.letters + t.letters)))
+            assert mcg.h1_action(t) == inverse_action(word)
+            assert intmat.is_identity(mcg.h1_action(word + t))
 
 
 def test_block_letters_are_the_frame_images_of_the_chain():
@@ -261,22 +253,16 @@ def test_block_letters_are_the_frame_images_of_the_chain():
         c = random_primitive_curve(rng, g)
         s = mcg.symplectic_frame(c)
         images = [tuple(mat_vec(s, list(d.h1_class))) for d in mcg.chain_curves(g)]
-        word = TwistWord(((c, 1),))
+        word = (c,)
         (block,) = mcg.trivialize(word)
         assert block == tuple(images)
         want = images[1:] + images * (4 * g + 1)
-        assert [d.h1_class for d, _ in expand([block], word).letters] == want
-
-
-def test_trivialize_rejects_negative_words():
-    a = Curve("a1", (1, 0))
-    with pytest.raises(ValueError):
-        mcg.trivialize(TwistWord(((a, -1),)))
+        assert [d.h1_class for d in expand([block], word)] == want
 
 
 def test_trivialize_rejects_the_empty_word():
     with pytest.raises(ValueError):
-        mcg.trivialize(TwistWord(()))
+        mcg.trivialize(())
 
 
 def frame_test_classes(rng, g):

@@ -236,7 +236,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                   f"at budget {budget}, seed {seed}", file=sys.stderr)
             return INCONCLUSIVE
         plan = fillings.plan_concave(fillings.palf_to_openbook(palf))
-        cert_doc = hfcert.certify_distinct(cork, adm, pair, plan)
+        cert_doc = hfcert.certify_distinct(adm, pair, plan)
     except hfcert.CertificateAbort as exc:
         print(f"certification aborted: {exc}", file=sys.stderr)
         if exc.check is not None:

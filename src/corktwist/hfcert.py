@@ -40,7 +40,7 @@ from .base import PLAN_ASSUMPTIONS, declared
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .kirby import AbelianGroup, InflationSpec, KirbyDiagram
+    from .kirby import AbelianGroup, InflationSpec
 
 
 class HFError(ValueError):
@@ -423,12 +423,7 @@ def _outcomes(facts: dict) -> Iterator[tuple[str, bool | ValueError]]:
         yield check, holds
 
 
-def certify_distinct(
-    cork: KirbyDiagram,
-    adm: dict,
-    spec: InflationSpec,
-    plan: dict,
-) -> dict:
+def certify_distinct(adm: dict, spec: InflationSpec, plan: dict) -> dict:
     """Replay the two-sided computation that separates the contact classes.
 
     spec exhibits the knot, the untwisted exhibit's declared knot type, on
@@ -437,12 +432,13 @@ def certify_distinct(
     element; the twisted one, the same knot and framing attached after the
     twist, is obstructed by registered knot facts and adjunction (step 7),
     forcing a zero image.  adm is the cork's admissibility document,
-    computed by the caller with the search budget it records, and plan is
-    the count-level filling plan (fillings.plan_concave).  Reads the
-    givens, gathers the facts, runs SCHEME's checks on them and aborts at
-    the first that does not hold, then fills in the scheme.  Returns the
-    certificate document: its facts, knot, steps, verdict, assumptions
-    and digest.
+    computed by the caller with the search budget it records, and the
+    deduction's only view of the cork: the linking matrix is its
+    condition-3 value.  plan is the count-level filling plan
+    (fillings.plan_concave).  Reads the givens, gathers the facts, runs
+    SCHEME's checks on them and aborts at the first that does not hold,
+    then fills in the scheme.  Returns the certificate document: its
+    facts, knot, steps, verdict, assumptions and digest.
     """
     from . import kirby
 
@@ -462,23 +458,19 @@ def certify_distinct(
     )
     _require(twisted_knot == knot, "twisted-side record disagrees with the untwisted attachment")
 
-    # the boundary's first homology is the cokernel of the linking matrix,
-    # trivial iff the matrix has an integral inverse; when det = ±1 that
-    # inverse is det * adjugate.  A matrix of another size, from an adm that
-    # is not this cork's, fails unit_linking's shape check first
-    linking = kirby.linking_matrix(cork)[1]
-    (a, b), (c, d) = linking if len(linking) == 2 else ((0, 0), (0, 0))
-    det = a * d - b * c
+    # the dot and the 0-framing leave the diagonal 0, and an admissible
+    # cork links once, |lk| = 1, so the matrix is its own inverse
+    lk = adm["cond3"]["value"]
     framing, tb, g_hat = spec.framing, untwisted.tb(u_comp), plan["fiber_genus"]
     handles = plan["trivializing_handles"]
     # each number a check reads, recorded once: the steps name only their checks
     facts = {
-        "linking": linking, "cork_tb": adm["cond4prime"]["tb"],
+        "linking": [[0, lk], [lk, 0]], "cork_tb": adm["cond4prime"]["tb"],
         "framing": framing, "exhibit_tb": tb,
         "euler_char": plan["euler_char"], "handles": handles["count"],
         "blocks": plan["relator_blocks"], "fiber_genus": g_hat,
         "monodromy": [list(block["letter"]["class"]) for block in reversed(handles["blocks"])],
-        "linking_inverse": [[det * d, -det * b], [-det * c, det * a]],
+        "linking_inverse": [[0, lk], [lk, 0]],
         "max_tb": registered["max_tb"], "knot_genus": registered["seifert_genus"],
     }
     # max tb bounds a plain front only, so the twisted exhibit must pass no

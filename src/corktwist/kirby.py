@@ -556,8 +556,6 @@ def cork_twist(d: KirbyDiagram) -> KirbyDiagram:
     old_framed, value = d.frames[0]
     if value != 0:
         raise KirbyError(f"cork twist needs framing 0, got {value}")
-    if {old_dot, old_framed} != {d.involution.comp1, d.involution.comp2}:
-        raise KirbyError("involution must exchange the dotted and framed components")
     return KirbyDiagram(
         front=d.front,
         dots=(old_framed,),

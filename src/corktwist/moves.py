@@ -160,9 +160,6 @@ class Shadow:
             cur = theta[opp[cur]]
         return out
 
-    def faces(self) -> list[tuple[int, ...]]:
-        return list(self._faces)
-
     def _walk_faces(self, starts: list[int]) -> list[tuple[int, ...]]:
         """The faces through `starts`, in order of their first dart.  A face
         lies to the right of each of its darts, and each face starts at its

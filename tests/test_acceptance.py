@@ -146,7 +146,7 @@ def test_criterion_05_stein_framing_rule_on_the_two_sides(load, fixtures):
         cork = kirby.parse_kirby(load("mazur.kirby"))
         palf = fillings.parse_palf(load("mazur_inflated.palf"))
         plan = build_concave(fillings.palf_to_openbook(palf))
-        cert = hfcert.certify_distinct(cork, kirby.check_admissible(cork), spec, plan)
+        cert = hfcert.certify_distinct(kirby.check_admissible(cork), spec, plan)
 
         untwisted = cert["steps"][1]
         assert untwisted["rule"] == "stein_untwisted_attachment"

@@ -525,9 +525,10 @@ def test_certify_searches_one_component(certify_argv, search_budgets):
 
 def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     searches, actions, trivializations, involutions, homologies = [], [], [], [], []
+    linkings = []
     check_admissible, h1_action = kirby.check_admissible, mcg.h1_action
     trivialize, involution_verified = mcg.trivialize, kirby.involution_verified
-    homology = kirby.homology
+    homology, linking_number = kirby.homology, front.FrontDiagram.linking_number
 
     def counted_search(d, budget=2000, seed=0):
         searches.append((budget, seed))
@@ -549,11 +550,16 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
         homologies.append(d)
         return homology(d)
 
+    def counted_linking(fr, c1, c2):
+        linkings.append((c1, c2))
+        return linking_number(fr, c1, c2)
+
     monkeypatch.setattr(kirby, "check_admissible", counted_search)
     monkeypatch.setattr(mcg, "h1_action", counted_action)
     monkeypatch.setattr(mcg, "trivialize", counted_trivialize)
     monkeypatch.setattr(kirby, "involution_verified", counted_involution)
     monkeypatch.setattr(kirby, "homology", counted_homology)
+    monkeypatch.setattr(front.FrontDiagram, "linking_number", counted_linking)
     code, _, err = run(certify_argv)
     assert code == 0, err
     assert searches == [(2000, 0)]
@@ -565,7 +571,10 @@ def test_certify_does_each_computation_once(certify_argv, monkeypatch):
     assert actions == [4]
     assert trivializations == []
     assert len(involutions) == 1
-    # step 5 reads the linking matrix's determinant, not the homology report
+    # the cork is read once: the certificate's linking matrix is the
+    # admissibility report's condition-3 value, not a second scan of the
+    # crossings, and not the homology report
+    assert linkings == [("K1", "K2")]
     assert homologies == []
 
 

@@ -36,12 +36,11 @@ from corktwist.hfcert import (
 def pipeline(load, fixtures):
     """The mazur certificate's inputs: the shipped spec attaches the trefoil at
     framing 1 over the handle and after the twist."""
-    cork = kirby.parse_kirby(load("mazur.kirby"))
-    adm = kirby.check_admissible(cork)
+    adm = kirby.check_admissible(kirby.parse_kirby(load("mazur.kirby")))
     spec = kirby.parse_inflation_spec(load("trefoil_inflation.spec"), fixtures)
     palf = fillings.parse_palf(load("mazur_inflated.palf"))
     plan = fillings.build_concave(fillings.palf_to_openbook(palf))
-    return cork, adm, spec, plan
+    return adm, spec, plan
 
 
 WORD = "word_trivial_on_h1"
@@ -680,9 +679,9 @@ def test_rewritten_axiom_fails(pipeline):
 
 
 def test_abort_on_wrong_framing(pipeline):
-    cork, adm, spec, plan = pipeline
+    adm, spec, plan = pipeline
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, spec._replace(framing=0), plan)
+        certify_distinct(adm, spec._replace(framing=0), plan)
     assert str(info.value) == "untwisted Stein check wants framing = tb − 1 = 1"
     assert info.value.check == "contact_framing"
     assert condition_text(info.value.check, info.value.facts) == (
@@ -713,11 +712,11 @@ def test_condition_text_spells_values_in_compact_json(pipeline):
 
 
 def test_abort_on_unknot_inflation(pipeline, load):
-    cork, adm, _, plan = pipeline
+    adm, _, plan = pipeline
     unknot = front.parse_front(load("lens.front"))
     spec = kirby.InflationSpec("unknot", -2, unknot, "U", unknot, "U")  # exact: tb -1, framing tb - 1
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, spec, plan)
+        certify_distinct(adm, spec, plan)
     # step 7 fails both ways; the abort names the first check in scheme order
     assert str(info.value) == (
         "twisted-side attachment is not obstructed "
@@ -729,31 +728,19 @@ def test_abort_on_unknot_inflation(pipeline, load):
 
 
 def test_abort_on_inadmissible_cork(pipeline, load):
-    _, _, spec, plan = pipeline
+    _, spec, plan = pipeline
     hopf = kirby.parse_kirby(load("hopf.kirby"))
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(hopf, kirby.check_admissible(hopf), spec, plan)
+        certify_distinct(kirby.check_admissible(hopf), spec, plan)
     assert "admissibility" in str(info.value)
 
 
-def test_abort_on_a_cork_the_report_is_not_of(pipeline, load):
-    """A cork of three components, with the two-component cork's report,
-    aborts on its linking matrix's shape."""
-    _, adm, spec, plan = pipeline
-    three = kirby.parse_kirby(load("mazur.kirby").replace("dot K1\n", (
-        "arc L : (30,0) (34,2) (38,0)\narc L : (38,0) (34,-2) (30,0)\nframe L 0\ndot K1\n")))
-    with pytest.raises(CertificateAbort) as info:
-        certify_distinct(three, adm, spec, plan)
-    assert str(info.value) == "fact linking of check unit_linking is not a 2 x 2 integer matrix"
-    assert info.value.check == "unit_linking"
-
-
 def test_abort_on_unobstructed_twisted_side(pipeline):
-    cork, adm, spec, plan = pipeline
+    adm, spec, plan = pipeline
     # the exhibit over the handle reaches framing 1 = tb - 1 on the twisted side too
     over_handle = spec._replace(twisted_front=spec.untwisted_front)
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, over_handle, plan)
+        certify_distinct(adm, over_handle, plan)
     assert str(info.value) == (
         "twisted-side attachment is not obstructed "
         "(exhibited tb 2, 2 handle passes); no separation"
@@ -763,15 +750,15 @@ def test_abort_on_unobstructed_twisted_side(pipeline):
 
 def test_stein_framing_rule_branches(pipeline, load):
     """Each way the Stein framing rule decides an attachment, read from the spec's exhibits."""
-    cork, adm, spec, plan = pipeline
+    adm, spec, plan = pipeline
     # exact: framing 1 = tb - 1 on the untwisted exhibit
-    cert = certify_distinct(cork, adm, spec, plan)
+    cert = certify_distinct(adm, spec, plan)
     steps, facts = cert["steps"], cert["facts"]
     assert steps[1]["checks"] == ["contact_framing"]
     assert (facts["framing"], facts["exhibit_tb"]) == (1, 2)
     # realizable below the exhibit, but not exact: step 2 aborts
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, spec._replace(framing=0), plan)
+        certify_distinct(adm, spec._replace(framing=0), plan)
     assert condition_text(info.value.check, info.value.facts) == (
         "contact_framing(framing=0, exhibit_tb=2)")
     # obstructed: a plain trefoil with tb 1 < framing + 1
@@ -784,7 +771,7 @@ def test_stein_framing_rule_branches(pipeline, load):
     low = front.stabilize(spec.untwisted_front, "K", 1)
     assert (low.tb("K"), low.handle_passes("K")) == (1, 2)
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, spec._replace(twisted_front=low), plan)
+        certify_distinct(adm, spec._replace(twisted_front=low), plan)
     assert str(info.value) == (
         "twisted-side attachment is not obstructed "
         "(exhibited tb 1, 2 handle passes); no separation"
@@ -797,7 +784,7 @@ def test_stein_framing_rule_branches(pipeline, load):
         "arc K : (0,-1) (3,1) (5,-1) (7,1) (9,-1) (11,1) (14,1)\n"
         "arc K : (14,1) (7,3) (0,1)\norient K +\nknottype K right_trefoil\n")
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, spec._replace(twisted_front=torus), plan)
+        certify_distinct(adm, spec._replace(twisted_front=torus), plan)
     assert str(info.value) == (
         "twisted-side attachment is not obstructed "
         "(exhibited tb 3, 0 handle passes); no separation"
@@ -807,13 +794,13 @@ def test_stein_framing_rule_branches(pipeline, load):
                   for name in ("trefoil_handle.front", "trefoil.front")]
     bare = spec._replace(untwisted_front=undeclared[0], twisted_front=undeclared[1])
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, bare, plan)
+        certify_distinct(adm, bare, plan)
     assert str(info.value) == (
         "no registered facts for the attaching knot; twisted-side obstruction unavailable"
     )
     # the twisted exhibit must declare the untwisted exhibit's knot
     with pytest.raises(CertificateAbort) as info:
-        certify_distinct(cork, adm, spec._replace(twisted_front=undeclared[1]), plan)
+        certify_distinct(adm, spec._replace(twisted_front=undeclared[1]), plan)
     assert str(info.value) == "twisted-side record disagrees with the untwisted attachment"
 
 
@@ -833,7 +820,7 @@ def test_assumption_table_holds_exactly_the_cited_names(pipeline):
     cited = {text.removeprefix("assumption: ") for _, inputs, _, _ in SCHEME
              for text in inputs if text.startswith("assumption: ")}
     listed = [{a["name"] for a in doc["assumptions"]}
-              for doc in (pipeline[3], hfcert.fake_pair_report())]
+              for doc in (pipeline[2], hfcert.fake_pair_report())]
     assert cited.union(*listed) == set(ASSUMPTIONS)
     assert cited <= {a["name"] for a in certify_distinct(*pipeline)["assumptions"]}
 
@@ -846,11 +833,11 @@ def test_assumption_table_holds_exactly_the_cited_names(pipeline):
 def test_certify_reads_what_fill_prints(pipeline, load, palf):
     """Step 3's facts are the plan document's fields, and certify leaves the
     document as it found it."""
-    cork, adm, spec, _ = pipeline
+    adm, spec, _ = pipeline
     text = load(palf) if palf.endswith(".palf") else palf
     plan = fillings.build_concave(fillings.palf_to_openbook(fillings.parse_palf(text)))
     printed = copy.deepcopy(plan)
-    facts = certify_distinct(cork, adm, spec, plan)["facts"]
+    facts = certify_distinct(adm, spec, plan)["facts"]
     assert plan == printed
     handles = plan["trivializing_handles"]
     assert (facts["euler_char"], facts["handles"], facts["blocks"], facts["fiber_genus"]) == (
@@ -885,11 +872,11 @@ def test_untwisted_exhibit_exact_twisted_obstructed(pipeline):
 
 def test_certify_refuses_unregistered_knottype(pipeline, load):
     """An unregistered declared knot on either exhibit aborts before step 1."""
-    _, _, spec, plan = pipeline
+    _, spec, plan = pipeline
     hopf = kirby.parse_kirby(load("hopf.kirby"))  # step 1 would abort too
     text = "arc K : (0,0) (4,2) (8,0)\narc K : (8,0) (4,-2) (0,0)\norient K +\nknottype K cinquefoil\n"
     for side in ("untwisted", "twisted"):
         unregistered = spec._replace(**{f"{side}_front": front.parse_front(text)})
         with pytest.raises(CertificateAbort) as info:
-            certify_distinct(hopf, kirby.check_admissible(hopf), unregistered, plan)
+            certify_distinct(kirby.check_admissible(hopf), unregistered, plan)
         assert str(info.value) == "unregistered knot type 'cinquefoil'"

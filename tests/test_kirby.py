@@ -268,10 +268,18 @@ def test_cork_twist_is_an_involution(load):
     assert back.frames == d.frames
 
 
-def test_cork_twist_requires_involution():
-    d = kirby.linked_handle_pair(1)
-    with pytest.raises(kirby.KirbyError):
-        kirby.cork_twist(d)
+def test_cork_twist_requires_involution(load):
+    """The twist refuses a diagram with no verified half-turn, one whose
+    half-turn exchanges two dotted components, and a nonzero framing."""
+    mazur = load("mazur.kirby")
+    for d, message in [
+        (kirby.linked_handle_pair(1), "needs a verified exchanging involution"),
+        (kirby.parse_kirby(mazur.replace("frame K2 0", "dot K2")),
+         "exactly one dotted and one framed component"),
+        (kirby.parse_kirby(mazur.replace("frame K2 0", "frame K2 1")), "needs framing 0, got 1"),
+    ]:
+        with pytest.raises(kirby.KirbyError, match=message):
+            kirby.cork_twist(d)
 
 
 def test_mazur_admissible(load):

@@ -69,7 +69,7 @@ def test_shadow_euler_count(load):
     d = front.parse_front(load("trefoil.front"))
     s = moves.shadow_of_component(d, "K")
     assert s.crossing_count() == 3
-    assert len(s.faces()) == s.crossing_count() + 2
+    assert len(s._faces) == s.crossing_count() + 2
 
 
 def test_trefoil_fixture_inconclusive(load):
@@ -523,7 +523,7 @@ def test_derived_shadows_match_the_full_walk(load, monkeypatch):
     states = _oracle_states(load, monkeypatch)
     splices = removals = mirrored = 0
     for s in states.values():
-        face_of = {d: face for face in s.faces() for d in face}
+        face_of = {d: face for face in s._faces for d in face}
         for x, y, over in s.finger_moves():
             xp, yp = s.theta[x], s.theta[y]
             fresh = max(s.theta) + 1

@@ -48,8 +48,8 @@ if TYPE_CHECKING:
 DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
 
 # The most self-crossings a search may start from.  At the default budget,
-# searches from six random polygon fronts of 90 to 99 crossings spent their
-# 2,000 states in 2.0-2.7 s, and garland k = 100 was certified in 0.15 s
+# searches from eight random polygon fronts of 90 to 98 crossings spent their
+# 2,000 states in 0.6-1.2 s, and garland k = 100 was certified in 0.03-0.05 s
 # (one core of an Intel Xeon); past the bound a component is not searched.
 MAX_SEARCH_CROSSINGS = 100
 
@@ -75,8 +75,9 @@ class Shadow:
     `Shadow(vertices, theta)`, or from the parent for the result of a move
     (`_derive`).  The orientation is the set of darts that the strand
     arrives at when walked from min(theta); it fixes every crossing's
-    sign.  The canonical code is derived at most once, on first use.  A
-    shadow is never changed afterwards.
+    sign.  The canonical code is derived at most once, on first use, and
+    the vertex labels when first asked for.  A shadow is never changed
+    afterwards.
     """
 
     def __init__(self, vertices: dict[int, _Vertex], theta: dict[int, int]):
@@ -90,7 +91,7 @@ class Shadow:
         self._arrivals, self._faces = self._validate()
         self._code: tuple | None = None
         self._labels: dict[int, int] = {}
-        self._ties: tuple[int, ...] = ()  # starts giving the code, labelled one first; () if one
+        self._ties: tuple[int, ...] = ()  # the starts that give the code, least first
 
     def _add_tables(self, vertices: dict[int, _Vertex]) -> None:
         """Record each dart's vertex, opposite end, next counterclockwise end and over bit."""
@@ -207,79 +208,79 @@ class Shadow:
             raise ShadowError("map is not planar")
         return frozenset(orbit), faces
 
-    def _minimal_code(self) -> tuple[tuple, dict[int, int], tuple[int, ...]]:
-        """Minimal signed over/under code over all starts, with its vertex
-        labels and the starts that give it.
+    def _least_rotation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The least rotation of the partner-gap word over both directions,
+        and the start darts that give it, least first.
 
-        Each entry (label, over, sign) is packed as 4 * label + 2 * over +
-        (sign > 0), which orders like the triple.  A start is abandoned as
-        soon as its prefix exceeds the best code so far, and a tie keeps the
-        earlier start, so the labels are those of the full comparison; the
-        starts that tie it are recorded after it, and none when it has no tie.
-        Every code opens with 4 * 0 + the low bits of its first step, so only
-        the starts whose first step has the least low bits are walked.
+        Walked from a start dart, each position reads 4 * gap + 2 * over +
+        (sign > 0): gap is how many steps ahead the other visit to the same
+        crossing lies, over is the dart's over bit and sign is the
+        crossing's, +1 when the next counterclockwise end after the over
+        arrival is the under arrival.  The word names no crossing, so two
+        starts give equal words exactly when their signed Gauss codes are
+        equal up to relabelling.  One walk from min(theta) fills the word at
+        each crossing's second visit; walked the other way, from the
+        opposite ends, the word is the same entries reversed with gap
+        replaced by 2n - gap.  A least rotation opens with the least entry,
+        so only the positions that hold it are compared.
         """
-        theta, vertex, over = self.theta, self._vertex, self._over
-        signs = _signs(self._arrivals, vertex, over, self._ccw)
-        positive = {vid: sign > 0 for vid, sign in signs.items()}
-        step = {  # dart -> (vertex, low bits, next dart)
-            e: (vertex[e], 2 * over[e] + positive[vertex[e]], theta[self._opp[e]]) for e in theta
-        }
-        best: list[int] = []
-        best_labels: dict[int, int] = {}
-        ties: list[int] = []
-        # each vertex has two under ends, whose low bits are its sign bit
-        low = min(positive.values())
-        for start in sorted(e for e in theta if not over[e] and positive[vertex[e]] == low):
-            labels: dict[int, int] = {}
-            code: list[int] = []
-            tied = bool(best)  # prefix equal to the best code so far
-            cur = start
-            while True:
-                vid, bits, cur = step[cur]
-                entry = 4 * labels.setdefault(vid, len(labels)) + bits
-                if tied and entry != best[len(code)]:
-                    if entry > best[len(code)]:
-                        break
-                    tied = False
-                code.append(entry)
-                if cur == start:
-                    if tied:
-                        ties.append(start)
-                    else:
-                        best, best_labels, ties = code, labels, [start]
-                    break
-        code = tuple((v >> 2, (v >> 1) & 1, 1 if v & 1 else -1) for v in best)
-        return code, best_labels, tuple(ties) if len(ties) > 1 else ()
+        theta, opp, ccw, vertex, over = self.theta, self._opp, self._ccw, self._vertex, self._over
+        n2 = len(theta) // 2  # the strand's length 2n: two visits per crossing
+        last = n2 - 1
+        darts: list[int] = []
+        word, back = [0] * n2, [0] * n2  # back[last - j]: the j-th dart's opposite end
+        first: dict[int, int] = {}  # vertex -> position of its first visit
+        cur = min(theta)
+        for j in range(n2):
+            darts.append(cur)
+            i = first.setdefault(vertex[cur], j)
+            if i != j:
+                e = darts[i]
+                bits = 2 + (ccw[e] == cur) if over[e] else ccw[cur] == e  # e's over, sign
+                gap = 4 * (j - i)
+                word[i], back[last - i] = gap + bits, 4 * n2 - gap + bits
+                word[j], back[last - j] = 4 * n2 - gap + (bits ^ 2), gap + (bits ^ 2)
+            cur = theta[opp[cur]]
+        least = min(min(word), min(back))
+        forward, backward = word * 2, back * 2
+        rotations = [(forward[i:i + n2], darts[i]) for i, x in enumerate(word) if x == least]
+        rotations += [
+            (backward[k:k + n2], opp[darts[last - k]]) for k, x in enumerate(back) if x == least
+        ]
+        code = min(rotations)[0]
+        ties = [start for rotation, start in rotations if rotation == code]
+        ties.sort()
+        return tuple(code), tuple(ties)
 
-    def _canonical(self) -> tuple[tuple, dict[int, int]]:
+    def canonical_code(self) -> tuple[int, ...]:
+        """Least partner-gap word over all starts and both directions."""
         if self._code is None:
-            self._code, self._labels, self._ties = (
-                self._minimal_code() if self.vertices else ((), {}, ())
-            )
-        return self._code, self._labels
-
-    def canonical_code(self) -> tuple:
-        """Minimal signed over/under code over all starts and both directions."""
-        return self._canonical()[0]
+            self._code, self._ties = self._least_rotation() if self.vertices else ((), ())
+        return self._code
 
     def vertex_label(self, vid: int) -> int:
-        """Stable label of a vertex: its position in the canonical code."""
+        """Stable label of a vertex: the order of first visits along the
+        strand walked from the least start that gives the canonical code."""
         if not self.vertices:
             raise ShadowError("empty shadow")
-        return self._canonical()[1][vid]
+        if not self._labels:
+            self.canonical_code()
+            labels, vertex = self._labels, self._vertex
+            for e in self.strand_orbit(self._ties[0]):
+                labels.setdefault(vertex[e], len(labels))
+        return self._labels[vid]
 
     def automorphisms(self) -> list[dict[int, int]]:
         """Non-identity dart maps that preserve theta, the vertex rotations
         and the over bits.
 
         Each start that ties the canonical code gives a candidate: the i-th
-        arrival dart of the labelled start's strand walk goes to the i-th
-        of the tied one, and exit darts follow through the opposite slot.
-        A tie is not trusted; a candidate is kept only once it is checked.
+        arrival dart of the least start's strand walk goes to the i-th of
+        the tied one, and exit darts follow through the opposite slot.  A
+        tie is not trusted; a candidate is kept only once it is checked.
         """
-        self._canonical()
-        if not self._ties:
+        self.canonical_code()
+        if len(self._ties) < 2:
             return []
         base = self.strand_orbit(self._ties[0])
         out = []
@@ -463,18 +464,6 @@ class Shadow:
             except ShadowError:
                 continue
         return splices
-
-
-def _signs(
-    arrivals, vertex: dict[int, int], over: dict[int, bool], ccw: dict[int, int]
-) -> dict[int, int]:
-    """Crossing sign of each vertex that the strand reaches at `arrivals`,
-    orientation independent: +1 when the under strand arrives at the slot
-    after the over strand's, counterclockwise."""
-    over_in, under_in = {}, {}
-    for e in arrivals:
-        (over_in if over[e] else under_in)[vertex[e]] = e
-    return {vid: 1 if ccw[e] == under_in[vid] else -1 for vid, e in over_in.items()}
 
 
 # -- building the shadow from a front ----------------------------------------

@@ -9,6 +9,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -165,3 +167,53 @@ def test_certificate_file_is_pinned(fixtures, tmp_path):
     code, _ = run_cli(CERTIFY + ["--out", str(path)], fixtures, "human")
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CERT_FILE
+
+
+# (a, b, c, d) of (x, z) -> (a x + b, c z + d): the identity, a stretch and
+# shift, the x-mirror, the z-mirror, the point reflection and an x-stretch.
+# With y = dz/dx sent to (c / a) y, each keeps the contact structure of
+# dz - y dx, so no verdict may change.
+CONTACTOMORPHISMS = [(1, 0, 1, 0), (3, 7, 3, -5), (-1, 0, 1, 0), (1, 0, -1, 0), (-1, 0, -1, 0),
+                     (2, 0, 1, 0)]
+
+
+def _moved(text, a, b, c, d):
+    """text with every point, ball and half-turn centre moved by (x, z) -> (a x + b, c z + d)."""
+    def x(v):
+        return a * Fraction(v) + b
+
+    def z(v):
+        return c * Fraction(v) + d
+
+    text = re.sub(r"\(([^,()]+),([^,()]+)\)", lambda m: f"({x(m[1])},{z(m[2])})", text)
+    text = re.sub(
+        r"x=(\S+) ytop=(\S+) ybot=(\S+)",
+        lambda m: f"x={x(m[1])} ytop={max(z(m[2]), z(m[3]))} ybot={min(z(m[2]), z(m[3]))}",
+        text,
+    )
+    return re.sub(r"rot180 (\S+) (\S+)", lambda m: f"rot180 {x(m[1])} {z(m[2])}", text)
+
+
+@pytest.mark.parametrize("a,b,c,d", CONTACTOMORPHISMS)
+def test_contactomorphisms_change_no_verdict(a, b, c, d, fixtures, tmp_path):
+    """mazur.kirby, both exhibits of the spec and knotted.kirby, moved by a
+    contactomorphism: certify prints the pinned document, the cork stays
+    admissible with the same tb and the same self-crossing counts, and the
+    knotted pair stays inconclusive."""
+    for name in ("mazur.kirby", "trefoil_handle.front", "trefoil.front", "knotted.kirby"):
+        (tmp_path / name).write_text(_moved((fixtures / name).read_text(), a, b, c, d))
+    for name in ("mazur_inflated.palf", "trefoil_inflation.spec"):
+        (tmp_path / name).write_text((fixtures / name).read_text())
+    code, out = run_doc(CERTIFY, tmp_path)
+    assert (code, digest_of(out)) == next((c, g) for argv, c, g in GOLDEN if argv == CERTIFY)
+
+    def admissible(where):
+        code, out = run_doc(["admissible", "mazur.kirby"], where)
+        report = json.loads(out)["report"]
+        crossings = {k: e["self_crossings"] for k, e in report["cond1_evidence"].items()}
+        return code, report["verdict"], report["cond4prime"]["tb"], crossings
+
+    assert admissible(tmp_path) == admissible(fixtures)
+    assert admissible(tmp_path)[:2] == (0, "admissible")
+    code, out = run_doc(["admissible", "knotted.kirby"], tmp_path)
+    assert (code, json.loads(out)["report"]["verdict"]) == (3, "inconclusive")

@@ -379,8 +379,9 @@ def test_shadow_of_component_matches_the_comparator_sorts(load):
     off integer keys, give the vertices and theta of the comparator sorts on
     every fixture component, on stretched, mirrored and moved garlands,
     bigons and trefoils in both orientations, on LHP(n), and on random
-    polygons, many with a horizontal strand at a crossing.  The sign that
-    the canonical code gives each vertex is its crossing's sign."""
+    polygons, many with a horizontal strand at a crossing.  The sign read
+    off each vertex, +1 when the next counterclockwise end after its over
+    arrival is its under arrival, is its crossing's sign."""
     rng = random.Random(20110411)
     fronts = []
     for name in ("lens.front", "trefoil.front", "trefoil_handle.front"):
@@ -414,10 +415,11 @@ def test_shadow_of_component_matches_the_comparator_sorts(load):
             got = moves.shadow_of_component(d, comp)
             assert (got.vertices, got.theta) == _reference_shadow(d, comp), front.front_to_text(d)
             own = [c for c in d.crossings() if c.over_component == comp == c.under_component]
-            sign_at = {label: sign for label, _, sign in got.canonical_code()}
-            assert [sign_at[got.vertex_label(i)] for i in range(len(own))] == [
-                c.sign for c in own
-            ], front.front_to_text(d)
+            arrival = {(got._vertex[e], got._over[e]): e for e in got._arrivals}
+            assert [
+                1 if got._ccw[arrival[i, True]] == arrival[i, False] else -1
+                for i in range(len(own))
+            ] == [c.sign for c in own], front.front_to_text(d)
             compared += got.crossing_count()
     assert compared > 1600, compared
 
@@ -755,3 +757,112 @@ def test_search_once_per_orbit_matches_unpruned_oracle(load, monkeypatch):
                 popped.clear()
                 runs.append((search(start, budget), list(popped)))
             assert runs[0] == runs[1], (name, budget)
+
+
+# -- the canonical code, against the pruned walk it replaced -------------------
+
+
+def _signs(
+    arrivals, vertex: dict[int, int], over: dict[int, bool], ccw: dict[int, int]
+) -> dict[int, int]:
+    """Crossing sign of each vertex that the strand reaches at `arrivals`,
+    orientation independent: +1 when the under strand arrives at the slot
+    after the over strand's, counterclockwise."""
+    over_in, under_in = {}, {}
+    for e in arrivals:
+        (over_in if over[e] else under_in)[vertex[e]] = e
+    return {vid: 1 if ccw[e] == under_in[vid] else -1 for vid, e in over_in.items()}
+
+
+def _pruned_walk_code(self) -> tuple[tuple, dict[int, int], tuple[int, ...]]:
+    """Minimal signed over/under code over all starts, with its vertex
+    labels and the starts that give it.
+
+    Each entry (label, over, sign) is packed as 4 * label + 2 * over +
+    (sign > 0), which orders like the triple.  A start is abandoned as
+    soon as its prefix exceeds the best code so far, and a tie keeps the
+    earlier start, so the labels are those of the full comparison; the
+    starts that tie it are recorded after it, and none when it has no tie.
+    Every code opens with 4 * 0 + the low bits of its first step, so only
+    the starts whose first step has the least low bits are walked.
+    """
+    theta, vertex, over = self.theta, self._vertex, self._over
+    signs = _signs(self._arrivals, vertex, over, self._ccw)
+    positive = {vid: sign > 0 for vid, sign in signs.items()}
+    step = {  # dart -> (vertex, low bits, next dart)
+        e: (vertex[e], 2 * over[e] + positive[vertex[e]], theta[self._opp[e]]) for e in theta
+    }
+    best: list[int] = []
+    best_labels: dict[int, int] = {}
+    ties: list[int] = []
+    # each vertex has two under ends, whose low bits are its sign bit
+    low = min(positive.values())
+    for start in sorted(e for e in theta if not over[e] and positive[vertex[e]] == low):
+        labels: dict[int, int] = {}
+        code: list[int] = []
+        tied = bool(best)  # prefix equal to the best code so far
+        cur = start
+        while True:
+            vid, bits, cur = step[cur]
+            entry = 4 * labels.setdefault(vid, len(labels)) + bits
+            if tied and entry != best[len(code)]:
+                if entry > best[len(code)]:
+                    break
+                tied = False
+            code.append(entry)
+            if cur == start:
+                if tied:
+                    ties.append(start)
+                else:
+                    best, best_labels, ties = code, labels, [start]
+                break
+    code = tuple((v >> 2, (v >> 1) & 1, 1 if v & 1 else -1) for v in best)
+    return code, best_labels, tuple(ties) if len(ties) > 1 else ()
+
+
+def _moved(s):
+    """Every shadow one kink, bigon or finger move from s."""
+    return (
+        [s.remove_kink(v) for v in s.kink_sites()]
+        + [s.remove_bigon(*pair) for pair in s.bigon_sites()]
+        + [c for move in s.finger_moves() for c in s.push_finger(*move)]
+    )
+
+
+def _moved_twice(load, picks):
+    """Fixture, garland, bigon, trefoil and random-polygon shadows, every
+    shadow one kink, bigon or finger move from one of them, and every shadow
+    one move from `picks` seeded picks among those."""
+    rng = random.Random(20110411)
+    fronts = [front.parse_front(load("trefoil.front"))]
+    for name in ("hopf.kirby", "knotted.kirby", "mazur.kirby"):
+        d = kirby.parse_kirby(load(name))
+        fronts += [d.front, d.stein_front]
+    fronts += [front.parse_front(garland_text(k, Fraction(1, 2), 5, "+")) for k in (1, 2, 3)]
+    fronts.append(front.parse_front(CLASPED_BIGON))
+    while len(fronts) < 20:
+        try:
+            d = front.parse_front(_random_polygon(rng))
+        except front.FrontGeometryError:
+            continue
+        if 2 <= len(d.crossings()) <= 3:
+            fronts.append(d)
+    starts = [moves.shadow_of_component(d, comp) for d in fronts for comp in d.components()]
+    starts = [s for s in starts if s.crossing_count()]
+    once = [c for s in starts for c in _moved(s) if c.crossing_count()]
+    twice = [c for s in rng.sample(once, picks) for c in _moved(s) if c.crossing_count()]
+    return starts + once + twice
+
+
+def test_least_rotation_keeps_the_pruned_walk_classes(load):
+    """The least partner-gap word splits and merges no class of the pruned
+    walk's code it replaced, and each shadow has one checked automorphism
+    fewer than the pruned walk found starts that tie its code."""
+    sample = _moved_twice(load, 40)
+    pairs = set()
+    for s in sample:
+        old, _, ties = _pruned_walk_code(s)
+        pairs.add((s.canonical_code(), old))
+        assert len(s.automorphisms()) == max(len(ties), 1) - 1
+    assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
+    assert len(sample) > 4500 and len(pairs) > 750, (len(sample), len(pairs))

@@ -21,12 +21,15 @@ checked by the full walk.  A finger move builds one splice, and a
 mirrored second splice only when the mates of its two darts share a
 face, which is when it is planar; the removal that would undo a finger
 move gives back its parent, and the search never queues it.  Finger
-moves are listed once per orbit of the shadow's automorphisms: the
+moves are listed once per R2 ascent and orbit of the shadow's
+automorphisms: a move is keyed by its two edges and the edge that goes
+over, the first spelling of a key builds every ascent of that key, the
 starts that tie the canonical code give candidate maps, each is checked
-against the map before it is used, and a move that a checked
-automorphism carries from an earlier-listed move would only rebuild
-that move's children.  A component with more than MAX_SEARCH_CROSSINGS
-self-crossings is not searched, and no shadow is built for it.
+against the map before it is used, and a move whose key an
+earlier-listed move, or a checked automorphism's image of one, already
+has would only rebuild that move's children.  A component with more
+than MAX_SEARCH_CROSSINGS self-crossings is not searched, and no shadow
+is built for it.
 
 Reaching the crossingless diagram proves the component unknotted and the
 move list becomes the certificate.  Everything else is reported as
@@ -48,8 +51,8 @@ if TYPE_CHECKING:
 DEFAULT_BUDGET, DEFAULT_SEED = 2000, 0
 
 # The most self-crossings a search may start from.  At the default budget,
-# searches from eight random polygon fronts of 90 to 98 crossings spent their
-# 2,000 states in 0.6-1.2 s, and garland k = 100 was certified in 0.03-0.05 s
+# searches from eight random polygon fronts of 91 to 98 crossings spent their
+# 2,000 states in 0.4-1.0 s, and garland k = 100 was certified in 0.03-0.05 s
 # (one core of an Intel Xeon); past the bound a component is not searched.
 MAX_SEARCH_CROSSINGS = 100
 
@@ -377,21 +380,35 @@ class Shadow:
         return out
 
     def finger_orbits(self) -> list[tuple[int, int, bool]]:
-        """The finger moves, in order, less each one that an automorphism
-        carries from an earlier-listed move.
+        """The finger moves, in order, once per R2 ascent and orbit.
 
-        push_finger reads only theta, the vertex ends and fresh ids, so the
-        image of a move under an automorphism gives children with the same
-        canonical codes in the same order as the move itself.
+        A move's key is its two edges, each named min(d, theta[d]), and the
+        edge whose strand goes over.  finger_moves spells one key up to
+        four times: (x, y, over), reversed as (y, x, not over), and both
+        again from the second face the two edges share.  push_finger builds
+        the ascent through every face they share, so the first spelling
+        builds every child of its key, and a later one would only rebuild
+        them.  push_finger reads only theta, the vertex ends and fresh ids,
+        so the image of a move under an automorphism gives children with
+        the same canonical codes in the same order as the move itself.  A
+        move is listed only if no earlier-listed move, and no automorphism
+        image of one, has its key.
         """
-        maps = self.automorphisms()
+        theta, maps = self.theta, self.automorphisms()
+
+        def key(x: int, y: int, over: bool) -> tuple[frozenset[int], int]:
+            ex, ey = min(x, theta[x]), min(y, theta[y])
+            return frozenset((ex, ey)), ex if over else ey
+
         listed, covered = [], set()
         for move in self.finger_moves():
-            if move in covered:
+            x, y, over = move
+            spelled = key(x, y, over)
+            if spelled in covered:
                 continue
             listed.append(move)
-            x, y, over = move
-            covered.update((m[x], m[y], over) for m in maps)
+            covered.add(spelled)
+            covered.update(key(m[x], m[y], over) for m in maps)
         return listed
 
     def push_finger(self, x: int, y: int, over: bool) -> list["Shadow"]:
@@ -530,14 +547,15 @@ def search_unknot(start: Shadow, budget: int) -> dict:
     two fewer, and ("fingers",), every finger move of the parent, two more.
     A popped deferred entry whose result is not one state is replaced by
     what it stands for, in its place in the order: ("fingers",) by one
-    ("finger", x, y, over) entry per orbit of finger moves under the
-    parent's checked automorphisms, and each of those by its children.  A
-    popped state whose code was seen before is skipped, so the states
-    expanded, and the budget that counts them, are those of a search that
-    queued every child as it was generated and dropped the repeated ones.
-    A move left out of the list is the image of an earlier-listed move, so
-    its children have the codes of children popped before it and would
-    have been skipped.  A finger child's entry records its new crossings,
+    ("finger", x, y, over) entry per R2 ascent and orbit of finger moves
+    under the parent's checked automorphisms, and each of those by its
+    children.  A popped state whose code was seen before is skipped, so the
+    states expanded, and the budget that counts them, are those of a
+    search that queued every child as it was generated and dropped the
+    repeated ones.  A move left out of the list spells the ascent of an
+    earlier-listed move again, or of an automorphism's image of one, so its
+    children have the codes of children popped before it and would have
+    been skipped.  A finger child's entry records its new crossings,
     and the removal of the bigon between them is not queued: it gives back
     the parent exactly, whose code is seen.  The record sits on the entry,
     not on the Shadow, so a search that starts at a finger child still

@@ -246,16 +246,17 @@ def test_search_is_deterministic(load, monkeypatch):
     assert runs[0][0]["expanded"] == 200
 
 
-@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20), ("trefoil", 2000, 8)])
+@pytest.mark.parametrize("k,budget,most", [(3, 2000, 250), (5, 1, 20), ("trefoil", 2000, 5)])
 def test_search_builds_only_the_states_it_pops(load, monkeypatch, k, budget, most):
     """Finger and removal children are built when popped, not when generated;
     both constructors are counted, the full walk and the derivation from a
     parent, and the start is not.  The exhausted trefoil search lists one
-    finger move per orbit of the shadow's six symmetries, builds a mirrored
-    splice only where it is planar, and never queues the removal that undoes
-    a finger move: it builds 8 Shadows, all planar.  Listing all 36 finger
-    moves of the start built 77; building both splices of each listed move
-    and every removal built 17, 6 of them rejected as not planar."""
+    finger move per R2 ascent and orbit of the shadow's six symmetries, 3 of
+    its 36, builds a mirrored splice only where it is planar, and never
+    queues the removal that undoes a finger move: it builds 5 Shadows, all
+    planar, 3 finger children and 2 removal results.  Listing one spelling
+    per orbit, 6 moves, built 8; listing all 36 built 77; building both splices of each listed move and every removal built
+    17, 6 of them rejected as not planar."""
     start = moves.shadow_of_component(
         *_search_case(load, k if k == "trefoil" else f"garland{k}")
     )
@@ -479,28 +480,52 @@ def _oracle_states(load, monkeypatch):
     return {s.canonical_code(): s for s in expanded + near}
 
 
+def _finger_key(s, x, y, over):
+    """The R2 ascent a finger move spells: its two edges, each named by its
+    least dart, and the edge whose strand goes over."""
+    ex, ey = min(x, s.theta[x]), min(y, s.theta[y])
+    return frozenset((ex, ey)), ex if over else ey
+
+
 def test_two_splice_finger_matches_eight_splice_oracle(load, monkeypatch):
     """Every finger move on the oracle states, and on 40 seeded picks among
     their finger children, gives the same children in the same order as the
-    eight-splice enumeration."""
+    eight-splice enumeration.  Each later spelling of a move's key gives
+    children that the key's first spelling already gives: the same list when
+    it is the reversed spelling, a subset when it comes from the second face
+    the two edges share, so `finger_orbits` may list the first alone."""
     states = _oracle_states(load, monkeypatch)
     children = {}
-    tested = doubles = 0
+    tested = doubles = respelled = 0
 
     def check(s):
-        nonlocal tested, doubles
+        nonlocal tested, doubles, respelled
+        first = {}  # a move's key -> its first spelling and that spelling's child codes
         for move in s.finger_moves():
             got = s.push_finger(*move)
-            assert [c.canonical_code() for c in got] == _all_eight_splices(s, *move)
+            codes = [c.canonical_code() for c in got]
+            assert codes == _all_eight_splices(s, *move)
             tested += 1
             doubles += len(got) == 2
             children.update((c.canonical_code(), c) for c in got)
+            key = _finger_key(s, *move)
+            if key not in first:
+                first[key] = move, codes
+                continue
+            (x, y, _), first_codes = first[key]
+            respelled += 1
+            if {move[0], move[1]} == {x, y}:  # the reversed spelling, from the same face
+                assert codes == first_codes, (move, first[key])
+            else:  # a spelling from the second face the two edges share
+                assert set(codes) <= set(first_codes), (move, first[key])
 
     for s in states.values():
         check(s)
     for code in random.Random(20110411).sample(sorted(children.keys() - states.keys()), 40):
         check(children[code])
     assert tested > 8000 and doubles > 0, (tested, doubles)
+    # every key is spelled at least twice, and some from both faces
+    assert respelled > tested // 2, (tested, respelled)
 
 
 def _spliced_theta(s, dead):
@@ -596,9 +621,14 @@ def _turns(s, sigma, clockwise):
 
 
 def test_trefoil_automorphisms_form_its_symmetry_group(load):
+    """The trefoil's shadow turns onto itself six ways, and its 36 finger
+    moves spell 18 R2 ascents, which those six symmetries gather into 3."""
     s = moves.shadow_of_component(*_search_case(load, "trefoil"))
     maps = s.automorphisms()
     assert len(maps) == 5
+    assert len(s.finger_moves()) == 36
+    assert len({_finger_key(s, *move) for move in s.finger_moves()}) == 18
+    assert len(s.finger_orbits()) == 3
     identity = {d: d for d in s.theta}
     for sigma in maps:
         _respects_the_map(s, sigma)
@@ -632,7 +662,8 @@ def test_forged_tie_is_rejected(load, case, flip, clockwise, keeps_over_bits):
     of the asked kind: each is rejected by a different part of the check.  The
     trefoil's mirror both turns clockwise and flips over bits; the flipped
     garland's mirror keeps theta and the over bits, so only the rotations tell;
-    the flipped trefoil's turns keep the rotations, so only the over bits tell."""
+    the flipped trefoil's turns keep the rotations, so only the over bits tell.
+    With no map kept, the finger moves are listed once per R2 ascent."""
     s = moves.shadow_of_component(*_search_case(load, case))
     if flip is not None:
         vertices = dict(s.vertices)
@@ -648,7 +679,7 @@ def test_forged_tie_is_rejected(load, case, flip, clockwise, keeps_over_bits):
     assert forged
     s._ties = (base, *forged)
     assert s.automorphisms() == []
-    assert len(s.finger_orbits()) == len(s.finger_moves())
+    assert len(s.finger_orbits()) == len({_finger_key(s, *move) for move in s.finger_moves()})
 
 
 def test_check_rejects_a_map_that_breaks_theta(load):

@@ -14,17 +14,16 @@ being silently used.
 
 Every number a check reads is recorded once, by name, in the
 certificate's facts table: a JSON integer, for the monodromy a list of
-integer classes, and for the linking matrix and its inverse a 2 x 2
-integer matrix.  CHECKS is a small registry of functions whose
-parameters are fact names, and eval_condition runs one on the facts.
-Certify and the checker alike run each check SCHEME names once, in row
-order; certify aborts at the first that does not hold, so a certificate
-never records a false one.  certificate_body spells the whole document
-from the facts and the knot, for certify and the checker alike.
-Validation recomputes the content digest, rebuilds the body from the
-recorded facts and knot, and reports each place where the document
-differs from it; it reports each row's checks that fail on the facts,
-and every fact that no check reads.
+integer classes, and for the linking matrix a 2 x 2 integer matrix.
+CHECKS is a small registry of functions whose parameters are fact names,
+and eval_condition runs one on the facts.  Certify and the checker alike
+run each check SCHEME names once, in row order; certify aborts at the
+first that does not hold, so a certificate never records a false one.
+certificate_body spells the whole document from the facts and the knot,
+for certify and the checker alike.  Validation recomputes the content
+digest, rebuilds the body from the recorded facts and knot, and reports
+each place where the document differs from it; it reports each row's
+checks that fail on the facts, and every fact that no check reads.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 # the checker needs only these; the deduction imports kirby where it runs,
 # so that --validate loads no parser
-from . import intmat, mcg
+from . import mcg
 from .base import PLAN_ASSUMPTIONS, declared
 
 if TYPE_CHECKING:
@@ -156,7 +155,8 @@ def word_trivial_on_h1(fiber_genus: int, monodromy: list[list[int]]) -> bool:
 # The checks a step may name; a check's parameters name the facts it reads.
 CHECKS: dict[str, Callable[..., bool]] = {
     # admissibility conditions 3 and 4': the handles link once, the cork's exhibit has tb >= 1;
-    # the dot becomes 0 on the diagonal, and the framed component carries framing 0
+    # the dot becomes 0 on the diagonal, and the framed component carries framing 0.
+    # Such a matrix has determinant -1, so the boundary is a homology sphere (steps 5, 6)
     "unit_linking": lambda linking: (
         linking[0][0] == linking[1][1] == 0
         and linking[0][1] == linking[1][0] and abs(linking[0][1]) == 1),
@@ -171,9 +171,6 @@ CHECKS: dict[str, Callable[..., bool]] = {
         handles == blocks * mcg.relator_letters(fiber_genus)),
     "word_trivial_on_h1": word_trivial_on_h1,
     "fiber_genus_above_one": lambda fiber_genus: fiber_genus > 1,
-    # the linking matrix has an integral inverse, so the boundary is a homology sphere
-    "unimodular": lambda linking, linking_inverse: intmat.is_identity(
-        intmat.mat_mul(linking, linking_inverse)),
     # no Legendrian representative of the knot reaches framing = tb - 1
     "tb_obstructed": lambda framing, max_tb: framing > max_tb - 1,
     # a torus of the knot's genus and self-intersection the framing breaks the
@@ -188,15 +185,15 @@ _PARAMETERS: dict[str, tuple[str, ...]] = {
 }
 
 # every fact is a JSON integer, never a bool or a float, except the
-# monodromy, a list of integer classes, and the linking matrix and its
-# inverse: 2 x 2, as check_admissible allows only two components, which
-# keeps mat_mul's shapes matched and its cost fixed
+# monodromy, a list of integer classes, and the linking matrix: 2 x 2, as
+# check_admissible allows only two components, so unit_linking's indices
+# are always in range
 _INTEGER = ("an integer", lambda v: type(v) is int)
 _MATRIX = ("a 2 x 2 integer matrix", lambda v: type(v) is list and len(v) == 2 and all(
     type(row) is list and len(row) == 2 and type(row[0]) is type(row[1]) is int for row in v))
 _SHAPES = {"monodromy": ("a list of integer lists", lambda v: type(v) is list and all(
     type(row) is list and all(type(x) is int for x in row) for row in v)),
-    "linking": _MATRIX, "linking_inverse": _MATRIX}
+    "linking": _MATRIX}
 
 
 def eval_condition(check: object, facts: object) -> bool:
@@ -338,13 +335,13 @@ SCHEME: tuple[tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...
     ("concave_hits_contact",
      (CONCAVE_FILLING, "given: the cork diagram's linking matrix, so the boundary of W "
                        "is a homology sphere and c1 restricts torsion"),
-     ("unimodular",),
+     ("unit_linking",),
      (V_HITS_CONTACT,)),
     # exactly one decoration glues across the homology-sphere cut, so the
     # composite is a single term
     ("compose_unique_gluing",
      (X_SENDS_BOTTOM_TO_TOP, V_HITS_CONTACT),
-     ("unimodular",),
+     ("unit_linking",),
      (f"{THETA_PLUS} = ±F+_W'({CONTACT})", CONTACT_IMAGE_NONZERO)),
     ("twisted_adjunction_obstruction",
      (IS_CORK, "given: registered facts for {knot}: its max tb and Seifert genus",
@@ -445,9 +442,9 @@ def certify_distinct(adm: dict, spec: InflationSpec, plan: dict) -> dict:
     untwisted, u_comp = spec.untwisted_front, spec.untwisted_component
     twisted, t_comp = spec.twisted_front, spec.twisted_component
     knot, twisted_knot = untwisted.knottype(u_comp), twisted.knottype(t_comp)
-    for declared in (knot, twisted_knot):
-        _require(declared is None or declared in kirby.KNOT_FACTS,
-                 f"unregistered knot type {declared!r}")
+    for knot_type in (knot, twisted_knot):
+        _require(knot_type is None or knot_type in kirby.KNOT_FACTS,
+                 f"unregistered knot type {knot_type!r}")
     _require(adm["verdict"] == "admissible",
              f"cork admissibility failed: verdict {adm['verdict']!r}")
     registered = kirby.KNOT_FACTS.get(knot)
@@ -459,7 +456,7 @@ def certify_distinct(adm: dict, spec: InflationSpec, plan: dict) -> dict:
     _require(twisted_knot == knot, "twisted-side record disagrees with the untwisted attachment")
 
     # the dot and the 0-framing leave the diagonal 0, and an admissible
-    # cork links once, |lk| = 1, so the matrix is its own inverse
+    # cork links once, |lk| = 1, so the boundary of W is a homology sphere
     lk = adm["cond3"]["value"]
     framing, tb, g_hat = spec.framing, untwisted.tb(u_comp), plan["fiber_genus"]
     handles = plan["trivializing_handles"]
@@ -470,7 +467,6 @@ def certify_distinct(adm: dict, spec: InflationSpec, plan: dict) -> dict:
         "euler_char": plan["euler_char"], "handles": handles["count"],
         "blocks": plan["relator_blocks"], "fiber_genus": g_hat,
         "monodromy": [list(block["letter"]["class"]) for block in reversed(handles["blocks"])],
-        "linking_inverse": [[0, lk], [lk, 0]],
         "max_tb": registered["max_tb"], "knot_genus": registered["seifert_genus"],
     }
     # max tb bounds a plain front only, so the twisted exhibit must pass no

@@ -621,10 +621,10 @@ def parse_inflation_spec(text: str, base_dir: str | Path) -> InflationSpec:
         comp = getattr(spec, f"{side}_component")
         if comp not in fr.components():
             raise FrontParseError(f"{side} exhibit has no component {comp!r}")
-        declared = fr.knottype(comp)
-        if declared is not None and declared != spec.knot:
+        knot_type = fr.knottype(comp)
+        if knot_type is not None and knot_type != spec.knot:
             raise FrontParseError(
-                f"{side} exhibit declares knot type {declared!r}, spec says {spec.knot!r}"
+                f"{side} exhibit declares knot type {knot_type!r}, spec says {spec.knot!r}"
             )
     return spec
 

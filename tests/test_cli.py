@@ -1316,7 +1316,7 @@ HOSTILE_EVIDENCE = {
     "float": ([_fact("cork_tb", 1.0)], "invalid: step 1 ", "not an integer"),
     "string": ([_fact("cork_tb", "1")], "invalid: step 1 ", "not an integer"),
     "nested-list": ([_fact("cork_tb", [[1]])], "invalid: step 1 ", "not an integer"),
-    # the linking matrix and its inverse are 2 x 2, so the product's shapes always match
+    # the linking matrix is 2 x 2, so unit_linking's indices are always in range
     "linking-3x3": ([_fact("linking", [[0, 1, 0], [1, 0, 0], [0, 0, 1]])], "invalid: step 1 ",
                     _NOT_A_MATRIX),
     "linking-ragged": ([_fact("linking", [[0, 1], [1]])], "invalid: step 1 ", _NOT_A_MATRIX),
@@ -1325,9 +1325,6 @@ HOSTILE_EVIDENCE = {
                      _NOT_A_MATRIX),
     "linking-float": ([_fact("linking", [[0, 1.0], [1.0, 0]])], "invalid: step 1 ",
                       _NOT_A_MATRIX),
-    "inverse-3x3": ([_fact("linking_inverse", [[0, 1, 0], [1, 0, 0], [0, 0, 1]])],
-                    "invalid: step 5 ",
-                    "fact linking_inverse of check unimodular is not a 2 x 2 integer matrix"),
     "linking-deep": ([_fact("linking", _nested(500))], "invalid: step 1 ", _NOT_A_MATRIX),
     "genus-0": (_word(0, [[]]), "invalid: step 3 ", "genus must be between 1 and 64, got 0"),
     "genus-65": (_word(65, [[1] + [0] * 129]), "invalid: step 3 ",

@@ -18,9 +18,9 @@ from corktwist import cli, kirby
 from corktwist.base import dump_json
 
 CERTIFY = ["certify", "mazur.kirby", "mazur_inflated.palf", "trefoil_inflation.spec"]
-CERT_DIGEST = "f9ca45e1d79b1565e6d07bdf9d0318738a3f8e9ac05d9c3878067dca4f679811"
+CERT_DIGEST = "de1e95981e571cf9940d93a67fd9b3200a93cd4ea4c028919863059fcb9ea42e"
 # the first 16 hex digits of the sha256 of the file `certify --out` writes
-CERT_FILE = "01304bf18176ca55"
+CERT_FILE = "02950104108a39d7"
 
 GOLDEN = [
     (["tb", "trefoil.front"], 0, "10d8086fb68e52bb"),
@@ -34,7 +34,7 @@ GOLDEN = [
     (["fill", "mazur.palf"], 0, "734b0650a3f22a03"),
     (["fill", "mazur_inflated.palf"], 0, "edf52f9ab5a7897f"),
     (["mcg", "verify-chain", "2"], 0, "8b6c8c0e9441c293"),
-    (CERTIFY, 0, "c1692edc0d50a89d"),
+    (CERTIFY, 0, "ff4dd31b7916eb33"),
 ]
 
 
@@ -153,7 +153,7 @@ def test_human_fill_output_is_pinned(fixtures):
 def test_human_certify_output_is_pinned(fixtures):
     code, out = run_cli(CERTIFY, fixtures, "human")
     assert code == 0
-    assert digest_of(out) == "4852f9b85f7ce350"
+    assert digest_of(out) == "2fb59b68342264b2"
 
 
 def test_certificate_digest_is_pinned(fixtures):

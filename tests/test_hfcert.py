@@ -127,8 +127,6 @@ def test_eval_condition_runs_named_checks():
         ("relator_handles", {"handles": 195, "blocks": 5, "fiber_genus": 2},
          {"handles": 196, "blocks": 5, "fiber_genus": 2}),
         ("fiber_genus_above_one", {"fiber_genus": 2}, {"fiber_genus": 1}),
-        ("unimodular", {"linking": [[2, 1], [1, 1]], "linking_inverse": [[1, -1], [-1, 2]]},
-         {"linking": [[2, 1], [1, 1]], "linking_inverse": [[1, -1], [-1, 1]]}),
         ("tb_obstructed", {"framing": 1, "max_tb": 1}, {"framing": 0, "max_tb": 1}),
         ("adjunction_violated", {"knot_genus": 1, "framing": 1},
          {"knot_genus": 2, "framing": 2}),
@@ -198,15 +196,12 @@ def test_eval_condition_caps_nesting():
      "fact cork_tb of check tb_at_least_one is not an integer"),
     ("tb_at_least_one", {"cork_tb": 1.0}, "is not an integer"),
     ("tb_at_least_one", {"cork_tb": "1"}, "is not an integer"),
-    # the linking matrix and its inverse are 2 x 2, so mat_mul's shapes always match
+    # the linking matrix is 2 x 2, so unit_linking's indices are always in range
     ("unit_linking", {"linking": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}, _NOT_A_MATRIX),
     ("unit_linking", {"linking": [[0, 1], [1]]}, _NOT_A_MATRIX),
     ("unit_linking", {"linking": []}, _NOT_A_MATRIX),
     ("unit_linking", {"linking": [[0, True], [True, 0]]}, _NOT_A_MATRIX),
     ("unit_linking", {"linking": [[0, 1.0], [1.0, 0]]}, _NOT_A_MATRIX),
-    ("unimodular", {"linking": [[0, 1], [1, 0]],
-                    "linking_inverse": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]},
-     "fact linking_inverse of check unimodular is not a 2 x 2 integer matrix"),
     ("unit_linking", {"linking": _DEEP}, _NOT_A_MATRIX),
     (WORD, {"fiber_genus": 0, "monodromy": [[]]}, "genus must be between 1 and 64"),
     (WORD, {"fiber_genus": mcg.MAX_GENUS + 1, "monodromy": [[1] + [0] * 129]},
@@ -218,7 +213,7 @@ def test_eval_condition_caps_nesting():
 ], ids=["not-a-mapping", "old-format", "unknown-check", "check-not-a-string",
         "evidence-not-a-mapping", "missing-key", "true", "float", "string",
         "linking-3x3", "linking-ragged", "linking-empty", "linking-true", "linking-float",
-        "inverse-3x3", "linking-deep", "genus-0", "genus-65", "class-length",
+        "linking-deep", "genus-0", "genus-65", "class-length",
         "imprimitive-class", "zero-class", "empty-monodromy"])
 def test_eval_condition_refuses_hostile_evidence(check, facts, message):
     with pytest.raises(HFError, match=re.escape(message)):
@@ -256,10 +251,10 @@ def test_certify_emits_every_registered_check(pipeline, monkeypatch):
     emitted = [check for step in steps for check in step["checks"]]
     assert set(emitted) == set(CHECKS)
     assert len(emitted) == 11
-    # certify runs each check it records once, in scheme order: unimodular
-    # once for steps 5 and 6; and the checker makes the same calls
+    # certify runs each check it records once, in scheme order: unit_linking
+    # once for steps 1, 5 and 6; and the checker makes the same calls
     once = list(dict.fromkeys(emitted))
-    assert ran == once and len(ran) == 10
+    assert ran == once and len(ran) == 9
     ran.clear()
     assert validate_certificate(cert) == []
     assert ran == once
@@ -382,16 +377,16 @@ _ASSUMPTIONS = "assumptions are not the ones certify declares"
 _STEP_7_OUTPUTS = (7, _OUTPUTS)
 
 
-_UNIMODULAR = [_fails(5, "unimodular"), _fails(6, "unimodular")]
+# the linking matrix is read at steps 1, 5 and 6
+_LINKING = [_fails(step, "unit_linking") for step in (1, 5, 6)]
 
 # one forgery per check that edited facts can falsify: (step, check, the facts
 # and their forged values, and the problem at every step that reads them)
 FORGERIES = [
-    # the linking matrix is read at steps 1, 5 and 6
-    (1, "unit_linking", {"linking": [[0, 2], [2, 0]]}, [_fails(1, "unit_linking"), *_UNIMODULAR]),
-    # symmetric and with its true inverse: only the zero diagonal refuses it
-    (1, "unit_linking", {"linking": [[1, 1], [1, 0]], "linking_inverse": [[0, 1], [1, -1]]},
-     [_fails(1, "unit_linking")]),
+    (1, "unit_linking", {"linking": [[0, 2], [2, 0]]}, _LINKING),
+    # symmetric and unimodular, so the boundary is a homology sphere: steps 5
+    # and 6 still refuse it, for its diagonal is not zero
+    (5, "unit_linking", {"linking": [[1, 1], [1, 0]]}, _LINKING),
     (1, "tb_at_least_one", {"cork_tb": 0}, [_fails(1, "tb_at_least_one")]),
     # the framing is read at steps 2 and 7
     (2, "contact_framing", {"framing": 0}, [
@@ -407,9 +402,6 @@ FORGERIES = [
         _fails(3, "plan_euler_characteristic"), _fails(3, "relator_handles"),
         (3, "unreadable check: every monodromy class must have 2 entries"),
         _fails(4, "fiber_genus_above_one")]),
-    # the inverse is read at steps 5 and 6
-    (5, "unimodular", {"linking_inverse": [[0, 1], [1, 1]]}, _UNIMODULAR),
-    (6, "unimodular", {"linking_inverse": [[0, 0], [0, 0]]}, _UNIMODULAR),
     (7, "tb_obstructed", {"max_tb": 2}, [_fails(7, "tb_obstructed"), _STEP_7_OUTPUTS]),
     (7, "adjunction_violated", {"knot_genus": 2},
      [_fails(7, "adjunction_violated"), _STEP_7_OUTPUTS]),
@@ -454,7 +446,6 @@ def _parent_format(doc):
             "handles": f["handles"], "blocks": f["blocks"], "fiber_genus": f["fiber_genus"]},
         WORD: {"genus": f["fiber_genus"], "monodromy": f["monodromy"]},
         "fiber_genus_above_one": {"fiber_genus": f["fiber_genus"]},
-        "unimodular": {"linking": f["linking"], "linking_inverse": f["linking_inverse"]},
         "tb_obstructed": {"framing": f["framing"], "max_tb": f["max_tb"]},
         "adjunction_violated": {
             "genus": f["knot_genus"], "self_intersection": f["framing"], "pairing": 0},
@@ -508,6 +499,14 @@ def _reword_is_cork(doc):
         texts[texts.index(hfcert.IS_CORK)] = "the domain W is contractible"
 
 
+def _inverse_format(doc):
+    """doc as the format before steps 5 and 6 read the linking matrix itself:
+    a second copy of it as its inverse, and a check that multiplies the two."""
+    doc["facts"]["linking_inverse"] = copy.deepcopy(doc["facts"]["linking"])
+    for step in doc["steps"][4:6]:
+        step["checks"] = ["unimodular"]
+
+
 # an edit of the chain of deductions under a fresh digest: {name: (edit, the
 # problems validation gives)}
 SCHEME_FORGERIES = {
@@ -559,6 +558,10 @@ SCHEME_FORGERIES = {
         lambda doc: doc.update(assumptions=[a for a in doc["assumptions"] if a["name"] not in (
             "symplectic-structure", "section-exists")]),
         [_ASSUMPTIONS]),
+    "inverse-format": (_inverse_format, [
+        _at_step(5, "checks ['unimodular'] are not the rule's checks ['unit_linking']"),
+        _at_step(6, "checks ['unimodular'] are not the rule's checks ['unit_linking']"),
+        "fact 'linking_inverse' is read by no check"]),
 }
 
 
@@ -597,10 +600,10 @@ def test_every_integer_is_a_fact_recorded_once(pipeline):
     doc = certify_distinct(*pipeline)
     sites = _integer_sites(doc)
     assert all(path[0] == "facts" for path in sites)
-    # 9 integer facts, the linking matrix and its inverse of 4 entries each,
-    # and the monodromy's 5 classes of 4 entries
-    assert len(sites) == 37
-    assert len(doc["facts"]) == 12
+    # 9 integer facts, the linking matrix of 4 entries, and the monodromy's
+    # 5 classes of 4 entries
+    assert len(sites) == 33
+    assert len(doc["facts"]) == 11
 
 
 EDITS = {"+1": lambda v: v + 1, "negate": lambda v: -v}
